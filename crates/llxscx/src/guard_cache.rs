@@ -2,7 +2,7 @@
 //!
 //! Every public tree operation used to pin and unpin the epoch (`&pin()`
 //! per attempt): several sequentially-consistent atomics plus, every 64th
-//! unpin, a global collection pass — pure overhead on the read path, where
+//! unpin, a collection pass — pure overhead on the read path, where
 //! the paper's searches perform *no* synchronization at all. This module
 //! keeps one long-lived `Guard` per thread and hands out cheap re-entries:
 //!
@@ -10,17 +10,25 @@
 //!   is warm this costs a thread-local access and two counter bumps — the
 //!   inner `pin()` that callees may still perform is a depth increment
 //!   (the vendored crossbeam-epoch's nested-pin fast path).
-//! * Every [`REPIN_OPS`]-th call the cached guard is dropped, the thread's
-//!   deferred-function batch is flushed, a collection pass runs, and a
-//!   fresh pin is taken. This bounds both garbage accumulation and how far
-//!   this thread can hold the global epoch back.
+//! * Every [`REPIN_OPS`]-th call the cached guard is dropped, a fresh pin
+//!   is taken, and a collection pass runs under it: the epoch advances if
+//!   it can and the thread frees *its own* ripe retirements from its limbo
+//!   list (the epoch collector keeps garbage with the thread that retired
+//!   it). This bounds both garbage accumulation and how far this thread
+//!   can hold the global epoch back.
 //!
 //! # Liveness caveat
 //!
 //! A thread that stops calling [`with_guard`] *while its cache is warm*
 //! keeps the epoch pinned until it either calls again or exits (thread exit
-//! drops the cache). Long-lived threads that go idle between bursts of
-//! tree operations can call [`flush`] to release the cached pin eagerly.
+//! drops the cache), and while it does every other thread's limbo list
+//! only grows. Nobody but its owner drains a limbo list, either, so an
+//! idle thread also sits on whatever it retired last. Long-lived threads
+//! that go idle between bursts of tree operations must therefore call
+//! [`flush`] before parking: it releases the cached pin *and* hands the
+//! thread's unripe retirements to the collector's orphan list, where the
+//! passes of the threads still running free them
+//! (`tests/park_flush.rs` holds it to both halves).
 //! This is the standard trade of amortized pinning; the repin interval
 //! keeps the window small under load, and the throughput win on read-heavy
 //! workloads (where pinning was the dominant cost) is what the paper's
@@ -95,10 +103,11 @@ pub fn with_guard_weighted<R>(weight: u32, f: impl FnOnce(&Guard) -> R) -> R {
                 let uses = cache.uses.get();
                 if uses >= REPIN_OPS {
                     // Drop the cached pin so the global epoch can advance
-                    // past this thread, flush our deferred batch, collect,
-                    // and repin fresh.
+                    // past this thread, repin fresh, and run a collection
+                    // pass under the new pin: pinned, so our limbo list
+                    // stays ours.
                     *slot = None;
-                    crossbeam_epoch::flush_and_collect();
+                    slot.insert(pin()).flush();
                     cache.uses.set(weight.min(REPIN_OPS));
                 } else {
                     cache.uses.set(uses.saturating_add(weight));
@@ -112,9 +121,11 @@ pub fn with_guard_weighted<R>(weight: u32, f: impl FnOnce(&Guard) -> R) -> R {
     })
 }
 
-/// Drops this thread's cached guard (if any), flushes its deferred batch
-/// and runs a collection pass. Call before parking a long-lived thread
-/// that performed tree operations and will now go idle.
+/// Drops this thread's cached guard (if any), runs a collection pass and
+/// hands what is still unripe in this thread's limbo list to the epoch
+/// collector's orphan list, for other threads' passes to free. Call before
+/// parking a long-lived thread that performed tree operations and will now
+/// go idle; `crossbeam_epoch::backlog` reads what is waiting where.
 pub fn flush() {
     let _ = CACHE.try_with(|cache| {
         if let Ok(mut slot) = cache.guard.try_borrow_mut() {

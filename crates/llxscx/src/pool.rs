@@ -22,11 +22,14 @@
 //!   and the classic Treiber-pop ABA cannot occur: nodes are only ever
 //!   removed by us, so the head we read cannot be popped and re-pushed
 //!   behind our back.
-//! * **Return** (`release`) can happen on *any* thread — the final
-//!   reference drop runs inside an epoch-deferred closure executed by
-//!   whichever thread performs the collection — so pushes are multi-producer
-//!   CAS pushes. A push that observes the stack full (`POOL_CAP`) or
-//!   closed (the `DEAD` bit) frees the descriptor instead.
+//! * **Return** (`release`) can happen on *any* thread. The final
+//!   reference drop runs inside an epoch-deferred closure, and the epoch
+//!   collector runs a closure on the thread that deferred it: the thread
+//!   that displaced the descriptor from its last `info` field, which need
+//!   not be the descriptor's owner (and an exited or parked thread's
+//!   leftovers run on whichever thread adopts them). So pushes are
+//!   multi-producer CAS pushes. A push that observes the stack full
+//!   (`POOL_CAP`) or closed (the `DEAD` bit) frees the descriptor instead.
 //!
 //! # Lifetime
 //!
@@ -51,8 +54,9 @@ use crate::record::Record;
 /// type).
 ///
 /// An SCX holds at most one descriptor in flight per thread, but returns
-/// arrive in epoch-deferred batches — on an oversubscribed host a batch
-/// spans a whole scheduler rotation — so the cap is sized for bursts
+/// arrive a collection pass at a time — when a descheduled pinned thread
+/// stalls the epoch, a pass spans a whole scheduler rotation — so the cap
+/// is sized for bursts
 /// (4096 × 256-byte descriptors = 1 MiB per thread, worst case).
 pub(crate) const POOL_CAP: usize = 4096;
 
@@ -213,7 +217,8 @@ pub struct PoolStats {
 ///         }
 ///     }
 ///     // Let the epoch-deferred reference drops run so descriptors
-///     // return to the pool.
+///     // return to the pool (unpinned, so this also orphans what is not
+///     // ripe yet; a later iteration's pass runs it).
 ///     llxscx::epoch::flush_and_collect();
 /// }
 /// let stats = llxscx::pool::local_stats::<N>();

@@ -19,17 +19,21 @@
 //! allocation may be released here — the two are interchangeable, so
 //! callers that bypass the cache stay correct.
 //!
-//! Frees land on whichever thread runs the epoch-deferred disposal, not
-//! necessarily the allocating thread. That is fine: the freelist is purely
-//! local, so slots simply migrate between threads' caches; a skewed flow
-//! (one thread only frees) is bounded by [`SLAB_CAP`] and spills to the
-//! real allocator.
+//! Frees land on the thread that *retired* the record — the epoch
+//! collector runs a deferred disposal on the thread that deferred it — so
+//! in steady state a thread's frees refill the cache its own next
+//! allocations pop from. That thread need not be the one that allocated
+//! the slot (a remove retires records other threads inserted), and an
+//! exited or parked thread's leftovers are disposed of by whichever thread
+//! adopts them. Both are fine: the freelist is purely local, so slots
+//! simply migrate between threads' caches; a skewed flow (one thread only
+//! frees) is bounded by [`SLAB_CAP`] and spills to the real allocator.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
 
 /// Maximum cached slots per (thread, layout). Epoch collection returns
-/// retirements in bursts — on an oversubscribed host a burst spans a whole
+/// retirements in bursts — when the epoch stalls a burst spans a whole
 /// scheduler rotation (tens of thousands of records) — so the cap is sized
 /// for bursts, not steady state; beyond it, slots go back to the global
 /// allocator. 4096 × 128-byte nodes = 512 KiB per thread, the price of
