@@ -1,14 +1,15 @@
 //! Repo-local markdown link integrity: walks every `*.md` outside
 //! `vendor/`/`target/`/hidden dirs, resolves intra-repo link targets and
 //! exits non-zero listing any that point at nothing. No network —
-//! external URLs and in-page anchors are skipped. CI runs this in the
-//! `analysis` job; locally:
+//! external URLs and in-page anchors are skipped. Also asserts that the
+//! root `CHANGES.md` lists its PR numbers in strictly increasing order.
+//! CI runs this in the `analysis` job; locally:
 //!
 //! ```sh
 //! cargo run --release -p bench --bin linkcheck [ROOT]
 //! ```
 
-use bench::links::{broken_target, extract_links, markdown_files};
+use bench::links::{broken_target, changelog_out_of_order, extract_links, markdown_files};
 
 fn main() {
     let root = std::env::args()
@@ -47,6 +48,12 @@ fn main() {
         "linkcheck: {} markdown file(s), {checked} link(s), {broken} broken",
         files.len()
     );
+    if let Ok(changes) = std::fs::read_to_string(root.join("CHANGES.md")) {
+        for (line, n) in changelog_out_of_order(&changes) {
+            broken += 1;
+            eprintln!("CHANGES.md:{line}: PR {n} does not follow the entry above it");
+        }
+    }
     if broken > 0 {
         std::process::exit(1);
     }

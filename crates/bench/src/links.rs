@@ -144,9 +144,42 @@ pub fn markdown_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// The changelog's entry lines (`- **PR <n> …`) whose PR number is not
+/// strictly greater than the previous entry's, as `(line, number)` with
+/// 1-based lines. `CHANGES.md` is append-only and numbered after git's
+/// `PR <n>:` commits, so a duplicate or out-of-order number is an entry
+/// filed under the wrong PR.
+pub fn changelog_out_of_order(text: &str) -> Vec<(usize, u32)> {
+    let mut out = Vec::new();
+    let mut last = None;
+    for (idx, line) in text.lines().enumerate() {
+        let Some(rest) = line.strip_prefix("- **PR ") else {
+            continue;
+        };
+        let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+        let Some(n) = digits.and_then(|d| d.parse::<u32>().ok()) else {
+            continue;
+        };
+        if last.is_some_and(|prev| n <= prev) {
+            out.push((idx + 1, n));
+        }
+        last = Some(n);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn changelog_numbers_must_strictly_increase() {
+        let ok = "# CHANGES\n\n- **PR 1 — a**\n- **PR 2 — b**\n- **PR 19 — c**\nprose PR 3\n";
+        assert_eq!(changelog_out_of_order(ok), vec![]);
+        let bad =
+            "- **PR 6 — a**\n# CHANGES\n- **PR 5 — b**\n- **PR 7 — c**\n- **PR 7 (ISSUE 9) — d**\n";
+        assert_eq!(changelog_out_of_order(bad), vec![(3, 5), (5, 7)]);
+    }
 
     #[test]
     fn extracts_inline_and_reference_links() {

@@ -67,7 +67,7 @@ where
     pub fn audit(&self) -> AuditReport {
         with_guard(|guard| {
             let mut report = AuditReport::default();
-            let entry = self.entry(guard);
+            let entry = self.tree.entry(guard);
             // SAFETY: entry is never removed.
             let entry_ref = unsafe { entry.deref() };
             if entry_ref.weight() != 1 || !entry_ref.is_sentinel_key() {
@@ -321,7 +321,7 @@ where
                     rec(node.read_child(1, guard), depth + 1, max_depth, guard);
                 }
             }
-            rec(self.entry(guard), 0, max_depth, guard);
+            rec(self.tree.entry(guard), 0, max_depth, guard);
         })
     }
 }

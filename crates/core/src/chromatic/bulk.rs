@@ -79,8 +79,9 @@
 
 use llxscx::epoch::Shared;
 
-use super::{ChromaticTree, SearchResult};
+use super::{edge_violations, ChromaticTree};
 use crate::node::Node;
+use crate::template::{try_delete, try_insert, ChromaticWeights, SearchPath};
 
 /// One cached step of the previous descent: the node and the exclusive
 /// upper bound of its window as implied by the routing keys followed to
@@ -184,7 +185,7 @@ where
                 // it.
                 let mut path: Vec<PathEntry<'_, K, V>> = Vec::with_capacity(32);
                 path.push(PathEntry {
-                    node: self.entry(guard),
+                    node: self.tree.entry(guard),
                     hi: None,
                 });
                 // Elements below `fallback_until` skip run merging: after a
@@ -236,11 +237,7 @@ where
                             // SAFETY: as above; the entry sentinel's null right
                             // child is unreachable (its ∞ key routes left).
                             let child_ref = unsafe { child.deref() };
-                            if child_ref.weight() > 1 {
-                                violations += child_ref.weight() - 1;
-                            } else if child_ref.weight() == 0 && top_ref.weight() == 0 {
-                                violations += 1;
-                            }
+                            violations += edge_violations(top_ref, child_ref);
                             if child_ref.is_leaf(guard) {
                                 break (top.node, child, child_hi);
                             }
@@ -252,12 +249,7 @@ where
                             top_ref = child_ref;
                             path.push(top);
                         };
-                        let res = SearchResult {
-                            gp,
-                            p,
-                            leaf,
-                            violations_seen: violations,
-                        };
+                        let res = SearchPath { gp, p, leaf };
                         // Run detection: every later batch key below the
                         // leaf's exclusive window bound routes to this same
                         // leaf (the window argument of the module docs —
@@ -288,7 +280,7 @@ where
                                 }
                             }
                             match self.try_insert_run(&res, &run_items, guard) {
-                                Ok(red_reds) => {
+                                Some(red_reds) => {
                                     // Displaced values, computed from the
                                     // replaced leaf's immutable payload: the
                                     // first occurrence of a key displaces the
@@ -324,7 +316,7 @@ where
                                     }
                                     break m - j;
                                 }
-                                Err(()) => {
+                                None => {
                                     // The merged SCX lost: fall back to
                                     // per-element inserts for this run.
                                     self.stats.bump_insert_retries();
@@ -334,25 +326,22 @@ where
                                 }
                             }
                         }
-                        match self.try_insert(&res, key, value, guard) {
-                            Ok((old, created_violation)) => {
-                                out[i] = old;
-                                if created_violation {
-                                    self.stats.bump_violations_created();
-                                    if violations + 1 > self.allowed_violations {
-                                        // Cleanup restructures arbitrarily; the
-                                        // cached prefix stays sound (windows
-                                        // only widen; stale nodes fail their
-                                        // LLX), but re-validate conservatively
-                                        // by restarting the next descent from
-                                        // the entry sentinel.
-                                        self.cleanup(key);
-                                        path.truncate(1);
-                                    }
+                        match try_insert::<ChromaticWeights, K, V>(&res, key, value, guard) {
+                            Some(applied) => {
+                                out[i] = applied.old;
+                                // Cleanup restructures arbitrarily; the cached
+                                // prefix stays sound (windows only widen; stale
+                                // nodes fail their LLX), but re-validate
+                                // conservatively by restarting the next descent
+                                // from the entry sentinel.
+                                if applied.reshaped == Some((0, 0))
+                                    && self.violation_created(violations, key)
+                                {
+                                    path.truncate(1);
                                 }
                                 break 1;
                             }
-                            Err(()) => {
+                            None => {
                                 // Concurrent interference: discard the cache
                                 // and retry this key from the entry sentinel,
                                 // like a point insert.
@@ -421,7 +410,7 @@ where
             llxscx::guard_cache::with_guard_weighted(weight, |guard| {
                 let mut path: Vec<PathEntry<'_, K, V>> = Vec::with_capacity(32);
                 path.push(PathEntry {
-                    node: self.entry(guard),
+                    node: self.tree.entry(guard),
                     hi: None,
                 });
                 // As in `insert_bulk`: after a merged SCX loses, the pair
@@ -455,11 +444,7 @@ where
                             let child = top_ref.read_child(dir, guard);
                             // SAFETY: as above.
                             let child_ref = unsafe { child.deref() };
-                            if child_ref.weight() > 1 {
-                                violations += child_ref.weight() - 1;
-                            } else if child_ref.weight() == 0 && top_ref.weight() == 0 {
-                                violations += 1;
-                            }
+                            violations += edge_violations(top_ref, child_ref);
                             if child_ref.is_leaf(guard) {
                                 break (top.node, child);
                             }
@@ -497,7 +482,7 @@ where
                             if sib_ok {
                                 let ggp = path[path.len() - 3].node;
                                 match self.try_delete_pair(ggp, gp, p, leaf, key2, guard) {
-                                    Ok((old1, old2, created_violation)) => {
+                                    Some((old1, old2, created_violation)) => {
                                         out[i] = old1;
                                         out[i2] = old2;
                                         self.stats.bump_merged_remove_scxs();
@@ -506,16 +491,14 @@ where
                                         // descent restarts at `ggp`.
                                         path.pop();
                                         path.pop();
-                                        if created_violation {
-                                            self.stats.bump_violations_created();
-                                            if violations + 1 > self.allowed_violations {
-                                                self.cleanup(key);
-                                                path.truncate(1);
-                                            }
+                                        if created_violation
+                                            && self.violation_created(violations, key)
+                                        {
+                                            path.truncate(1);
                                         }
                                         break 2;
                                     }
-                                    Err(()) => {
+                                    None => {
                                         self.stats.bump_delete_retries();
                                         fallback_until = j + 2;
                                         path.truncate(1);
@@ -524,30 +507,21 @@ where
                                 }
                             }
                         }
-                        let res = SearchResult {
-                            gp,
-                            p,
-                            leaf,
-                            violations_seen: violations,
-                        };
-                        match self.try_delete(&res, key, guard) {
-                            Ok((old, created_violation)) => {
-                                if old.is_some() {
+                        let res = SearchPath { gp, p, leaf };
+                        match try_delete::<ChromaticWeights, K, V>(&res, key, guard) {
+                            Some(applied) => {
+                                if let Some((_, weight)) = applied.reshaped {
                                     // The SCX finalized `p`: drop it from the
                                     // cache (its replacement hangs off `gp`).
                                     path.pop();
-                                }
-                                out[i] = old;
-                                if created_violation {
-                                    self.stats.bump_violations_created();
-                                    if violations + 1 > self.allowed_violations {
-                                        self.cleanup(key);
+                                    if weight > 1 && self.violation_created(violations, key) {
                                         path.truncate(1);
                                     }
                                 }
+                                out[i] = applied.old;
                                 break 1;
                             }
-                            Err(()) => {
+                            None => {
                                 self.stats.bump_delete_retries();
                                 path.truncate(1);
                             }

@@ -18,19 +18,11 @@ mod update;
 pub use audit::AuditReport;
 pub use stats::Stats;
 
-use std::sync::atomic::Ordering;
-
-use llxscx::epoch::{Atomic, Guard, Shared};
+use llxscx::epoch::Guard;
 use llxscx::with_guard;
 
 use crate::node::Node;
-
-/// Whether event tracing (`NBTREE_TRACE=1`) is enabled; cached per process.
-/// Diagnostic aid for debugging rare concurrent interleavings.
-pub(crate) fn trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("NBTREE_TRACE").is_ok())
-}
+use crate::template::{try_delete, try_insert, ChromaticWeights, LeafTree, SearchPath};
 
 /// A concurrent, non-blocking ordered dictionary backed by a chromatic tree.
 ///
@@ -54,10 +46,9 @@ pub(crate) fn trace_enabled() -> bool {
 /// assert_eq!(tree.get(&3), None);
 /// ```
 pub struct ChromaticTree<K: Send + Sync + 'static, V: Send + Sync + 'static> {
-    /// The `entry` Data-record (paper Fig. 10): key `∞`, weight 1, never
-    /// removed. Its left child is the second sentinel (or, when the
-    /// dictionary is empty, a single `∞` leaf); its right child is unused.
-    pub(crate) entry: Atomic<Node<K, V>>,
+    /// The shared template skeleton: sentinels, search, plain queries and
+    /// teardown. What follows is what is genuinely the chromatic tree's.
+    tree: LeafTree<K, V>,
     /// Invoke `Cleanup` only when the number of violations seen on the
     /// update's search path (plus the one it created) exceeds this bound
     /// (§5.6). `0` is the paper's plain "Chromatic"; `6` is "Chromatic6".
@@ -65,21 +56,19 @@ pub struct ChromaticTree<K: Send + Sync + 'static, V: Send + Sync + 'static> {
     pub(crate) stats: Stats,
 }
 
-// SAFETY: all shared mutable state is accessed through atomics/epoch guards.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Send for ChromaticTree<K, V> {}
-// SAFETY: same argument as `Send`.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Sync for ChromaticTree<K, V> {}
-
-/// The result of a search: the grandparent, parent and leaf on the search
-/// path (grandparent is null when the tree is empty — the leaf's parent is
-/// then `entry` itself).
-pub(crate) struct SearchResult<'g, K, V> {
-    pub gp: Shared<'g, Node<K, V>>,
-    pub p: Shared<'g, Node<K, V>>,
-    pub leaf: Shared<'g, Node<K, V>>,
-    /// Violations (red-red and units of overweight) observed on the path,
-    /// used by the `allowed_violations` policy.
-    pub violations_seen: u32,
+/// Violations on the edge `parent → child`: the child's units of overweight,
+/// or one red-red violation when both ends are red.
+#[inline]
+pub(crate) fn edge_violations<K, V>(parent: &Node<K, V>, child: &Node<K, V>) -> u32
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    if child.weight() > 1 {
+        child.weight() - 1
+    } else {
+        u32::from(child.weight() == 0 && parent.weight() == 0)
+    }
 }
 
 impl<K, V> ChromaticTree<K, V>
@@ -98,13 +87,8 @@ where
     /// "Chromatic6" is `k = 6`; larger `k` trades search depth for fewer
     /// rebalancing steps, giving height `O(k + c + log n)`.
     pub fn with_allowed_violations(k: u32) -> Self {
-        // SAFETY: construction — the tree is not yet shared with any thread.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // Fig. 10(a): entry(∞, w=1) with a single ∞ leaf as its left child.
-        let leaf = Node::leaf(None, None, 1).into_shared(guard);
-        let entry = Node::internal(None, 1, leaf, Shared::null());
         ChromaticTree {
-            entry: Atomic::from(entry),
+            tree: LeafTree::new(),
             allowed_violations: k,
             stats: Stats::new(),
         }
@@ -116,83 +100,41 @@ where
         &self.stats
     }
 
-    /// Memory-ordering audit: `Acquire` — the entry pointer is written once
-    /// at construction and never changes; the acquiring load only needs to
-    /// see the sentinel nodes' initialization (release-published when the
-    /// tree was handed to other threads), same argument as
-    /// [`Node::read_child`].
+    /// The template's `Search(key)` with the chromatic hook: also tallies
+    /// the violations (red-red and units of overweight) on the path, for
+    /// the `allowed_violations` policy.
     #[inline]
-    pub(crate) fn entry<'g>(&self, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        self.entry.load(Ordering::Acquire, guard)
+    pub(crate) fn search<'g>(&self, key: &K, guard: &'g Guard) -> (SearchPath<'g, K, V>, u32) {
+        let mut violations = 0u32;
+        let path = self
+            .tree
+            .search_with(key, guard, |p, c| violations += edge_violations(p, c));
+        (path, violations)
     }
 
-    /// The paper's `Search(key)` (Fig. 5): pure reads from `entry` down to a
-    /// leaf, remembering the last three nodes. Also tallies violations on
-    /// the path for the `allowed_violations` policy.
-    ///
-    /// `#[inline]`: this loop is the whole read path and most of every
-    /// update path; inlining it into `get`/`insert`/`remove` lets the
-    /// compiler keep the probe key and the three path pointers in registers.
-    #[inline]
-    pub(crate) fn search<'g>(&self, key: &K, guard: &'g Guard) -> SearchResult<'g, K, V> {
-        let mut gp = Shared::null();
-        let mut p = self.entry(guard);
-        // SAFETY: entry is never removed.
-        let mut leaf = unsafe { p.deref() }.read_child(0, guard);
-        let mut violations = 0u32;
-        loop {
-            // SAFETY: reached by child pointers under `guard` (property C3).
-            let leaf_ref = unsafe { leaf.deref() };
-            // SAFETY: `p` was `leaf`'s parent on this search path; same liveness
-            // argument as `leaf` (C3 under `guard`).
-            let p_ref = unsafe { p.deref() };
-            if leaf_ref.weight() > 1 {
-                violations += leaf_ref.weight() - 1;
-            } else if leaf_ref.weight() == 0 && p_ref.weight() == 0 {
-                violations += 1;
-            }
-            if leaf_ref.is_leaf(guard) {
-                return SearchResult {
-                    gp,
-                    p,
-                    leaf,
-                    violations_seen: violations,
-                };
-            }
-            gp = p;
-            p = leaf;
-            let dir = if leaf_ref.route_left(key) { 0 } else { 1 };
-            leaf = leaf_ref.read_child(dir, guard);
+    /// Bookkeeping for an update that created a violation after seeing
+    /// `seen` others on its search path: runs `Cleanup(key)` when the
+    /// `allowed_violations` budget is exceeded, and says whether it did.
+    pub(crate) fn violation_created(&self, seen: u32, key: &K) -> bool {
+        self.stats.bump_violations_created();
+        let over_budget = seen + 1 > self.allowed_violations;
+        if over_budget {
+            self.cleanup(key);
         }
+        over_budget
     }
 
     /// Returns the value associated with `key`, if present.
     ///
     /// Uses only plain reads (no LLX), exactly like a sequential BST search;
-    /// correctness under concurrency is the paper's property C3 (§5.4).
-    /// Runs under the amortized cached guard ([`llxscx::with_guard`]), so
-    /// the epoch pin costs a thread-local re-entry rather than global
-    /// atomics — the paper's "searches perform no synchronization" design.
+    /// see [`LeafTree::get`].
     pub fn get(&self, key: &K) -> Option<V> {
-        with_guard(|guard| {
-            let res = self.search(key, guard);
-            // SAFETY: see search.
-            let leaf = unsafe { res.leaf.deref() };
-            if leaf.key_eq(key) {
-                leaf.value().cloned()
-            } else {
-                None
-            }
-        })
+        self.tree.get(key)
     }
 
     /// Whether the dictionary contains `key`.
     pub fn contains_key(&self, key: &K) -> bool {
-        with_guard(|guard| {
-            let res = self.search(key, guard);
-            // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
-            unsafe { res.leaf.deref() }.key_eq(key)
-        })
+        self.tree.contains_key(key)
     }
 
     /// Associates `value` with `key`; returns the previously associated
@@ -204,34 +146,18 @@ where
             // `with_guard` boundary, so a long retry storm still lets the
             // epoch advance at the repin interval.
             let attempt = with_guard(|guard| {
-                let res = self.search(&key, guard);
-                self.try_insert(&res, &key, &value, guard)
-                    .map(|(old, viol)| (old, viol, res.violations_seen))
+                let (path, seen) = self.search(&key, guard);
+                try_insert::<ChromaticWeights, K, V>(&path, &key, &value, guard).map(|a| (a, seen))
             });
             match attempt {
-                Ok((old, created_violation, violations_seen)) => {
-                    if trace_enabled() {
-                        eprintln!(
-                            "[{:?}] INSERT committed viol={}",
-                            std::thread::current().id(),
-                            created_violation
-                        );
+                Some((applied, seen)) => {
+                    // Insert1 under a red parent with a red new node.
+                    if applied.reshaped == Some((0, 0)) {
+                        self.violation_created(seen, &key);
                     }
-                    if created_violation {
-                        self.stats.bump_violations_created();
-                        if violations_seen + 1 > self.allowed_violations {
-                            self.cleanup(&key);
-                            if trace_enabled() {
-                                eprintln!(
-                                    "[{:?}] INSERT cleanup done",
-                                    std::thread::current().id()
-                                );
-                            }
-                        }
-                    }
-                    return old;
+                    return applied.old;
                 }
-                Err(()) => self.stats.bump_insert_retries(),
+                None => self.stats.bump_insert_retries(),
             }
         }
     }
@@ -242,34 +168,18 @@ where
     pub fn remove(&self, key: &K) -> Option<V> {
         loop {
             let attempt = with_guard(|guard| {
-                let res = self.search(key, guard);
-                self.try_delete(&res, key, guard)
-                    .map(|(old, viol)| (old, viol, res.violations_seen))
+                let (path, seen) = self.search(key, guard);
+                try_delete::<ChromaticWeights, K, V>(&path, key, guard).map(|a| (a, seen))
             });
             match attempt {
-                Ok((old, created_violation, violations_seen)) => {
-                    if trace_enabled() {
-                        eprintln!(
-                            "[{:?}] DELETE committed viol={}",
-                            std::thread::current().id(),
-                            created_violation
-                        );
+                Some((applied, seen)) => {
+                    // The contracted sibling came out overweight.
+                    if applied.reshaped.is_some_and(|(_, w)| w > 1) {
+                        self.violation_created(seen, key);
                     }
-                    if created_violation {
-                        self.stats.bump_violations_created();
-                        if violations_seen + 1 > self.allowed_violations {
-                            self.cleanup(key);
-                            if trace_enabled() {
-                                eprintln!(
-                                    "[{:?}] DELETE cleanup done",
-                                    std::thread::current().id()
-                                );
-                            }
-                        }
-                    }
-                    return old;
+                    return applied.old;
                 }
-                Err(()) => self.stats.bump_delete_retries(),
+                None => self.stats.bump_delete_retries(),
             }
         }
     }
@@ -277,36 +187,12 @@ where
     /// Number of keys. Takes a traversal snapshot (O(n)); not linearizable
     /// with respect to concurrent updates, like size in most concurrent maps.
     pub fn len(&self) -> usize {
-        with_guard(|guard| {
-            let mut count = 0usize;
-            let mut stack = vec![self.entry(guard)];
-            while let Some(n) = stack.pop() {
-                if n.is_null() {
-                    continue;
-                }
-                // SAFETY: reached from entry under `guard`.
-                let node = unsafe { n.deref() };
-                if node.is_leaf(guard) {
-                    if !node.is_sentinel_key() {
-                        count += 1;
-                    }
-                } else {
-                    stack.push(node.read_child(0, guard));
-                    stack.push(node.read_child(1, guard));
-                }
-            }
-            count
-        })
+        self.tree.len()
     }
 
     /// Whether the dictionary is empty (same caveats as [`len`](Self::len)).
     pub fn is_empty(&self) -> bool {
-        with_guard(|guard| {
-            // SAFETY: the entry sentinel is never reclaimed.
-            let entry = unsafe { self.entry(guard).deref() };
-            // SAFETY: the entry is internal, so its left child is non-null (C2).
-            unsafe { entry.read_child(0, guard).deref() }.is_leaf(guard)
-        })
+        self.tree.is_empty()
     }
 
     /// A sorted snapshot of all key/value pairs, by in-order traversal.
@@ -314,27 +200,7 @@ where
     /// is individually linearizable; use [`successor`](Self::successor) for
     /// atomic adjacent-pair queries).
     pub fn collect(&self) -> Vec<(K, V)> {
-        with_guard(|guard| {
-            let mut out = Vec::new();
-            self.collect_rec(self.entry(guard), &mut out, guard);
-            out
-        })
-    }
-
-    fn collect_rec<'g>(&self, n: Shared<'g, Node<K, V>>, out: &mut Vec<(K, V)>, guard: &'g Guard) {
-        if n.is_null() {
-            return;
-        }
-        // SAFETY: `n` is non-null (checked above) and reached under `guard`.
-        let node = unsafe { n.deref() };
-        if node.is_leaf(guard) {
-            if let (Some(k), Some(v)) = (node.key(), node.value()) {
-                out.push((k.clone(), v.clone()));
-            }
-        } else {
-            self.collect_rec(node.read_child(0, guard), out, guard);
-            self.collect_rec(node.read_child(1, guard), out, guard);
-        }
+        self.tree.collect()
     }
 }
 
@@ -345,30 +211,5 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for ChromaticTree<K, V> {
-    fn drop(&mut self) {
-        // Exclusive access: free every node still in the tree. Descriptors
-        // are released transitively by their reference counts.
-        // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so the
-        // unprotected guard is sound.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // SEQCST: teardown/cold path; kept uniform with the entry's accesses.
-        let mut stack = vec![self.entry.load(Ordering::SeqCst, guard)];
-        while let Some(n) = stack.pop() {
-            if n.is_null() {
-                continue;
-            }
-            // SAFETY: exclusive access; every node reachable exactly once
-            // (down-tree, indegree 1).
-            unsafe {
-                let node = n.deref();
-                stack.push(node.read_child(0, guard));
-                stack.push(node.read_child(1, guard));
-                llxscx::reclaim::dispose_record(n.as_raw());
-            }
-        }
     }
 }

@@ -10,19 +10,15 @@
 use std::ops::RangeBounds;
 
 use llxscx::epoch::Guard;
-use llxscx::{llx, vlx, with_guard, Llx, LlxHandle};
+use llxscx::{vlx, with_guard};
 
 use super::ChromaticTree;
-use crate::node::Node;
-use crate::range::try_range_scan;
+use crate::template::{llx_ok, Handle};
 
-type H<'g, K, V> = LlxHandle<'g, Node<K, V>>;
-
-/// Outcome of one attempt; `Interfered` means retry from scratch.
-enum Attempt<T> {
-    Done(T),
-    Interfered,
-}
+/// The answer of an adjacent-leaf query: the key/value pair found, if any.
+/// One *attempt* returns `Option<Found<..>>`, where the outer `None` means
+/// a concurrent update interfered and the query retries from scratch.
+type Found<K, V> = Option<(K, V)>;
 
 impl<K, V> ChromaticTree<K, V>
 where
@@ -34,7 +30,7 @@ where
     pub fn successor(&self, key: &K) -> Option<(K, V)> {
         loop {
             // One attempt per cached-guard entry (see `ChromaticTree::insert`).
-            if let Attempt::Done(r) = with_guard(|guard| self.try_adjacent(key, 0, guard)) {
+            if let Some(r) = with_guard(|guard| self.try_adjacent(key, 0, guard)) {
                 return r;
             }
         }
@@ -44,7 +40,7 @@ where
     /// `None` if no such key exists. Linearizable (mirror of `successor`).
     pub fn predecessor(&self, key: &K) -> Option<(K, V)> {
         loop {
-            if let Attempt::Done(r) = with_guard(|guard| self.try_adjacent(key, 1, guard)) {
+            if let Some(r) = with_guard(|guard| self.try_adjacent(key, 1, guard)) {
                 return r;
             }
         }
@@ -53,19 +49,16 @@ where
     /// One attempt at an adjacent-leaf query. `d = 0` finds the successor
     /// (remember the last *left* turn, then take the leftmost leaf of its
     /// right subtree); `d = 1` the predecessor (mirror).
-    fn try_adjacent<'g>(&self, key: &K, d: usize, guard: &'g Guard) -> Attempt<Option<(K, V)>> {
+    fn try_adjacent<'g>(&self, key: &K, d: usize, guard: &'g Guard) -> Option<Found<K, V>> {
         let o = 1 - d;
-        let entry = self.entry(guard);
+        let entry = self.tree.entry(guard);
         // Path of handles from the last `d`-side turn down to the current
         // node; the final VLX validates exactly the region connecting the
         // two adjacent leaves.
-        let mut path: Vec<H<'g, K, V>> = Vec::with_capacity(32);
-        let mut last_turn: Option<H<'g, K, V>> = None;
+        let mut path: Vec<Handle<'g, K, V>> = Vec::with_capacity(32);
+        let mut last_turn: Option<Handle<'g, K, V>> = None;
 
-        let mut h = match llx(entry, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Attempt::Interfered,
-        };
+        let mut h = llx_ok(entry, guard)?;
         loop {
             let node = h.node_ref();
             if node.is_leaf(guard) {
@@ -79,10 +72,7 @@ where
                 path.clear();
                 path.push(h);
             }
-            h = match llx(next, guard) {
-                Llx::Snapshot(h) => h,
-                _ => return Attempt::Interfered,
-            };
+            h = llx_ok(next, guard)?;
             path.push(h);
         }
 
@@ -92,13 +82,13 @@ where
             // at `entry` itself.
             if let Some(t) = &last_turn {
                 if t.node == entry {
-                    return Attempt::Done(None);
+                    return Some(None);
                 }
             }
             // The leaf on the search path already answers the query.
             if let Some(k) = leaf.key() {
                 if key < k {
-                    return Attempt::Done(Some((k.clone(), leaf.value().cloned().unwrap())));
+                    return Some(Some((k.clone(), leaf.value().cloned().unwrap())));
                 }
             }
         } else {
@@ -107,17 +97,17 @@ where
             // paths with no right turn that end at a small leaf).
             if let Some(k) = leaf.key() {
                 if k < key {
-                    return Attempt::Done(Some((k.clone(), leaf.value().cloned().unwrap())));
+                    return Some(Some((k.clone(), leaf.value().cloned().unwrap())));
                 }
             }
             // Otherwise: never having turned right means key ≤ every key,
             // which the generic fall-through below reports as None.
         }
         let Some(turn) = last_turn else {
-            return Attempt::Done(None);
+            return Some(None);
         };
         if turn.node == entry {
-            return Attempt::Done(None);
+            return Some(None);
         }
 
         // The answer is the adjacent leaf: the `d`-most leaf of the turn
@@ -125,10 +115,7 @@ where
         // right subtree of the last left turn).
         let mut cur = turn.child(o);
         let adj = loop {
-            let h = match llx(cur, guard) {
-                Llx::Snapshot(h) => h,
-                _ => return Attempt::Interfered,
-            };
+            let h = llx_ok(cur, guard)?;
             path.push(h);
             if h.node_ref().is_leaf(guard) {
                 break h;
@@ -139,11 +126,7 @@ where
             .node_ref()
             .key()
             .map(|k| (k.clone(), adj.node_ref().value().cloned().unwrap()));
-        if vlx(&path, guard) {
-            Attempt::Done(result)
-        } else {
-            Attempt::Interfered
-        }
+        vlx(&path, guard).then_some(result)
     }
 
     /// All key/value pairs whose key lies in `bounds`, sorted by key — an
@@ -169,8 +152,7 @@ where
         loop {
             // One attempt per cached-guard entry, like the update paths: a
             // retry storm still lets the epoch advance at repin intervals.
-            if let Some(out) = with_guard(|guard| try_range_scan(self.entry(guard), &bounds, guard))
-            {
+            if let Some(out) = self.tree.try_range(&bounds) {
                 return out;
             }
             self.stats.bump_range_retries();
@@ -198,8 +180,7 @@ where
     ) -> Option<Vec<(K, V)>> {
         self.stats.bump_range_queries();
         for _ in 0..attempts {
-            if let Some(out) = with_guard(|guard| try_range_scan(self.entry(guard), &bounds, guard))
-            {
+            if let Some(out) = self.tree.try_range(&bounds) {
                 return Some(out);
             }
             self.stats.bump_range_retries();
@@ -211,9 +192,8 @@ where
     /// an adjacent-leaf walk validated by VLX.
     pub fn first(&self) -> Option<(K, V)> {
         loop {
-            match with_guard(|guard| self.try_extreme(0, guard)) {
-                Attempt::Done(r) => return r,
-                Attempt::Interfered => continue,
+            if let Some(r) = with_guard(|guard| self.try_extreme(0, guard)) {
+                return r;
             }
         }
     }
@@ -221,23 +201,19 @@ where
     /// The largest key (and value), or `None` when empty.
     pub fn last(&self) -> Option<(K, V)> {
         loop {
-            match with_guard(|guard| self.try_extreme(1, guard)) {
-                Attempt::Done(r) => return r,
-                Attempt::Interfered => continue,
+            if let Some(r) = with_guard(|guard| self.try_extreme(1, guard)) {
+                return r;
             }
         }
     }
 
-    fn try_extreme<'g>(&self, d: usize, guard: &'g Guard) -> Attempt<Option<(K, V)>> {
+    fn try_extreme<'g>(&self, d: usize, guard: &'g Guard) -> Option<Found<K, V>> {
         // Descend always to side `d` inside the chromatic tree; sentinels
         // force the first two hops left.
-        let mut path: Vec<H<'g, K, V>> = Vec::with_capacity(32);
-        let mut cur = self.entry(guard);
+        let mut path: Vec<Handle<'g, K, V>> = Vec::with_capacity(32);
+        let mut cur = self.tree.entry(guard);
         let leaf = loop {
-            let h = match llx(cur, guard) {
-                Llx::Snapshot(h) => h,
-                _ => return Attempt::Interfered,
-            };
+            let h = llx_ok(cur, guard)?;
             path.push(h);
             let node = h.node_ref();
             if node.is_leaf(guard) {
@@ -257,10 +233,6 @@ where
             .node_ref()
             .key()
             .map(|k| (k.clone(), leaf.node_ref().value().cloned().unwrap()));
-        if vlx(&path, guard) {
-            Attempt::Done(result)
-        } else {
-            Attempt::Interfered
-        }
+        vlx(&path, guard).then_some(result)
     }
 }

@@ -14,25 +14,13 @@
 //! created by repeatedly searching for its own key.
 
 use llxscx::epoch::{Guard, Shared};
-use llxscx::{llx, scx, Llx, LlxHandle, ScxArgs};
 
 use super::stats::Step;
-use super::ChromaticTree;
+use super::{edge_violations, ChromaticTree};
 use crate::node::Node;
+use crate::template::{bfs2, commit, copy_with_weight, llx_ok, mk_internal, side_of, Handle};
 
-type H<'g, K, V> = LlxHandle<'g, Node<K, V>>;
-
-/// Convenience: LLX that propagates `Fail`/`Finalized` as `None`
-/// (the rebalancing attempt is abandoned; `Cleanup` restarts from `entry`).
-fn try_llx<'g, K: Send + Sync + 'static, V: Send + Sync + 'static>(
-    node: Shared<'g, Node<K, V>>,
-    guard: &'g Guard,
-) -> Option<H<'g, K, V>> {
-    match llx(node, guard) {
-        Llx::Snapshot(h) => Some(h),
-        _ => None,
-    }
-}
+type H<'g, K, V> = Handle<'g, K, V>;
 
 impl<K, V> ChromaticTree<K, V>
 where
@@ -54,7 +42,7 @@ where
                 let mut gp: Shared<'_, Node<K, V>> = Shared::null();
                 let mut p: Shared<'_, Node<K, V>> = Shared::null();
                 let mut ggp: Shared<'_, Node<K, V>> = Shared::null();
-                let mut l = self.entry(guard);
+                let mut l = self.tree.entry(guard);
                 loop {
                     // SAFETY: reached from entry under `guard` (property C3).
                     let l_ref = unsafe { l.deref() };
@@ -67,13 +55,12 @@ where
                     p = l;
                     l = l_ref.read_child(dir, guard);
                     // SAFETY: `l` is a child of a live internal node (leaf-oriented tree:
-                    // children of internals are never null), read under `guard`.
-                    let l2 = unsafe { l.deref() };
-                    // SAFETY: `p` was `l`'s parent on this walk; same liveness argument.
-                    let p2 = unsafe { p.deref() };
-                    if l2.weight() > 1 || (p2.weight() == 0 && l2.weight() == 0) {
+                    // children of internals are never null), read under `guard`;
+                    // `l_ref` is its parent on this walk.
+                    if edge_violations(l_ref, unsafe { l.deref() }) > 0 {
                         if !ggp.is_null() {
-                            self.try_rebalance(ggp, gp, p, l, guard);
+                            // A failed attempt is fine: the walk restarts.
+                            let _ = self.try_rebalance(ggp, gp, p, l, guard);
                         }
                         return false; // go back to entry and search again
                     }
@@ -86,8 +73,10 @@ where
     }
 
     /// One rebalancing attempt at the violation found at `l` with ancestors
-    /// `p`, `gp`, `ggp` (paper Fig. 15, lines 94–130). Failure (a concurrent
-    /// update interfered) is fine: the caller restarts its walk.
+    /// `p`, `gp`, `ggp` (paper Fig. 15, lines 94–130). `Some(())` iff a
+    /// step committed; `None` (a concurrent update interfered, or the
+    /// section no longer looks like the walk saw it) is fine: the caller
+    /// restarts its walk.
     pub(crate) fn try_rebalance<'g>(
         &self,
         ggp: Shared<'g, Node<K, V>>,
@@ -95,68 +84,51 @@ where
         p: Shared<'g, Node<K, V>>,
         l: Shared<'g, Node<K, V>>,
         guard: &'g Guard,
-    ) {
-        let Some(hr) = try_llx(ggp, guard) else {
-            return;
-        };
-        if hr.left() != gp && hr.right() != gp {
-            return;
-        }
-        let Some(hrx) = try_llx(gp, guard) else {
-            return;
-        };
-        if hrx.left() != p && hrx.right() != p {
-            return;
-        }
-        let Some(hrxx) = try_llx(p, guard) else {
-            return;
-        };
+    ) -> Option<()> {
+        let hr = llx_ok(ggp, guard)?;
+        side_of(&hr, gp)?;
+        let hrx = llx_ok(gp, guard)?;
+        side_of(&hrx, p)?;
+        let hrxx = llx_ok(p, guard)?;
 
         // SAFETY: `l` reached from entry under `guard`; weights immutable.
-        let l_ref = unsafe { l.deref() };
-        if l_ref.weight() > 1 {
+        if unsafe { l.deref() }.weight() > 1 {
             // Overweight violation at l.
-            let d = if l == hrxx.left() {
-                0
-            } else if l == hrxx.right() {
-                1
-            } else {
-                return;
-            };
-            let Some(hl) = try_llx(l, guard) else { return };
-            self.overweight(&hr, &hrx, &hrxx, &hl, d, guard);
+            let d = side_of(&hrxx, l)?;
+            let hl = llx_ok(l, guard)?;
+            self.overweight(&hr, &hrx, &hrxx, &hl, d, guard)
         } else {
             // Red-red violation at l (l.w = p.w = 0, gp.w ≠ 0).
-            if p == hrx.left() {
-                let rxr = hrx.right();
-                // SAFETY: gp is internal (it has child p), so both children
-                // are non-null.
-                if unsafe { rxr.deref() }.weight() == 0 {
-                    let Some(hrxr) = try_llx(rxr, guard) else {
-                        return;
-                    };
-                    self.do_blk(&hr, &hrx, &hrxx, &hrxr, guard);
-                } else if l == hrxx.left() {
-                    self.do_rb1(&hr, &hrx, &hrxx, 0, guard);
-                } else if l == hrxx.right() {
-                    let Some(hl) = try_llx(l, guard) else { return };
-                    self.do_rb2(&hr, &hrx, &hrxx, &hl, 0, guard);
-                }
-            } else if p == hrx.right() {
-                let rxl = hrx.left();
-                // SAFETY: `rx` is internal (its child `p` exists), so `rxl` is non-null.
-                if unsafe { rxl.deref() }.weight() == 0 {
-                    let Some(hrxl) = try_llx(rxl, guard) else {
-                        return;
-                    };
-                    self.do_blk(&hr, &hrx, &hrxl, &hrxx, guard);
-                } else if l == hrxx.right() {
-                    self.do_rb1(&hr, &hrx, &hrxx, 1, guard);
-                } else if l == hrxx.left() {
-                    let Some(hl) = try_llx(l, guard) else { return };
-                    self.do_rb2(&hr, &hrx, &hrxx, &hl, 1, guard);
-                }
-            }
+            self.red_red(&hr, &hrx, &hrxx, l, guard)
+        }
+    }
+
+    /// Fixes the red-red violation at `c`, a red child of the red node
+    /// `rxx` (Fig. 15): **BLK** when `rxx`'s sibling is red too, otherwise
+    /// a rotation at `rx` — **RB1** when `c` is the *outside* grandchild,
+    /// **RB2** when it is the inside one. One body for both mirror images:
+    /// `e` is `rxx`'s side under `rx`.
+    fn red_red<'g>(
+        &self,
+        hr: &H<'g, K, V>,
+        hrx: &H<'g, K, V>,
+        hrxx: &H<'g, K, V>,
+        c: Shared<'g, Node<K, V>>,
+        guard: &'g Guard,
+    ) -> Option<()> {
+        let e = side_of(hrx, hrxx.node)?;
+        let uncle = hrx.child(1 - e);
+        // SAFETY: `rx` is internal (it has the child `rxx`), so both its
+        // children are non-null; weights are immutable.
+        if unsafe { uncle.deref() }.weight() == 0 {
+            let [left, right] = bfs2(*hrxx, llx_ok(uncle, guard)?, e);
+            self.do_blk(hr, hrx, &left, &right, guard)
+        } else if c == hrxx.child(e) {
+            self.do_rb1(hr, hrx, hrxx, e, guard)
+        } else if c == hrxx.child(1 - e) {
+            self.do_rb2(hr, hrx, hrxx, &llx_ok(c, guard)?, e, guard)
+        } else {
+            None // `c` is no longer `rxx`'s child
         }
     }
 
@@ -173,134 +145,78 @@ where
         hl: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) {
+    ) -> Option<()> {
         let o = 1 - d;
         let sib = hrxx.child(o);
         debug_assert!(!sib.is_null(), "overweight node's parent must be internal");
         // SAFETY: weights are immutable; nodes protected by `guard`.
         let sib_w = unsafe { sib.deref() }.weight();
-        let rxx_w = hrxx.node_ref().weight();
 
         if sib_w == 0 {
-            if rxx_w == 0 {
+            if hrxx.node_ref().weight() == 0 {
                 // rxx is red with a red child (the sibling): fix that
                 // red-red violation first, one level up (u = r, ux = rx).
-                if hrxx.node == hrx.left() {
-                    let rxr = hrx.right();
-                    // SAFETY: `rxx` is a child of internal `rx`, so `rxr` is non-null.
-                    if unsafe { rxr.deref() }.weight() == 0 {
-                        let Some(hrxr) = try_llx(rxr, guard) else {
-                            return;
-                        };
-                        self.do_blk(hr, hrx, hrxx, &hrxr, guard);
-                    } else if o == 1 {
-                        // red-red at rxx's right child, rxx a left child: inside
-                        let Some(hs) = try_llx(sib, guard) else {
-                            return;
-                        };
-                        self.do_rb2(hr, hrx, hrxx, &hs, 0, guard);
-                    } else {
-                        // red-red at rxx's left child, rxx a left child: outside
-                        self.do_rb1(hr, hrx, hrxx, 0, guard);
-                    }
-                } else if hrxx.node == hrx.right() {
-                    let rxl = hrx.left();
-                    // SAFETY: `rxx` is a child of internal `rx`, so `rxl` is non-null.
-                    if unsafe { rxl.deref() }.weight() == 0 {
-                        let Some(hrxl) = try_llx(rxl, guard) else {
-                            return;
-                        };
-                        self.do_blk(hr, hrx, &hrxl, hrxx, guard);
-                    } else if o == 1 {
-                        // red-red at rxx's right child, rxx a right child: outside
-                        self.do_rb1(hr, hrx, hrxx, 1, guard);
-                    } else {
-                        let Some(hs) = try_llx(sib, guard) else {
-                            return;
-                        };
-                        self.do_rb2(hr, hrx, hrxx, &hs, 1, guard);
-                    }
-                }
-                return;
+                return self.red_red(hr, hrx, hrxx, sib, guard);
             }
             // Red sibling, black parent: W1–W4 / an RB2 at the rx level,
             // depending on the sibling's child nearer the violation.
-            let Some(hs) = try_llx(sib, guard) else {
-                return;
-            };
+            let hs = llx_ok(sib, guard)?;
             let sl = hs.child(d);
             if sl.is_null() {
-                return; // sibling became a leaf: a node changed under us
+                return None; // sibling became a leaf: a node changed under us
             }
             // SAFETY: `s` was re-checked internal above, so `sl` is non-null.
             let sl_w = unsafe { sl.deref() }.weight();
-            let Some(hsl) = try_llx(sl, guard) else {
-                return;
-            };
+            let hsl = llx_ok(sl, guard)?;
             if sl_w > 1 {
-                self.do_w1(hrx, hrxx, hl, &hs, &hsl, d, guard);
+                self.do_w1(hrx, hrxx, hl, &hs, &hsl, d, guard)
             } else if sl_w == 0 {
                 // Red-red at sl under the red sibling: rotate it out
-                // (u = rx... here u = rxx's parent level: u = rx? No —
-                // paper line 152: V = ⟨rx, rxx, rxxr, rxxrl⟩, u = rx).
-                self.do_rb2(hrx, hrxx, &hs, &hsl, o, guard);
+                // (paper line 152: V = ⟨rx, rxx, rxxr, rxxrl⟩, u = rx).
+                self.do_rb2(hrx, hrxx, &hs, &hsl, o, guard)
             } else {
                 // sl.w == 1: W2/W3/W4 based on sl's children.
                 let far = hsl.child(o);
                 if far.is_null() {
-                    return; // sl is a leaf: a node we LLXed was modified
+                    return None; // sl is a leaf: a node we LLXed was modified
                 }
                 // SAFETY: `sl` was re-checked internal above; its children are non-null.
                 if unsafe { far.deref() }.weight() == 0 {
-                    let Some(hfar) = try_llx(far, guard) else {
-                        return;
-                    };
-                    self.do_w4(hrx, hrxx, hl, &hs, &hsl, &hfar, d, guard);
+                    let hfar = llx_ok(far, guard)?;
+                    return self.do_w4(hrx, hrxx, hl, &hs, &hsl, &hfar, d, guard);
+                }
+                let near = hsl.child(d);
+                // SAFETY: as for `far`: child of the internal `sl`.
+                if unsafe { near.deref() }.weight() == 0 {
+                    let hnear = llx_ok(near, guard)?;
+                    self.do_w3(hrx, hrxx, hl, &hs, &hsl, &hnear, d, guard)
                 } else {
-                    let near = hsl.child(d);
-                    // SAFETY: as for `far`: child of the internal `sl`.
-                    if unsafe { near.deref() }.weight() == 0 {
-                        let Some(hnear) = try_llx(near, guard) else {
-                            return;
-                        };
-                        self.do_w3(hrx, hrxx, hl, &hs, &hsl, &hnear, d, guard);
-                    } else {
-                        self.do_w2(hrx, hrxx, hl, &hs, &hsl, d, guard);
-                    }
+                    self.do_w2(hrx, hrxx, hl, &hs, &hsl, d, guard)
                 }
             }
         } else if sib_w == 1 {
-            let Some(hs) = try_llx(sib, guard) else {
-                return;
-            };
+            let hs = llx_ok(sib, guard)?;
             let far = hs.child(o);
             if far.is_null() {
-                return; // sibling is a leaf: a node we LLXed was modified
+                return None; // sibling is a leaf: a node we LLXed was modified
             }
             // SAFETY: `s` was re-checked internal above; its children are non-null.
             if unsafe { far.deref() }.weight() == 0 {
-                let Some(hfar) = try_llx(far, guard) else {
-                    return;
-                };
-                self.do_w5(hrx, hrxx, hl, &hs, &hfar, d, guard);
+                let hfar = llx_ok(far, guard)?;
+                return self.do_w5(hrx, hrxx, hl, &hs, &hfar, d, guard);
+            }
+            let near = hs.child(d);
+            // SAFETY: as for `far`: child of the internal `s`.
+            if unsafe { near.deref() }.weight() == 0 {
+                let hnear = llx_ok(near, guard)?;
+                self.do_w6(hrx, hrxx, hl, &hs, &hnear, d, guard)
             } else {
-                let near = hs.child(d);
-                // SAFETY: as for `far`: child of the internal `s`.
-                if unsafe { near.deref() }.weight() == 0 {
-                    let Some(hnear) = try_llx(near, guard) else {
-                        return;
-                    };
-                    self.do_w6(hrx, hrxx, hl, &hs, &hnear, d, guard);
-                } else {
-                    self.do_push(hrx, hrxx, hl, &hs, d, guard);
-                }
+                self.do_push(hrx, hrxx, hl, &hs, d, guard)
             }
         } else {
             // Sibling also overweight: W7.
-            let Some(hs) = try_llx(sib, guard) else {
-                return;
-            };
-            self.do_w7(hrx, hrxx, hl, &hs, d, guard);
+            let hs = llx_ok(sib, guard)?;
+            self.do_w7(hrx, hrxx, hl, &hs, d, guard)
         }
     }
 }
@@ -325,102 +241,27 @@ where
         }
     }
 
-    /// Fresh copy of the node behind `h` with a new weight; children (the
-    /// mutable fields) come from the LLX snapshot.
-    fn copy<'g>(h: &H<'g, K, V>, weight: u32, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        let n = h.node_ref();
-        if h.left().is_null() {
-            Node::leaf(n.key().cloned(), n.value().cloned(), weight)
-        } else {
-            Node::internal(n.key().cloned(), weight, h.left(), h.right())
-        }
-        .into_shared(guard)
-    }
-
-    /// Fresh internal node with children given per *side* index.
-    fn mk<'g>(
-        key: Option<&K>,
-        weight: u32,
-        d: usize,
-        child_d: Shared<'g, Node<K, V>>,
-        child_o: Shared<'g, Node<K, V>>,
-        guard: &'g Guard,
-    ) -> Shared<'g, Node<K, V>> {
-        let (l, r) = if d == 0 {
-            (child_d, child_o)
-        } else {
-            (child_o, child_d)
-        };
-        Node::internal(key.cloned(), weight, l, r).into_shared(guard)
-    }
-
     /// Runs the SCX for a rebalancing step: `v` in BFS order, finalizing all
-    /// of `v` except the first entry (`u`), swinging `u`'s pointer to `ux`.
-    /// On failure the freshly built nodes in `created` are released.
-    fn commit_step<'g>(
+    /// of `v` except the first entry (`u`), swinging `u`'s pointer to `ux`
+    /// over to `new`. `Some(())` iff the step committed; on failure the
+    /// freshly built nodes in `created` are released.
+    ///
+    /// # Safety
+    /// [`commit`]'s contract for `created`.
+    unsafe fn commit_step<'g>(
         &self,
         step: Step,
         v: &[H<'g, K, V>],
         new: Shared<'g, Node<K, V>>,
         created: &[Shared<'g, Node<K, V>>],
         guard: &'g Guard,
-    ) -> bool {
-        let hu = &v[0];
-        let hux = &v[1];
-        let fld_idx = if hu.left() == hux.node {
-            0
-        } else if hu.right() == hux.node {
-            1
-        } else {
-            // Should be impossible: callers validated the edge. Treat as a
-            // failed attempt.
-            for &n in created {
-                // SAFETY: never published.
-                unsafe { llxscx::reclaim::dispose_record(n.as_raw()) };
-            }
-            return false;
-        };
-        let finalize = ((1u16 << v.len()) - 2) as u8; // all of V except u
-        let ok = scx(
-            &ScxArgs {
-                v,
-                finalize,
-                fld_record: 0,
-                fld_idx,
-                new,
-            },
-            guard,
-        );
-        if ok {
-            self.stats.bump_step(step);
-            if crate::chromatic::trace_enabled() {
-                eprintln!(
-                    "[{:?}] STEP {:?} u.w={} ux.w={} vlen={}",
-                    std::thread::current().id(),
-                    step,
-                    hu.node_ref().weight(),
-                    hux.node_ref().weight(),
-                    v.len()
-                );
-            }
-        } else {
-            for &n in created {
-                // SAFETY: never published (the SCX failed before the update
-                // CAS could store `new`).
-                unsafe { llxscx::reclaim::dispose_record(n.as_raw()) };
-            }
-        }
-        ok
-    }
-
-    /// Orders the two children handles of `ux` in breadth-first (left,
-    /// right) order given the side `d` of the first.
-    fn bfs2<'g>(a: H<'g, K, V>, b: H<'g, K, V>, d: usize) -> [H<'g, K, V>; 2] {
-        if d == 0 {
-            [a, b]
-        } else {
-            [b, a]
-        }
+    ) -> Option<()> {
+        let fld_idx = side_of(&v[0], v[1].node).expect("callers validated the u → ux edge");
+        // R = all of V except u.
+        let finalize = ((1u16 << v.len()) - 2) as u8;
+        // SAFETY: forwarded contract.
+        unsafe { commit(v, finalize, fld_idx, new, created, guard) }
+            .then(|| self.stats.bump_step(step))
     }
 
     /// **BLK** (recolor, its own mirror image): `ux` with two red children
@@ -433,18 +274,22 @@ where
         huxl: &H<'g, K, V>,
         huxr: &H<'g, K, V>,
         guard: &'g Guard,
-    ) -> bool {
-        let nl = Self::copy(huxl, 1, guard);
-        let nr = Self::copy(huxr, 1, guard);
+    ) -> Option<()> {
+        let nl = copy_with_weight(huxl, 1, guard);
+        let nr = copy_with_weight(huxr, 1, guard);
         let w = Self::top_weight(hu, hux.node_ref().weight().max(1) - 1);
         let n = Node::internal(hux.node_ref().key().cloned(), w, nl, nr).into_shared(guard);
-        self.commit_step(
-            Step::Blk,
-            &[*hu, *hux, *huxl, *huxr],
-            n,
-            &[nl, nr, n],
-            guard,
-        )
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe {
+            self.commit_step(
+                Step::Blk,
+                &[*hu, *hux, *huxl, *huxr],
+                n,
+                &[nl, nr, n],
+                guard,
+            )
+        }
     }
 
     /// **RB1 / RB1s** (single rotation): fixes a red-red violation at the
@@ -457,12 +302,14 @@ where
         hc: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
+    ) -> Option<()> {
         let o = 1 - d;
-        let inner = Self::mk(hux.node_ref().key(), 0, d, hc.child(o), hux.child(o), guard);
+        let inner = mk_internal(hux.node_ref().key(), 0, d, hc.child(o), hux.child(o), guard);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = Self::mk(hc.node_ref().key(), w, d, hc.child(d), inner, guard);
-        self.commit_step(Step::Rb1, &[*hu, *hux, *hc], n, &[inner, n], guard)
+        let n = mk_internal(hc.node_ref().key(), w, d, hc.child(d), inner, guard);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe { self.commit_step(Step::Rb1, &[*hu, *hux, *hc], n, &[inner, n], guard) }
     }
 
     /// **RB2 / RB2s** (double rotation, Fig. 17): fixes a red-red violation
@@ -476,10 +323,10 @@ where
         hgc: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
+    ) -> Option<()> {
         let o = 1 - d;
-        let nd = Self::mk(hc.node_ref().key(), 0, d, hc.child(d), hgc.child(d), guard);
-        let no = Self::mk(
+        let nd = mk_internal(hc.node_ref().key(), 0, d, hc.child(d), hgc.child(d), guard);
+        let no = mk_internal(
             hux.node_ref().key(),
             0,
             d,
@@ -488,8 +335,10 @@ where
             guard,
         );
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = Self::mk(hgc.node_ref().key(), w, d, nd, no, guard);
-        self.commit_step(Step::Rb2, &[*hu, *hux, *hc, *hgc], n, &[nd, no, n], guard)
+        let n = mk_internal(hgc.node_ref().key(), w, d, nd, no, guard);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe { self.commit_step(Step::Rb2, &[*hu, *hux, *hc, *hgc], n, &[nd, no, n], guard) }
     }
 
     /// **PUSH / PUSHs**: the overweight child `ha` (side `d`) gives one
@@ -503,13 +352,15 @@ where
         hs: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
-        let na = Self::copy(ha, ha.node_ref().weight() - 1, guard);
-        let ns = Self::copy(hs, 0, guard);
+    ) -> Option<()> {
+        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
+        let ns = copy_with_weight(hs, 0, guard);
         let w = Self::top_weight(hu, hux.node_ref().weight() + 1);
-        let n = Self::mk(hux.node_ref().key(), w, d, na, ns, guard);
-        let [c0, c1] = Self::bfs2(*ha, *hs, d);
-        self.commit_step(Step::Push, &[*hu, *hux, c0, c1], n, &[na, ns, n], guard)
+        let n = mk_internal(hux.node_ref().key(), w, d, na, ns, guard);
+        let [c0, c1] = bfs2(*ha, *hs, d);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe { self.commit_step(Step::Push, &[*hu, *hux, c0, c1], n, &[na, ns, n], guard) }
     }
 
     /// **W1 / W1s**: red sibling whose near child is also overweight — one
@@ -524,21 +375,25 @@ where
         hsl: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
+    ) -> Option<()> {
         let o = 1 - d;
-        let na = Self::copy(ha, ha.node_ref().weight() - 1, guard);
-        let nsl = Self::copy(hsl, hsl.node_ref().weight() - 1, guard);
-        let nl = Self::mk(hux.node_ref().key(), 1, d, na, nsl, guard);
+        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
+        let nsl = copy_with_weight(hsl, hsl.node_ref().weight() - 1, guard);
+        let nl = mk_internal(hux.node_ref().key(), 1, d, na, nsl, guard);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = Self::mk(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
-        let [c0, c1] = Self::bfs2(*ha, *hs, d);
-        self.commit_step(
-            Step::W1,
-            &[*hu, *hux, c0, c1, *hsl],
-            n,
-            &[na, nsl, nl, n],
-            guard,
-        )
+        let n = mk_internal(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
+        let [c0, c1] = bfs2(*ha, *hs, d);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe {
+            self.commit_step(
+                Step::W1,
+                &[*hu, *hux, c0, c1, *hsl],
+                n,
+                &[na, nsl, nl, n],
+                guard,
+            )
+        }
     }
 
     /// **W2 / W2s**: red sibling, near child weight 1 with no red child —
@@ -553,21 +408,25 @@ where
         hsl: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
+    ) -> Option<()> {
         let o = 1 - d;
-        let na = Self::copy(ha, ha.node_ref().weight() - 1, guard);
-        let nsl = Self::copy(hsl, 0, guard);
-        let nl = Self::mk(hux.node_ref().key(), 1, d, na, nsl, guard);
+        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
+        let nsl = copy_with_weight(hsl, 0, guard);
+        let nl = mk_internal(hux.node_ref().key(), 1, d, na, nsl, guard);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = Self::mk(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
-        let [c0, c1] = Self::bfs2(*ha, *hs, d);
-        self.commit_step(
-            Step::W2,
-            &[*hu, *hux, c0, c1, *hsl],
-            n,
-            &[na, nsl, nl, n],
-            guard,
-        )
+        let n = mk_internal(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
+        let [c0, c1] = bfs2(*ha, *hs, d);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe {
+            self.commit_step(
+                Step::W2,
+                &[*hu, *hux, c0, c1, *hsl],
+                n,
+                &[na, nsl, nl, n],
+                guard,
+            )
+        }
     }
 
     /// **W3 / W3s**: red sibling, near child weight 1 whose *near* child is
@@ -583,22 +442,26 @@ where
         hd: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
+    ) -> Option<()> {
         let o = 1 - d;
-        let na = Self::copy(ha, ha.node_ref().weight() - 1, guard);
-        let nll = Self::mk(hux.node_ref().key(), 0, d, na, hd.child(d), guard);
-        let nlr = Self::mk(hsl.node_ref().key(), 0, d, hd.child(o), hsl.child(o), guard);
-        let nl = Self::mk(hd.node_ref().key(), 1, d, nll, nlr, guard);
+        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
+        let nll = mk_internal(hux.node_ref().key(), 0, d, na, hd.child(d), guard);
+        let nlr = mk_internal(hsl.node_ref().key(), 0, d, hd.child(o), hsl.child(o), guard);
+        let nl = mk_internal(hd.node_ref().key(), 1, d, nll, nlr, guard);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = Self::mk(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
-        let [c0, c1] = Self::bfs2(*ha, *hs, d);
-        self.commit_step(
-            Step::W3,
-            &[*hu, *hux, c0, c1, *hsl, *hd],
-            n,
-            &[na, nll, nlr, nl, n],
-            guard,
-        )
+        let n = mk_internal(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
+        let [c0, c1] = bfs2(*ha, *hs, d);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe {
+            self.commit_step(
+                Step::W3,
+                &[*hu, *hux, c0, c1, *hsl, *hd],
+                n,
+                &[na, nll, nlr, nl, n],
+                guard,
+            )
+        }
     }
 
     /// **W4 / W4s**: red sibling, near child weight 1 whose *far* child is
@@ -624,11 +487,11 @@ where
         hfar: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
+    ) -> Option<()> {
         let o = 1 - d;
-        let na = Self::copy(ha, ha.node_ref().weight() - 1, guard);
-        let p2 = Self::mk(hux.node_ref().key(), 1, d, na, hsl.child(d), guard);
-        let p3 = Self::mk(
+        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
+        let p2 = mk_internal(hux.node_ref().key(), 1, d, na, hsl.child(d), guard);
+        let p3 = mk_internal(
             hfar.node_ref().key(),
             1,
             d,
@@ -636,17 +499,21 @@ where
             hfar.child(o),
             guard,
         );
-        let p = Self::mk(hsl.node_ref().key(), 0, d, p2, p3, guard);
+        let p = mk_internal(hsl.node_ref().key(), 0, d, p2, p3, guard);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = Self::mk(hs.node_ref().key(), w, d, p, hs.child(o), guard);
-        let [c0, c1] = Self::bfs2(*ha, *hs, d);
-        self.commit_step(
-            Step::W4,
-            &[*hu, *hux, c0, c1, *hsl, *hfar],
-            n,
-            &[na, p2, p3, p, n],
-            guard,
-        )
+        let n = mk_internal(hs.node_ref().key(), w, d, p, hs.child(o), guard);
+        let [c0, c1] = bfs2(*ha, *hs, d);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe {
+            self.commit_step(
+                Step::W4,
+                &[*hu, *hux, c0, c1, *hsl, *hfar],
+                n,
+                &[na, p2, p3, p, n],
+                guard,
+            )
+        }
     }
 
     /// **W5 / W5s**: weight-1 sibling whose *far* child is red — single
@@ -661,11 +528,11 @@ where
         hfar: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
+    ) -> Option<()> {
         let o = 1 - d;
-        let na = Self::copy(ha, ha.node_ref().weight() - 1, guard);
-        let nl = Self::mk(hux.node_ref().key(), 1, d, na, hs.child(d), guard);
-        let nr = Self::mk(
+        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
+        let nl = mk_internal(hux.node_ref().key(), 1, d, na, hs.child(d), guard);
+        let nr = mk_internal(
             hfar.node_ref().key(),
             1,
             d,
@@ -674,15 +541,19 @@ where
             guard,
         );
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = Self::mk(hs.node_ref().key(), w, d, nl, nr, guard);
-        let [c0, c1] = Self::bfs2(*ha, *hs, d);
-        self.commit_step(
-            Step::W5,
-            &[*hu, *hux, c0, c1, *hfar],
-            n,
-            &[na, nl, nr, n],
-            guard,
-        )
+        let n = mk_internal(hs.node_ref().key(), w, d, nl, nr, guard);
+        let [c0, c1] = bfs2(*ha, *hs, d);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe {
+            self.commit_step(
+                Step::W5,
+                &[*hu, *hux, c0, c1, *hfar],
+                n,
+                &[na, nl, nr, n],
+                guard,
+            )
+        }
     }
 
     /// **W6 / W6s**: weight-1 sibling whose *near* child is red — double
@@ -697,11 +568,11 @@ where
         hnear: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
+    ) -> Option<()> {
         let o = 1 - d;
-        let na = Self::copy(ha, ha.node_ref().weight() - 1, guard);
-        let nl = Self::mk(hux.node_ref().key(), 1, d, na, hnear.child(d), guard);
-        let nr = Self::mk(
+        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
+        let nl = mk_internal(hux.node_ref().key(), 1, d, na, hnear.child(d), guard);
+        let nr = mk_internal(
             hs.node_ref().key(),
             1,
             d,
@@ -710,15 +581,19 @@ where
             guard,
         );
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = Self::mk(hnear.node_ref().key(), w, d, nl, nr, guard);
-        let [c0, c1] = Self::bfs2(*ha, *hs, d);
-        self.commit_step(
-            Step::W6,
-            &[*hu, *hux, c0, c1, *hnear],
-            n,
-            &[na, nl, nr, n],
-            guard,
-        )
+        let n = mk_internal(hnear.node_ref().key(), w, d, nl, nr, guard);
+        let [c0, c1] = bfs2(*ha, *hs, d);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe {
+            self.commit_step(
+                Step::W6,
+                &[*hu, *hux, c0, c1, *hnear],
+                n,
+                &[na, nl, nr, n],
+                guard,
+            )
+        }
     }
 
     /// **W7 / W7s**: both children overweight — each gives one weight unit
@@ -731,12 +606,14 @@ where
         hs: &H<'g, K, V>,
         d: usize,
         guard: &'g Guard,
-    ) -> bool {
-        let na = Self::copy(ha, ha.node_ref().weight() - 1, guard);
-        let ns = Self::copy(hs, hs.node_ref().weight() - 1, guard);
+    ) -> Option<()> {
+        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
+        let ns = copy_with_weight(hs, hs.node_ref().weight() - 1, guard);
         let w = Self::top_weight(hu, hux.node_ref().weight() + 1);
-        let n = Self::mk(hux.node_ref().key(), w, d, na, ns, guard);
-        let [c0, c1] = Self::bfs2(*ha, *hs, d);
-        self.commit_step(Step::W7, &[*hu, *hux, c0, c1], n, &[na, ns, n], guard)
+        let n = mk_internal(hux.node_ref().key(), w, d, na, ns, guard);
+        let [c0, c1] = bfs2(*ha, *hs, d);
+        // SAFETY: `created` lists exactly the nodes allocated above, each
+        // once; all are unpublished.
+        unsafe { self.commit_step(Step::W7, &[*hu, *hux, c0, c1], n, &[na, ns, n], guard) }
     }
 }

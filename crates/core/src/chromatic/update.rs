@@ -1,11 +1,17 @@
-//! `TryInsert` and `TryDelete` (paper Figs. 6, 12, 13): the localized
-//! updates, each a single instance of the tree update template.
+//! The chromatic tree's *merged* updates: a whole same-leaf run of a
+//! sorted batch installed by one SCX, and two sibling leaves removed by
+//! one SCX. The point updates (`TryInsert`/`TryDelete`, paper Figs. 6, 12,
+//! 13) are the shared [`crate::template`] instances under
+//! [`ChromaticWeights`]; these two reuse its helpers and its weight rule.
 
 use llxscx::epoch::{Guard, Shared};
-use llxscx::{llx, scx, Llx, ScxArgs};
 
-use super::{ChromaticTree, SearchResult};
+use super::ChromaticTree;
 use crate::node::Node;
+use crate::template::{
+    bfs2, commit, copy_with_weight, dispose_subtree, llx_ok, side_of, ChromaticWeights, SearchPath,
+    WeightRule,
+};
 
 /// Builds a balanced subtree over `items` (distinct, ascending) entirely
 /// from fresh nodes: weight-0 internal routing nodes over weight-1 leaves.
@@ -70,248 +76,16 @@ where
     Node::internal(Some(items[mid].0.clone()), root_weight, left, right).into_shared(guard)
 }
 
-/// Frees an unpublished subtree built by the run helpers after an SCX
-/// failure. Children are pushed before the parent is disposed, so every
-/// fresh node is visited exactly once.
-///
-/// # Safety
-/// Every node reachable from `n` must be unpublished (exclusively owned by
-/// the caller) and allocated through the record slab.
-unsafe fn dispose_run_subtree<'g, K: Send + Sync + 'static, V: Send + Sync + 'static>(
-    n: Shared<'g, Node<K, V>>,
-    guard: &'g Guard,
-) {
-    let mut stack = vec![n];
-    while let Some(s) = stack.pop() {
-        if s.is_null() {
-            continue;
-        }
-        let r = s.deref();
-        stack.push(r.read_child(0, guard));
-        stack.push(r.read_child(1, guard));
-        llxscx::reclaim::dispose_record(s.as_raw());
-    }
-}
-
 impl<K, V> ChromaticTree<K, V>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// One attempt to insert `key`. On success returns the previous value
-    /// and whether the update created a violation; `Err(())` means a
-    /// concurrent update interfered and the caller should retry.
-    ///
-    /// Two template instances (paper Fig. 11):
-    /// * **Insert2** (`key` present): replace the leaf by a fresh leaf with
-    ///   the same weight — `V = ⟨p, l⟩`, `R = ⟨l⟩`.
-    /// * **Insert1** (`key` absent): replace the leaf by a fresh internal
-    ///   node (weight `l.w − 1`) with two fresh weight-1 leaves: one for
-    ///   `key` and one copying `l` — `V = ⟨p, l⟩`, `R = ⟨l⟩`.
-    pub(crate) fn try_insert<'g>(
-        &self,
-        res: &SearchResult<'g, K, V>,
-        key: &K,
-        value: &V,
-        guard: &'g Guard,
-    ) -> Result<(Option<V>, bool), ()> {
-        let hp = match llx(res.p, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        // Confirm the leaf is still the parent's child, and find which side.
-        let dir = if hp.left() == res.leaf {
-            0
-        } else if hp.right() == res.leaf {
-            1
-        } else {
-            return Err(());
-        };
-        let hl = match llx(res.leaf, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let l = hl.node_ref();
-        let p_weight = hp.node_ref().weight();
-
-        if l.key_eq(key) {
-            // Insert2: value replacement; cannot create a violation
-            // (leaves always have weight ≥ 1).
-            let old = l.value().cloned();
-            let new_leaf =
-                Node::leaf(Some(key.clone()), Some(value.clone()), l.weight()).into_shared(guard);
-            let ok = scx(
-                &ScxArgs {
-                    v: &[hp, hl],
-                    finalize: 0b10,
-                    fld_record: 0,
-                    fld_idx: dir,
-                    new: new_leaf,
-                },
-                guard,
-            );
-            if ok {
-                Ok((old, false))
-            } else {
-                // SAFETY: `new_leaf` was never published.
-                unsafe { llxscx::reclaim::dispose_record(new_leaf.as_raw()) };
-                Err(())
-            }
-        } else {
-            // Insert1: grow the tree by one leaf. Weight rule: like the
-            // Delete of Fig. 6 (line 24), force weight 1 whenever the new
-            // node becomes the chromatic tree root (its parent carries the
-            // sentinel key) — this keeps the root black, which Lemma 15.2's
-            // "rebalancing never touches the sentinels" argument relies on.
-            // (Fig. 12 line 28 only special-cases `l` itself being a
-            // sentinel; taken literally that makes the root red on the
-            // second insertion and the ensuing red-red fix would replace
-            // the second sentinel.)
-            let new_weight = if l.is_sentinel_key() || hp.node_ref().is_sentinel_key() {
-                1
-            } else {
-                l.weight().max(1) - 1
-            };
-            // Both children of the new internal are *fresh weight-1 leaves*
-            // (Fig. 11: "+ + 1 1"): the existing leaf is copied, not reused,
-            // because its weight must drop to 1 to keep path sums equal
-            // (paths through a reused overweight leaf would gain `l.w − 1`).
-            // Correspondingly the old leaf is finalized (R = ⟨l⟩, Fig. 12).
-            let new_leaf = Node::leaf(Some(key.clone()), Some(value.clone()), 1).into_shared(guard);
-            let l_copy = Node::leaf(l.key().cloned(), l.value().cloned(), 1).into_shared(guard);
-            let new = if l.route_left(key) {
-                // key < l.k: the new internal routes on l's key.
-                Node::internal(l.key().cloned(), new_weight, new_leaf, l_copy)
-            } else {
-                Node::internal(Some(key.clone()), new_weight, l_copy, new_leaf)
-            }
-            .into_shared(guard);
-            let ok = scx(
-                &ScxArgs {
-                    v: &[hp, hl],
-                    finalize: 0b10, // R = ⟨l⟩: the old leaf is replaced by its copy
-                    fld_record: 0,
-                    fld_idx: dir,
-                    new,
-                },
-                guard,
-            );
-            if ok {
-                Ok((None, new_weight == 0 && p_weight == 0))
-            } else {
-                // SAFETY: none of the nodes were published.
-                unsafe {
-                    llxscx::reclaim::dispose_record(new.as_raw());
-                    llxscx::reclaim::dispose_record(l_copy.as_raw());
-                    llxscx::reclaim::dispose_record(new_leaf.as_raw());
-                }
-                Err(())
-            }
-        }
-    }
-
-    /// One attempt to delete `key` (paper Fig. 6). Replaces the leaf's
-    /// sibling subtree root for the parent: `V = ⟨gp, p, l, s⟩` in
-    /// breadth-first order, `R = ⟨p, l, s⟩`, and `new` is a fresh copy of
-    /// the sibling with weight `p.w + s.w` (1 when the copy becomes the
-    /// chromatic tree root). A resulting weight > 1 is an overweight
-    /// violation, reported to the caller.
-    pub(crate) fn try_delete<'g>(
-        &self,
-        res: &SearchResult<'g, K, V>,
-        key: &K,
-        guard: &'g Guard,
-    ) -> Result<(Option<V>, bool), ()> {
-        // Empty tree: Fig. 10(a), no grandparent exists.
-        if res.gp.is_null() {
-            return Ok((None, false));
-        }
-        // Key absent: linearizes like a query.
-        // SAFETY: reached from entry under `guard`.
-        if !unsafe { res.leaf.deref() }.key_eq(key) {
-            return Ok((None, false));
-        }
-
-        let hgp = match llx(res.gp, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let dir_gp = if hgp.left() == res.p {
-            0
-        } else if hgp.right() == res.p {
-            1
-        } else {
-            return Err(());
-        };
-        let hp = match llx(res.p, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let (sibling, leaf_is_left) = if hp.left() == res.leaf {
-            (hp.right(), true)
-        } else if hp.right() == res.leaf {
-            (hp.left(), false)
-        } else {
-            return Err(());
-        };
-        let hl = match llx(res.leaf, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let hs = match llx(sibling, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-
-        let gp_ref = hgp.node_ref();
-        let p_ref = hp.node_ref();
-        let s_ref = hs.node_ref();
-        let new_weight = if gp_ref.is_sentinel_key() || p_ref.is_sentinel_key() {
-            1
-        } else {
-            p_ref.weight() + s_ref.weight()
-        };
-        // Fresh copy of the sibling: key/value are immutable (read from the
-        // node), children come from the LLX snapshot (they are mutable).
-        let new = if s_ref.is_leaf(guard) {
-            Node::leaf(s_ref.key().cloned(), s_ref.value().cloned(), new_weight)
-        } else {
-            Node::internal(s_ref.key().cloned(), new_weight, hs.left(), hs.right())
-        }
-        .into_shared(guard);
-
-        // V in breadth-first order (PC8): the leaf and sibling are ordered
-        // left-to-right under their parent.
-        let v = if leaf_is_left {
-            [hgp, hp, hl, hs]
-        } else {
-            [hgp, hp, hs, hl]
-        };
-        let ok = scx(
-            &ScxArgs {
-                v: &v,
-                finalize: 0b1110, // R = {p, l, s}
-                fld_record: 0,
-                fld_idx: dir_gp,
-                new,
-            },
-            guard,
-        );
-        if ok {
-            let old = hl.node_ref().value().cloned();
-            Ok((old, new_weight > 1))
-        } else {
-            // SAFETY: `new` was never published.
-            unsafe { llxscx::reclaim::dispose_record(new.as_raw()) };
-            Err(())
-        }
-    }
-
     /// One attempt to install a whole same-leaf **run** of a sorted batch
     /// with a single SCX: the template instance behind `insert_bulk`'s run
     /// merging. `run` holds the run's distinct keys in ascending order,
     /// each with its last-duplicate-wins value; every key must have been
-    /// routed to `res.leaf` by the descent (the caller's window argument).
+    /// routed to `path.leaf` by the descent (the caller's window argument).
     ///
     /// The replaced leaf's payload is merged in (unless a run key
     /// overwrites it) and the whole set is rebuilt as a balanced
@@ -327,35 +101,22 @@ where
     /// section a point Insert1 freezes, so the merged install wins or
     /// loses against concurrent updates exactly like a point insert.
     ///
-    /// Returns the number of red-red violations created; `Err(())` means
-    /// a concurrent update interfered and the caller should fall back to
+    /// Returns the number of red-red violations created; `None` means a
+    /// concurrent update interfered and the caller should fall back to
     /// per-element inserts.
     pub(crate) fn try_insert_run<'g>(
         &self,
-        res: &SearchResult<'g, K, V>,
+        path: &SearchPath<'g, K, V>,
         run: &[(&K, &V)],
         guard: &'g Guard,
-    ) -> Result<u32, ()> {
+    ) -> Option<u32> {
         debug_assert!(!run.is_empty());
         debug_assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "run not deduped");
-        let hp = match llx(res.p, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let dir = if hp.left() == res.leaf {
-            0
-        } else if hp.right() == res.leaf {
-            1
-        } else {
-            return Err(());
-        };
-        let hl = match llx(res.leaf, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
+        let hp = llx_ok(path.p, guard)?;
+        let dir = side_of(&hp, path.leaf)?;
+        let hl = llx_ok(path.leaf, guard)?;
         let l = hl.node_ref();
         let p_ref = hp.node_ref();
-        let p_weight = p_ref.weight();
 
         // Merge the replaced leaf's payload into the run (key/value are
         // immutable, so reading them before the SCX is safe; the SCX's
@@ -391,40 +152,27 @@ where
             // Every run key collapsed onto the existing leaf's key: a pure
             // value replacement, exactly Insert2 (same weight).
             debug_assert!(l.key_eq(merged[0].0));
-            Node::leaf(
-                Some(merged[0].0.clone()),
-                Some(merged[0].1.clone()),
-                l.weight(),
-            )
-            .into_shared(guard)
+            let (k, v) = merged[0];
+            let weight = ChromaticWeights::replacement_leaf(l.weight());
+            Node::leaf(Some(k.clone()), Some(v.clone()), weight).into_shared(guard)
         } else {
             // Insert1's weight rule, applied once for the whole run: the
             // mini-subtree root takes `l.w − 1` (1 when it becomes the
             // chromatic tree root — `p` carries the sentinel key).
-            let root_weight = if p_ref.is_sentinel_key() {
-                1
-            } else {
-                l.weight().max(1) - 1
-            };
-            build_run_root(&merged, root_weight, p_weight == 0, &mut red_reds, guard)
+            let (root_weight, _) = ChromaticWeights::split(p_ref.is_sentinel_key(), l.weight());
+            let parent_red = p_ref.weight() == 0;
+            build_run_root(&merged, root_weight, parent_red, &mut red_reds, guard)
         };
-        let ok = scx(
-            &ScxArgs {
-                v: &[hp, hl],
-                finalize: 0b10, // R = ⟨l⟩, as in Insert1/Insert2
-                fld_record: 0,
-                fld_idx: dir,
-                new,
-            },
-            guard,
-        );
-        if ok {
-            Ok(red_reds)
+        // R = ⟨l⟩, as in Insert1/Insert2. The created set is a whole subtree
+        // of run-dependent size, so it is released by a walk, not a list.
+        // SAFETY: an empty created set satisfies `commit`'s contract.
+        if unsafe { commit(&[hp, hl], 0b10, dir, new, &[], guard) } {
+            Some(red_reds)
         } else {
             // SAFETY: nothing under `new` was published; the fresh subtree
             // is still exclusively ours.
-            unsafe { dispose_run_subtree(new, guard) };
-            Err(())
+            unsafe { dispose_subtree(new, guard) };
+            None
         }
     }
 
@@ -453,98 +201,46 @@ where
         leaf: Shared<'g, Node<K, V>>,
         key2: &K,
         guard: &'g Guard,
-    ) -> Result<(Option<V>, Option<V>, bool), ()> {
-        let hggp = match llx(ggp, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let dir_ggp = if hggp.left() == gp {
-            0
-        } else if hggp.right() == gp {
-            1
-        } else {
-            return Err(());
-        };
-        let hgp = match llx(gp, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let (c, p_is_left) = if hgp.left() == p {
-            (hgp.right(), true)
-        } else if hgp.right() == p {
-            (hgp.left(), false)
-        } else {
-            return Err(());
-        };
-        let hp = match llx(p, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
+    ) -> Option<(Option<V>, Option<V>, bool)> {
+        let hggp = llx_ok(ggp, guard)?;
+        let dir_ggp = side_of(&hggp, gp)?;
+        let hgp = llx_ok(gp, guard)?;
+        let p_side = side_of(&hgp, p)?;
+        let hp = llx_ok(p, guard)?;
         // The batch is sorted, so the pair's first key lives in the left
         // leaf; if the section shifted under us, fall back.
         if hp.left() != leaf {
-            return Err(());
+            return None;
         }
-        let s = hp.right();
-        let hc = match llx(c, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let hl = match llx(leaf, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
-        let hs = match llx(s, guard) {
-            Llx::Snapshot(h) => h,
-            _ => return Err(()),
-        };
+        let hc = llx_ok(hgp.child(1 - p_side), guard)?;
+        let hl = llx_ok(leaf, guard)?;
+        let hs = llx_ok(hp.right(), guard)?;
         let s_ref = hs.node_ref();
         if !s_ref.is_leaf(guard) || !s_ref.key_eq(key2) {
-            return Err(());
+            return None;
         }
 
-        let c_ref = hc.node_ref();
-        let new_weight = if hggp.node_ref().is_sentinel_key() || hgp.node_ref().is_sentinel_key() {
-            1
-        } else {
-            hgp.node_ref().weight() + c_ref.weight()
-        };
+        let (ggp_ref, gp_ref) = (hggp.node_ref(), hgp.node_ref());
+        let below_sentinel = ggp_ref.is_sentinel_key() || gp_ref.is_sentinel_key();
+        let new_weight = ChromaticWeights::contracted_sibling(
+            below_sentinel,
+            gp_ref.weight(),
+            hc.node_ref().weight(),
+        );
         // Fresh copy of `c`, like the sibling copy of a point delete. When
         // the pair empties the whole dictionary, `gp` is the second
         // sentinel and `c` its ∞ leaf: the copy is a weight-1 ∞ leaf and
         // the install restores the Fig. 10(a) empty shape at the entry.
-        let new = if c_ref.is_leaf(guard) {
-            Node::leaf(c_ref.key().cloned(), c_ref.value().cloned(), new_weight)
-        } else {
-            Node::internal(c_ref.key().cloned(), new_weight, hc.left(), hc.right())
-        }
-        .into_shared(guard);
+        let new = copy_with_weight(&hc, new_weight, guard);
 
         // V in breadth-first order (PC8): gp's children left-to-right,
-        // then p's. R = everything below ggp.
-        let v = if p_is_left {
-            [hggp, hgp, hp, hc, hl, hs]
-        } else {
-            [hggp, hgp, hc, hp, hl, hs]
-        };
-        let ok = scx(
-            &ScxArgs {
-                v: &v,
-                finalize: 0b111110, // R = {gp, p, c, l, s}
-                fld_record: 0,
-                fld_idx: dir_ggp,
-                new,
-            },
-            guard,
-        );
-        if ok {
+        // then p's. R = {gp, p, c, l, s}: everything below ggp.
+        let [c0, c1] = bfs2(hp, hc, p_side);
+        let v = [hggp, hgp, c0, c1, hl, hs];
+        // SAFETY: `new` was just allocated and is referenced by nothing.
+        unsafe { commit(&v, 0b111110, dir_ggp, new, &[new], guard) }.then(|| {
             let old1 = hl.node_ref().value().cloned();
-            let old2 = s_ref.value().cloned();
-            Ok((old1, old2, new_weight > 1))
-        } else {
-            // SAFETY: `new` was never published.
-            unsafe { llxscx::reclaim::dispose_record(new.as_raw()) };
-            Err(())
-        }
+            (old1, s_ref.value().cloned(), new_weight > 1)
+        })
     }
 }

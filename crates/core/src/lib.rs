@@ -45,4 +45,3 @@ pub mod template;
 pub use chromatic::stats::STEP_NAMES;
 pub use chromatic::{AuditReport, ChromaticTree, Stats};
 pub use range::try_range_scan;
-pub use template::{tree_update, Interfered, TemplateStep};

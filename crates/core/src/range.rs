@@ -29,9 +29,10 @@
 use std::ops::{Bound, RangeBounds};
 
 use llxscx::epoch::{Guard, Shared};
-use llxscx::{llx, vlx, Llx, LlxHandle};
+use llxscx::vlx;
 
 use crate::node::Node;
+use crate::template::{llx_ok, Handle};
 
 /// Whether the query interval can contain a key strictly below `k` — i.e.
 /// whether a scan must descend into a left subtree (all keys `< k`).
@@ -102,7 +103,7 @@ where
     V: Clone + Send + Sync + 'static,
     B: RangeBounds<K>,
 {
-    let mut handles: Vec<LlxHandle<'g, Node<K, V>>> = Vec::with_capacity(32);
+    let mut handles: Vec<Handle<'g, K, V>> = Vec::with_capacity(32);
     let mut out: Vec<(K, V)> = Vec::new();
     // Explicit DFS stack (right pushed first so leaves emit in key order);
     // iterative to stay safe on degenerate NbBST shapes of depth Θ(n).
@@ -125,11 +126,8 @@ where
             }
             continue;
         }
-        let h = match llx(n, guard) {
-            Llx::Snapshot(h) => h,
-            // Frozen or already removed: this attempt cannot linearize.
-            _ => return None,
-        };
+        // Frozen or already removed: this attempt cannot linearize.
+        let h = llx_ok(n, guard)?;
         handles.push(h);
         match h.node_ref().key() {
             // Sentinel ∞ internal node (entry or second sentinel): the

@@ -1,7 +1,6 @@
-//! Grep-grade configuration gate (absorbed into `nblint` from the original
-//! standalone `cfgcheck` bin, which remains as a thin alias): fails CI if the
-//! retired environment-mutation idioms reappear anywhere in first-party
-//! Rust sources.
+//! Grep-grade configuration gate (part of `nblint --check`): fails CI if
+//! the retired environment-mutation idioms reappear anywhere in
+//! first-party Rust sources.
 //!
 //! The suite used to size the `"sharded"` registry entry through
 //! `NBTREE_SHARD_SPAN`, which forced every sweeper to *pin* the variable

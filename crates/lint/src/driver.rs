@@ -114,7 +114,7 @@ pub fn check(root: &Path) -> Result<Vec<Finding>, String> {
     let rows = manifest::parse(&manifest_text)?;
     findings.extend(check_manifest(&sites, &rows));
 
-    // Absorbed cfgcheck rules: environment-mutation tokens and the
+    // Configuration rules: environment-mutation tokens and the
     // run_trial hot-loop discipline.
     for hit in crate::cfg::scan_repo(root) {
         findings.push(Finding {

@@ -3,10 +3,13 @@
 //! The tree of Ellen, Fatourou, Ruppert and van Breugel (PODC 2010),
 //! rebuilt with the PPoPP 2014 *tree update template*: this is the paper's
 //! demonstration that the template makes such structures nearly mechanical
-//! to produce. Insertion and deletion are single template instances driven
-//! by the generic [`nbtree::tree_update`] runner; there is no rebalancing,
-//! so the height can be Θ(n) for adversarial key orders — which is exactly
-//! why it serves as an experimental baseline against the chromatic tree.
+//! to produce. The whole tree is the shared [`LeafTree`] skeleton of
+//! [`nbtree::template`] — sentinels, search, queries — plus Fig. 11's
+//! Insert1/Insert2/Delete under the trivial weight rule [`UnitWeights`]
+//! (every node weighs 1); nothing here is the tree's own. There is no
+//! rebalancing, so the height can be Θ(n) for adversarial key orders —
+//! which is exactly why it serves as an experimental baseline against the
+//! chromatic tree.
 //!
 //! ```
 //! let t = nbbst::NbBst::new();
@@ -17,32 +20,14 @@
 
 #![warn(missing_docs)]
 
-use llxscx::epoch::{Atomic, Guard, Shared};
-use llxscx::guard_cache::with_guard;
-use nbtree::node::Node;
-use nbtree::{tree_update, TemplateStep};
-use std::sync::atomic::Ordering;
+use nbtree::template::{LeafTree, UnitWeights};
 
 /// A lock-free unbalanced leaf-oriented BST (ordered map).
 ///
 /// Same sentinel layout as the chromatic tree (paper Fig. 10), same
 /// leaf-oriented updates (Insert1/Insert2/Delete of Fig. 11), but no
 /// weights are maintained and no rebalancing is performed.
-pub struct NbBst<K: Send + Sync + 'static, V: Send + Sync + 'static> {
-    entry: Atomic<Node<K, V>>,
-}
-
-// SAFETY: all shared mutable state behind atomics/epoch guards.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Send for NbBst<K, V> {}
-// SAFETY: same argument as `Send`.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Sync for NbBst<K, V> {}
-
-/// (grandparent, parent, leaf) triple returned by the pure-read search.
-type SearchPath<'g, K, V> = (
-    Shared<'g, Node<K, V>>,
-    Shared<'g, Node<K, V>>,
-    Shared<'g, Node<K, V>>,
-);
+pub struct NbBst<K: Send + Sync + 'static, V: Send + Sync + 'static>(LeafTree<K, V>);
 
 impl<K, V> NbBst<K, V>
 where
@@ -51,265 +36,48 @@ where
 {
     /// An empty tree.
     pub fn new() -> Self {
-        // SAFETY: construction — the tree is not yet shared with any thread.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        let leaf = Node::leaf(None, None, 1).into_shared(guard);
-        NbBst {
-            entry: Atomic::from(Node::internal(None, 1, leaf, Shared::null())),
-        }
-    }
-
-    fn entry<'g>(&self, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        // SEQCST: entry pointer participates in the SCX total order.
-        self.entry.load(Ordering::SeqCst, guard)
-    }
-
-    /// Pure-read search; returns (grandparent, parent, leaf) on `key`'s
-    /// search path (grandparent null when the tree is empty).
-    fn search<'g>(&self, key: &K, guard: &'g Guard) -> SearchPath<'g, K, V> {
-        let mut gp = Shared::null();
-        let mut p = self.entry(guard);
-        // SAFETY: entry never removed; children reached under guard (C3).
-        let mut l = unsafe { p.deref() }.read_child(0, guard);
-        loop {
-            // SAFETY: children of a live internal node are non-null (leaf-oriented
-            // tree) and reachable under `guard`.
-            let l_ref = unsafe { l.deref() };
-            if l_ref.is_leaf(guard) {
-                return (gp, p, l);
-            }
-            gp = p;
-            p = l;
-            let dir = if l_ref.route_left(key) { 0 } else { 1 };
-            l = l_ref.read_child(dir, guard);
-        }
+        NbBst(LeafTree::new())
     }
 
     /// Value associated with `key`, using only plain reads.
     pub fn get(&self, key: &K) -> Option<V> {
-        with_guard(|guard| {
-            let (_, _, l) = self.search(key, guard);
-            // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
-            let leaf = unsafe { l.deref() };
-            if leaf.key_eq(key) {
-                leaf.value().cloned()
-            } else {
-                None
-            }
-        })
+        self.0.get(key)
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        with_guard(|guard| {
-            let (_, _, l) = self.search(key, guard);
-            // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
-            unsafe { l.deref() }.key_eq(key)
-        })
+        self.0.contains_key(key)
     }
 
     /// Inserts `key → value`; returns the previous value, if any.
-    ///
-    /// Driven by the generic template runner: LLX the parent, check the
-    /// leaf is still its child, LLX the leaf, then a single SCX.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        loop {
-            let outcome = with_guard(|guard| {
-                let (_, p, l) = self.search(&key, guard);
-                tree_update(p, guard, |handles| match handles.len() {
-                    1 => {
-                        let hp = &handles[0];
-                        if hp.left() != l && hp.right() != l {
-                            return TemplateStep::Abort;
-                        }
-                        TemplateStep::Llx(l)
-                    }
-                    2 => {
-                        let hp = &handles[0];
-                        let hl = &handles[1];
-                        let dir = if hp.left() == l { 0 } else { 1 };
-                        let leaf = hl.node_ref();
-                        if leaf.key_eq(&key) {
-                            // Replacement (Insert2): R = {leaf}.
-                            let old = leaf.value().cloned();
-                            let new = Node::leaf(Some(key.clone()), Some(value.clone()), 1)
-                                .into_shared(guard);
-                            TemplateStep::Scx {
-                                finalize: 0b10,
-                                fld_record: 0,
-                                fld_idx: dir,
-                                new,
-                                created: vec![new],
-                                result: old,
-                            }
-                        } else {
-                            // Insert1: new internal, old leaf reused (R = ∅).
-                            let new_leaf = Node::leaf(Some(key.clone()), Some(value.clone()), 1)
-                                .into_shared(guard);
-                            let new = if leaf.route_left(&key) {
-                                Node::internal(leaf.key().cloned(), 1, new_leaf, l)
-                            } else {
-                                Node::internal(Some(key.clone()), 1, l, new_leaf)
-                            }
-                            .into_shared(guard);
-                            TemplateStep::Scx {
-                                finalize: 0,
-                                fld_record: 0,
-                                fld_idx: dir,
-                                new,
-                                created: vec![new_leaf, new],
-                                result: None,
-                            }
-                        }
-                    }
-                    _ => unreachable!("template sequence for insert has length 2"),
-                })
-            });
-            if let Ok(old) = outcome {
-                return old;
-            }
-        }
+        self.0.insert::<UnitWeights>(&key, &value).old
     }
 
     /// Removes `key`; returns its value, if it was present.
     pub fn remove(&self, key: &K) -> Option<V> {
-        loop {
-            let done = with_guard(|guard| {
-                let (gp, p, l) = self.search(key, guard);
-                // SAFETY: see search.
-                if !unsafe { l.deref() }.key_eq(key) {
-                    return Some(None); // linearizes like a query
-                }
-                if gp.is_null() {
-                    return Some(None); // empty tree shape: only the ∞ leaf
-                }
-                let outcome = tree_update(gp, guard, |handles| match handles.len() {
-                    1 => {
-                        let hgp = &handles[0];
-                        if hgp.left() != p && hgp.right() != p {
-                            return TemplateStep::Abort;
-                        }
-                        TemplateStep::Llx(p)
-                    }
-                    2 => {
-                        let hp = &handles[1];
-                        if hp.left() != l && hp.right() != l {
-                            return TemplateStep::Abort;
-                        }
-                        TemplateStep::Llx(l)
-                    }
-                    3 => {
-                        let hp = &handles[1];
-                        let sib = if hp.left() == l {
-                            hp.right()
-                        } else {
-                            hp.left()
-                        };
-                        TemplateStep::Llx(sib)
-                    }
-                    4 => {
-                        let hgp = &handles[0];
-                        let hl = &handles[2];
-                        let hs = &handles[3];
-                        let dir = if hgp.left() == p { 0 } else { 1 };
-                        let s_ref = hs.node_ref();
-                        // Fresh copy of the sibling replaces the parent.
-                        let new = if s_ref.is_leaf(guard) {
-                            Node::leaf(s_ref.key().cloned(), s_ref.value().cloned(), 1)
-                        } else {
-                            Node::internal(s_ref.key().cloned(), 1, hs.left(), hs.right())
-                        }
-                        .into_shared(guard);
-                        TemplateStep::Scx {
-                            finalize: 0b1110, // {p, l, s}
-                            fld_record: 0,
-                            fld_idx: dir,
-                            new,
-                            created: vec![new],
-                            result: hl.node_ref().value().cloned(),
-                        }
-                    }
-                    _ => unreachable!("template sequence for delete has length 4"),
-                });
-                // Ok(old) ⇒ done (Some), SCX failure ⇒ retry (None); the
-                // early returns above are "done with None" in the same
-                // encoding.
-                outcome.ok()
-            });
-            if let Some(old) = done {
-                return old;
-            }
-        }
+        self.0.remove::<UnitWeights>(key).old
     }
 
     /// All pairs with keys in `bounds`, sorted — an atomic snapshot,
-    /// VLX-validated by the shared scan of [`nbtree::range`] (the template
-    /// trees share their node layout, so the chromatic tree's range
-    /// machinery applies verbatim; only the entry pointer differs).
+    /// VLX-validated by the shared scan of [`nbtree::range`].
     pub fn range<B: std::ops::RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
-        loop {
-            let out = with_guard(|guard| nbtree::try_range_scan(self.entry(guard), &bounds, guard));
-            if let Some(out) = out {
-                return out;
-            }
-        }
+        self.0.range(bounds)
     }
 
     /// Number of keys (O(n) traversal snapshot).
     pub fn len(&self) -> usize {
-        with_guard(|guard| {
-            let mut count = 0;
-            let mut stack = vec![self.entry(guard)];
-            while let Some(n) = stack.pop() {
-                if n.is_null() {
-                    continue;
-                }
-                // SAFETY: `n` is non-null (checked above) and reached under `guard`.
-                let node = unsafe { n.deref() };
-                if node.is_leaf(guard) {
-                    if !node.is_sentinel_key() {
-                        count += 1;
-                    }
-                } else {
-                    stack.push(node.read_child(0, guard));
-                    stack.push(node.read_child(1, guard));
-                }
-            }
-            count
-        })
+        self.0.len()
     }
 
-    /// Whether the map is empty.
+    /// Whether the map is empty (O(1)).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
     /// Sorted snapshot of the contents.
     pub fn collect(&self) -> Vec<(K, V)> {
-        fn rec<K: Ord + Clone + Send + Sync + 'static, V: Clone + Send + Sync + 'static>(
-            n: Shared<'_, Node<K, V>>,
-            out: &mut Vec<(K, V)>,
-            guard: &Guard,
-        ) {
-            if n.is_null() {
-                return;
-            }
-            // SAFETY: `n` is non-null (checked above) and reached under `guard`.
-            let node = unsafe { n.deref() };
-            if node.is_leaf(guard) {
-                if let (Some(k), Some(v)) = (node.key(), node.value()) {
-                    out.push((k.clone(), v.clone()));
-                }
-            } else {
-                rec(node.read_child(0, guard), out, guard);
-                rec(node.read_child(1, guard), out, guard);
-            }
-        }
-        with_guard(|guard| {
-            let mut out = Vec::new();
-            rec(self.entry(guard), &mut out, guard);
-            out
-        })
+        self.0.collect()
     }
 }
 
@@ -320,28 +88,6 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for NbBst<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so the
-        // unprotected guard is sound.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // SEQCST: teardown/cold path; kept uniform with the entry's accesses.
-        let mut stack = vec![self.entry.load(Ordering::SeqCst, guard)];
-        while let Some(n) = stack.pop() {
-            if n.is_null() {
-                continue;
-            }
-            // SAFETY: exclusive access in Drop; down-tree ⇒ each node once.
-            unsafe {
-                let node = n.deref();
-                stack.push(node.read_child(0, guard));
-                stack.push(node.read_child(1, guard));
-                llxscx::reclaim::dispose_record(n.as_raw());
-            }
-        }
     }
 }
 

@@ -9,6 +9,12 @@
 //! rank refreshes and single/double rotations — repair staleness and
 //! imbalance afterwards, interleaving freely with other operations.
 //!
+//! The dictionary itself is the shared [`LeafTree`] skeleton of
+//! [`nbtree::template`] with Fig. 11's Insert1/Insert2/Delete under the
+//! weight rule [`RankWeights`] (leaf rank 0, fresh internal rank 1, a
+//! contracted sibling keeps its rank). What is this crate's own is the
+//! repair walk and its rotations, written with the same template helpers.
+//!
 //! Differences from Larsen's calculus (documented in DESIGN.md): rebalancing
 //! here is *best-effort with a bounded number of repair passes per update*
 //! rather than amortized O(log n) steps with a proven convergence bound.
@@ -18,33 +24,18 @@
 
 #![warn(missing_docs)]
 
-use llxscx::epoch::{Atomic, Guard, Shared};
+use llxscx::epoch::{Guard, Shared};
 use llxscx::guard_cache::with_guard;
-use llxscx::{llx, scx, Llx, LlxHandle, ScxArgs};
 use nbtree::node::Node;
-use std::sync::atomic::Ordering;
-
-type H<'g, K, V> = LlxHandle<'g, Node<K, V>>;
+use nbtree::template::{commit, llx_ok, mk_internal, side_of, LeafTree, RankWeights};
 
 /// A lock-free ordered map: leaf-oriented BST with relaxed AVL-style
 /// rebalancing. The node type is shared with the chromatic tree; its
-/// `weight` field stores the *rank* here.
+/// `weight` field stores the *rank* here (the sentinels' ranks are never
+/// consulted).
 pub struct RelaxedAvl<K: Send + Sync + 'static, V: Send + Sync + 'static> {
-    entry: Atomic<Node<K, V>>,
+    tree: LeafTree<K, V>,
 }
-
-// SAFETY: all shared state lives behind epoch-managed `Atomic` links; the
-// `K: Send + Sync` / `V: Send + Sync` bounds cover the payloads.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Send for RelaxedAvl<K, V> {}
-// SAFETY: same argument as `Send`.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Sync for RelaxedAvl<K, V> {}
-
-/// (grandparent, parent, leaf) triple returned by the pure-read search.
-type SearchPath<'g, K, V> = (
-    Shared<'g, Node<K, V>>,
-    Shared<'g, Node<K, V>>,
-    Shared<'g, Node<K, V>>,
-);
 
 /// Repair passes per update: enough to fix the whole path in quiescence
 /// (ranks only need one pass per level), bounded so no interleaving can
@@ -67,185 +58,35 @@ where
 {
     /// An empty map.
     pub fn new() -> Self {
-        // SAFETY: construction — the tree is not yet shared with any thread.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        let leaf = Node::leaf(None, None, 0).into_shared(guard);
         RelaxedAvl {
-            entry: Atomic::from(Node::internal(None, 0, leaf, Shared::null())),
-        }
-    }
-
-    fn entry<'g>(&self, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        // SEQCST: entry pointer participates in the SCX total order.
-        self.entry.load(Ordering::SeqCst, guard)
-    }
-
-    fn search<'g>(&self, key: &K, guard: &'g Guard) -> SearchPath<'g, K, V> {
-        let mut gp = Shared::null();
-        let mut p = self.entry(guard);
-        // SAFETY: entry never removed; traversal under guard (C3).
-        let mut l = unsafe { p.deref() }.read_child(0, guard);
-        loop {
-            // SAFETY: children of a live internal node are non-null (leaf-oriented
-            // tree) and reachable under `guard`.
-            let l_ref = unsafe { l.deref() };
-            if l_ref.is_leaf(guard) {
-                return (gp, p, l);
-            }
-            gp = p;
-            p = l;
-            let dir = if l_ref.route_left(key) { 0 } else { 1 };
-            l = l_ref.read_child(dir, guard);
+            tree: LeafTree::new(),
         }
     }
 
     /// Lookup with plain reads.
     pub fn get(&self, key: &K) -> Option<V> {
-        with_guard(|guard| {
-            let (_, _, l) = self.search(key, guard);
-            // SAFETY: `search` returns a leaf reached under `guard`; never null.
-            let leaf = unsafe { l.deref() };
-            if leaf.key_eq(key) {
-                leaf.value().cloned()
-            } else {
-                None
-            }
-        })
+        self.tree.get(key)
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        self.tree.contains_key(key)
     }
 
     /// Inserts `key → value`; returns the displaced value.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        loop {
-            let done = with_guard(|guard| {
-                let (_, p, l) = self.search(&key, guard);
-                let hp = llx_ok(p, guard)?;
-                let dir = if hp.left() == l {
-                    0
-                } else if hp.right() == l {
-                    1
-                } else {
-                    return None;
-                };
-                let hl = llx_ok(l, guard)?;
-                let leaf = hl.node_ref();
-                let (new, finalize, old, created) = if leaf.key_eq(&key) {
-                    let old = leaf.value().cloned();
-                    let n = Node::leaf(Some(key.clone()), Some(value.clone()), leaf.weight())
-                        .into_shared(guard);
-                    (n, 0b10u8, old, vec![n])
-                } else {
-                    let new_leaf =
-                        Node::leaf(Some(key.clone()), Some(value.clone()), 0).into_shared(guard);
-                    let l_copy = Node::leaf(leaf.key().cloned(), leaf.value().cloned(), 0)
-                        .into_shared(guard);
-                    // New internal rank 1: correct locally; ancestors go stale —
-                    // that is the relaxation the repair pass fixes.
-                    let n = if leaf.route_left(&key) {
-                        Node::internal(leaf.key().cloned(), 1, new_leaf, l_copy)
-                    } else {
-                        Node::internal(Some(key.clone()), 1, l_copy, new_leaf)
-                    }
-                    .into_shared(guard);
-                    (n, 0b10u8, None, vec![new_leaf, l_copy, n])
-                };
-                let ok = scx(
-                    &ScxArgs {
-                        v: &[hp, hl],
-                        finalize,
-                        fld_record: 0,
-                        fld_idx: dir,
-                        new,
-                    },
-                    guard,
-                );
-                if ok {
-                    return Some(old);
-                }
-                for n in created {
-                    // SAFETY: never published.
-                    unsafe { llxscx::reclaim::dispose_record(n.as_raw()) };
-                }
-                None
-            });
-            if let Some(old) = done {
-                self.repair(&key);
-                return old;
-            }
-        }
+        let applied = self.tree.insert::<RankWeights>(&key, &value);
+        self.repair(&key);
+        applied.old
     }
 
     /// Removes `key`; returns its value.
     pub fn remove(&self, key: &K) -> Option<V> {
-        loop {
-            let done = with_guard(|guard| {
-                let (gp, p, l) = self.search(key, guard);
-                // SAFETY: `search` returns a leaf reached under `guard`; never null.
-                if !unsafe { l.deref() }.key_eq(key) {
-                    return Some((None, false));
-                }
-                if gp.is_null() {
-                    return Some((None, false));
-                }
-                let hgp = llx_ok(gp, guard)?;
-                let dir = if hgp.left() == p {
-                    0
-                } else if hgp.right() == p {
-                    1
-                } else {
-                    return None;
-                };
-                let hp = llx_ok(p, guard)?;
-                let (sib, l_is_left) = if hp.left() == l {
-                    (hp.right(), true)
-                } else if hp.right() == l {
-                    (hp.left(), false)
-                } else {
-                    return None;
-                };
-                let hl = llx_ok(l, guard)?;
-                let hs = llx_ok(sib, guard)?;
-                let s_ref = hs.node_ref();
-                let new = if s_ref.is_leaf(guard) {
-                    Node::leaf(s_ref.key().cloned(), s_ref.value().cloned(), s_ref.weight())
-                } else {
-                    Node::internal(s_ref.key().cloned(), s_ref.weight(), hs.left(), hs.right())
-                }
-                .into_shared(guard);
-                let v = if l_is_left {
-                    [hgp, hp, hl, hs]
-                } else {
-                    [hgp, hp, hs, hl]
-                };
-                let ok = scx(
-                    &ScxArgs {
-                        v: &v,
-                        finalize: 0b1110,
-                        fld_record: 0,
-                        fld_idx: dir,
-                        new,
-                    },
-                    guard,
-                );
-                if ok {
-                    let old = hl.node_ref().value().cloned();
-                    return Some((old, true));
-                }
-                // SAFETY: never published.
-                unsafe { llxscx::reclaim::dispose_record(new.as_raw()) };
-                None
-            });
-            if let Some((old, fix)) = done {
-                if fix {
-                    self.repair(key);
-                }
-                return old;
-            }
+        let applied = self.tree.remove::<RankWeights>(key);
+        if applied.reshaped.is_some() {
+            self.repair(key);
         }
+        applied.old
     }
 
     /// Bounded repair: walk the search path, fix the first stale-rank or
@@ -254,32 +95,28 @@ where
     fn repair(&self, key: &K) {
         for _ in 0..MAX_REPAIR_PASSES {
             let fixed = with_guard(|guard| {
-                let mut p = self.entry(guard);
+                let mut p = self.tree.entry(guard);
                 // SAFETY: the entry sentinel is never reclaimed.
                 let mut n = unsafe { p.deref() }.read_child(0, guard);
-                let mut fixed = false;
                 loop {
-                    if n.is_null() {
-                        break;
-                    }
-                    // SAFETY: `n` is non-null (checked above) and reached under `guard`.
+                    // SAFETY: children of internal nodes are non-null and
+                    // reached under `guard`.
                     let n_ref = unsafe { n.deref() };
                     if n_ref.is_leaf(guard) {
-                        break;
+                        return false;
                     }
-                    let (cl, cr) = (n_ref.read_child(0, guard), n_ref.read_child(1, guard));
-                    let (rl, rr) = (rank(cl), rank(cr));
-                    let want = 1 + rl.max(rr);
-                    let skew = rl.abs_diff(rr);
-                    if !n_ref.is_sentinel_key() && (n_ref.weight() != want || skew >= 2) {
-                        fixed = self.fix_at(p, n, guard);
-                        break;
+                    let (rl, rr) = (
+                        rank(n_ref.read_child(0, guard)),
+                        rank(n_ref.read_child(1, guard)),
+                    );
+                    let stale = n_ref.weight() != 1 + rl.max(rr) || rl.abs_diff(rr) >= 2;
+                    if !n_ref.is_sentinel_key() && stale {
+                        return self.fix_at(p, n, guard).is_some();
                     }
                     p = n;
                     let dir = if n_ref.route_left(key) { 0 } else { 1 };
                     n = n_ref.read_child(dir, guard);
                 }
-                fixed
             });
             if !fixed {
                 return; // clean walk (or unfixable this pass: bounded retry)
@@ -289,197 +126,80 @@ where
 
     /// One localized fix at `n` (child of `p`): rank refresh if balanced,
     /// otherwise an AVL single/double rotation — each a template instance.
+    /// `Some(())` iff the fix committed.
     fn fix_at<'g>(
         &self,
         p: Shared<'g, Node<K, V>>,
         n: Shared<'g, Node<K, V>>,
         guard: &'g Guard,
-    ) -> bool {
-        let Some(hp) = llx_ok(p, guard) else {
-            return false;
-        };
-        let dir = if hp.left() == n {
-            0
-        } else if hp.right() == n {
-            1
-        } else {
-            return false;
-        };
-        let Some(hn) = llx_ok(n, guard) else {
-            return false;
-        };
+    ) -> Option<()> {
+        let hp = llx_ok(p, guard)?;
+        let dir = side_of(&hp, n)?;
+        let hn = llx_ok(n, guard)?;
+        let n_key = hn.node_ref().key();
         let (rl, rr) = (rank(hn.left()), rank(hn.right()));
         if rl.abs_diff(rr) < 2 {
             // Rank refresh: replace by a copy with the recomputed rank.
-            let new = Node::internal(
-                hn.node_ref().key().cloned(),
-                1 + rl.max(rr),
-                hn.left(),
-                hn.right(),
-            )
-            .into_shared(guard);
-            let ok = scx(
-                &ScxArgs {
-                    v: &[hp, hn],
-                    finalize: 0b10,
-                    fld_record: 0,
-                    fld_idx: dir,
-                    new,
-                },
-                guard,
-            );
-            if !ok {
-                // SAFETY: never published.
-                unsafe { llxscx::reclaim::dispose_record(new.as_raw()) };
-            }
-            return ok;
+            let new = mk_internal(n_key, 1 + rl.max(rr), 0, hn.left(), hn.right(), guard);
+            // SAFETY: `new` was just allocated and is referenced by nothing.
+            return unsafe { commit(&[hp, hn], 0b10, dir, new, &[new], guard) }.then_some(());
         }
         // Rotation toward the short side. `heavy` = taller child index.
         let heavy = if rl > rr { 0 } else { 1 };
         let light = 1 - heavy;
-        let c = hn.child(heavy);
-        let Some(hc) = llx_ok(c, guard) else {
-            return false;
-        };
+        let hc = llx_ok(hn.child(heavy), guard)?;
         if hc.node_ref().is_leaf(guard) {
-            return false; // stale ranks below; refresh will happen there
+            return None; // stale ranks below; refresh will happen there
         }
         let (inner, outer) = (hc.child(light), hc.child(heavy));
-        let (created, new, v, finalize): (Vec<_>, _, Vec<H<K, V>>, u8) =
-            if rank(outer) >= rank(inner) {
-                // Single rotation: c rises.
-                let nn = mk(
-                    hn.node_ref().key(),
-                    1 + rank(inner).max(rank(hn.child(light))),
-                    heavy,
-                    inner,
-                    hn.child(light),
-                    guard,
-                );
-                // SAFETY: `nn` was allocated by this rotation; non-null by construction.
-                let top_rank = 1 + rank(outer).max(unsafe { nn.deref() }.weight());
-                let top = mk(hc.node_ref().key(), top_rank, heavy, outer, nn, guard);
-                (vec![nn, top], top, vec![hp, hn, hc], 0b110)
-            } else {
-                // Double rotation: c's inner child rises.
-                let Some(hi) = llx_ok(inner, guard) else {
-                    return false;
-                };
-                if hi.node_ref().is_leaf(guard) {
-                    return false;
-                }
-                let (gi, go) = (hi.child(light), hi.child(heavy));
-                let nc = mk(
-                    hc.node_ref().key(),
-                    1 + rank(outer).max(rank(go)),
-                    heavy,
-                    outer,
-                    go,
-                    guard,
-                );
-                let nn = mk(
-                    hn.node_ref().key(),
-                    1 + rank(gi).max(rank(hn.child(light))),
-                    heavy,
-                    gi,
-                    hn.child(light),
-                    guard,
-                );
-                // SAFETY: `nc` was allocated by this rotation; non-null by construction.
-                let top_rank = 1 + unsafe { nc.deref() }
-                    .weight()
-                    // SAFETY: `nn` likewise.
-                    .max(unsafe { nn.deref() }.weight());
-                let top = mk(hi.node_ref().key(), top_rank, heavy, nc, nn, guard);
-                (vec![nc, nn, top], top, vec![hp, hn, hc, hi], 0b1110)
-            };
-        let ok = scx(
-            &ScxArgs {
-                v: &v,
-                finalize,
-                fld_record: 0,
-                fld_idx: dir,
-                new,
-            },
-            guard,
-        );
-        if !ok {
-            for c in created {
-                // SAFETY: never published.
-                unsafe { llxscx::reclaim::dispose_record(c.as_raw()) };
+        // A fresh internal node whose rank is recomputed from its children.
+        let mk = |key, child_heavy, child_light| {
+            let r = 1 + rank(child_heavy).max(rank(child_light));
+            mk_internal(key, r, heavy, child_heavy, child_light, guard)
+        };
+        if rank(outer) >= rank(inner) {
+            // Single rotation: c rises.
+            let nn = mk(n_key, inner, hn.child(light));
+            let top = mk(hc.node_ref().key(), outer, nn);
+            // SAFETY: both nodes were just allocated; `nn` is referenced
+            // only by `top`, and `top` by nothing.
+            unsafe { commit(&[hp, hn, hc], 0b110, dir, top, &[nn, top], guard) }.then_some(())
+        } else {
+            // Double rotation: c's inner child rises.
+            let hi = llx_ok(inner, guard)?;
+            if hi.node_ref().is_leaf(guard) {
+                return None;
             }
+            let nc = mk(hc.node_ref().key(), outer, hi.child(heavy));
+            let nn = mk(n_key, hi.child(light), hn.child(light));
+            let top = mk(hi.node_ref().key(), nc, nn);
+            // SAFETY: all three nodes were just allocated; `nc` and `nn`
+            // are referenced only by `top`, and `top` by nothing.
+            unsafe { commit(&[hp, hn, hc, hi], 0b1110, dir, top, &[nc, nn, top], guard) }
+                .then_some(())
         }
-        ok
     }
 
     /// All pairs with keys in `bounds`, sorted — an atomic snapshot via the
-    /// shared VLX-validated scan of [`nbtree::range`] (same node layout and
-    /// sentinel scheme as the chromatic tree; ranks are irrelevant to the
-    /// scan, which only follows routing keys).
+    /// shared VLX-validated scan of [`nbtree::range`] (ranks are irrelevant
+    /// to the scan, which only follows routing keys).
     pub fn range<B: std::ops::RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
-        loop {
-            let out = with_guard(|guard| nbtree::try_range_scan(self.entry(guard), &bounds, guard));
-            if let Some(out) = out {
-                return out;
-            }
-        }
+        self.tree.range(bounds)
     }
 
     /// Number of keys (O(n) snapshot).
     pub fn len(&self) -> usize {
-        with_guard(|guard| {
-            let mut count = 0;
-            let mut stack = vec![self.entry(guard)];
-            while let Some(x) = stack.pop() {
-                if x.is_null() {
-                    continue;
-                }
-                // SAFETY: `x` is non-null (checked above) and reached under `guard`.
-                let node = unsafe { x.deref() };
-                if node.is_leaf(guard) {
-                    if !node.is_sentinel_key() {
-                        count += 1;
-                    }
-                } else {
-                    stack.push(node.read_child(0, guard));
-                    stack.push(node.read_child(1, guard));
-                }
-            }
-            count
-        })
+        self.tree.len()
     }
 
-    /// Whether the map is empty.
+    /// Whether the map is empty (O(1)).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tree.is_empty()
     }
 
     /// Sorted snapshot of the contents.
     pub fn collect(&self) -> Vec<(K, V)> {
-        fn rec<K: Clone + Send + Sync + 'static, V: Clone + Send + Sync + 'static>(
-            x: Shared<'_, Node<K, V>>,
-            out: &mut Vec<(K, V)>,
-            guard: &Guard,
-        ) {
-            if x.is_null() {
-                return;
-            }
-            // SAFETY: `x` is non-null (checked above) and reached under `guard`.
-            let node = unsafe { x.deref() };
-            if node.is_leaf(guard) {
-                if let (Some(k), Some(v)) = (node.key(), node.value()) {
-                    out.push((k.clone(), v.clone()));
-                }
-            } else {
-                rec(node.read_child(0, guard), out, guard);
-                rec(node.read_child(1, guard), out, guard);
-            }
-        }
-        with_guard(|guard| {
-            let mut out = Vec::new();
-            rec(self.entry(guard), &mut out, guard);
-            out
-        })
+        self.tree.collect()
     }
 
     /// Longest root-to-leaf path (diagnostics).
@@ -498,34 +218,8 @@ where
             }
             1 + rec(node.read_child(0, guard), guard).max(rec(node.read_child(1, guard), guard))
         }
-        with_guard(|guard| rec(self.entry(guard), guard).saturating_sub(2))
+        with_guard(|guard| rec(self.tree.entry(guard), guard).saturating_sub(2))
     }
-}
-
-fn llx_ok<'g, K: Send + Sync + 'static, V: Send + Sync + 'static>(
-    n: Shared<'g, Node<K, V>>,
-    guard: &'g Guard,
-) -> Option<H<'g, K, V>> {
-    match llx(n, guard) {
-        Llx::Snapshot(h) => Some(h),
-        _ => None,
-    }
-}
-
-fn mk<'g, K: Ord + Clone + Send + Sync + 'static, V: Clone + Send + Sync + 'static>(
-    key: Option<&K>,
-    rank: u32,
-    heavy: usize,
-    child_heavy: Shared<'g, Node<K, V>>,
-    child_light: Shared<'g, Node<K, V>>,
-    guard: &'g Guard,
-) -> Shared<'g, Node<K, V>> {
-    let (l, r) = if heavy == 0 {
-        (child_heavy, child_light)
-    } else {
-        (child_light, child_heavy)
-    };
-    Node::internal(key.cloned(), rank, l, r).into_shared(guard)
 }
 
 impl<K, V> Default for RelaxedAvl<K, V>
@@ -535,28 +229,6 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for RelaxedAvl<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so the
-        // unprotected guard is sound.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // SEQCST: teardown/cold path; kept uniform with the entry's accesses.
-        let mut stack = vec![self.entry.load(Ordering::SeqCst, guard)];
-        while let Some(x) = stack.pop() {
-            if x.is_null() {
-                continue;
-            }
-            // SAFETY: exclusive access; each node reachable once.
-            unsafe {
-                let node = x.deref();
-                stack.push(node.read_child(0, guard));
-                stack.push(node.read_child(1, guard));
-                llxscx::reclaim::dispose_record(x.as_raw());
-            }
-        }
     }
 }
 

@@ -35,49 +35,54 @@ pub const ALL_MAPS: &[&str] = &[
     "hybrid",
 ];
 
-/// One chromatic-tree shard of the registry's sharded façade.
+/// The chromatic tree behind the registry: the `"chromatic"` and
+/// `"chromatic6"` entries and every shard of the `"sharded"` façade are
+/// this one type, told apart by the name they report.
 ///
 /// A concrete type rather than `Box<dyn ConcurrentMap>` so the per-shard
 /// hop is a static call: the façade behind `make_map("sharded", ..)`
 /// already costs one virtual dispatch at the trait object boundary, and
 /// paying a second one inside every shard was measurable on the point-op
 /// hot path.
-pub struct ChromaticShard(ChromaticTree<u64, u64>);
+pub struct ChromaticShard {
+    tree: ChromaticTree<u64, u64>,
+    name: &'static str,
+}
 
 impl ConcurrentMap for ChromaticShard {
     fn name(&self) -> &'static str {
-        "chromatic-shard"
+        self.name
     }
     fn insert(&self, k: u64, v: u64) -> Option<u64> {
-        self.0.insert(k, v)
+        self.tree.insert(k, v)
     }
     fn remove(&self, k: &u64) -> Option<u64> {
-        self.0.remove(k)
+        self.tree.remove(k)
     }
     fn get(&self, k: &u64) -> Option<u64> {
-        self.0.get(k)
+        self.tree.get(k)
     }
     fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.0.range(lo..=hi)
+        self.tree.range(lo..=hi)
     }
     fn range_tier(&self) -> RangeTier {
         RangeTier::Atomic // VLX-validated snapshot
     }
     fn len(&self) -> usize {
-        self.0.len()
+        self.tree.len()
     }
     fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
         // The façade hands each per-shard group here whole, so the group
         // gets the tree's sorted-bulk path (shared search-path prefixes
         // and same-leaf run merging), not the per-element trait default.
-        self.0.insert_bulk(batch)
+        self.tree.insert_bulk(batch)
     }
     fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        batched_chunked(keys, |k| self.0.get(k))
+        batched_chunked(keys, |k| self.tree.get(k))
     }
     fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
         // Sorted-bulk removal with sibling-pair SCX collapsing.
-        self.0.remove_bulk(keys)
+        self.tree.remove_bulk(keys)
     }
 }
 
@@ -106,7 +111,10 @@ fn batched_chunked(keys: &[u64], op: impl Fn(&u64) -> Option<u64>) -> Vec<Option
 pub fn make_sharded(cfg: &SuiteConfig) -> ShardedMap<ChromaticShard> {
     let shards = cfg.shards();
     ShardedMap::with_span(shards, cfg.shard_span().max(shards as u64), |_| {
-        ChromaticShard(ChromaticTree::new())
+        ChromaticShard {
+            tree: ChromaticTree::new(),
+            name: "chromatic-shard",
+        }
     })
 }
 
@@ -118,12 +126,12 @@ pub fn make_sharded(cfg: &SuiteConfig) -> ShardedMap<ChromaticShard> {
 /// can no longer disagree about how the same `"sharded"` entry is sized.
 pub fn make_map(name: &str, cfg: &SuiteConfig) -> Option<Box<dyn ConcurrentMap>> {
     Some(match name {
-        "chromatic" => Box::new(NamedChromatic {
-            inner: ChromaticTree::new(),
+        "chromatic" => Box::new(ChromaticShard {
+            tree: ChromaticTree::new(),
             name: "chromatic",
         }),
-        "chromatic6" => Box::new(NamedChromatic {
-            inner: ChromaticTree::with_allowed_violations(6),
+        "chromatic6" => Box::new(ChromaticShard {
+            tree: ChromaticTree::with_allowed_violations(6),
             name: "chromatic6",
         }),
         "nbbst" => Box::new(NbBstMap(NbBst::new())),
@@ -137,44 +145,6 @@ pub fn make_map(name: &str, cfg: &SuiteConfig) -> Option<Box<dyn ConcurrentMap>>
         "hybrid" => Box::new(make_hybrid(cfg)),
         _ => return None,
     })
-}
-
-struct NamedChromatic {
-    inner: ChromaticTree<u64, u64>,
-    name: &'static str,
-}
-
-impl ConcurrentMap for NamedChromatic {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn insert(&self, k: u64, v: u64) -> Option<u64> {
-        self.inner.insert(k, v)
-    }
-    fn remove(&self, k: &u64) -> Option<u64> {
-        self.inner.remove(k)
-    }
-    fn get(&self, k: &u64) -> Option<u64> {
-        self.inner.get(k)
-    }
-    fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.inner.range(lo..=hi)
-    }
-    fn range_tier(&self) -> RangeTier {
-        RangeTier::Atomic // VLX-validated snapshot
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        self.inner.insert_bulk(batch)
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        batched_chunked(keys, |k| self.inner.get(k))
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.inner.remove_bulk(keys)
-    }
 }
 
 // `ConcurrentMap` is now a foreign trait (it lives in `sharded`), so the
