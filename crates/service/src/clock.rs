@@ -18,8 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A monotonic nanosecond clock the flusher consults for deadlines.
-/// Implementations must be cheap: the flusher reads it once per submit
-/// in passthrough configurations.
+/// Implementations must be cheap: `submit` reads it once per slab it
+/// opens — once per request in passthrough configurations — and the
+/// flusher once per decision.
 pub trait Clock: Send + Sync {
     /// Nanoseconds since an arbitrary fixed origin (process start for
     /// [`RealClock`], zero for [`MockClock`]). Monotone non-decreasing.

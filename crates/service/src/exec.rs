@@ -2,7 +2,7 @@
 //! and a fixed-size [`Pool`] of worker loops for driving many client
 //! futures concurrently. No `futures` crate, no `tokio` — wakers are
 //! built from raw vtables over `Arc`s, which is all the service's
-//! oneshot-response futures need.
+//! response futures need.
 //!
 //! The design is the textbook two-piece split:
 //!

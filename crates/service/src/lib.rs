@@ -9,20 +9,24 @@
 //! point ops into a bounded accumulation queue and immediately receives
 //! a future; a flusher drains the queue through the batch entry points
 //! whenever a size threshold fills or the oldest request ages past a
-//! deadline, and completes each future with its element's result.
+//! deadline, and publishes each flush's results once for all of its
+//! futures.
 //!
-//! Three pieces, each usable on its own:
+//! The pieces:
 //!
 //! * [`exec`] — a minimal hand-rolled executor: [`exec::block_on`] plus
 //!   a fixed-size thread [`exec::Pool`], raw-waker vtables over `Arc`s,
 //!   no external async runtime.
-//! * [`oneshot`] — the response channel, with a blocking `wait` for
-//!   sync callers and a `Future` impl for async ones.
-//! * [`service`] — [`BatchedService`] itself: [`FlushPolicy`]
-//!   (size + deadline triggers), [`OverflowPolicy`] backpressure
-//!   (block or shed), [`ServiceStats`] counters, and an injectable
-//!   [`Clock`] so every flush path is deterministically testable under
-//!   [`MockClock`] with zero sleeps.
+//! * `slab` (crate-private) — the one park/wake implementation: a value
+//!   published once and read without a lock by blocked threads and async
+//!   tasks alike, or abandoned if its producer dies.
+//! * [`oneshot`] — a one-slot slab as a channel, with a blocking `wait`
+//!   for sync callers and a `Future` impl for async ones.
+//! * [`service`] — [`BatchedService`] itself: one completion slab per
+//!   flush, [`FlushPolicy`] (size + deadline triggers),
+//!   [`OverflowPolicy`] backpressure (block or shed), [`ServiceStats`]
+//!   counters, and an injectable [`Clock`] so every flush path is
+//!   deterministically testable under [`MockClock`] with zero sleeps.
 //!
 //! See `docs/SERVICE.md` for the design discussion and the measured
 //! latency-vs-batching trade-off.
@@ -33,6 +37,7 @@ pub mod clock;
 pub mod exec;
 pub mod oneshot;
 pub mod service;
+mod slab;
 
 pub use clock::{Clock, MockClock, RealClock};
 pub use service::{

@@ -1,45 +1,31 @@
 //! A one-shot response slot with both a sync and an async receive side.
 //!
-//! The flusher completes responses from a plain worker thread, while a
-//! client may be a blocked thread *or* an async task — so the slot
-//! carries a mutex+condvar for the sync side and a stored [`Waker`] for
-//! the async side, and [`Sender::send`] signals both. Exactly one value
-//! crosses, exactly once; the service guarantees every accepted request
-//! is completed (the flusher drains the queue before shutting down), so
-//! the receiver never needs a "sender dropped" limbo state.
+//! A oneshot is a one-slot completion slab: the sender publishes once,
+//! and the receiver either blocks in [`Receiver::wait`] or awaits the
+//! [`Receiver`] future, on the same park/wake code the service's
+//! per-flush completion slabs use. Exactly one value crosses, exactly
+//! once. A sender dropped without sending abandons the slot, so its
+//! receiver panics instead of waiting forever.
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll};
 
-enum State<T> {
-    /// Nothing sent, nobody polling.
-    Empty,
-    /// An async receiver registered interest.
-    Waiting(Waker),
-    /// The value arrived and awaits pickup.
-    Full(T),
-    /// The value was taken; any further poll is a caller bug.
-    Taken,
-}
+use crate::slab::{Abandoned, Slab};
 
-/// The shared slot: state under a mutex, a condvar for sync waiters.
-struct Slot<T> {
-    state: Mutex<State<T>>,
-    cvar: Condvar,
-}
+/// The slot: the value sits under a mutex only so the single receiver can
+/// move it out of the shared slab; nothing else contends for it.
+type Slot<T> = Slab<Mutex<Option<T>>>;
 
 /// Creates a connected sender/receiver pair.
 pub fn channel<T: Send>() -> (Sender<T>, Receiver<T>) {
-    let slot = Arc::new(Slot {
-        state: Mutex::new(State::Empty),
-        cvar: Condvar::new(),
-    });
+    let slot = Arc::new(Slab::new());
     (Sender { slot: slot.clone() }, Receiver { slot })
 }
 
-/// The completing half, held by the flusher. Consumed by [`send`](Sender::send).
+/// The completing half. Consumed by [`send`](Sender::send); dropping it
+/// unsent abandons the receiver.
 pub struct Sender<T> {
     slot: Arc<Slot<T>>,
 }
@@ -48,18 +34,14 @@ impl<T: Send> Sender<T> {
     /// Delivers the value, waking a parked sync waiter and/or a
     /// registered async waker.
     pub fn send(self, value: T) {
-        let waker = {
-            let mut state = self.slot.state.lock().unwrap();
-            match std::mem::replace(&mut *state, State::Full(value)) {
-                State::Waiting(w) => Some(w),
-                _ => None,
-            }
-        };
-        self.slot.cvar.notify_all();
-        // Wake outside the lock: the woken task may poll immediately.
-        if let Some(w) = waker {
-            w.wake();
-        }
+        self.slot.publish(Mutex::new(Some(value)));
+    }
+}
+
+impl<T> Drop for Sender<T> {
+    fn drop(&mut self) {
+        // A no-op after `send`: the slab's first settle wins.
+        self.slot.abandon();
     }
 }
 
@@ -71,25 +53,18 @@ pub struct Receiver<T> {
 
 impl<T: Send> Receiver<T> {
     /// Blocks the calling thread until the value arrives.
+    ///
+    /// # Panics
+    ///
+    /// If the sender was dropped without sending.
     pub fn wait(self) -> T {
-        let mut state = self.slot.state.lock().unwrap();
-        loop {
-            match std::mem::replace(&mut *state, State::Taken) {
-                State::Full(v) => return v,
-                other => {
-                    // Put the non-value state back (it may hold a waker
-                    // from an earlier async poll of this same receiver)
-                    // and park.
-                    *state = other;
-                    state = self.slot.cvar.wait(state).unwrap();
-                }
-            }
-        }
+        take(self.slot.wait())
     }
 
-    /// Whether the value has arrived (without consuming it).
+    /// Whether the sender has sent or been dropped, so that `wait` would
+    /// not block.
     pub fn is_ready(&self) -> bool {
-        matches!(*self.slot.state.lock().unwrap(), State::Full(_))
+        self.slot.get().is_some()
     }
 }
 
@@ -97,18 +72,17 @@ impl<T: Send> Future for Receiver<T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut state = self.slot.state.lock().unwrap();
-        match std::mem::replace(&mut *state, State::Taken) {
-            State::Full(v) => Poll::Ready(v),
-            State::Taken => panic!("oneshot receiver polled after completion"),
-            State::Empty | State::Waiting(_) => {
-                // Replace (not merge) the stored waker: the latest poll's
-                // context is the one that must be woken.
-                *state = State::Waiting(cx.waker().clone());
-                Poll::Pending
-            }
-        }
+        self.slot.poll(cx).map(take)
     }
+}
+
+fn take<T>(outcome: Result<&Mutex<Option<T>>, Abandoned>) -> T {
+    outcome
+        .unwrap_or_else(|Abandoned| panic!("oneshot sender dropped without sending"))
+        .lock()
+        .expect("oneshot slot lock poisoned")
+        .take()
+        .expect("oneshot receiver polled after completion")
 }
 
 #[cfg(test)]
@@ -147,5 +121,13 @@ mod tests {
         tx.send(1u64);
         let _ = crate::exec::poll_now(&mut rx);
         let _ = crate::exec::poll_now(&mut rx);
+    }
+
+    #[test]
+    #[should_panic(expected = "sender dropped without sending")]
+    fn dropped_sender_fails_the_receiver() {
+        let (tx, rx) = channel::<u64>();
+        drop(tx);
+        rx.wait();
     }
 }

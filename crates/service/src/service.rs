@@ -1,8 +1,9 @@
 //! The batched request/response bridge: clients submit point ops into a
-//! bounded accumulation queue and get a oneshot-backed future; a flusher
-//! drains the queue into the map's **batch** entry points when either
-//! the size threshold fills or the oldest request ages past the
-//! deadline, then completes each future with its element's result.
+//! bounded accumulation queue and get a future on their flush's
+//! completion slab; a flusher drains the queue into the map's **batch**
+//! entry points when either the size threshold fills or the oldest
+//! request ages past the deadline, then publishes the flush's results
+//! once for all of its futures.
 //!
 //! ## Flush decision
 //!
@@ -24,6 +25,24 @@
 //! `step` by hand under a `MockClock` — every trigger path above is a
 //! hand-enumerated schedule there, not a timing race.
 //!
+//! ## Completion and wake-ups
+//!
+//! The queued ops are divided into **slabs**, one per future flush.
+//! `submit` appends its op to the back slab and returns a [`ResponseFuture`]
+//! naming that slab and the op's index in it; it opens a new slab (one
+//! allocation, one clock read) only when the back one already holds
+//! `max_batch` ops or the queue is empty. Every slab but the back one is
+//! therefore full, so "flush the first `min(len, max_batch)` requests" is
+//! "pop the front slab", and the oldest request's enqueue time is the
+//! front slab's opening time. The flusher publishes a slab's results
+//! once; its futures read them without a lock.
+//!
+//! A wake-up is sent only when it changes a decision: `submit` notifies
+//! the flusher only if the flusher is parked and the push made the queue
+//! non-empty (arming the deadline) or filled a slab (the size trigger); a
+//! flush notifies `not_full` only if a `Block` submitter is parked; a
+//! published slab notifies only if a thread is parked on it.
+//!
 //! ## Ordering semantics
 //!
 //! The queue is FIFO and a flush executes its requests in queue order,
@@ -34,9 +53,20 @@
 //! batches. One client's submissions resolve in its own program order;
 //! concurrent clients interleave at queue push, which is the service's
 //! linearization order.
+//!
+//! ## A panicking map op
+//!
+//! If the map panics inside a flush, that flush's slab and every slab
+//! still queued are abandoned: their futures' `wait` and `poll` panic
+//! with "service flusher panicked" instead of blocking forever, and the
+//! queue closes, so later submits return [`SubmitError::Closed`]. The
+//! panic itself surfaces once: in the flusher thread, whose exit
+//! [`shutdown`](BatchedService::shutdown) re-raises (or `Drop` prints),
+//! or out of [`step`](BatchedService::step) for a hand-driven service.
 
 use std::collections::VecDeque;
 use std::future::Future;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -44,8 +74,16 @@ use std::task::{Context, Poll};
 use std::time::Duration;
 
 use crate::clock::{Clock, RealClock};
-use crate::oneshot;
+use crate::slab::{Abandoned, Slab};
 use sharded::ConcurrentMap;
+
+/// What abandoned futures and a joined flusher report after a map op
+/// panicked inside a flush.
+const FLUSHER_PANICKED: &str = "service flusher panicked";
+
+/// No code panics while holding the queue lock (a flush runs the map
+/// outside it), so a poisoned lock is a bug in this module.
+const QUEUE_LOCK: &str = "service queue lock poisoned";
 
 /// A point operation submitted to the service. Keys and values are
 /// `u64`, as everywhere in the suite.
@@ -149,7 +187,7 @@ pub enum SubmitError {
     /// The queue is full and the overflow policy is
     /// [`OverflowPolicy::Shed`].
     Overloaded,
-    /// The service is shutting down.
+    /// The service is shutting down, or its flusher panicked.
     Closed,
 }
 
@@ -193,21 +231,31 @@ pub enum Step {
     },
 }
 
-/// A queued request: the op, its enqueue time (what the deadline tracks)
-/// and the response slot.
-struct PendingReq {
-    op: Op,
-    enqueued_ns: u64,
-    tx: oneshot::Sender<Option<u64>>,
+/// One flush's results, in the order of its ops.
+type Results = Slab<Vec<Option<u64>>>;
+
+/// One future flush (module docs, "Completion and wake-ups"): the next
+/// `len` queued ops after those of the slabs ahead of it. Only the back
+/// slab is ever short of `max_batch` ops.
+struct Pending {
+    len: usize,
+    /// Enqueue time of the first op: what the deadline tracks.
+    opened_ns: u64,
+    results: Arc<Results>,
 }
 
 struct QueueState {
-    buf: VecDeque<PendingReq>,
+    /// Every queued op, oldest first.
+    ops: VecDeque<Op>,
+    /// The slabs `ops` divides into, oldest first.
+    slabs: VecDeque<Pending>,
     closed: bool,
-    /// Bumped on every push and on close, so a flusher that observed
-    /// `Idle` can tell whether anything happened while it was deciding
-    /// to wait.
-    gen: u64,
+    /// The flusher is waiting on `not_empty`. Set by the flusher before
+    /// it waits; cleared by the flusher when it wakes, or by the submit
+    /// that notifies it, so one park takes at most one notification.
+    flusher_parked: bool,
+    /// `Block` submitters waiting on `not_full`.
+    blocked_parked: usize,
 }
 
 /// Monotone event counters (relaxed atomics — exact under the quiesced
@@ -223,6 +271,7 @@ struct Counters {
     deadline_flushes: AtomicU64,
     drain_flushes: AtomicU64,
     batched_ops: AtomicU64,
+    flusher_wakeups: AtomicU64,
 }
 
 /// A point-in-time counter snapshot (see [`BatchedService::stats`]).
@@ -247,6 +296,10 @@ pub struct ServiceStats {
     pub drain_flushes: u64,
     /// Requests flushed in total (mean batch = `batched_ops / flushes`).
     pub batched_ops: u64,
+    /// Notifications `submit` sent to a parked flusher: at most two per
+    /// flushed slab (queue became non-empty, slab filled), not one per
+    /// request.
+    pub flusher_wakeups: u64,
     /// Current queue occupancy.
     pub occupancy: usize,
     /// Queue capacity.
@@ -279,12 +332,19 @@ pub struct BatchedService<M: ConcurrentMap + 'static> {
 /// result (`Option<u64>` — displaced/removed/current value), or a
 /// blocking [`wait`](ResponseFuture::wait) for sync callers. `Unpin`, so
 /// manual pollers (`exec::poll_now`) need no pin projection.
-pub struct ResponseFuture(oneshot::Receiver<Option<u64>>);
+///
+/// `wait` and `poll` panic with "service flusher panicked" if the map
+/// panicked before this request's flush completed.
+pub struct ResponseFuture {
+    slab: Arc<Results>,
+    index: usize,
+}
 
 impl std::fmt::Debug for ResponseFuture {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResponseFuture")
-            .field("ready", &self.0.is_ready())
+            .field("index", &self.index)
+            .field("ready", &self.is_ready())
             .finish()
     }
 }
@@ -292,19 +352,29 @@ impl std::fmt::Debug for ResponseFuture {
 impl ResponseFuture {
     /// Blocks the calling thread for the response.
     pub fn wait(self) -> Option<u64> {
-        self.0.wait()
+        response(self.slab.wait(), self.index)
     }
 
-    /// Whether the response has arrived (without consuming it).
+    /// Whether the request's flush has finished, so that `wait` would not
+    /// block (without consuming the response).
     pub fn is_ready(&self) -> bool {
-        self.0.is_ready()
+        self.slab.get().is_some()
     }
 }
 
 impl Future for ResponseFuture {
     type Output = Option<u64>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<u64>> {
-        Pin::new(&mut self.0).poll(cx)
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<u64>> {
+        self.slab
+            .poll(cx)
+            .map(|outcome| response(outcome, self.index))
+    }
+}
+
+fn response(outcome: Result<&Vec<Option<u64>>, Abandoned>, index: usize) -> Option<u64> {
+    match outcome {
+        Ok(results) => results[index],
+        Err(Abandoned) => panic!("{FLUSHER_PANICKED}"),
     }
 }
 
@@ -332,9 +402,11 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
             shared: Arc::new(Shared {
                 map,
                 queue: Mutex::new(QueueState {
-                    buf: VecDeque::with_capacity(config.capacity.min(1 << 16)),
+                    ops: VecDeque::with_capacity(config.capacity.min(1 << 16)),
+                    slabs: VecDeque::new(),
                     closed: false,
-                    gen: 0,
+                    flusher_parked: false,
+                    blocked_parked: 0,
                 }),
                 not_empty: Condvar::new(),
                 not_full: Condvar::new(),
@@ -354,39 +426,61 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
     /// policy.
     pub fn submit(&self, op: Op) -> Result<ResponseFuture, SubmitError> {
         let shared = &*self.shared;
-        let mut q = shared.queue.lock().unwrap();
+        let c = &shared.counters;
+        let mut q = shared.queue.lock().expect(QUEUE_LOCK);
         let mut counted_blocked = false;
         loop {
             if q.closed {
                 return Err(SubmitError::Closed);
             }
-            if q.buf.len() < shared.capacity {
+            if q.ops.len() < shared.capacity {
                 break;
             }
             match shared.overflow {
                 OverflowPolicy::Shed => {
-                    shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+                    c.shed.fetch_add(1, Ordering::Relaxed);
                     return Err(SubmitError::Overloaded);
                 }
                 OverflowPolicy::Block => {
                     if !counted_blocked {
-                        shared.counters.blocked.fetch_add(1, Ordering::Relaxed);
+                        c.blocked.fetch_add(1, Ordering::Relaxed);
                         counted_blocked = true;
                     }
-                    q = shared.not_full.wait(q).unwrap();
+                    q.blocked_parked += 1;
+                    q = shared.not_full.wait(q).expect(QUEUE_LOCK);
+                    q.blocked_parked -= 1;
                 }
             }
         }
-        let (tx, rx) = oneshot::channel();
-        q.buf.push_back(PendingReq {
-            op,
-            enqueued_ns: shared.clock.now_ns(),
-            tx,
-        });
-        q.gen += 1;
-        shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        shared.not_empty.notify_one();
-        Ok(ResponseFuture(rx))
+        let was_empty = q.ops.is_empty();
+        if q.slabs
+            .back()
+            .is_none_or(|back| back.len == shared.max_batch)
+        {
+            let opened_ns = shared.clock.now_ns();
+            q.slabs.push_back(Pending {
+                len: 0,
+                opened_ns,
+                results: Arc::new(Slab::new()),
+            });
+        }
+        let back = q.slabs.back_mut().expect("a back slab with room");
+        let index = back.len;
+        back.len += 1;
+        let filled = back.len == shared.max_batch;
+        let slab = back.results.clone();
+        q.ops.push_back(op);
+        let wake = q.flusher_parked && (was_empty || filled);
+        if wake {
+            q.flusher_parked = false;
+            c.flusher_wakeups.fetch_add(1, Ordering::Relaxed);
+        }
+        c.submitted.fetch_add(1, Ordering::Relaxed);
+        drop(q);
+        if wake {
+            shared.not_empty.notify_one();
+        }
+        Ok(ResponseFuture { slab, index })
     }
 
     /// [`submit`](Self::submit)s a lookup.
@@ -407,6 +501,11 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
     /// One flusher decision + (at most) one batch execution. The
     /// production flusher thread loops this; manual-mode tests call it
     /// directly. See the module docs for the trigger precedence.
+    ///
+    /// # Panics
+    ///
+    /// If the map panics during the flush, after abandoning every
+    /// pending request (module docs, "A panicking map op").
     pub fn step(&self) -> Step {
         step_shared(&self.shared)
     }
@@ -420,7 +519,7 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
     /// A point-in-time stats snapshot.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.shared.counters;
-        let occupancy = self.shared.queue.lock().unwrap().buf.len();
+        let occupancy = self.shared.queue.lock().expect(QUEUE_LOCK).ops.len();
         ServiceStats {
             submitted: c.submitted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
@@ -431,6 +530,7 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
             deadline_flushes: c.deadline_flushes.load(Ordering::Relaxed),
             drain_flushes: c.drain_flushes.load(Ordering::Relaxed),
             batched_ops: c.batched_ops.load(Ordering::Relaxed),
+            flusher_wakeups: c.flusher_wakeups.load(Ordering::Relaxed),
             occupancy,
             capacity: self.shared.capacity,
         }
@@ -439,69 +539,92 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
     /// Closes the queue, drains every pending request (completing its
     /// response) and stops the flusher. Subsequent submits return
     /// [`SubmitError::Closed`]. Idempotent; `Drop` calls it.
+    ///
+    /// # Panics
+    ///
+    /// With "service flusher panicked" if the flusher thread died of a
+    /// panicking map op — once: a later call or `Drop` does not repeat
+    /// it.
     pub fn shutdown(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            if !q.closed {
-                q.closed = true;
-                q.gen += 1;
-            }
+        if let Err(report) = self.close() {
+            panic!("{report}");
         }
+    }
+
+    /// [`shutdown`](Self::shutdown), returning the flusher's panic
+    /// instead of raising it.
+    fn close(&mut self) -> Result<(), &'static str> {
+        self.shared.queue.lock().expect(QUEUE_LOCK).closed = true;
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
-        if let Some(h) = self.flusher.take() {
-            h.join().expect("flusher thread panicked");
-        } else {
-            // Manual mode: drain synchronously.
-            while matches!(self.step(), Step::Flushed { .. }) {}
+        match self.flusher.take() {
+            Some(h) => h.join().map_err(|_| FLUSHER_PANICKED),
+            None => {
+                // Manual mode: drain synchronously.
+                while matches!(self.step(), Step::Flushed { .. }) {}
+                Ok(())
+            }
         }
     }
 }
 
 impl<M: ConcurrentMap + 'static> Drop for BatchedService<M> {
     fn drop(&mut self) {
-        self.shutdown();
+        // A panic here would abort if the owner is already unwinding.
+        if let Err(report) = self.close() {
+            eprintln!("{report}");
+        }
     }
 }
 
-/// The flush decision (module docs, "Flush decision"): drains under the
-/// lock, executes outside it so submitters regain space while the map
-/// calls run.
+/// The flush decision (module docs, "Flush decision"): pops the front
+/// slab under the lock, executes it outside so submitters regain space
+/// while the map calls run, then publishes its results.
 fn step_shared<M: ConcurrentMap>(shared: &Shared<M>) -> Step {
     let now = shared.clock.now_ns();
-    let trigger;
-    let drained: Vec<PendingReq> = {
-        let mut q = shared.queue.lock().unwrap();
-        trigger = if q.buf.len() >= shared.max_batch {
+    let (slab, ops, trigger) = {
+        let mut q = shared.queue.lock().expect(QUEUE_LOCK);
+        let Some(front) = q.slabs.front() else {
+            return Step::Idle {
+                until_deadline_ns: None,
+            };
+        };
+        let deadline = front.opened_ns.saturating_add(shared.max_delay_ns);
+        let trigger = if front.len == shared.max_batch {
             FlushTrigger::Size
-        } else if q.closed && !q.buf.is_empty() {
+        } else if q.closed {
             FlushTrigger::Drain
-        } else if q
-            .buf
-            .front()
-            .is_some_and(|oldest| now >= oldest.enqueued_ns.saturating_add(shared.max_delay_ns))
-        {
+        } else if now >= deadline {
             FlushTrigger::Deadline
         } else {
             return Step::Idle {
-                until_deadline_ns: q.buf.front().map(|oldest| {
-                    oldest
-                        .enqueued_ns
-                        .saturating_add(shared.max_delay_ns)
-                        .saturating_sub(now)
-                }),
+                until_deadline_ns: Some(deadline - now),
             };
         };
-        let n = q.buf.len().min(shared.max_batch);
-        q.buf.drain(..n).collect()
+        let slab = q.slabs.pop_front().expect("front checked");
+        let ops: Vec<Op> = q.ops.drain(..slab.len).collect();
+        // Space freed: wake every parked submitter at once (a flush frees
+        // up to `max_batch` slots, and each waiter rechecks under the
+        // lock).
+        if q.blocked_parked > 0 {
+            shared.not_full.notify_all();
+        }
+        (slab.results, ops, trigger)
     };
-    // Space freed: wake every parked submitter (all-at-once — a batch
-    // frees up to `max_batch` slots, and each waiter rechecks under the
-    // lock).
-    shared.not_full.notify_all();
-    let len = drained.len();
-    execute(shared, drained);
+    let results = match catch_unwind(AssertUnwindSafe(|| execute(&shared.map, &ops))) {
+        Ok(results) => results,
+        Err(panic) => {
+            abandon_all(shared, &slab);
+            resume_unwind(panic)
+        }
+    };
+    let len = ops.len();
     let c = &shared.counters;
+    // Count completions *before* publishing: a client whose `wait`
+    // returns must not observe a stats snapshot that hasn't counted its
+    // own response yet.
+    c.completed.fetch_add(len as u64, Ordering::Relaxed);
+    slab.publish(results);
     c.flushes.fetch_add(1, Ordering::Relaxed);
     c.batched_ops.fetch_add(len as u64, Ordering::Relaxed);
     match trigger {
@@ -512,89 +635,83 @@ fn step_shared<M: ConcurrentMap>(shared: &Shared<M>) -> Step {
     Step::Flushed { len, trigger }
 }
 
-/// Executes a drained batch in queue order, partitioned into maximal
-/// same-kind runs through the trait batch entry points, and completes
-/// each response. Equivalent to sequential input-order application (the
-/// batch entry points guarantee exactly that for duplicate keys).
-fn execute<M: ConcurrentMap>(shared: &Shared<M>, drained: Vec<PendingReq>) {
-    let mut reqs = drained.into_iter().peekable();
+/// Executes one slab's ops in queue order, partitioned into maximal
+/// same-kind runs through the trait batch entry points. Equivalent to
+/// sequential input-order application (the batch entry points guarantee
+/// exactly that for duplicate keys).
+fn execute<M: ConcurrentMap>(map: &M, ops: &[Op]) -> Vec<Option<u64>> {
+    let mut results = Vec::with_capacity(ops.len());
     let mut pairs: Vec<(u64, u64)> = Vec::new();
     let mut keys: Vec<u64> = Vec::new();
-    let mut txs: Vec<oneshot::Sender<Option<u64>>> = Vec::new();
-    while let Some(first) = reqs.next() {
-        let kind = first.op.kind();
+    for run in ops.chunk_by(|a, b| a.kind() == b.kind()) {
         pairs.clear();
         keys.clear();
-        txs.clear();
-        let mut push = |req: PendingReq| {
-            match req.op {
+        for op in run {
+            match *op {
                 Op::Get(k) | Op::Remove(k) => keys.push(k),
                 Op::Insert(k, v) => pairs.push((k, v)),
             }
-            txs.push(req.tx);
-        };
-        let op = first.op;
-        push(first);
-        while reqs.peek().is_some_and(|r| r.op.kind() == kind) {
-            let r = reqs.next().expect("peeked");
-            push(r);
         }
-        let results = match op {
-            Op::Get(_) => shared.map.get_batch(&keys),
-            Op::Insert(..) => shared.map.insert_batch(&pairs),
-            Op::Remove(_) => shared.map.remove_batch(&keys),
+        let out = match run[0] {
+            Op::Get(_) => map.get_batch(&keys),
+            Op::Insert(..) => map.insert_batch(&pairs),
+            Op::Remove(_) => map.remove_batch(&keys),
         };
-        debug_assert_eq!(results.len(), txs.len());
-        // Count completions *before* delivering: a client whose `wait`
-        // returns must not observe a stats snapshot that hasn't counted
-        // its own response yet.
-        shared
-            .counters
-            .completed
-            .fetch_add(txs.len() as u64, Ordering::Relaxed);
-        for (tx, res) in txs.drain(..).zip(results) {
-            tx.send(res);
-        }
+        debug_assert_eq!(out.len(), run.len());
+        results.extend(out);
+    }
+    results
+}
+
+/// After the map panicked while executing the flush `popped`: fails its
+/// requests and every queued one, and closes the queue so nothing new is
+/// accepted.
+fn abandon_all<M>(shared: &Shared<M>, popped: &Results) {
+    popped.abandon();
+    let queued = {
+        let mut q = shared.queue.lock().expect(QUEUE_LOCK);
+        q.closed = true;
+        q.ops.clear();
+        std::mem::take(&mut q.slabs)
+    };
+    shared.not_full.notify_all();
+    for slab in queued {
+        slab.results.abandon();
     }
 }
 
 /// The production flusher: loop [`step_shared`], park between batches.
-/// Parking re-derives readiness under the queue lock (and `gen` catches
-/// pushes that raced the idle decision), so a submit is never missed; a
-/// timed wait covers the pending deadline.
+/// Parking re-derives readiness under the queue lock and raises
+/// `flusher_parked` before waiting, so a submit that changes the decision
+/// (first request of an empty queue, a filled slab) sees the flag and
+/// notifies; a timed wait covers the pending deadline.
 fn flusher_loop<M: ConcurrentMap>(shared: &Shared<M>) {
     loop {
-        match step_shared(shared) {
-            Step::Flushed { .. } => continue,
-            Step::Idle { .. } => {
-                let mut q = shared.queue.lock().unwrap();
-                loop {
-                    if q.closed {
-                        if q.buf.is_empty() {
-                            return;
-                        }
-                        break; // drain
+        if let Step::Flushed { .. } = step_shared(shared) {
+            continue;
+        }
+        let mut q = shared.queue.lock().expect(QUEUE_LOCK);
+        loop {
+            let timeout = match q.slabs.front() {
+                None if q.closed => return,
+                None => None,
+                // Size or drain trigger.
+                Some(front) if q.closed || front.len == shared.max_batch => break,
+                Some(front) => {
+                    let deadline = front.opened_ns.saturating_add(shared.max_delay_ns);
+                    let now = shared.clock.now_ns();
+                    if now >= deadline {
+                        break; // deadline trigger
                     }
-                    if q.buf.len() >= shared.max_batch {
-                        break; // size trigger
-                    }
-                    match q.buf.front() {
-                        None => q = shared.not_empty.wait(q).unwrap(),
-                        Some(oldest) => {
-                            let deadline = oldest.enqueued_ns.saturating_add(shared.max_delay_ns);
-                            let now = shared.clock.now_ns();
-                            if now >= deadline {
-                                break; // deadline trigger
-                            }
-                            let (guard, _) = shared
-                                .not_empty
-                                .wait_timeout(q, Duration::from_nanos(deadline - now))
-                                .unwrap();
-                            q = guard;
-                        }
-                    }
+                    Some(Duration::from_nanos(deadline - now))
                 }
-            }
+            };
+            q.flusher_parked = true;
+            q = match timeout {
+                None => shared.not_empty.wait(q).expect(QUEUE_LOCK),
+                Some(t) => shared.not_empty.wait_timeout(q, t).expect(QUEUE_LOCK).0,
+            };
+            q.flusher_parked = false;
         }
     }
 }
@@ -604,6 +721,7 @@ mod tests {
     use super::*;
     use crate::clock::MockClock;
     use std::collections::BTreeMap;
+    use std::sync::mpsc;
 
     /// A trivial map for unit tests (integration tests use the real
     /// structures through `workload`).
@@ -638,6 +756,16 @@ mod tests {
         }
         fn len(&self) -> usize {
             self.0.lock().unwrap().len()
+        }
+    }
+
+    /// How long a threaded test waits before calling a wake-up lost.
+    const WATCHDOG: Duration = Duration::from_secs(20);
+
+    /// Spins (on state, not time) until the flusher thread is parked.
+    fn until_flusher_parks<M: ConcurrentMap>(svc: &BatchedService<M>) {
+        while !svc.shared.queue.lock().unwrap().flusher_parked {
+            std::thread::yield_now();
         }
     }
 
@@ -680,6 +808,65 @@ mod tests {
             stats.flushes
         );
         assert_eq!(svc.map().len(), 32);
+    }
+
+    /// A lost wake-up in the submit gating would strand these requests:
+    /// with an hour-long deadline only the size trigger can flush them,
+    /// and with a parked flusher only the filling submit's notify can
+    /// fire it. Then, on a 2 ms deadline, one lone request must complete:
+    /// the empty → non-empty notify is what arms the flusher's timer.
+    #[test]
+    fn parked_flusher_wakes_for_a_filled_slab_and_for_a_first_request() {
+        for (policy, n) in [
+            (FlushPolicy::new(8, Duration::from_secs(3600)), 8),
+            (FlushPolicy::new(8, Duration::from_millis(2)), 1),
+        ] {
+            let svc = Arc::new(BatchedService::start(
+                TestMap::new(),
+                ServiceConfig::new(policy),
+            ));
+            until_flusher_parks(&svc);
+            let (tx, rx) = mpsc::channel();
+            let client = {
+                let svc = svc.clone();
+                std::thread::spawn(move || {
+                    let futs: Vec<_> = (0..n).map(|k| svc.insert(k, k).unwrap()).collect();
+                    for f in futs {
+                        tx.send(f.wait()).unwrap();
+                    }
+                })
+            };
+            for _ in 0..n {
+                let got = rx.recv_timeout(WATCHDOG);
+                assert_eq!(got, Ok(None), "lost wake-up under {policy:?}");
+            }
+            client.join().unwrap();
+            assert!(svc.stats().flusher_wakeups >= 1);
+        }
+    }
+
+    /// The parent sent one flusher notification per submit (256 here);
+    /// the gated submit sends at most two per slab: one when the queue
+    /// turns non-empty, one when the slab fills.
+    #[test]
+    fn windowed_submissions_send_at_most_two_wakeups_per_slab() {
+        let mut svc = BatchedService::start(
+            TestMap::new(),
+            ServiceConfig::new(FlushPolicy::new(64, Duration::from_secs(3600))),
+        );
+        until_flusher_parks(&svc);
+        let futs: Vec<_> = (0..256).map(|k| svc.insert(k, k).unwrap()).collect();
+        for f in futs {
+            assert_eq!(f.wait(), None);
+        }
+        svc.shutdown();
+        let stats = svc.stats();
+        assert_eq!(stats.size_flushes, 4);
+        assert!(
+            (1..=8).contains(&stats.flusher_wakeups),
+            "{} flusher wake-ups for 256 submits",
+            stats.flusher_wakeups
+        );
     }
 
     #[test]

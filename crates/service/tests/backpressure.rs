@@ -166,6 +166,7 @@ fn stats_match_the_schedule_exactly() {
             deadline_flushes: 1,
             drain_flushes: 1,
             batched_ops: 9,
+            flusher_wakeups: 0,
             occupancy: 0,
             capacity: 4,
         }

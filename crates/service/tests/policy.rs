@@ -235,6 +235,57 @@ fn size_flushes_exactly_max_batch_and_leaves_the_rest_queued() {
     svc.shutdown();
 }
 
+/// Requests land in per-flush slabs: after a deadline flush empties the
+/// queue, `3 × max_batch + 1` submissions open four slabs, flush as
+/// 8, 8, 8, 1, and every future reads its own index — each insert
+/// answers with the distinct value its key held before.
+#[test]
+fn responses_keep_their_index_across_slab_boundaries() {
+    let delay = Duration::from_micros(100);
+    let (mut svc, clock) = manual(FlushPolicy::new(8, delay));
+    for k in 0..25 {
+        svc.map().insert(k, 1000 + k);
+    }
+    let partial: Vec<_> = (0..3).map(|k| svc.submit(Op::Get(k)).unwrap()).collect();
+    clock.advance(delay);
+    assert_eq!(
+        svc.step(),
+        Step::Flushed {
+            len: 3,
+            trigger: FlushTrigger::Deadline
+        }
+    );
+    for (k, f) in (0..).zip(partial) {
+        assert_eq!(f.wait(), Some(1000 + k));
+    }
+    let mut futs: Vec<_> = (0..25)
+        .map(|k| svc.submit(Op::Insert(k, 2000 + k)).unwrap())
+        .collect();
+    let mut lens = Vec::new();
+    while let Step::Flushed { len, trigger } = svc.step() {
+        assert_eq!(trigger, FlushTrigger::Size);
+        lens.push(len);
+        let flushed: usize = lens.iter().sum();
+        for (i, f) in futs.iter_mut().enumerate() {
+            assert_eq!(poll_now(f).is_ready(), i < flushed, "future {i}");
+        }
+    }
+    clock.advance(delay);
+    assert_eq!(
+        svc.step(),
+        Step::Flushed {
+            len: 1,
+            trigger: FlushTrigger::Deadline
+        }
+    );
+    lens.push(1);
+    assert_eq!(lens, [8, 8, 8, 1]);
+    for (k, f) in (0..).zip(futs) {
+        assert_eq!(f.wait(), Some(1000 + k), "insert {k}");
+    }
+    svc.shutdown();
+}
+
 #[test]
 fn shutdown_drains_pending_requests_with_drain_trigger() {
     let (mut svc, _clock) = manual(FlushPolicy::new(100, HOUR));

@@ -30,10 +30,10 @@ fn main() {
     ));
 
     // Async clients: each task submits a stripe of inserts, reads a few
-    // back, deletes every third key — awaiting each response through the
-    // oneshot future. A completion oneshot per task lets main block
-    // until all of them finish (the pool drops pending tasks on drop,
-    // so join through channels, not timing).
+    // back, deletes every third key — awaiting each response future
+    // (its flush's completion slab). A completion oneshot per task lets
+    // main block until all of them finish (the pool drops pending tasks
+    // on drop, so join through channels, not timing).
     let pool = exec::Pool::new(4);
     let mut done = Vec::new();
     for t in 0..tasks {
