@@ -451,8 +451,8 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for LeafTree<K, V>
         // the unprotected guard is sound.
         let guard = unsafe { llxscx::epoch::unprotected() };
         // SAFETY: exclusive access to the whole tree; down-tree, so every
-        // node is reachable exactly once. Descriptors are released
-        // transitively by their reference counts.
+        // node is reachable exactly once. Descriptors belong to threads,
+        // not to records, so there is nothing else to release.
         unsafe { dispose_subtree(self.entry(guard), guard) };
     }
 }

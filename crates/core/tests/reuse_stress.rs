@@ -1,11 +1,13 @@
-//! Stress coverage for descriptor reuse: pooled `ScxRecord`s (with
-//! incarnation tags) must leave every chromatic-tree invariant intact under
-//! heavy update churn, single- and multi-threaded.
+//! Stress coverage for descriptor reuse: each thread's one reusable
+//! `ScxRecord` (named in `info` words by slot and sequence number) must
+//! leave every chromatic-tree invariant intact under heavy update churn,
+//! single- and multi-threaded.
 //!
-//! The key range is kept small so the same descriptors cycle through the
-//! per-thread pools thousands of times — the regime where a broken
-//! sequence-number check (ABA on `info` fields) or a premature reuse would
-//! corrupt the tree or lose updates.
+//! The key range is kept small so each descriptor is reused for thousands
+//! of SCXs on the same few records while other threads help them — the
+//! regime where a broken sequence-number check (ABA on `info` fields) or a
+//! helper acting on a finished incarnation would corrupt the tree or lose
+//! updates.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,9 +17,8 @@ use nbtree::ChromaticTree;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Multi-thread mixed workload, then full structural audit plus a
-/// key-by-key sanity pass. Four writers on a 256-key range churn each
-/// thread's descriptor pool continuously (every insert/delete reuses
-/// descriptors returned by earlier epochs).
+/// key-by-key sanity pass. Four writers on a 256-key range reuse their
+/// descriptors continuously (every insert/delete is a new incarnation).
 #[test]
 fn pooled_descriptors_survive_multithread_churn() {
     const THREADS: usize = 4;
@@ -61,7 +62,7 @@ fn pooled_descriptors_survive_multithread_churn() {
     let report = tree.audit();
     assert!(
         report.is_valid(),
-        "audit failed after pooled-descriptor churn: {report:?}"
+        "audit failed after descriptor churn: {report:?}"
     );
     // The dictionary must still behave like a map: deterministic follow-up
     // operations on every key.
@@ -82,10 +83,9 @@ fn pooled_descriptors_survive_multithread_churn() {
 }
 
 /// Two threads hammer the *same two keys*: every SCX conflicts, so helpers
-/// constantly observe each other's descriptors while those descriptors are
-/// being returned to (and checked back out of) the pools — the tightest
-/// window for the incarnation-tag check. The tree must end both valid and
-/// exactly equal to a model replay of the committed operations.
+/// constantly read each other's descriptors while their owners move on to
+/// the next incarnation — the tightest window for the sequence-number
+/// check. The tree must end valid with only the two keys.
 #[test]
 fn contended_keys_maximize_descriptor_recycling() {
     const ROUNDS: u64 = 30_000;
@@ -122,8 +122,8 @@ fn contended_keys_maximize_descriptor_recycling() {
     }
 }
 
-/// Sequential interleaving against a model with constant pool churn: the
-/// single-thread analogue the proptest below randomizes.
+/// Sequential interleaving against a model with constant descriptor
+/// reuse: the single-thread analogue the proptest below randomizes.
 #[test]
 fn sequential_interleaving_matches_model_under_reuse() {
     let tree = ChromaticTree::<u64, u64>::new();
@@ -171,10 +171,10 @@ mod reuse_proptest {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Arbitrary insert/remove/get interleavings on a tiny key range —
-        /// descriptors cycle through the pool within each case — must match
+        /// one descriptor serves every SCX of each case — must match
         /// the model exactly and keep every audit invariant (weights,
         /// ordering, leaf orientation). A single ABA on an `info` field
-        /// (a stale freezing CAS succeeding against a reused descriptor)
+        /// (a stale freezing CAS succeeding against a later incarnation)
         /// would commit a lost or duplicated update and diverge here.
         #[test]
         fn interleavings_preserve_audit_invariants(ops in proptest::collection::vec(op(), 1..600)) {

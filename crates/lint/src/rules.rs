@@ -20,8 +20,10 @@ use crate::manifest::context_hash;
 use crate::syntax::{has_marker, FileCtx};
 use crate::Finding;
 
-/// Atomic methods whose call sites the ordering audit tracks.
+/// Atomic methods whose call sites the ordering audit tracks, plus the
+/// free function `fence`, which is called without a receiver.
 pub const ATOMIC_METHODS: &[&str] = &[
+    "fence",
     "load",
     "store",
     "swap",
@@ -72,8 +74,8 @@ pub const PIN_ALLOWLIST: &[&str] = &["crates/llxscx/src/guard_cache.rs"];
 /// Reclamation modules allowed to call `defer_destroy` / `into_owned` on
 /// epoch pointers: each owns a documented retire protocol.
 pub const RECLAIM_ALLOWLIST: &[&str] = &[
-    // llxscx's descriptor/node retirement: install-only refcounts decide
-    // the single retirer; dispose_record is the one free site.
+    // llxscx's record retirement: the thread that commits an SCX retires
+    // its finalized records; dispose_record is the one free site.
     "crates/llxscx/src/reclaim.rs",
     // The hopscotch table's entry retirement (remove + growth): slots are
     // nulled before the entry is deferred, generations freeze on publish.
@@ -187,8 +189,9 @@ pub fn atomic_sites(path: &Path, sc: &Scanned) -> (Vec<AtomicSite>, Vec<Finding>
     for method in ATOMIC_METHODS {
         for off in sc.code_word_offsets(method) {
             // Must be a method call: `.method(` (receiver dot right before,
-            // whitespace allowed after the name).
-            if off == 0 || bytes[off - 1] != b'.' {
+            // whitespace allowed after the name). `fence` is a free
+            // function, so any call of it counts.
+            if *method != "fence" && (off == 0 || bytes[off - 1] != b'.') {
                 continue;
             }
             let mut j = off + method.len();

@@ -1,7 +1,7 @@
 //! Fixture: ordering-audit clean — every atomic call names an explicit
 //! ordering and every SeqCst carries a SEQCST justification.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 
 fn explicit(a: &AtomicUsize, b: &AtomicBool) {
     let _ = a.load(Ordering::Acquire);
@@ -17,6 +17,8 @@ fn explicit(a: &AtomicUsize, b: &AtomicBool) {
         Ordering::SeqCst,
         Ordering::Relaxed, // SEQCST: trailing on a later line of the call.
     );
+    fence(Ordering::Release);
+    std::sync::atomic::fence(Ordering::Acquire);
 }
 
 fn lookalikes(v: &mut [u8]) {

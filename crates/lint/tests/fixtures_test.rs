@@ -75,6 +75,8 @@ fn ordering_clean_corpus_extracts_sites_without_findings() {
             (12, "SeqCst"),
             (13, "SeqCst"),
             (14, "SeqCst,Relaxed"),
+            (20, "Release"),
+            (21, "Acquire"),
         ]
     );
     let f = rules::check_seqcst(&sc, &ctx, &sites);

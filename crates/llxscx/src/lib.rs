@@ -13,9 +13,10 @@
 //! *mutable* fields (child pointers, at most [`MAX_ARITY`]) and arbitrarily
 //! many *immutable* fields (keys, values, weights, ...). A type opts in by
 //! implementing [`Record`] and embedding a [`RecordHeader`], which carries
-//! the per-node synchronization metadata: an `info` pointer to the last
-//! [SCX-record](descriptor::ScxRecord) that froze the node, and a `marked`
-//! bit indicating the node is *finalized* (logically deleted).
+//! the per-node synchronization metadata: an `info` word naming the last
+//! SCX that froze the node (its thread's [descriptor](descriptor::ScxRecord)
+//! and sequence number), and a `marked` bit indicating the node is
+//! *finalized* (logically deleted).
 //!
 //! ## Semantics (informal)
 //!
@@ -52,12 +53,20 @@
 //!
 //! ## Memory reclamation
 //!
-//! The PODC/PPoPP papers assume a garbage collector. We substitute
-//! epoch-based reclamation (crossbeam-epoch) plus reference counting of
-//! SCX-records: a descriptor is freed once no node's `info` points at it and
-//! no live descriptor lists it as an expected `info` value. Nodes finalized
-//! by a committed SCX are retired by the unique thread that wins the
-//! commit transition. See [`reclaim`] for the full argument.
+//! The PODC/PPoPP papers assume a garbage collector. Two things stand in
+//! for it here:
+//!
+//! * **Descriptors are reused, never reclaimed.** Each thread owns one
+//!   SCX-record for its whole life and rewrites it for every SCX (the weak
+//!   descriptors of Arbel-Raviv and Brown, "Reuse, Don't Recycle", DISC
+//!   2017). A record's `info` holds a `(descriptor id, sequence number)`
+//!   word rather than a pointer, so no `info` value is ever installed
+//!   twice, and a helper that reads a descriptor re-checks the sequence
+//!   number afterwards and abandons the help if the owner moved on. See
+//!   [`descriptor`].
+//! * **Records are reclaimed through epochs** (the vendored
+//!   crossbeam-epoch). Records finalized by a committed SCX are retired by
+//!   the unique thread that wins the commit transition. See [`reclaim`].
 
 #![warn(missing_docs)]
 
@@ -76,3 +85,6 @@ pub use record::{Record, RecordHeader, MAX_ARITY, MAX_V};
 
 pub use crossbeam_epoch as epoch;
 pub use crossbeam_epoch::{pin, Atomic, Guard, Owned, Shared};
+
+#[cfg(test)]
+mod tests;

@@ -2,12 +2,20 @@
 
 use std::sync::atomic::Ordering;
 
-use crossbeam_epoch::{Guard, Pointer, Shared};
+use crossbeam_epoch::{Guard, Shared};
 
-use crate::descriptor::{state_of, ScxPayload, ScxRecord, ABORTED, COMMITTED, IN_PROGRESS};
-use crate::pool;
-use crate::reclaim::{defer_dec_refs, defer_dispose_record, inc_refs};
+use crate::descriptor::{self, state_of, Scx, ScxRecord, COMMITTED, IN_PROGRESS};
+use crate::reclaim::defer_dispose_record;
 use crate::record::{load_info, quiescent, Record, MAX_ARITY, MAX_V};
+
+/// A stall-adversary pause point in [`run`]: parks the SCX's owner there
+/// when a test asks it to. Expands to nothing outside `cfg(test)`.
+macro_rules! pause {
+    ($point:expr) => {
+        #[cfg(test)]
+        crate::tests::stall::pause($point);
+    };
+}
 
 /// Result of an [`llx`].
 pub enum Llx<'g, N: Record> {
@@ -38,17 +46,17 @@ impl<'g, N: Record> Llx<'g, N> {
     }
 }
 
-/// A successful LLX: the record, the descriptor observed in its `info`
-/// field, and a snapshot of its mutable fields.
+/// A successful LLX: the record, the `info` word observed in its header,
+/// and a snapshot of its mutable fields.
 ///
 /// The handle borrows the epoch [`Guard`] it was created under, which
 /// enforces the paper's *linking* discipline: an SCX/VLX can only consume
-/// handles produced under the same pin, so the observed `info` values are
-/// still protected when the freezing CASes run.
+/// handles produced under the same pin, so the snapshotted records are
+/// still allocated when the freezing CASes run.
 pub struct LlxHandle<'g, N: Record> {
     /// The record that was snapshotted.
     pub node: Shared<'g, N>,
-    pub(crate) info: Shared<'g, ScxRecord<N>>,
+    pub(crate) info: u64,
     pub(crate) children: [Shared<'g, N>; MAX_ARITY],
 }
 
@@ -96,7 +104,7 @@ pub fn llx<'g, N: Record>(node: Shared<'g, N>, guard: &'g Guard) -> Llx<'g, N> {
     let header = n.header();
     // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
     let marked1 = header.marked.load(Ordering::SeqCst);
-    let (rinfo, state) = load_info(n, guard);
+    let (rinfo, state) = load_info(n);
     // Second `marked` read, *after* the info load (PODC'13 Fig. 1 lines
     // 2–5). The quiescence test must use this one: finalization sets
     // `marked` before the descriptor's state becomes `Committed`, so a
@@ -114,15 +122,16 @@ pub fn llx<'g, N: Record>(node: Shared<'g, N>, guard: &'g Guard) -> Llx<'g, N> {
 
     if quiescent(state, marked2) {
         // Read the mutable fields, then confirm `info` is unchanged: any SCX
-        // that modifies a field must first freeze the record by installing a
-        // fresh descriptor, so an unchanged `info` certifies the snapshot.
+        // that modifies a field must first freeze the record by installing
+        // its own `info` word, and no word is ever installed twice, so an
+        // unchanged `info` certifies the snapshot.
         let mut children = [Shared::null(); MAX_ARITY];
         for (i, slot) in children.iter_mut().enumerate().take(N::ARITY) {
             // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
             *slot = n.child(i).load(Ordering::SeqCst, guard);
         }
         // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-        if header.info.load(Ordering::SeqCst, guard) == rinfo {
+        if header.info.load(Ordering::SeqCst) == rinfo {
             return Llx::Snapshot(LlxHandle {
                 node,
                 info: rinfo,
@@ -131,22 +140,22 @@ pub fn llx<'g, N: Record>(node: Shared<'g, N>, guard: &'g Guard) -> Llx<'g, N> {
         }
     }
 
-    // The record is frozen or finalized. Re-read the descriptor's state (it
-    // may have advanced) and help if it is still in progress.
+    // The record is frozen or finalized. Re-read the SCX's state (it may
+    // have advanced) and help if it is still in progress.
     let state_now = state_of(rinfo);
     let done = state_now == COMMITTED
         || (state_now == IN_PROGRESS && {
-            // SAFETY: rinfo non-null (IN_PROGRESS), protected by `guard`.
-            unsafe { help(rinfo, guard) }
+            // SAFETY: `rinfo` was read from an `N`'s header under `guard`.
+            unsafe { help::<N>(rinfo, guard) }
         });
     if done && marked1 {
         return Llx::Finalized;
     }
     // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-    let cur = header.info.load(Ordering::SeqCst, guard);
+    let cur = header.info.load(Ordering::SeqCst);
     if state_of(cur) == IN_PROGRESS {
-        // SAFETY: non-null (IN_PROGRESS), protected by `guard`.
-        unsafe { help(cur, guard) };
+        // SAFETY: `cur` was read from an `N`'s header under `guard`.
+        unsafe { help::<N>(cur, guard) };
     }
     Llx::Fail
 }
@@ -173,6 +182,10 @@ pub struct ScxArgs<'a, 'g, N: Record> {
 /// unchanged since its linked LLX, the designated field was updated to
 /// `new`, and every record in `R` was finalized (and retired through the
 /// epoch collector). Returns `false` if some record changed first.
+///
+/// The SCX runs on the calling thread's own descriptor, which it reuses
+/// for every SCX (see [`crate::descriptor`]): nothing is allocated, and
+/// nothing but `R` is left for the epoch collector.
 pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
     let len = args.v.len();
     assert!(
@@ -186,75 +199,27 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
         "finalize mask selects records outside V"
     );
 
-    let mut v = [std::ptr::null::<N>(); MAX_V];
-    // Expected `info` words *including their sequence tags*: a stale
-    // expectation naming a reused descriptor carries the old incarnation's
-    // tag and can never win a freezing CAS against the new one.
-    let mut info_fields = [0usize; MAX_V];
-    for (i, h) in args.v.iter().enumerate() {
-        v[i] = h.node.as_raw();
-        info_fields[i] = h.info.into_usize();
-        debug_assert!(!v[i].is_null(), "V contains a null record");
-    }
-    let old = args.v[args.fld_record].children[args.fld_idx];
-
-    // Check a descriptor out of the calling thread's pool instead of
-    // allocating (the dominant update-path cost once the protocol is
-    // cheap). We own it exclusively until the first freezing CAS: refs is
-    // zero and the new incarnation has never been published.
-    let desc_ptr = pool::acquire::<N>();
-    // SAFETY: exclusive access (see above); payload writes cannot race.
-    let desc_s: Shared<'g, ScxRecord<N>> = unsafe {
-        let d = &*desc_ptr;
-        debug_assert_eq!(d.refs.load(Ordering::Relaxed), 0, "reused live descriptor");
-        // Relaxed suffices: the freezing CAS that publishes the descriptor
-        // is SeqCst, so helpers that discover it observe these writes.
-        d.state.store(IN_PROGRESS, Ordering::Relaxed);
-        d.all_frozen.store(false, Ordering::Relaxed);
-        *d.payload.get() = ScxPayload {
-            len,
-            v,
-            info_fields,
-            finalize_mask: args.finalize,
-            fld_node: v[args.fld_record],
-            fld_idx: args.fld_idx,
-            old: old.as_raw(),
-            new: args.new.as_raw(),
-        };
-        // Publish under the current incarnation's tag (`with_tag` keeps the
-        // low bits the 128-byte alignment frees up).
-        Shared::from(desc_ptr as *const ScxRecord<N>).with_tag(d.seq.load(Ordering::Relaxed))
+    let mut op = Scx {
+        info: 0,
+        len,
+        v: [0; MAX_V],
+        expect: [0; MAX_V],
+        finalize: args.finalize,
+        fld_record: args.fld_record,
+        fld_idx: args.fld_idx,
+        old: args.v[args.fld_record].children[args.fld_idx].as_raw() as usize,
+        new: args.new.as_raw() as usize,
     };
-
-    // Note what is *not* here: the expected descriptors in `info_fields`
-    // are NOT kept alive by a reference count. The pre-reuse design pinned
-    // every expected descriptor for as long as this one lived, which chains
-    // descriptors together (A is named by B, B by C, ...) and in steady
-    // state leaks one descriptor per committed SCX — the head of the chain
-    // always has a live install, so the chain never collapses. With pooling
-    // the expectation is protected differently: a freezing CAS compares the
-    // whole tagged word, and reusing a descriptor bumps its incarnation
-    // tag, so a stale expectation fails on the tag instead of relying on
-    // the expected descriptor still being allocated (see `reclaim` docs).
-
-    // SAFETY: desc published by this thread, protected by `guard`.
-    let ok = unsafe { help(desc_s, guard) };
-    if !ok {
-        // If the descriptor was never installed anywhere, no other thread
-        // ever saw it (helpers only discover descriptors via info fields),
-        // so the initiator may return it to the pool directly.
-        // SAFETY: refs counts installs; during our pin any install's
-        // deferred decrement cannot yet have run, so refs == 0 certifies
-        // "never installed".
-        unsafe {
-            let d = &*desc_ptr;
-            // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-            if d.refs.load(Ordering::SeqCst) == 0 {
-                pool::release(desc_ptr);
-            }
-        }
+    for (i, h) in args.v.iter().enumerate() {
+        debug_assert!(!h.node.is_null(), "V contains a null record");
+        op.v[i] = h.node.as_raw() as usize;
+        op.expect[i] = h.info;
     }
-    ok
+    descriptor::with_own(|desc, id| {
+        desc.open(id, &mut op);
+        // SAFETY: `op` was built from handles on `N`s linked under `guard`.
+        unsafe { run::<N>(desc, &op, guard) }
+    })
 }
 
 /// Validate extended: `true` iff no record in `handles` has changed since
@@ -266,12 +231,11 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
 /// makes multi-node reads — successor/predecessor walks and whole-subtree
 /// range scans — linearizable at zero cost to writers.
 ///
-/// Incarnation awareness: the comparison is on the whole tagged word, not
-/// the descriptor address. A pooled descriptor that was recycled between the
-/// LLX and this VLX comes back with a bumped incarnation tag (see
-/// [`pool`]), so address reuse alone can never make a stale snapshot
-/// validate — the same sequence-number argument that protects the freezing
-/// CAS in the SCX helper.
+/// The comparison is on the whole `info` word, descriptor id and sequence
+/// number together. Every SCX installs a word no record ever held before,
+/// so a record that an SCX touched between the LLX and this VLX can never
+/// look unchanged, even if the same thread's descriptor froze it both
+/// times.
 ///
 /// # Example
 ///
@@ -316,11 +280,11 @@ pub fn vlx<'g, N: Record>(handles: &[LlxHandle<'g, N>], guard: &'g Guard) -> boo
         // SAFETY: handle's record is protected by `guard`.
         let n = unsafe { h.node.deref() };
         // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-        let cur = n.header().info.load(Ordering::SeqCst, guard);
+        let cur = n.header().info.load(Ordering::SeqCst);
         if cur != h.info {
             if state_of(cur) == IN_PROGRESS {
-                // SAFETY: non-null (IN_PROGRESS), protected by `guard`.
-                unsafe { help(cur, guard) };
+                // SAFETY: `cur` was read from an `N`'s header under `guard`.
+                unsafe { help::<N>(cur, guard) };
             }
             return false;
         }
@@ -328,100 +292,93 @@ pub fn vlx<'g, N: Record>(handles: &[LlxHandle<'g, N>], guard: &'g Guard) -> boo
     true
 }
 
-/// Completes (or aborts) the SCX described by `desc`, on behalf of any
-/// thread. Returns `true` iff the SCX committed.
+/// Helps the SCX that `info` names, on behalf of any thread. Returns
+/// `true` iff it committed; `false` if it aborted, or if its incarnation
+/// is over before this helper read its arguments (then the helper writes
+/// nothing).
 ///
 /// # Safety
-/// `desc` must be non-null and protected by `guard`.
-pub(crate) unsafe fn help<N: Record>(desc_s: Shared<'_, ScxRecord<N>>, guard: &Guard) -> bool {
-    let desc = desc_s.deref();
-    // SAFETY: the payload is immutable while the descriptor is reachable
-    // (checkout requires refs == 0, which cannot hold while we help).
-    let p = desc.payload();
+/// `info` must have been read from the header of an `N` under `guard`.
+pub(crate) unsafe fn help<N: Record>(info: u64, guard: &Guard) -> bool {
+    let desc = descriptor::lookup(info);
+    match desc.snapshot(info) {
+        Ok(op) => run::<N>(desc, &op, guard),
+        Err(committed) => committed,
+    }
+}
 
-    // Freezing phase: install `desc` into each V-record's info field, in
-    // order, expecting the value its linked LLX observed. Both the expected
-    // and the installed word carry incarnation tags, so expectations from a
-    // descriptor's previous life fail here (the sequence-number check).
-    for i in 0..p.len {
-        let node = &*p.v[i];
-        let expect: Shared<'_, ScxRecord<N>> = Shared::from_usize(p.info_fields[i]);
+/// Completes (or aborts) the SCX `op` of `desc`, for its owner or for a
+/// helper holding a validated snapshot. Returns `true` iff it committed.
+///
+/// A helper can still be here after the SCX finished and the owner moved
+/// on: its writes are then harmless. Freezing CASes expect `info` words
+/// that were replaced for good, CASes on the state word name the old
+/// sequence number, marks repeat marks the SCX made, and the update CAS
+/// expects a child that no field will hold again (constraint 1). The epoch
+/// keeps every record it touches allocated: it saw the SCX in progress
+/// under its pin, and those records are retired only after the commit.
+///
+/// # Safety
+/// `op` must describe records of type `N` that the caller's `guard`
+/// protects: built by [`scx`], or a validated snapshot.
+unsafe fn run<N: Record>(desc: &ScxRecord, op: &Scx, guard: &Guard) -> bool {
+    // Freezing phase: install `op.info` into each V-record's info field, in
+    // order, expecting the word its linked LLX observed.
+    for i in 0..op.len {
+        let node = &*(op.v[i] as *const N);
         // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-        match node.header().info.compare_exchange(
-            expect,
-            desc_s,
+        let froze = node.header().info.compare_exchange(
+            op.expect[i],
+            op.info,
             Ordering::SeqCst,
             Ordering::SeqCst,
-            guard,
-        ) {
-            Ok(_) => {
-                inc_refs(desc_s.as_raw());
-                if !expect.is_null() {
-                    // The replaced descriptor loses one install reference.
-                    defer_dec_refs(expect.as_raw(), guard);
-                }
-            }
-            Err(e) => {
-                if e.current != desc_s {
-                    // Frozen for someone else, or already past us. If every
-                    // record was frozen at some point, the SCX already
-                    // succeeded (another helper finished); otherwise it can
-                    // never complete and must abort. `all_frozen` is written
-                    // before any record in V can be re-frozen (a record is
-                    // only released by reaching a terminal state, which
-                    // happens after `all_frozen` on the commit path), so
-                    // this read is conclusive.
-                    // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-                    if desc.all_frozen.load(Ordering::SeqCst) {
-                        return true;
-                    }
-                    // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-                    let _ = desc.state.compare_exchange(
-                        IN_PROGRESS,
-                        ABORTED,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    );
-                    return desc.load_state() == COMMITTED;
-                }
-                // else: another helper already froze this record for `desc`.
-            }
+        );
+        if froze.is_err_and(|cur| cur != op.info) {
+            // Frozen for someone else, or already past us. If every record
+            // was frozen at some point, the SCX already succeeded (another
+            // helper finished); otherwise it can never complete and must
+            // abort. `all_frozen` is set before any record in V can be
+            // re-frozen (a record is only released by a terminal state,
+            // which comes after `all_frozen` on the commit path), and it
+            // shares the state word with the abort, so one CAS decides.
+            return desc.abort(op.info);
         }
+        pause!(crate::tests::stall::Point::Froze(i));
     }
-
-    // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-    desc.all_frozen.store(true, Ordering::SeqCst);
+    if !desc.set_all_frozen(op.info) {
+        return false;
+    }
+    pause!(crate::tests::stall::Point::AllFrozen);
     // Mark (finalize) every record in R. Idempotent across helpers.
-    for i in 0..p.len {
-        if p.finalize_mask & (1 << i) != 0 {
+    for i in 0..op.len {
+        if op.finalize & (1 << i) != 0 {
+            let marked = &(*(op.v[i] as *const N)).header().marked;
             // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-            (*p.v[i]).header().marked.store(true, Ordering::SeqCst);
+            marked.store(true, Ordering::SeqCst);
         }
     }
+    pause!(crate::tests::stall::Point::Marked);
     // The update CAS. Only the first helper's CAS succeeds: `old` was a
     // fresh allocation when installed and is never re-stored (constraint 1).
-    let parent = &*p.fld_node;
+    let parent = &*(op.v[op.fld_record] as *const N);
     // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-    let _ = parent.child(p.fld_idx).compare_exchange(
-        Shared::from(p.old as *const _),
-        Shared::from(p.new as *const _),
+    let _ = parent.child(op.fld_idx).compare_exchange(
+        Shared::from(op.old as *const N),
+        Shared::from(op.new as *const N),
         Ordering::SeqCst,
         Ordering::SeqCst,
         guard,
     );
+    pause!(crate::tests::stall::Point::Updated);
+    pause!(crate::tests::stall::Point::BeforeCommit);
     // Commit. Exactly one helper wins the transition and retires R: the
     // finalized records are now unreachable from the entry point (the update
     // CAS happened before the state CAS), so epoch deferral makes the frees
     // safe for concurrent traversals still holding pre-commit guards.
-    if desc
-        .state
-        // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-        .compare_exchange(IN_PROGRESS, COMMITTED, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
-    {
-        for i in 0..p.len {
-            if p.finalize_mask & (1 << i) != 0 {
-                defer_dispose_record(p.v[i], guard);
+    if desc.commit(op.info) {
+        for i in 0..op.len {
+            if op.finalize & (1 << i) != 0 {
+                defer_dispose_record(op.v[i] as *const N, guard);
             }
         }
     }
@@ -584,201 +541,6 @@ mod tests {
         unsafe {
             crate::reclaim::dispose_record(n1.as_raw());
             crate::reclaim::dispose_record(root.as_raw());
-        }
-    }
-
-    /// The sequence-number check: an expectation that names the right
-    /// descriptor *address* but the wrong *incarnation tag* must never win
-    /// a freezing CAS. This is what makes descriptor reuse ABA-safe — a
-    /// stale helper from a descriptor's previous life compares the whole
-    /// tagged word, so address recycling alone cannot fool it.
-    #[test]
-    fn stale_incarnation_tag_cannot_freeze() {
-        let guard = &pin();
-        let root = TestNode::new(0).into_shared(guard);
-
-        // Install a genuine descriptor on root so its info is non-null.
-        let h0 = llx(root, guard).unwrap();
-        let n1 = TestNode::new(1).into_shared(guard);
-        assert!(scx(
-            &ScxArgs {
-                v: &[h0],
-                finalize: 0,
-                fld_record: 0,
-                fld_idx: 0,
-                new: n1
-            },
-            guard
-        ));
-
-        let genuine = llx(root, guard).unwrap();
-        assert!(!genuine.info.is_null(), "root must carry a descriptor");
-
-        // A handle identical to `genuine` except for the incarnation tag —
-        // exactly what a helper holds after the expected descriptor was
-        // returned to the pool and checked out again (seq bumped).
-        let stale = LlxHandle {
-            // SAFETY: same allocation as `genuine.info`, only the tag differs.
-            info: unsafe { Shared::from_usize(genuine.info.into_usize() ^ 0x1) },
-            ..genuine
-        };
-        assert_eq!(
-            stale.info.as_raw(),
-            genuine.info.as_raw(),
-            "same allocation address"
-        );
-        let n2 = TestNode::new(2).into_shared(guard);
-        assert!(
-            !scx(
-                &ScxArgs {
-                    v: &[stale],
-                    finalize: 0,
-                    fld_record: 0,
-                    fld_idx: 0,
-                    new: n2
-                },
-                guard
-            ),
-            "stale incarnation froze the record (ABA on info)"
-        );
-        // The record is untouched and the genuine handle still works.
-        // SAFETY: `root` stays allocated for the whole test under `guard`.
-        // SEQCST: test-only; SC keeps the interleaving argument trivial.
-        let now = unsafe { root.deref() }.children[0].load(Ordering::SeqCst, guard);
-        assert_eq!(now, n1);
-        let n3 = TestNode::new(3).into_shared(guard);
-        assert!(scx(
-            &ScxArgs {
-                v: &[genuine],
-                finalize: 0,
-                fld_record: 0,
-                fld_idx: 0,
-                new: n3
-            },
-            guard
-        ));
-        // SAFETY: test-local teardown of nodes this test allocated.
-        unsafe {
-            crate::reclaim::dispose_record(n3.as_raw());
-            crate::reclaim::dispose_record(n2.as_raw());
-            crate::reclaim::dispose_record(n1.as_raw());
-            crate::reclaim::dispose_record(root.as_raw());
-        }
-    }
-
-    /// VLX mirror of the freeze-side ABA check: a handle naming the right
-    /// descriptor address under the wrong incarnation tag must not validate,
-    /// even though the record itself is untouched. Without the tagged-word
-    /// comparison a recycled descriptor could certify a snapshot from its
-    /// previous life as a linearizable read.
-    #[test]
-    fn stale_incarnation_tag_cannot_validate() {
-        let guard = &pin();
-        let root = TestNode::new(0).into_shared(guard);
-        let h0 = llx(root, guard).unwrap();
-        let n1 = TestNode::new(1).into_shared(guard);
-        assert!(scx(
-            &ScxArgs {
-                v: &[h0],
-                finalize: 0,
-                fld_record: 0,
-                fld_idx: 0,
-                new: n1
-            },
-            guard
-        ));
-        let genuine = llx(root, guard).unwrap();
-        assert!(vlx(&[genuine], guard), "fresh handle must validate");
-        let stale = LlxHandle {
-            // SAFETY: same allocation as `genuine.info`, only the tag differs.
-            info: unsafe { Shared::from_usize(genuine.info.into_usize() ^ 0x1) },
-            ..genuine
-        };
-        assert!(
-            !vlx(&[stale], guard),
-            "stale incarnation validated (ABA on info)"
-        );
-        // A mixed sequence fails as a whole.
-        assert!(!vlx(&[genuine, stale], guard));
-        // SAFETY: test-local teardown of nodes this test allocated.
-        unsafe {
-            crate::reclaim::dispose_record(n1.as_raw());
-            crate::reclaim::dispose_record(root.as_raw());
-        }
-    }
-
-    /// End-to-end reuse: cycling SCXs through one thread must recycle
-    /// descriptor allocations through the pool (the update path allocates
-    /// nothing in steady state), observable as a repeated descriptor
-    /// address with increasing incarnation numbers.
-    #[test]
-    fn committed_scxs_recycle_descriptors() {
-        use std::collections::HashMap;
-        let root_addr = {
-            let guard = &pin();
-            TestNode::new(0).into_shared(guard).as_raw() as usize
-        };
-        // addr -> incarnations seen installed on root.
-        let mut seen: HashMap<usize, Vec<usize>> = HashMap::new();
-        for round in 0..600u64 {
-            {
-                let guard = &pin();
-                let root = Shared::from(root_addr as *const TestNode);
-                let h = llx(root, guard).unwrap();
-                let fresh = TestNode::new(round).into_shared(guard);
-                let old = h.right();
-                assert!(scx(
-                    &ScxArgs {
-                        v: &[h],
-                        finalize: 0,
-                        fld_record: 0,
-                        fld_idx: 1,
-                        new: fresh
-                    },
-                    guard
-                ));
-                if !old.is_null() {
-                    // Replaced value: retire it ourselves (not in R).
-                    // SAFETY: `old` was displaced by the winning SCX; only the winner retires it.
-                    unsafe { crate::reclaim::defer_dispose_record(old.as_raw(), guard) };
-                }
-                // SAFETY: `root` stays allocated for the whole test under `guard`.
-                let cur = unsafe { root.deref() }
-                    .header()
-                    .info
-                    // SEQCST: test-only; SC keeps the interleaving argument trivial.
-                    .load(Ordering::SeqCst, guard);
-                seen.entry(cur.as_raw() as usize)
-                    .or_default()
-                    // SAFETY: `cur` was just loaded from a live record's header under `guard`.
-                    .push(unsafe { cur.deref() }.incarnation());
-            }
-            // Let deferred reference drops run so descriptors return to
-            // the pool.
-            crossbeam_epoch::flush_and_collect();
-        }
-        let reused = seen.values().filter(|v| v.len() > 1).count();
-        assert!(
-            reused > 0,
-            "no descriptor allocation was ever reused across {} rounds",
-            seen.len()
-        );
-        for incarnations in seen.values() {
-            assert!(
-                incarnations.windows(2).all(|w| w[0] < w[1]),
-                "incarnation numbers must strictly advance per allocation: {incarnations:?}"
-            );
-        }
-        // SAFETY: single-threaded teardown after all workers joined.
-        unsafe {
-            let guard = crossbeam_epoch::unprotected();
-            let root = Shared::from(root_addr as *const TestNode);
-            // SEQCST: test-only; SC keeps the interleaving argument trivial.
-            let last = root.deref().children[1].load(Ordering::SeqCst, guard);
-            if !last.is_null() {
-                crate::reclaim::dispose_record(last.as_raw());
-            }
-            crate::reclaim::dispose_record(root_addr as *const TestNode);
         }
     }
 }

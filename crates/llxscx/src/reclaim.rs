@@ -1,143 +1,48 @@
-//! Memory reclamation for records and descriptors.
+//! Memory reclamation for records.
 //!
-//! The PODC'13/PPoPP'14 papers assume garbage collection. We reproduce the
-//! same safety guarantees with two cooperating mechanisms:
+//! The PODC'13/PPoPP'14 papers assume garbage collection. Only records need
+//! a stand-in for it here: SCX descriptors are never freed (each thread
+//! reuses one, see [`descriptor`](crate::descriptor)), so the one thing to
+//! reclaim is a record that an SCX removed from the structure.
 //!
-//! 1. **Epoch-based reclamation (crossbeam-epoch)** for *when* memory may be
-//!    freed: anything unlinked from the shared structure is freed only after
-//!    every thread pinned at unlink time has unpinned, so concurrent
-//!    traversals through removed nodes (correctness property C3 of the
-//!    paper) remain safe.
-//! 2. **Install counting of SCX-records** for *whether* a descriptor is
-//!    still reachable: `refs(d)` counts exactly the records whose `info`
-//!    field currently points at `d`. It is incremented by the helper whose
-//!    freezing CAS installed `d` and decremented — epoch-deferred — when a
-//!    later freezing CAS replaces `d`, or when the record itself is
-//!    disposed. At zero the descriptor returns to its owner's
-//!    [`pool`](crate::pool).
+//! **When.** Epoch-based reclamation (the vendored crossbeam-epoch): a
+//! record unlinked from the shared structure is freed only after every
+//! thread pinned at unlink time has unpinned, so concurrent traversals
+//! through removed nodes (correctness property C3 of the paper) stay safe.
+//! This also covers helpers: a helper reads an SCX's record pointers only
+//! after seeing that SCX in progress under its pin, and the records the SCX
+//! removes are retired only after it commits, so they outlive the helper's
+//! pin.
 //!
-//! **Why deferred decrements make the count exact.** An increment always
-//! happens under a guard pinned when `d` was *observed* installed on some
-//! record. The matching decrement (for the replacement that ends that
-//! observation window) is scheduled through the epoch machinery, so it
-//! executes only after every such pin has ended — i.e. after every pending
-//! increment has landed. Hence when a decrement brings `refs` to zero, no
-//! pinned thread can still be using a pointer to `d` that it loaded from an
-//! `info` field, and the descriptor can be reclaimed on the spot.
+//! **Who.** The records in `R` of a committed SCX are retired by the one
+//! thread whose CAS committed it; a record the SCX replaced without
+//! finalizing (a child it unlinked) is retired by the caller whose SCX
+//! returned `true`. Either way each record is retired exactly once, through
+//! [`defer_dispose_record`].
 //!
-//! **Why expected values need no keep-alive references.** A live descriptor
-//! `B` names, in its `info_fields`, the descriptors its linked LLXs
-//! observed — helpers CAS records' `info` against those words long after
-//! the LLXs. The pre-reuse design kept every named descriptor allocated by
-//! counting those mentions into `refs`, which chains descriptors (`A`
-//! named by `B`, `B` by `C`, ...): the head of the chain always has a live
-//! install, so nothing in the chain was ever reclaimed — a leak of one
-//! descriptor per committed SCX, and a pool that never received anything
-//! back. Pooling replaces the keep-alive with the **incarnation tag**:
-//! every published `info` word carries the descriptor's sequence number in
-//! its 7 alignment bits, and a checkout bumps the sequence, so a helper's
-//! stale expectation from `A`'s previous life mismatches on the tag and
-//! the freezing CAS correctly fails. The compare itself touches no memory
-//! behind the expected pointer, so it is safe even if `A` was reused. The
-//! residual risk is the classic bounded-tag ABA: a spurious match needs the
-//! same record to hold the *same allocation* at a *tag-equal incarnation*
-//! (128 checkouts later) while `B` is still in progress — and an
-//! overflow-freed allocation to be handed back by the allocator at the
-//! same address in that window. This is the trade Brown's "Reuse, don't
-//! Recycle" line of work makes explicit; widen
-//! [`SEQ_TAG_BITS`](crate::descriptor::SEQ_TAG_BITS) via the descriptor
-//! alignment if a deployment needs more headroom.
-//!
-//! **Reclaim = reuse.** Reaching `refs == 0` used to free the descriptor;
-//! it now returns it to the owning thread's [`pool`](crate::pool) for
-//! reuse by a later SCX, and only pool overflow actually frees memory.
+//! **Why descriptors need nothing.** A record's `info` word names a
+//! descriptor by slot and sequence number, never by address, so a record
+//! can outlive every SCX that froze it without keeping anything alive, and
+//! a stale `info` word can never match a newer SCX's (sequence numbers
+//! never repeat).
 
 use crossbeam_epoch::Guard;
 
-use crate::descriptor::ScxRecord;
 use crate::record::Record;
 
-/// Increments the reference count of a descriptor.
+/// Frees a record: drops it in place and returns its memory to the
+/// thread-local [`slab`](crate::slab). Child pointers are *not* followed —
+/// the tree update template guarantees that every removed record is retired
+/// exactly once, and fringe children remain in the tree.
 ///
 /// # Safety
-/// `d` must point to a live descriptor, and the caller must hold a guard
-/// pinned since `d` was observed installed in some record's `info` field.
-pub(crate) unsafe fn inc_refs<N: Record>(d: *const ScxRecord<N>) {
-    // Relaxed suffices for increments (the classic `Arc::clone` argument):
-    // a new reference is always minted from an existing one, so the count
-    // cannot be observed at zero while an increment is pending, and no
-    // other memory is published by taking a reference.
-    let prev = (*d).refs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    debug_assert!(prev < usize::MAX / 2, "descriptor refcount overflow");
-}
-
-/// Performs one decrement of `start`'s reference count, returning it to its
-/// owner's pool if the count reaches zero.
-///
-/// # Safety
-/// Must be called at most once per previous increment, and only at a time
-/// when the reference being released can no longer be used to reach the
-/// descriptor (in this crate: from inside an epoch-deferred closure, or for
-/// a descriptor that was never published).
-pub(crate) unsafe fn dec_refs<N: Record>(d: *const ScxRecord<N>) {
-    // Release on the way down (the classic `Arc::drop` argument): our
-    // prior uses of the descriptor must not be reordered after the
-    // decrement that may hand it to a reuser.
-    let prev = (*d).refs.fetch_sub(1, std::sync::atomic::Ordering::Release);
-    debug_assert!(prev > 0, "descriptor refcount underflow");
-    if prev == 1 {
-        // Acquire pairs with every other holder's Release decrement: all
-        // their uses happen-before the reuse/free below. An acquire *load*
-        // rather than a standalone fence, for two reasons: (1) correctness
-        // is identical — every decrement is an RMW, so each earlier Release
-        // decrement's release sequence extends to the final value, and an
-        // acquiring read of that value synchronizes with all of them (the
-        // same reasoning std's Arc uses under ThreadSanitizer); (2) TSan
-        // does not model standalone fences, so the fence form makes every
-        // descriptor reuse a false-positive data race in the CI TSan job,
-        // while the load form is fully visible to it. Cost: one extra
-        // already-cached load on the zero-crossing path only.
-        let observed = (*d).refs.load(std::sync::atomic::Ordering::Acquire);
-        debug_assert_eq!(observed, 0, "racing increment on a dead descriptor");
-        // The refcount-based free path is now a return-to-pool path;
-        // only pool overflow actually frees memory.
-        crate::pool::release(d as *mut ScxRecord<N>);
-    }
-}
-
-/// Schedules an epoch-deferred decrement of `d`'s reference count.
-///
-/// # Safety
-/// As for [`dec_refs`]; the deferral provides the "no pending increments"
-/// timing argument described in the module docs.
-pub(crate) unsafe fn defer_dec_refs<N: Record>(d: *const ScxRecord<N>, guard: &Guard) {
-    let d = d as usize;
-    guard.defer_unchecked(move || dec_refs::<N>(d as *const ScxRecord<N>));
-}
-
-/// Frees a record: releases its reference on its last descriptor (if any)
-/// and drops the record's box. Child pointers are *not* followed — the tree
-/// update template guarantees that every removed record is retired exactly
-/// once, and fringe children remain in the tree.
-///
-/// # Safety
-/// `ptr` must be a record allocated via `Box` that is no longer reachable by
-/// any thread (typically: called from an epoch-deferred closure scheduled
-/// after the record was finalized and unlinked, or during structure drop).
+/// `ptr` must be a record allocated via `Box` or the slab that is no longer
+/// reachable by any thread (typically: called from an epoch-deferred closure
+/// scheduled after the record was finalized and unlinked, or during
+/// structure drop).
 pub unsafe fn dispose_record<N: Record>(ptr: *const N) {
-    // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-    let info = (*ptr).header().info.load(
-        std::sync::atomic::Ordering::SeqCst,
-        crossbeam_epoch::unprotected(),
-    );
-    if !info.is_null() {
-        dec_refs(info.as_raw());
-    }
-    // Release the slot through the thread-local record cache
-    // ([`slab`](crate::slab)): record allocate/free pairs dominate the
-    // update path, and cache-aligned records make the allocator's aligned
-    // path expensive. Box-allocated records are interchangeable with slab
-    // slots (same allocator, same layout).
+    // Box-allocated records are interchangeable with slab slots (same
+    // allocator, same layout).
     std::ptr::drop_in_place(ptr as *mut N);
     crate::slab::free_slot(ptr as *mut u8, std::alloc::Layout::new::<N>());
 }

@@ -1,10 +1,11 @@
 //! The [`Record`] trait and per-node synchronization header.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crossbeam_epoch::{Atomic, Guard, Shared};
+use crossbeam_epoch::Atomic;
 
-use crate::descriptor::{state_of, ScxRecord, ABORTED, COMMITTED};
+use crate::descriptor::{state_of, ABORTED, COMMITTED};
 
 /// Maximum number of mutable (child-pointer) fields a [`Record`] may have.
 ///
@@ -20,22 +21,26 @@ pub const MAX_V: usize = 8;
 
 /// Synchronization metadata embedded in every Data-record.
 ///
-/// `info` points to the SCX-record that last froze this node (or null if the
-/// node was never involved in an SCX). A node is *frozen* while
-/// `info.state == InProgress`: its mutable fields may only be changed on
-/// behalf of that SCX. `marked` is set when the node is finalized by a
-/// committed SCX; a finalized node's mutable fields never change again.
+/// `info` names the SCX that last froze this node: the packed
+/// `(descriptor id, sequence number)` word of that SCX's
+/// [descriptor](crate::descriptor), or 0 if the node was never involved in
+/// an SCX. A node is *frozen* while that SCX is in progress: its mutable
+/// fields may only be changed on behalf of that SCX. `marked` is set when
+/// the node is finalized by a committed SCX; a finalized node's mutable
+/// fields never change again.
 pub struct RecordHeader<N> {
-    pub(crate) info: Atomic<ScxRecord<N>>,
+    pub(crate) info: AtomicU64,
     pub(crate) marked: AtomicBool,
+    _record: PhantomData<fn() -> N>,
 }
 
 impl<N> RecordHeader<N> {
     /// A fresh header: never frozen, not finalized.
     pub fn new() -> Self {
         RecordHeader {
-            info: Atomic::null(),
+            info: AtomicU64::new(0),
             marked: AtomicBool::new(false),
+            _record: PhantomData,
         }
     }
 
@@ -66,12 +71,7 @@ impl<N> Default for RecordHeader<N> {
 ///
 /// `child(i)` must return the same `&Atomic` for the same `i` for the
 /// lifetime of the record, and `header()` must return the embedded header.
-///
-/// The `'static` bound exists because each SCX checks its descriptor out of
-/// a per-thread, per-record-type pool keyed by `TypeId` (see
-/// [`pool`](crate::pool)); records own their keys/values anyway, so the
-/// bound costs implementors nothing in practice.
-pub trait Record: Sized + Send + Sync + 'static {
+pub trait Record: Sized + Send + Sync {
     /// Number of mutable child-pointer fields (at most [`MAX_ARITY`]).
     const ARITY: usize;
 
@@ -83,17 +83,14 @@ pub trait Record: Sized + Send + Sync + 'static {
 }
 
 /// Reads the state a record presents to an [`llx`](crate::llx): the observed
-/// `info` descriptor and whether it is quiescent (not frozen).
+/// `info` word and the state of the SCX it names.
 ///
-/// Returns `(info, state)`; a null `info` is treated as `ABORTED`
+/// Returns `(info, state)`; a zero `info` is treated as `ABORTED`
 /// (quiescent), matching the paper's convention for never-frozen nodes.
 #[inline]
-pub(crate) fn load_info<'g, N: Record>(
-    node: &N,
-    guard: &'g Guard,
-) -> (Shared<'g, ScxRecord<N>>, u8) {
+pub(crate) fn load_info<N: Record>(node: &N) -> (u64, u8) {
     // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
-    let info = node.header().info.load(Ordering::SeqCst, guard);
+    let info = node.header().info.load(Ordering::SeqCst);
     (info, state_of(info))
 }
 

@@ -51,9 +51,9 @@ fn node() -> Owned<Node> {
     })
 }
 
-/// What one [`update`] defers: the replaced record, and the reference of
-/// the descriptor its SCX displaced from the root's `info` field.
-const RETIRES_PER_OP: usize = 2;
+/// What one [`update`] defers: the replaced record (descriptors are reused,
+/// never retired).
+const RETIRES_PER_OP: usize = 1;
 
 /// One chromatic-style update under the cached guard: LLX the root, SCX a
 /// fresh right child in, retire the old one.
