@@ -1,12 +1,13 @@
 //! The CI throughput gate: compares two labeled runs inside one bench
-//! artifact (written by `bench_fig8` / `bench_range`, which label-merge)
-//! and exits non-zero when any *(structure, mix, threads)* point slowed
+//! artifact (written by `figures fig8 --out`, which label-merges)
+//! and exits non-zero when any chromatic *(mix, threads)* point slowed
 //! down by more than the tolerance — or, with `--p99-tolerance`, when a
-//! point's p99 latency grew past the tail tolerance.
+//! point's p99 latency grew past the tail tolerance. It prints the
+//! per-point markdown table, and appends it to `--summary PATH` too.
 //!
 //! ```text
-//! cargo run -p bench --bin bench_fig8 -- --label baseline --out gate.json   # at the base ref
-//! cargo run -p bench --bin bench_fig8 -- --label pr       --out gate.json   # at the PR head
+//! cargo run -p bench --bin figures -- fig8 --label baseline --out gate.json   # at the base ref
+//! cargo run -p bench --bin figures -- fig8 --label pr       --out gate.json   # at the PR head
 //! cargo run -p bench --bin bench_gate -- --file gate.json --baseline baseline --candidate pr \
 //!     --p99-tolerance 1.0 --summary summary.md
 //! ```
@@ -87,50 +88,11 @@ fn main() {
         }
     };
 
-    println!(
-        "bench gate: `{candidate}` vs `{baseline}` (tolerance {:.0}%{})",
-        tolerance * 100.0,
-        match p99_tolerance {
-            Some(t) => format!(", p99 tolerance {:.0}%", t * 100.0),
-            None => String::new(),
-        }
-    );
-    for p in &report.points {
-        let status = match (p.regressed, p.tail_regressed) {
-            (false, false) => "ok       ",
-            (true, _) => "REGRESSED",
-            (false, true) => "TAIL REGR",
-        };
-        let tail = match (p.base_lat, p.cand_lat) {
-            (Some((_, b, _)), Some((_, c, _))) => {
-                format!(
-                    "  p99 {} -> {}",
-                    bench::fmt_ns(b as u64),
-                    bench::fmt_ns(c as u64)
-                )
-            }
-            _ => String::new(),
-        };
-        println!(
-            "  {} {:>24}  {:.3} -> {:.3} Mops/s  ({:+.1}%){}",
-            status,
-            p.key,
-            p.base,
-            p.cand,
-            p.delta * 100.0,
-            tail
-        );
-    }
-    for key in &report.skipped {
-        println!("  skipped   {key:>24}  oversubscribed (threads > host cores)");
-    }
-    for key in &report.missing {
-        println!("  MISSING   {key:>24}  present in baseline, absent in candidate");
-    }
-
+    // The console and the CI step summary get the same markdown table.
+    let table = report.render_summary(&baseline, &candidate);
+    println!("{table}");
     if let Some(path) = summary {
         use std::io::Write as _;
-        let table = report.render_summary(&baseline, &candidate);
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)

@@ -6,7 +6,9 @@
 //! tolerance is a large 30% and the comparison is per *(structure, mix,
 //! threads)* point rather than aggregate, which catches a mix-specific
 //! cliff (e.g. a range-scan change tanking only `0i-0d`) that an average
-//! would smear out. The tail comparison is coarser still: percentiles
+//! would smear out. Only the run's own structure is gated — `chromatic`
+//! for a `figures` run, which measures every structure (see
+//! [`crate::structure_rows`]). The tail comparison is coarser still: percentiles
 //! come from power-of-two histogram buckets, so a single-bucket shift is
 //! already a 2× step — the default p99 tolerance (1.0, i.e. "may double")
 //! flags only a jump past one whole bucket.
@@ -144,16 +146,20 @@ struct RowInfo {
     lat: Option<(f64, f64, f64)>,
 }
 
-fn row_info(run: &Json, result: &Json) -> Option<RowInfo> {
+/// The gated rows of `run`: those of the structure it reports on
+/// ([`crate::structure_rows`]). A run of `figures` measures every
+/// registered structure, and each extra noisy cell is another chance to
+/// fail on noise, so the gate compares its `chromatic` cells only.
+fn gated_rows(run: &Json) -> Vec<RowInfo> {
+    let (structure, rows) = crate::structure_rows(run);
+    rows.into_iter()
+        .filter_map(|r| row_info(structure, r))
+        .collect()
+}
+
+fn row_info(structure: &str, result: &Json) -> Option<RowInfo> {
     let mix = result.get("mix")?.as_str()?;
     let threads = result.get("threads")?.as_f64()?;
-    // The structure lives per-run in bench_fig8 and per-result in
-    // bench_range (which can sweep several structures in one run).
-    let structure = result
-        .get("structure")
-        .or_else(|| run.get("structure"))
-        .and_then(Json::as_str)
-        .unwrap_or("?");
     let mops = result.get("mops")?.as_f64()?;
     // Absent field means "not oversubscribed": older artifacts carry no
     // provenance.
@@ -196,22 +202,9 @@ pub fn compare(
     let base_run = find_run(doc, baseline).ok_or_else(|| format!("no run labeled `{baseline}`"))?;
     let cand_run =
         find_run(doc, candidate).ok_or_else(|| format!("no run labeled `{candidate}`"))?;
-    let base_rows: Vec<RowInfo> = base_run
-        .get("results")
-        .map(|r| r.items())
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|res| row_info(base_run, res))
-        .collect();
+    let base_rows = gated_rows(base_run);
     let mut report = GateReport::default();
-    for cand_res in cand_run
-        .get("results")
-        .map(|r| r.items())
-        .unwrap_or_default()
-    {
-        let Some(cand) = row_info(cand_run, cand_res) else {
-            continue;
-        };
+    for cand in gated_rows(cand_run) {
         let Some(base) = base_rows.iter().find(|b| b.key == cand.key) else {
             continue;
         };
@@ -226,8 +219,12 @@ pub fn compare(
         };
         let gated = base.mops >= min_mops;
         let regressed = gated && cand.mops < base.mops * (1.0 - tolerance);
+        // Percentiles are bucket upper edges, 2^b - 1 ns, so the ratio is
+        // taken on edge + 1: one bucket up (511 -> 1023) is exactly 2x.
         let tail_regressed = match (p99_tolerance, base.lat, cand.lat) {
-            (Some(t), Some((_, bp99, _)), Some((_, cp99, _))) => gated && cp99 > bp99 * (1.0 + t),
+            (Some(t), Some((_, bp99, _)), Some((_, cp99, _))) => {
+                gated && cp99 + 1.0 > (bp99 + 1.0) * (1.0 + t)
+            }
             _ => false,
         };
         report.points.push(GatePoint {
@@ -278,128 +275,121 @@ fn key_order(key: &str) -> (String, String, u64) {
 mod tests {
     use super::*;
 
+    /// A two-run artifact, runs `baseline` and `pr`, both on `chromatic`.
+    fn runs(base: Vec<Json>, cand: Vec<Json>) -> Json {
+        let run = |label: &str, rows| {
+            Json::obj(vec![
+                ("label", Json::Str(label.into())),
+                ("structure", Json::Str("chromatic".into())),
+                ("results", Json::Arr(rows)),
+            ])
+        };
+        Json::obj(vec![(
+            "runs",
+            Json::Arr(vec![run("baseline", base), run("pr", cand)]),
+        )])
+    }
+
+    /// One result row, with `extra` fields beside mix, threads and Mops.
+    fn row(mix: &str, threads: f64, mops: f64, extra: Vec<(&str, Json)>) -> Json {
+        let mut fields = vec![
+            ("mix", Json::Str(mix.to_string())),
+            ("threads", Json::Num(threads)),
+            ("mops", Json::Num(mops)),
+        ];
+        fields.extend(extra);
+        Json::obj(fields)
+    }
+
+    /// 2-thread `(mix, Mops)` rows.
     fn doc(base: &[(&str, f64)], cand: &[(&str, f64)]) -> Json {
-        let results = |points: &[(&str, f64)]| {
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|(mix, mops)| {
-                        Json::obj(vec![
-                            ("mix", Json::Str(mix.to_string())),
-                            ("threads", Json::Num(2.0)),
-                            ("mops", Json::Num(*mops)),
-                        ])
-                    })
-                    .collect(),
-            )
+        let rows = |points: &[(&str, f64)]| {
+            points
+                .iter()
+                .map(|&(mix, mops)| row(mix, 2.0, mops, vec![]))
+                .collect()
         };
-        Json::obj(vec![
-            ("schema", Json::Str("bench_fig8/v1".into())),
-            (
-                "runs",
-                Json::Arr(vec![
-                    Json::obj(vec![
-                        ("label", Json::Str("baseline".into())),
-                        ("structure", Json::Str("chromatic".into())),
-                        ("results", results(base)),
-                    ]),
-                    Json::obj(vec![
-                        ("label", Json::Str("pr".into())),
-                        ("structure", Json::Str("chromatic".into())),
-                        ("results", results(cand)),
-                    ]),
-                ]),
-            ),
-        ])
+        runs(rows(base), rows(cand))
     }
 
-    /// A doc whose rows also carry latency percentiles.
+    /// 2-thread `(mix, Mops, p99)` rows that carry latency percentiles.
     fn doc_with_lat(base: &[(&str, f64, f64)], cand: &[(&str, f64, f64)]) -> Json {
-        let results = |points: &[(&str, f64, f64)]| {
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|(mix, mops, p99)| {
-                        Json::obj(vec![
-                            ("mix", Json::Str(mix.to_string())),
-                            ("threads", Json::Num(2.0)),
-                            ("mops", Json::Num(*mops)),
-                            ("p50_ns", Json::Num(p99 / 4.0)),
-                            ("p99_ns", Json::Num(*p99)),
-                            ("p999_ns", Json::Num(p99 * 4.0)),
-                        ])
-                    })
-                    .collect(),
-            )
+        let rows = |points: &[(&str, f64, f64)]| {
+            points
+                .iter()
+                .map(|&(mix, mops, p99)| {
+                    let lat = vec![
+                        ("p50_ns", Json::Num(p99 / 4.0)),
+                        ("p99_ns", Json::Num(p99)),
+                        ("p999_ns", Json::Num(p99 * 4.0)),
+                    ];
+                    row(mix, 2.0, mops, lat)
+                })
+                .collect()
         };
-        Json::obj(vec![(
-            "runs",
-            Json::Arr(vec![
-                Json::obj(vec![
-                    ("label", Json::Str("baseline".into())),
-                    ("structure", Json::Str("chromatic".into())),
-                    ("results", results(base)),
-                ]),
-                Json::obj(vec![
-                    ("label", Json::Str("pr".into())),
-                    ("structure", Json::Str("chromatic".into())),
-                    ("results", results(cand)),
-                ]),
-            ]),
-        )])
+        runs(rows(base), rows(cand))
     }
 
-    /// A doc whose result rows carry their own structure and thread
-    /// count (the bench_range shape), for exercising report ordering.
-    fn doc_multi(rows: &[(&str, &str, f64)]) -> Json {
-        let results = Json::Arr(
-            rows.iter()
-                .map(|(structure, mix, threads)| {
-                    Json::obj(vec![
-                        ("structure", Json::Str(structure.to_string())),
-                        ("mix", Json::Str(mix.to_string())),
-                        ("threads", Json::Num(*threads)),
-                        ("mops", Json::Num(1.0)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::obj(vec![(
-            "runs",
-            Json::Arr(vec![
-                Json::obj(vec![
-                    ("label", Json::Str("baseline".into())),
-                    ("results", results.clone()),
-                ]),
-                Json::obj(vec![
-                    ("label", Json::Str("pr".into())),
-                    ("results", results),
-                ]),
-            ]),
-        )])
+    /// Rows that carry their own structure, as `figures` writes them:
+    /// `(structure, mix, threads, baseline Mops, candidate Mops)`, a
+    /// candidate of `None` dropping the cell from the candidate run.
+    fn doc_multi(rows: &[(&str, &str, f64, f64, Option<f64>)]) -> Json {
+        let structure = |s: &str| vec![("structure", Json::Str(s.to_string()))];
+        let base = rows
+            .iter()
+            .map(|&(s, mix, t, mops, _)| row(mix, t, mops, structure(s)))
+            .collect();
+        let cand = rows
+            .iter()
+            .filter_map(|&(s, mix, t, _, mops)| Some(row(mix, t, mops?, structure(s))))
+            .collect();
+        runs(base, cand)
     }
 
     #[test]
     fn report_points_sort_by_structure_mix_then_numeric_threads() {
         // Jumbled input order, including the lexicographic trap: as
-        // strings, "@16" sorts before "@2".
+        // strings, "@16" sorts before "@2". (A run is gated on one
+        // structure, so every key here starts `chromatic/`.)
         let d = doc_multi(&[
-            ("zebra", "50i-50d", 2.0),
-            ("ant", "0i-0d", 16.0),
-            ("ant", "50i-50d", 4.0),
-            ("ant", "0i-0d", 2.0),
+            ("chromatic", "50i-50d", 2.0, 1.0, Some(1.0)),
+            ("chromatic", "0i-0d", 16.0, 1.0, Some(1.0)),
+            ("chromatic", "50i-50d", 4.0, 1.0, Some(1.0)),
+            ("chromatic", "0i-0d", 2.0, 1.0, Some(1.0)),
         ]);
         let r = compare(&d, "baseline", "pr", 0.30, 0.0, None).unwrap();
         let keys: Vec<&str> = r.points.iter().map(|p| p.key.as_str()).collect();
         assert_eq!(
             keys,
             vec![
-                "ant/0i-0d@2",
-                "ant/0i-0d@16",
-                "ant/50i-50d@4",
-                "zebra/50i-50d@2",
+                "chromatic/0i-0d@2",
+                "chromatic/0i-0d@16",
+                "chromatic/50i-50d@2",
+                "chromatic/50i-50d@4",
             ]
         );
+    }
+
+    #[test]
+    fn a_multi_structure_run_gates_only_its_chromatic_cells() {
+        // The other structures' cells regress 10x or vanish; neither
+        // counts. The chromatic cell alone decides.
+        let d = doc_multi(&[
+            ("lockavl", "50i-50d", 2.0, 1.0, Some(0.1)),
+            ("chromatic", "50i-50d", 2.0, 1.0, Some(0.9)),
+            ("rbstm", "50i-50d", 2.0, 1.0, None),
+        ]);
+        let r = compare(&d, "baseline", "pr", 0.30, 0.0, None).unwrap();
+        assert!(r.passed(), "{:?} {:?}", r.regressions(), r.missing);
+        let keys: Vec<&str> = r.points.iter().map(|p| p.key.as_str()).collect();
+        assert_eq!(keys, vec!["chromatic/50i-50d@2"]);
+        let d = doc_multi(&[
+            ("lockavl", "50i-50d", 2.0, 1.0, Some(1.0)),
+            ("chromatic", "50i-50d", 2.0, 1.0, Some(0.5)),
+        ]);
+        assert!(!compare(&d, "baseline", "pr", 0.30, 0.0, None)
+            .unwrap()
+            .passed());
     }
 
     #[test]
@@ -449,38 +439,20 @@ mod tests {
 
     #[test]
     fn oversubscribed_cells_are_skipped_not_gated_and_not_missing() {
-        let row = |mix: &str, threads: f64, mops: f64, over: bool| {
-            Json::obj(vec![
-                ("mix", Json::Str(mix.to_string())),
-                ("threads", Json::Num(threads)),
-                ("mops", Json::Num(mops)),
+        let row = |threads: f64, mops: f64, over: bool| {
+            let provenance = vec![
                 ("cores", Json::Num(1.0)),
                 ("oversubscribed", Json::Bool(over)),
-            ])
+            ];
+            row("0i-0d", threads, mops, provenance)
         };
-        let run = |label: &str, rows: Vec<Json>| {
-            Json::obj(vec![
-                ("label", Json::Str(label.into())),
-                ("structure", Json::Str("chromatic".into())),
-                ("results", Json::Arr(rows)),
-            ])
-        };
-        let d = Json::obj(vec![(
-            "runs",
-            Json::Arr(vec![
-                run(
-                    "baseline",
-                    vec![row("0i-0d", 1.0, 1.0, false), row("0i-0d", 4.0, 2.0, true)],
-                ),
-                run(
-                    "pr",
-                    // The 4-thread cell collapsed by 10x — but it ran
-                    // oversubscribed on a 1-core host, so it is skipped
-                    // rather than flagged, and not reported missing.
-                    vec![row("0i-0d", 1.0, 1.0, false), row("0i-0d", 4.0, 0.2, true)],
-                ),
-            ]),
-        )]);
+        // The 4-thread cell collapsed by 10x — but it ran oversubscribed
+        // on a 1-core host, so it is skipped rather than flagged, and not
+        // reported missing.
+        let d = runs(
+            vec![row(1.0, 1.0, false), row(4.0, 2.0, true)],
+            vec![row(1.0, 1.0, false), row(4.0, 0.2, true)],
+        );
         let r = compare(&d, "baseline", "pr", 0.30, 0.0, None).unwrap();
         assert!(r.passed(), "{:?}", r.regressions());
         assert!(!r.all_skipped());
@@ -489,13 +461,7 @@ mod tests {
         assert!(r.missing.is_empty());
         // One-sided oversubscription (host changed between runs) still
         // skips: the cell is incomparable either way.
-        let d = Json::obj(vec![(
-            "runs",
-            Json::Arr(vec![
-                run("baseline", vec![row("0i-0d", 4.0, 2.0, true)]),
-                run("pr", vec![row("0i-0d", 4.0, 0.2, false)]),
-            ]),
-        )]);
+        let d = runs(vec![row(4.0, 2.0, true)], vec![row(4.0, 0.2, false)]);
         let r = compare(&d, "baseline", "pr", 0.30, 0.0, None).unwrap();
         assert!(r.passed());
         // Nothing was compared — the bin must treat this as a distinct
@@ -550,6 +516,19 @@ mod tests {
         let d = doc_with_lat(&[("0i-0d", 1.0, 1000.0)], &[("0i-0d", 1.0, 2000.0)]);
         let r = compare(&d, "baseline", "pr", 0.30, 0.0, Some(1.0)).unwrap();
         assert!(r.passed(), "{:?}", r.regressions());
+    }
+
+    #[test]
+    fn one_bucket_up_between_real_bucket_edges_is_within_a_doubling() {
+        // Histogram percentiles are bucket edges 2^b - 1: 511 -> 1023 is
+        // one bucket, although 1023 > 2 × 511.
+        let d = doc_with_lat(&[("0i-0d", 1.0, 511.0)], &[("0i-0d", 1.0, 1023.0)]);
+        let r = compare(&d, "baseline", "pr", 0.30, 0.0, Some(1.0)).unwrap();
+        assert!(r.passed(), "{:?}", r.regressions());
+        // Two buckets up is a regression.
+        let d = doc_with_lat(&[("0i-0d", 1.0, 511.0)], &[("0i-0d", 1.0, 2047.0)]);
+        let r = compare(&d, "baseline", "pr", 0.30, 0.0, Some(1.0)).unwrap();
+        assert!(!r.passed());
     }
 
     #[test]

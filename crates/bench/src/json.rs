@@ -2,7 +2,7 @@
 //! artifacts (`BENCH_fig8.json`). Serde is not available offline; the bench
 //! schema is small enough that a ~150-line recursive-descent parser is the
 //! simplest dependency-free option, and having a real parser lets
-//! `bench_fig8` merge labeled runs into an existing file instead of
+//! `figures --out` merge labeled runs into an existing file instead of
 //! clobbering the baseline.
 
 use std::collections::BTreeMap;
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn truncated_input_errors_instead_of_panicking() {
         // A half-written artifact (crash mid-run) must hit the recovery
-        // path in bench_fig8, not abort it.
+        // path in `figures --out`, not abort it.
         assert!(Json::parse("\"\\u12").is_err());
         assert!(Json::parse("\"abc").is_err());
         let cut_multibyte = &"\"é\"".as_bytes()[..2];

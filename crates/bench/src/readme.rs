@@ -13,7 +13,9 @@ pub const END_MARK: &str = "<!-- readme_table:end -->";
 
 /// Renders the markdown table for one labeled run of a `bench_fig8/v1`
 /// artifact. `label = None` picks the last (most recently merged) run.
-/// Rows are mixes in artifact order; columns are thread counts.
+/// Rows are mixes in artifact order; columns are thread counts. A run
+/// whose rows carry their own `structure` (as `figures` writes them)
+/// renders its `chromatic` rows.
 pub fn bench_table(doc: &Json, label: Option<&str>) -> Result<String, String> {
     let runs = doc.get("runs").ok_or("artifact has no `runs`")?.items();
     let run = match label {
@@ -23,15 +25,16 @@ pub fn bench_table(doc: &Json, label: Option<&str>) -> Result<String, String> {
             .ok_or_else(|| format!("no run labeled `{l}`"))?,
         None => runs.last().ok_or("artifact has no runs")?,
     };
-    let results = run.get("results").ok_or("run has no `results`")?.items();
+    run.get("results").ok_or("run has no `results`")?;
+    let (structure, results) = crate::structure_rows(run);
     if results.is_empty() {
-        return Err("run has no result rows".into());
+        return Err(format!("run has no `{structure}` result rows"));
     }
 
     // Column/row orders follow first appearance in the artifact.
     let mut mixes: Vec<&str> = Vec::new();
     let mut threads: Vec<u64> = Vec::new();
-    for r in results {
+    for r in &results {
         let mix = r
             .get("mix")
             .and_then(Json::as_str)
@@ -72,7 +75,6 @@ pub fn bench_table(doc: &Json, label: Option<&str>) -> Result<String, String> {
     };
 
     let label = run.get("label").and_then(Json::as_str).unwrap_or("?");
-    let structure = run.get("structure").and_then(Json::as_str).unwrap_or("?");
     let range = run.get("range").and_then(Json::as_f64).unwrap_or(0.0);
     let secs = run
         .get("duration_secs")
@@ -134,48 +136,20 @@ mod tests {
     use super::*;
 
     fn artifact() -> Json {
-        let row = |mix: &str, t: f64, mops: f64| {
-            Json::obj(vec![
-                ("mix", Json::Str(mix.into())),
-                ("threads", Json::Num(t)),
-                ("mops", Json::Num(mops)),
-            ])
-        };
-        Json::obj(vec![
-            ("schema", Json::Str("bench_fig8/v1".into())),
-            (
-                "runs",
-                Json::Arr(vec![
-                    Json::obj(vec![
-                        ("label", Json::Str("baseline".into())),
-                        ("structure", Json::Str("chromatic".into())),
-                        ("range", Json::Num(10_000.0)),
-                        ("duration_secs", Json::Num(0.4)),
-                        ("trials", Json::Num(3.0)),
-                        (
-                            "results",
-                            Json::Arr(vec![row("50i-50d", 1.0, 0.984), row("0i-0d", 1.0, 6.778)]),
-                        ),
-                    ]),
-                    Json::obj(vec![
-                        ("label", Json::Str("optimized".into())),
-                        ("structure", Json::Str("chromatic".into())),
-                        ("range", Json::Num(10_000.0)),
-                        ("duration_secs", Json::Num(0.4)),
-                        ("trials", Json::Num(3.0)),
-                        (
-                            "results",
-                            Json::Arr(vec![
-                                row("50i-50d", 1.0, 1.756),
-                                row("50i-50d", 2.0, 0.72),
-                                row("0i-0d", 1.0, 8.5),
-                                row("0i-0d", 2.0, 9.61),
-                            ]),
-                        ),
-                    ]),
-                ]),
-            ),
-        ])
+        Json::parse(
+            r#"{"schema": "bench_fig8/v1", "runs": [
+              {"label": "baseline", "structure": "chromatic", "range": 10000,
+               "duration_secs": 0.4, "trials": 3, "results": [
+                {"mix": "50i-50d", "threads": 1, "mops": 0.984},
+                {"mix": "0i-0d", "threads": 1, "mops": 6.778}]},
+              {"label": "optimized", "structure": "chromatic", "range": 10000,
+               "duration_secs": 0.4, "trials": 3, "results": [
+                {"mix": "50i-50d", "threads": 1, "mops": 1.756},
+                {"mix": "50i-50d", "threads": 2, "mops": 0.72},
+                {"mix": "0i-0d", "threads": 1, "mops": 8.5},
+                {"mix": "0i-0d", "threads": 2, "mops": 9.61}]}]}"#,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -195,33 +169,15 @@ mod tests {
 
     #[test]
     fn p99_column_renders_from_the_lowest_thread_row() {
-        let row = |mix: &str, t: f64, mops: f64, p99: f64| {
-            Json::obj(vec![
-                ("mix", Json::Str(mix.into())),
-                ("threads", Json::Num(t)),
-                ("mops", Json::Num(mops)),
-                ("p50_ns", Json::Num(p99 / 4.0)),
-                ("p99_ns", Json::Num(p99)),
-                ("p999_ns", Json::Num(p99 * 4.0)),
-            ])
-        };
-        let doc = Json::obj(vec![(
-            "runs",
-            Json::Arr(vec![Json::obj(vec![
-                ("label", Json::Str("current".into())),
-                ("structure", Json::Str("chromatic".into())),
-                ("range", Json::Num(10_000.0)),
-                ("duration_secs", Json::Num(0.4)),
-                ("trials", Json::Num(3.0)),
-                (
-                    "results",
-                    Json::Arr(vec![
-                        row("50i-50d", 1.0, 1.0, 2047.0),
-                        row("50i-50d", 2.0, 0.7, 8191.0),
-                    ]),
-                ),
-            ])]),
-        )]);
+        let doc = Json::parse(
+            r#"{"runs": [{"label": "current", "structure": "chromatic", "range": 10000,
+              "duration_secs": 0.4, "trials": 3, "results": [
+                {"mix": "50i-50d", "threads": 1, "mops": 1.0,
+                 "p50_ns": 511, "p99_ns": 2047, "p999_ns": 8191},
+                {"mix": "50i-50d", "threads": 2, "mops": 0.7,
+                 "p50_ns": 2047, "p99_ns": 8191, "p999_ns": 32767}]}]}"#,
+        )
+        .unwrap();
         let t = bench_table(&doc, None).unwrap();
         // Header names the thread count the column reads; the cell is the
         // 1-thread p99, not the 2-thread one.
@@ -231,6 +187,24 @@ mod tests {
         let legacy = artifact();
         let t = bench_table(&legacy, Some("optimized")).unwrap();
         assert!(t.contains("| `50i-50d` | 1.76 | 0.72 | — |"), "{t}");
+    }
+
+    #[test]
+    fn a_multi_structure_run_renders_its_chromatic_rows() {
+        let doc = Json::parse(
+            r#"{"runs": [{"label": "figures", "range": 10000,
+              "duration_secs": 0.3, "trials": 2, "results": [
+                {"structure": "lockavl", "mix": "50i-50d", "threads": 1, "mops": 9.0},
+                {"structure": "chromatic", "mix": "50i-50d", "threads": 1, "mops": 1.5},
+                {"structure": "chromatic6", "mix": "50i-50d", "threads": 1, "mops": 7.0},
+                {"structure": "chromatic", "mix": "0i-0d", "threads": 1, "mops": 8.25}]}]}"#,
+        )
+        .unwrap();
+        let t = bench_table(&doc, None).unwrap();
+        assert!(t.contains("structure `chromatic`"), "{t}");
+        assert!(t.contains("| `50i-50d` | 1.50 |"), "{t}");
+        assert!(t.contains("| `0i-0d` | 8.25 |"), "{t}");
+        assert!(!t.contains("9.00") && !t.contains("7.00"), "{t}");
     }
 
     #[test]

@@ -114,6 +114,45 @@ fn high_contention_small_range() {
     }
 }
 
+/// §5.3 under concurrency: after two threads churn a 2^10-key tree, the
+/// quiescent tree is at most `2⌈log2(n+1)⌉ + 2 + k` nodes tall, `k` being
+/// the violations it allows per path.
+#[test]
+fn churned_tree_height_stays_within_the_5_3_bound() {
+    const RANGE: u64 = 1 << 10;
+    for k in [0u32, 6] {
+        let t = ChromaticTree::with_allowed_violations(k);
+        for key in 0..RANGE {
+            t.insert(key, key);
+        }
+        std::thread::scope(|s| {
+            for tid in 0..2u64 {
+                let t = &t;
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(tid);
+                    for _ in 0..50_000 {
+                        let key = rng.gen_range(0..RANGE);
+                        if rng.gen_bool(0.5) {
+                            t.insert(key, key);
+                        } else {
+                            t.remove(&key);
+                        }
+                    }
+                });
+            }
+        });
+        audit_with_policy(&t, k);
+        let report = t.audit();
+        let n = report.keys;
+        let bound = 2 * (n + 1).next_power_of_two().trailing_zeros() as usize + 2 + k as usize;
+        assert!(
+            report.height <= bound,
+            "k = {k}: height {} exceeds {bound} with {n} keys",
+            report.height
+        );
+    }
+}
+
 /// Readers run linearizable ordered queries while writers churn; successor
 /// chains must always be strictly increasing and within the key universe.
 #[test]

@@ -319,8 +319,8 @@ mod tests {
 
     #[test]
     fn the_repo_itself_is_clean() {
-        // The gate's own acceptance criterion, run as a unit test too:
-        // CARGO_MANIFEST_DIR is crates/bench, two levels below the root.
+        // The gate's own acceptance check, run as a unit test too:
+        // CARGO_MANIFEST_DIR is crates/lint, two levels below the root.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .unwrap()

@@ -150,8 +150,7 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
 }
 
 /// `Arc`'d maps forward too: shared-ownership front ends (the batched
-/// service, the harness's `all_maps`) hand the same structure to many
-/// clients without re-boxing.
+/// service) hand the same structure to many clients without re-boxing.
 impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     fn name(&self) -> &'static str {
         (**self).name()

@@ -4,7 +4,8 @@
 //! the Java Class Library's `ConcurrentSkipListMap` ("SkipList" in the
 //! paper's Figure 8). Deleted nodes are *marked* by tagging their `next`
 //! pointers (bit 0 of the pointer word) and then physically unlinked by
-//! subsequent `find` traversals; memory is reclaimed with crossbeam-epoch.
+//! subsequent `find` traversals; memory is reclaimed with crossbeam-epoch
+//! once no level links the node (see `SkipListMap::vote_retire`).
 //!
 //! Updates are simple single-CAS events at the bottom level (towers above
 //! are best-effort), which is why skip lists scale so well on update-heavy
@@ -12,7 +13,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 use llxscx::guard_cache::with_guard;
@@ -25,11 +26,67 @@ struct SkipNode<K, V> {
     key: Option<K>, // None = head sentinel (−∞)
     value: Option<V>,
     next: Vec<Atomic<SkipNode<K, V>>>,
+    /// Retirement votes cast so far (see `SkipListMap::vote_retire`).
+    votes: AtomicU8,
+    /// Test builds only: the [`audit`] tick of the node's retirement, 0
+    /// while it is live.
+    #[cfg(test)]
+    retired_at: std::sync::atomic::AtomicU64,
 }
 
 impl<K, V> SkipNode<K, V> {
+    /// A node with `height` null links.
+    fn new(key: Option<K>, value: Option<V>, height: usize) -> Self {
+        SkipNode {
+            key,
+            value,
+            next: (0..height).map(|_| Atomic::null()).collect(),
+            votes: AtomicU8::new(0),
+            #[cfg(test)]
+            retired_at: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
     fn height(&self) -> usize {
         self.next.len()
+    }
+}
+
+/// Test builds only: checks that no walk reaches a node retired before
+/// the walk started. Epoch reclamation frees a retired node once every
+/// thread pinned at its retirement has unpinned, so a `find` or `get`
+/// that starts later and still reaches it would read freed memory. Test
+/// builds never free retired nodes; they stamp each with a tick of one
+/// global clock instead, and every walk panics on reaching a node
+/// stamped before it started.
+#[cfg(test)]
+mod audit {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static CLOCK: AtomicU64 = AtomicU64::new(1);
+
+    /// The tick a walk starting now compares stamps against.
+    pub(crate) fn now() -> u64 {
+        // SEQCST: a stamp below this tick must come before this load in
+        // the one total order of the clock's accesses.
+        CLOCK.load(Ordering::SeqCst)
+    }
+
+    /// Stamps a node at its retirement.
+    pub(crate) fn retire(stamp: &AtomicU64) {
+        // SEQCST: orders the tick against `now` in other threads.
+        let tick = CLOCK.fetch_add(1, Ordering::SeqCst);
+        stamp.store(tick, Ordering::Release);
+    }
+
+    /// Panics if a walk that started at `started` reached a node retired
+    /// before then.
+    pub(crate) fn visit(stamp: &AtomicU64, started: u64) {
+        let retired = stamp.load(Ordering::Acquire);
+        assert!(
+            retired == 0 || retired >= started,
+            "a walk that started at tick {started} reached a node retired at tick {retired}"
+        );
     }
 }
 
@@ -81,13 +138,8 @@ where
 {
     /// An empty map.
     pub fn new() -> Self {
-        let head = SkipNode {
-            key: None,
-            value: None,
-            next: (0..MAX_LEVEL).map(|_| Atomic::null()).collect(),
-        };
         SkipListMap {
-            head: Atomic::from(Owned::new(head)),
+            head: Atomic::from(Owned::new(SkipNode::new(None, None, MAX_LEVEL))),
         }
     }
 
@@ -98,7 +150,20 @@ where
 
     /// Harris–Michael find with physical unlinking of marked nodes.
     /// Restarts internally when a CAS to unlink fails.
+    ///
+    /// A find for `key` that starts after a marked node keyed `key` was
+    /// last linked leaves it linked at no level. Every node the walk steps
+    /// from was unmarked, so linked at each level of its tower, at some
+    /// instant after the walk started (levels are marked top-down), and
+    /// its links from then on, even frozen by a later mark, still lead to
+    /// every node linked after it then. So the walk cannot step past the
+    /// node at a level that links it, and it stops only at an unmarked
+    /// node with a key ≥ `key`, which `insert` never links in front of a
+    /// dying node with its key: it unlinks the node wherever it is
+    /// linked. `vote_retire` relies on this.
     fn find<'g>(&self, key: &K, guard: &'g Guard) -> FindResult<'g, K, V> {
+        #[cfg(test)]
+        let started = audit::now();
         'retry: loop {
             let mut preds = [Shared::null(); MAX_LEVEL];
             let mut succs = [Shared::null(); MAX_LEVEL];
@@ -117,6 +182,8 @@ where
                     // SAFETY: `curr` is non-null (loop condition) and was read from a live link
                     // under `guard`; unlinked nodes are epoch-retired, not freed.
                     let curr_ref = unsafe { curr.deref() };
+                    #[cfg(test)]
+                    audit::visit(&curr_ref.retired_at, started);
                     // SEQCST: pairs with the marking CASes' total order.
                     let succ = curr_ref.next[level].load(Ordering::SeqCst, guard);
                     if succ.tag() == 1 {
@@ -136,19 +203,9 @@ where
                         if !unlinked {
                             continue 'retry;
                         }
-                        if level == 0 {
-                            // Fully unlinked at the bottom: retire. Towers
-                            // above were unlinked first (find descends),
-                            // and any remaining links are cleaned by other
-                            // finds before they can be traversed... they
-                            // can still be traversed, which is why the
-                            // retirement is epoch-deferred.
-                            // SAFETY: the CAS above removed the only level-`level` link to `curr`;
-                            // level 0 is the last unlink, after which no new traversal can reach it.
-                            unsafe {
-                                guard.defer_destroy(curr);
-                            }
-                        }
+                        // Not retired here: an insert still building the
+                        // tower may link `curr` at a level this walk has
+                        // already passed (see `vote_retire`).
                         curr = succ.with_tag(0);
                         continue;
                     }
@@ -179,8 +236,9 @@ where
     /// Looks up `key` with a wait-free traversal (no unlinking).
     pub fn get(&self, key: &K) -> Option<V> {
         with_guard(|guard| {
+            #[cfg(test)]
+            let started = audit::now();
             let mut pred = self.head(guard);
-            let mut result = None;
             for level in (0..MAX_LEVEL).rev() {
                 // SAFETY: list nodes under `guard`.
                 let mut curr = unsafe { pred.deref() }.next[level]
@@ -190,6 +248,8 @@ where
                 while !curr.is_null() {
                     // SAFETY: `curr` is non-null (loop condition) and alive under `guard`.
                     let curr_ref = unsafe { curr.deref() };
+                    #[cfg(test)]
+                    audit::visit(&curr_ref.retired_at, started);
                     // SEQCST: pairs with the marking CASes' total order.
                     let succ = curr_ref.next[level].load(Ordering::SeqCst, guard);
                     let marked = succ.tag() == 1;
@@ -198,15 +258,12 @@ where
                             pred = curr;
                             curr = succ.with_tag(0);
                         }
-                        Some(k) if k == key && !marked => {
-                            result = curr_ref.value.clone();
-                            return result;
-                        }
+                        Some(k) if k == key && !marked => return curr_ref.value.clone(),
                         _ => break,
                     }
                 }
             }
-            result
+            None
         })
     }
 
@@ -234,16 +291,28 @@ where
                         previous = old;
                         // Physically unlink before inserting the replacement.
                         let _ = self.find(&key, guard);
+                        Self::vote_retire(existing, guard);
                     }
                     // (On a lost race the key may reappear; re-find either way.)
                     continue;
                 }
-                let height = random_height();
-                let node = Owned::new(SkipNode {
-                    key: Some(key.clone()),
-                    value: Some(value.clone()),
-                    next: (0..height).map(|_| Atomic::null()).collect(),
+                // An upper level may still show a node with this key that
+                // the bottom level, read later, no longer has: it is being
+                // deleted. A tower linked in front of it would hide it from
+                // its deleter's `find`, so find again until it is gone.
+                let dying = f.succs[1..].iter().any(|s| {
+                    // SAFETY: `find` returned `s` under `guard`; null is skipped.
+                    unsafe { s.as_ref() }.is_some_and(|n| n.key.as_ref() == Some(&key))
                 });
+                if dying {
+                    continue;
+                }
+                let height = random_height();
+                let node = Owned::new(SkipNode::new(
+                    Some(key.clone()),
+                    Some(value.clone()),
+                    height,
+                ));
                 for (level, nxt) in node.next.iter().enumerate().take(height) {
                     nxt.store(f.succs[level], Ordering::Relaxed);
                 }
@@ -261,14 +330,14 @@ where
                     continue;
                 }
                 // Best-effort tower construction.
-                for level in 1..height {
+                'tower: for level in 1..height {
                     loop {
                         let succ =
                             // SAFETY: `node` is this insert's own allocation, published under `guard`.
                             // SEQCST: pairs with the marking CASes' total order.
                             unsafe { node.deref() }.next[level].load(Ordering::SeqCst, guard);
                         if succ.tag() == 1 {
-                            return previous; // concurrently deleted; done
+                            break 'tower; // concurrently deleted; done
                         }
                         let pred = f.preds[level];
                         // SAFETY: `preds[level]` was reached by `find` under `guard`.
@@ -288,7 +357,7 @@ where
                         // Re-find to refresh preds/succs for this level.
                         let f2 = self.find(&key, guard);
                         if f2.found != Some(node) {
-                            return previous; // deleted meanwhile
+                            break 'tower; // deleted meanwhile
                         }
                         let expected = f2.succs[level];
                         // SAFETY: `node` is this insert's own allocation, alive under `guard`.
@@ -303,7 +372,7 @@ where
                             )
                             .is_err()
                         {
-                            return previous; // marked underneath us
+                            break 'tower; // marked underneath us
                         }
                         // SAFETY: fresh predecessor from the re-run `find`, reached under `guard`.
                         if unsafe { f2.preds[level].deref() }.next[level]
@@ -321,9 +390,50 @@ where
                         }
                     }
                 }
+                // A delete that won the mark before the last tower link
+                // may have run its unlinking `find` too early to see it.
+                // SAFETY: `node` is this insert's own allocation, alive under `guard`.
+                let next = &unsafe { node.deref() }.next[0];
+                // SEQCST: pairs with the marking CASes' total order.
+                if next.load(Ordering::SeqCst, guard).tag() == 1 {
+                    let _ = self.find(&key, guard);
+                }
+                Self::vote_retire(node, guard);
                 return previous;
             }
         })
+    }
+
+    /// Casts one of a node's two retirement votes; the second retires it.
+    ///
+    /// A node may not be retired at its bottom-level unlink: a `find` for
+    /// another key unlinks it there without passing its upper levels, and
+    /// the insert that published it may still be linking its tower. So two
+    /// parties vote: the delete that won the bottom-level mark, after a
+    /// `find` for the node's key, and the insert once its tower is
+    /// finished, after a `find` too if the node was deleted by then. One
+    /// of those finds starts after the node's last link, and a `find` for
+    /// a key leaves no marked node with that key linked at any level (see
+    /// [`find`](Self::find)). So at the second vote no level links the
+    /// node, and only traversals already pinned can still reach it.
+    fn vote_retire<'g>(node: Shared<'g, SkipNode<K, V>>, guard: &'g Guard) {
+        // SAFETY: both voters reached `node` under `guard`, and it is not
+        // retired before the second vote.
+        let node_ref = unsafe { node.deref() };
+        if node_ref.votes.fetch_add(1, Ordering::AcqRel) == 1 {
+            // Test builds keep the node for the audit instead.
+            #[cfg(test)]
+            {
+                let _ = guard;
+                audit::retire(&node_ref.retired_at);
+            }
+            #[cfg(not(test))]
+            // SAFETY: the second vote: no level links the node any more
+            // (see above), so only threads pinned now can reach it.
+            unsafe {
+                guard.defer_destroy(node);
+            }
+        }
     }
 
     /// Marks every level of `node`, bottom last. Returns `true` iff this
@@ -385,8 +495,9 @@ where
                 // SAFETY: `find` returned `node` non-null under `guard`.
                 let value = unsafe { node.deref() }.value.clone();
                 if self.mark_node(node, guard) {
-                    // Physically unlink (also retires the node).
+                    // Physically unlink, then vote to retire.
                     let _ = self.find(key, guard);
+                    Self::vote_retire(node, guard);
                     return value;
                 }
                 // Lost the race; the key may have been re-inserted — retry.
@@ -687,5 +798,34 @@ mod tests {
             assert!(w[0].0 < w[1].0);
         }
         assert!(snap.iter().all(|(k, _)| *k < 64));
+    }
+
+    /// Replaces and removes race on four keys, so deletes keep meeting
+    /// nodes whose inserts are still linking their towers, and finds for
+    /// neighbouring keys unlink those nodes at the bottom level without
+    /// passing their upper levels. The [`audit`] makes every walk panic
+    /// if it reaches a node retired before the walk started, i.e. a node
+    /// retired while some level still linked it.
+    #[test]
+    fn no_walk_reaches_a_node_retired_before_it_started() {
+        let m = SkipListMap::new();
+        std::thread::scope(|s| {
+            for tid in 0..4u64 {
+                let m = &m;
+                s.spawn(move || {
+                    use rand::{rngs::StdRng, Rng, SeedableRng};
+                    let mut rng = StdRng::seed_from_u64(tid);
+                    for i in 0..100_000u64 {
+                        let k = rng.gen_range(0..4u64);
+                        let _ = match rng.gen_range(0..3) {
+                            0 => m.insert(k, i),
+                            1 => m.remove(&k),
+                            _ => m.get(&k),
+                        };
+                    }
+                });
+            }
+        });
+        assert!(m.collect().iter().all(|(k, _)| *k < 4));
     }
 }

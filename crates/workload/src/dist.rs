@@ -12,19 +12,16 @@
 //! bijective mixer (cycle-walking over the next power of two), so the
 //! hot keys are spread across the key space rather than packed into a
 //! few adjacent tree leaves: skew stresses *contention*, not leaf
-//! locality (clustering is a separate axis, `Mix::with_run`). For key
-//! ranges beyond [`ZIPF_EXACT_RANKS`] the head stays exact and the tail
-//! is approximated as uniform with the tail's aggregate mass (the head
-//! holds almost all of it at any interesting θ).
+//! locality. For key ranges beyond [`ZIPF_EXACT_RANKS`] the head stays
+//! exact and the tail is approximated as uniform with the tail's
+//! aggregate mass (the head holds almost all of it at any interesting θ).
 
 use rand::{rngs::StdRng, Rng, RngCore};
 
 /// How keys are drawn from the key range `[0, range)`.
 ///
-/// `θ` and the hot-set fractions are stored in integer percent so `Mix`
-/// (which embeds a `KeyDist`) stays `Copy + Eq` and usable in `const`
-/// contexts; the public builders ([`crate::Mix::with_zipf`],
-/// [`crate::Mix::with_hot_set`]) take the natural units.
+/// `θ` and the hot-set fractions are stored in integer percent so a
+/// `KeyDist` stays `Copy + Eq` and usable in `const` contexts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyDist {
     /// Every key equally likely — the paper's methodology and the
@@ -50,8 +47,7 @@ pub enum KeyDist {
 }
 
 impl KeyDist {
-    /// Short label fragment used by `Mix::label` (`z0.90`, `h10x90`,
-    /// empty for uniform).
+    /// Whether the distribution draws every key with equal probability.
     pub fn is_uniform(&self) -> bool {
         matches!(self, KeyDist::Uniform)
             || matches!(self, KeyDist::Zipfian { theta_pct: 0 })

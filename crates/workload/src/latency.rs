@@ -1,6 +1,6 @@
 //! Allocation-free per-operation latency recording for the measurement
 //! harness: a fixed 64-bucket power-of-two histogram (`[u64; 64]`, one
-//! per worker per op kind — no atomics, no heap, no locks anywhere near
+//! per worker — no atomics, no heap, no locks anywhere near
 //! the measured loop), merged after the workers join, with percentile
 //! extraction for the bench artifacts (`p50_ns` / `p99_ns` / `p999_ns`).
 //!
@@ -123,77 +123,6 @@ impl Histogram {
     }
 }
 
-/// The operation kinds the harness distinguishes when recording.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum OpKind {
-    /// `insert` (and `insert_batch` calls in batched mixes).
-    Insert = 0,
-    /// `remove` (and `remove_batch`).
-    Remove = 1,
-    /// `get` (and `get_batch`).
-    Get = 2,
-    /// Ordered `range` scans.
-    Range = 3,
-    /// Read-modify-write (`get` + `insert` as one timed op).
-    Rmw = 4,
-}
-
-/// Number of [`OpKind`] variants.
-pub const KINDS: usize = 5;
-
-/// One histogram per op kind — the per-worker recording unit
-/// (`5 × 512 B` of plain counters, stack/inline, no sharing).
-#[derive(Clone, Copy, Debug)]
-pub struct OpHistograms {
-    hists: [Histogram; KINDS],
-}
-
-impl Default for OpHistograms {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OpHistograms {
-    /// All-empty histograms.
-    pub const fn new() -> OpHistograms {
-        OpHistograms {
-            hists: [Histogram::new(); KINDS],
-        }
-    }
-
-    /// Records a sample under an op-kind index (`OpKind as u8`,
-    /// pre-generated alongside the key stream).
-    #[inline]
-    pub fn record(&mut self, kind: u8, ns: u64) {
-        self.hists[kind as usize].record(ns);
-    }
-
-    /// The histogram of one kind.
-    pub fn kind(&self, kind: OpKind) -> &Histogram {
-        &self.hists[kind as u8 as usize]
-    }
-
-    /// Merges another set (worker → trial, trial → run).
-    pub fn merge(&mut self, other: &OpHistograms) {
-        for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
-            a.merge(b);
-        }
-    }
-
-    /// All kinds folded into one distribution — what the artifact
-    /// percentiles summarize (a row is a single mix, so the blend is the
-    /// workload's own op blend).
-    pub fn merged(&self) -> Histogram {
-        let mut out = Histogram::new();
-        for h in &self.hists {
-            out.merge(h);
-        }
-        out
-    }
-}
-
 // --- clock ----------------------------------------------------------------
 
 /// An opaque timestamp in clock units (TSC ticks on x86-64, nanoseconds
@@ -263,29 +192,6 @@ fn instant_ns() -> u64 {
         .get_or_init(std::time::Instant::now)
         .elapsed()
         .as_nanos() as u64
-}
-
-/// `p50_ns` / `p99_ns` / `p999_ns` of one merged distribution — the
-/// summary the bench artifacts embed per result row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Median op latency in nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile op latency in nanoseconds.
-    pub p99_ns: u64,
-    /// 99.9th-percentile op latency in nanoseconds.
-    pub p999_ns: u64,
-}
-
-impl LatencySummary {
-    /// Summarizes a histogram.
-    pub fn of(h: &Histogram) -> LatencySummary {
-        LatencySummary {
-            p50_ns: h.p50(),
-            p99_ns: h.p99(),
-            p999_ns: h.p999(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -379,22 +285,6 @@ mod tests {
             one.record(i * 7 + 1);
         }
         assert_eq!(one.counts, ab.counts);
-    }
-
-    #[test]
-    fn op_histograms_split_and_merge_by_kind() {
-        let mut h = OpHistograms::new();
-        h.record(OpKind::Insert as u8, 100);
-        h.record(OpKind::Insert as u8, 200);
-        h.record(OpKind::Get as u8, 50);
-        assert_eq!(h.kind(OpKind::Insert).count(), 2);
-        assert_eq!(h.kind(OpKind::Get).count(), 1);
-        assert_eq!(h.kind(OpKind::Range).count(), 0);
-        assert_eq!(h.merged().count(), 3);
-        let mut other = OpHistograms::new();
-        other.record(OpKind::Rmw as u8, 9);
-        h.merge(&other);
-        assert_eq!(h.merged().count(), 4);
     }
 
     #[test]
