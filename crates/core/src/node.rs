@@ -13,19 +13,26 @@ use llxscx::{Record, RecordHeader};
 /// change them replace the node by a fresh copy. `key = None` encodes the
 /// sentinel key `∞`, which is larger than every dictionary key.
 ///
-/// Cache-line aligned: a search touches one node per level, and without
-/// alignment a ~72-byte node (for word-sized keys) straddles two lines,
-/// doubling the miss cost of every hop; alignment also keeps the hot
-/// `info`/`marked` header words of different nodes out of each other's
-/// lines (false sharing under concurrent freezing).
+/// One cache line for word-sized keys: the weight lives in the header's
+/// immutable word ([`RecordHeader::meta`]), which fills the header's
+/// padding, so `Node<u64, u64>` is `key` + `value` (16 B each), the
+/// 16-byte header and two child pointers — exactly 64 bytes. A search
+/// touches one node per level and pays one miss per hop; the alignment
+/// keeps every node on a line of its own, so a node never straddles two
+/// lines and the `info`/`marked` words of different nodes never share
+/// one (false sharing under concurrent freezing).
 #[repr(align(64))]
 pub struct Node<K, V> {
     header: RecordHeader<Self>,
     children: [Atomic<Self>; 2],
     key: Option<K>,
     value: Option<V>,
-    weight: u32,
 }
+
+// Any field that pushes a word-sized node back onto two lines fails the build.
+const _: () = assert!(
+    std::mem::size_of::<Node<u64, u64>>() == 64 && std::mem::align_of::<Node<u64, u64>>() == 64
+);
 
 impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Record for Node<K, V> {
     const ARITY: usize = 2;
@@ -47,11 +54,10 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Node<K, V> {
     /// cache turns those aligned allocate/free pairs into pointer pushes.
     pub fn leaf(key: Option<K>, value: Option<V>, weight: u32) -> Owned<Self> {
         llxscx::slab::alloc_owned(Node {
-            header: RecordHeader::new(),
+            header: RecordHeader::with_meta(weight),
             children: [Atomic::null(), Atomic::null()],
             key,
             value,
-            weight,
         })
     }
 
@@ -67,11 +73,10 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Node<K, V> {
         right: Shared<'_, Self>,
     ) -> Owned<Self> {
         let node = Node {
-            header: RecordHeader::new(),
+            header: RecordHeader::with_meta(weight),
             children: [Atomic::null(), Atomic::null()],
             key,
             value: None,
-            weight,
         };
         node.children[0].store(left, Ordering::Release);
         node.children[1].store(right, Ordering::Release);
@@ -93,7 +98,7 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Node<K, V> {
     /// The node's weight (0 = red, 1 = black, >1 = overweight).
     #[inline]
     pub fn weight(&self) -> u32 {
-        self.weight
+        self.header.meta()
     }
 
     /// Whether this node carries the sentinel key `∞`.
@@ -179,6 +184,7 @@ mod tests {
         assert!(!n.key_eq(&0));
         assert!(n.is_sentinel_key());
         assert!(n.is_leaf(guard));
+        assert_eq!(n.weight(), 1);
         // SAFETY: test-local node; disposed exactly once.
         unsafe { llxscx::reclaim::dispose_record(leaf.as_raw()) };
     }
@@ -187,8 +193,8 @@ mod tests {
     fn leaf_vs_internal() {
         let guard = &pin();
         let a = Node::leaf(Some(1u64), Some(10u64), 1).into_shared(guard);
-        let b = Node::leaf(Some(2u64), Some(20u64), 1).into_shared(guard);
-        let p = Node::internal(Some(2u64), 1, a, b).into_shared(guard);
+        let b = Node::leaf(Some(2u64), Some(20u64), 0).into_shared(guard);
+        let p = Node::internal(Some(2u64), 2, a, b).into_shared(guard);
         // SAFETY: freshly allocated internal node; never shared.
         let pn = unsafe { p.deref() };
         assert!(!pn.is_leaf(guard));
@@ -196,6 +202,10 @@ mod tests {
         assert_eq!(pn.read_child(1, guard), b);
         assert!(pn.route_left(&1));
         assert!(!pn.route_left(&2));
+        // Each constructor keeps its own weight: black, red, overweight.
+        // SAFETY: freshly allocated leaves; never shared.
+        let (an, bn) = unsafe { (a.deref(), b.deref()) };
+        assert_eq!((an.weight(), bn.weight(), pn.weight()), (1, 0, 2));
         // SAFETY: test-local nodes; each disposed exactly once.
         unsafe {
             llxscx::reclaim::dispose_record(a.as_raw());

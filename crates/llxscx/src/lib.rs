@@ -16,7 +16,11 @@
 //! the per-node synchronization metadata: an `info` word naming the last
 //! SCX that froze the node (its thread's [descriptor](descriptor::ScxRecord)
 //! and sequence number), and a `marked` bit indicating the node is
-//! *finalized* (logically deleted).
+//! *finalized* (logically deleted). The header also holds one immutable
+//! `u32` that belongs to the record ([`RecordHeader::with_meta`],
+//! [`RecordHeader::meta`]); it sits in what would otherwise be the
+//! header's padding, and the chromatic tree keeps its weight there so a
+//! node with word-sized keys fits one 64-byte cache line.
 //!
 //! ## Semantics (informal)
 //!

@@ -28,20 +28,42 @@ pub const MAX_V: usize = 8;
 /// fields may only be changed on behalf of that SCX. `marked` is set when
 /// the node is finalized by a committed SCX; a finalized node's mutable
 /// fields never change again.
+///
+/// `meta` is one immutable word that belongs to the record, not to the
+/// primitives: set once by [`with_meta`](Self::with_meta) and read back
+/// with a plain load by [`meta`](Self::meta). It fills bytes that the
+/// header's 8-byte alignment would otherwise pad (`info` 8 B + `marked`
+/// 1 B round up to 16 B either way), so a record can keep a small
+/// immutable field — the chromatic tree's weight — without growing. LLX,
+/// SCX and VLX never read it. `info` and `marked` are crate-private, so
+/// record code cannot write the synchronization state.
 pub struct RecordHeader<N> {
     pub(crate) info: AtomicU64,
     pub(crate) marked: AtomicBool,
+    meta: u32,
     _record: PhantomData<fn() -> N>,
 }
 
 impl<N> RecordHeader<N> {
-    /// A fresh header: never frozen, not finalized.
+    /// A fresh header: never frozen, not finalized, `meta` 0.
     pub fn new() -> Self {
+        Self::with_meta(0)
+    }
+
+    /// A fresh header carrying the record's immutable word `meta`.
+    pub fn with_meta(meta: u32) -> Self {
         RecordHeader {
             info: AtomicU64::new(0),
             marked: AtomicBool::new(false),
+            meta,
             _record: PhantomData,
         }
+    }
+
+    /// The immutable word given to [`with_meta`](Self::with_meta).
+    #[inline]
+    pub fn meta(&self) -> u32 {
+        self.meta
     }
 
     /// Whether the node has been finalized (removed from the tree).

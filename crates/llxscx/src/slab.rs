@@ -36,8 +36,8 @@ use std::cell::RefCell;
 /// retirements in bursts — when the epoch stalls a burst spans a whole
 /// scheduler rotation (tens of thousands of records) — so the cap is sized
 /// for bursts, not steady state; beyond it, slots go back to the global
-/// allocator. 4096 × 128-byte nodes = 512 KiB per thread, the price of
-/// keeping the update path allocator-free through a worst-case burst.
+/// allocator. 4096 × 64-byte tree nodes = 256 KiB per thread, the price
+/// of keeping the update path allocator-free through a worst-case burst.
 pub const SLAB_CAP: usize = 4096;
 
 struct SlabClass {
