@@ -139,13 +139,27 @@ pub fn flush() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// Runs collection passes until `ran` is set. Other test threads'
+    /// pins can hold the epoch back for any fixed number of passes, but
+    /// not for this long.
+    fn flush_until(ran: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        // SEQCST: test-only; SC keeps the interleaving argument trivial.
+        while !ran.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "deferred closure never ran");
+            flush();
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn cached_guard_spans_calls_and_repins() {
         // Warm the cache, then verify a value deferred under one call is
         // not executed while the cache is warm but is executed after enough
         // calls to cross a repin boundary (plus collection passes).
-        use std::sync::atomic::{AtomicBool, Ordering};
         static RAN: AtomicBool = AtomicBool::new(false);
         // SAFETY: the deferred closure only touches a `'static` atomic.
         // SEQCST: test-only; SC keeps the interleaving argument trivial.
@@ -153,13 +167,7 @@ mod tests {
         for _ in 0..(REPIN_OPS * 8) {
             with_guard(|_| ());
         }
-        flush();
-        // Other test threads may be pinned; drive a few extra collections.
-        for _ in 0..64 {
-            flush();
-        }
-        // SEQCST: test-only; SC keeps the interleaving argument trivial.
-        assert!(RAN.load(Ordering::SeqCst));
+        flush_until(&RAN);
     }
 
     #[test]
@@ -177,7 +185,6 @@ mod tests {
         // cached pin warm. (The actual free also needs the global epoch to
         // advance twice, hence the trailing flush loop, same as the
         // unweighted test above.)
-        use std::sync::atomic::{AtomicBool, Ordering};
         static RAN_W: AtomicBool = AtomicBool::new(false);
         // SAFETY: the deferred closure only touches a `'static` atomic.
         with_guard_weighted(REPIN_OPS, |g| unsafe {
@@ -187,12 +194,7 @@ mod tests {
         for _ in 0..8 {
             with_guard_weighted(REPIN_OPS, |_| ());
         }
-        flush();
-        for _ in 0..64 {
-            flush();
-        }
-        // SEQCST: test-only; SC keeps the interleaving argument trivial.
-        assert!(RAN_W.load(Ordering::SeqCst));
+        flush_until(&RAN_W);
     }
 
     #[test]

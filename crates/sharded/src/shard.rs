@@ -38,9 +38,10 @@ use crate::map::ConcurrentMap;
 /// entry point — so a shard type with a native bulk path (the chromatic
 /// tree's sorted-bulk insert with its chunked weighted epoch pins,
 /// `llxscx::guard_cache::with_guard_weighted`) gets the entire group to
-/// amortize over. Batches are *not* atomic: each element linearizes
-/// individually, in ascending key order per shard (elements with equal
-/// keys keep their batch order).
+/// amortize over. A group of one key has nothing to amortize and takes
+/// the shard's point op instead. Batches are *not* atomic: each element
+/// linearizes individually, in ascending key order per shard (elements
+/// with equal keys keep their batch order).
 ///
 /// # Example
 ///
@@ -245,12 +246,29 @@ impl<M: ConcurrentMap> ShardedMap<M> {
     /// and the resulting batch-long reclamation stall (a garbage wave of
     /// hundreds of nodes re-entering the allocator cold at the group
     /// boundary) cost more than the saved pin traffic.
+    ///
+    /// **A one-key group takes the shard's `point` op instead.** With one
+    /// key there is no search-path prefix to share, no run to merge and
+    /// no pin to amortize, so the batch path would only add cost: a group
+    /// vector, a result vector and the shard's bulk set-up (sortedness
+    /// probe, chunk loop, weighted pin). The point op is the paper's
+    /// plain one-leaf update, and its result goes straight into `out`; a
+    /// batch of one element also skips the index vector and the sort.
+    /// This is the common case, not an edge: the batched service splits a
+    /// uniform 50/50 flush into same-kind runs of about two ops, which
+    /// over eight shards leave one key per group. The rule follows from
+    /// the group size alone and changes no result — every element still
+    /// linearizes individually, in ascending key order per shard.
     fn run_grouped<T: Copy>(
         &self,
         batch: &[T],
         key_of: impl Fn(&T) -> u64,
+        point: impl Fn(&M, &T) -> Option<u64>,
         run: impl Fn(&M, &[T]) -> Vec<Option<u64>>,
     ) -> Vec<Option<u64>> {
+        if let [one] = batch {
+            return vec![point(&self.shards[self.shard_of(key_of(one))], one)];
+        }
         // Route every element exactly once (the sort below would otherwise
         // rerun the boundary-table binary search O(n log n) times through
         // its comparator, on the hot path batching exists to slim down).
@@ -275,21 +293,28 @@ impl<M: ConcurrentMap> ShardedMap<M> {
             while end < order.len() && order[end].0 == shard_idx {
                 end += 1;
             }
-            group.clear();
-            group.extend(order[start..end].iter().map(|&(_, _, i)| batch[i]));
-            let results = run(&self.shards[shard_idx], &group);
-            // The trait contract: one result per element, in input order.
-            // A shard impl that returns a short vector must fail loudly
-            // here, not silently scatter `None` into the unpaired tail.
-            assert_eq!(
-                results.len(),
-                end - start,
-                "shard batch op returned {} results for {} elements",
-                results.len(),
-                end - start
-            );
-            for (&(_, _, i), r) in order[start..end].iter().zip(results) {
-                out[i] = r;
+            let shard = &self.shards[shard_idx];
+            if end - start == 1 {
+                let i = order[start].2;
+                out[i] = point(shard, &batch[i]);
+            } else {
+                group.clear();
+                group.extend(order[start..end].iter().map(|&(_, _, i)| batch[i]));
+                let results = run(shard, &group);
+                // The trait contract: one result per element, in input
+                // order. A shard impl that returns a short vector must fail
+                // loudly here, not silently scatter `None` into the
+                // unpaired tail.
+                assert_eq!(
+                    results.len(),
+                    end - start,
+                    "shard batch op returned {} results for {} elements",
+                    results.len(),
+                    end - start
+                );
+                for (&(_, _, i), r) in order[start..end].iter().zip(results) {
+                    out[i] = r;
+                }
             }
             start = end;
         }
@@ -337,13 +362,23 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
         self.shards.iter().map(|s| s.len()).sum()
     }
     fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        self.run_grouped(batch, |(k, _)| *k, |shard, group| shard.insert_batch(group))
+        self.run_grouped(
+            batch,
+            |(k, _)| *k,
+            |s, &(k, v)| s.insert(k, v),
+            |s, group| s.insert_batch(group),
+        )
     }
     fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.run_grouped(keys, |k| *k, |shard, group| shard.remove_batch(group))
+        self.run_grouped(
+            keys,
+            |k| *k,
+            |s, k| s.remove(k),
+            |s, group| s.remove_batch(group),
+        )
     }
     fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.run_grouped(keys, |k| *k, |shard, group| shard.get_batch(group))
+        self.run_grouped(keys, |k| *k, |s, k| s.get(k), |s, group| s.get_batch(group))
     }
 }
 
@@ -351,28 +386,39 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     /// Test shard: a locked BTreeMap (sequentially exact, so the façade's
-    /// routing/merging logic is isolated from tree concurrency).
+    /// routing/merging logic is isolated from tree concurrency) that
+    /// counts the calls the façade makes to its batch entry points.
     #[derive(Default)]
-    struct Locked(Mutex<BTreeMap<u64, u64>>);
+    struct Locked {
+        map: Mutex<BTreeMap<u64, u64>>,
+        batch_calls: AtomicUsize,
+    }
+
+    impl Locked {
+        fn batch_calls(&self) -> usize {
+            self.batch_calls.load(Ordering::Relaxed)
+        }
+    }
 
     impl ConcurrentMap for Locked {
         fn name(&self) -> &'static str {
             "locked"
         }
         fn insert(&self, k: u64, v: u64) -> Option<u64> {
-            self.0.lock().unwrap().insert(k, v)
+            self.map.lock().unwrap().insert(k, v)
         }
         fn remove(&self, k: &u64) -> Option<u64> {
-            self.0.lock().unwrap().remove(k)
+            self.map.lock().unwrap().remove(k)
         }
         fn get(&self, k: &u64) -> Option<u64> {
-            self.0.lock().unwrap().get(k).copied()
+            self.map.lock().unwrap().get(k).copied()
         }
         fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-            self.0
+            self.map
                 .lock()
                 .unwrap()
                 .range(lo..=hi)
@@ -380,7 +426,19 @@ mod tests {
                 .collect()
         }
         fn len(&self) -> usize {
-            self.0.lock().unwrap().len()
+            self.map.lock().unwrap().len()
+        }
+        fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
+            self.batch_calls.fetch_add(1, Ordering::Relaxed);
+            batch.iter().map(|&(k, v)| self.insert(k, v)).collect()
+        }
+        fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
+            self.batch_calls.fetch_add(1, Ordering::Relaxed);
+            keys.iter().map(|k| self.remove(k)).collect()
+        }
+        fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
+            self.batch_calls.fetch_add(1, Ordering::Relaxed);
+            keys.iter().map(|k| self.get(k)).collect()
         }
     }
 
@@ -496,6 +554,10 @@ mod tests {
         let expect: Vec<_> = batch.iter().map(|&(k, v)| model.insert(k, v)).collect();
         assert_eq!(got, expect);
         assert_eq!(m.get(&10), Some(5), "last duplicate must win");
+        // Shard 0's three 10s go through its batch entry point; the lone
+        // 120 and 350 take their shards' point ops.
+        let calls: Vec<usize> = m.shards().map(|s| s.batch_calls()).collect();
+        assert_eq!(calls, vec![1, 0, 0, 0], "one shard batch call per 2+ group");
 
         let keys = vec![10, 11, 350, 120];
         assert_eq!(
@@ -508,6 +570,12 @@ mod tests {
             removals.iter().map(|k| model.remove(k)).collect::<Vec<_>>()
         );
         assert_eq!(m.len(), model.len());
+
+        // A one-element batch is its shard's point op.
+        let total_calls = || m.shards().map(|s| s.batch_calls()).sum::<usize>();
+        let before = total_calls();
+        assert_eq!(m.get_batch(&[120]), vec![model.get(&120)]);
+        assert_eq!(total_calls(), before);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use sharded::{ConcurrentMap, ShardedMap};
 
 /// Local adapter (the orphan rule requires one in this test crate) over
 /// the real chromatic tree, so the proptest exercises the actual template
-/// trees rather than a stand-in.
+/// trees rather than a stand-in. Its batch methods forward to the tree's
+/// sorted-bulk paths, as the registry's shards do, so batches cover the
+/// façade's one-key point route and its bulk route alike.
 struct Chromatic(nbtree::ChromaticTree<u64, u64>);
 
 impl ConcurrentMap for Chromatic {
@@ -33,6 +35,12 @@ impl ConcurrentMap for Chromatic {
     }
     fn len(&self) -> usize {
         self.0.len()
+    }
+    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
+        self.0.insert_bulk(batch)
+    }
+    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
+        self.0.remove_bulk(keys)
     }
 }
 
