@@ -172,45 +172,47 @@ pub fn probe_lt_key<K: Ord>(probe: &K, key: Option<&K>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llxscx::pin;
+    use llxscx::with_guard;
 
     #[test]
     fn sentinel_routing() {
-        let guard = &pin();
-        let leaf = Node::<u64, u64>::leaf(None, None, 1).into_shared(guard);
-        // SAFETY: freshly allocated leaf; never shared.
-        let n = unsafe { leaf.deref() };
-        assert!(n.route_left(&u64::MAX));
-        assert!(!n.key_eq(&0));
-        assert!(n.is_sentinel_key());
-        assert!(n.is_leaf(guard));
-        assert_eq!(n.weight(), 1);
-        // SAFETY: test-local node; disposed exactly once.
-        unsafe { llxscx::reclaim::dispose_record(leaf.as_raw()) };
+        with_guard(|guard| {
+            let leaf = Node::<u64, u64>::leaf(None, None, 1).into_shared(guard);
+            // SAFETY: freshly allocated leaf; never shared.
+            let n = unsafe { leaf.deref() };
+            assert!(n.route_left(&u64::MAX));
+            assert!(!n.key_eq(&0));
+            assert!(n.is_sentinel_key());
+            assert!(n.is_leaf(guard));
+            assert_eq!(n.weight(), 1);
+            // SAFETY: test-local node; disposed exactly once.
+            unsafe { llxscx::reclaim::dispose_record(leaf.as_raw()) };
+        })
     }
 
     #[test]
     fn leaf_vs_internal() {
-        let guard = &pin();
-        let a = Node::leaf(Some(1u64), Some(10u64), 1).into_shared(guard);
-        let b = Node::leaf(Some(2u64), Some(20u64), 0).into_shared(guard);
-        let p = Node::internal(Some(2u64), 2, a, b).into_shared(guard);
-        // SAFETY: freshly allocated internal node; never shared.
-        let pn = unsafe { p.deref() };
-        assert!(!pn.is_leaf(guard));
-        assert_eq!(pn.read_child(0, guard), a);
-        assert_eq!(pn.read_child(1, guard), b);
-        assert!(pn.route_left(&1));
-        assert!(!pn.route_left(&2));
-        // Each constructor keeps its own weight: black, red, overweight.
-        // SAFETY: freshly allocated leaves; never shared.
-        let (an, bn) = unsafe { (a.deref(), b.deref()) };
-        assert_eq!((an.weight(), bn.weight(), pn.weight()), (1, 0, 2));
-        // SAFETY: test-local nodes; each disposed exactly once.
-        unsafe {
-            llxscx::reclaim::dispose_record(a.as_raw());
-            llxscx::reclaim::dispose_record(b.as_raw());
-            llxscx::reclaim::dispose_record(p.as_raw());
-        }
+        with_guard(|guard| {
+            let a = Node::leaf(Some(1u64), Some(10u64), 1).into_shared(guard);
+            let b = Node::leaf(Some(2u64), Some(20u64), 0).into_shared(guard);
+            let p = Node::internal(Some(2u64), 2, a, b).into_shared(guard);
+            // SAFETY: freshly allocated internal node; never shared.
+            let pn = unsafe { p.deref() };
+            assert!(!pn.is_leaf(guard));
+            assert_eq!(pn.read_child(0, guard), a);
+            assert_eq!(pn.read_child(1, guard), b);
+            assert!(pn.route_left(&1));
+            assert!(!pn.route_left(&2));
+            // Each constructor keeps its own weight: black, red, overweight.
+            // SAFETY: freshly allocated leaves; never shared.
+            let (an, bn) = unsafe { (a.deref(), b.deref()) };
+            assert_eq!((an.weight(), bn.weight(), pn.weight()), (1, 0, 2));
+            // SAFETY: test-local nodes; each disposed exactly once.
+            unsafe {
+                llxscx::reclaim::dispose_record(a.as_raw());
+                llxscx::reclaim::dispose_record(b.as_raw());
+                llxscx::reclaim::dispose_record(p.as_raw());
+            }
+        })
     }
 }

@@ -74,21 +74,22 @@ fn may_contain_at_or_above<K: Ord, B: RangeBounds<K>>(bounds: &B, k: &K) -> bool
 /// ```
 /// use nbtree::node::Node;
 /// use nbtree::try_range_scan;
-/// use llxscx::{pin, Shared};
+/// use llxscx::{with_guard, Shared};
 ///
-/// let guard = &pin();
-/// let l10 = Node::leaf(Some(10u64), Some("a"), 1).into_shared(guard);
-/// let l20 = Node::leaf(Some(20u64), Some("b"), 1).into_shared(guard);
-/// let inner = Node::internal(Some(20), 1, l10, l20).into_shared(guard);
-/// let inf = Node::leaf(None, None, 1).into_shared(guard);
-/// let sentinel = Node::internal(None, 1, inner, inf).into_shared(guard);
-/// let entry = Node::internal(None, 1, sentinel, Shared::null()).into_shared(guard);
+/// with_guard(|guard| {
+///     let l10 = Node::leaf(Some(10u64), Some("a"), 1).into_shared(guard);
+///     let l20 = Node::leaf(Some(20u64), Some("b"), 1).into_shared(guard);
+///     let inner = Node::internal(Some(20), 1, l10, l20).into_shared(guard);
+///     let inf = Node::leaf(None, None, 1).into_shared(guard);
+///     let sentinel = Node::internal(None, 1, inner, inf).into_shared(guard);
+///     let entry = Node::internal(None, 1, sentinel, Shared::null()).into_shared(guard);
 ///
-/// let snap = try_range_scan(entry, &(5u64..=25), guard)
-///     .expect("no concurrent updates: the VLX must validate");
-/// assert_eq!(snap, vec![(10, "a"), (20, "b")]);
-/// // Pruning on the routing key keeps out-of-interval leaves unvisited.
-/// assert_eq!(try_range_scan(entry, &(..10u64), guard).unwrap(), vec![]);
+///     let snap = try_range_scan(entry, &(5u64..=25), guard)
+///         .expect("no concurrent updates: the VLX must validate");
+///     assert_eq!(snap, vec![(10, "a"), (20, "b")]);
+///     // Pruning on the routing key keeps out-of-interval leaves unvisited.
+///     assert_eq!(try_range_scan(entry, &(..10u64), guard).unwrap(), vec![]);
+/// });
 /// ```
 ///
 /// (`ChromaticTree::range` wraps this in the retry loop; the example

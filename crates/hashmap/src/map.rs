@@ -4,10 +4,10 @@
 
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crossbeam_epoch::{unprotected, Atomic, Guard, Owned, Shared};
+use llxscx::epoch::{unprotected, Atomic, Guard, Owned, Shared};
 use llxscx::guard_cache;
-use parking_lot::Mutex;
 
 use crate::hash::FxBuildHasher;
 
@@ -102,6 +102,12 @@ fn backoff(spins: &mut u32) {
     } else {
         std::thread::yield_now();
     }
+}
+
+/// Takes a stripe lock. Stripes guard no data, so a panicked holder
+/// leaves nothing to repair and poisoning is ignored.
+fn stripe(m: &Mutex<()>) -> MutexGuard<'_, ()> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Acquires bucket `v`'s seqlock for writing: spins until the version is
@@ -304,7 +310,7 @@ where
             let first_stripe = h / STRIPE;
             let mut last_stripe = (h + HOP_RANGE - 1) / STRIPE;
             let mut stripes: Vec<_> = (first_stripe..=last_stripe)
-                .map(|i| t.locks[i].lock())
+                .map(|i| stripe(&t.locks[i]))
                 .collect();
             if self.table.load(Ordering::Acquire, g) != t_shared {
                 drop(stripes);
@@ -339,7 +345,7 @@ where
             for s in h..h + ADD_RANGE {
                 while s / STRIPE > last_stripe {
                     last_stripe += 1;
-                    stripes.push(t.locks[last_stripe].lock());
+                    stripes.push(stripe(&t.locks[last_stripe]));
                 }
                 if t.slots[s].load(Ordering::Acquire, g).is_null() {
                     free = Some(s);
@@ -415,7 +421,7 @@ where
             let t = unsafe { t_shared.deref() };
             let h = self.home(k, t);
             let stripes: Vec<_> = (h / STRIPE..=(h + HOP_RANGE - 1) / STRIPE)
-                .map(|i| t.locks[i].lock())
+                .map(|i| stripe(&t.locks[i]))
                 .collect();
             if self.table.load(Ordering::Acquire, g) != t_shared {
                 drop(stripes);
@@ -592,7 +598,7 @@ where
         // SAFETY: `expected` is the table the caller just loaded under `g` and is
         // never null.
         let t = unsafe { expected.deref() };
-        let _all: Vec<_> = t.locks.iter().map(|m| m.lock()).collect();
+        let _all: Vec<_> = t.locks.iter().map(stripe).collect();
         if self.table.load(Ordering::Acquire, g) != expected {
             return; // someone else already grew this generation
         }

@@ -13,8 +13,7 @@
 //! 2. **ordering audit** — every atomic call site names an explicit
 //!    `Ordering` and has a justified row in `docs/ordering_audit.toml`
 //!    (drift checked both ways); `SeqCst` needs a `// SEQCST:` comment.
-//! 3. **epoch-guard discipline** — `pin()` only inside
-//!    `llxscx::guard_cache`; `defer_destroy`/`into_owned` only in
+//! 3. **epoch-guard discipline** — `defer_destroy`/`into_owned` only in
 //!    allowlisted reclamation modules; no `Guard` stored in type bodies.
 //! 4. **suppression hygiene** — every `#[allow(…)]` carries `// ALLOW:`.
 //!

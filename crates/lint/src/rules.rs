@@ -5,11 +5,11 @@
 //! * **ordering** — every atomic call site must name an explicit
 //!   `Ordering`; `SeqCst` additionally needs a `// SEQCST:` comment. Site
 //!   extraction here also feeds the manifest cross-check in the driver.
-//! * **epoch** — `pin()` only inside `guard_cache`; `defer_destroy` /
-//!   `into_owned` only in allowlisted reclamation modules; no `Guard`
-//!   stored in a struct/enum body outside the allowlist. Test code
-//!   (`tests/` files and `#[cfg(test)]` modules) is exempt: substrate
-//!   unit tests pin directly by design.
+//! * **epoch** — `defer_destroy` / `into_owned` only in allowlisted
+//!   reclamation modules; no `Guard` stored in a struct/enum body. Test
+//!   code (`tests/` files and `#[cfg(test)]` modules) is exempt: substrate
+//!   unit tests free their own nodes by design. (Pinning needs no rule:
+//!   `llxscx::with_guard` is the only way to get a pinned `Guard`.)
 //! * **allow-justify** — every `#[allow(…)]` needs a trailing `// ALLOW:`
 //!   justification.
 
@@ -66,17 +66,14 @@ const STRICT_ATOMIC_METHODS: &[&str] = &[
 /// trips the audit.
 pub const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// Files allowed to call `epoch::pin()` directly: the guard cache is the
-/// single place a pin may originate so that repin cadence, flush
-/// quiescence and the weighted batch amortization stay centralized.
-pub const PIN_ALLOWLIST: &[&str] = &["crates/llxscx/src/guard_cache.rs"];
-
 /// Reclamation modules allowed to call `defer_destroy` / `into_owned` on
 /// epoch pointers: each owns a documented retire protocol.
 pub const RECLAIM_ALLOWLIST: &[&str] = &[
     // llxscx's record retirement: the thread that commits an SCX retires
     // its finalized records; dispose_record is the one free site.
     "crates/llxscx/src/reclaim.rs",
+    // The epoch pointer types, which define `into_owned`.
+    "crates/llxscx/src/epoch/atomic.rs",
     // The hopscotch table's entry retirement (remove + growth): slots are
     // nulled before the entry is deferred, generations freeze on publish.
     "crates/hashmap/src/map.rs",
@@ -84,11 +81,6 @@ pub const RECLAIM_ALLOWLIST: &[&str] = &[
     "crates/lockavl/src/lib.rs",
     "crates/skiplist/src/lib.rs",
 ];
-
-/// Files allowed to store a `Guard` in a struct field: only the guard
-/// cache's thread-local slot. Everywhere else guards must stay borrowed
-/// (`&Guard`) so a repin can never invalidate a live snapshot.
-pub const GUARD_FIELD_ALLOWLIST: &[&str] = &["crates/llxscx/src/guard_cache.rs"];
 
 fn rel_str(path: &Path) -> String {
     path.to_string_lossy().replace('\\', "/")
@@ -289,9 +281,6 @@ pub fn check_seqcst(sc: &Scanned, ctx: &FileCtx, sites: &[AtomicSite]) -> Vec<Fi
 
 // --- rule 3: epoch-guard discipline ---------------------------------------
 
-/// Qualifier idents that make a `pin(` call *not* the epoch pin.
-const PIN_FALSE_QUALIFIERS: &[&str] = &["Box", "Pin", "pin"]; // std::pin::pin!
-
 /// Epoch-discipline checks. Skipped wholesale for test files; `#[cfg(test)]`
 /// module bodies are skipped per site.
 pub fn check_epoch(path: &Path, sc: &Scanned, ctx: &FileCtx) -> Vec<Finding> {
@@ -302,60 +291,11 @@ pub fn check_epoch(path: &Path, sc: &Scanned, ctx: &FileCtx) -> Vec<Finding> {
     let code = sc.code();
     let bytes = code.as_bytes();
 
-    if !in_allowlist(path, PIN_ALLOWLIST) {
-        for off in sc.code_word_offsets("pin") {
-            let line = sc.line_of(off);
-            if ctx.in_test_mod(line) {
-                continue;
-            }
-            // Must be a call: `pin` followed by `(`.
-            let mut j = off + 3;
-            while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            if j >= bytes.len() || bytes[j] != b'(' {
-                continue;
-            }
-            // Method calls `.pin(` and foreign qualifiers `Box::pin(` are
-            // not the epoch pin.
-            if off > 0 && bytes[off - 1] == b'.' {
-                continue;
-            }
-            if off >= 2 && &code[off - 2..off] == "::" {
-                let q_end = off - 2;
-                let mut q_start = q_end;
-                while q_start > 0 && {
-                    let b = bytes[q_start - 1];
-                    b.is_ascii_alphanumeric() || b == b'_'
-                } {
-                    q_start -= 1;
-                }
-                // `crossbeam_epoch::pin` / `epoch::pin` / `llxscx::pin` are
-                // the real thing; `Box::pin` / `Pin::…` / `pin::pin` are
-                // std machinery.
-                if PIN_FALSE_QUALIFIERS.contains(&&code[q_start..q_end]) {
-                    continue;
-                }
-            }
-            out.push(Finding {
-                rule: "epoch-pin",
-                file: rel_str(path),
-                line,
-                message: "direct `epoch::pin()` outside `llxscx::guard_cache` — use \
-                          `guard_cache::with_guard` so pinning stays amortized and flushable"
-                    .into(),
-            });
-        }
-    }
-
     if !in_allowlist(path, RECLAIM_ALLOWLIST) {
         for word in ["defer_destroy", "into_owned"] {
-            // `into_owned` also exists on `Cow`; only scan files that
-            // actually use the epoch crate.
-            if word == "into_owned"
-                && !code.contains("crossbeam_epoch")
-                && !code.contains("epoch::")
-            {
+            // `into_owned` also exists on `Cow`; only scan files that name
+            // the epoch pointers' paths (`llxscx::…`, `epoch::…`).
+            if word == "into_owned" && !["llxscx::", "epoch::"].iter().any(|p| code.contains(p)) {
                 continue;
             }
             for off in sc.code_word_offsets(word) {
@@ -383,26 +323,25 @@ pub fn check_epoch(path: &Path, sc: &Scanned, ctx: &FileCtx) -> Vec<Finding> {
         }
     }
 
-    if !in_allowlist(path, GUARD_FIELD_ALLOWLIST) {
-        for (start, end) in type_body_spans(sc) {
-            for off in sc.code_word_offsets("Guard") {
-                if off <= start || off >= end {
-                    continue;
-                }
-                let line = sc.line_of(off);
-                if ctx.in_test_mod(line) {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: "guard-field",
-                    file: rel_str(path),
-                    line,
-                    message: "`Guard` stored in a struct/enum body — guards must stay \
-                              borrowed so a guard-cache repin cannot invalidate a live \
-                              snapshot"
-                        .into(),
-                });
+    // Guards stay borrowed (`&Guard`), so a repin can never invalidate a
+    // live snapshot.
+    for (start, end) in type_body_spans(sc) {
+        for off in sc.code_word_offsets("Guard") {
+            if off <= start || off >= end {
+                continue;
             }
+            let line = sc.line_of(off);
+            if ctx.in_test_mod(line) {
+                continue;
+            }
+            out.push(Finding {
+                rule: "guard-field",
+                file: rel_str(path),
+                line,
+                message: "`Guard` stored in a struct/enum body — guards must stay borrowed \
+                          so a repin cannot invalidate a live snapshot"
+                    .into(),
+            });
         }
     }
 

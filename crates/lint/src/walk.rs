@@ -60,6 +60,7 @@ mod tests {
         // The walk must cover every first-party crate layer.
         for needle in [
             "crates/llxscx/src/ops.rs",
+            "crates/llxscx/src/epoch/mod.rs",
             "crates/core/src/node.rs",
             "crates/lint/src/lexer.rs",
             "tests/cross_crate.rs",

@@ -1,21 +1,15 @@
 //! Fixture: epoch-discipline violations at known lines (tested under a
-//! synthetic path outside every allowlist). Keep edits append-only.
+//! synthetic path outside every allowlist). It names the epoch pointers
+//! only through `llxscx::`, so the `into_owned` scan must key on that path.
 
-use crossbeam_epoch::Guard;
+use llxscx::{Atomic, Guard};
 
-fn pins_directly() {
-    let g = crossbeam_epoch::pin(); // line 7
-    drop(g);
-    let g2 = epoch::pin(); // line 9
-    drop(g2);
-}
-
-fn frees_directly(a: &crossbeam_epoch::Atomic<u8>, g: &Guard) {
+fn frees_directly(a: &Atomic<u8>, g: &Guard) {
     let s = a.load(std::sync::atomic::Ordering::Acquire, g);
-    unsafe { g.defer_destroy(s) }; // line 15
-    let _owned = unsafe { a.load_consume(g).into_owned() }; // line 16
+    unsafe { g.defer_destroy(s) }; // line 9
+    let _owned = unsafe { a.load_consume(g).into_owned() }; // line 10
 }
 
 struct HoldsGuard {
-    guard: Guard, // line 20
+    guard: Guard, // line 14
 }

@@ -1,27 +1,21 @@
 //! Fixture: epoch-discipline clean shapes — none of these is a
 //! violation.
 
-fn not_the_epoch_pin() {
-    let _fut = Box::pin(async {});
-    let _p = std::pin::pin!(42);
-}
-
-fn method_pin(map: &impl MapLike) {
-    map.pin();
-}
-
 struct NoGuardHere {
     value: usize,
 }
 
-fn borrowed_guard_is_fine(g: &crossbeam_epoch::Guard) {
+fn borrowed_guard_is_fine(g: &llxscx::Guard) {
     let _ = g;
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unit_tests_may_pin_directly() {
-        let _g = crossbeam_epoch::pin();
+    fn unit_tests_may_free_directly() {
+        llxscx::with_guard(|g| {
+            let a = llxscx::Atomic::new(1u8);
+            let _owned = unsafe { a.load_consume(g).into_owned() };
+        });
     }
 }

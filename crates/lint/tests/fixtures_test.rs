@@ -110,9 +110,8 @@ fn epoch_clean_corpus_has_zero_findings() {
 fn epoch_bad_corpus_is_caught_at_exact_lines() {
     let (sc, ctx) = fixture("epoch_bad.rs");
     let f = rules::check_epoch(&fake(), &sc, &ctx);
-    assert_eq!(lines(&f, "epoch-pin"), vec![7, 9], "{f:?}");
-    assert_eq!(lines(&f, "epoch-reclaim"), vec![15, 16], "{f:?}");
-    assert_eq!(lines(&f, "guard-field"), vec![20], "{f:?}");
+    assert_eq!(lines(&f, "epoch-reclaim"), vec![9, 10], "{f:?}");
+    assert_eq!(lines(&f, "guard-field"), vec![14], "{f:?}");
 }
 
 #[test]

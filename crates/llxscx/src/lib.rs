@@ -68,13 +68,16 @@
 //!   twice, and a helper that reads a descriptor re-checks the sequence
 //!   number afterwards and abandons the help if the owner moved on. See
 //!   [`descriptor`].
-//! * **Records are reclaimed through epochs** (the vendored
-//!   crossbeam-epoch). Records finalized by a committed SCX are retired by
-//!   the unique thread that wins the commit transition. See [`reclaim`].
+//! * **Records are reclaimed through epochs.** The crate's own DEBRA-style
+//!   collector ([`epoch`]) keeps each thread's cached pin, repin counter
+//!   and limbo list in one thread-local; [`with_guard`] is the only way to
+//!   pin. Records finalized by a committed SCX are retired by the unique
+//!   thread that wins the commit transition. See [`reclaim`].
 
 #![warn(missing_docs)]
 
 pub mod descriptor;
+pub mod epoch;
 pub mod guard_cache;
 pub mod ops;
 pub mod pool;
@@ -83,12 +86,9 @@ pub mod record;
 pub mod slab;
 
 pub use descriptor::ScxRecord;
-pub use guard_cache::{with_guard, with_guard_weighted};
+pub use epoch::{with_guard, with_guard_weighted, Atomic, Guard, Owned, Shared};
 pub use ops::{llx, scx, vlx, Llx, LlxHandle, ScxArgs};
 pub use record::{Record, RecordHeader, MAX_ARITY, MAX_V};
-
-pub use crossbeam_epoch as epoch;
-pub use crossbeam_epoch::{pin, Atomic, Guard, Owned, Shared};
 
 #[cfg(test)]
 mod tests;

@@ -2,7 +2,7 @@
 
 use std::sync::atomic::Ordering;
 
-use crossbeam_epoch::{Guard, Shared};
+use crate::epoch::{Guard, Shared};
 
 use crate::descriptor::{self, state_of, Scx, ScxRecord, COMMITTED, IN_PROGRESS};
 use crate::reclaim::defer_dispose_record;
@@ -244,7 +244,7 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
 /// record in between invalidates the set as a whole.
 ///
 /// ```
-/// use llxscx::{llx, scx, vlx, pin, Atomic, Owned, Record, RecordHeader, ScxArgs};
+/// use llxscx::{llx, scx, vlx, with_guard, Atomic, Owned, Record, RecordHeader, ScxArgs};
 ///
 /// struct N { header: RecordHeader<N>, kids: [Atomic<N>; 2] }
 /// impl Record for N {
@@ -256,24 +256,25 @@ pub fn scx<'g, N: Record>(args: &ScxArgs<'_, 'g, N>, guard: &'g Guard) -> bool {
 ///     Owned::new(N { header: RecordHeader::new(), kids: [Atomic::null(), Atomic::null()] })
 /// }
 ///
-/// let guard = &pin();
-/// let a = node().into_shared(guard);
-/// let b = node().into_shared(guard);
-/// let (ha, hb) = (llx(a, guard).unwrap(), llx(b, guard).unwrap());
-/// // Nothing changed since the LLXs: the snapshot pair is atomic.
-/// assert!(vlx(&[ha, hb], guard));
+/// with_guard(|guard| {
+///     let a = node().into_shared(guard);
+///     let b = node().into_shared(guard);
+///     let (ha, hb) = (llx(a, guard).unwrap(), llx(b, guard).unwrap());
+///     // Nothing changed since the LLXs: the snapshot pair is atomic.
+///     assert!(vlx(&[ha, hb], guard));
 ///
-/// // A committed SCX on `a` fails any V-sequence containing `ha` ...
-/// let fresh = node().into_shared(guard);
-/// assert!(scx(&ScxArgs { v: &[ha], finalize: 0, fld_record: 0, fld_idx: 0, new: fresh }, guard));
-/// assert!(!vlx(&[ha, hb], guard));
-/// // ... while `b`'s untouched snapshot alone still validates.
-/// assert!(vlx(&[hb], guard));
-/// # unsafe {
-/// #     llxscx::reclaim::dispose_record(fresh.as_raw());
-/// #     llxscx::reclaim::dispose_record(b.as_raw());
-/// #     llxscx::reclaim::dispose_record(a.as_raw());
-/// # }
+///     // A committed SCX on `a` fails any V-sequence containing `ha` ...
+///     let fresh = node().into_shared(guard);
+///     assert!(scx(&ScxArgs { v: &[ha], finalize: 0, fld_record: 0, fld_idx: 0, new: fresh }, guard));
+///     assert!(!vlx(&[ha, hb], guard));
+///     // ... while `b`'s untouched snapshot alone still validates.
+///     assert!(vlx(&[hb], guard));
+/// #    unsafe {
+/// #        llxscx::reclaim::dispose_record(fresh.as_raw());
+/// #        llxscx::reclaim::dispose_record(b.as_raw());
+/// #        llxscx::reclaim::dispose_record(a.as_raw());
+/// #    }
+/// });
 /// ```
 pub fn vlx<'g, N: Record>(handles: &[LlxHandle<'g, N>], guard: &'g Guard) -> bool {
     for h in handles {
@@ -388,8 +389,8 @@ unsafe fn run<N: Record>(desc: &ScxRecord, op: &Scx, guard: &Guard) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::{with_guard, Atomic, Owned};
     use crate::record::RecordHeader;
-    use crossbeam_epoch::{pin, Atomic, Owned};
 
     struct TestNode {
         header: RecordHeader<TestNode>,
@@ -419,128 +420,133 @@ mod tests {
 
     #[test]
     fn llx_snapshot_of_quiescent_record() {
-        let guard = &pin();
-        let root = TestNode::new(1).into_shared(guard);
-        let h = llx(root, guard).unwrap();
-        assert!(h.left().is_null());
-        assert!(h.right().is_null());
-        assert_eq!(h.node_ref().key, 1);
-        // SAFETY: `root` was never published to another thread; test-local teardown.
-        unsafe { crate::reclaim::dispose_record(root.as_raw()) };
+        with_guard(|guard| {
+            let root = TestNode::new(1).into_shared(guard);
+            let h = llx(root, guard).unwrap();
+            assert!(h.left().is_null());
+            assert!(h.right().is_null());
+            assert_eq!(h.node_ref().key, 1);
+            // SAFETY: `root` was never published to another thread; test-local teardown.
+            unsafe { crate::reclaim::dispose_record(root.as_raw()) };
+        })
     }
 
     #[test]
     fn scx_swings_pointer_and_finalizes() {
-        let guard = &pin();
-        let root = TestNode::new(0).into_shared(guard);
-        let a = TestNode::new(1).into_shared(guard);
-        // SAFETY: `root` is a live test-local allocation under `guard`.
-        // SEQCST: test-only; SC keeps the interleaving argument trivial.
-        unsafe { root.deref() }.children[0].store(a, Ordering::SeqCst);
+        with_guard(|guard| {
+            let root = TestNode::new(0).into_shared(guard);
+            let a = TestNode::new(1).into_shared(guard);
+            // SAFETY: `root` is a live test-local allocation under `guard`.
+            // SEQCST: test-only; SC keeps the interleaving argument trivial.
+            unsafe { root.deref() }.children[0].store(a, Ordering::SeqCst);
 
-        let hr = llx(root, guard).unwrap();
-        let ha = llx(a, guard).unwrap();
-        let fresh = TestNode::new(2).into_shared(guard);
-        let ok = scx(
-            &ScxArgs {
-                v: &[hr, ha],
-                finalize: 0b10, // finalize `a`
-                fld_record: 0,
-                fld_idx: 0,
-                new: fresh,
-            },
-            guard,
-        );
-        assert!(ok);
-        // SAFETY: `root` stays allocated for the whole test under `guard`.
-        // SEQCST: test-only; SC keeps the interleaving argument trivial.
-        let now = unsafe { root.deref() }.children[0].load(Ordering::SeqCst, guard);
-        assert_eq!(now, fresh);
-        // `a` is finalized: LLX reports it.
-        assert!(matches!(llx(a, guard), Llx::Finalized));
-        // Stale handle on root no longer validates.
-        assert!(!vlx(&[hr], guard));
-        // SAFETY: test-local nodes; nothing else references them after the asserts.
-        unsafe {
-            crate::reclaim::dispose_record(fresh.as_raw());
-            crate::reclaim::dispose_record(root.as_raw());
-        }
+            let hr = llx(root, guard).unwrap();
+            let ha = llx(a, guard).unwrap();
+            let fresh = TestNode::new(2).into_shared(guard);
+            let ok = scx(
+                &ScxArgs {
+                    v: &[hr, ha],
+                    finalize: 0b10, // finalize `a`
+                    fld_record: 0,
+                    fld_idx: 0,
+                    new: fresh,
+                },
+                guard,
+            );
+            assert!(ok);
+            // SAFETY: `root` stays allocated for the whole test under `guard`.
+            // SEQCST: test-only; SC keeps the interleaving argument trivial.
+            let now = unsafe { root.deref() }.children[0].load(Ordering::SeqCst, guard);
+            assert_eq!(now, fresh);
+            // `a` is finalized: LLX reports it.
+            assert!(matches!(llx(a, guard), Llx::Finalized));
+            // Stale handle on root no longer validates.
+            assert!(!vlx(&[hr], guard));
+            // SAFETY: test-local nodes; nothing else references them after the asserts.
+            unsafe {
+                crate::reclaim::dispose_record(fresh.as_raw());
+                crate::reclaim::dispose_record(root.as_raw());
+            }
+        })
     }
 
     #[test]
     fn scx_fails_on_stale_handle() {
-        let guard = &pin();
-        let root = TestNode::new(0).into_shared(guard);
-        let h1 = llx(root, guard).unwrap();
-        // A first SCX consumes the handle's expected info value.
-        let n1 = TestNode::new(1).into_shared(guard);
-        assert!(scx(
-            &ScxArgs {
-                v: &[h1],
-                finalize: 0,
-                fld_record: 0,
-                fld_idx: 0,
-                new: n1
-            },
-            guard
-        ));
-        // Re-using the stale handle must fail.
-        let n2 = TestNode::new(2).into_shared(guard);
-        assert!(!scx(
-            &ScxArgs {
-                v: &[h1],
-                finalize: 0,
-                fld_record: 0,
-                fld_idx: 0,
-                new: n2
-            },
-            guard
-        ));
-        // SAFETY: `root` stays allocated for the whole test under `guard`.
-        // SEQCST: test-only; SC keeps the interleaving argument trivial.
-        let now = unsafe { root.deref() }.children[0].load(Ordering::SeqCst, guard);
-        assert_eq!(now, n1);
-        // SAFETY: test-local teardown; the losing SCX's nodes are unreachable.
-        unsafe {
-            crate::reclaim::dispose_record(n2.as_raw());
-            crate::reclaim::dispose_record(n1.as_raw());
-            crate::reclaim::dispose_record(root.as_raw());
-        }
+        with_guard(|guard| {
+            let root = TestNode::new(0).into_shared(guard);
+            let h1 = llx(root, guard).unwrap();
+            // A first SCX consumes the handle's expected info value.
+            let n1 = TestNode::new(1).into_shared(guard);
+            assert!(scx(
+                &ScxArgs {
+                    v: &[h1],
+                    finalize: 0,
+                    fld_record: 0,
+                    fld_idx: 0,
+                    new: n1
+                },
+                guard
+            ));
+            // Re-using the stale handle must fail.
+            let n2 = TestNode::new(2).into_shared(guard);
+            assert!(!scx(
+                &ScxArgs {
+                    v: &[h1],
+                    finalize: 0,
+                    fld_record: 0,
+                    fld_idx: 0,
+                    new: n2
+                },
+                guard
+            ));
+            // SAFETY: `root` stays allocated for the whole test under `guard`.
+            // SEQCST: test-only; SC keeps the interleaving argument trivial.
+            let now = unsafe { root.deref() }.children[0].load(Ordering::SeqCst, guard);
+            assert_eq!(now, n1);
+            // SAFETY: test-local teardown; the losing SCX's nodes are unreachable.
+            unsafe {
+                crate::reclaim::dispose_record(n2.as_raw());
+                crate::reclaim::dispose_record(n1.as_raw());
+                crate::reclaim::dispose_record(root.as_raw());
+            }
+        })
     }
 
     #[test]
     fn vlx_validates_unchanged_records() {
-        let guard = &pin();
-        let root = TestNode::new(0).into_shared(guard);
-        let h = llx(root, guard).unwrap();
-        assert!(vlx(&[h], guard));
-        // SAFETY: `root` was never shared; test-local teardown.
-        unsafe { crate::reclaim::dispose_record(root.as_raw()) };
+        with_guard(|guard| {
+            let root = TestNode::new(0).into_shared(guard);
+            let h = llx(root, guard).unwrap();
+            assert!(vlx(&[h], guard));
+            // SAFETY: `root` was never shared; test-local teardown.
+            unsafe { crate::reclaim::dispose_record(root.as_raw()) };
+        })
     }
 
     #[test]
     fn llx_after_scx_sees_new_value() {
-        let guard = &pin();
-        let root = TestNode::new(0).into_shared(guard);
-        let h = llx(root, guard).unwrap();
-        let n1 = TestNode::new(7).into_shared(guard);
-        assert!(scx(
-            &ScxArgs {
-                v: &[h],
-                finalize: 0,
-                fld_record: 0,
-                fld_idx: 1,
-                new: n1
-            },
-            guard
-        ));
-        let h2 = llx(root, guard).unwrap();
-        assert_eq!(h2.right(), n1);
-        assert!(h2.left().is_null());
-        // SAFETY: test-local teardown of nodes this test allocated.
-        unsafe {
-            crate::reclaim::dispose_record(n1.as_raw());
-            crate::reclaim::dispose_record(root.as_raw());
-        }
+        with_guard(|guard| {
+            let root = TestNode::new(0).into_shared(guard);
+            let h = llx(root, guard).unwrap();
+            let n1 = TestNode::new(7).into_shared(guard);
+            assert!(scx(
+                &ScxArgs {
+                    v: &[h],
+                    finalize: 0,
+                    fld_record: 0,
+                    fld_idx: 1,
+                    new: n1
+                },
+                guard
+            ));
+            let h2 = llx(root, guard).unwrap();
+            assert_eq!(h2.right(), n1);
+            assert!(h2.left().is_null());
+            // SAFETY: test-local teardown of nodes this test allocated.
+            unsafe {
+                crate::reclaim::dispose_record(n1.as_raw());
+                crate::reclaim::dispose_record(root.as_raw());
+            }
+        })
     }
 }

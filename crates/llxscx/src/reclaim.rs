@@ -5,8 +5,8 @@
 //! reuses one, see [`descriptor`](crate::descriptor)), so the one thing to
 //! reclaim is a record that an SCX removed from the structure.
 //!
-//! **When.** Epoch-based reclamation (the vendored crossbeam-epoch): a
-//! record unlinked from the shared structure is freed only after every
+//! **When.** Epoch-based reclamation (the crate's [`epoch`](crate::epoch)
+//! collector): a record unlinked from the shared structure is freed only after every
 //! thread pinned at unlink time has unpinned, so concurrent traversals
 //! through removed nodes (correctness property C3 of the paper) stay safe.
 //! This also covers helpers: a helper reads an SCX's record pointers only
@@ -26,7 +26,7 @@
 //! a stale `info` word can never match a newer SCX's (sequence numbers
 //! never repeat).
 
-use crossbeam_epoch::Guard;
+use crate::epoch::Guard;
 
 use crate::record::Record;
 

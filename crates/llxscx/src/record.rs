@@ -3,7 +3,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crossbeam_epoch::Atomic;
+use crate::epoch::Atomic;
 
 use crate::descriptor::{state_of, ABORTED, COMMITTED};
 
@@ -85,7 +85,7 @@ impl<N> Default for RecordHeader<N> {
 /// A Data-record on which LLX/SCX/VLX operate.
 ///
 /// Implementors embed a [`RecordHeader`] and expose their mutable fields as
-/// `crossbeam_epoch::Atomic<Self>` child pointers, indexed `0..Self::ARITY`.
+/// [`Atomic<Self>`](Atomic) child pointers, indexed `0..Self::ARITY`.
 /// All other fields must be immutable after construction (the template makes
 /// a new copy of a node to change immutable data).
 ///

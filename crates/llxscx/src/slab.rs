@@ -1,11 +1,11 @@
 //! Thread-local slot caches for Data-record allocations.
 //!
 //! The tree update template allocates fresh records on every update (PC7)
-//! and retires the replaced ones through the epoch collector — a
-//! steady-state flow of same-layout allocate/free pairs. With cache-aligned
-//! records (`#[repr(align(64))]`), every one of those allocations takes the
-//! allocator's *aligned* slow path, which on glibc is ~5× the cost of a
-//! plain small malloc and dominates the update hot path.
+//! and retires the replaced ones through the [`epoch`](crate::epoch)
+//! collector — a steady-state flow of same-layout allocate/free pairs. With
+//! cache-aligned records (`#[repr(align(64))]`), every one of those
+//! allocations takes the allocator's *aligned* slow path, which on glibc is
+//! ~5× the cost of a plain small malloc and dominates the update hot path.
 //!
 //! This module short-circuits the flow: freed record slots are pushed onto
 //! a **thread-local** freelist (the link pointer is written into the free
@@ -31,6 +31,8 @@
 
 use std::alloc::Layout;
 use std::cell::RefCell;
+
+use crate::epoch::{Owned, Pointer};
 
 /// Maximum cached slots per (thread, layout). Epoch collection returns
 /// retirements in bursts — when the epoch stalls a burst spans a whole
@@ -131,19 +133,18 @@ pub unsafe fn free_slot(ptr: *mut u8, layout: Layout) {
 }
 
 /// Allocates `value` through the slot cache, returning an
-/// [`Owned`](crossbeam_epoch::Owned)
-/// indistinguishable from `Owned::new` (same allocator contract).
+/// [`Owned`] indistinguishable from `Owned::new` (same allocator contract).
 ///
 /// This is the record-construction fast path: the tree update template
 /// replaces nodes on every update, and the freed slots round-trip through
 /// the cache instead of the allocator's aligned slow path.
-pub fn alloc_owned<T>(value: T) -> crossbeam_epoch::Owned<T> {
+pub fn alloc_owned<T>(value: T) -> Owned<T> {
     let ptr = alloc_slot(Layout::new::<T>()) as *mut T;
     // SAFETY: fresh uninitialized slot of T's layout; write then hand
     // ownership to Owned (whose representation is the raw pointer).
     unsafe {
         ptr.write(value);
-        <crossbeam_epoch::Owned<T> as crossbeam_epoch::Pointer<T>>::from_usize(ptr as usize)
+        <Owned<T> as Pointer<T>>::from_usize(ptr as usize)
     }
 }
 

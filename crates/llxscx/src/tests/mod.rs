@@ -9,7 +9,7 @@ pub(crate) mod stall;
 
 use std::sync::atomic::Ordering;
 
-use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
+use crate::epoch::{with_guard, Atomic, Guard, Owned, Shared};
 
 use crate::record::{Record, RecordHeader};
 
@@ -37,14 +37,15 @@ pub(crate) fn node() -> usize {
 
 /// [`node`] holding `val`.
 pub(crate) fn node_with(val: u64) -> usize {
-    let guard = &crossbeam_epoch::pin();
-    Owned::new(Node {
-        header: RecordHeader::new(),
-        kids: [Atomic::null(), Atomic::null()],
-        val,
+    with_guard(|guard| {
+        Owned::new(Node {
+            header: RecordHeader::new(),
+            kids: [Atomic::null(), Atomic::null()],
+            val,
+        })
+        .into_shared(guard)
+        .as_raw() as usize
     })
-    .into_shared(guard)
-    .as_raw() as usize
 }
 
 pub(crate) fn shared<'g>(addr: usize) -> Shared<'g, Node> {

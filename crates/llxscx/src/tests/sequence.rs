@@ -13,7 +13,7 @@ use crate::with_guard;
 
 /// One uncontended SCX swinging `rec.kids[idx]` to `new` through a handle
 /// whose `info` word may have been tampered with.
-fn swing(h: LlxHandle<'_, Node>, idx: usize, new: usize, g: &crossbeam_epoch::Guard) -> bool {
+fn swing(h: LlxHandle<'_, Node>, idx: usize, new: usize, g: &crate::epoch::Guard) -> bool {
     let args = ScxArgs {
         v: &[h],
         finalize: 0,

@@ -17,10 +17,10 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::Ordering;
+use std::sync::{Mutex, PoisonError};
 
-use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
+use llxscx::epoch::{Atomic, Guard, Owned, Shared};
 use llxscx::guard_cache::with_guard;
-use parking_lot::Mutex;
 
 struct AvlNode<K, V> {
     key: K,
@@ -394,7 +394,7 @@ where
     /// previous value.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         with_guard(|guard| {
-            let _w = self.writer.lock();
+            let _w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let root = self.root.load(Ordering::Acquire, guard);
             let mut retired = Vec::new();
             let mut old = None;
@@ -412,7 +412,7 @@ where
     /// Removes `key` (serialized with other updates); returns its value.
     pub fn remove(&self, key: &K) -> Option<V> {
         with_guard(|guard| {
-            let _w = self.writer.lock();
+            let _w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let root = self.root.load(Ordering::Acquire, guard);
             let mut retired = Vec::new();
             let mut old = None;
@@ -538,7 +538,7 @@ impl<K, V> Drop for LockAvl<K, V> {
     fn drop(&mut self) {
         // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so the
         // unprotected guard is sound.
-        let guard = unsafe { crossbeam_epoch::unprotected() };
+        let guard = unsafe { llxscx::epoch::unprotected() };
         let mut stack = vec![self.root.load(Ordering::Acquire, guard)];
         while let Some(n) = stack.pop() {
             if n.is_null() {

@@ -1,7 +1,7 @@
 //! `RBGlobal`: the paper's coarse-grained baseline — the highly optimized
 //! sequential red-black tree with every operation under one global lock.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::RbTree;
 
@@ -27,38 +27,42 @@ impl<K: Ord + Clone, V: Clone> RbGlobal<K, V> {
         }
     }
 
+    /// The tree, under the global lock. Poisoning is ignored, so a
+    /// panicked holder does not wedge the map.
+    fn tree(&self) -> MutexGuard<'_, RbTree<K, V>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up `key` (serialized on the global lock).
     pub fn get(&self, key: &K) -> Option<V> {
-        self.inner.lock().get(key).cloned()
+        self.tree().get(key).cloned()
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.inner.lock().contains_key(key)
+        self.tree().contains_key(key)
     }
 
     /// Inserts `key → value`; returns the previous value.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        self.inner.lock().insert(key, value)
+        self.tree().insert(key, value)
     }
 
     /// Removes `key`; returns its value.
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.inner.lock().remove(key)
+        self.tree().remove(key)
     }
 
     /// Smallest key strictly greater than `key`.
     pub fn successor(&self, key: &K) -> Option<(K, V)> {
-        self.inner
-            .lock()
+        self.tree()
             .successor(key)
             .map(|(k, v)| (k.clone(), v.clone()))
     }
 
     /// Largest key strictly smaller than `key`.
     pub fn predecessor(&self, key: &K) -> Option<(K, V)> {
-        self.inner
-            .lock()
+        self.tree()
             .predecessor(key)
             .map(|(k, v)| (k.clone(), v.clone()))
     }
@@ -67,22 +71,22 @@ impl<K: Ord + Clone, V: Clone> RbGlobal<K, V> {
     /// the global lock is held for the whole walk (which is exactly why
     /// coarse-grained range scans don't scale).
     pub fn range<B: std::ops::RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
-        self.inner.lock().range(bounds)
+        self.tree().range(bounds)
     }
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.tree().len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.tree().is_empty()
     }
 
     /// Sorted snapshot of the contents.
     pub fn collect(&self) -> Vec<(K, V)> {
-        self.inner.lock().collect()
+        self.tree().collect()
     }
 }
 

@@ -4,7 +4,7 @@
 //! the Java Class Library's `ConcurrentSkipListMap` ("SkipList" in the
 //! paper's Figure 8). Deleted nodes are *marked* by tagging their `next`
 //! pointers (bit 0 of the pointer word) and then physically unlinked by
-//! subsequent `find` traversals; memory is reclaimed with crossbeam-epoch
+//! subsequent `find` traversals; memory is reclaimed through `llxscx::epoch`
 //! once no level links the node (see `SkipListMap::vote_retire`).
 //!
 //! Updates are simple single-CAS events at the bottom level (towers above
@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
+use llxscx::epoch::{Atomic, Guard, Owned, Shared};
 use llxscx::guard_cache::with_guard;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::cell::RefCell;
@@ -655,7 +655,7 @@ impl<K, V> Drop for SkipListMap<K, V> {
     fn drop(&mut self) {
         // SAFETY: exclusive `&mut self` in Drop — no concurrent threads, so the
         // unprotected guard cannot race with a reader.
-        let guard = unsafe { crossbeam_epoch::unprotected() };
+        let guard = unsafe { llxscx::epoch::unprotected() };
         // SEQCST: teardown/cold path; kept uniform with the entry's accesses.
         let mut cur = self.head.load(Ordering::SeqCst, guard);
         while !cur.is_null() {

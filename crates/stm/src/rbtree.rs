@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 use crate::tl2::{atomically, Retry, TVar, Tx};
 
@@ -76,7 +76,7 @@ where
     }
 
     fn cell(&self, i: u32) -> Arc<TVar<Cell<K, V>>> {
-        self.arena.read()[i as usize].clone()
+        self.arena.read().unwrap_or_else(PoisonError::into_inner)[i as usize].clone()
     }
 
     fn read(&self, tx: &mut Tx, i: u32) -> Result<Cell<K, V>, Retry> {
@@ -96,16 +96,24 @@ where
     }
 
     fn alloc(&self) -> u32 {
-        if let Some(i) = self.free.lock().pop() {
+        if let Some(i) = self
+            .free
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop()
+        {
             return i;
         }
-        let mut arena = self.arena.write();
+        let mut arena = self.arena.write().unwrap_or_else(PoisonError::into_inner);
         arena.push(TVar::new(Cell::free()));
         (arena.len() - 1) as u32
     }
 
     fn release(&self, i: u32) {
-        self.free.lock().push(i);
+        self.free
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(i);
     }
 
     /// Rotate around `x` (`dir = 0`: left, `dir = 1`: right), updating

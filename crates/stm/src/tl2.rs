@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 /// The global version clock. Incremented once per writing commit.
 static GLOBAL_CLOCK: AtomicU64 = AtomicU64::new(0);
@@ -36,7 +36,10 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// Reads the value outside any transaction (racy snapshot; for tests
     /// and single-threaded setup only).
     pub fn load_raw(&self) -> T {
-        self.value.read().clone()
+        self.value
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     fn sample_version(&self) -> u64 {
@@ -75,7 +78,7 @@ impl<T: Clone + Send + Sync + 'static> ErasedVar for TVar<T> {
     }
     fn write_and_release(&self, value: Box<dyn Any>, new_version: u64) {
         let v = *value.downcast::<T>().expect("write-set type mismatch");
-        *self.value.write() = v;
+        *self.value.write().unwrap_or_else(PoisonError::into_inner) = v;
         // SEQCST: TL2 global clock and version locks need a single total order.
         self.version_lock.store(new_version << 1, Ordering::SeqCst);
     }
@@ -140,7 +143,11 @@ impl Tx {
         if v1 & 1 == 1 || (v1 >> 1) > self.rv {
             return Err(Retry);
         }
-        let value = var.value.read().clone();
+        let value = var
+            .value
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let v2 = var.sample_version();
         if v1 != v2 {
             return Err(Retry);
