@@ -673,4 +673,36 @@ mod tests {
         t.check_invariants().unwrap();
         assert_eq!(t.len(), 1000 + 2 * 500);
     }
+
+    /// A value whose `clone` panics when armed.
+    #[derive(Debug, PartialEq)]
+    struct Bomb(bool);
+
+    impl Clone for Bomb {
+        fn clone(&self) -> Self {
+            assert!(!self.0, "armed value cloned");
+            Bomb(false)
+        }
+    }
+
+    #[test]
+    fn panicked_writer_does_not_wedge_updates() {
+        let t = Arc::new(LockAvl::new());
+        for k in 0..8u64 {
+            t.insert(k, Bomb(false));
+        }
+        let writer = Arc::clone(&t);
+        // The new leaf clones its value under the writer lock, before the
+        // root is swung, so this panics holding the lock and changes nothing.
+        assert!(std::thread::spawn(move || writer.insert(100, Bomb(true)))
+            .join()
+            .is_err());
+        assert!(t.writer.is_poisoned());
+
+        assert_eq!(t.get(&100), None);
+        assert_eq!(t.insert(8, Bomb(false)), None);
+        assert_eq!(t.remove(&0), Some(Bomb(false)));
+        assert_eq!(t.len(), 8);
+        t.check_invariants().unwrap();
+    }
 }

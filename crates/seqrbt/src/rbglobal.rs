@@ -114,4 +114,34 @@ mod tests {
         });
         assert_eq!(m.len(), 4 * 250);
     }
+
+    /// A value whose `clone` panics when armed.
+    #[derive(Debug, PartialEq)]
+    struct Bomb(bool);
+
+    impl Clone for Bomb {
+        fn clone(&self) -> Self {
+            assert!(!self.0, "armed value cloned");
+            Bomb(false)
+        }
+    }
+
+    #[test]
+    fn panicked_holder_does_not_wedge_the_map() {
+        let m = Arc::new(RbGlobal::new());
+        m.insert(1u64, Bomb(true));
+        m.insert(2, Bomb(false));
+        let holder = Arc::clone(&m);
+        // `get` clones the value under the global lock, so this panics
+        // while holding it.
+        assert!(std::thread::spawn(move || holder.get(&1)).join().is_err());
+        assert!(m.inner.is_poisoned());
+
+        assert_eq!(m.get(&2), Some(Bomb(false)));
+        assert_eq!(m.insert(3, Bomb(false)), None);
+        assert_eq!(m.remove(&2), Some(Bomb(false)));
+        assert!(m.contains_key(&1));
+        assert_eq!(m.len(), 2);
+        m.tree().check_invariants().unwrap();
+    }
 }
