@@ -13,7 +13,6 @@ mod bulk;
 mod query;
 mod rebalance;
 pub mod stats;
-mod update;
 
 pub use audit::AuditReport;
 pub use stats::Stats;

@@ -37,9 +37,6 @@ pub struct Stats {
     violations_created: AtomicU64,
     range_queries: AtomicU64,
     range_retries: AtomicU64,
-    merged_insert_scxs: AtomicU64,
-    merged_insert_keys: AtomicU64,
-    merged_remove_scxs: AtomicU64,
 }
 
 impl Stats {
@@ -67,14 +64,6 @@ impl Stats {
     }
     pub(crate) fn bump_range_retries(&self) {
         self.range_retries.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn bump_merged_insert(&self, run_len: u64) {
-        self.merged_insert_scxs.fetch_add(1, Ordering::Relaxed);
-        self.merged_insert_keys
-            .fetch_add(run_len, Ordering::Relaxed);
-    }
-    pub(crate) fn bump_merged_remove_scxs(&self) {
-        self.merged_remove_scxs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Committed rebalancing steps, per transformation (see [`STEP_NAMES`]).
@@ -117,20 +106,10 @@ impl Stats {
         self.range_retries.load(Ordering::Relaxed)
     }
 
-    /// Same-leaf runs `insert_bulk` installed as one mini-subtree SCX
-    /// (each replaces `merged_insert_keys / merged_insert_scxs` per-element
-    /// SCX commits on average).
-    pub fn merged_insert_scxs(&self) -> u64 {
-        self.merged_insert_scxs.load(Ordering::Relaxed)
-    }
-
-    /// Batch elements covered by merged-run installs (duplicates included).
+    /// Always 0: batches run as point updates, so no batch element is
+    /// installed by a merged SCX. Kept only because the benchmark's frozen
+    /// `core.merged_keys_share` rung reads it; it goes when that rung does.
     pub fn merged_insert_keys(&self) -> u64 {
-        self.merged_insert_keys.load(Ordering::Relaxed)
-    }
-
-    /// Sibling-leaf pairs `remove_bulk` collapsed in a single SCX.
-    pub fn merged_remove_scxs(&self) -> u64 {
-        self.merged_remove_scxs.load(Ordering::Relaxed)
+        0
     }
 }

@@ -160,15 +160,6 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Node<K, V> {
     }
 }
 
-/// Compares an optional (sentinel-aware) key with a probe key for routing:
-/// `None` (= `∞`) is greater than everything.
-pub fn probe_lt_key<K: Ord>(probe: &K, key: Option<&K>) -> bool {
-    match key {
-        None => true,
-        Some(k) => probe < k,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

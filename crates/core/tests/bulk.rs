@@ -1,16 +1,13 @@
-//! Sorted-bulk updates (`ChromaticTree::insert_bulk` /
+//! Batch updates (`ChromaticTree::insert_bulk` /
 //! `ChromaticTree::remove_bulk`) against the sequential oracle and under
 //! concurrency.
 //!
-//! The bulk paths reuse search-path prefixes between consecutive sorted
-//! keys and merge same-leaf runs into single SCXs (see
-//! `chromatic/bulk.rs`), which is exactly the kind of optimization that
-//! can silently misplace a key — or break the equal-weighted-path-sums
-//! invariant — if the cached-ancestor or mini-subtree argument is wrong.
-//! So the oracles check the per-element results *and* the full structural
-//! audit (path-sum equality included) after every scenario, and the
-//! concurrent tests hammer the cache-invalidation and merged-SCX fallback
-//! paths from multiple threads.
+//! A batch is its elements' point updates, in input order. The oracles
+//! check the per-element results *and* the full structural audit
+//! (path-sum equality included) after every scenario, the concurrent
+//! tests run batches against each other and against point writers, and
+//! one test checks from a concurrent reader that the elements take
+//! effect in input order.
 
 use nbtree::ChromaticTree;
 
@@ -40,8 +37,7 @@ fn check_bulk_against_model(script: &[(bool, Vec<(u64, u64)>)], allowed_violatio
 /// insert, point inserts, bulk remove (the batch's keys), point removes —
 /// replayed against a `BTreeMap`. After every op the audit must be clean,
 /// with the weighted-path-sum invariant explicitly present whenever the
-/// dictionary is non-empty (the merged mini-subtree install is built
-/// around keeping it equal).
+/// dictionary is non-empty.
 fn check_mixed_against_model(script: &[(u8, Vec<(u64, u64)>)], allowed_violations: u32) {
     use std::collections::BTreeMap;
     let tree = ChromaticTree::with_allowed_violations(allowed_violations);
@@ -105,10 +101,8 @@ fn bulk_batches_interleaved_with_point_inserts_match_model() {
 
 #[test]
 fn adversarial_shapes_match_model() {
-    // Shapes that stress the prefix cache specifically: runs of identical
-    // keys (the cache never pops), a fully ascending run (every step pops
-    // at most one frame), a descending input (sorted internally), and a
-    // batch spanning the whole keyspace after a tight cluster.
+    // Runs of identical keys, a fully ascending run, a descending input,
+    // and a batch spanning the whole keyspace after a tight cluster.
     let same: Vec<(u64, u64)> = (0..100).map(|i| (42, i)).collect();
     let asc: Vec<(u64, u64)> = (0..1000).map(|k| (k, k)).collect();
     let desc: Vec<(u64, u64)> = (0..1000).rev().map(|k| (k, k + 1)).collect();
@@ -131,10 +125,9 @@ fn adversarial_shapes_match_model() {
 
 #[test]
 fn adversarial_run_shapes_match_model() {
-    // Whole batch destined for one leaf (empty tree → a single merged
-    // install), alternating runs (clusters interleaved with far-away
-    // singletons, so merged installs and per-element inserts alternate
-    // along the same batch), and full sweeps removing what was merged.
+    // Whole batch destined for one leaf of an empty tree, alternating
+    // runs (clusters interleaved with far-away singletons), and full
+    // sweeps removing them again.
     let one_leaf: Vec<(u64, u64)> = (0..64).map(|k| (1000 + k, k)).collect();
     let alternating: Vec<(u64, u64)> = (0..8u64)
         .flat_map(|c| {
@@ -162,9 +155,9 @@ fn adversarial_run_shapes_match_model() {
 #[test]
 fn runs_straddling_pending_violations_match_model() {
     // Chromatic6 defers rebalancing, so after the ascending point inserts
-    // the region is littered with pending violations; the clustered bulk
-    // then lands its runs on leaves whose paths still carry them, and the
-    // removal sweep contracts right through them. Every step re-audits.
+    // the region is littered with pending violations; the clustered batch
+    // then lands on leaves whose paths still carry them, and the removal
+    // sweep contracts right through them. Every step re-audits.
     let evens: Vec<(u64, u64)> = (0..100u64).map(|k| (2 * k, k)).collect();
     let odds: Vec<(u64, u64)> = (0..100u64).map(|k| (2 * k + 1, k)).collect();
     let everything: Vec<(u64, u64)> = (0..200u64).map(|k| (k, 0)).collect();
@@ -187,7 +180,7 @@ mod bulk_proptest {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The satellite oracle: sorted-bulk insert matches `BTreeMap`
+        /// The batch oracle: `insert_bulk` matches `BTreeMap`
         /// sequential input-order application (duplicate keys: last one in
         /// batch order wins), interleaved bulk/point rounds included, and
         /// the tree's structural invariants survive. (The vendored
@@ -203,11 +196,10 @@ mod bulk_proptest {
             check_bulk_against_model(&script, if allowed { 6 } else { 0 });
         }
 
-        /// Run-merging oracle: adversarially clustered batches (runs of
-        /// consecutive keys over a narrow keyspace, so whole batches
-        /// collapse into few leaves) driven through bulk/point inserts and
-        /// removes, every step audit-checked for path-sum equality by
-        /// `check_mixed_against_model`.
+        /// Clustered batches (runs of consecutive keys over a narrow
+        /// keyspace, so whole batches land in few leaves) driven through
+        /// bulk/point inserts and removes, every step audit-checked for
+        /// path-sum equality by `check_mixed_against_model`.
         #[test]
         fn clustered_run_bulk_ops_match_btreemap(
             input in (
@@ -241,8 +233,8 @@ mod bulk_proptest {
 #[test]
 fn concurrent_bulk_writers_on_disjoint_stripes_settle_exactly() {
     // Each thread bulk-inserts its own key stripe (interleaved mod 4, so
-    // consecutive sorted keys of different threads are neighbors in the
-    // tree and the prefix caches collide constantly), then removes a
+    // consecutive keys of different threads are neighbors in the tree
+    // and the writers' updates collide constantly), then removes a
     // deterministic subset with point ops. The final state is exactly
     // predictable.
     use std::collections::BTreeMap;
@@ -289,8 +281,8 @@ fn concurrent_bulk_writers_on_contended_keys_stay_valid() {
     // All threads bulk-insert overlapping keys while a remover churns:
     // values are racy by design, but every key a bulk claims to have
     // inserted must exist afterwards unless removed, and the structure
-    // must audit clean — this is the path where SCX failures invalidate
-    // the prefix cache over and over.
+    // must audit clean — this is the path where SCX failures make
+    // batch elements retry over and over.
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     let tree = Arc::new(ChromaticTree::<u64, u64>::new());
@@ -339,18 +331,13 @@ fn concurrent_bulk_writers_on_contended_keys_stay_valid() {
 
 #[test]
 fn concurrent_contended_bulk_runs_stay_valid() {
-    // Writers bulk-insert overlapping *clustered* batches (maximal
-    // same-leaf runs, so whole-run SCXs contend directly) while a bulk
-    // remover sweeps the same clusters with consecutive keys (pair
-    // collapses contending with the installs). Exercises the merged-SCX
-    // fallback path: a losing install must retry per-element without
-    // losing or duplicating elements.
+    // Writers bulk-insert overlapping *clustered* batches (consecutive
+    // keys that share leaves, so their updates contend directly) while a
+    // bulk remover sweeps the same clusters with consecutive keys. A
+    // losing update must retry without losing or duplicating elements.
     use std::sync::Arc;
     let tree = Arc::new(ChromaticTree::<u64, u64>::new());
-    // Deterministic seed batch so the merged-install counter is provably
-    // exercised even if every contended install below falls back.
     tree.insert_bulk(&(0..64u64).map(|k| (k, 0)).collect::<Vec<_>>());
-    assert!(tree.stats().merged_insert_scxs() >= 1);
     std::thread::scope(|s| {
         for tid in 0..3u64 {
             let tree = Arc::clone(&tree);
@@ -383,4 +370,56 @@ fn concurrent_contended_bulk_runs_stay_valid() {
     assert!(report.is_valid(), "{:?}", report.errors);
     let snap = tree.collect();
     assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
+}
+
+#[test]
+fn batch_elements_take_effect_in_input_order() {
+    // One writer runs `insert_bulk`, then `remove_bulk`, over a
+    // descending key list. A reader sweeps the keys from the batch's last
+    // element to its first: once it sees one element take effect, every
+    // element read after it comes earlier in the batch and must have
+    // taken effect too. A sweep only counts when it started and ended in
+    // the same phase.
+    use std::sync::atomic::{AtomicU8, Ordering};
+    const INSERTING: u8 = 0;
+    const REMOVING: u8 = 1;
+    const DONE: u8 = 2;
+    let keys: Vec<u64> = (0..4096u64).rev().collect();
+    let tree = ChromaticTree::<u64, u64>::new();
+    let phase = AtomicU8::new(INSERTING);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+            tree.insert_bulk(&pairs);
+            // SEQCST: test-only; SC keeps the phase argument trivial.
+            phase.store(REMOVING, Ordering::SeqCst);
+            tree.remove_bulk(&keys);
+            // SEQCST: test-only; SC keeps the phase argument trivial.
+            phase.store(DONE, Ordering::SeqCst);
+        });
+        loop {
+            // SEQCST: test-only; SC keeps the phase argument trivial.
+            let start = phase.load(Ordering::SeqCst);
+            if start == DONE {
+                break;
+            }
+            // Present while inserting, absent while removing.
+            let changed = |k: &u64| tree.contains_key(k) == (start == INSERTING);
+            let sweep: Vec<bool> = keys.iter().rev().map(changed).collect();
+            // SEQCST: test-only; SC keeps the phase argument trivial.
+            if phase.load(Ordering::SeqCst) != start {
+                continue;
+            }
+            if let Some(first) = sweep.iter().position(|&c| c) {
+                let late = sweep[first..].iter().position(|&c| !c);
+                assert!(
+                    late.is_none(),
+                    "phase {start}: key {} took effect before key {}, which precedes it in the batch",
+                    keys[keys.len() - 1 - first],
+                    keys[keys.len() - 1 - (first + late.unwrap())],
+                );
+            }
+        }
+    });
+    assert!(tree.is_empty());
 }

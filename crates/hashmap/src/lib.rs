@@ -48,13 +48,12 @@
 //!   never modified, so a reader that loaded it keeps probing a frozen,
 //!   complete snapshot and linearizes at its table-pointer load.
 //! * **Reclamation** is epoch-based via the suite's
-//!   [`llxscx::guard_cache`] weighted pins: point ops share the cached
-//!   per-thread guard, batch entry points take one pin per
-//!   [`llxscx::guard_cache::REPIN_OPS`]-chunk — the same cadence (and
-//!   the same documented reclamation-lag bound) as the chromatic tree's
-//!   bulk paths. Retired entries and retired table generations are
-//!   `defer_destroy`ed; a retired generation's drop frees only its
-//!   arrays (the entries now belong to the successor).
+//!   [`llxscx::guard_cache`]: every op takes the cached per-thread
+//!   guard, with the same repin cadence (and the same documented
+//!   reclamation-lag bound) as the trees. Retired entries and retired
+//!   table generations are `defer_destroy`ed; a retired generation's
+//!   drop frees only its arrays (the entries now belong to the
+//!   successor).
 //!
 //! ## What `range` means here
 //!
@@ -153,27 +152,6 @@ mod tests {
             "inclusive range [70, 140]"
         );
         assert_eq!(m.sorted_range(&10, &5), vec![], "inverted range is empty");
-    }
-
-    #[test]
-    fn batches_match_per_element_application() {
-        let batched: HopMap<u64, u64> = HopMap::new();
-        let pointwise: HopMap<u64, u64> = HopMap::new();
-        // Duplicates in one batch resolve in input order.
-        let batch: Vec<(u64, u64)> = (0..200).map(|i| (i % 50, i)).collect();
-        let expect: Vec<_> = batch.iter().map(|&(k, v)| pointwise.insert(k, v)).collect();
-        assert_eq!(batched.insert_batch(&batch), expect);
-        let keys: Vec<u64> = (0..60).collect();
-        assert_eq!(
-            batched.get_batch(&keys),
-            keys.iter().map(|k| pointwise.get(k)).collect::<Vec<_>>()
-        );
-        let dels: Vec<u64> = (0..50).chain(0..10).collect();
-        assert_eq!(
-            batched.remove_batch(&dels),
-            dels.iter().map(|k| pointwise.remove(k)).collect::<Vec<_>>()
-        );
-        assert_eq!(batched.sorted_items(), pointwise.sorted_items());
     }
 
     #[test]

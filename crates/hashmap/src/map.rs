@@ -241,14 +241,13 @@ where
     }
 
     // ---------------------------------------------------------------
-    // Point operations. The `*_in` flavors run under a caller-provided
-    // epoch guard (the batch entry points and the workload adapters
-    // amortize one pin over many calls); the plain flavors pin through
-    // the shared `llxscx::guard_cache`, exactly like the trees.
+    // Point operations. Each pins through the shared
+    // `llxscx::guard_cache`, exactly like the trees, and runs its `*_in`
+    // body under that guard.
     // ---------------------------------------------------------------
 
     /// [`get`](Self::get) under a caller-provided epoch guard.
-    pub fn get_in(&self, k: &K, g: &Guard) -> Option<V> {
+    fn get_in(&self, k: &K, g: &Guard) -> Option<V> {
         // SAFETY: `table` is never null; loaded under `g`, the generation cannot be
         // freed before the guard drops.
         let t = unsafe { self.table.load(Ordering::Acquire, g).deref() };
@@ -293,7 +292,7 @@ where
     }
 
     /// [`insert`](Self::insert) under a caller-provided epoch guard.
-    pub fn insert_in(&self, k: K, v: V, g: &Guard) -> Option<V> {
+    fn insert_in(&self, k: K, v: V, g: &Guard) -> Option<V> {
         'restart: loop {
             let t_shared = self.table.load(Ordering::Acquire, g);
             // SAFETY: `table` is never null; the generation is alive under `g`.
@@ -414,7 +413,7 @@ where
     }
 
     /// [`remove`](Self::remove) under a caller-provided epoch guard.
-    pub fn remove_in(&self, k: &K, g: &Guard) -> Option<V> {
+    fn remove_in(&self, k: &K, g: &Guard) -> Option<V> {
         loop {
             let t_shared = self.table.load(Ordering::Acquire, g);
             // SAFETY: `table` is never null; the generation is alive under `g`.
@@ -459,51 +458,6 @@ where
     /// Removes, returning the removed value.
     pub fn remove(&self, k: &K) -> Option<V> {
         guard_cache::with_guard(|g| self.remove_in(k, g))
-    }
-
-    // ---------------------------------------------------------------
-    // Batch entry points: one weighted guard-cache pin per REPIN_OPS
-    // chunk, mirroring the chromatic tree's bulk paths (and keeping the
-    // suite's documented reclamation-lag bound).
-    // ---------------------------------------------------------------
-
-    /// Inserts a whole batch, returning the displaced value per element
-    /// in input order (duplicates resolve in batch order). Elements
-    /// linearize individually; the batch is not atomic.
-    pub fn insert_batch(&self, batch: &[(K, V)]) -> Vec<Option<V>> {
-        let mut out = Vec::with_capacity(batch.len());
-        for chunk in batch.chunks(guard_cache::REPIN_OPS as usize) {
-            guard_cache::with_guard_weighted(chunk.len() as u32, |g| {
-                out.extend(
-                    chunk
-                        .iter()
-                        .map(|(k, v)| self.insert_in(k.clone(), v.clone(), g)),
-                );
-            });
-        }
-        out
-    }
-
-    /// Removes a batch of keys; semantics as [`insert_batch`](Self::insert_batch).
-    pub fn remove_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(guard_cache::REPIN_OPS as usize) {
-            guard_cache::with_guard_weighted(chunk.len() as u32, |g| {
-                out.extend(chunk.iter().map(|k| self.remove_in(k, g)));
-            });
-        }
-        out
-    }
-
-    /// Looks up a batch of keys; semantics as [`insert_batch`](Self::insert_batch).
-    pub fn get_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(guard_cache::REPIN_OPS as usize) {
-            guard_cache::with_guard_weighted(chunk.len() as u32, |g| {
-                out.extend(chunk.iter().map(|k| self.get_in(k, g)));
-            });
-        }
-        out
     }
 
     // ---------------------------------------------------------------

@@ -98,10 +98,10 @@ fn readers_never_miss_permanent_keys_during_displacement_storm() {
     assert!(report.max_probe < HOP_RANGE);
 }
 
-/// Striped point and batch writers over disjoint key ranges settle to
-/// the deterministic per-stripe outcome, and `len` is exact once quiet.
+/// Striped point writers over disjoint key ranges settle to the
+/// deterministic per-stripe outcome, and `len` is exact once quiet.
 #[test]
-fn striped_point_and_batch_writers_settle_deterministically() {
+fn striped_point_writers_settle_deterministically() {
     const STRIPE: u64 = 4_000;
     let map: Arc<HopMap<u64, u64>> = Arc::new(HopMap::new());
     let mut handles = Vec::new();
@@ -109,20 +109,11 @@ fn striped_point_and_batch_writers_settle_deterministically() {
         let map = Arc::clone(&map);
         handles.push(std::thread::spawn(move || {
             let base = t * STRIPE;
-            if t % 2 == 0 {
-                // Point-op stripes.
-                for k in base..base + STRIPE {
-                    map.insert(k, k + t);
-                }
-                for k in (base..base + STRIPE).filter(|k| k % 5 == 0) {
-                    map.remove(&k);
-                }
-            } else {
-                // Batch stripes: same outcome via the batch entry points.
-                let items: Vec<(u64, u64)> = (base..base + STRIPE).map(|k| (k, k + t)).collect();
-                map.insert_batch(&items);
-                let dead: Vec<u64> = (base..base + STRIPE).filter(|k| k % 5 == 0).collect();
-                map.remove_batch(&dead);
+            for k in base..base + STRIPE {
+                map.insert(k, k + t);
+            }
+            for k in (base..base + STRIPE).filter(|k| k % 5 == 0) {
+                map.remove(&k);
             }
             llxscx::guard_cache::flush();
         }));

@@ -1,7 +1,7 @@
-//! Model-based oracle for the hopscotch map: random interleaved
-//! point/batch scripts against `BTreeMap`, replayed at the load factors
-//! the table is expected to sustain, plus adversarial same-neighborhood
-//! key sets that force displacement chains and growth.
+//! Model-based oracle for the hopscotch map: random point-op scripts,
+//! runs of inserts and removes included, against `BTreeMap`, replayed at
+//! the load factors the table is expected to sustain, plus adversarial
+//! same-neighborhood key sets that force displacement chains and growth.
 
 use hashmap::{HopMap, HOP_RANGE};
 use proptest::prelude::*;
@@ -32,18 +32,18 @@ fn check_script(script: &[Op], cap: usize, prefill: u64) -> Result<(), TestCaseE
             2 => prop_assert_eq!(map.remove(&k), model.remove(&k)),
             3 => prop_assert_eq!(map.get(&k), model.get(&k).copied()),
             4 => {
-                // Batch insert derived from the op's material, duplicate
-                // keys included (they must resolve in input order).
-                let batch: Vec<(u64, u64)> = (0..(v % 24))
-                    .map(|i| ((k + i * i) % keyspace, v + i))
-                    .collect();
-                let expect: Vec<_> = batch.iter().map(|&(k, v)| model.insert(k, v)).collect();
-                prop_assert_eq!(map.insert_batch(&batch), expect);
+                // A run of inserts derived from the op's material,
+                // duplicate keys included.
+                for i in 0..(v % 24) {
+                    let (k, v) = ((k + i * i) % keyspace, v + i);
+                    prop_assert_eq!(map.insert(k, v), model.insert(k, v));
+                }
             }
             _ => {
-                let keys: Vec<u64> = (0..(v % 24)).map(|i| (k + i * 7) % keyspace).collect();
-                let expect: Vec<_> = keys.iter().map(|k| model.remove(k)).collect();
-                prop_assert_eq!(map.remove_batch(&keys), expect);
+                for i in 0..(v % 24) {
+                    let k = (k + i * 7) % keyspace;
+                    prop_assert_eq!(map.remove(&k), model.remove(&k));
+                }
             }
         }
     }

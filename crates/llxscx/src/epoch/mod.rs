@@ -213,7 +213,7 @@ struct Local {
     /// Whether a [`with_guard`] call is running on this thread; calls made
     /// inside it ride its pin.
     active: Cell<bool>,
-    /// Operations since the last repin, counted in `with_guard` weights.
+    /// Outermost [`with_guard`] calls since the last repin.
     uses: Cell<u32>,
     /// What this thread retired and has not yet run.
     limbo: RefCell<Limbo>,
@@ -350,28 +350,13 @@ pub struct Guard {
 
 /// Runs `f` under this thread's cached pin, repinning (and collecting)
 /// every [`REPIN_OPS`] calls. A call made inside another rides the outer
-/// call's pin and does not count.
+/// call's pin and does not count, and nothing inside a call unpins it.
+///
+/// A repin happens on the first call after the counter reaches
+/// [`REPIN_OPS`], so garbage this thread defers, and the epoch it holds
+/// the others back at, lag by at most `REPIN_OPS` operations.
 #[inline]
 pub fn with_guard<R>(f: impl FnOnce(&Guard) -> R) -> R {
-    with_guard_weighted(1, f)
-}
-
-/// [`with_guard`] with an explicit *weight*: the call counts as `weight`
-/// operations toward the [`REPIN_OPS`] repin cadence.
-///
-/// This is the substrate for batched entry points (`sharded`'s
-/// `insert_batch`/`remove_batch`/`get_batch`): a batch of `n` operations
-/// executes under ONE pin — every nested `with_guard` the per-operation
-/// code performs rides it — but still advances the cadence by `n`, so a
-/// weighted caller crosses the repin boundary as often *per operation* as
-/// an unweighted one. The precise guarantee: a repin happens on the first
-/// call after the counter reaches [`REPIN_OPS`], so the reclamation lag is
-/// bounded by `REPIN_OPS` operations *plus one batch* (garbage deferred
-/// inside a batch of `n > REPIN_OPS` operations waits for that batch to
-/// end, and the post-repin counter saturates at `REPIN_OPS`, making the
-/// next batch repin again immediately).
-#[inline]
-pub fn with_guard_weighted<R>(weight: u32, f: impl FnOnce(&Guard) -> R) -> R {
     let guard = Guard {
         pinned: true,
         _not_send: PhantomData,
@@ -384,13 +369,13 @@ pub fn with_guard_weighted<R>(weight: u32, f: impl FnOnce(&Guard) -> R) -> R {
         let uses = local.uses.get();
         if uses >= REPIN_OPS {
             local.repin();
-            local.uses.set(weight.min(REPIN_OPS));
+            local.uses.set(1);
         } else {
             // Checked here, not in `pin`: the warm path makes no call.
             if !local.pinned.get() {
                 local.pin();
             }
-            local.uses.set(uses.saturating_add(weight));
+            local.uses.set(uses + 1);
         }
         f(&guard)
     })
@@ -623,6 +608,27 @@ mod tests {
         let workers = [thread::spawn(retire), thread::spawn(retire)];
         workers.into_iter().for_each(|w| w.join().unwrap());
         drive_to(&DROPS, 2 * n);
+    }
+
+    #[test]
+    fn nothing_inside_with_guard_unpins_it() {
+        static RAN: AtomicUsize = AtomicUsize::new(0);
+        let state = || LOCAL.with(|l| (l.uses.get(), l.pinned.get()));
+        with_guard(|g| {
+            // SAFETY: the closure only touches a `'static` counter.
+            unsafe { g.defer_unchecked(|| add(&RAN, 1)) };
+            let before = state();
+            assert!(before.1, "with_guard runs its closure unpinned");
+            // Enough nested calls to cross the repin cadence four times,
+            // each followed by a pass.
+            for _ in 0..4 * REPIN_OPS {
+                with_guard(|_| ());
+                flush();
+            }
+            assert_eq!(state(), before, "a nested call counted or unpinned");
+            assert_eq!(count(&RAN), 0, "ran under the guard it was deferred in");
+        });
+        drive_to(&RAN, 1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Amortized epoch pinning: the path most callers name for
-//! [`with_guard`], [`with_guard_weighted`], [`flush`] and [`REPIN_OPS`].
+//! [`with_guard`], [`flush`] and [`REPIN_OPS`].
 //!
 //! They live in [`epoch`](crate::epoch) beside the collector, because the
 //! cached pin, the repin counter and the limbo list are one per-thread
 //! state there; its module docs cover the cadence and the liveness caveat
 //! (call [`flush`] before parking a thread).
 
-pub use crate::epoch::{flush, with_guard, with_guard_weighted, REPIN_OPS};
+pub use crate::epoch::{flush, with_guard, REPIN_OPS};
 
 #[cfg(test)]
 mod tests {
@@ -46,34 +46,5 @@ mod tests {
     fn reentrant_with_guard_falls_back() {
         let out = with_guard(|_outer| with_guard(|_inner| 42));
         assert_eq!(out, 42);
-    }
-
-    #[test]
-    fn weighted_calls_advance_the_repin_cadence() {
-        // Garbage deferred under a weighted call must be reclaimed after a
-        // handful of further weighted calls: a weight-64 batch counts as 64
-        // operations, so two batches cross the repin boundary — whereas 8
-        // *unweighted* calls would leave the cadence counter at 8 and the
-        // cached pin warm. (The actual free also needs the global epoch to
-        // advance twice, hence the trailing flush loop, same as the
-        // unweighted test above.)
-        static RAN_W: AtomicBool = AtomicBool::new(false);
-        // SAFETY: the deferred closure only touches a `'static` atomic.
-        with_guard_weighted(REPIN_OPS, |g| unsafe {
-            // SEQCST: test-only; SC keeps the interleaving argument trivial.
-            g.defer_unchecked(|| RAN_W.store(true, Ordering::SeqCst))
-        });
-        for _ in 0..8 {
-            with_guard_weighted(REPIN_OPS, |_| ());
-        }
-        flush_until(&RAN_W);
-    }
-
-    #[test]
-    fn weight_saturates_instead_of_overflowing() {
-        for _ in 0..4 {
-            with_guard_weighted(u32::MAX, |_| ());
-        }
-        flush();
     }
 }

@@ -86,7 +86,7 @@ pub mod record;
 pub mod slab;
 
 pub use descriptor::ScxRecord;
-pub use epoch::{with_guard, with_guard_weighted, Atomic, Guard, Owned, Shared};
+pub use epoch::{with_guard, Atomic, Guard, Owned, Shared};
 pub use ops::{llx, scx, vlx, Llx, LlxHandle, ScxArgs};
 pub use record::{Record, RecordHeader, MAX_ARITY, MAX_V};
 

@@ -2,10 +2,11 @@
 //! [`sharded::ConcurrentMap`] batch entry points.
 //!
 //! The structures' batch operations (`insert_batch` / `remove_batch` /
-//! `get_batch`) amortize traversal, guard pinning and (for the
-//! chromatic tree) same-leaf SCX merging across many keys — but only a
-//! caller that *has* a batch can use them. This crate manufactures
-//! batches out of independent concurrent clients: each client submits
+//! `get_batch`) run one point op per element, in input order; what a
+//! batch saves is per-request overhead above the map — a queue slot, a
+//! wake-up, a result hand-off — and only a caller that *has* a batch can
+//! use them. This crate manufactures batches out of independent
+//! concurrent clients: each client submits
 //! point ops into a bounded accumulation queue and immediately receives
 //! a future; a flusher drains the queue through the batch entry points
 //! whenever a size threshold fills or the oldest request ages past a

@@ -47,12 +47,12 @@
 //!
 //! The queue is FIFO and a flush executes its requests in queue order,
 //! partitioned into maximal same-kind runs that go through
-//! `insert_batch` / `remove_batch` / `get_batch` whole. Responses
-//! therefore equal sequential input-order application of the drained
-//! requests — the same duplicate-key bar the trait documents for
-//! batches. One client's submissions resolve in its own program order;
-//! concurrent clients interleave at queue push, which is the service's
-//! linearization order.
+//! `insert_batch` / `remove_batch` / `get_batch` whole, each run's
+//! elements applied as point ops in order. Responses therefore equal
+//! sequential input-order application of the drained requests — the
+//! same duplicate-key bar the trait documents for batches. One client's
+//! submissions resolve in its own program order; concurrent clients
+//! interleave at queue push, which is the service's linearization order.
 //!
 //! ## A panicking map op
 //!

@@ -1,4 +1,4 @@
-//! # Range-partitioned sharding with batched operations
+//! # Range-partitioned sharding
 //!
 //! The PPoPP'14 trees are presented as *building blocks* for larger
 //! systems. This crate is the first such system layer in the suite: a
@@ -7,25 +7,19 @@
 //! sets stop contending on one root, one balancing scheme and one epoch
 //! of garbage.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`ConcurrentMap`] — the suite-wide object-safe map interface
 //!   (relocated here from `workload`, which re-exports it, so the façade
-//!   can implement the same trait it composes over). The trait is
-//!   **batch-first**: `insert_batch` / `remove_batch` / `get_batch` are
-//!   trait methods with per-element defaults, so any map in the suite can
-//!   be driven by whole request groups and structures with a real bulk
-//!   path override them.
+//!   can implement the same trait it composes over). Its
+//!   `insert_batch` / `remove_batch` / `get_batch` methods default to one
+//!   point op per element, in input order, so any map in the suite can
+//!   be driven by whole request groups.
 //! * [`ShardedMap`] — the façade: power-of-two shard counts, uniform or
 //!   *learned* split points ([`ShardedMap::from_sample`]), wait-free
 //!   boundary-table routing, and cross-shard `range` stitching with a
-//!   documented per-shard atomicity scope.
-//! * The façade's batch overrides — sort, group by shard, and execute
-//!   each group whole through the *shard's own* batch entry point, so a
-//!   shard with a native bulk path (the chromatic tree's sorted-bulk
-//!   insert, with weighted epoch pins chunked at the repin cadence via
-//!   `llxscx::guard_cache::with_guard_weighted`) amortizes over the
-//!   entire group without starving reclamation.
+//!   documented per-shard atomicity scope. It keeps the batch defaults,
+//!   so each batch element is routed to its shard's point op.
 //!
 //! Shard counts and the boundary-table span are plumbed in by the caller
 //! — deployments use `workload::SuiteConfig` (parsed from the

@@ -73,21 +73,15 @@ pub trait ConcurrentMap: Send + Sync {
     /// input order.
     ///
     /// **Semantics (all implementations):** a batch is *not* a
-    /// transaction. Each element linearizes individually, and the result
-    /// vector is what sequential input-order application would return —
-    /// in particular, duplicate keys behave as if inserted one at a time
-    /// in batch order (the last duplicate wins). Implementations are free
-    /// to reorder *execution* (the sharded façade groups by shard, the
-    /// chromatic tree bulk-inserts in ascending key order) as long as the
-    /// per-element results match input-order application; concurrent
-    /// readers may observe a batch partially applied, in whatever order
-    /// the implementation executes.
+    /// transaction. Each element is applied as a point op, in input
+    /// order, and linearizes individually; the result vector is what
+    /// sequential input-order application returns, so duplicate keys
+    /// behave as if inserted one at a time (the last duplicate wins).
+    /// Concurrent readers may observe a batch partially applied, but
+    /// never an element applied before an earlier one.
     ///
-    /// The default implementation applies the batch one element at a
-    /// time. Structures with a cheaper bulk path override it: the sharded
-    /// façade runs each per-shard group under one amortized epoch pin,
-    /// and the chromatic tree adds a sorted-bulk insert that reuses the
-    /// shared search-path prefix between consecutive keys.
+    /// Every registered structure, the sharded façade included, uses this
+    /// default.
     fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
         batch.iter().map(|&(k, v)| self.insert(k, v)).collect()
     }
@@ -136,8 +130,8 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
         (**self).is_empty()
     }
     // The batch methods have defaults, but a box must still forward them
-    // explicitly — otherwise `Box<ChromaticShard>` would silently run the
-    // per-element default instead of the tree's sorted-bulk override.
+    // explicitly — otherwise a boxed map that overrides one would
+    // silently run the per-element default instead.
     fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
         (**self).insert_batch(batch)
     }

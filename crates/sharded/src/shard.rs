@@ -1,5 +1,5 @@
 //! The range-partitioned façade: a boundary table routing to per-shard
-//! map instances, plus sorted-and-grouped batched entry points.
+//! map instances.
 
 use crate::map::ConcurrentMap;
 
@@ -30,18 +30,13 @@ use crate::map::ConcurrentMap;
 ///
 /// # Batched operations
 ///
-/// The façade overrides the trait-level
+/// The façade keeps the trait's default
 /// [`insert_batch`](ConcurrentMap::insert_batch),
 /// [`remove_batch`](ConcurrentMap::remove_batch) and
-/// [`get_batch`](ConcurrentMap::get_batch): a batch is sorted and grouped
-/// by shard, and each group runs whole through the **shard's own** batch
-/// entry point — so a shard type with a native bulk path (the chromatic
-/// tree's sorted-bulk insert with its chunked weighted epoch pins,
-/// `llxscx::guard_cache::with_guard_weighted`) gets the entire group to
-/// amortize over. A group of one key has nothing to amortize and takes
-/// the shard's point op instead. Batches are *not* atomic: each element
-/// linearizes individually, in ascending key order per shard (elements
-/// with equal keys keep their batch order).
+/// [`get_batch`](ConcurrentMap::get_batch): each element is routed to its
+/// shard's point op, in input order. Batches are *not* atomic: each
+/// element linearizes individually, and a concurrent reader sees them
+/// take effect in input order.
 ///
 /// # Example
 ///
@@ -71,7 +66,7 @@ use crate::map::ConcurrentMap;
 /// assert_eq!(map.shard_of(99), 0);
 /// assert_eq!(map.shard_of(100), 1);
 ///
-/// // Point ops route by the boundary table; batches group by shard.
+/// // Point ops route by the boundary table; a batch is one point op per element.
 /// let displaced = map.insert_batch(&[(1, 10), (150, 20), (399, 30)]);
 /// assert_eq!(displaced, vec![None, None, None]);
 /// assert_eq!(map.get(&150), Some(20));
@@ -225,103 +220,6 @@ impl<M> ShardedMap<M> {
     }
 }
 
-impl<M: ConcurrentMap> ShardedMap<M> {
-    /// Shared batch plumbing behind the trait-level
-    /// [`insert_batch`](ConcurrentMap::insert_batch) /
-    /// [`remove_batch`](ConcurrentMap::remove_batch) /
-    /// [`get_batch`](ConcurrentMap::get_batch) overrides: stable-sorts
-    /// element indices by `(shard, key)`, gathers each same-shard run into
-    /// a contiguous group (already in ascending key order, input-order
-    /// ties), executes the whole group through the *shard's own* batch
-    /// entry point, and scatters the per-element results back to input
-    /// positions.
-    ///
-    /// Delegating the group (instead of looping point ops over it) is
-    /// what stacks the two amortization levels: the façade contributes
-    /// shard grouping, and a shard type with a real bulk path — the
-    /// chromatic tree's sorted-bulk insert — contributes search-path
-    /// prefix reuse and chunked weighted epoch pins on top. Pin
-    /// management deliberately stays with the shard implementation: an
-    /// earlier design held one façade-level pin across the whole group,
-    /// and the resulting batch-long reclamation stall (a garbage wave of
-    /// hundreds of nodes re-entering the allocator cold at the group
-    /// boundary) cost more than the saved pin traffic.
-    ///
-    /// **A one-key group takes the shard's `point` op instead.** With one
-    /// key there is no search-path prefix to share, no run to merge and
-    /// no pin to amortize, so the batch path would only add cost: a group
-    /// vector, a result vector and the shard's bulk set-up (sortedness
-    /// probe, chunk loop, weighted pin). The point op is the paper's
-    /// plain one-leaf update, and its result goes straight into `out`; a
-    /// batch of one element also skips the index vector and the sort.
-    /// This is the common case, not an edge: the batched service splits a
-    /// uniform 50/50 flush into same-kind runs of about two ops, which
-    /// over eight shards leave one key per group. The rule follows from
-    /// the group size alone and changes no result — every element still
-    /// linearizes individually, in ascending key order per shard.
-    fn run_grouped<T: Copy>(
-        &self,
-        batch: &[T],
-        key_of: impl Fn(&T) -> u64,
-        point: impl Fn(&M, &T) -> Option<u64>,
-        run: impl Fn(&M, &[T]) -> Vec<Option<u64>>,
-    ) -> Vec<Option<u64>> {
-        if let [one] = batch {
-            return vec![point(&self.shards[self.shard_of(key_of(one))], one)];
-        }
-        // Route every element exactly once (the sort below would otherwise
-        // rerun the boundary-table binary search O(n log n) times through
-        // its comparator, on the hot path batching exists to slim down).
-        let mut order: Vec<(usize, u64, usize)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let k = key_of(t);
-                (self.shard_of(k), k, i)
-            })
-            .collect();
-        // Stable sort on (shard, key): the index tiebreaker is implicit in
-        // stability, so equal keys keep input order and duplicate-key
-        // batches have deterministic (input-order) semantics.
-        order.sort_by_key(|&(shard, k, _)| (shard, k));
-        let mut out = vec![None; batch.len()];
-        let mut group: Vec<T> = Vec::new();
-        let mut start = 0;
-        while start < order.len() {
-            let shard_idx = order[start].0;
-            let mut end = start + 1;
-            while end < order.len() && order[end].0 == shard_idx {
-                end += 1;
-            }
-            let shard = &self.shards[shard_idx];
-            if end - start == 1 {
-                let i = order[start].2;
-                out[i] = point(shard, &batch[i]);
-            } else {
-                group.clear();
-                group.extend(order[start..end].iter().map(|&(_, _, i)| batch[i]));
-                let results = run(shard, &group);
-                // The trait contract: one result per element, in input
-                // order. A shard impl that returns a short vector must fail
-                // loudly here, not silently scatter `None` into the
-                // unpaired tail.
-                assert_eq!(
-                    results.len(),
-                    end - start,
-                    "shard batch op returned {} results for {} elements",
-                    results.len(),
-                    end - start
-                );
-                for (&(_, _, i), r) in order[start..end].iter().zip(results) {
-                    out[i] = r;
-                }
-            }
-            start = end;
-        }
-        out
-    }
-}
-
 impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     fn name(&self) -> &'static str {
         self.name
@@ -361,47 +259,19 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
     }
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        self.run_grouped(
-            batch,
-            |(k, _)| *k,
-            |s, &(k, v)| s.insert(k, v),
-            |s, group| s.insert_batch(group),
-        )
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.run_grouped(
-            keys,
-            |k| *k,
-            |s, k| s.remove(k),
-            |s, group| s.remove_batch(group),
-        )
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.run_grouped(keys, |k| *k, |s, k| s.get(k), |s, group| s.get_batch(group))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     /// Test shard: a locked BTreeMap (sequentially exact, so the façade's
-    /// routing/merging logic is isolated from tree concurrency) that
-    /// counts the calls the façade makes to its batch entry points.
+    /// routing logic is isolated from tree concurrency).
     #[derive(Default)]
     struct Locked {
         map: Mutex<BTreeMap<u64, u64>>,
-        batch_calls: AtomicUsize,
-    }
-
-    impl Locked {
-        fn batch_calls(&self) -> usize {
-            self.batch_calls.load(Ordering::Relaxed)
-        }
     }
 
     impl ConcurrentMap for Locked {
@@ -428,17 +298,59 @@ mod tests {
         fn len(&self) -> usize {
             self.map.lock().unwrap().len()
         }
+    }
+
+    /// One call a [`Logged`] shard received: `(shard, method, key or batch
+    /// length)`.
+    type Call = (usize, &'static str, u64);
+
+    /// Test shard that appends every call it receives to a log shared by
+    /// all shards, so a test can read the order the façade issued them in.
+    struct Logged {
+        idx: usize,
+        inner: Locked,
+        log: Arc<Mutex<Vec<Call>>>,
+    }
+
+    impl Logged {
+        fn record(&self, method: &'static str, k: u64) {
+            self.log.lock().unwrap().push((self.idx, method, k));
+        }
+    }
+
+    impl ConcurrentMap for Logged {
+        fn name(&self) -> &'static str {
+            "logged"
+        }
+        fn insert(&self, k: u64, v: u64) -> Option<u64> {
+            self.record("insert", k);
+            self.inner.insert(k, v)
+        }
+        fn remove(&self, k: &u64) -> Option<u64> {
+            self.record("remove", *k);
+            self.inner.remove(k)
+        }
+        fn get(&self, k: &u64) -> Option<u64> {
+            self.record("get", *k);
+            self.inner.get(k)
+        }
+        fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+            self.inner.range(lo, hi)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
         fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-            self.batch_calls.fetch_add(1, Ordering::Relaxed);
-            batch.iter().map(|&(k, v)| self.insert(k, v)).collect()
+            self.record("insert_batch", batch.len() as u64);
+            self.inner.insert_batch(batch)
         }
         fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-            self.batch_calls.fetch_add(1, Ordering::Relaxed);
-            keys.iter().map(|k| self.remove(k)).collect()
+            self.record("remove_batch", keys.len() as u64);
+            self.inner.remove_batch(keys)
         }
         fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-            self.batch_calls.fetch_add(1, Ordering::Relaxed);
-            keys.iter().map(|k| self.get(k)).collect()
+            self.record("get_batch", keys.len() as u64);
+            self.inner.get_batch(keys)
         }
     }
 
@@ -554,10 +466,6 @@ mod tests {
         let expect: Vec<_> = batch.iter().map(|&(k, v)| model.insert(k, v)).collect();
         assert_eq!(got, expect);
         assert_eq!(m.get(&10), Some(5), "last duplicate must win");
-        // Shard 0's three 10s go through its batch entry point; the lone
-        // 120 and 350 take their shards' point ops.
-        let calls: Vec<usize> = m.shards().map(|s| s.batch_calls()).collect();
-        assert_eq!(calls, vec![1, 0, 0, 0], "one shard batch call per 2+ group");
 
         let keys = vec![10, 11, 350, 120];
         assert_eq!(
@@ -570,12 +478,34 @@ mod tests {
             removals.iter().map(|k| model.remove(k)).collect::<Vec<_>>()
         );
         assert_eq!(m.len(), model.len());
+    }
 
-        // A one-element batch is its shard's point op.
-        let total_calls = || m.shards().map(|s| s.batch_calls()).sum::<usize>();
-        let before = total_calls();
-        assert_eq!(m.get_batch(&[120]), vec![model.get(&120)]);
-        assert_eq!(total_calls(), before);
+    #[test]
+    fn batches_run_as_point_ops_in_input_order() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let m = ShardedMap::with_span(4, 400, |idx| Logged {
+            idx,
+            inner: Locked::default(),
+            log: Arc::clone(&log),
+        });
+        // Cross-shard keys, out of key order, with duplicates.
+        let batch = [(350, 1), (10, 2), (120, 3), (10, 4), (5, 5)];
+        assert_eq!(
+            m.insert_batch(&batch),
+            vec![None, None, None, Some(2), None]
+        );
+        let keys = [120, 10, 399, 120];
+        assert_eq!(m.get_batch(&keys), vec![Some(3), Some(4), None, Some(3)]);
+        assert_eq!(m.remove_batch(&keys), vec![Some(3), Some(4), None, None]);
+        // One point call per element, in input order, and no shard batch
+        // call.
+        let expect: Vec<Call> = batch
+            .iter()
+            .map(|&(k, _)| (m.shard_of(k), "insert", k))
+            .chain(keys.iter().map(|&k| (m.shard_of(k), "get", k)))
+            .chain(keys.iter().map(|&k| (m.shard_of(k), "remove", k)))
+            .collect();
+        assert_eq!(*log.lock().unwrap(), expect);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! scans match a sequential `BTreeMap` replay, with keys and windows
 //! biased to *straddle shard boundaries* — the routing and stitching edge
 //! cases (a key exactly at a boundary, a scan whose endpoints sit in
-//! different shards, a batch that splits into per-shard groups).
+//! different shards, a batch whose elements land in several shards).
 
 use std::collections::BTreeMap;
 
@@ -12,9 +12,7 @@ use sharded::{ConcurrentMap, ShardedMap};
 
 /// Local adapter (the orphan rule requires one in this test crate) over
 /// the real chromatic tree, so the proptest exercises the actual template
-/// trees rather than a stand-in. Its batch methods forward to the tree's
-/// sorted-bulk paths, as the registry's shards do, so batches cover the
-/// façade's one-key point route and its bulk route alike.
+/// trees rather than a stand-in.
 struct Chromatic(nbtree::ChromaticTree<u64, u64>);
 
 impl ConcurrentMap for Chromatic {
@@ -35,12 +33,6 @@ impl ConcurrentMap for Chromatic {
     }
     fn len(&self) -> usize {
         self.0.len()
-    }
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        self.0.insert_bulk(batch)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.0.remove_bulk(keys)
     }
 }
 
@@ -91,9 +83,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batched semantics are "sequential application in input order" (the
-    /// façade stable-sorts, so same-key elements keep batch order), which
-    /// is exactly how the model replays them.
+    /// Batched semantics are "sequential application in input order",
+    /// which is exactly how the façade runs them and the model replays
+    /// them.
     #[test]
     fn sharded_chromatic_equals_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         let map = ShardedMap::with_span(SHARDS, SPAN, |_| {

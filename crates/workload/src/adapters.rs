@@ -71,36 +71,6 @@ impl ConcurrentMap for ChromaticShard {
     fn len(&self) -> usize {
         self.tree.len()
     }
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        // The façade hands each per-shard group here whole, so the group
-        // gets the tree's sorted-bulk path (shared search-path prefixes
-        // and same-leaf run merging), not the per-element trait default.
-        self.tree.insert_bulk(batch)
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        batched_chunked(keys, |k| self.tree.get(k))
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        // Sorted-bulk removal with sibling-pair SCX collapsing.
-        self.tree.remove_bulk(keys)
-    }
-}
-
-/// Chromatic `get_batch` / `remove_batch` plumbing: the key group under
-/// weighted guard-cache pins, chunked at the repin cadence like every
-/// batch path in the suite. A pin spanning an arbitrarily large
-/// caller-controlled group would hold the global epoch back for every
-/// concurrent writer's retirements (and a remove group's own garbage) —
-/// chunking keeps the documented reclamation-lag bound (`REPIN_OPS`
-/// operations plus one chunk) while a 64-op chunk still pays one pin.
-fn batched_chunked(keys: &[u64], op: impl Fn(&u64) -> Option<u64>) -> Vec<Option<u64>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for chunk in keys.chunks(llxscx::guard_cache::REPIN_OPS as usize) {
-        llxscx::guard_cache::with_guard_weighted(chunk.len() as u32, |_guard| {
-            out.extend(chunk.iter().map(&op));
-        });
-    }
-    out
 }
 
 /// A sharded façade over chromatic-tree shards: `cfg.shards()` instances
@@ -206,7 +176,7 @@ impl_map!(RbGlobalMap, RbGlobal<u64, u64>, "rbglobal", RangeTier::Atomic);
 
 /// The `"hashmap"` registry entry: the hopscotch table, unsharded.
 ///
-/// Point ops and batches go straight to [`HopMap`]; `range` is the
+/// Point ops go straight to [`HopMap`]; `range` is the
 /// table's per-key-linearizable sorted drain (declared through
 /// [`RangeTier::PerKeyLinearizable`], so the oracles assert exactly
 /// that — see `workload::check_against_model`).
@@ -240,31 +210,19 @@ impl ConcurrentMap for HopShard {
     fn len(&self) -> usize {
         self.0.len()
     }
-    // The map's own batch entry points already chunk at the repin
-    // cadence under weighted pins; forward so the suite's batch oracle
-    // exercises that path rather than the trait default.
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        self.0.insert_batch(batch)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.0.remove_batch(keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.0.get_batch(keys)
-    }
 }
 
 /// Key-stripe latch count per [`HybridShard`] (a power of two).
 const HYBRID_LATCHES: usize = 64;
 
 /// One shard of the `"hybrid"` registry entry: a hash tier answering the
-/// point ops and their batches, dual-written with a chromatic tier that
-/// answers ordered scans.
+/// point ops, dual-written with a chromatic tier that answers ordered
+/// scans.
 ///
 /// # Consistency scope
 ///
-/// Every mutation takes a per-key-stripe latch and writes the hash tier
-/// first, then the tree. The latch serializes writers *of the same key*
+/// Every mutation, batch elements included, takes its key's stripe latch
+/// and writes the hash tier first, then the tree. The latch serializes writers *of the same key*
 /// (without it, two racing inserts could commit in opposite orders in
 /// the two tiers and leave them permanently disagreeing); point reads
 /// take no latch and linearize on the hash tier, which is therefore the
@@ -298,22 +256,6 @@ impl HybridShard {
             .lock()
             .unwrap();
         f()
-    }
-
-    /// Locks every stripe a batch chunk touches, in ascending stripe
-    /// order. Point ops take exactly one latch (trivially consistent with
-    /// any order) and every batch writer sorts, so the acquisition order
-    /// is global and deadlock-free; holding the whole set lets the tree
-    /// tier run its *bulk* path (run merging included) against a hash
-    /// tier that cannot change under the same keys mid-batch.
-    fn latch_chunk(&self, keys: impl Iterator<Item = u64>) -> Vec<std::sync::MutexGuard<'_, ()>> {
-        let mut stripes: Vec<usize> = keys.map(|k| (k as usize) & (HYBRID_LATCHES - 1)).collect();
-        stripes.sort_unstable();
-        stripes.dedup();
-        stripes
-            .into_iter()
-            .map(|s| self.latches[s].lock().unwrap())
-            .collect()
     }
 }
 
@@ -351,59 +293,11 @@ impl ConcurrentMap for HybridShard {
     fn len(&self) -> usize {
         self.hash.len()
     }
-    // Batches: one weighted pin per repin-cadence chunk, the chunk's
-    // stripe latches taken as a sorted set ([`Self::latch_chunk`]) so the
-    // tree tier can run its *bulk* path — cached-path descent plus
-    // same-leaf run merging / sibling-pair collapsing — instead of one
-    // point op per element. The hash tier is still written first and
-    // remains authoritative; with the stripes held, no point writer can
-    // slip a same-key mutation between the two tier writes.
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(batch.len());
-        for chunk in batch.chunks(llxscx::guard_cache::REPIN_OPS as usize) {
-            let _latches = self.latch_chunk(chunk.iter().map(|&(k, _)| k));
-            llxscx::guard_cache::with_guard_weighted(chunk.len() as u32, |g| {
-                let displaced: Vec<Option<u64>> = chunk
-                    .iter()
-                    .map(|&(k, v)| self.hash.insert_in(k, v, g))
-                    .collect();
-                // Nested pin: the bulk path re-enters the cached guard.
-                let tree_displaced = self.tree.insert_bulk(chunk);
-                debug_assert_eq!(displaced, tree_displaced, "tiers diverged in insert_batch");
-                out.extend(displaced);
-            });
-        }
-        out
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(llxscx::guard_cache::REPIN_OPS as usize) {
-            let _latches = self.latch_chunk(chunk.iter().copied());
-            llxscx::guard_cache::with_guard_weighted(chunk.len() as u32, |g| {
-                let removed: Vec<Option<u64>> =
-                    chunk.iter().map(|k| self.hash.remove_in(k, g)).collect();
-                let tree_removed = self.tree.remove_bulk(chunk);
-                debug_assert_eq!(removed, tree_removed, "tiers diverged in remove_batch");
-                out.extend(removed);
-            });
-        }
-        out
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        // Reads take no latch; chunked weighted pins like every batch path.
-        let mut out = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(llxscx::guard_cache::REPIN_OPS as usize) {
-            llxscx::guard_cache::with_guard_weighted(chunk.len() as u32, |g| {
-                out.extend(chunk.iter().map(|k| self.hash.get_in(k, g)));
-            });
-        }
-        out
-    }
 }
 
 /// The `"hybrid"` registry entry's concrete type: the sharding façade
 /// over [`HybridShard`]s — heterogeneous composition, with the façade
-/// contributing shard routing/grouping and each shard pairing a hash
+/// contributing shard routing and each shard pairing a hash
 /// tier (point ops) with a chromatic tier (ordered scans).
 pub fn make_hybrid(cfg: &SuiteConfig) -> ShardedMap<HybridShard> {
     let shards = cfg.shards();

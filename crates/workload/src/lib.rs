@@ -382,9 +382,9 @@ pub fn assert_scan_per_key(
 /// [`ConcurrentMap`] and to `BTreeMap`, asserting identical per-item
 /// results in input order. Mirrors the trait's documented duplicate-key
 /// semantics (a batch behaves like sequential input-order application),
-/// so the model is simply "apply the batch one element at a time" — valid
-/// for the per-element defaults, the façade's shard grouping and the
-/// chromatic tree's sorted-bulk override alike.
+/// so the model is simply "apply the batch one element at a time", which
+/// is also what every registered map does, and what an override must
+/// match.
 pub fn check_batches_against_model(map: &dyn ConcurrentMap, seed: u64, batches: u64, range: u64) {
     use std::collections::BTreeMap;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -447,9 +447,8 @@ mod tests {
 
     #[test]
     fn trait_batches_match_model_on_every_registered_map() {
-        // The same oracle, through the trait object — covers the
-        // per-element defaults and both overrides (façade + chromatic
-        // sorted-bulk).
+        // The same oracle, through the trait object, on every registered
+        // map.
         let cfg = SuiteConfig::default().with_shards(4).with_span(128);
         for name in ALL_MAPS {
             let map = make_map(name, &cfg).unwrap();

@@ -2,10 +2,9 @@
 //! hand-rolled `service::exec::Pool` submit point ops to a
 //! `BatchedService` over the chromatic tree and `await` their responses;
 //! the service's flusher turns the concurrent trickle into
-//! `insert_batch`/`remove_batch`/`get_batch` calls — the batch entry
-//! points the PPoPP'14 structures amortize traversals and epoch pins
-//! under — and the final stats show how large the manufactured batches
-//! actually got.
+//! `insert_batch`/`remove_batch`/`get_batch` calls, which the tree runs
+//! as one point op per element, and the final stats show how large the
+//! manufactured batches actually got.
 //!
 //! ```sh
 //! cargo run --release --example async_service

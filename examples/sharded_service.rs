@@ -5,10 +5,8 @@
 //! prescribes for skewed keyspaces.
 //!
 //! Each worker builds a request batch, then executes it through the
-//! trait-level batched entry points: the façade sorts the batch, groups
-//! it by shard, and hands each group whole to the shard's own batch
-//! implementation — reads run under one amortized epoch pin per group,
-//! writes take the chromatic sorted-bulk path with chunked pins.
+//! trait-level batched entry points: the façade routes each element, in
+//! input order, to its shard's point op.
 //!
 //! ```sh
 //! cargo run --release --example sharded_service

@@ -91,15 +91,12 @@ fn each_structure_matches_btreemap_under_skewed_keys() {
 
 #[test]
 fn trait_batch_ops_match_per_element_application_on_every_structure() {
-    // The batch-equivalence oracle: on every registered structure
-    // (including `sharded`, whose override regroups by shard, and the
-    // chromatic entries, whose overrides are the sorted-bulk
-    // insert/remove with single-SCX run merging), the trait-level batch
-    // entry points must return exactly what sequential per-element
-    // application returns — displaced values in input order, duplicate
-    // keys resolving in batch order — and leave identical contents
-    // behind. One round flavor builds clustered consecutive-key runs,
-    // the shape the merge paths collapse.
+    // The batch-equivalence oracle: on every registered structure, the
+    // trait-level batch entry points must return exactly what
+    // sequential per-element application returns — displaced values in
+    // input order, duplicate keys resolving in batch order — and leave
+    // identical contents behind. One round flavor builds clustered
+    // consecutive-key runs.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     for name in ALL_MAPS {
         let batched = make_map(name, &cfg()).unwrap();
@@ -413,17 +410,20 @@ fn concurrent_range_scans_hold_weak_properties_on_every_structure() {
     }
 }
 
-#[test]
-fn hybrid_tiers_agree_after_settled_concurrent_run() {
-    // The dual-write consistency oracle for the `"hybrid"` registration:
-    // point ops answer from the hash tier, `range` from the chromatic
-    // tier, and every mutation dual-writes both under a per-key-stripe
-    // latch. Unlike the suite's other concurrent tests, the threads here
-    // deliberately contend on the SAME keys — without the latch, two
-    // racing writers could commit in opposite orders in the two tiers
-    // and leave them permanently disagreeing, which is exactly the bug
-    // class this oracle exists to catch. After the run settles, the
-    // tiers must agree key for key.
+/// The dual-write consistency oracle for the `"hybrid"` registration:
+/// point ops answer from the hash tier, `range` from the chromatic tier,
+/// and every mutation dual-writes both under a per-key-stripe latch.
+/// Unlike the suite's other concurrent tests, the threads here
+/// deliberately contend on the SAME keys — without the latch, two racing
+/// writers could commit in opposite orders in the two tiers and leave
+/// them permanently disagreeing, which is exactly the bug class this
+/// oracle exists to catch. After the run settles, the tiers must agree
+/// key for key.
+///
+/// `batched = false`: every thread issues point ops. `batched = true`:
+/// odd threads issue `insert_batch`/`remove_batch` calls whose keys
+/// repeat, racing the even threads' point ops on the same keys.
+fn hybrid_tiers_agree_after_concurrent_run(batched: bool) {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::sync::Arc;
     const KEYSPACE: u64 = 512;
@@ -433,17 +433,34 @@ fn hybrid_tiers_agree_after_settled_concurrent_run() {
             let map = Arc::clone(&map);
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(tid);
-                for step in 0..6000u64 {
-                    let k = rng.gen_range(0..KEYSPACE); // shared keyspace: same-key races
-                    match rng.gen_range(0..4) {
-                        0 | 1 => {
-                            map.insert(k, tid * 1_000_000 + step);
+                if batched && tid % 2 == 1 {
+                    for step in 0..200u64 {
+                        // 32 draws from the shared keyspace, then the
+                        // first 8 again: duplicates within one batch.
+                        let mut keys: Vec<u64> =
+                            (0..32).map(|_| rng.gen_range(0..KEYSPACE)).collect();
+                        keys.extend_from_within(..8);
+                        if rng.gen_bool(0.6) {
+                            let batch: Vec<(u64, u64)> =
+                                keys.iter().map(|&k| (k, tid * 1_000_000 + step)).collect();
+                            map.insert_batch(&batch);
+                        } else {
+                            map.remove_batch(&keys);
                         }
-                        2 => {
-                            map.remove(&k);
-                        }
-                        _ => {
-                            map.get(&k);
+                    }
+                } else {
+                    for step in 0..6000u64 {
+                        let k = rng.gen_range(0..KEYSPACE); // shared keyspace: same-key races
+                        match rng.gen_range(0..4) {
+                            0 | 1 => {
+                                map.insert(k, tid * 1_000_000 + step);
+                            }
+                            2 => {
+                                map.remove(&k);
+                            }
+                            _ => {
+                                map.get(&k);
+                            }
                         }
                     }
                 }
@@ -467,6 +484,16 @@ fn hybrid_tiers_agree_after_settled_concurrent_run() {
         present += got.is_some() as usize;
     }
     assert_eq!(present, scan.len());
+}
+
+#[test]
+fn hybrid_tiers_agree_after_settled_concurrent_run() {
+    hybrid_tiers_agree_after_concurrent_run(false);
+}
+
+#[test]
+fn hybrid_tiers_agree_after_racing_batch_writers() {
+    hybrid_tiers_agree_after_concurrent_run(true);
 }
 
 #[test]
