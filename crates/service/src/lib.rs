@@ -1,28 +1,22 @@
-//! An async batched request/response front end over the suite's
-//! [`sharded::ConcurrentMap`] batch entry points.
+//! An async batched request/response front end over any
+//! [`sharded::ConcurrentMap`].
 //!
-//! The structures' batch operations (`insert_batch` / `remove_batch` /
-//! `get_batch`) run one point op per element, in input order; what a
-//! batch saves is per-request overhead above the map — a queue slot, a
-//! wake-up, a result hand-off — and only a caller that *has* a batch can
-//! use them. This crate manufactures batches out of independent
-//! concurrent clients: each client submits
-//! point ops into a bounded accumulation queue and immediately receives
-//! a future; a flusher drains the queue through the batch entry points
-//! whenever a size threshold fills or the oldest request ages past a
-//! deadline, and publishes each flush's results once for all of its
-//! futures.
+//! Each client submits point ops into a bounded accumulation queue and
+//! immediately receives a future; a flusher drains the queue whenever a
+//! size threshold fills or the oldest request ages past a deadline,
+//! applies the drained ops to the map as point calls in queue order, and
+//! publishes each flush's results once for all of its futures. What a
+//! flush saves is per-request overhead above the map — a wake-up, a
+//! result hand-off — not map work.
 //!
 //! The pieces:
 //!
-//! * [`exec`] — a minimal hand-rolled executor: [`exec::block_on`] plus
-//!   a fixed-size thread [`exec::Pool`], raw-waker vtables over `Arc`s,
-//!   no external async runtime.
+//! * [`exec`] — two functions, no runtime: [`exec::block_on`] drives a
+//!   future on the calling thread, [`exec::poll_now`] polls one once.
 //! * `slab` (crate-private) — the one park/wake implementation: a value
-//!   published once and read without a lock by blocked threads and async
-//!   tasks alike, or abandoned if its producer dies.
-//! * [`oneshot`] — a one-slot slab as a channel, with a blocking `wait`
-//!   for sync callers and a `Future` impl for async ones.
+//!   published once and read without a lock, a waker list for consumers
+//!   that found it unsettled (a blocked thread registers through
+//!   `block_on`), or abandoned if its producer dies.
 //! * [`service`] — [`BatchedService`] itself: one completion slab per
 //!   flush, [`FlushPolicy`] (size + deadline triggers),
 //!   [`OverflowPolicy`] backpressure (block or shed), [`ServiceStats`]
@@ -36,7 +30,6 @@
 
 pub mod clock;
 pub mod exec;
-pub mod oneshot;
 pub mod service;
 mod slab;
 

@@ -1,9 +1,9 @@
 //! The batched request/response bridge: clients submit point ops into a
 //! bounded accumulation queue and get a future on their flush's
-//! completion slab; a flusher drains the queue into the map's **batch**
-//! entry points when either the size threshold fills or the oldest
-//! request ages past the deadline, then publishes the flush's results
-//! once for all of its futures.
+//! completion slab; a flusher drains the queue when either the size
+//! threshold fills or the oldest request ages past the deadline, applies
+//! the drained ops to the map as point calls in queue order, then
+//! publishes the flush's results once for all of its futures.
 //!
 //! ## Flush decision
 //!
@@ -41,18 +41,16 @@
 //! the flusher only if the flusher is parked and the push made the queue
 //! non-empty (arming the deadline) or filled a slab (the size trigger); a
 //! flush notifies `not_full` only if a `Block` submitter is parked; a
-//! published slab notifies only if a thread is parked on it.
+//! published slab wakes only the consumers registered on it.
 //!
 //! ## Ordering semantics
 //!
-//! The queue is FIFO and a flush executes its requests in queue order,
-//! partitioned into maximal same-kind runs that go through
-//! `insert_batch` / `remove_batch` / `get_batch` whole, each run's
-//! elements applied as point ops in order. Responses therefore equal
-//! sequential input-order application of the drained requests — the
-//! same duplicate-key bar the trait documents for batches. One client's
-//! submissions resolve in its own program order; concurrent clients
-//! interleave at queue push, which is the service's linearization order.
+//! The queue is FIFO and a flush applies its requests as `get` / `insert`
+//! / `remove` point calls in queue order. Responses therefore equal
+//! sequential application of the drained requests, duplicate keys
+//! included. One client's submissions resolve in its own program order;
+//! concurrent clients interleave at queue push, which is the service's
+//! linearization order.
 //!
 //! ## A panicking map op
 //!
@@ -95,17 +93,6 @@ pub enum Op {
     Insert(u64, u64),
     /// Remove; responds with the removed value.
     Remove(u64),
-}
-
-impl Op {
-    /// Run-partition discriminant (same-kind neighbors share a batch call).
-    fn kind(&self) -> u8 {
-        match self {
-            Op::Get(_) => 0,
-            Op::Insert(..) => 1,
-            Op::Remove(_) => 2,
-        }
-    }
 }
 
 /// When the flusher fires: either trigger ends a batch.
@@ -379,8 +366,8 @@ fn response(outcome: Result<&Vec<Option<u64>>, Abandoned>, index: usize) -> Opti
 }
 
 impl<M: ConcurrentMap + 'static> BatchedService<M> {
-    /// Starts the service with a dedicated flusher thread and the
-    /// rdtsc-calibrated [`RealClock`].
+    /// Starts the service with a dedicated flusher thread and a
+    /// [`RealClock`].
     pub fn start(map: M, config: ServiceConfig) -> BatchedService<M> {
         let mut svc = Self::with_clock(map, config, Arc::new(RealClock::new()));
         let shared = svc.shared.clone();
@@ -412,7 +399,9 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
                 not_full: Condvar::new(),
                 clock,
                 max_batch: config.policy.max_batch,
-                max_delay_ns: config.policy.max_delay.as_nanos() as u64,
+                // Saturate: a delay past u64 nanoseconds (~584 years) is
+                // "never", not a wrapped-around small one.
+                max_delay_ns: u64::try_from(config.policy.max_delay.as_nanos()).unwrap_or(u64::MAX),
                 overflow: config.overflow,
                 capacity: config.capacity,
                 counters: Counters::default(),
@@ -620,11 +609,9 @@ fn step_shared<M: ConcurrentMap>(shared: &Shared<M>) -> Step {
     };
     let len = ops.len();
     let c = &shared.counters;
-    // Count completions *before* publishing: a client whose `wait`
-    // returns must not observe a stats snapshot that hasn't counted its
-    // own response yet.
+    // Count *before* publishing: a client whose `wait` returns must not
+    // observe a stats snapshot that hasn't counted its own flush yet.
     c.completed.fetch_add(len as u64, Ordering::Relaxed);
-    slab.publish(results);
     c.flushes.fetch_add(1, Ordering::Relaxed);
     c.batched_ops.fetch_add(len as u64, Ordering::Relaxed);
     match trigger {
@@ -632,35 +619,19 @@ fn step_shared<M: ConcurrentMap>(shared: &Shared<M>) -> Step {
         FlushTrigger::Deadline => c.deadline_flushes.fetch_add(1, Ordering::Relaxed),
         FlushTrigger::Drain => c.drain_flushes.fetch_add(1, Ordering::Relaxed),
     };
+    slab.publish(results);
     Step::Flushed { len, trigger }
 }
 
-/// Executes one slab's ops in queue order, partitioned into maximal
-/// same-kind runs through the trait batch entry points. Equivalent to
-/// sequential input-order application (the batch entry points guarantee
-/// exactly that for duplicate keys).
+/// Applies one slab's ops to the map as point calls, in queue order.
 fn execute<M: ConcurrentMap>(map: &M, ops: &[Op]) -> Vec<Option<u64>> {
-    let mut results = Vec::with_capacity(ops.len());
-    let mut pairs: Vec<(u64, u64)> = Vec::new();
-    let mut keys: Vec<u64> = Vec::new();
-    for run in ops.chunk_by(|a, b| a.kind() == b.kind()) {
-        pairs.clear();
-        keys.clear();
-        for op in run {
-            match *op {
-                Op::Get(k) | Op::Remove(k) => keys.push(k),
-                Op::Insert(k, v) => pairs.push((k, v)),
-            }
-        }
-        let out = match run[0] {
-            Op::Get(_) => map.get_batch(&keys),
-            Op::Insert(..) => map.insert_batch(&pairs),
-            Op::Remove(_) => map.remove_batch(&keys),
-        };
-        debug_assert_eq!(out.len(), run.len());
-        results.extend(out);
-    }
-    results
+    ops.iter()
+        .map(|op| match *op {
+            Op::Get(k) => map.get(&k),
+            Op::Insert(k, v) => map.insert(k, v),
+            Op::Remove(k) => map.remove(&k),
+        })
+        .collect()
 }
 
 /// After the map panicked while executing the flush `popped`: fails its
@@ -913,7 +884,7 @@ mod tests {
             ServiceConfig::new(FlushPolicy::new(1000, Duration::from_secs(3600))),
             clock,
         );
-        // insert k=1 twice (duplicate in one run), get, remove, get —
+        // insert k=1 twice (a duplicate key), get, remove, get —
         // responses must equal sequential application.
         let f1 = svc.submit(Op::Insert(1, 10)).unwrap();
         let f2 = svc.submit(Op::Insert(1, 20)).unwrap();

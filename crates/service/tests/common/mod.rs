@@ -1,21 +1,21 @@
 //! Shared fixture for the service batteries: a sequential model map
-//! behind a mutex, instrumented to count how often the *batch* entry
-//! points are taken (the whole point of the service is that they are).
+//! behind a mutex, instrumented to log every point call it receives (a
+//! flush applies its ops as point calls in queue order).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use service::Op;
 use sharded::ConcurrentMap;
 
-/// A `BTreeMap` under a mutex, with batch-call instrumentation. The
+/// A `BTreeMap` under a mutex, with a point-call log. The
 /// batteries test the *service* (queueing, triggers, backpressure), so
 /// the map below it is deliberately the simplest correct thing; the
 /// cross-crate oracle in the workspace root runs the real structures.
 #[derive(Default)]
 pub struct ModelMap {
     inner: Mutex<BTreeMap<u64, u64>>,
-    batch_calls: AtomicU64,
+    calls: Mutex<Vec<Op>>,
 }
 
 #[allow(dead_code)] // ALLOW: shared test helpers; not every battery uses every one
@@ -24,9 +24,13 @@ impl ModelMap {
         ModelMap::default()
     }
 
-    /// How many times a batch entry point was invoked.
-    pub fn batch_calls(&self) -> u64 {
-        self.batch_calls.load(Ordering::Relaxed)
+    /// Every `get` / `insert` / `remove` call so far, in call order.
+    pub fn calls(&self) -> Vec<Op> {
+        self.calls.lock().unwrap().clone()
+    }
+
+    fn log(&self, op: Op) {
+        self.calls.lock().unwrap().push(op);
     }
 
     /// Snapshot of the settled contents.
@@ -45,12 +49,15 @@ impl ConcurrentMap for ModelMap {
         "model"
     }
     fn insert(&self, k: u64, v: u64) -> Option<u64> {
+        self.log(Op::Insert(k, v));
         self.inner.lock().unwrap().insert(k, v)
     }
     fn remove(&self, k: &u64) -> Option<u64> {
+        self.log(Op::Remove(*k));
         self.inner.lock().unwrap().remove(k)
     }
     fn get(&self, k: &u64) -> Option<u64> {
+        self.log(Op::Get(*k));
         self.inner.lock().unwrap().get(k).copied()
     }
     fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
@@ -63,20 +70,5 @@ impl ConcurrentMap for ModelMap {
     }
     fn len(&self) -> usize {
         self.inner.lock().unwrap().len()
-    }
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        self.batch_calls.fetch_add(1, Ordering::Relaxed);
-        let mut m = self.inner.lock().unwrap();
-        batch.iter().map(|&(k, v)| m.insert(k, v)).collect()
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.batch_calls.fetch_add(1, Ordering::Relaxed);
-        let mut m = self.inner.lock().unwrap();
-        keys.iter().map(|k| m.remove(k)).collect()
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.batch_calls.fetch_add(1, Ordering::Relaxed);
-        let m = self.inner.lock().unwrap();
-        keys.iter().map(|k| m.get(k).copied()).collect()
     }
 }

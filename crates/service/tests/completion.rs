@@ -1,5 +1,5 @@
-//! Completion battery: a flush's results reach every kind of waiter —
-//! many async tasks on one completion slab — and a map op that panics
+//! Completion battery: a flush's results reach every waiter — many
+//! threads blocked on one completion slab — and a map op that panics
 //! inside a flush fails the pending requests instead of stranding them.
 //! Interleavings are forced by observable state (counters, channels);
 //! the only timeouts are watchdogs that turn a hang into a failure.
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use common::ModelMap;
 use service::{
-    exec, oneshot, BatchedService, FlushPolicy, FlushTrigger, MockClock, Op, ServiceConfig, Step,
+    exec, BatchedService, FlushPolicy, FlushTrigger, MockClock, Op, ServiceConfig, Step,
     SubmitError,
 };
 use sharded::ConcurrentMap;
@@ -25,37 +25,36 @@ const HOUR: Duration = Duration::from_secs(3600);
 const WATCHDOG: Duration = Duration::from_secs(20);
 
 #[test]
-fn one_flush_wakes_all_64_tasks_awaiting_it() {
+fn one_flush_wakes_all_64_threads_awaiting_it() {
     let clock = Arc::new(MockClock::new());
     let svc = BatchedService::with_clock(
         ModelMap::new(),
         ServiceConfig::new(FlushPolicy::new(64, HOUR)),
         clock,
     );
-    let pool = exec::Pool::new(2);
     let pending = Arc::new(AtomicUsize::new(0));
-    let mut done = Vec::new();
-    for k in 0..64 {
-        let mut fut = svc.submit(Op::Insert(k, k)).unwrap();
-        let (tx, rx) = oneshot::channel();
-        done.push(rx);
-        let pending = pending.clone();
-        pool.spawn(async move {
-            // Count the first Pending so the test can flush only once
-            // every task has registered its waker on the slab.
-            let mut counted = false;
-            let res = std::future::poll_fn(|cx| {
-                let poll = std::pin::Pin::new(&mut fut).poll(cx);
-                if poll.is_pending() && !counted {
-                    counted = true;
-                    pending.fetch_add(1, Ordering::Relaxed);
-                }
-                poll
+    let (tx, done) = mpsc::channel();
+    let waiters: Vec<_> = (0..64)
+        .map(|k| {
+            let mut fut = svc.submit(Op::Insert(k, k)).unwrap();
+            let pending = pending.clone();
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                // Count the first Pending so the test can flush only once
+                // every thread has registered its waker on the slab.
+                let mut counted = false;
+                let res = exec::block_on(std::future::poll_fn(|cx| {
+                    let poll = std::pin::Pin::new(&mut fut).poll(cx);
+                    if poll.is_pending() && !counted {
+                        counted = true;
+                        pending.fetch_add(1, Ordering::Relaxed);
+                    }
+                    poll
+                }));
+                tx.send(res).unwrap();
             })
-            .await;
-            tx.send(res);
-        });
-    }
+        })
+        .collect();
     while pending.load(Ordering::Relaxed) < 64 {
         std::thread::yield_now();
     }
@@ -66,12 +65,15 @@ fn one_flush_wakes_all_64_tasks_awaiting_it() {
             trigger: FlushTrigger::Size
         }
     );
-    for rx in done {
-        assert_eq!(exec::block_on(rx), None);
+    for _ in 0..64 {
+        assert_eq!(done.recv_timeout(WATCHDOG), Ok(None));
+    }
+    for w in waiters {
+        w.join().unwrap();
     }
 }
 
-/// A [`ModelMap`] whose `insert_batch` panics on [`POISON`] — but only
+/// A [`ModelMap`] whose `insert` panics on [`POISON`] — but only
 /// once the test opens the gate, so it can queue a second slab behind the
 /// poisoned one first.
 struct PoisonMap {
@@ -86,6 +88,10 @@ impl ConcurrentMap for PoisonMap {
         "poison"
     }
     fn insert(&self, k: u64, v: u64) -> Option<u64> {
+        if k == POISON {
+            self.gate.lock().unwrap().recv().unwrap();
+            panic!("poison key");
+        }
         self.inner.insert(k, v)
     }
     fn remove(&self, k: &u64) -> Option<u64> {
@@ -99,13 +105,6 @@ impl ConcurrentMap for PoisonMap {
     }
     fn len(&self) -> usize {
         self.inner.len()
-    }
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        if batch.iter().any(|&(k, _)| k == POISON) {
-            self.gate.lock().unwrap().recv().unwrap();
-            panic!("poison key");
-        }
-        self.inner.insert_batch(batch)
     }
 }
 

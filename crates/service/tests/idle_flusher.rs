@@ -1,12 +1,12 @@
 //! An idle flusher does not hold the epoch back.
 //!
-//! A flush runs the map's batch path, which pins through the flusher
+//! A flush runs the map's point ops, which pin through the flusher
 //! thread's cached epoch guard (`llxscx::guard_cache`). A flusher that
 //! parked with that guard still warm would stop the global epoch from
 //! advancing, so garbage every other thread retires would wait for the
-//! service's next request. Here one flush runs through a map that pins
-//! the way the trees' bulk paths do; then, with the service idle, a
-//! closure the test thread defers must run.
+//! service's next request. Here one flush runs through a map whose
+//! inserts pin the way the trees' point ops do; then, with the service
+//! idle, a closure the test thread defers must run.
 //!
 //! An integration test on purpose: it owns the process, so no other
 //! test's pin can hold the epoch back.
@@ -24,7 +24,7 @@ use sharded::ConcurrentMap;
 /// How long the deferred closure may take before the epoch counts as held.
 const WATCHDOG: Duration = Duration::from_secs(10);
 
-/// A [`ModelMap`] whose `insert_batch` runs under the cached guard.
+/// A [`ModelMap`] whose `insert` runs under the cached guard.
 struct PinningMap(ModelMap);
 
 impl ConcurrentMap for PinningMap {
@@ -32,7 +32,7 @@ impl ConcurrentMap for PinningMap {
         "pinning"
     }
     fn insert(&self, k: u64, v: u64) -> Option<u64> {
-        self.0.insert(k, v)
+        guard_cache::with_guard(|_| self.0.insert(k, v))
     }
     fn remove(&self, k: &u64) -> Option<u64> {
         self.0.remove(k)
@@ -45,9 +45,6 @@ impl ConcurrentMap for PinningMap {
     }
     fn len(&self) -> usize {
         self.0.len()
-    }
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        guard_cache::with_guard(|_| self.0.insert_batch(batch))
     }
 }
 
@@ -63,7 +60,7 @@ fn an_idle_flusher_releases_its_cached_guard() {
     for f in futs {
         assert_eq!(f.wait(), None);
     }
-    assert_eq!(svc.map().0.batch_calls(), 1, "one size-triggered flush");
+    assert_eq!(svc.stats().size_flushes, 1, "one size-triggered flush");
 
     // SAFETY: the deferred closure only touches a `'static` atomic.
     guard_cache::with_guard(|g| unsafe {

@@ -59,7 +59,8 @@ fn size_trigger_fires_without_time_advancing() {
     let stats = svc.stats();
     assert_eq!(stats.size_flushes, 1);
     assert_eq!(stats.deadline_flushes, 0);
-    assert_eq!(svc.map().batch_calls(), 1, "one insert_batch for the run");
+    let inserts: Vec<_> = (0..4).map(|i| Op::Insert(i, i * 10)).collect();
+    assert_eq!(svc.map().calls(), inserts, "four point inserts");
     svc.shutdown();
 }
 
@@ -306,17 +307,19 @@ fn shutdown_drains_pending_requests_with_drain_trigger() {
 }
 
 #[test]
-fn mixed_kinds_split_into_per_kind_runs_in_queue_order() {
+fn mixed_kinds_run_as_point_calls_in_queue_order() {
     let (mut svc, _clock) = manual(FlushPolicy::new(8, HOUR));
-    // insert, insert | get, get | insert | remove — four maximal runs.
-    let f0 = svc.submit(Op::Insert(1, 10)).unwrap();
-    let f1 = svc.submit(Op::Insert(2, 20)).unwrap();
-    let f2 = svc.submit(Op::Get(1)).unwrap();
-    let f3 = svc.submit(Op::Get(3)).unwrap();
-    let f4 = svc.submit(Op::Insert(1, 11)).unwrap();
-    let f5 = svc.submit(Op::Remove(2)).unwrap();
-    let f6 = svc.submit(Op::Get(1)).unwrap();
-    let f7 = svc.submit(Op::Get(2)).unwrap();
+    let ops = [
+        Op::Insert(1, 10),
+        Op::Insert(2, 20),
+        Op::Get(1),
+        Op::Get(3),
+        Op::Insert(1, 11),
+        Op::Remove(2),
+        Op::Get(1),
+        Op::Get(2),
+    ];
+    let [f0, f1, f2, f3, f4, f5, f6, f7] = ops.map(|op| svc.submit(op).unwrap());
     assert_eq!(
         svc.step(),
         Step::Flushed {
@@ -333,9 +336,29 @@ fn mixed_kinds_split_into_per_kind_runs_in_queue_order() {
     assert_eq!(f6.wait(), Some(11));
     assert_eq!(f7.wait(), None, "get after the remove in queue order");
     assert_eq!(
-        svc.map().batch_calls(),
-        5,
-        "insert×2 | get×2 | insert | remove | get×2 = five batch calls"
+        svc.map().calls(),
+        ops,
+        "one point call per op, in queue order"
     );
     svc.shutdown();
+}
+
+/// A `max_delay` of 2^64 ns (about 584.5 years) does not fit the
+/// flusher's u64 nanoseconds: it must saturate to "never", not wrap to a
+/// deadline that fires at once.
+#[test]
+fn a_deadline_beyond_u64_nanoseconds_never_fires() {
+    let (mut svc, _clock) = manual(FlushPolicy::new(
+        8,
+        Duration::new(18_446_744_073, 709_551_616),
+    ));
+    let f = svc.submit(Op::Insert(1, 1)).unwrap();
+    assert_eq!(
+        svc.step(),
+        Step::Idle {
+            until_deadline_ns: Some(u64::MAX)
+        }
+    );
+    svc.shutdown();
+    assert_eq!(f.wait(), None);
 }

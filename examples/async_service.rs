@@ -1,10 +1,9 @@
-//! The async batched front end, end to end: async client tasks on the
-//! hand-rolled `service::exec::Pool` submit point ops to a
-//! `BatchedService` over the chromatic tree and `await` their responses;
-//! the service's flusher turns the concurrent trickle into
-//! `insert_batch`/`remove_batch`/`get_batch` calls, which the tree runs
-//! as one point op per element, and the final stats show how large the
-//! manufactured batches actually got.
+//! The async batched front end, end to end: async client tasks, one
+//! thread each driving its task with `service::exec::block_on`, submit
+//! point ops to a `BatchedService` over the chromatic tree and `await`
+//! their responses; the service's flusher gathers the concurrent trickle
+//! into flushes, applies each as point calls in queue order, and the
+//! final stats show how large the manufactured batches actually got.
 //!
 //! ```sh
 //! cargo run --release --example async_service
@@ -30,33 +29,33 @@ fn main() {
 
     // Async clients: each task submits a stripe of inserts, reads a few
     // back, deletes every third key — awaiting each response future
-    // (its flush's completion slab). A completion oneshot per task lets
-    // main block until all of them finish (the pool drops pending tasks
-    // on drop, so join through channels, not timing).
-    let pool = exec::Pool::new(4);
-    let mut done = Vec::new();
-    for t in 0..tasks {
-        let svc = Arc::clone(&svc);
-        let (tx, rx) = service::oneshot::channel::<u64>();
-        done.push(rx);
-        pool.spawn(async move {
-            let base = t * keyspace;
-            let mut hits = 0u64;
-            for i in 0..ops_per_task {
-                let k = base + (i * 37) % keyspace;
-                svc.submit(Op::Insert(k, t)).expect("open").await;
-                if i % 4 == 0 {
-                    hits += svc.submit(Op::Get(k)).expect("open").await.is_some() as u64;
-                }
-                if i % 3 == 0 {
-                    svc.submit(Op::Remove(k)).expect("open").await;
-                }
-            }
-            tx.send(hits);
-        });
-    }
-    let hits: u64 = done.into_iter().map(exec::block_on).sum();
-    drop(pool);
+    // (its flush's completion slab) — on its own thread in `block_on`.
+    let clients: Vec<_> = (0..tasks)
+        .map(|t| {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || {
+                exec::block_on(async {
+                    let base = t * keyspace;
+                    let mut hits = 0u64;
+                    for i in 0..ops_per_task {
+                        let k = base + (i * 37) % keyspace;
+                        svc.submit(Op::Insert(k, t)).expect("open").await;
+                        if i % 4 == 0 {
+                            hits += svc.submit(Op::Get(k)).expect("open").await.is_some() as u64;
+                        }
+                        if i % 3 == 0 {
+                            svc.submit(Op::Remove(k)).expect("open").await;
+                        }
+                    }
+                    hits
+                })
+            })
+        })
+        .collect();
+    let hits: u64 = clients
+        .into_iter()
+        .map(|c| c.join().expect("client task"))
+        .sum();
 
     let mut svc = Arc::into_inner(svc).expect("all clients done");
     svc.shutdown();

@@ -232,12 +232,12 @@ fn batched_service_over_every_structure_settles_like_model() {
     // point ops through a `BatchedService` front end (real flusher
     // thread, size + deadline triggers, `Block` backpressure) over every
     // registered structure. Clients own disjoint key stripes, so the
-    // FIFO queue plus in-order batch execution makes each client's
+    // FIFO queue plus in-order flush execution makes each client's
     // response stream equal its own sequential `BTreeMap` replay —
     // including duplicate-key submissions, which must resolve in
     // submission order. After shutdown the settled contents must equal
     // the union of the per-stripe models. Runs under TSan in CI (the
-    // flusher, the clients and the oneshot completions race for real).
+    // flusher, the clients and the completion slabs race for real).
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use service::{BatchedService, FlushPolicy, Op, ServiceConfig};
     use std::collections::BTreeMap;
