@@ -103,6 +103,19 @@ mod tests {
     }
 
     #[test]
+    fn real_clock_counts_from_its_own_construction() {
+        let early = RealClock::new();
+        std::thread::sleep(Duration::from_millis(2));
+        let late = RealClock::new();
+        // Read the later clock first: it still reads at least the 2 ms
+        // between the two anchors less than the earlier one.
+        let l = late.now_ns();
+        let e = early.now_ns();
+        assert!(e >= l + 2_000_000, "early {e} ns, late {l} ns");
+        assert!(l < 1_000_000_000, "late {l} ns");
+    }
+
+    #[test]
     fn mock_clock_moves_only_when_advanced() {
         let c = MockClock::new();
         assert_eq!(c.now_ns(), 0);

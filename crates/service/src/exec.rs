@@ -55,6 +55,23 @@ mod tests {
     }
 
     #[test]
+    fn block_on_repolls_a_future_that_wakes_itself() {
+        // Each wake lands before the park it should end: the unpark
+        // token must carry it, or this never returns.
+        let mut polls = 0;
+        let out = block_on(std::future::poll_fn(|cx| {
+            polls += 1;
+            if polls < 4 {
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            } else {
+                Poll::Ready(polls)
+            }
+        }));
+        assert_eq!(out, 4);
+    }
+
+    #[test]
     fn block_on_parks_until_cross_thread_wake() {
         let slab = Arc::new(Slab::new());
         let h = {

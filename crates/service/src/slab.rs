@@ -104,6 +104,23 @@ impl<T> Slab<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::task::Wake;
+
+    /// A task's waker: counts its wakes.
+    #[derive(Default)]
+    struct WakeCount(Mutex<usize>);
+
+    impl Wake for WakeCount {
+        fn wake(self: Arc<Self>) {
+            *self.0.lock().unwrap() += 1;
+        }
+    }
+
+    impl WakeCount {
+        fn count(&self) -> usize {
+            *self.0.lock().unwrap()
+        }
+    }
 
     #[test]
     fn publish_then_get_wait_and_poll_read_without_parking() {
@@ -134,6 +151,60 @@ mod tests {
         while slab.wakers.lock().unwrap().len() < n {
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn parked_threads_wake_on_cross_thread_publish() {
+        let slab = Arc::new(Slab::new());
+        let readers: Vec<_> = (0..3)
+            .map(|i| {
+                let slab = slab.clone();
+                std::thread::spawn(move || slab.wait().map(|v: &Vec<u64>| v[i]))
+            })
+            .collect();
+        until_registered(&slab, 3);
+        // Spurious unparks only make a reader re-poll with the waker it
+        // already registered, then park again.
+        for r in &readers {
+            r.thread().unpark();
+            r.thread().unpark();
+        }
+        assert_eq!(slab.wakers.lock().unwrap().len(), 3);
+        assert!(readers.iter().all(|r| !r.is_finished()));
+        let publisher = {
+            let slab = slab.clone();
+            std::thread::spawn(move || slab.publish(vec![10, 11, 12]))
+        };
+        publisher.join().unwrap();
+        for (i, r) in readers.into_iter().enumerate() {
+            assert_eq!(r.join().unwrap(), Ok(10 + i as u64));
+        }
+    }
+
+    #[test]
+    fn every_registered_task_wakes_and_reads_its_index() {
+        let slab = Slab::new();
+        let tasks: Vec<_> = (0..8).map(|_| Arc::new(WakeCount::default())).collect();
+        for task in &tasks {
+            let waker = Waker::from(task.clone());
+            let mut cx = Context::from_waker(&waker);
+            assert!(slab.poll(&mut cx).is_pending());
+            // A re-poll with the same waker is not registered twice.
+            assert!(slab.poll(&mut cx).is_pending());
+        }
+        assert_eq!(slab.wakers.lock().unwrap().len(), 8);
+        slab.publish((100..108).collect::<Vec<u64>>());
+        assert!(slab.wakers.lock().unwrap().is_empty());
+        for (i, task) in tasks.iter().enumerate() {
+            assert_eq!(task.count(), 1, "task {i} woken once");
+            let waker = Waker::from(task.clone());
+            let polled = slab.poll(&mut Context::from_waker(&waker));
+            assert_eq!(
+                polled.map(|v| v.map(|v| v[i])),
+                Poll::Ready(Ok(100 + i as u64))
+            );
+        }
+        assert!(tasks.iter().all(|task| task.count() == 1));
     }
 
     #[test]
@@ -168,5 +239,25 @@ mod tests {
         for r in readers {
             assert_eq!(r.join().unwrap(), Err(Abandoned));
         }
+    }
+
+    #[test]
+    fn abandon_wakes_parked_threads_and_tasks() {
+        let slab = Arc::new(Slab::<u64>::new());
+        let thread = {
+            let slab = slab.clone();
+            std::thread::spawn(move || slab.wait().copied())
+        };
+        let task = Arc::new(WakeCount::default());
+        let waker = Waker::from(task.clone());
+        assert!(slab.poll(&mut Context::from_waker(&waker)).is_pending());
+        until_registered(&slab, 2);
+        slab.abandon();
+        assert_eq!(thread.join().unwrap(), Err(Abandoned));
+        assert_eq!(task.count(), 1);
+        assert_eq!(
+            slab.poll(&mut Context::from_waker(&waker)),
+            Poll::Ready(Err(Abandoned))
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Completion battery: a flush's results reach every waiter — many
-//! threads blocked on one completion slab — and a map op that panics
+//! tasks polling, or threads blocked on, one completion slab — and a map op that panics
 //! inside a flush fails the pending requests instead of stranding them.
 //! Interleavings are forced by observable state (counters, channels);
 //! the only timeouts are watchdogs that turn a hang into a failure.
@@ -10,6 +10,7 @@ use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
 use common::ModelMap;
@@ -23,6 +24,59 @@ const HOUR: Duration = Duration::from_secs(3600);
 
 /// How long a client may wait before its wake-up counts as lost.
 const WATCHDOG: Duration = Duration::from_secs(20);
+
+/// A task's waker: reports the task's id on every wake.
+struct Task {
+    id: u64,
+    woke: mpsc::Sender<u64>,
+}
+
+impl Wake for Task {
+    fn wake(self: Arc<Self>) {
+        self.woke.send(self.id).unwrap();
+    }
+}
+
+#[test]
+fn one_flush_wakes_all_64_tasks_awaiting_it() {
+    let svc = BatchedService::with_clock(
+        ModelMap::new(),
+        ServiceConfig::new(FlushPolicy::new(64, HOUR)),
+        Arc::new(MockClock::new()),
+    );
+    let (woke, wakes) = mpsc::channel();
+    let mut tasks: Vec<_> = (0..64)
+        .map(|k| {
+            let fut = svc.submit(Op::Insert(k, k)).unwrap();
+            let task = Waker::from(Arc::new(Task {
+                id: k,
+                woke: woke.clone(),
+            }));
+            (fut, task)
+        })
+        .collect();
+    for (fut, task) in &mut tasks {
+        let mut cx = Context::from_waker(task);
+        assert!(std::pin::Pin::new(fut).poll(&mut cx).is_pending());
+    }
+    assert!(wakes.try_recv().is_err(), "no wake before the flush");
+    assert_eq!(
+        svc.step(),
+        Step::Flushed {
+            len: 64,
+            trigger: FlushTrigger::Size
+        }
+    );
+    // Every task was woken exactly once, by the one flush.
+    let mut woken: Vec<u64> = wakes.try_iter().collect();
+    woken.sort_unstable();
+    assert_eq!(woken, (0..64).collect::<Vec<_>>());
+    for (fut, task) in &mut tasks {
+        let mut cx = Context::from_waker(task);
+        assert_eq!(std::pin::Pin::new(fut).poll(&mut cx), Poll::Ready(None));
+    }
+    assert!(wakes.try_recv().is_err(), "a settled poll wakes no one");
+}
 
 #[test]
 fn one_flush_wakes_all_64_threads_awaiting_it() {

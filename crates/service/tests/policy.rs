@@ -362,3 +362,40 @@ fn a_deadline_beyond_u64_nanoseconds_never_fires() {
     svc.shutdown();
     assert_eq!(f.wait(), None);
 }
+
+#[test]
+fn a_saturated_deadline_still_lets_the_size_trigger_fire() {
+    let (mut svc, clock) = manual(FlushPolicy::new(
+        2,
+        Duration::new(18_446_744_073, 709_551_616),
+    ));
+    let hour_ns = HOUR.as_nanos() as u64;
+    clock.advance(HOUR);
+    let mut first = svc.submit(Op::Insert(1, 10)).unwrap();
+    // Opened at one hour, the deadline saturates at u64::MAX instead of
+    // wrapping round to just under an hour, which would fire at once.
+    assert_eq!(
+        svc.step(),
+        Step::Idle {
+            until_deadline_ns: Some(u64::MAX - hour_ns)
+        }
+    );
+    clock.advance(HOUR);
+    assert_eq!(
+        svc.step(),
+        Step::Idle {
+            until_deadline_ns: Some(u64::MAX - 2 * hour_ns)
+        }
+    );
+    let mut second = svc.submit(Op::Get(1)).unwrap();
+    assert_eq!(
+        svc.step(),
+        Step::Flushed {
+            len: 2,
+            trigger: FlushTrigger::Size
+        }
+    );
+    assert_eq!(poll_now(&mut first), std::task::Poll::Ready(None));
+    assert_eq!(poll_now(&mut second), std::task::Poll::Ready(Some(10)));
+    svc.shutdown();
+}
