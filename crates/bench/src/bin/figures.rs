@@ -204,7 +204,10 @@ fn fig9() {
     );
     print_row("structure", &Mix::ALL.map(|m| m.to_string()));
     let baselines = Mix::ALL.map(|m| sequential_mops(m, range, duration));
-    print_row("seq-rbt", &vec!["1.00x".into(); 3]);
+    print_row(
+        "seq-rbt",
+        &baselines.map(|base| format!("1.00x ({base:.2} Mops/s)")),
+    );
     for &name in ALL_MAPS {
         if name == "rbstm" {
             // Paper skipped STM at 1e6 (prefill cost); same here.

@@ -4,30 +4,88 @@
 //! `java.util.TreeMap` in the paper's Figure 9 — plus [`RbGlobal`], the
 //! paper's "RBGlobal" baseline: the same tree behind a single global lock.
 //!
-//! The implementation is index-based (arena of nodes, `u32` links) rather
-//! than `Box`-based: no unsafe, no recursion limits, good cache behaviour.
+//! The algorithms live in [`clrs`], written once over a node [`Store`]:
+//! [`RbTree`] runs them over a `Vec` arena with `u32` links (no unsafe, no
+//! recursion limits, good cache behaviour), and `tinystm::RbStm` runs the
+//! same code over transactional cells.
 
 #![warn(missing_docs)]
 
+use std::convert::Infallible;
+
+pub mod clrs;
 pub mod rbglobal;
+
+use clrs::{Links, Node, Store, NIL};
 pub use rbglobal::RbGlobal;
 
-const NIL: u32 = u32::MAX;
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Color {
-    Red,
-    Black,
+/// Nodes in a `Vec`; a removed node's slot is emptied and reused.
+struct Arena<K, V> {
+    nodes: Vec<Option<Node<K, V>>>,
+    free: Vec<u32>,
+    root: u32,
 }
 
-#[derive(Clone)]
-struct RbNode<K, V> {
-    key: K,
-    value: V,
-    left: u32,
-    right: u32,
-    parent: u32,
-    color: Color,
+impl<K, V> Arena<K, V> {
+    fn at(&self, i: u32) -> &Node<K, V> {
+        self.nodes[i as usize]
+            .as_ref()
+            .expect("link to a free slot")
+    }
+
+    fn at_mut(&mut self, i: u32) -> &mut Node<K, V> {
+        self.nodes[i as usize]
+            .as_mut()
+            .expect("link to a free slot")
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> Store for Arena<K, V> {
+    type Key = K;
+    type Value = V;
+    type Stop = Infallible;
+
+    fn root(&self) -> Result<u32, Infallible> {
+        Ok(self.root)
+    }
+
+    fn node<R>(&self, i: u32, f: impl FnOnce(&K, Links) -> R) -> Result<R, Infallible> {
+        let n = self.at(i);
+        Ok(f(&n.key, n.links))
+    }
+
+    fn pair(&self, i: u32) -> Result<(K, V), Infallible> {
+        let n = self.at(i);
+        Ok((n.key.clone(), n.value.clone()))
+    }
+
+    fn set_root(&mut self, i: u32) {
+        self.root = i;
+    }
+
+    fn update<R>(&mut self, i: u32, f: impl FnOnce(&mut Links) -> R) -> Result<R, Infallible> {
+        Ok(f(&mut self.at_mut(i).links))
+    }
+
+    fn replace(&mut self, i: u32, value: V) -> Result<V, Infallible> {
+        Ok(std::mem::replace(&mut self.at_mut(i).value, value))
+    }
+
+    fn alloc(&mut self, node: Node<K, V>) -> u32 {
+        if let Some(i) = self.free.pop() {
+            self.nodes[i as usize] = Some(node);
+            i
+        } else {
+            self.nodes.push(Some(node));
+            (self.nodes.len() - 1) as u32
+        }
+    }
+
+    fn free(&mut self, i: u32) -> Result<V, Infallible> {
+        let node = self.nodes[i as usize].take().expect("freeing a free slot");
+        self.free.push(i);
+        Ok(node.value)
+    }
 }
 
 /// A sequential ordered map: red-black tree with the standard CLRS
@@ -41,9 +99,7 @@ struct RbNode<K, V> {
 /// assert_eq!(t.remove(&2), Some("b"));
 /// ```
 pub struct RbTree<K, V> {
-    nodes: Vec<RbNode<K, V>>,
-    free: Vec<u32>,
-    root: u32,
+    arena: Arena<K, V>,
     len: usize,
 }
 
@@ -57,9 +113,11 @@ impl<K: Ord + Clone, V: Clone> RbTree<K, V> {
     /// An empty tree.
     pub fn new() -> Self {
         RbTree {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
+            arena: Arena {
+                nodes: Vec::new(),
+                free: Vec::new(),
+                root: NIL,
+            },
             len: 0,
         }
     }
@@ -74,50 +132,15 @@ impl<K: Ord + Clone, V: Clone> RbTree<K, V> {
         self.len == 0
     }
 
-    fn node(&self, i: u32) -> &RbNode<K, V> {
-        &self.nodes[i as usize]
-    }
-    fn node_mut(&mut self, i: u32) -> &mut RbNode<K, V> {
-        &mut self.nodes[i as usize]
-    }
-    fn color(&self, i: u32) -> Color {
-        if i == NIL {
-            Color::Black
-        } else {
-            self.node(i).color
-        }
-    }
-
-    fn alloc(&mut self, key: K, value: V, parent: u32) -> u32 {
-        let node = RbNode {
-            key,
-            value,
-            left: NIL,
-            right: NIL,
-            parent,
-            color: Color::Red,
-        };
-        if let Some(i) = self.free.pop() {
-            self.nodes[i as usize] = node;
-            i
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        }
+    fn entry(&self, i: u32) -> (&K, &V) {
+        let n = self.arena.at(i);
+        (&n.key, &n.value)
     }
 
     /// Looks up `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let mut cur = self.root;
-        while cur != NIL {
-            let n = self.node(cur);
-            cur = match key.cmp(&n.key) {
-                std::cmp::Ordering::Less => n.left,
-                std::cmp::Ordering::Greater => n.right,
-                std::cmp::Ordering::Equal => return Some(&n.value),
-            };
-        }
-        None
+        let Ok(found) = clrs::find(&self.arena, key);
+        found.map(|i| self.entry(i).1)
     }
 
     /// Whether `key` is present.
@@ -127,395 +150,47 @@ impl<K: Ord + Clone, V: Clone> RbTree<K, V> {
 
     /// Smallest key strictly greater than `key`.
     pub fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        let mut cur = self.root;
-        let mut best = NIL;
-        while cur != NIL {
-            let n = self.node(cur);
-            if &n.key > key {
-                best = cur;
-                cur = n.left;
-            } else {
-                cur = n.right;
-            }
-        }
-        (best != NIL).then(|| {
-            let n = self.node(best);
-            (&n.key, &n.value)
-        })
+        let Ok(found) = clrs::neighbour(&self.arena, key, std::cmp::Ordering::Greater);
+        found.map(|i| self.entry(i))
     }
 
     /// Largest key strictly smaller than `key`.
     pub fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        let mut cur = self.root;
-        let mut best = NIL;
-        while cur != NIL {
-            let n = self.node(cur);
-            if &n.key < key {
-                best = cur;
-                cur = n.right;
-            } else {
-                cur = n.left;
-            }
-        }
-        (best != NIL).then(|| {
-            let n = self.node(best);
-            (&n.key, &n.value)
-        })
-    }
-
-    fn rotate(&mut self, x: u32, dir: usize) {
-        // dir = 0: left-rotate (y = x.right rises); dir = 1: right-rotate.
-        let y = if dir == 0 {
-            self.node(x).right
-        } else {
-            self.node(x).left
-        };
-        debug_assert_ne!(y, NIL);
-        let y_inner = if dir == 0 {
-            self.node(y).left
-        } else {
-            self.node(y).right
-        };
-        // x's outer child slot takes y's inner subtree.
-        if dir == 0 {
-            self.node_mut(x).right = y_inner;
-        } else {
-            self.node_mut(x).left = y_inner;
-        }
-        if y_inner != NIL {
-            self.node_mut(y_inner).parent = x;
-        }
-        let xp = self.node(x).parent;
-        self.node_mut(y).parent = xp;
-        if xp == NIL {
-            self.root = y;
-        } else if self.node(xp).left == x {
-            self.node_mut(xp).left = y;
-        } else {
-            self.node_mut(xp).right = y;
-        }
-        if dir == 0 {
-            self.node_mut(y).left = x;
-        } else {
-            self.node_mut(y).right = x;
-        }
-        self.node_mut(x).parent = y;
+        let Ok(found) = clrs::neighbour(&self.arena, key, std::cmp::Ordering::Less);
+        found.map(|i| self.entry(i))
     }
 
     /// Inserts `key → value`; returns the previous value if present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let mut parent = NIL;
-        let mut cur = self.root;
-        while cur != NIL {
-            parent = cur;
-            let n = self.node(cur);
-            cur = match key.cmp(&n.key) {
-                std::cmp::Ordering::Less => n.left,
-                std::cmp::Ordering::Greater => n.right,
-                std::cmp::Ordering::Equal => {
-                    return Some(std::mem::replace(&mut self.node_mut(cur).value, value));
-                }
-            };
-        }
-        let fresh = self.alloc(key, value, parent);
-        if parent == NIL {
-            self.root = fresh;
-        } else if self.node(fresh).key < self.node(parent).key {
-            self.node_mut(parent).left = fresh;
-        } else {
-            self.node_mut(parent).right = fresh;
-        }
-        self.len += 1;
-        self.insert_fixup(fresh);
-        None
+        let Ok(old) = clrs::insert(&mut self.arena, key, value);
+        self.len += old.is_none() as usize;
+        old
     }
 
-    fn insert_fixup(&mut self, mut z: u32) {
-        while self.color(self.node(z).parent) == Color::Red {
-            let zp = self.node(z).parent;
-            let zpp = self.node(zp).parent;
-            debug_assert_ne!(zpp, NIL, "red node without black grandparent");
-            let parent_is_left = self.node(zpp).left == zp;
-            let uncle = if parent_is_left {
-                self.node(zpp).right
-            } else {
-                self.node(zpp).left
-            };
-            if self.color(uncle) == Color::Red {
-                self.node_mut(zp).color = Color::Black;
-                self.node_mut(uncle).color = Color::Black;
-                self.node_mut(zpp).color = Color::Red;
-                z = zpp;
-            } else {
-                if parent_is_left {
-                    if self.node(zp).right == z {
-                        z = zp;
-                        self.rotate(z, 0);
-                    }
-                    let zp = self.node(z).parent;
-                    let zpp = self.node(zp).parent;
-                    self.node_mut(zp).color = Color::Black;
-                    self.node_mut(zpp).color = Color::Red;
-                    self.rotate(zpp, 1);
-                } else {
-                    if self.node(zp).left == z {
-                        z = zp;
-                        self.rotate(z, 1);
-                    }
-                    let zp = self.node(z).parent;
-                    let zpp = self.node(zp).parent;
-                    self.node_mut(zp).color = Color::Black;
-                    self.node_mut(zpp).color = Color::Red;
-                    self.rotate(zpp, 0);
-                }
-            }
-        }
-        let r = self.root;
-        self.node_mut(r).color = Color::Black;
-    }
-
-    fn minimum(&self, mut x: u32) -> u32 {
-        while self.node(x).left != NIL {
-            x = self.node(x).left;
-        }
-        x
-    }
-
-    /// Replaces subtree `u` by subtree `v` in u's parent.
-    fn transplant(&mut self, u: u32, v: u32) {
-        let up = self.node(u).parent;
-        if up == NIL {
-            self.root = v;
-        } else if self.node(up).left == u {
-            self.node_mut(up).left = v;
-        } else {
-            self.node_mut(up).right = v;
-        }
-        if v != NIL {
-            self.node_mut(v).parent = up;
-        }
-    }
-
-    /// Removes `key`; returns its value if it was present.
+    /// Removes `key`; returns its value if it was present. The node, key
+    /// and value included, is dropped here.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let mut z = self.root;
-        while z != NIL {
-            let n = self.node(z);
-            z = match key.cmp(&n.key) {
-                std::cmp::Ordering::Less => n.left,
-                std::cmp::Ordering::Greater => n.right,
-                std::cmp::Ordering::Equal => break,
-            };
-        }
-        if z == NIL {
-            return None;
-        }
-        let removed_value = self.node(z).value.clone();
-
-        // CLRS delete. `fix_at`/`fix_parent` track the (possibly NIL) node
-        // that replaced the spliced-out black node.
-        let mut y = z;
-        let mut y_color = self.node(y).color;
-        let fix_at;
-        let fix_parent;
-        if self.node(z).left == NIL {
-            fix_at = self.node(z).right;
-            fix_parent = self.node(z).parent;
-            self.transplant(z, fix_at);
-        } else if self.node(z).right == NIL {
-            fix_at = self.node(z).left;
-            fix_parent = self.node(z).parent;
-            self.transplant(z, fix_at);
-        } else {
-            y = self.minimum(self.node(z).right);
-            y_color = self.node(y).color;
-            fix_at = self.node(y).right;
-            if self.node(y).parent == z {
-                fix_parent = y;
-                if fix_at != NIL {
-                    self.node_mut(fix_at).parent = y;
-                }
-            } else {
-                fix_parent = self.node(y).parent;
-                self.transplant(y, fix_at);
-                let zr = self.node(z).right;
-                self.node_mut(y).right = zr;
-                self.node_mut(zr).parent = y;
-            }
-            self.transplant(z, y);
-            let zl = self.node(z).left;
-            self.node_mut(y).left = zl;
-            self.node_mut(zl).parent = y;
-            self.node_mut(y).color = self.node(z).color;
-        }
-        self.free.push(z);
-        self.len -= 1;
-        if y_color == Color::Black {
-            self.delete_fixup(fix_at, fix_parent);
-        }
-        Some(removed_value)
-    }
-
-    fn delete_fixup(&mut self, mut x: u32, mut xp: u32) {
-        while x != self.root && self.color(x) == Color::Black {
-            if xp == NIL {
-                break;
-            }
-            let x_is_left = self.node(xp).left == x;
-            let mut w = if x_is_left {
-                self.node(xp).right
-            } else {
-                self.node(xp).left
-            };
-            if w == NIL {
-                break; // defensive: malformed tree would loop forever
-            }
-            if self.color(w) == Color::Red {
-                self.node_mut(w).color = Color::Black;
-                self.node_mut(xp).color = Color::Red;
-                self.rotate(xp, if x_is_left { 0 } else { 1 });
-                w = if x_is_left {
-                    self.node(xp).right
-                } else {
-                    self.node(xp).left
-                };
-            }
-            let (w_near, w_far) = if x_is_left {
-                (self.node(w).left, self.node(w).right)
-            } else {
-                (self.node(w).right, self.node(w).left)
-            };
-            if self.color(w_near) == Color::Black && self.color(w_far) == Color::Black {
-                self.node_mut(w).color = Color::Red;
-                x = xp;
-                xp = self.node(x).parent;
-            } else {
-                if self.color(w_far) == Color::Black {
-                    if w_near != NIL {
-                        self.node_mut(w_near).color = Color::Black;
-                    }
-                    self.node_mut(w).color = Color::Red;
-                    self.rotate(w, if x_is_left { 1 } else { 0 });
-                    w = if x_is_left {
-                        self.node(xp).right
-                    } else {
-                        self.node(xp).left
-                    };
-                }
-                self.node_mut(w).color = self.node(xp).color;
-                self.node_mut(xp).color = Color::Black;
-                let w_far = if x_is_left {
-                    self.node(w).right
-                } else {
-                    self.node(w).left
-                };
-                if w_far != NIL {
-                    self.node_mut(w_far).color = Color::Black;
-                }
-                self.rotate(xp, if x_is_left { 0 } else { 1 });
-                x = self.root;
-                break;
-            }
-        }
-        if x != NIL {
-            self.node_mut(x).color = Color::Black;
-        }
+        let Ok(old) = clrs::remove(&mut self.arena, key);
+        self.len -= old.is_some() as usize;
+        old
     }
 
     /// Sorted snapshot of the contents.
     pub fn collect(&self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack = Vec::new();
-        let mut cur = self.root;
-        while cur != NIL || !stack.is_empty() {
-            while cur != NIL {
-                stack.push(cur);
-                cur = self.node(cur).left;
-            }
-            let n = stack.pop().unwrap();
-            let node = self.node(n);
-            out.push((node.key.clone(), node.value.clone()));
-            cur = node.right;
-        }
-        out
+        self.range(..)
     }
 
-    /// All pairs with keys in `bounds`, sorted: the in-order walk of
-    /// [`collect`](Self::collect) with subtree pruning on the bounds.
-    /// Recursion depth is the tree height, O(log n).
+    /// All pairs with keys in `bounds`, sorted ([`clrs::range`]).
     pub fn range<B: std::ops::RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
-        fn rec<K: Ord + Clone, V: Clone, B: std::ops::RangeBounds<K>>(
-            t: &RbTree<K, V>,
-            i: u32,
-            bounds: &B,
-            out: &mut Vec<(K, V)>,
-        ) {
-            use std::ops::Bound;
-            if i == NIL {
-                return;
-            }
-            let n = t.node(i);
-            let descend_left = match bounds.start_bound() {
-                Bound::Unbounded => true,
-                Bound::Included(lo) | Bound::Excluded(lo) => lo < &n.key,
-            };
-            let descend_right = match bounds.end_bound() {
-                Bound::Unbounded => true,
-                Bound::Included(hi) | Bound::Excluded(hi) => hi > &n.key,
-            };
-            if descend_left {
-                rec(t, n.left, bounds, out);
-            }
-            if bounds.contains(&n.key) {
-                out.push((n.key.clone(), n.value.clone()));
-            }
-            if descend_right {
-                rec(t, n.right, bounds, out);
-            }
-        }
-        let mut out = Vec::new();
-        rec(self, self.root, &bounds, &mut out);
+        let Ok(out) = clrs::range(&self.arena, &bounds);
         out
     }
 
-    /// Checks the red-black invariants; returns the black height or an
-    /// error description. Test/diagnostic helper.
+    /// Checks the red-black invariants ([`clrs::check`]); returns the
+    /// black height or an error description. Test/diagnostic helper.
     pub fn check_invariants(&self) -> Result<usize, String> {
-        if self.root == NIL {
-            return Ok(0);
-        }
-        if self.color(self.root) != Color::Black {
-            return Err("root is red".into());
-        }
-        self.check_rec(self.root, None, None)
-    }
-
-    fn check_rec(&self, n: u32, lo: Option<&K>, hi: Option<&K>) -> Result<usize, String> {
-        if n == NIL {
-            return Ok(1);
-        }
-        let node = self.node(n);
-        if let Some(lo) = lo {
-            if &node.key <= lo {
-                return Err("BST order violated (low)".into());
-            }
-        }
-        if let Some(hi) = hi {
-            if &node.key >= hi {
-                return Err("BST order violated (high)".into());
-            }
-        }
-        if node.color == Color::Red
-            && (self.color(node.left) == Color::Red || self.color(node.right) == Color::Red)
-        {
-            return Err("red node with red child".into());
-        }
-        let lh = self.check_rec(node.left, lo, Some(&node.key))?;
-        let rh = self.check_rec(node.right, Some(&node.key), hi)?;
-        if lh != rh {
-            return Err(format!("black heights differ: {lh} vs {rh}"));
-        }
-        Ok(lh + if node.color == Color::Black { 1 } else { 0 })
+        let Ok(verdict) = clrs::check(&self.arena);
+        verdict
     }
 }
 
@@ -606,5 +281,21 @@ mod tests {
         }
         t.check_invariants().unwrap();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn removed_entries_are_dropped() {
+        use std::sync::Arc;
+        let value = Arc::new(7u64);
+        let mut t = RbTree::new();
+        t.insert(1u64, Arc::clone(&value));
+        t.insert(2, Arc::new(8));
+        drop(t.remove(&1));
+        assert_eq!(Arc::strong_count(&value), 1);
+    }
+
+    #[test]
+    fn a_free_slot_costs_no_space() {
+        assert_eq!(std::mem::size_of::<Option<Node<u64, u64>>>(), 32);
     }
 }

@@ -88,6 +88,12 @@ impl<K: Ord + Clone, V: Clone> RbGlobal<K, V> {
     pub fn collect(&self) -> Vec<(K, V)> {
         self.tree().collect()
     }
+
+    /// Checks the tree's red-black invariants under the global lock
+    /// ([`RbTree::check_invariants`]).
+    pub fn check_invariants(&self) -> Result<usize, String> {
+        self.tree().check_invariants()
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +119,17 @@ mod tests {
             }
         });
         assert_eq!(m.len(), 4 * 250);
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn removed_entries_are_dropped() {
+        let value = Arc::new(7u64);
+        let m = RbGlobal::new();
+        m.insert(1u64, Arc::clone(&value));
+        m.insert(2, Arc::new(8));
+        drop(m.remove(&1));
+        assert_eq!(Arc::strong_count(&value), 1);
     }
 
     /// A value whose `clone` panics when armed.
@@ -142,6 +159,6 @@ mod tests {
         assert_eq!(m.remove(&2), Some(Bomb(false)));
         assert!(m.contains_key(&1));
         assert_eq!(m.len(), 2);
-        m.tree().check_invariants().unwrap();
+        m.check_invariants().unwrap();
     }
 }

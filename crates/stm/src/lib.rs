@@ -9,8 +9,9 @@
 //! every dictionary operation is one transaction that reads an entire
 //! root-to-leaf path, so any two conflicting updates abort each other and
 //! instrumentation overhead burdens even uncontended runs. [`rbtree::RbStm`]
-//! reproduces exactly that: the sequential red-black tree algorithms run
-//! unmodified inside a transaction.
+//! reproduces exactly that: the sequential red-black tree algorithms of
+//! [`seqrbt::clrs`], the code `seqrbt::RbTree` runs, execute unmodified
+//! inside a transaction.
 //!
 //! ```
 //! use tinystm::{atomically, TVar};

@@ -1,47 +1,29 @@
 //! `RBSTM`: a red-black tree where every operation is one coarse
 //! transaction (the paper's STM baseline, §6).
 //!
-//! Nodes live in an append-only arena of [`TVar`] cells addressed by `u32`;
-//! the sequential CLRS insert/delete algorithms run unmodified inside a
-//! transaction, reading and writing whole node cells. An update therefore
+//! Nodes live in an append-only arena of [`TVar`] cells addressed by `u32`.
+//! Each operation runs `seqrbt`'s CLRS code ([`seqrbt::clrs`]) unmodified
+//! inside a transaction, through a store whose every node read and write is
+//! a transactional read or write of a whole cell. An update therefore
 //! reads the entire root-to-leaf path into its read set — precisely the
 //! coarse-transaction behaviour that makes STM dictionaries abort each
 //! other under contention and pay instrumentation costs without it.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::cmp::Ordering;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use std::sync::{Mutex, PoisonError, RwLock};
+use seqrbt::clrs::{self, Links, Node, Store, NIL};
 
 use crate::tl2::{atomically, Retry, TVar, Tx};
 
-const NIL: u32 = u32::MAX;
-
-/// One arena cell: a red-black tree node (or an unused slot).
-#[derive(Clone)]
-pub(crate) struct Cell<K, V> {
-    key: Option<K>,
-    value: Option<V>,
-    left: u32,
-    right: u32,
-    parent: u32,
-    red: bool,
-}
-
-impl<K, V> Cell<K, V> {
-    fn free() -> Self {
-        Cell {
-            key: None,
-            value: None,
-            left: NIL,
-            right: NIL,
-            parent: NIL,
-            red: false,
-        }
-    }
-}
+/// One arena cell: a tree node, or `None` for an unused slot.
+type Cell<K, V> = Option<Node<K, V>>;
 
 /// The transactional cell arena: index-addressed so tree links are `u32`s.
 type Arena<K, V> = RwLock<Vec<Arc<TVar<Cell<K, V>>>>>;
+
+const LIVE: &str = "link to an unused cell";
 
 /// A concurrent ordered map: sequential red-black tree algorithms executed
 /// under TL2 transactions.
@@ -49,6 +31,96 @@ pub struct RbStm<K, V> {
     arena: Arena<K, V>,
     root: Arc<TVar<u32>>,
     free: Mutex<Vec<u32>>,
+}
+
+/// One transaction attempt's view of an [`RbStm`]: the store the shared
+/// algorithms run through.
+struct TxStore<'a, K, V> {
+    map: &'a RbStm<K, V>,
+    tx: RefCell<&'a mut Tx>,
+    /// The node `node` read last, which a `pair` of the same node reuses
+    /// so that a lookup reads the node it finds once.
+    last: RefCell<Option<(u32, Node<K, V>)>>,
+    /// The slot reserved for an insert, until `alloc` fills it.
+    fresh: Option<u32>,
+    /// The slot `free` emptied.
+    freed: Option<u32>,
+}
+
+impl<K, V> TxStore<'_, K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn read(&self, i: u32) -> Result<Cell<K, V>, Retry> {
+        self.tx.borrow_mut().read(&self.map.cell(i))
+    }
+
+    /// Reads cell `i`, lets `f` change it and writes it back. Forgets the
+    /// node `node` read last, which the write may change.
+    fn modify<R>(&mut self, i: u32, f: impl FnOnce(&mut Cell<K, V>) -> R) -> Result<R, Retry> {
+        self.last.get_mut().take();
+        let cell = self.map.cell(i);
+        let tx = self.tx.get_mut();
+        let mut c = tx.read(&cell)?;
+        let r = f(&mut c);
+        tx.write(&cell, c);
+        Ok(r)
+    }
+}
+
+impl<K, V> Store for TxStore<'_, K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Stop = Retry;
+
+    fn root(&self) -> Result<u32, Retry> {
+        self.tx.borrow_mut().read(&self.map.root)
+    }
+
+    fn node<R>(&self, i: u32, f: impl FnOnce(&K, Links) -> R) -> Result<R, Retry> {
+        let n = self.read(i)?.expect(LIVE);
+        let r = f(&n.key, n.links);
+        *self.last.borrow_mut() = Some((i, n));
+        Ok(r)
+    }
+
+    fn pair(&self, i: u32) -> Result<(K, V), Retry> {
+        let n = match self.last.borrow_mut().take() {
+            Some((j, n)) if j == i => n,
+            _ => self.read(i)?.expect(LIVE),
+        };
+        Ok((n.key, n.value))
+    }
+
+    fn set_root(&mut self, i: u32) {
+        self.tx.get_mut().write(&self.map.root, i);
+    }
+
+    fn update<R>(&mut self, i: u32, f: impl FnOnce(&mut Links) -> R) -> Result<R, Retry> {
+        self.modify(i, |c| f(&mut c.as_mut().expect(LIVE).links))
+    }
+
+    fn replace(&mut self, i: u32, value: V) -> Result<V, Retry> {
+        self.modify(i, |c| {
+            std::mem::replace(&mut c.as_mut().expect(LIVE).value, value)
+        })
+    }
+
+    fn alloc(&mut self, node: Node<K, V>) -> u32 {
+        let i = self.fresh.take().expect("insert reserved no slot");
+        self.tx.get_mut().write(&self.map.cell(i), Some(node));
+        i
+    }
+
+    fn free(&mut self, i: u32) -> Result<V, Retry> {
+        self.freed = Some(i);
+        self.modify(i, |c| c.take().expect(LIVE).value)
+    }
 }
 
 impl<K, V> Default for RbStm<K, V>
@@ -79,97 +151,49 @@ where
         self.arena.read().unwrap_or_else(PoisonError::into_inner)[i as usize].clone()
     }
 
-    fn read(&self, tx: &mut Tx, i: u32) -> Result<Cell<K, V>, Retry> {
-        tx.read(&self.cell(i))
+    fn free_slots(&self) -> std::sync::MutexGuard<'_, Vec<u32>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write(&self, tx: &mut Tx, i: u32, c: Cell<K, V>) {
-        tx.write(&self.cell(i), c);
-    }
-
-    fn is_red(&self, tx: &mut Tx, i: u32) -> Result<bool, Retry> {
-        if i == NIL {
-            Ok(false)
-        } else {
-            Ok(self.read(tx, i)?.red)
-        }
-    }
-
-    fn alloc(&self) -> u32 {
-        if let Some(i) = self
-            .free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-        {
+    /// A slot for an insert, taken outside the transaction so retries
+    /// reuse it.
+    fn reserve(&self) -> u32 {
+        if let Some(i) = self.free_slots().pop() {
             return i;
         }
         let mut arena = self.arena.write().unwrap_or_else(PoisonError::into_inner);
-        arena.push(TVar::new(Cell::free()));
+        arena.push(TVar::new(None));
         (arena.len() - 1) as u32
     }
 
-    fn release(&self, i: u32) {
-        self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(i);
-    }
-
-    /// Rotate around `x` (`dir = 0`: left, `dir = 1`: right), updating
-    /// parent pointers; transactional port of the sequential rotation.
-    fn rotate(&self, tx: &mut Tx, x: u32, dir: usize) -> Result<(), Retry> {
-        let mut xc = self.read(tx, x)?;
-        let y = if dir == 0 { xc.right } else { xc.left };
-        let mut yc = self.read(tx, y)?;
-        let y_inner = if dir == 0 { yc.left } else { yc.right };
-        if dir == 0 {
-            xc.right = y_inner;
-        } else {
-            xc.left = y_inner;
-        }
-        if y_inner != NIL {
-            let mut ic = self.read(tx, y_inner)?;
-            ic.parent = x;
-            self.write(tx, y_inner, ic);
-        }
-        yc.parent = xc.parent;
-        if xc.parent == NIL {
-            tx.write(&self.root, y);
-        } else {
-            let p = xc.parent;
-            let mut pc = self.read(tx, p)?;
-            if pc.left == x {
-                pc.left = y;
-            } else {
-                pc.right = y;
-            }
-            self.write(tx, p, pc);
-        }
-        if dir == 0 {
-            yc.left = x;
-        } else {
-            yc.right = x;
-        }
-        xc.parent = y;
-        self.write(tx, x, xc);
-        self.write(tx, y, yc);
-        Ok(())
+    /// Runs `op` as one transaction over the tree, with `fresh` reserved
+    /// for an insert. After the commit, returns the slot the operation
+    /// freed, or the reserved one if it went unused, to the free list.
+    fn run<R>(
+        &self,
+        fresh: Option<u32>,
+        mut op: impl FnMut(&mut TxStore<'_, K, V>) -> Result<R, Retry>,
+    ) -> R {
+        let (result, unused, freed) = atomically(|tx| {
+            let mut s = TxStore {
+                map: self,
+                tx: RefCell::new(tx),
+                last: RefCell::new(None),
+                fresh,
+                freed: None,
+            };
+            let result = op(&mut s)?;
+            Ok((result, s.fresh, s.freed))
+        });
+        self.free_slots().extend(unused.into_iter().chain(freed));
+        result
     }
 
     /// Looks up `key`.
     pub fn get(&self, key: &K) -> Option<V> {
-        atomically(|tx| {
-            let mut cur = tx.read(&self.root)?;
-            while cur != NIL {
-                let c = self.read(tx, cur)?;
-                match key.cmp(c.key.as_ref().expect("live node has key")) {
-                    std::cmp::Ordering::Less => cur = c.left,
-                    std::cmp::Ordering::Greater => cur = c.right,
-                    std::cmp::Ordering::Equal => return Ok(c.value),
-                }
-            }
-            Ok(None)
+        self.run(None, |s| {
+            let found = clrs::find(s, key)?;
+            found.map(|i| Ok(s.pair(i)?.1)).transpose()
         })
     }
 
@@ -178,393 +202,48 @@ where
         self.get(key).is_some()
     }
 
+    fn neighbour(&self, key: &K, toward: Ordering) -> Option<(K, V)> {
+        self.run(None, |s| {
+            let found = clrs::neighbour(s, key, toward)?;
+            found.map(|i| s.pair(i)).transpose()
+        })
+    }
+
     /// Smallest key strictly greater than `key`.
     pub fn successor(&self, key: &K) -> Option<(K, V)> {
-        atomically(|tx| {
-            let mut cur = tx.read(&self.root)?;
-            let mut best = None;
-            while cur != NIL {
-                let c = self.read(tx, cur)?;
-                let k = c.key.as_ref().expect("live node has key");
-                if k > key {
-                    best = Some((k.clone(), c.value.clone().unwrap()));
-                    cur = c.left;
-                } else {
-                    cur = c.right;
-                }
-            }
-            Ok(best)
-        })
+        self.neighbour(key, Ordering::Greater)
     }
 
     /// Largest key strictly smaller than `key`.
     pub fn predecessor(&self, key: &K) -> Option<(K, V)> {
-        atomically(|tx| {
-            let mut cur = tx.read(&self.root)?;
-            let mut best = None;
-            while cur != NIL {
-                let c = self.read(tx, cur)?;
-                let k = c.key.as_ref().expect("live node has key");
-                if k < key {
-                    best = Some((k.clone(), c.value.clone().unwrap()));
-                    cur = c.right;
-                } else {
-                    cur = c.left;
-                }
-            }
-            Ok(best)
-        })
+        self.neighbour(key, Ordering::Less)
     }
 
     /// Inserts `key → value`; returns the previous value.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        // Pre-allocate outside the transaction so retries reuse the slot.
-        let fresh = self.alloc();
-        let (old, used) = atomically(|tx| {
-            let mut parent = NIL;
-            let mut cur = tx.read(&self.root)?;
-            while cur != NIL {
-                parent = cur;
-                let c = self.read(tx, cur)?;
-                match key.cmp(c.key.as_ref().expect("live node has key")) {
-                    std::cmp::Ordering::Less => cur = c.left,
-                    std::cmp::Ordering::Greater => cur = c.right,
-                    std::cmp::Ordering::Equal => {
-                        let mut c2 = c.clone();
-                        let old = c2.value.replace(value.clone());
-                        self.write(tx, cur, c2);
-                        return Ok((old, false));
-                    }
-                }
-            }
-            self.write(
-                tx,
-                fresh,
-                Cell {
-                    key: Some(key.clone()),
-                    value: Some(value.clone()),
-                    left: NIL,
-                    right: NIL,
-                    parent,
-                    red: true,
-                },
-            );
-            if parent == NIL {
-                tx.write(&self.root, fresh);
-            } else {
-                let mut pc = self.read(tx, parent)?;
-                if &key < pc.key.as_ref().expect("live node has key") {
-                    pc.left = fresh;
-                } else {
-                    pc.right = fresh;
-                }
-                self.write(tx, parent, pc);
-            }
-            self.insert_fixup(tx, fresh)?;
-            Ok((None, true))
-        });
-        if !used {
-            self.release(fresh);
-        }
-        old
-    }
-
-    fn insert_fixup(&self, tx: &mut Tx, mut z: u32) -> Result<(), Retry> {
-        loop {
-            let zc = self.read(tx, z)?;
-            let zp = zc.parent;
-            if zp == NIL || !self.is_red(tx, zp)? {
-                break;
-            }
-            let zpc = self.read(tx, zp)?;
-            let zpp = zpc.parent;
-            // A red node always has a (black) grandparent: the root is black.
-            let zppc = self.read(tx, zpp)?;
-            let parent_is_left = zppc.left == zp;
-            let uncle = if parent_is_left {
-                zppc.right
-            } else {
-                zppc.left
-            };
-            if self.is_red(tx, uncle)? {
-                let mut a = self.read(tx, zp)?;
-                a.red = false;
-                self.write(tx, zp, a);
-                let mut b = self.read(tx, uncle)?;
-                b.red = false;
-                self.write(tx, uncle, b);
-                let mut c = self.read(tx, zpp)?;
-                c.red = true;
-                self.write(tx, zpp, c);
-                z = zpp;
-            } else {
-                let mut z2 = z;
-                if parent_is_left {
-                    if self.read(tx, zp)?.right == z2 {
-                        z2 = zp;
-                        self.rotate(tx, z2, 0)?;
-                    }
-                    let zp2 = self.read(tx, z2)?.parent;
-                    let zpp2 = self.read(tx, zp2)?.parent;
-                    let mut a = self.read(tx, zp2)?;
-                    a.red = false;
-                    self.write(tx, zp2, a);
-                    let mut b = self.read(tx, zpp2)?;
-                    b.red = true;
-                    self.write(tx, zpp2, b);
-                    self.rotate(tx, zpp2, 1)?;
-                } else {
-                    if self.read(tx, zp)?.left == z2 {
-                        z2 = zp;
-                        self.rotate(tx, z2, 1)?;
-                    }
-                    let zp2 = self.read(tx, z2)?.parent;
-                    let zpp2 = self.read(tx, zp2)?.parent;
-                    let mut a = self.read(tx, zp2)?;
-                    a.red = false;
-                    self.write(tx, zp2, a);
-                    let mut b = self.read(tx, zpp2)?;
-                    b.red = true;
-                    self.write(tx, zpp2, b);
-                    self.rotate(tx, zpp2, 0)?;
-                }
-                break;
-            }
-        }
-        let r = tx.read(&self.root)?;
-        if r != NIL {
-            let mut rc = self.read(tx, r)?;
-            if rc.red {
-                rc.red = false;
-                self.write(tx, r, rc);
-            }
-        }
-        Ok(())
+        let fresh = self.reserve();
+        self.run(Some(fresh), |s| clrs::insert(s, key.clone(), value.clone()))
     }
 
     /// Removes `key`; returns its value.
     pub fn remove(&self, key: &K) -> Option<V> {
-        let (old, freed) = atomically(|tx| {
-            let mut z = tx.read(&self.root)?;
-            while z != NIL {
-                let c = self.read(tx, z)?;
-                match key.cmp(c.key.as_ref().expect("live node has key")) {
-                    std::cmp::Ordering::Less => z = c.left,
-                    std::cmp::Ordering::Greater => z = c.right,
-                    std::cmp::Ordering::Equal => break,
-                }
-            }
-            if z == NIL {
-                return Ok((None, Vec::new()));
-            }
-            let zc = self.read(tx, z)?;
-            let removed = zc.value.clone();
-
-            let (fix_at, fix_parent, y_was_black);
-            if zc.left == NIL {
-                fix_at = zc.right;
-                fix_parent = zc.parent;
-                y_was_black = !zc.red;
-                self.transplant(tx, z, zc.right)?;
-            } else if zc.right == NIL {
-                fix_at = zc.left;
-                fix_parent = zc.parent;
-                y_was_black = !zc.red;
-                self.transplant(tx, z, zc.left)?;
-            } else {
-                // y = minimum of right subtree replaces z.
-                let mut y = zc.right;
-                loop {
-                    let yc = self.read(tx, y)?;
-                    if yc.left == NIL {
-                        break;
-                    }
-                    y = yc.left;
-                }
-                let yc = self.read(tx, y)?;
-                y_was_black = !yc.red;
-                fix_at = yc.right;
-                if yc.parent == z {
-                    fix_parent = y;
-                    if fix_at != NIL {
-                        let mut fc = self.read(tx, fix_at)?;
-                        fc.parent = y;
-                        self.write(tx, fix_at, fc);
-                    }
-                } else {
-                    fix_parent = yc.parent;
-                    self.transplant(tx, y, yc.right)?;
-                    let zc2 = self.read(tx, z)?;
-                    let mut yc2 = self.read(tx, y)?;
-                    yc2.right = zc2.right;
-                    self.write(tx, y, yc2);
-                    let mut rc = self.read(tx, zc2.right)?;
-                    rc.parent = y;
-                    self.write(tx, zc2.right, rc);
-                }
-                self.transplant(tx, z, y)?;
-                let zc3 = self.read(tx, z)?;
-                let mut yc3 = self.read(tx, y)?;
-                yc3.left = zc3.left;
-                yc3.red = zc3.red;
-                self.write(tx, y, yc3);
-                let mut lc = self.read(tx, zc3.left)?;
-                lc.parent = y;
-                self.write(tx, zc3.left, lc);
-            }
-            self.write(tx, z, Cell::free());
-            if y_was_black {
-                self.delete_fixup(tx, fix_at, fix_parent)?;
-            }
-            Ok((removed, vec![z]))
-        });
-        for i in freed {
-            self.release(i);
-        }
-        old
-    }
-
-    fn transplant(&self, tx: &mut Tx, u: u32, v: u32) -> Result<(), Retry> {
-        let up = self.read(tx, u)?.parent;
-        if up == NIL {
-            tx.write(&self.root, v);
-        } else {
-            let mut pc = self.read(tx, up)?;
-            if pc.left == u {
-                pc.left = v;
-            } else {
-                pc.right = v;
-            }
-            self.write(tx, up, pc);
-        }
-        if v != NIL {
-            let mut vc = self.read(tx, v)?;
-            vc.parent = up;
-            self.write(tx, v, vc);
-        }
-        Ok(())
-    }
-
-    fn delete_fixup(&self, tx: &mut Tx, mut x: u32, mut xp: u32) -> Result<(), Retry> {
-        loop {
-            let root = tx.read(&self.root)?;
-            if x == root || self.is_red(tx, x)? || xp == NIL {
-                break;
-            }
-            let xpc = self.read(tx, xp)?;
-            let x_is_left = xpc.left == x;
-            let mut w = if x_is_left { xpc.right } else { xpc.left };
-            if w == NIL {
-                break;
-            }
-            if self.is_red(tx, w)? {
-                let mut wc = self.read(tx, w)?;
-                wc.red = false;
-                self.write(tx, w, wc);
-                let mut pc = self.read(tx, xp)?;
-                pc.red = true;
-                self.write(tx, xp, pc);
-                self.rotate(tx, xp, if x_is_left { 0 } else { 1 })?;
-                let xpc2 = self.read(tx, xp)?;
-                w = if x_is_left { xpc2.right } else { xpc2.left };
-            }
-            let wc = self.read(tx, w)?;
-            let (near, far) = if x_is_left {
-                (wc.left, wc.right)
-            } else {
-                (wc.right, wc.left)
-            };
-            if !self.is_red(tx, near)? && !self.is_red(tx, far)? {
-                let mut wc2 = self.read(tx, w)?;
-                wc2.red = true;
-                self.write(tx, w, wc2);
-                x = xp;
-                xp = self.read(tx, x)?.parent;
-            } else {
-                if !self.is_red(tx, far)? {
-                    if near != NIL {
-                        let mut nc = self.read(tx, near)?;
-                        nc.red = false;
-                        self.write(tx, near, nc);
-                    }
-                    let mut wc2 = self.read(tx, w)?;
-                    wc2.red = true;
-                    self.write(tx, w, wc2);
-                    self.rotate(tx, w, if x_is_left { 1 } else { 0 })?;
-                    let xpc2 = self.read(tx, xp)?;
-                    w = if x_is_left { xpc2.right } else { xpc2.left };
-                }
-                let xpc2 = self.read(tx, xp)?;
-                let mut wc2 = self.read(tx, w)?;
-                wc2.red = xpc2.red;
-                self.write(tx, w, wc2);
-                let mut pc = self.read(tx, xp)?;
-                pc.red = false;
-                self.write(tx, xp, pc);
-                let wc3 = self.read(tx, w)?;
-                let far2 = if x_is_left { wc3.right } else { wc3.left };
-                if far2 != NIL {
-                    let mut fc = self.read(tx, far2)?;
-                    fc.red = false;
-                    self.write(tx, far2, fc);
-                }
-                self.rotate(tx, xp, if x_is_left { 0 } else { 1 })?;
-                break;
-            }
-        }
-        if x != NIL {
-            let mut xc = self.read(tx, x)?;
-            if xc.red {
-                xc.red = false;
-                self.write(tx, x, xc);
-            }
-        }
-        Ok(())
+        self.run(None, |s| clrs::remove(s, key))
     }
 
     /// Number of keys (one read-only transaction).
     pub fn len(&self) -> usize {
-        atomically(|tx| {
-            let mut count = 0usize;
-            let mut stack = vec![tx.read(&self.root)?];
-            while let Some(i) = stack.pop() {
-                if i == NIL {
-                    continue;
-                }
-                let c = self.read(tx, i)?;
-                count += 1;
-                stack.push(c.left);
-                stack.push(c.right);
-            }
-            Ok(count)
-        })
+        self.range(..).len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        atomically(|tx| Ok(tx.read(&self.root)? == NIL))
+        self.run(None, |s| Ok(s.root()? == NIL))
     }
 
     /// Sorted snapshot of the contents (one transaction: a true atomic
     /// snapshot, unlike the lock-free structures' traversals).
     pub fn collect(&self) -> Vec<(K, V)> {
-        atomically(|tx| {
-            let mut out = Vec::new();
-            let root = tx.read(&self.root)?;
-            self.collect_rec(tx, root, &mut out)?;
-            Ok(out)
-        })
-    }
-
-    fn collect_rec(&self, tx: &mut Tx, i: u32, out: &mut Vec<(K, V)>) -> Result<(), Retry> {
-        if i == NIL {
-            return Ok(());
-        }
-        let c = self.read(tx, i)?;
-        self.collect_rec(tx, c.left, out)?;
-        out.push((c.key.clone().unwrap(), c.value.clone().unwrap()));
-        self.collect_rec(tx, c.right, out)?;
-        Ok(())
+        self.range(..)
     }
 
     /// All pairs with keys in `bounds`, sorted. One read-only transaction,
@@ -573,45 +252,13 @@ where
     /// walk keeps the read set proportional to the result size plus the
     /// boundary paths, not the whole tree.
     pub fn range<B: std::ops::RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
-        atomically(|tx| {
-            let mut out = Vec::new();
-            let root = tx.read(&self.root)?;
-            self.range_rec(tx, root, &bounds, &mut out)?;
-            Ok(out)
-        })
+        self.run(None, |s| clrs::range(s, &bounds))
     }
 
-    fn range_rec<B: std::ops::RangeBounds<K>>(
-        &self,
-        tx: &mut Tx,
-        i: u32,
-        bounds: &B,
-        out: &mut Vec<(K, V)>,
-    ) -> Result<(), Retry> {
-        use std::ops::Bound;
-        if i == NIL {
-            return Ok(());
-        }
-        let c = self.read(tx, i)?;
-        let k = c.key.as_ref().expect("live node has key");
-        let descend_left = match bounds.start_bound() {
-            Bound::Unbounded => true,
-            Bound::Included(lo) | Bound::Excluded(lo) => lo < k,
-        };
-        let descend_right = match bounds.end_bound() {
-            Bound::Unbounded => true,
-            Bound::Included(hi) | Bound::Excluded(hi) => hi > k,
-        };
-        if descend_left {
-            self.range_rec(tx, c.left, bounds, out)?;
-        }
-        if bounds.contains(k) {
-            out.push((k.clone(), c.value.clone().expect("live node has value")));
-        }
-        if descend_right {
-            self.range_rec(tx, c.right, bounds, out)?;
-        }
-        Ok(())
+    /// Checks the red-black invariants ([`clrs::check`]) in one read-only
+    /// transaction; returns the black height or an error description.
+    pub fn check_invariants(&self) -> Result<usize, String> {
+        self.run(None, |s| clrs::check(s))
     }
 }
 
@@ -644,7 +291,11 @@ mod tests {
                 1 => assert_eq!(t.remove(&k), model.remove(&k)),
                 _ => assert_eq!(t.get(&k), model.get(&k).copied()),
             }
+            if step % 512 == 0 {
+                t.check_invariants().unwrap();
+            }
         }
+        t.check_invariants().unwrap();
         assert_eq!(t.collect(), model.into_iter().collect::<Vec<_>>());
     }
 
@@ -701,6 +352,7 @@ mod tests {
             }
         });
         assert_eq!(t.len(), 4 * 250);
+        t.check_invariants().unwrap();
         let snap = t.collect();
         for w in snap.windows(2) {
             assert!(w[0].0 < w[1].0);
@@ -728,10 +380,21 @@ mod tests {
                 });
             }
         });
+        t.check_invariants().unwrap();
         let snap = t.collect();
         for w in snap.windows(2) {
             assert!(w[0].0 < w[1].0, "BST order broken: {:?}", snap);
         }
         assert!(snap.iter().all(|(k, _)| *k < 32));
+    }
+
+    #[test]
+    fn removed_entries_are_dropped() {
+        let value = Arc::new(7u64);
+        let t = RbStm::new();
+        t.insert(1u64, Arc::clone(&value));
+        t.insert(2, Arc::new(8));
+        drop(t.remove(&1));
+        assert_eq!(Arc::strong_count(&value), 1);
     }
 }

@@ -90,7 +90,8 @@ proptest! {
     }
 
     /// Baselines: skip list, lock-AVL, STM RBT, global-lock RBT all agree
-    /// with the model (and with each other, transitively).
+    /// with the model (and with each other, transitively), and the three
+    /// trees keep their invariants.
     #[test]
     fn baselines_equal_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         let sl = nbskiplist::SkipListMap::<u64, u64>::new();
@@ -121,10 +122,25 @@ proptest! {
                     prop_assert_eq!(stm.get(&(k as u64)), expect);
                     prop_assert_eq!(glb.get(&(k as u64)), expect);
                 }
-                _ => {}
+                Op::Successor(k) => {
+                    let expect = model.range(k as u64 + 1..).next().map(|(a, b)| (*a, *b));
+                    prop_assert_eq!(sl.successor(&(k as u64)), expect);
+                    prop_assert_eq!(avl.successor(&(k as u64)), expect);
+                    prop_assert_eq!(stm.successor(&(k as u64)), expect);
+                    prop_assert_eq!(glb.successor(&(k as u64)), expect);
+                }
+                Op::Predecessor(k) => {
+                    let expect = model.range(..k as u64).next_back().map(|(a, b)| (*a, *b));
+                    prop_assert_eq!(sl.predecessor(&(k as u64)), expect);
+                    prop_assert_eq!(avl.predecessor(&(k as u64)), expect);
+                    prop_assert_eq!(stm.predecessor(&(k as u64)), expect);
+                    prop_assert_eq!(glb.predecessor(&(k as u64)), expect);
+                }
             }
         }
         avl.check_invariants().map_err(TestCaseError::fail)?;
+        stm.check_invariants().map_err(TestCaseError::fail)?;
+        glb.check_invariants().map_err(TestCaseError::fail)?;
     }
 
     /// The sequential red-black tree keeps its invariants under any
