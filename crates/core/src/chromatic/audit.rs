@@ -26,17 +26,18 @@ pub struct AuditReport {
     pub red_red_violations: usize,
     /// Overweight violation units (`Σ max(w − 1, 0)`).
     pub overweight_violations: usize,
-    /// Weight-0 (red) internal nodes. Merged-run installs create these in
-    /// bursts (a mini-subtree is all-red below its root); their *placement*
-    /// is checked structurally — a weight-0 node must be internal (a
-    /// weight-0 leaf is an error) and sit below the sentinels, so every
-    /// red node contributes 0 to its paths' weight sums.
+    /// Weight-0 (red) internal nodes. An insert gives its new internal node
+    /// the replaced leaf's weight minus one, so one that replaces a weight-1
+    /// leaf adds a red node; rebalancing steps recolour them. Their
+    /// *placement* is checked structurally: a weight-0 node must be
+    /// internal (a weight-0 leaf is an error) and sit below the sentinels,
+    /// so every red node adds 0 to its paths' weight sums.
     pub zero_weight_internals: usize,
     /// The common weighted root-to-leaf path sum of the chromatic tree
-    /// (`None` when the dictionary is empty). All paths must agree — any
-    /// mismatch is an error — so after a merged-run install this equals
-    /// the replaced leaf's old path sum: the mini-subtree root's `w − 1`
-    /// plus its weight-0 internals plus a weight-1 leaf.
+    /// (`None` when the dictionary is empty). All paths must agree, and any
+    /// mismatch is an error: an insert or delete keeps the sum on every
+    /// path through the leaf it replaces, and so does every rebalancing
+    /// step.
     pub weighted_path_sum: Option<u64>,
     /// Invariant breaches found; empty means the structure is a valid
     /// chromatic tree.
@@ -287,41 +288,5 @@ where
             }
         }
         Ok(scanned.len())
-    }
-}
-
-impl<K, V> ChromaticTree<K, V>
-where
-    K: Ord + Clone + Send + Sync + 'static + std::fmt::Debug,
-    V: Clone + Send + Sync + 'static,
-{
-    /// Prints the tree structure (keys and weights) to stderr, down to
-    /// `max_depth`. Diagnostic helper for tests and debugging.
-    pub fn debug_dump(&self, max_depth: usize) {
-        with_guard(|guard| {
-            fn rec<
-                K: Ord + Clone + Send + Sync + 'static + std::fmt::Debug,
-                V: Clone + Send + Sync + 'static,
-            >(
-                n: Shared<'_, Node<K, V>>,
-                depth: usize,
-                max_depth: usize,
-                guard: &llxscx::epoch::Guard,
-            ) {
-                if n.is_null() || depth > max_depth {
-                    return;
-                }
-                // SAFETY: reached from entry under `guard`.
-                let node = unsafe { n.deref() };
-                let pad = "  ".repeat(depth);
-                let kind = if node.is_leaf(guard) { "leaf" } else { "int " };
-                eprintln!("{pad}{kind} k={:?} w={}", node.key(), node.weight());
-                if !node.is_leaf(guard) {
-                    rec(node.read_child(0, guard), depth + 1, max_depth, guard);
-                    rec(node.read_child(1, guard), depth + 1, max_depth, guard);
-                }
-            }
-            rec(self.tree.entry(guard), 0, max_depth, guard);
-        })
     }
 }

@@ -242,222 +242,215 @@ where
 
     // ---------------------------------------------------------------
     // Point operations. Each pins through the shared
-    // `llxscx::guard_cache`, exactly like the trees, and runs its `*_in`
-    // body under that guard.
+    // `llxscx::guard_cache`, exactly like the trees.
     // ---------------------------------------------------------------
-
-    /// [`get`](Self::get) under a caller-provided epoch guard.
-    fn get_in(&self, k: &K, g: &Guard) -> Option<V> {
-        // SAFETY: `table` is never null; loaded under `g`, the generation cannot be
-        // freed before the guard drops.
-        let t = unsafe { self.table.load(Ordering::Acquire, g).deref() };
-        let h = self.home(k, t);
-        let mut spins = 0;
-        loop {
-            let v1 = t.vers[h].load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                // A displacement involving this bucket is in flight.
-                backoff(&mut spins);
-                continue;
-            }
-            let mut hop = t.hops[h].load(Ordering::Acquire);
-            while hop != 0 {
-                let bit = hop.trailing_zeros() as usize;
-                hop &= hop - 1;
-                let e = t.slots[h + bit].load(Ordering::Acquire, g);
-                // SAFETY: non-null slot entries are live: removal retires them through the
-                // epoch, and `g` pins the current epoch.
-                if let Some(er) = unsafe { e.as_ref() } {
-                    if er.key == *k {
-                        return Some(er.value.clone());
-                    }
-                }
-            }
-            // Miss. Only valid if no displacement raced us: a concurrent
-            // displacement can make a *present* key invisible (bit for
-            // the old slot cleared, bit for the new slot not yet seen).
-            // Insert and remove never need this — they publish/retract a
-            // key with a single hop-bit edit, which the snapshot above
-            // either sees or doesn't (both orders linearizable).
-            if t.vers[h].load(Ordering::Acquire) == v1 {
-                return None;
-            }
-        }
-    }
 
     /// Lock-free lookup. Linearizes at the hop-bitmap read (hit) or the
     /// version re-check (miss).
     pub fn get(&self, k: &K) -> Option<V> {
-        guard_cache::with_guard(|g| self.get_in(k, g))
-    }
-
-    /// [`insert`](Self::insert) under a caller-provided epoch guard.
-    fn insert_in(&self, k: K, v: V, g: &Guard) -> Option<V> {
-        'restart: loop {
-            let t_shared = self.table.load(Ordering::Acquire, g);
-            // SAFETY: `table` is never null; the generation is alive under `g`.
-            let t = unsafe { t_shared.deref() };
-            let h = self.home(&k, t);
-            // Lock the neighborhood's stripes (in increasing order), then
-            // re-check the table pointer: a resize holds ALL stripes, so
-            // an unchanged pointer under ≥ 1 held stripe means no resize
-            // can complete until we release. Stripes acquired later in
-            // this operation are strictly higher-indexed, which a blocked
-            // resizer (parked on our lowest stripe, holding only lower
-            // ones) can never contend — hence no deadlock and no further
-            // pointer re-checks.
-            let first_stripe = h / STRIPE;
-            let mut last_stripe = (h + HOP_RANGE - 1) / STRIPE;
-            let mut stripes: Vec<_> = (first_stripe..=last_stripe)
-                .map(|i| stripe(&t.locks[i]))
-                .collect();
-            if self.table.load(Ordering::Acquire, g) != t_shared {
-                drop(stripes);
-                continue 'restart;
-            }
-            // 1) Key already present in the neighborhood: replace the
-            //    entry wholesale (readers see old or new, never a torn
-            //    pair). The hop word is frozen while we hold the
-            //    neighborhood's stripes — any writer that could edit one
-            //    of its bits must hold the corresponding slot's stripe.
-            let mut hop = t.hops[h].load(Ordering::Acquire);
-            while hop != 0 {
-                let bit = hop.trailing_zeros() as usize;
-                hop &= hop - 1;
-                let s = h + bit;
-                let e = t.slots[s].load(Ordering::Acquire, g);
-                // SAFETY: non-null slot entries are epoch-retired, hence alive under `g`.
-                if let Some(er) = unsafe { e.as_ref() } {
-                    if er.key == k {
-                        let old = er.value.clone();
-                        t.slots[s].store(Owned::new(Entry { key: k, value: v }), Ordering::Release);
-                        // SAFETY: the store above unlinked `e` from its slot while holding the
-                        // segment lock; no new reader can reach it, existing readers are pinned.
-                        unsafe { g.defer_destroy(e) };
-                        return Some(old);
+        guard_cache::with_guard(|g| {
+            // SAFETY: `table` is never null; loaded under `g`, the generation cannot be
+            // freed before the guard drops.
+            let t = unsafe { self.table.load(Ordering::Acquire, g).deref() };
+            let h = self.home(k, t);
+            let mut spins = 0;
+            loop {
+                let v1 = t.vers[h].load(Ordering::Acquire);
+                if v1 & 1 == 1 {
+                    // A displacement involving this bucket is in flight.
+                    backoff(&mut spins);
+                    continue;
+                }
+                let mut hop = t.hops[h].load(Ordering::Acquire);
+                while hop != 0 {
+                    let bit = hop.trailing_zeros() as usize;
+                    hop &= hop - 1;
+                    let e = t.slots[h + bit].load(Ordering::Acquire, g);
+                    // SAFETY: non-null slot entries are live: removal retires them through the
+                    // epoch, and `g` pins the current epoch.
+                    if let Some(er) = unsafe { e.as_ref() } {
+                        if er.key == *k {
+                            return Some(er.value.clone());
+                        }
                     }
                 }
-            }
-            // 2) Find a free slot within ADD_RANGE of home, extending the
-            //    held stripe run upward as the scan crosses boundaries.
-            let mut free = None;
-            for s in h..h + ADD_RANGE {
-                while s / STRIPE > last_stripe {
-                    last_stripe += 1;
-                    stripes.push(stripe(&t.locks[last_stripe]));
-                }
-                if t.slots[s].load(Ordering::Acquire, g).is_null() {
-                    free = Some(s);
-                    break;
+                // Miss. Only valid if no displacement raced us: a concurrent
+                // displacement can make a *present* key invisible (bit for
+                // the old slot cleared, bit for the new slot not yet seen).
+                // Insert and remove never need this — they publish/retract a
+                // key with a single hop-bit edit, which the snapshot above
+                // either sees or doesn't (both orders linearizable).
+                if t.vers[h].load(Ordering::Acquire) == v1 {
+                    return None;
                 }
             }
-            let Some(mut f) = free else {
-                drop(stripes);
-                self.grow(t_shared, g);
-                continue 'restart;
-            };
-            // 3) Hopscotch: walk the free slot home-ward. Each step picks
-            //    an entry below `f` that may legally rest at `f` (its own
-            //    home is within HOP_RANGE of `f`) and moves it up,
-            //    freeing its old slot. Both slots are under our stripes;
-            //    the entry's home bucket `hb` may be outside them, but
-            //    its hop word is only edited at bits owned by slots we
-            //    hold (atomic RMWs keep other bits intact), and its
-            //    seqlock serializes us against both readers and other
-            //    displacers of that bucket.
-            while f >= h + HOP_RANGE {
-                let mut victim = None;
-                for j in (f + 1 - HOP_RANGE)..f {
-                    let cand = t.slots[j].load(Ordering::Acquire, g);
-                    // SAFETY: candidate slot entry; non-null entries are alive under `g`.
-                    let Some(cr) = (unsafe { cand.as_ref() }) else {
-                        continue;
-                    };
-                    let hb = self.home(&cr.key, t);
-                    debug_assert!(
-                        hb <= j && j - hb < HOP_RANGE,
-                        "entry out of its neighborhood"
-                    );
-                    if hb + HOP_RANGE <= f {
-                        continue; // would land outside its neighborhood
-                    }
-                    victim = Some((j, cand, hb));
-                    break;
-                }
-                let Some((j, cand, hb)) = victim else {
-                    drop(stripes);
-                    self.grow(t_shared, g);
-                    continue 'restart;
-                };
-                lock_version(&t.vers[hb]);
-                t.slots[f].store(cand, Ordering::Release);
-                t.hops[hb].fetch_or(1 << (f - hb), Ordering::AcqRel);
-                t.hops[hb].fetch_and(!(1u32 << (j - hb)), Ordering::AcqRel);
-                t.slots[j].store(Shared::null(), Ordering::Release);
-                t.vers[hb].fetch_add(1, Ordering::Release);
-                f = j;
-            }
-            // 4) Publish: slot first, hop bit second. The fetch_or is the
-            //    linearization point — before it the key is absent to
-            //    every reader, after it present.
-            t.slots[f].store(Owned::new(Entry { key: k, value: v }), Ordering::Release);
-            t.hops[h].fetch_or(1 << (f - h), Ordering::AcqRel);
-            self.len.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
+        })
     }
 
     /// Inserts, returning the displaced value.
     pub fn insert(&self, k: K, v: V) -> Option<V> {
-        guard_cache::with_guard(|g| self.insert_in(k, v, g))
-    }
-
-    /// [`remove`](Self::remove) under a caller-provided epoch guard.
-    fn remove_in(&self, k: &K, g: &Guard) -> Option<V> {
-        loop {
-            let t_shared = self.table.load(Ordering::Acquire, g);
-            // SAFETY: `table` is never null; the generation is alive under `g`.
-            let t = unsafe { t_shared.deref() };
-            let h = self.home(k, t);
-            let stripes: Vec<_> = (h / STRIPE..=(h + HOP_RANGE - 1) / STRIPE)
-                .map(|i| stripe(&t.locks[i]))
-                .collect();
-            if self.table.load(Ordering::Acquire, g) != t_shared {
-                drop(stripes);
-                continue;
-            }
-            let mut hop = t.hops[h].load(Ordering::Acquire);
-            while hop != 0 {
-                let bit = hop.trailing_zeros() as usize;
-                hop &= hop - 1;
-                let s = h + bit;
-                let e = t.slots[s].load(Ordering::Acquire, g);
-                // SAFETY: non-null slot entries are epoch-retired, hence alive under `g`.
-                if let Some(er) = unsafe { e.as_ref() } {
-                    if er.key == *k {
-                        // Bit first (the linearization point: the key
-                        // becomes invisible), then the slot. A reader
-                        // holding the old bitmap that still probes the
-                        // slot either finds the entry (linearizes before
-                        // us) or a null (skips it).
-                        t.hops[h].fetch_and(!(1u32 << bit), Ordering::AcqRel);
-                        t.slots[s].store(Shared::null(), Ordering::Release);
-                        let v = er.value.clone();
-                        // SAFETY: the null store above unlinked `e` under the segment lock; readers
-                        // still traversing hold guards, so destruction is epoch-deferred.
-                        unsafe { g.defer_destroy(e) };
-                        self.len.fetch_sub(1, Ordering::Relaxed);
-                        return Some(v);
+        guard_cache::with_guard(|g| {
+            'restart: loop {
+                let t_shared = self.table.load(Ordering::Acquire, g);
+                // SAFETY: `table` is never null; the generation is alive under `g`.
+                let t = unsafe { t_shared.deref() };
+                let h = self.home(&k, t);
+                // Lock the neighborhood's stripes (in increasing order), then
+                // re-check the table pointer: a resize holds ALL stripes, so
+                // an unchanged pointer under ≥ 1 held stripe means no resize
+                // can complete until we release. Stripes acquired later in
+                // this operation are strictly higher-indexed, which a blocked
+                // resizer (parked on our lowest stripe, holding only lower
+                // ones) can never contend — hence no deadlock and no further
+                // pointer re-checks.
+                let first_stripe = h / STRIPE;
+                let mut last_stripe = (h + HOP_RANGE - 1) / STRIPE;
+                let mut stripes: Vec<_> = (first_stripe..=last_stripe)
+                    .map(|i| stripe(&t.locks[i]))
+                    .collect();
+                if self.table.load(Ordering::Acquire, g) != t_shared {
+                    drop(stripes);
+                    continue 'restart;
+                }
+                // 1) Key already present in the neighborhood: replace the
+                //    entry wholesale (readers see old or new, never a torn
+                //    pair). The hop word is frozen while we hold the
+                //    neighborhood's stripes — any writer that could edit one
+                //    of its bits must hold the corresponding slot's stripe.
+                let mut hop = t.hops[h].load(Ordering::Acquire);
+                while hop != 0 {
+                    let bit = hop.trailing_zeros() as usize;
+                    hop &= hop - 1;
+                    let s = h + bit;
+                    let e = t.slots[s].load(Ordering::Acquire, g);
+                    // SAFETY: non-null slot entries are epoch-retired, hence alive under `g`.
+                    if let Some(er) = unsafe { e.as_ref() } {
+                        if er.key == k {
+                            let old = er.value.clone();
+                            t.slots[s]
+                                .store(Owned::new(Entry { key: k, value: v }), Ordering::Release);
+                            // SAFETY: the store above unlinked `e` from its slot while
+                            // holding the segment lock; no new reader can reach it,
+                            // existing readers are pinned.
+                            unsafe { g.defer_destroy(e) };
+                            return Some(old);
+                        }
                     }
                 }
+                // 2) Find a free slot within ADD_RANGE of home, extending the
+                //    held stripe run upward as the scan crosses boundaries.
+                let mut free = None;
+                for s in h..h + ADD_RANGE {
+                    while s / STRIPE > last_stripe {
+                        last_stripe += 1;
+                        stripes.push(stripe(&t.locks[last_stripe]));
+                    }
+                    if t.slots[s].load(Ordering::Acquire, g).is_null() {
+                        free = Some(s);
+                        break;
+                    }
+                }
+                let Some(mut f) = free else {
+                    drop(stripes);
+                    self.grow(t_shared, g);
+                    continue 'restart;
+                };
+                // 3) Hopscotch: walk the free slot home-ward. Each step picks
+                //    an entry below `f` that may legally rest at `f` (its own
+                //    home is within HOP_RANGE of `f`) and moves it up,
+                //    freeing its old slot. Both slots are under our stripes;
+                //    the entry's home bucket `hb` may be outside them, but
+                //    its hop word is only edited at bits owned by slots we
+                //    hold (atomic RMWs keep other bits intact), and its
+                //    seqlock serializes us against both readers and other
+                //    displacers of that bucket.
+                while f >= h + HOP_RANGE {
+                    let mut victim = None;
+                    for j in (f + 1 - HOP_RANGE)..f {
+                        let cand = t.slots[j].load(Ordering::Acquire, g);
+                        // SAFETY: candidate slot entry; non-null entries are alive under `g`.
+                        let Some(cr) = (unsafe { cand.as_ref() }) else {
+                            continue;
+                        };
+                        let hb = self.home(&cr.key, t);
+                        debug_assert!(
+                            hb <= j && j - hb < HOP_RANGE,
+                            "entry out of its neighborhood"
+                        );
+                        if hb + HOP_RANGE <= f {
+                            continue; // would land outside its neighborhood
+                        }
+                        victim = Some((j, cand, hb));
+                        break;
+                    }
+                    let Some((j, cand, hb)) = victim else {
+                        drop(stripes);
+                        self.grow(t_shared, g);
+                        continue 'restart;
+                    };
+                    lock_version(&t.vers[hb]);
+                    t.slots[f].store(cand, Ordering::Release);
+                    t.hops[hb].fetch_or(1 << (f - hb), Ordering::AcqRel);
+                    t.hops[hb].fetch_and(!(1u32 << (j - hb)), Ordering::AcqRel);
+                    t.slots[j].store(Shared::null(), Ordering::Release);
+                    t.vers[hb].fetch_add(1, Ordering::Release);
+                    f = j;
+                }
+                // 4) Publish: slot first, hop bit second. The fetch_or is the
+                //    linearization point — before it the key is absent to
+                //    every reader, after it present.
+                t.slots[f].store(Owned::new(Entry { key: k, value: v }), Ordering::Release);
+                t.hops[h].fetch_or(1 << (f - h), Ordering::AcqRel);
+                self.len.fetch_add(1, Ordering::Relaxed);
+                return None;
             }
-            return None;
-        }
+        })
     }
 
     /// Removes, returning the removed value.
     pub fn remove(&self, k: &K) -> Option<V> {
-        guard_cache::with_guard(|g| self.remove_in(k, g))
+        guard_cache::with_guard(|g| {
+            loop {
+                let t_shared = self.table.load(Ordering::Acquire, g);
+                // SAFETY: `table` is never null; the generation is alive under `g`.
+                let t = unsafe { t_shared.deref() };
+                let h = self.home(k, t);
+                let stripes: Vec<_> = (h / STRIPE..=(h + HOP_RANGE - 1) / STRIPE)
+                    .map(|i| stripe(&t.locks[i]))
+                    .collect();
+                if self.table.load(Ordering::Acquire, g) != t_shared {
+                    drop(stripes);
+                    continue;
+                }
+                let mut hop = t.hops[h].load(Ordering::Acquire);
+                while hop != 0 {
+                    let bit = hop.trailing_zeros() as usize;
+                    hop &= hop - 1;
+                    let s = h + bit;
+                    let e = t.slots[s].load(Ordering::Acquire, g);
+                    // SAFETY: non-null slot entries are epoch-retired, hence alive under `g`.
+                    if let Some(er) = unsafe { e.as_ref() } {
+                        if er.key == *k {
+                            // Bit first (the linearization point: the key
+                            // becomes invisible), then the slot. A reader
+                            // holding the old bitmap that still probes the
+                            // slot either finds the entry (linearizes before
+                            // us) or a null (skips it).
+                            t.hops[h].fetch_and(!(1u32 << bit), Ordering::AcqRel);
+                            t.slots[s].store(Shared::null(), Ordering::Release);
+                            let v = er.value.clone();
+                            // SAFETY: the null store above unlinked `e` under the segment
+                            // lock; readers still traversing hold guards, so destruction is
+                            // epoch-deferred.
+                            unsafe { g.defer_destroy(e) };
+                            self.len.fetch_sub(1, Ordering::Relaxed);
+                            return Some(v);
+                        }
+                    }
+                }
+                return None;
+            }
+        })
     }
 
     // ---------------------------------------------------------------
@@ -588,7 +581,7 @@ where
 
     /// Sequential hopscotch placement into a table no other thread can
     /// see yet (resize migration): same displacement walk as
-    /// [`insert_in`] without locks or version traffic. Returns false if
+    /// [`insert`](Self::insert) without locks or version traffic. Returns false if
     /// the entry cannot be placed (caller doubles and retries).
     fn place_unsynced(&self, t: &Table<K, V>, e: Shared<'_, Entry<K, V>>, g: &Guard) -> bool {
         // SAFETY: `e` is the caller's freshly allocated, non-null entry.

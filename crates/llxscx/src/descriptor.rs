@@ -42,15 +42,19 @@
 //! Descriptors live in a process-wide table of 16 chunks; chunk `c` holds
 //! the `2^c` slots with ids `2^c ..= 2^(c+1) - 1`, so the table grows by
 //! doubling up to the 65 535 ids the 16 id bits can name, and a lookup is a
-//! leading-zero count and an index. A thread takes a slot on its first SCX
-//! and gives it back when it exits; the next thread to take it continues
-//! from the slot's sequence number instead of resetting it. The table
+//! leading-zero count and an index. The table is the crate's one thread
+//! registry: each slot also holds, on a cache line of its own, the epoch
+//! its thread announces, which the [`epoch`] collector scans without a
+//! lock. A thread's epoch state takes a slot when it is built and gives it
+//! back when the thread exits; the next thread to take it continues from
+//! the slot's sequence number instead of resetting it. The table
 //! therefore holds as many slots as the largest number of threads that
 //! ever held one at once.
 
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use crate::epoch::{self, UNPINNED};
 use crate::record::MAX_V;
 
 /// SCX in progress: the records in `V` whose `info` names it are frozen.
@@ -327,31 +331,34 @@ pub(crate) fn state_of(info: u64) -> u8 {
     }
 }
 
-/// The chunk pointers of the slot table; chunk `c` holds ids `2^c ..`.
-static CHUNK: [AtomicPtr<ScxRecord>; CHUNKS] =
-    [const { AtomicPtr::new(std::ptr::null_mut()) }; CHUNKS];
-
-/// Slot bookkeeping, touched only when a thread takes or returns a slot.
-struct Slots {
-    /// Ids of slots whose thread exited, reused last-in first-out.
-    free: Vec<usize>,
-    /// Ids handed out so far: the table's size.
-    len: usize,
+/// One slot of the table: a thread's descriptor and, on a cache line of its
+/// own, the epoch the thread announces ([`epoch`] scans these).
+struct Slot {
+    desc: ScxRecord,
+    announce: Announce,
 }
 
-static SLOTS: Mutex<Slots> = Mutex::new(Slots {
-    free: Vec::new(),
-    len: 0,
-});
+/// An announced epoch, on a cache line of its own so pins do not slow helpers.
+#[repr(align(64))]
+struct Announce(AtomicUsize);
 
-/// The descriptor with id `id`.
+/// The chunk pointers of the slot table; chunk `c` holds ids `2^c ..`.
+static CHUNK: [AtomicPtr<Slot>; CHUNKS] = [const { AtomicPtr::new(std::ptr::null_mut()) }; CHUNKS];
+
+/// Ids handed out so far; stored under `FREE`, read by scans without it.
+static LEN: AtomicUsize = AtomicUsize::new(0);
+
+/// Ids of slots whose thread exited, reused last-in first-out.
+static FREE: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+/// The slot with id `id`.
 #[inline]
-fn record(id: usize) -> &'static ScxRecord {
+fn slot(id: usize) -> &'static Slot {
     let c = (usize::BITS - 1 - id.leading_zeros()) as usize;
-    // RELAXED: the chunk pointer was stored before its first id left the
-    // `SLOTS` mutex, and every id reaches a reader through that mutex or
-    // through an `info` word installed after it, so the store happens
-    // before this load and coherence forbids reading the old null.
+    // RELAXED: the chunk pointer was stored before its first id was
+    // published, and every id reaches a reader after that store: through
+    // the `FREE` mutex, an `info` word installed later, or a load of `LEN`,
+    // stored SeqCst after the pointer. Coherence then forbids the old null.
     let base = CHUNK[c].load(Ordering::Relaxed);
     // SAFETY: `id` was handed out by `take_slot`, which allocated chunk
     // `c` first; chunks are never freed, and `id - 2^c < 2^c` is in range.
@@ -361,32 +368,47 @@ fn record(id: usize) -> &'static ScxRecord {
 /// The descriptor an `info` word names.
 #[inline]
 pub(crate) fn lookup(info: u64) -> &'static ScxRecord {
-    record((info >> SEQ_BITS) as usize)
+    &slot((info >> SEQ_BITS) as usize).desc
 }
 
-fn slots() -> std::sync::MutexGuard<'static, Slots> {
-    SLOTS.lock().unwrap_or_else(PoisonError::into_inner)
+/// The epoch announced in slot `id`, or [`UNPINNED`].
+pub(crate) fn announce(id: usize) -> &'static AtomicUsize {
+    &slot(id).announce.0
 }
 
-/// Takes a free slot, growing the table if there is none.
-fn take_slot() -> usize {
-    let mut s = slots();
-    let id = match s.free.pop() {
+/// The number of slots: every id in `1..=table_len()` names one.
+pub(crate) fn table_len() -> usize {
+    // SEQCST: between a scan's epoch and announce loads; see `try_advance`.
+    LEN.load(Ordering::SeqCst)
+}
+
+/// Takes a free slot, growing the table if there is none. A new slot
+/// announces [`UNPINNED`]; a reused one was given back unpinned.
+pub(crate) fn take_slot() -> usize {
+    let mut free = FREE.lock().unwrap_or_else(PoisonError::into_inner);
+    let id = match free.pop() {
         Some(id) => id,
         None => {
-            s.len += 1;
-            let id = s.len;
+            // RELAXED: `LEN` is only stored under the `FREE` lock we hold.
+            let id = LEN.load(Ordering::Relaxed) + 1;
             assert!(
                 id <= MAX_ID,
                 "more than {MAX_ID} threads hold an SCX descriptor"
             );
             let c = (usize::BITS - 1 - id.leading_zeros()) as usize;
             if id == 1 << c {
-                let chunk: Box<[ScxRecord]> = (0..1usize << c).map(|_| ScxRecord::new()).collect();
-                // RELAXED: published to other threads by the `SLOTS` mutex
-                // and by `info` words (see `record`).
+                let chunk: Box<[Slot]> = (0..1usize << c)
+                    .map(|_| Slot {
+                        desc: ScxRecord::new(),
+                        announce: Announce(AtomicUsize::new(UNPINNED)),
+                    })
+                    .collect();
+                // RELAXED: published by the `LEN` store below (see `slot`).
                 CHUNK[c].store(Box::leak(chunk).as_mut_ptr(), Ordering::Relaxed);
             }
+            // SEQCST: publishes the chunk to scans, and orders the new id
+            // before this thread's first pin (see `epoch::try_advance`).
+            LEN.store(id, Ordering::SeqCst);
             id
         }
     };
@@ -395,41 +417,23 @@ fn take_slot() -> usize {
     id
 }
 
-fn give_slot(id: usize) {
+/// Returns slot `id`, which must announce [`UNPINNED`], to the free list.
+pub(crate) fn give_slot(id: usize) {
     #[cfg(test)]
     gauge::held(-1);
-    slots().free.push(id);
+    FREE.lock().unwrap_or_else(PoisonError::into_inner).push(id);
 }
 
-/// A thread's claim on its slot, returned when the thread exits.
-struct Owner {
-    id: usize,
-    desc: &'static ScxRecord,
-}
-
-impl Drop for Owner {
-    fn drop(&mut self) {
-        give_slot(self.id);
-    }
-}
-
-thread_local! {
-    static OWNER: Owner = {
-        let id = take_slot();
-        Owner { id, desc: record(id) }
-    };
-}
-
-/// Runs `f` with the calling thread's descriptor and its id. During thread
-/// exit, once the thread's claim is gone, `f` gets a slot of its own for
-/// the length of the call instead.
+/// Runs `f` with the calling thread's descriptor and its id. An SCX issued
+/// after the thread's epoch state is gone, which only `unprotected` allows,
+/// borrows a free slot for the length of the call instead.
 #[inline]
 pub(crate) fn with_own<R>(f: impl FnOnce(&'static ScxRecord, usize) -> R) -> R {
-    if let Ok((desc, id)) = OWNER.try_with(|o| (o.desc, o.id)) {
-        return f(desc, id);
+    if let Some(id) = epoch::own_slot() {
+        return f(&slot(id).desc, id);
     }
     let id = take_slot();
-    let r = f(record(id), id);
+    let r = f(&slot(id).desc, id);
     give_slot(id);
     r
 }
@@ -457,13 +461,8 @@ pub(crate) mod gauge {
         PEAK.load(Ordering::Relaxed)
     }
 
-    /// Number of slots the table has created.
-    pub(crate) fn table_len() -> usize {
-        super::slots().len
-    }
-
-    /// The id of the calling thread's slot, if it holds one.
+    /// The id of the calling thread's slot, if its epoch state holds one.
     pub(crate) fn own_id() -> Option<usize> {
-        super::OWNER.try_with(|o| o.id).ok()
+        crate::epoch::own_slot()
     }
 }

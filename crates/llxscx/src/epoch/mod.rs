@@ -5,7 +5,10 @@
 //! DEBRA-style epochs (Brown, PODC 2015).
 //!
 //! * A global epoch counter advances only when every *pinned* thread has
-//!   announced the current epoch.
+//!   announced the current epoch. Threads announce in their slot of the
+//!   [descriptor table](crate::descriptor), which a thread's state claims
+//!   when it is built and returns when the thread exits; a pass scans the
+//!   table without a lock.
 //! * [`Guard::defer_unchecked`] / [`Guard::defer_destroy`] queue a closure
 //!   on the calling thread's *limbo list*, tagged with the global epoch `e`
 //!   read after the caller unlinked the memory. It runs once the global
@@ -49,7 +52,9 @@ use std::marker::PhantomData;
 use std::mem::{self, MaybeUninit};
 use std::ptr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
+
+use crate::descriptor;
 
 pub use atomic::{Atomic, CompareExchangeError, Owned, Pointer, Shared};
 
@@ -57,8 +62,8 @@ pub use atomic::{Atomic, CompareExchangeError, Owned, Pointer, Shared};
 /// collection cadence: the one reclamation interval of the crate.
 pub const REPIN_OPS: u32 = 64;
 
-/// A participant's announced epoch while it is not pinned.
-const UNPINNED: usize = usize::MAX;
+/// A slot's announced epoch while its thread is not pinned.
+pub(crate) const UNPINNED: usize = usize::MAX;
 
 /// Inline closure storage: every first-party retirement captures one or
 /// two words.
@@ -110,104 +115,88 @@ impl Deferred {
 /// retired; pushed at the back, so the tags never decrease.
 type Limbo = VecDeque<(usize, Deferred)>;
 
-struct Global {
-    epoch: AtomicUsize,
-    /// Every live thread's announced epoch (or [`UNPINNED`]); an entry
-    /// whose thread exited is the registry's last reference.
-    participants: Mutex<Vec<Arc<AtomicUsize>>>,
-    /// Limbo lists whose owners exited or parked, each sealed under its
-    /// newest tag.
-    orphans: Mutex<Vec<(usize, Limbo)>>,
-    /// Closures in `orphans`, updated under its lock; lets a pass skip the
-    /// lock while nothing is orphaned.
-    orphaned: AtomicUsize,
-}
+/// The global epoch.
+static EPOCH: AtomicUsize = AtomicUsize::new(0);
+/// Limbo lists whose owners exited or parked, each sealed under its newest
+/// tag.
+static ORPHANS: Mutex<Vec<(usize, Limbo)>> = Mutex::new(Vec::new());
+/// Closures in `ORPHANS`, updated under its lock; lets a pass skip the lock
+/// while nothing is orphaned.
+static ORPHANED: AtomicUsize = AtomicUsize::new(0);
 
-fn global() -> &'static Global {
-    static GLOBAL: OnceLock<Global> = OnceLock::new();
-    GLOBAL.get_or_init(|| Global {
-        epoch: AtomicUsize::new(0),
-        participants: Mutex::new(Vec::new()),
-        orphans: Mutex::new(Vec::new()),
-        orphaned: AtomicUsize::new(0),
-    })
-}
-
-impl Global {
-    /// Advances the global epoch if every pinned participant is current,
-    /// pruning the registry only when the scan met an exited thread.
-    fn try_advance(&self) {
-        // SEQCST: the scan below must not start before this read; the CAS
-        // then fails if anyone advanced past `cur` in between.
-        let cur = self.epoch.load(Ordering::SeqCst);
-        let Ok(mut parts) = self.participants.try_lock() else {
-            return; // someone else is advancing
-        };
-        let mut exited = false;
-        for p in parts.iter() {
-            // SEQCST: the other half of `Local::pin`'s store/re-load
-            // handshake: either this load sees the announce, or the pinning
-            // thread's re-load sees an epoch past `cur` and re-announces.
-            let e = p.load(Ordering::SeqCst);
-            if e == UNPINNED {
-                exited |= Arc::strong_count(p) == 1;
-            } else if e != cur {
-                return;
-            }
-        }
-        if exited {
-            parts.retain(|p| Arc::strong_count(p) > 1);
-        }
-        let epoch = &self.epoch;
-        // SEQCST: the advance must follow the scan in the one total order
-        // the handshake argument is written in; a failed CAS means another
-        // thread advanced first, which is just as good.
-        let _ = epoch.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst);
-    }
-
-    /// Seals `limbo` under its newest tag and leaves it for any thread's
-    /// pass to run.
-    fn orphan(&self, limbo: Limbo) {
-        let Some(&(newest, _)) = limbo.back() else {
+/// Advances the global epoch if every pinned thread announces it.
+///
+/// The scan takes no lock. It reads the epoch, then the slot table's
+/// length, then each slot's announce, all SeqCst. A slot taken after the
+/// length load is not scanned, and need not be: `take_slot` stores the new
+/// length SeqCst before its thread's first pin, so that pin's epoch load
+/// follows this scan's epoch load in the total order and reads at least
+/// `cur`. Such a thread cannot block `cur → cur + 1`, and the next scan
+/// sees its slot. Scans may overlap; the CAS from `cur` lets at most one of
+/// them advance.
+fn try_advance() {
+    // SEQCST: the scan below must not start before this read; the CAS
+    // then fails if anyone advanced past `cur` in between.
+    let cur = EPOCH.load(Ordering::SeqCst);
+    for id in 1..=descriptor::table_len() {
+        // SEQCST: the other half of `Local::pin`'s store/re-load
+        // handshake: either this load sees the announce, or the pinning
+        // thread's re-load sees an epoch past `cur` and re-announces.
+        let e = descriptor::announce(id).load(Ordering::SeqCst);
+        if e != UNPINNED && e != cur {
             return;
-        };
-        // Closures run outside the lock, so a poisoned list is still whole.
-        let mut orphans = self.orphans.lock().unwrap_or_else(PoisonError::into_inner);
-        // SEQCST: the gauge is a hint read without the lock; SC makes a
-        // pass that follows this hand-off in the total order see it.
-        self.orphaned.fetch_add(limbo.len(), Ordering::SeqCst);
-        orphans.push((newest, limbo));
-    }
-
-    /// Runs every orphaned batch whose newest tag is two epochs behind
-    /// `epoch`.
-    fn collect_orphans(&self, epoch: usize) {
-        let Ok(mut orphans) = self.orphans.try_lock() else {
-            return; // someone else is draining
-        };
-        let mut ripe = Vec::new();
-        orphans.retain_mut(|(newest, batch)| {
-            let unripe = *newest + 2 > epoch;
-            if !unripe {
-                ripe.push(mem::take(batch));
-            }
-            unripe
-        });
-        let n = ripe.iter().map(Limbo::len).sum();
-        // SEQCST: the gauge's decrement, under the lock like its increment
-        // in `orphan`; SC keeps both in the order its readers see.
-        self.orphaned.fetch_sub(n, Ordering::SeqCst);
-        drop(orphans);
-        for (_, d) in ripe.into_iter().flatten() {
-            d.run();
         }
+    }
+    // SEQCST: the advance must follow the scan in the one total order
+    // the handshake argument is written in; a failed CAS means another
+    // thread advanced first, which is just as good.
+    let _ = EPOCH.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst);
+}
+
+/// Seals `limbo` under its newest tag and leaves it for any thread's pass
+/// to run.
+fn orphan(limbo: Limbo) {
+    let Some(&(newest, _)) = limbo.back() else {
+        return;
+    };
+    // Closures run outside the lock, so a poisoned list is still whole.
+    let mut orphans = ORPHANS.lock().unwrap_or_else(PoisonError::into_inner);
+    // SEQCST: the gauge is a hint read without the lock; SC makes a
+    // pass that follows this hand-off in the total order see it.
+    ORPHANED.fetch_add(limbo.len(), Ordering::SeqCst);
+    orphans.push((newest, limbo));
+}
+
+/// Runs every orphaned batch whose newest tag is two epochs behind
+/// `epoch`.
+fn collect_orphans(epoch: usize) {
+    let Ok(mut orphans) = ORPHANS.try_lock() else {
+        return; // someone else is draining
+    };
+    let mut ripe = Vec::new();
+    orphans.retain_mut(|(newest, batch)| {
+        let unripe = *newest + 2 > epoch;
+        if !unripe {
+            ripe.push(mem::take(batch));
+        }
+        unripe
+    });
+    let n = ripe.iter().map(Limbo::len).sum();
+    // SEQCST: the gauge's decrement, under the lock like its increment
+    // in `orphan`; SC keeps both in the order its readers see.
+    ORPHANED.fetch_sub(n, Ordering::SeqCst);
+    drop(orphans);
+    for (_, d) in ripe.into_iter().flatten() {
+        d.run();
     }
 }
 
 /// All of one thread's reclamation state.
 struct Local {
-    /// This thread's announced epoch, shared with the registry.
-    epoch: Arc<AtomicUsize>,
+    /// This thread's slot in the descriptor table, held until it exits.
+    slot: usize,
+    /// The epoch announced in that slot, or [`UNPINNED`].
+    epoch: &'static AtomicUsize,
     /// Whether this thread holds its cached pin.
     pinned: Cell<bool>,
     /// Whether a [`with_guard`] call is running on this thread; calls made
@@ -221,14 +210,10 @@ struct Local {
 
 thread_local! {
     static LOCAL: Local = {
-        let epoch = Arc::new(AtomicUsize::new(UNPINNED));
-        global()
-            .participants
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::clone(&epoch));
+        let slot = descriptor::take_slot();
         Local {
-            epoch,
+            slot,
+            epoch: descriptor::announce(slot),
             pinned: Cell::new(false),
             active: Cell::new(false),
             uses: Cell::new(0),
@@ -241,18 +226,17 @@ impl Local {
     /// Announces the current epoch. The thread must not be pinned.
     fn pin(&self) {
         self.pinned.set(true);
-        let g = global();
         // Announce, then re-check: an advance between the load and the
         // store would otherwise go unnoticed by both sides.
         loop {
             // SEQCST: the epoch to announce, in the handshake's total order.
-            let e = g.epoch.load(Ordering::SeqCst);
+            let e = EPOCH.load(Ordering::SeqCst);
             // SEQCST: the announce must be ordered before the re-load that
             // follows it; only SC forbids that store→load reordering.
             self.epoch.store(e, Ordering::SeqCst);
             // SEQCST: pairs with `try_advance`'s scan: if this still reads
             // `e`, any advance past `e` comes later and its scan sees `e`.
-            if g.epoch.load(Ordering::SeqCst) == e {
+            if EPOCH.load(Ordering::SeqCst) == e {
                 break;
             }
         }
@@ -285,25 +269,24 @@ impl Local {
         self.collect();
         // A closure the pass ran may have pinned again through `with_guard`.
         self.unpin();
-        global().orphan(self.limbo.take());
+        orphan(self.limbo.take());
     }
 
     /// A pass: advance the epoch if possible, run this thread's ripe
     /// closures, and look at the orphan list only if it is non-empty.
     fn collect(&self) {
-        let g = global();
-        g.try_advance();
+        try_advance();
         // SEQCST: read after this thread's own advance attempt, in the
         // order the `tag + 2 <= epoch` rule is argued in.
-        let epoch = g.epoch.load(Ordering::SeqCst);
+        let epoch = EPOCH.load(Ordering::SeqCst);
         // One entry per borrow: a closure may itself defer, or repin into
         // a nested pass.
         while let Some(d) = self.pop_ripe(epoch) {
             d.run();
         }
-        // SEQCST: the gauge's lock-free read; see `Global::orphan`.
-        if g.orphaned.load(Ordering::SeqCst) != 0 {
-            g.collect_orphans(epoch);
+        // SEQCST: the gauge's lock-free read; see `orphan`.
+        if ORPHANED.load(Ordering::SeqCst) != 0 {
+            collect_orphans(epoch);
         }
     }
 
@@ -318,9 +301,11 @@ impl Local {
 
 impl Drop for Local {
     fn drop(&mut self) {
-        // The thread exits: its retirements must survive it.
-        global().orphan(self.limbo.take());
+        // The thread exits: its retirements must survive it, and its slot
+        // goes back unpinned.
+        orphan(self.limbo.take());
         self.unpin();
+        descriptor::give_slot(self.slot);
     }
 }
 
@@ -399,6 +384,12 @@ pub fn flush() {
     });
 }
 
+/// The calling thread's slot in the descriptor table, or `None` once its
+/// epoch state is torn down.
+pub(crate) fn own_slot() -> Option<usize> {
+    LOCAL.try_with(|l| l.slot).ok()
+}
+
 /// Returns a dummy guard that does **not** pin the thread.
 ///
 /// # Safety
@@ -433,7 +424,7 @@ impl Guard {
         }
         // SEQCST: the tag must be read after the caller's unlink (itself
         // SeqCst), so that `tag + 2` waits out every pin that saw it.
-        let epoch = global().epoch.load(Ordering::SeqCst);
+        let epoch = EPOCH.load(Ordering::SeqCst);
         // A pinned guard exists only inside `with_guard`, on a live LOCAL.
         LOCAL.with(|local| {
             let entry = (epoch, Deferred::new(f));
@@ -479,8 +470,8 @@ pub struct Backlog {
 pub fn backlog() -> Backlog {
     Backlog {
         limbo: LOCAL.try_with(|l| l.limbo.borrow().len()).unwrap_or(0),
-        // SEQCST: the gauge's lock-free read; see `Global::orphan`.
-        orphaned: global().orphaned.load(Ordering::SeqCst),
+        // SEQCST: the gauge's lock-free read; see `orphan`.
+        orphaned: ORPHANED.load(Ordering::SeqCst),
     }
 }
 
@@ -490,6 +481,9 @@ mod tests {
     use std::panic::{self, AssertUnwindSafe};
     use std::sync::mpsc;
     use std::thread;
+    use std::time::{Duration, Instant};
+
+    use crate::descriptor::gauge;
 
     /// Adds to a test counter; deferred closures do, on whichever thread's
     /// pass runs them.
@@ -501,14 +495,13 @@ mod tests {
         c.load(Ordering::Relaxed)
     }
 
-    /// Runs passes until `c` reaches `n`, within a generous bound (a pin
-    /// held by a concurrently running test can stall the epoch), then a few
-    /// more, so that a closure run twice would show.
+    /// Runs passes until `c` reaches `n`, then a few more, so that a
+    /// closure run twice would show. The deadline matches the stall
+    /// adversary's watchdog: a pin held by a concurrently running test,
+    /// such as a parked owner, can stall the epoch that long.
     fn drive_to(c: &AtomicUsize, n: usize) {
-        for _ in 0..1_000_000 {
-            if count(c) >= n {
-                break;
-            }
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while count(c) < n && Instant::now() < deadline {
             flush();
             thread::yield_now();
         }
@@ -547,6 +540,39 @@ mod tests {
         (0..500).for_each(|_| with_guard(|_| flush()));
         (0..500).for_each(|_| flush());
         assert_eq!(count(&RAN), 0, "ran under a guard from the retire epoch");
+        drop(release_tx);
+        peer.join().unwrap();
+        drive_to(&RAN, 1);
+    }
+
+    /// A thread pinned on a slot an exited thread gave back is scanned like
+    /// any other: the slot's announce is the one registry entry it has.
+    #[test]
+    fn a_pinned_thread_on_a_reused_slot_holds_the_closure_back() {
+        static RAN: AtomicUsize = AtomicUsize::new(0);
+        // Another test's thread may take the freed slot first; try again.
+        let (release_tx, peer) = (0..100)
+            .find_map(|_| {
+                let gone = thread::spawn(|| gauge::own_id().unwrap()).join().unwrap();
+                let (pinned_tx, pinned_rx) = mpsc::channel();
+                let (release_tx, release_rx) = mpsc::channel::<()>();
+                let peer = thread::spawn(move || {
+                    with_guard(|_| {
+                        pinned_tx.send(gauge::own_id().unwrap()).unwrap();
+                        let _ = release_rx.recv();
+                    })
+                });
+                if pinned_rx.recv().unwrap() == gone {
+                    return Some((release_tx, peer));
+                }
+                drop(release_tx);
+                peer.join().unwrap();
+                None
+            })
+            .expect("no thread ever reused the slot its predecessor gave back");
+        defer(|| add(&RAN, 1));
+        (0..1000).for_each(|_| flush());
+        assert_eq!(count(&RAN), 0, "ran under a pin on a reused slot");
         drop(release_tx);
         peer.join().unwrap();
         drive_to(&RAN, 1);

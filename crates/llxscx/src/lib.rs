@@ -73,6 +73,12 @@
 //!   and limbo list in one thread-local; [`with_guard`] is the only way to
 //!   pin. Records finalized by a committed SCX are retired by the unique
 //!   thread that wins the commit transition. See [`reclaim`].
+//!
+//! The descriptor table is the crate's one thread registry. Each slot holds
+//! a thread's descriptor and, on a cache line of its own, the epoch the
+//! thread announces; the epoch thread-local takes the slot when it is built
+//! and gives it back when the thread exits, and the collector's advance
+//! scans the table without a lock.
 
 #![warn(missing_docs)]
 

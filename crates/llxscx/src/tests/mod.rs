@@ -37,15 +37,18 @@ pub(crate) fn node() -> usize {
 
 /// [`node`] holding `val`.
 pub(crate) fn node_with(val: u64) -> usize {
-    with_guard(|guard| {
-        Owned::new(Node {
-            header: RecordHeader::new(),
-            kids: [Atomic::null(), Atomic::null()],
-            val,
-        })
-        .into_shared(guard)
-        .as_raw() as usize
+    with_guard(|guard| node_under(val, guard))
+}
+
+/// [`node_with`] under the caller's guard.
+pub(crate) fn node_under(val: u64, guard: &Guard) -> usize {
+    Owned::new(Node {
+        header: RecordHeader::new(),
+        kids: [Atomic::null(), Atomic::null()],
+        val,
     })
+    .into_shared(guard)
+    .as_raw() as usize
 }
 
 pub(crate) fn shared<'g>(addr: usize) -> Shared<'g, Node> {

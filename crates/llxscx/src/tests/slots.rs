@@ -6,19 +6,25 @@ use std::sync::mpsc;
 use std::thread;
 
 use super::stall::recv;
-use super::{info, node, shared};
-use crate::descriptor::gauge;
+use super::{info, node, node_under, shared};
+use crate::descriptor::{gauge, table_len};
+use crate::epoch::{flush, unprotected, Guard};
 use crate::ops::{llx, scx, Llx, ScxArgs};
 use crate::with_guard;
 
 /// Commits one SCX swinging `rec.kids[1]` to a fresh record, retiring the
 /// old child, and returns the `info` word it installed.
 fn commit_one(rec: usize) -> u64 {
-    with_guard(|g| loop {
+    with_guard(|g| commit_under(rec, g))
+}
+
+/// [`commit_one`] under the caller's guard.
+fn commit_under(rec: usize, g: &Guard) -> u64 {
+    loop {
         let Llx::Snapshot(h) = llx(shared(rec), g) else {
             continue;
         };
-        let (old, fresh) = (h.right(), node());
+        let (old, fresh) = (h.right(), node_under(0, g));
         let args = ScxArgs {
             v: &[h],
             finalize: 0,
@@ -34,7 +40,7 @@ fn commit_one(rec: usize) -> u64 {
             return info(rec);
         }
         super::dispose(&[fresh]);
-    })
+    }
 }
 
 /// Sequential short-lived threads each commit one SCX on a shared record:
@@ -45,12 +51,15 @@ fn commit_one(rec: usize) -> u64 {
 fn sequential_threads_recycle_slots_and_never_repeat_an_info_word() {
     const THREADS: usize = if cfg!(miri) { 100 } else { 10_000 };
     let rec = node();
+    // Park: this thread only joins from here on, and a cached pin held
+    // through the loop would stall every concurrent test's reclamation.
+    flush();
     let mut seen = HashSet::new();
     for _ in 0..THREADS {
         let word = thread::spawn(move || commit_one(rec)).join().unwrap();
         assert!(seen.insert(word), "info word {word:#x} installed twice");
     }
-    let (table, peak) = (gauge::table_len(), gauge::peak_held());
+    let (table, peak) = (table_len(), gauge::peak_held());
     assert!(table <= peak, "{table} slots for at most {peak} holders");
     assert!(
         peak <= 64,
@@ -66,7 +75,9 @@ struct ScxOnExit {
 
 impl Drop for ScxOnExit {
     fn drop(&mut self) {
-        let word = commit_one(self.rec);
+        // SAFETY: the test thread waits in `join` and the holder is parked,
+        // so no other thread touches `rec` or its children meanwhile.
+        let word = commit_under(self.rec, unsafe { unprotected() });
         let _ = self.report.send((word, gauge::own_id()));
     }
 }
@@ -75,8 +86,8 @@ thread_local! {
     static ON_EXIT: std::cell::RefCell<Option<ScxOnExit>> = const { std::cell::RefCell::new(None) };
 }
 
-/// An SCX issued from a thread-local destructor, after the thread gave its
-/// own slot back, still runs on a slot no live thread holds.
+/// An SCX issued from a thread-local destructor, after the thread's epoch
+/// state gave its slot back, still runs on a slot no live thread holds.
 #[test]
 fn an_scx_during_thread_exit_gets_a_slot_no_live_thread_holds() {
     let rec = node();
@@ -94,9 +105,9 @@ fn an_scx_during_thread_exit_gets_a_slot_no_live_thread_holds() {
     let (tx, rx) = mpsc::channel();
     let exiting = thread::spawn(move || {
         // Thread-locals are destroyed in reverse order of first use. Used
-        // here: the epoch state, then `ON_EXIT`, then the descriptor claim,
-        // so the claim is gone by the time `ON_EXIT`'s destructor runs.
-        with_guard(|_| ());
+        // here: `ON_EXIT`, then the epoch state, which holds the slot, so
+        // the slot is back on the free list by the time `ON_EXIT`'s
+        // destructor runs, and that destructor cannot pin.
         ON_EXIT.with(|e| *e.borrow_mut() = Some(ScxOnExit { rec, report: tx }));
         commit_one(rec);
     });
@@ -106,7 +117,7 @@ fn an_scx_during_thread_exit_gets_a_slot_no_live_thread_holds() {
     if !cfg!(miri) {
         assert_eq!(
             claim, None,
-            "the destructor ran before the claim was dropped"
+            "the destructor ran before the epoch state gave its slot back"
         );
     }
     assert_ne!(

@@ -233,7 +233,13 @@ where
         }
     }
 
-    /// Looks up `key` with a wait-free traversal (no unlinking).
+    /// Looks up `key`, unlinking nothing while the walk meets no marked node.
+    ///
+    /// The walk never follows a marked node's link: a link frozen by the
+    /// mark may name a successor deleted and retired since, even before
+    /// the walk started. On meeting a marked node, `get` hands the lookup
+    /// to the internal `find`, which unlinks it and steps only from
+    /// unmarked nodes.
     pub fn get(&self, key: &K) -> Option<V> {
         with_guard(|guard| {
             #[cfg(test)]
@@ -252,13 +258,17 @@ where
                     audit::visit(&curr_ref.retired_at, started);
                     // SEQCST: pairs with the marking CASes' total order.
                     let succ = curr_ref.next[level].load(Ordering::SeqCst, guard);
-                    let marked = succ.tag() == 1;
+                    if succ.tag() == 1 {
+                        let found = self.find(key, guard).found;
+                        // SAFETY: `find` returned `found` under `guard`.
+                        return found.and_then(|n| unsafe { n.deref() }.value.clone());
+                    }
                     match curr_ref.key.as_ref() {
                         Some(k) if k < key => {
                             pred = curr;
                             curr = succ.with_tag(0);
                         }
-                        Some(k) if k == key && !marked => return curr_ref.value.clone(),
+                        Some(k) if k == key => return curr_ref.value.clone(),
                         _ => break,
                     }
                 }
