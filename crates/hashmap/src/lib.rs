@@ -24,7 +24,8 @@
 //! (legal whenever the free slot is still within *that* entry's own
 //! neighborhood), walking the hole home-ward until it lands inside the
 //! inserting key's neighborhood. If no candidate can move, the table
-//! **resizes**.
+//! **resizes**. This walk is written once: inserts and resize migration
+//! both place entries through it.
 //!
 //! ## Concurrency protocol
 //!
@@ -43,10 +44,13 @@
 //!   readers either see or don't.
 //! * **Resize** takes every stripe (excluding all writers), re-checks it
 //!   still owns the current generation, migrates entry *pointers* into a
-//!   table of twice the capacity, publishes it with one store, and
-//!   retires the old generation through the epoch. The old table is
-//!   never modified, so a reader that loaded it keeps probing a frozen,
-//!   complete snapshot and linearizes at its table-pointer load.
+//!   table of twice the capacity through the insert's displacement walk,
+//!   publishes it with one store, and retires the old generation through
+//!   the epoch. The new table is private until published, so migration
+//!   takes all of its stripes once per attempt and contends with no one.
+//!   The old table is never modified, so a reader that loaded it keeps
+//!   probing a frozen, complete snapshot and linearizes at its
+//!   table-pointer load.
 //! * **Reclamation** is epoch-based via the suite's
 //!   [`llxscx::guard_cache`]: every op takes the cached per-thread
 //!   guard, with the same repin cadence (and the same documented
@@ -78,6 +82,7 @@ pub use map::{AuditReport, HopMap, ADD_RANGE, HOP_RANGE};
 mod tests {
     use super::*;
     use std::hash::{BuildHasher, Hasher};
+    use std::panic::{self, AssertUnwindSafe};
 
     /// Identity hash: the key *is* the hash, so tests can aim keys at
     /// chosen home buckets and force displacement chains.
@@ -99,6 +104,24 @@ mod tests {
         type Hasher = IdentityHasher;
         fn build_hasher(&self) -> IdentityHasher {
             IdentityHasher(0)
+        }
+    }
+
+    /// Constant hash: every key has the same full hash, so no capacity
+    /// separates any two of them.
+    #[derive(Clone, Copy, Default)]
+    struct ConstBuild;
+    struct ConstHasher;
+    impl Hasher for ConstHasher {
+        fn finish(&self) -> u64 {
+            7
+        }
+        fn write(&mut self, _: &[u8]) {}
+    }
+    impl BuildHasher for ConstBuild {
+        type Hasher = ConstHasher;
+        fn build_hasher(&self) -> ConstHasher {
+            ConstHasher
         }
     }
 
@@ -195,6 +218,31 @@ mod tests {
         for i in 0..n {
             assert_eq!(m.get(&(i * cap)), Some(i));
         }
+        let report = m.audit();
+        assert!(report.is_valid(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn one_key_past_hop_range_with_one_hash_panics_instead_of_growing() {
+        // HOP_RANGE keys with one full hash fill their home neighborhood
+        // at every capacity; growing for one more would never end.
+        let m: HopMap<u64, u64, ConstBuild> = HopMap::with_hasher(ConstBuild);
+        let cap = m.capacity();
+        let n = HOP_RANGE as u64;
+        for k in 0..n {
+            assert_eq!(m.insert(k, k), None);
+        }
+        let err = panic::catch_unwind(AssertUnwindSafe(|| m.insert(n, n)))
+            .expect_err("one key past HOP_RANGE with the same hash must panic");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("HOP_RANGE"), "panic message: {msg:?}");
+        assert_eq!(m.capacity(), cap, "the failed insert grew the table");
+        assert_eq!(m.resizes(), 0);
+        assert_eq!(m.len(), HOP_RANGE);
+        for k in 0..n {
+            assert_eq!(m.get(&k), Some(k));
+        }
+        assert_eq!(m.get(&n), None);
         let report = m.audit();
         assert!(report.is_valid(), "{:?}", report.errors);
     }

@@ -3,6 +3,7 @@
 //! repository root is the narrative version.
 
 use std::hash::{BuildHasher, Hash};
+use std::ptr;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -35,6 +36,9 @@ struct Entry<K, V> {
     key: K,
     value: V,
 }
+
+/// A slot's entry pointer and the entry behind it.
+type Slot<'g, K, V> = (Shared<'g, Entry<K, V>>, &'g Entry<K, V>);
 
 /// One immutable-shape table generation. The arrays never move or grow;
 /// a resize builds a whole new `Table` and publishes it through
@@ -78,6 +82,38 @@ impl<K, V> Table<K, V> {
                 .collect(),
         }
     }
+
+    /// The slots bucket `h`'s hop word names, lowest first: the one
+    /// hop-bit walk of the crate. The word is read once, here.
+    fn hop_slots(&self, h: usize) -> impl Iterator<Item = usize> {
+        let mut hop = self.hops[h].load(Ordering::Acquire);
+        std::iter::from_fn(move || {
+            (hop != 0).then(|| {
+                let bit = hop.trailing_zeros() as usize;
+                hop &= hop - 1;
+                h + bit
+            })
+        })
+    }
+
+    /// Slot `s`'s entry, or `None` for an empty slot.
+    fn entry<'g>(&self, s: usize, g: &'g Guard) -> Option<Slot<'g, K, V>> {
+        let e = self.slots[s].load(Ordering::Acquire, g);
+        // SAFETY: non-null slot entries are live: removal and replacement retire
+        // them through the epoch, and `g` pins the current epoch.
+        unsafe { e.as_ref() }.map(|er| (e, er))
+    }
+
+    /// Key `k` among bucket `h`'s entries: its slot index and entry.
+    fn find<'g>(&self, h: usize, k: &K, g: &'g Guard) -> Option<(usize, Slot<'g, K, V>)>
+    where
+        K: Eq,
+    {
+        self.hop_slots(h).find_map(|s| {
+            let found = self.entry(s, g)?;
+            (found.1.key == *k).then_some((s, found))
+        })
+    }
 }
 
 // A retired `Table`'s drop frees only its arrays: the `Atomic` slots
@@ -104,10 +140,38 @@ fn backoff(spins: &mut u32) {
     }
 }
 
-/// Takes a stripe lock. Stripes guard no data, so a panicked holder
-/// leaves nothing to repair and poisoning is ignored.
-fn stripe(m: &Mutex<()>) -> MutexGuard<'_, ()> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// A run of one table's consecutive stripes, held up to (not including)
+/// stripe `next`. A run only grows at its top, so every holder acquires
+/// stripes in increasing index order.
+struct Stripes<'t> {
+    locks: &'t [Mutex<()>],
+    next: usize,
+    held: Vec<MutexGuard<'t, ()>>,
+}
+
+impl<'t> Stripes<'t> {
+    /// Takes the stripes covering slots `lo..=hi`, in increasing order.
+    fn lock(locks: &'t [Mutex<()>], lo: usize, hi: usize) -> Self {
+        let mut run = Stripes {
+            locks,
+            next: lo / STRIPE,
+            held: Vec::new(),
+        };
+        run.cover(hi);
+        run
+    }
+
+    /// Extends the run upward until it covers slot `s`. Stripes guard no
+    /// data, so a panicked holder leaves nothing to repair and poisoning
+    /// is ignored.
+    fn cover(&mut self, s: usize) {
+        while self.next <= s / STRIPE {
+            let m = &self.locks[self.next];
+            self.held
+                .push(m.lock().unwrap_or_else(PoisonError::into_inner));
+            self.next += 1;
+        }
+    }
 }
 
 /// Acquires bucket `v`'s seqlock for writing: spins until the version is
@@ -215,14 +279,20 @@ impl<K, V, S: BuildHasher> HopMap<K, V, S> {
 
     /// Home-bucket count of the current table generation.
     pub fn capacity(&self) -> usize {
-        // SAFETY: `table` is never null after construction and is loaded under `g`,
-        // so the current generation stays allocated while we read `cap`.
-        guard_cache::with_guard(|g| unsafe { self.table.load(Ordering::Acquire, g).deref().cap })
+        guard_cache::with_guard(|g| self.current(g).cap)
     }
 
     /// How many times the table has grown since construction.
     pub fn resizes(&self) -> usize {
         self.resizes.load(Ordering::Relaxed)
+    }
+
+    /// The current table generation.
+    fn current<'g>(&self, g: &'g Guard) -> &'g Table<K, V> {
+        // SAFETY: `table` is never null after construction, and a replaced
+        // generation is retired through the epoch, so it stays allocated while
+        // `g` is held.
+        unsafe { self.table.load(Ordering::Acquire, g).deref() }
     }
 }
 
@@ -249,9 +319,7 @@ where
     /// version re-check (miss).
     pub fn get(&self, k: &K) -> Option<V> {
         guard_cache::with_guard(|g| {
-            // SAFETY: `table` is never null; loaded under `g`, the generation cannot be
-            // freed before the guard drops.
-            let t = unsafe { self.table.load(Ordering::Acquire, g).deref() };
+            let t = self.current(g);
             let h = self.home(k, t);
             let mut spins = 0;
             loop {
@@ -261,18 +329,8 @@ where
                     backoff(&mut spins);
                     continue;
                 }
-                let mut hop = t.hops[h].load(Ordering::Acquire);
-                while hop != 0 {
-                    let bit = hop.trailing_zeros() as usize;
-                    hop &= hop - 1;
-                    let e = t.slots[h + bit].load(Ordering::Acquire, g);
-                    // SAFETY: non-null slot entries are live: removal retires them through the
-                    // epoch, and `g` pins the current epoch.
-                    if let Some(er) = unsafe { e.as_ref() } {
-                        if er.key == *k {
-                            return Some(er.value.clone());
-                        }
-                    }
+                if let Some((_, (_, er))) = t.find(h, k, g) {
+                    return Some(er.value.clone());
                 }
                 // Miss. Only valid if no displacement raced us: a concurrent
                 // displacement can make a *present* key invisible (bit for
@@ -287,170 +345,160 @@ where
         })
     }
 
+    /// Locks the stripes of `k`'s neighborhood in the current table (in
+    /// increasing order), then re-checks the table pointer: a resize holds
+    /// ALL stripes, so an unchanged pointer under ≥ 1 held stripe means no
+    /// resize can complete until the caller releases. Stripes the caller
+    /// acquires later are strictly higher-indexed, which a blocked resizer
+    /// (parked on our lowest stripe, holding only lower ones) can never
+    /// contend — hence no deadlock and no further pointer re-checks.
+    /// Returns the table, `k`'s home bucket in it and the held run.
+    #[inline]
+    fn lock_neighborhood<'g>(&self, k: &K, g: &'g Guard) -> (&'g Table<K, V>, usize, Stripes<'g>) {
+        loop {
+            let t = self.current(g);
+            let h = self.home(k, t);
+            let stripes = Stripes::lock(&t.locks, h, h + HOP_RANGE - 1);
+            if ptr::eq(self.current(g), t) {
+                return (t, h, stripes);
+            }
+        }
+    }
+
     /// Inserts, returning the displaced value.
-    pub fn insert(&self, k: K, v: V) -> Option<V> {
-        guard_cache::with_guard(|g| {
-            'restart: loop {
-                let t_shared = self.table.load(Ordering::Acquire, g);
-                // SAFETY: `table` is never null; the generation is alive under `g`.
-                let t = unsafe { t_shared.deref() };
-                let h = self.home(&k, t);
-                // Lock the neighborhood's stripes (in increasing order), then
-                // re-check the table pointer: a resize holds ALL stripes, so
-                // an unchanged pointer under ≥ 1 held stripe means no resize
-                // can complete until we release. Stripes acquired later in
-                // this operation are strictly higher-indexed, which a blocked
-                // resizer (parked on our lowest stripe, holding only lower
-                // ones) can never contend — hence no deadlock and no further
-                // pointer re-checks.
-                let first_stripe = h / STRIPE;
-                let mut last_stripe = (h + HOP_RANGE - 1) / STRIPE;
-                let mut stripes: Vec<_> = (first_stripe..=last_stripe)
-                    .map(|i| stripe(&t.locks[i]))
-                    .collect();
-                if self.table.load(Ordering::Acquire, g) != t_shared {
-                    drop(stripes);
-                    continue 'restart;
-                }
-                // 1) Key already present in the neighborhood: replace the
-                //    entry wholesale (readers see old or new, never a torn
-                //    pair). The hop word is frozen while we hold the
-                //    neighborhood's stripes — any writer that could edit one
-                //    of its bits must hold the corresponding slot's stripe.
-                let mut hop = t.hops[h].load(Ordering::Acquire);
-                while hop != 0 {
-                    let bit = hop.trailing_zeros() as usize;
-                    hop &= hop - 1;
-                    let s = h + bit;
-                    let e = t.slots[s].load(Ordering::Acquire, g);
-                    // SAFETY: non-null slot entries are epoch-retired, hence alive under `g`.
-                    if let Some(er) = unsafe { e.as_ref() } {
-                        if er.key == k {
-                            let old = er.value.clone();
-                            t.slots[s]
-                                .store(Owned::new(Entry { key: k, value: v }), Ordering::Release);
-                            // SAFETY: the store above unlinked `e` from its slot while
-                            // holding the segment lock; no new reader can reach it,
-                            // existing readers are pinned.
-                            unsafe { g.defer_destroy(e) };
-                            return Some(old);
-                        }
-                    }
-                }
-                // 2) Find a free slot within ADD_RANGE of home, extending the
-                //    held stripe run upward as the scan crosses boundaries.
-                let mut free = None;
-                for s in h..h + ADD_RANGE {
-                    while s / STRIPE > last_stripe {
-                        last_stripe += 1;
-                        stripes.push(stripe(&t.locks[last_stripe]));
-                    }
-                    if t.slots[s].load(Ordering::Acquire, g).is_null() {
-                        free = Some(s);
-                        break;
-                    }
-                }
-                let Some(mut f) = free else {
-                    drop(stripes);
-                    self.grow(t_shared, g);
-                    continue 'restart;
-                };
-                // 3) Hopscotch: walk the free slot home-ward. Each step picks
-                //    an entry below `f` that may legally rest at `f` (its own
-                //    home is within HOP_RANGE of `f`) and moves it up,
-                //    freeing its old slot. Both slots are under our stripes;
-                //    the entry's home bucket `hb` may be outside them, but
-                //    its hop word is only edited at bits owned by slots we
-                //    hold (atomic RMWs keep other bits intact), and its
-                //    seqlock serializes us against both readers and other
-                //    displacers of that bucket.
-                while f >= h + HOP_RANGE {
-                    let mut victim = None;
-                    for j in (f + 1 - HOP_RANGE)..f {
-                        let cand = t.slots[j].load(Ordering::Acquire, g);
-                        // SAFETY: candidate slot entry; non-null entries are alive under `g`.
-                        let Some(cr) = (unsafe { cand.as_ref() }) else {
-                            continue;
-                        };
-                        let hb = self.home(&cr.key, t);
-                        debug_assert!(
-                            hb <= j && j - hb < HOP_RANGE,
-                            "entry out of its neighborhood"
-                        );
-                        if hb + HOP_RANGE <= f {
-                            continue; // would land outside its neighborhood
-                        }
-                        victim = Some((j, cand, hb));
-                        break;
-                    }
-                    let Some((j, cand, hb)) = victim else {
-                        drop(stripes);
-                        self.grow(t_shared, g);
-                        continue 'restart;
-                    };
-                    lock_version(&t.vers[hb]);
-                    t.slots[f].store(cand, Ordering::Release);
-                    t.hops[hb].fetch_or(1 << (f - hb), Ordering::AcqRel);
-                    t.hops[hb].fetch_and(!(1u32 << (j - hb)), Ordering::AcqRel);
-                    t.slots[j].store(Shared::null(), Ordering::Release);
-                    t.vers[hb].fetch_add(1, Ordering::Release);
-                    f = j;
-                }
-                // 4) Publish: slot first, hop bit second. The fetch_or is the
-                //    linearization point — before it the key is absent to
-                //    every reader, after it present.
-                t.slots[f].store(Owned::new(Entry { key: k, value: v }), Ordering::Release);
-                t.hops[h].fetch_or(1 << (f - h), Ordering::AcqRel);
+    ///
+    /// # Panics
+    ///
+    /// If [`HOP_RANGE`] keys with `k`'s full hash are already present: no
+    /// capacity can place another.
+    pub fn insert(&self, mut k: K, mut v: V) -> Option<V> {
+        guard_cache::with_guard(|g| loop {
+            let (t, h, mut stripes) = self.lock_neighborhood(&k, g);
+            // Key already present in the neighborhood: replace the entry
+            // wholesale (readers see old or new, never a torn pair). The hop
+            // word is frozen while we hold the neighborhood's stripes — any
+            // writer that could edit one of its bits must hold the
+            // corresponding slot's stripe.
+            if let Some((s, (old, or))) = t.find(h, &k, g) {
+                let prev = or.value.clone();
+                t.slots[s].store(Owned::new(Entry { key: k, value: v }), Ordering::Release);
+                // SAFETY: the store above unlinked `old` from its slot while
+                // holding the segment lock; no new reader can reach it,
+                // existing readers are pinned.
+                unsafe { g.defer_destroy(old) };
+                return Some(prev);
+            }
+            let e = Owned::new(Entry { key: k, value: v }).into_shared(g);
+            if self.place(t, h, e, &mut stripes, g) {
                 self.len.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
+            // SAFETY: placement failed, so `e` was never published.
+            Entry { key: k, value: v } = *unsafe { e.into_owned() }.into_box();
+            // Keys with one full hash share a home bucket at every capacity,
+            // so growth can never separate the HOP_RANGE that fill it:
+            // growing would double until allocation fails.
+            let hash = self.hash_of(&k);
+            let twins = t
+                .hop_slots(h)
+                .filter_map(|s| t.entry(s, g))
+                .filter(|(_, x)| self.hash_of(&x.key) == hash)
+                .count();
+            drop(stripes);
+            assert!(
+                twins < HOP_RANGE,
+                "HopMap::insert: HOP_RANGE ({HOP_RANGE}) keys already share this key's \
+                 full hash; no capacity can place another"
+            );
+            self.grow(t, g);
         })
     }
 
     /// Removes, returning the removed value.
     pub fn remove(&self, k: &K) -> Option<V> {
         guard_cache::with_guard(|g| {
-            loop {
-                let t_shared = self.table.load(Ordering::Acquire, g);
-                // SAFETY: `table` is never null; the generation is alive under `g`.
-                let t = unsafe { t_shared.deref() };
-                let h = self.home(k, t);
-                let stripes: Vec<_> = (h / STRIPE..=(h + HOP_RANGE - 1) / STRIPE)
-                    .map(|i| stripe(&t.locks[i]))
-                    .collect();
-                if self.table.load(Ordering::Acquire, g) != t_shared {
-                    drop(stripes);
-                    continue;
-                }
-                let mut hop = t.hops[h].load(Ordering::Acquire);
-                while hop != 0 {
-                    let bit = hop.trailing_zeros() as usize;
-                    hop &= hop - 1;
-                    let s = h + bit;
-                    let e = t.slots[s].load(Ordering::Acquire, g);
-                    // SAFETY: non-null slot entries are epoch-retired, hence alive under `g`.
-                    if let Some(er) = unsafe { e.as_ref() } {
-                        if er.key == *k {
-                            // Bit first (the linearization point: the key
-                            // becomes invisible), then the slot. A reader
-                            // holding the old bitmap that still probes the
-                            // slot either finds the entry (linearizes before
-                            // us) or a null (skips it).
-                            t.hops[h].fetch_and(!(1u32 << bit), Ordering::AcqRel);
-                            t.slots[s].store(Shared::null(), Ordering::Release);
-                            let v = er.value.clone();
-                            // SAFETY: the null store above unlinked `e` under the segment
-                            // lock; readers still traversing hold guards, so destruction is
-                            // epoch-deferred.
-                            unsafe { g.defer_destroy(e) };
-                            self.len.fetch_sub(1, Ordering::Relaxed);
-                            return Some(v);
-                        }
-                    }
-                }
-                return None;
-            }
+            let (t, h, _stripes) = self.lock_neighborhood(k, g);
+            let (s, (e, er)) = t.find(h, k, g)?;
+            // Bit first (the linearization point: the key becomes
+            // invisible), then the slot. A reader holding the old bitmap
+            // that still probes the slot either finds the entry
+            // (linearizes before us) or a null (skips it).
+            t.hops[h].fetch_and(!(1u32 << (s - h)), Ordering::AcqRel);
+            t.slots[s].store(Shared::null(), Ordering::Release);
+            let v = er.value.clone();
+            // SAFETY: the null store above unlinked `e` under the segment
+            // lock; readers still traversing hold guards, so destruction is
+            // epoch-deferred.
+            unsafe { g.defer_destroy(e) };
+            self.len.fetch_sub(1, Ordering::Relaxed);
+            Some(v)
         })
+    }
+
+    /// Hopscotch placement, the one displacement walk: puts `e` into `t`
+    /// within `HOP_RANGE` of its home bucket `h`. Both [`insert`](Self::insert)
+    /// and resize migration ([`grow`](Self::grow)) place through it.
+    /// `stripes` is the caller's run of `t`'s stripes, starting at or below
+    /// `h`'s and covering its neighborhood.
+    ///
+    /// Returns false — having published nothing — when no free slot lies
+    /// within `ADD_RANGE` of home or no entry can move into the hole; the
+    /// caller grows the table. Displacements made before that are legal
+    /// moves and stay.
+    #[inline]
+    fn place<'g>(
+        &self,
+        t: &Table<K, V>,
+        h: usize,
+        e: Shared<'g, Entry<K, V>>,
+        stripes: &mut Stripes<'_>,
+        g: &'g Guard,
+    ) -> bool {
+        // 1) Find a free slot within ADD_RANGE of home, extending the held
+        //    stripe run upward as the scan crosses boundaries.
+        let Some(mut f) = (h..h + ADD_RANGE).find(|&s| {
+            stripes.cover(s);
+            t.entry(s, g).is_none()
+        }) else {
+            return false;
+        };
+        // 2) Hopscotch: walk the free slot home-ward. Each step picks an
+        //    entry below `f` that may legally rest at `f` (its own home is
+        //    within HOP_RANGE of `f`) and moves it up, freeing its old
+        //    slot. Both slots are under our stripes; the entry's home
+        //    bucket `hb` may be outside them, but its hop word is only
+        //    edited at bits owned by slots we hold (atomic RMWs keep other
+        //    bits intact), and its seqlock serializes us against both
+        //    readers and other displacers of that bucket.
+        while f >= h + HOP_RANGE {
+            let victim = (f + 1 - HOP_RANGE..f).find_map(|j| {
+                let (cand, cr) = t.entry(j, g)?;
+                let hb = self.home(&cr.key, t);
+                debug_assert!(
+                    hb <= j && j - hb < HOP_RANGE,
+                    "entry out of its neighborhood"
+                );
+                // An entry homed at or below `f - HOP_RANGE` would land
+                // outside its neighborhood.
+                (hb + HOP_RANGE > f).then_some((j, cand, hb))
+            });
+            let Some((j, cand, hb)) = victim else {
+                return false;
+            };
+            lock_version(&t.vers[hb]);
+            t.slots[f].store(cand, Ordering::Release);
+            t.hops[hb].fetch_or(1 << (f - hb), Ordering::AcqRel);
+            t.hops[hb].fetch_and(!(1u32 << (j - hb)), Ordering::AcqRel);
+            t.slots[j].store(Shared::null(), Ordering::Release);
+            t.vers[hb].fetch_add(1, Ordering::Release);
+            f = j;
+        }
+        // 3) Publish: slot first, hop bit second. The fetch_or is the
+        //    linearization point — before it the key is absent to every
+        //    reader, after it present.
+        t.slots[f].store(e, Ordering::Release);
+        t.hops[h].fetch_or(1 << (f - h), Ordering::AcqRel);
+        true
     }
 
     // ---------------------------------------------------------------
@@ -470,8 +518,7 @@ where
         K: Ord,
     {
         guard_cache::with_guard(|g| {
-            // SAFETY: `table` is never null; the generation is alive under `g`.
-            let t = unsafe { self.table.load(Ordering::Acquire, g).deref() };
+            let t = self.current(g);
             let mut out = Vec::new();
             for h in 0..t.cap {
                 let mut spins = 0;
@@ -482,21 +529,14 @@ where
                         continue;
                     }
                     let start = out.len();
-                    let mut hop = t.hops[h].load(Ordering::Acquire);
-                    while hop != 0 {
-                        let bit = hop.trailing_zeros() as usize;
-                        hop &= hop - 1;
-                        let e = t.slots[h + bit].load(Ordering::Acquire, g);
-                        // SAFETY: non-null slot entries are epoch-retired, hence alive under `g`.
-                        if let Some(er) = unsafe { e.as_ref() } {
-                            // The home filter drops entries a *stale* hop
-                            // bit points at: after remove-then-reinsert of
-                            // the slot by another bucket's insert, the
-                            // slot can hold a foreign entry — which its
-                            // own bucket's pass will report instead.
-                            if self.home(&er.key, t) == h && keep(&er.key) {
-                                out.push((er.key.clone(), er.value.clone()));
-                            }
+                    for (_, er) in t.hop_slots(h).filter_map(|s| t.entry(s, g)) {
+                        // The home filter drops entries a *stale* hop bit
+                        // points at: after remove-then-reinsert of the slot
+                        // by another bucket's insert, the slot can hold a
+                        // foreign entry — which its own bucket's pass will
+                        // report instead.
+                        if self.home(&er.key, t) == h && keep(&er.key) {
+                            out.push((er.key.clone(), er.value.clone()));
                         }
                     }
                     if t.vers[h].load(Ordering::Acquire) == v1 {
@@ -535,41 +575,35 @@ where
 
     /// Grows the table (called after a placement failure). Takes every
     /// stripe in increasing order — excluding all writers — then
-    /// re-checks that `expected` is still current (a racing grow may
+    /// re-checks that `t` is still current (a racing grow may
     /// have already replaced it). Entry *pointers* migrate into a table
-    /// of twice the capacity; the old table is never modified (readers
-    /// that loaded it mid-operation finish against a frozen, complete
-    /// generation and linearize at their table load), then retired
-    /// through the epoch — its drop frees only the arrays.
-    fn grow(&self, expected: Shared<'_, Table<K, V>>, g: &Guard) {
-        // SAFETY: `expected` is the table the caller just loaded under `g` and is
-        // never null.
-        let t = unsafe { expected.deref() };
-        let _all: Vec<_> = t.locks.iter().map(stripe).collect();
-        if self.table.load(Ordering::Acquire, g) != expected {
+    /// of twice the capacity through [`place`](Self::place), the walk an
+    /// insert makes. The new table is private until published, so
+    /// migration takes all of its stripes once per attempt and no one
+    /// contends for them or for its versions. The old table is never
+    /// modified (readers that loaded it mid-operation finish against a
+    /// frozen, complete generation and linearize at their table load),
+    /// then retired through the epoch — its drop frees only the arrays.
+    fn grow(&self, t: &Table<K, V>, g: &Guard) {
+        let _all = Stripes::lock(&t.locks, 0, t.slots.len() - 1);
+        if !ptr::eq(self.current(g), t) {
             return; // someone else already grew this generation
         }
         let mut new_cap = t.cap << 1;
         loop {
             let new_t = Table::new(new_cap);
-            let mut ok = true;
-            for slot in t.slots.iter() {
-                let e = slot.load(Ordering::Acquire, g);
-                if e.is_null() {
-                    continue;
-                }
-                if !self.place_unsynced(&new_t, e, g) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
+            let mut held = Stripes::lock(&new_t.locks, 0, new_t.slots.len() - 1);
+            let placed = (0..t.slots.len())
+                .filter_map(|s| t.entry(s, g))
+                .all(|(e, er)| self.place(&new_t, self.home(&er.key, &new_t), e, &mut held, g));
+            drop(held);
+            if placed {
                 // SEQCST: resize publish; totally ordered with every slot store it must precede.
                 self.table.store(Owned::new(new_t), Ordering::SeqCst);
-                // SAFETY: the store above replaced `expected` as the published table with
+                // SAFETY: the store above replaced `t` as the published table with
                 // every segment lock held; its Drop frees only the arrays (entries were
                 // transplanted), and pinned readers defer that free.
-                unsafe { g.defer_destroy(expected) };
+                unsafe { g.defer_destroy(Shared::from(t as *const Table<K, V>)) };
                 self.resizes.fetch_add(1, Ordering::Relaxed);
                 return;
             }
@@ -577,50 +611,6 @@ where
             // entry within its neighborhood. Double again and rebuild.
             new_cap <<= 1;
         }
-    }
-
-    /// Sequential hopscotch placement into a table no other thread can
-    /// see yet (resize migration): same displacement walk as
-    /// [`insert`](Self::insert) without locks or version traffic. Returns false if
-    /// the entry cannot be placed (caller doubles and retries).
-    fn place_unsynced(&self, t: &Table<K, V>, e: Shared<'_, Entry<K, V>>, g: &Guard) -> bool {
-        // SAFETY: `e` is the caller's freshly allocated, non-null entry.
-        let h = self.home(&unsafe { e.deref() }.key, t);
-        let mut free = None;
-        for s in h..h + ADD_RANGE {
-            if t.slots[s].load(Ordering::Relaxed, g).is_null() {
-                free = Some(s);
-                break;
-            }
-        }
-        let Some(mut f) = free else { return false };
-        while f >= h + HOP_RANGE {
-            let mut victim = None;
-            for j in (f + 1 - HOP_RANGE)..f {
-                let cand = t.slots[j].load(Ordering::Relaxed, g);
-                // SAFETY: resize path: every segment lock is held, entries cannot be freed.
-                let Some(cr) = (unsafe { cand.as_ref() }) else {
-                    continue;
-                };
-                let hb = self.home(&cr.key, t);
-                if hb + HOP_RANGE <= f {
-                    continue;
-                }
-                victim = Some((j, cand, hb));
-                break;
-            }
-            let Some((j, cand, hb)) = victim else {
-                return false;
-            };
-            t.slots[f].store(cand, Ordering::Relaxed);
-            t.hops[hb].fetch_or(1 << (f - hb), Ordering::Relaxed);
-            t.hops[hb].fetch_and(!(1u32 << (j - hb)), Ordering::Relaxed);
-            t.slots[j].store(Shared::null(), Ordering::Relaxed);
-            f = j;
-        }
-        t.slots[f].store(e, Ordering::Relaxed);
-        t.hops[h].fetch_or(1 << (f - h), Ordering::Relaxed);
-        true
     }
 
     // ---------------------------------------------------------------
@@ -637,16 +627,13 @@ where
         K: Ord,
     {
         guard_cache::with_guard(|g| {
-            // SAFETY: `table` is never null; the generation is alive under `g`.
-            let t = unsafe { self.table.load(Ordering::Acquire, g).deref() };
+            let t = self.current(g);
             let mut errors = Vec::new();
             let mut occupied = 0usize;
             let mut max_probe = 0usize;
             let mut keys: Vec<&K> = Vec::new();
-            for (s, slot) in t.slots.iter().enumerate() {
-                let e = slot.load(Ordering::Acquire, g);
-                // SAFETY: non-null slot entries are epoch-retired, hence alive under `g`.
-                let Some(er) = (unsafe { e.as_ref() }) else {
+            for s in 0..t.slots.len() {
+                let Some((_, er)) = t.entry(s, g) else {
                     continue;
                 };
                 occupied += 1;
@@ -659,20 +646,16 @@ where
                     continue;
                 }
                 max_probe = max_probe.max(s - hb);
-                if t.hops[hb].load(Ordering::Acquire) & (1 << (s - hb)) == 0 {
+                if !t.hop_slots(hb).any(|x| x == s) {
                     errors.push(format!("slot {s}: home {hb} hop bit not set"));
                 }
             }
-            for (h, hops) in t.hops.iter().enumerate() {
-                let mut hop = hops.load(Ordering::Acquire);
-                while hop != 0 {
-                    let bit = hop.trailing_zeros() as usize;
-                    hop &= hop - 1;
-                    let e = t.slots[h + bit].load(Ordering::Acquire, g);
-                    // SAFETY: hop-bit target slot; non-null entries are alive under `g`.
-                    match unsafe { e.as_ref() } {
+            for h in 0..t.cap {
+                for s in t.hop_slots(h) {
+                    let bit = s - h;
+                    match t.entry(s, g) {
                         None => errors.push(format!("bucket {h}: bit {bit} points at empty slot")),
-                        Some(er) if self.home(&er.key, t) != h => errors.push(format!(
+                        Some((_, er)) if self.home(&er.key, t) != h => errors.push(format!(
                             "bucket {h}: bit {bit} points at foreign entry (home {})",
                             self.home(&er.key, t)
                         )),

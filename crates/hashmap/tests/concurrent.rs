@@ -2,32 +2,12 @@
 //! readers racing displacement chains, settled determinism under
 //! striped writers, and scan weak properties mid-churn.
 
+mod common;
+
+use common::IdentityBuild;
 use hashmap::{HopMap, HOP_RANGE};
-use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Identity hash so the test can aim keys at specific home buckets.
-#[derive(Clone, Copy, Default)]
-struct IdentityBuild;
-struct IdentityHasher(u64);
-impl Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("u64 keys hash via write_u64");
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-impl BuildHasher for IdentityBuild {
-    type Hasher = IdentityHasher;
-    fn build_hasher(&self) -> IdentityHasher {
-        IdentityHasher(0)
-    }
-}
 
 /// Readers must never miss a permanent key while churn threads force
 /// displacement chains through the permanent keys' neighborhoods. This

@@ -3,10 +3,12 @@
 //! the load factors the table is expected to sustain, plus adversarial
 //! same-neighborhood key sets that force displacement chains and growth.
 
+mod common;
+
+use common::IdentityBuild;
 use hashmap::{HopMap, HOP_RANGE};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::hash::{BuildHasher, Hasher};
 
 /// One scripted op: `(selector, key material, value material)`.
 type Op = (u8, u64, u64);
@@ -75,29 +77,6 @@ proptest! {
         check_script(&script, 256, 128)?; // load 0.50
         check_script(&script, 256, 192)?; // load 0.75
         check_script(&script, 256, 230)?; // load 0.90
-    }
-}
-
-/// Identity hash: keys choose their own home bucket, so the test can
-/// aim an arbitrary number of keys at one neighborhood.
-#[derive(Clone, Copy, Default)]
-struct IdentityBuild;
-struct IdentityHasher(u64);
-impl Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("u64 keys hash via write_u64");
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-impl BuildHasher for IdentityBuild {
-    type Hasher = IdentityHasher;
-    fn build_hasher(&self) -> IdentityHasher {
-        IdentityHasher(0)
     }
 }
 

@@ -1,12 +1,15 @@
 //! Resize stress: multi-threaded churn that drives the table through
-//! several growths while readers observe it, followed by a structural
-//! audit. This is the binary CI runs under ThreadSanitizer — the
-//! migration path (freeze → copy → publish) is exactly where a
-//! data race would hide.
+//! several growths while readers observe it, and a key set aimed so
+//! that migration itself must displace, each followed by a structural
+//! audit. CI runs this binary under ThreadSanitizer — the migration path
+//! (freeze → copy → publish) is exactly where a data race would hide.
 
+mod common;
+
+use common::IdentityBuild;
 use hashmap::{HopMap, HOP_RANGE};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const THREADS: u64 = 4;
 const KEYS_PER_THREAD: u64 = 5_000;
@@ -117,4 +120,69 @@ fn concurrent_churn_across_growths_preserves_every_key() {
         report.max_probe
     );
     assert_eq!(report.occupied, expect.len());
+}
+
+/// Keys aimed (identity hash, capacity 64) so that migrating them into
+/// the doubled table must displace entries: at capacity 128, 20 keys
+/// that share home 54 at every capacity crowd the neighborhoods of the
+/// keys homed at 64..96, and placing them moves those keys up. 33 keys
+/// homed at 40 force the growth, one more than a neighborhood holds.
+/// Two readers `get` the permanent keys throughout and must never miss.
+#[test]
+fn migration_that_displaces_keeps_every_key_visible() {
+    let permanent: Vec<u64> = (0..32)
+        .map(|x| 64 + x)
+        .chain((0..20).map(|m| 54 + 128 * m))
+        .collect();
+    let growers: Vec<u64> = (0..33).map(|m| 40 + 64 * m).collect();
+    for round in 0..16 {
+        let map = Arc::new(HopMap::with_capacity_and_hasher(64, IdentityBuild));
+        for &k in &permanent {
+            map.insert(k, !k);
+        }
+        assert_eq!(map.resizes(), 0, "the permanent keys alone fit capacity 64");
+        let stop = Arc::new(AtomicBool::new(false));
+        // The readers and the writer start together, so the growth below
+        // runs under the readers' gets.
+        let start = Arc::new(Barrier::new(3));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (map, stop, keys) = (Arc::clone(&map), Arc::clone(&stop), permanent.clone());
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        for &k in &keys {
+                            assert_eq!(map.get(&k), Some(!k), "key {k} missed mid-migration");
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for &k in &growers {
+            map.insert(k, !k);
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert!(
+            map.resizes() >= 1,
+            "round {round}: 33 keys homed at 40 must grow"
+        );
+        let report = map.audit();
+        assert!(
+            report.is_valid(),
+            "round {round}: audit errors: {:?}",
+            report.errors
+        );
+        assert!(
+            report.max_probe < HOP_RANGE,
+            "round {round}: bound exceeded"
+        );
+        for &k in permanent.iter().chain(&growers) {
+            assert_eq!(map.get(&k), Some(!k), "round {round}: key {k} lost");
+        }
+    }
 }

@@ -41,8 +41,9 @@
 //! idle. It *parks*: it unpins, runs a pass and seals what is still unripe
 //! into one batch, tagged with its newest epoch, on a global *orphan* list
 //! (`tests/park_flush.rs` holds it to both halves). Thread exit does the
-//! same. Every pass checks one atomic and takes the orphan lock only when
-//! something is there.
+//! same. Batches with one tag merge, so the list stays short however many
+//! threads come and go. Every pass checks one atomic and takes the orphan
+//! lock only when something is there.
 
 mod atomic;
 
@@ -118,7 +119,7 @@ type Limbo = VecDeque<(usize, Deferred)>;
 /// The global epoch.
 static EPOCH: AtomicUsize = AtomicUsize::new(0);
 /// Limbo lists whose owners exited or parked, each sealed under its newest
-/// tag.
+/// tag; one batch per tag.
 static ORPHANS: Mutex<Vec<(usize, Limbo)>> = Mutex::new(Vec::new());
 /// Closures in `ORPHANS`, updated under its lock; lets a pass skip the lock
 /// while nothing is orphaned.
@@ -154,8 +155,11 @@ fn try_advance() {
 }
 
 /// Seals `limbo` under its newest tag and leaves it for any thread's pass
-/// to run.
-fn orphan(limbo: Limbo) {
+/// to run. A batch already sealed under the same tag absorbs it, so the
+/// list holds one batch per tag however many threads exit or park: while
+/// a pinned thread holds the epoch back, that is at most one per unripe
+/// tag.
+fn orphan(mut limbo: Limbo) {
     let Some(&(newest, _)) = limbo.back() else {
         return;
     };
@@ -164,7 +168,10 @@ fn orphan(limbo: Limbo) {
     // SEQCST: the gauge is a hint read without the lock; SC makes a
     // pass that follows this hand-off in the total order see it.
     ORPHANED.fetch_add(limbo.len(), Ordering::SeqCst);
-    orphans.push((newest, limbo));
+    match orphans.iter_mut().find(|(tag, _)| *tag == newest) {
+        Some((_, batch)) => batch.append(&mut limbo),
+        None => orphans.push((newest, limbo)),
+    }
 }
 
 /// Runs every orphaned batch whose newest tag is two epochs behind
@@ -584,6 +591,37 @@ mod tests {
         let retire = || (0..100).for_each(|_| defer(|| add(&RUNS, 1)));
         thread::spawn(retire).join().unwrap();
         drive_to(&RUNS, 100);
+    }
+
+    /// Threads that exit while a peer holds the epoch back share orphan
+    /// batches: one per unripe tag, not one per thread.
+    #[test]
+    fn short_lived_threads_share_orphan_batches() {
+        static RAN: AtomicUsize = AtomicUsize::new(0);
+        let n = if cfg!(miri) { 100 } else { 10_000 };
+        let (pinned_tx, pinned_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let peer = thread::spawn(move || {
+            with_guard(|_| {
+                pinned_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        });
+        pinned_rx.recv().unwrap();
+        // The pinned peer holds the epoch within one step of its own, so
+        // the threads below retire under at most two tags; a third batch
+        // is a ripe one the next pass runs.
+        let mut most = 0;
+        for _ in 0..n {
+            thread::spawn(|| defer(|| add(&RAN, 1))).join().unwrap();
+            flush();
+            let batches = ORPHANS.lock().unwrap_or_else(PoisonError::into_inner).len();
+            most = most.max(batches);
+        }
+        assert!(most <= 3, "{most} orphan batches behind one pinned peer");
+        drop(release_tx);
+        peer.join().unwrap();
+        drive_to(&RAN, n);
     }
 
     #[test]
