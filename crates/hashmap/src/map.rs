@@ -3,8 +3,9 @@
 //! repository root is the narrative version.
 
 use std::hash::{BuildHasher, Hash};
+use std::marker::PhantomData;
 use std::ptr;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use llxscx::epoch::{unprotected, Atomic, Guard, Owned, Shared};
@@ -14,8 +15,9 @@ use crate::hash::FxBuildHasher;
 
 /// Neighborhood width `H`: every key rests within `H` slots of its home
 /// bucket, so a lookup probes at most the `H` slots named by one hop
-/// bitmap (one `u32`). 32 slots sustain load factors past 0.9 before
-/// displacement starts failing (the classic hopscotch trade-off).
+/// bitmap (the low 32 bits of the bucket word). 32 slots sustain load
+/// factors past 0.9 before displacement starts failing (the classic
+/// hopscotch trade-off).
 pub const HOP_RANGE: usize = 32;
 
 /// How far past the home bucket an insert may scan for a free slot
@@ -23,103 +25,211 @@ pub const HOP_RANGE: usize = 32;
 /// means the table is effectively full in that region.
 pub const ADD_RANGE: usize = 256;
 
-/// Slots covered by one write-lock stripe.
+/// Slots covered by one write-lock stripe: one bit each in the stripe's
+/// `u64` occupancy bitmap.
 const STRIPE: usize = 64;
 
 /// Smallest home-bucket count a table is created with.
 const MIN_CAP: usize = 64;
 
-/// A key/value pair, heap-allocated once and immutable afterwards;
-/// value updates swap the whole entry pointer, so readers never observe
-/// a torn pair.
-struct Entry<K, V> {
-    key: K,
-    value: V,
+/// One step of a bucket word's seqlock version, which is the word's high
+/// 32 bits. The version is odd (this bit set) while an edit is in flight.
+const VERSION: u64 = 1 << 32;
+
+/// A key or value type the table stores inline, as one 64-bit word.
+///
+/// Readers copy a slot's words without a lock and keep the copy only if
+/// the bucket's version did not move meanwhile (a seqlock), so the
+/// stored form must itself be atomic: a type converts to and from the
+/// `u64` kept in an `AtomicU64`. Keys compare by their words, so the
+/// conversion must round-trip: `from_bits(x.to_bits()) == x`. The table
+/// calls `from_bits` only on words `to_bits` produced.
+pub trait Word: Copy + Eq + Send + Sync + 'static {
+    /// This value as a table word.
+    fn to_bits(self) -> u64;
+    /// The value `to_bits` turned into `bits`.
+    fn from_bits(bits: u64) -> Self;
 }
 
-/// A slot's entry pointer and the entry behind it.
-type Slot<'g, K, V> = (Shared<'g, Entry<K, V>>, &'g Entry<K, V>);
+macro_rules! impl_word {
+    ($($t:ty)*) => {$(
+        impl Word for $t {
+            #[inline]
+            fn to_bits(self) -> u64 {
+                self as u64
+            }
+            #[inline]
+            fn from_bits(bits: u64) -> Self {
+                bits as $t
+            }
+        }
+    )*};
+}
+impl_word!(u32 u64 i64);
+
+/// One physical slot, and for the first `cap` slots of a table also one
+/// home bucket: 24 bytes, so a hit on a key in its home slot reads one
+/// bucket.
+#[derive(Default)]
+struct Bucket {
+    /// The home bucket's state: the seqlock version in the high 32 bits
+    /// and the hop bitmap in the low 32 (bit `i` set ⇔ slot `home + i`
+    /// holds one of this bucket's keys). Every edit of a slot this
+    /// bitmap names goes through this word. Zero in the overflow slots.
+    word: AtomicU64,
+    /// The slot's key, as [`Word::to_bits`] made it.
+    key: AtomicU64,
+    /// The slot's value, as [`Word::to_bits`] made it.
+    value: AtomicU64,
+}
+
+impl Bucket {
+    /// The slot's key and value words. Consistent only under the owning
+    /// bucket's stripes, or once that bucket's version re-check passes.
+    #[inline]
+    fn words(&self) -> (u64, u64) {
+        (
+            self.key.load(Ordering::Relaxed),
+            self.value.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Stores a key and value into the slot; only inside
+    /// [`Table::edit`] of the bucket whose hop bit names the slot.
+    #[inline]
+    fn set(&self, (key, value): (u64, u64)) {
+        self.key.store(key, Ordering::Relaxed);
+        self.value.store(value, Ordering::Relaxed);
+    }
+}
+
+/// The slots hop bitmap `hop` names for bucket `h`, lowest first: the one
+/// hop-bit walk of the crate.
+#[inline]
+fn slots(h: usize, mut hop: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (hop != 0).then(|| {
+            let bit = hop.trailing_zeros() as usize;
+            hop &= hop - 1;
+            h + bit
+        })
+    })
+}
 
 /// One immutable-shape table generation. The arrays never move or grow;
 /// a resize builds a whole new `Table` and publishes it through
 /// [`HopMap::table`].
-struct Table<K, V> {
+struct Table {
     /// Home-bucket count; a power of two.
     cap: usize,
     /// `cap - 1`, the home-bucket index mask.
     mask: u64,
-    /// `cap + ADD_RANGE` physical slots. The overflow tail (instead of
+    /// `cap + ADD_RANGE` buckets. The overflow tail (instead of
     /// wraparound) keeps every neighborhood a contiguous, ascending slot
     /// interval — which is what makes the ordered-stripe lock protocol
     /// below deadlock-free.
-    slots: Box<[Atomic<Entry<K, V>>]>,
-    /// Per home bucket: bit `i` set ⇔ slot `home + i` holds an entry
-    /// whose home is this bucket.
-    hops: Box<[AtomicU32]>,
-    /// Per home bucket: seqlock version. Odd ⇔ a displacement involving
-    /// an entry of this bucket is in flight. Writers acquire it with a
-    /// CAS (even → odd), so two displacers moving *different* entries of
-    /// the same bucket serialize instead of interleaving their bumps.
-    vers: Box<[AtomicU32]>,
-    /// Write locks, one per [`STRIPE`] physical slots. All slot stores
-    /// happen under the owning stripe's lock; stripes are only ever
-    /// acquired in increasing index order.
-    locks: Box<[Mutex<()>]>,
+    buckets: Box<[Bucket]>,
+    /// Write locks, one per [`STRIPE`] slots, each guarding its slots'
+    /// occupancy bitmap (bit `i` ⇔ slot `STRIPE * stripe + i` holds a
+    /// key). All slot stores happen under the owning stripe's lock;
+    /// stripes are only ever acquired in increasing index order.
+    stripes: Box<[Mutex<u64>]>,
 }
 
-impl<K, V> Table<K, V> {
+impl Table {
     fn new(cap: usize) -> Self {
         debug_assert!(cap.is_power_of_two());
         let slot_count = cap + ADD_RANGE;
         Table {
             cap,
             mask: (cap - 1) as u64,
-            slots: (0..slot_count).map(|_| Atomic::null()).collect(),
-            hops: (0..cap).map(|_| AtomicU32::new(0)).collect(),
-            vers: (0..cap).map(|_| AtomicU32::new(0)).collect(),
-            locks: (0..slot_count.div_ceil(STRIPE))
-                .map(|_| Mutex::new(()))
+            buckets: (0..slot_count).map(|_| Bucket::default()).collect(),
+            stripes: (0..slot_count.div_ceil(STRIPE))
+                .map(|_| Mutex::new(0))
                 .collect(),
         }
     }
 
-    /// The slots bucket `h`'s hop word names, lowest first: the one
-    /// hop-bit walk of the crate. The word is read once, here.
-    fn hop_slots(&self, h: usize) -> impl Iterator<Item = usize> {
-        let mut hop = self.hops[h].load(Ordering::Acquire);
-        std::iter::from_fn(move || {
-            (hop != 0).then(|| {
-                let bit = hop.trailing_zeros() as usize;
-                hop &= hop - 1;
-                h + bit
-            })
-        })
+    /// The home bucket of a key with full hash `hash`.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (hash & self.mask) as usize
     }
 
-    /// Slot `s`'s entry, or `None` for an empty slot.
-    fn entry<'g>(&self, s: usize, g: &'g Guard) -> Option<Slot<'g, K, V>> {
-        let e = self.slots[s].load(Ordering::Acquire, g);
-        // SAFETY: non-null slot entries are live: removal and replacement retire
-        // them through the epoch, and `g` pins the current epoch.
-        unsafe { e.as_ref() }.map(|er| (e, er))
+    /// Bucket `h`'s hop bitmap, for a writer: the bits naming slots under
+    /// the caller's stripes cannot change while it holds them.
+    #[inline]
+    fn hop(&self, h: usize) -> u32 {
+        self.buckets[h].word.load(Ordering::Relaxed) as u32
     }
 
-    /// Key `k` among bucket `h`'s entries: its slot index and entry.
-    fn find<'g>(&self, h: usize, k: &K, g: &'g Guard) -> Option<(usize, Slot<'g, K, V>)>
-    where
-        K: Eq,
-    {
-        self.hop_slots(h).find_map(|s| {
-            let found = self.entry(s, g)?;
-            (found.1.key == *k).then_some((s, found))
-        })
+    /// The slot among those `hop` names for bucket `h` whose key word is `key`.
+    #[inline]
+    fn find(&self, h: usize, hop: u32, key: u64) -> Option<usize> {
+        slots(h, hop).find(|&s| self.buckets[s].key.load(Ordering::Relaxed) == key)
+    }
+
+    /// The seqlock read of bucket `h`: runs `read` on its hop bitmap
+    /// until one run overlapped no edit of the bucket, and returns that
+    /// run's result. `read` may load the words of the slots the bitmap
+    /// names; a run whose re-check fails is discarded and retried.
+    #[inline]
+    fn read<R>(&self, h: usize, mut read: impl FnMut(u32) -> R) -> R {
+        let word = &self.buckets[h].word;
+        let mut spins = 0;
+        loop {
+            let w = word.load(Ordering::Acquire);
+            if w & VERSION != 0 {
+                // An edit of this bucket is in flight.
+                backoff(&mut spins);
+                continue;
+            }
+            let r = read(w as u32);
+            fence(Ordering::Acquire);
+            if word.load(Ordering::Relaxed) == w {
+                return r;
+            }
+        }
+    }
+
+    /// The seqlock write of bucket `h`: makes its version odd, runs
+    /// `edit` on its hop bitmap, then publishes the next even version with
+    /// the bitmap `edit` returns. `edit` makes the slot stores; the caller
+    /// holds the stripes of every slot it touches. Two writers may edit
+    /// one bucket's slots from disjoint stripes, so the odd version is
+    /// taken by CAS and serializes them.
+    #[inline]
+    fn edit(&self, h: usize, edit: impl FnOnce(u32) -> u32) {
+        let word = &self.buckets[h].word;
+        let mut spins = 0;
+        let w = loop {
+            let w = word.load(Ordering::Relaxed);
+            if w & VERSION == 0
+                && word
+                    .compare_exchange_weak(w, w + VERSION, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                break w;
+            }
+            backoff(&mut spins);
+        };
+        // Orders the odd version before the slot stores, for readers whose
+        // Acquire fence follows a load of one of those stores.
+        fence(Ordering::Release);
+        let hop = edit(w as u32);
+        let next = (w & !u64::from(u32::MAX)).wrapping_add(2 * VERSION) | u64::from(hop);
+        word.store(next, Ordering::Release);
+    }
+
+    /// Keys homed within `HOP_RANGE` of bucket `h` on either side: the
+    /// crowd that competes for `h`'s neighborhood. Unlocked and so
+    /// approximate under concurrent writers; it only bounds growth.
+    fn crowd(&self, h: usize) -> u32 {
+        (h.saturating_sub(HOP_RANGE - 1)..(h + HOP_RANGE).min(self.cap))
+            .map(|b| self.hop(b).count_ones())
+            .sum()
     }
 }
-
-// A retired `Table`'s drop frees only its arrays: the `Atomic` slots
-// have no drop glue (entry pointers were migrated into the successor
-// table and are owned there), so sharing entry pointers across
-// generations during a resize cannot double-free.
 
 /// Spin budget before a seqlock waiter starts yielding its timeslice.
 /// Spinning is right when the writer holding the odd version is running
@@ -140,54 +250,74 @@ fn backoff(spins: &mut u32) {
     }
 }
 
-/// A run of one table's consecutive stripes, held up to (not including)
-/// stripe `next`. A run only grows at its top, so every holder acquires
-/// stripes in increasing index order.
+/// A run of one table's consecutive stripes, held from stripe `first` up.
+/// A run only grows at its top, so every holder acquires stripes in
+/// increasing index order. The held guards give the holder the run's
+/// occupancy bitmaps.
 struct Stripes<'t> {
-    locks: &'t [Mutex<()>],
-    next: usize,
-    held: Vec<MutexGuard<'t, ()>>,
+    locks: &'t [Mutex<u64>],
+    first: usize,
+    held: Vec<MutexGuard<'t, u64>>,
 }
 
 impl<'t> Stripes<'t> {
     /// Takes the stripes covering slots `lo..=hi`, in increasing order.
-    fn lock(locks: &'t [Mutex<()>], lo: usize, hi: usize) -> Self {
+    fn lock(locks: &'t [Mutex<u64>], lo: usize, hi: usize) -> Self {
         let mut run = Stripes {
             locks,
-            next: lo / STRIPE,
+            first: lo / STRIPE,
             held: Vec::new(),
         };
         run.cover(hi);
         run
     }
 
-    /// Extends the run upward until it covers slot `s`. Stripes guard no
-    /// data, so a panicked holder leaves nothing to repair and poisoning
-    /// is ignored.
+    /// Extends the run upward until it covers slot `s`. Each bitmap is
+    /// updated right next to the slot edit it records, with nothing that
+    /// can panic in between, so a poisoned stripe's bitmap is still
+    /// accurate and poisoning is ignored.
     fn cover(&mut self, s: usize) {
-        while self.next <= s / STRIPE {
-            let m = &self.locks[self.next];
+        while self.first + self.held.len() <= s / STRIPE {
+            let m = &self.locks[self.first + self.held.len()];
             self.held
                 .push(m.lock().unwrap_or_else(PoisonError::into_inner));
-            self.next += 1;
         }
     }
-}
 
-/// Acquires bucket `v`'s seqlock for writing: spins until the version is
-/// even and the CAS to odd succeeds. The critical section is a handful
-/// of stores with no blocking inside, so contention resolves in nanoseconds.
-fn lock_version(v: &AtomicU32) {
-    let mut spins = 0;
-    loop {
-        let cur = v.load(Ordering::Relaxed);
-        if cur & 1 == 0
-            && v.compare_exchange_weak(cur, cur + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        {
-            return;
+    /// The held occupancy bitmap of slot `s`'s stripe.
+    fn bits(&mut self, s: usize) -> &mut u64 {
+        &mut self.held[s / STRIPE - self.first]
+    }
+
+    /// Whether slot `s`, under a held stripe, holds a key.
+    fn occupied(&self, s: usize) -> bool {
+        *self.held[s / STRIPE - self.first] >> (s % STRIPE) & 1 == 1
+    }
+
+    /// Records that slot `s` now holds a key.
+    fn fill(&mut self, s: usize) {
+        *self.bits(s) |= 1 << (s % STRIPE);
+    }
+
+    /// Records that slot `s` is now free.
+    fn vacate(&mut self, s: usize) {
+        *self.bits(s) &= !(1 << (s % STRIPE));
+    }
+
+    /// The lowest free slot in `lo..hi`, extending the run upward as the
+    /// scan crosses stripe boundaries.
+    fn free_slot(&mut self, lo: usize, hi: usize) -> Option<usize> {
+        let mut s = lo;
+        while s < hi {
+            self.cover(s);
+            let free = !*self.bits(s) >> (s % STRIPE);
+            if free != 0 {
+                let f = s + free.trailing_zeros() as usize;
+                return (f < hi).then_some(f);
+            }
+            s = (s / STRIPE + 1) * STRIPE;
         }
-        backoff(&mut spins);
+        None
     }
 }
 
@@ -213,7 +343,11 @@ impl AuditReport {
     }
 }
 
-/// A concurrent hopscotch-style hash map.
+/// A value on a cache line of its own.
+#[repr(align(64))]
+struct CacheLine<T>(T);
+
+/// A concurrent hopscotch-style hash map over [`Word`] keys and values.
 ///
 /// See the crate-level docs for the design and the safety argument.
 /// `len` is a maintained counter (exact when the map is quiescent);
@@ -221,10 +355,14 @@ impl AuditReport {
 /// linearizable, **not** atomic snapshots — same scope as the suite's
 /// skip list.
 pub struct HopMap<K, V, S = FxBuildHasher> {
-    table: Atomic<Table<K, V>>,
-    hasher: S,
+    /// The current generation. Every operation loads it, so it sits on a
+    /// line of its own: the `len` bump of every insert and remove would
+    /// otherwise invalidate it in every reader's cache.
+    table: CacheLine<Atomic<Table>>,
     len: AtomicUsize,
     resizes: AtomicUsize,
+    hasher: S,
+    _words: PhantomData<(K, V)>,
 }
 
 impl<K, V> HopMap<K, V, FxBuildHasher> {
@@ -258,10 +396,11 @@ impl<K, V, S: BuildHasher> HopMap<K, V, S> {
     pub fn with_capacity_and_hasher(cap: usize, hasher: S) -> Self {
         let cap = cap.next_power_of_two().max(MIN_CAP);
         HopMap {
-            table: Atomic::new(Table::new(cap)),
-            hasher,
+            table: CacheLine(Atomic::new(Table::new(cap))),
             len: AtomicUsize::new(0),
             resizes: AtomicUsize::new(0),
+            hasher,
+            _words: PhantomData,
         }
     }
 
@@ -288,26 +427,27 @@ impl<K, V, S: BuildHasher> HopMap<K, V, S> {
     }
 
     /// The current table generation.
-    fn current<'g>(&self, g: &'g Guard) -> &'g Table<K, V> {
+    fn current<'g>(&self, g: &'g Guard) -> &'g Table {
         // SAFETY: `table` is never null after construction, and a replaced
         // generation is retired through the epoch, so it stays allocated while
         // `g` is held.
-        unsafe { self.table.load(Ordering::Acquire, g).deref() }
+        unsafe { self.table.0.load(Ordering::Acquire, g).deref() }
     }
 }
 
 impl<K, V, S> HopMap<K, V, S>
 where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
+    K: Word + Hash,
+    V: Word,
     S: BuildHasher,
 {
     fn hash_of(&self, k: &K) -> u64 {
         self.hasher.hash_one(k)
     }
 
-    fn home(&self, k: &K, t: &Table<K, V>) -> usize {
-        (self.hash_of(k) & t.mask) as usize
+    /// Home bucket in `t` of the key stored as `key`.
+    fn home_of(&self, key: u64, t: &Table) -> usize {
+        t.home(self.hash_of(&K::from_bits(key)))
     }
 
     // ---------------------------------------------------------------
@@ -315,50 +455,40 @@ where
     // `llxscx::guard_cache`, exactly like the trees.
     // ---------------------------------------------------------------
 
-    /// Lock-free lookup. Linearizes at the hop-bitmap read (hit) or the
-    /// version re-check (miss).
+    /// Lookup; takes no lock and writes nothing. Linearizes at the
+    /// version re-check of the key's home bucket.
     pub fn get(&self, k: &K) -> Option<V> {
+        let (hash, key) = (self.hash_of(k), k.to_bits());
         guard_cache::with_guard(|g| {
             let t = self.current(g);
-            let h = self.home(k, t);
-            let mut spins = 0;
-            loop {
-                let v1 = t.vers[h].load(Ordering::Acquire);
-                if v1 & 1 == 1 {
-                    // A displacement involving this bucket is in flight.
-                    backoff(&mut spins);
-                    continue;
-                }
-                if let Some((_, (_, er))) = t.find(h, k, g) {
-                    return Some(er.value.clone());
-                }
-                // Miss. Only valid if no displacement raced us: a concurrent
-                // displacement can make a *present* key invisible (bit for
-                // the old slot cleared, bit for the new slot not yet seen).
-                // Insert and remove never need this — they publish/retract a
-                // key with a single hop-bit edit, which the snapshot above
-                // either sees or doesn't (both orders linearizable).
-                if t.vers[h].load(Ordering::Acquire) == v1 {
-                    return None;
-                }
-            }
+            let h = t.home(hash);
+            t.read(h, |hop| {
+                t.find(h, hop, key)
+                    .map(|s| t.buckets[s].value.load(Ordering::Relaxed))
+            })
         })
+        .map(V::from_bits)
     }
 
-    /// Locks the stripes of `k`'s neighborhood in the current table (in
-    /// increasing order), then re-checks the table pointer: a resize holds
-    /// ALL stripes, so an unchanged pointer under ≥ 1 held stripe means no
-    /// resize can complete until the caller releases. Stripes the caller
-    /// acquires later are strictly higher-indexed, which a blocked resizer
-    /// (parked on our lowest stripe, holding only lower ones) can never
-    /// contend — hence no deadlock and no further pointer re-checks.
-    /// Returns the table, `k`'s home bucket in it and the held run.
+    /// Locks the stripes of the neighborhood of a key with full hash
+    /// `hash` in the current table (in increasing order), then re-checks
+    /// the table pointer: a resize holds ALL stripes, so an unchanged
+    /// pointer under ≥ 1 held stripe means no resize can complete until
+    /// the caller releases. Stripes the caller acquires later are strictly
+    /// higher-indexed, which a blocked resizer (parked on our lowest
+    /// stripe, holding only lower ones) can never contend — hence no
+    /// deadlock and no further pointer re-checks. Returns the table, the
+    /// key's home bucket in it and the held run.
+    ///
+    /// While the run is held, the home bucket's word is frozen: every
+    /// writer that edits it touches a slot of the neighborhood and so
+    /// holds one of the run's stripes.
     #[inline]
-    fn lock_neighborhood<'g>(&self, k: &K, g: &'g Guard) -> (&'g Table<K, V>, usize, Stripes<'g>) {
+    fn lock_neighborhood<'g>(&self, hash: u64, g: &'g Guard) -> (&'g Table, usize, Stripes<'g>) {
         loop {
             let t = self.current(g);
-            let h = self.home(k, t);
-            let stripes = Stripes::lock(&t.locks, h, h + HOP_RANGE - 1);
+            let h = t.home(hash);
+            let stripes = Stripes::lock(&t.stripes, h, h + HOP_RANGE - 1);
             if ptr::eq(self.current(g), t) {
                 return (t, h, stripes);
             }
@@ -369,135 +499,124 @@ where
     ///
     /// # Panics
     ///
-    /// If [`HOP_RANGE`] keys with `k`'s full hash are already present: no
-    /// capacity can place another.
-    pub fn insert(&self, mut k: K, mut v: V) -> Option<V> {
-        guard_cache::with_guard(|g| loop {
-            let (t, h, mut stripes) = self.lock_neighborhood(&k, g);
-            // Key already present in the neighborhood: replace the entry
-            // wholesale (readers see old or new, never a torn pair). The hop
-            // word is frozen while we hold the neighborhood's stripes — any
-            // writer that could edit one of its bits must hold the
-            // corresponding slot's stripe.
-            if let Some((s, (old, or))) = t.find(h, &k, g) {
-                let prev = or.value.clone();
-                t.slots[s].store(Owned::new(Entry { key: k, value: v }), Ordering::Release);
-                // SAFETY: the store above unlinked `old` from its slot while
-                // holding the segment lock; no new reader can reach it,
-                // existing readers are pinned.
-                unsafe { g.defer_destroy(old) };
-                return Some(prev);
+    /// If [`HOP_RANGE`] keys with `k`'s full hash are already present, or
+    /// if `k`'s placement fails again after a doubling with as many keys
+    /// homed within `HOP_RANGE` of its home as before: growth cannot
+    /// separate keys the hash does not.
+    pub fn insert(&self, k: K, v: V) -> Option<V> {
+        let (hash, key, value) = (self.hash_of(&k), k.to_bits(), v.to_bits());
+        guard_cache::with_guard(|g| {
+            // The home neighborhood's crowd at this insert's last failure.
+            let mut crowd = None;
+            loop {
+                let (t, h, mut stripes) = self.lock_neighborhood(hash, g);
+                if let Some(s) = t.find(h, t.hop(h), key) {
+                    let slot = &t.buckets[s];
+                    let prev = slot.value.load(Ordering::Relaxed);
+                    t.edit(h, |hop| {
+                        slot.value.store(value, Ordering::Relaxed);
+                        hop
+                    });
+                    return Some(V::from_bits(prev));
+                }
+                if self.place(t, h, (key, value), &mut stripes) {
+                    self.len.fetch_add(1, Ordering::Relaxed);
+                    return None;
+                }
+                // Keys with one full hash share a home bucket at every
+                // capacity, so growth can never separate the HOP_RANGE that
+                // fill it: growing would double until allocation fails.
+                let twins = slots(h, t.hop(h))
+                    .filter(|&s| self.hash_of(&K::from_bits(t.buckets[s].words().0)) == hash)
+                    .count();
+                let here = t.crowd(h);
+                drop(stripes);
+                assert!(
+                    twins < HOP_RANGE,
+                    "HopMap::insert: HOP_RANGE ({HOP_RANGE}) keys already share this key's \
+                     full hash; no capacity can place another"
+                );
+                // Keys whose hashes agree on more bits than the table
+                // indexes — e.g. a hash with only a few distinct values —
+                // stay together across a doubling: the same crowd then
+                // fails the same placement at every capacity.
+                assert!(
+                    crowd != Some(here),
+                    "HopMap::insert: a doubling left all {here} keys homed within \
+                     HOP_RANGE ({HOP_RANGE}) of this key's home together; the hash does \
+                     not separate them, so no capacity can place another"
+                );
+                crowd = Some(here);
+                self.grow(t, g);
             }
-            let e = Owned::new(Entry { key: k, value: v }).into_shared(g);
-            if self.place(t, h, e, &mut stripes, g) {
-                self.len.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            // SAFETY: placement failed, so `e` was never published.
-            Entry { key: k, value: v } = *unsafe { e.into_owned() }.into_box();
-            // Keys with one full hash share a home bucket at every capacity,
-            // so growth can never separate the HOP_RANGE that fill it:
-            // growing would double until allocation fails.
-            let hash = self.hash_of(&k);
-            let twins = t
-                .hop_slots(h)
-                .filter_map(|s| t.entry(s, g))
-                .filter(|(_, x)| self.hash_of(&x.key) == hash)
-                .count();
-            drop(stripes);
-            assert!(
-                twins < HOP_RANGE,
-                "HopMap::insert: HOP_RANGE ({HOP_RANGE}) keys already share this key's \
-                 full hash; no capacity can place another"
-            );
-            self.grow(t, g);
         })
     }
 
     /// Removes, returning the removed value.
     pub fn remove(&self, k: &K) -> Option<V> {
+        let (hash, key) = (self.hash_of(k), k.to_bits());
         guard_cache::with_guard(|g| {
-            let (t, h, _stripes) = self.lock_neighborhood(k, g);
-            let (s, (e, er)) = t.find(h, k, g)?;
-            // Bit first (the linearization point: the key becomes
-            // invisible), then the slot. A reader holding the old bitmap
-            // that still probes the slot either finds the entry
-            // (linearizes before us) or a null (skips it).
-            t.hops[h].fetch_and(!(1u32 << (s - h)), Ordering::AcqRel);
-            t.slots[s].store(Shared::null(), Ordering::Release);
-            let v = er.value.clone();
-            // SAFETY: the null store above unlinked `e` under the segment
-            // lock; readers still traversing hold guards, so destruction is
-            // epoch-deferred.
-            unsafe { g.defer_destroy(e) };
+            let (t, h, mut stripes) = self.lock_neighborhood(hash, g);
+            let s = t.find(h, t.hop(h), key)?;
+            let prev = t.buckets[s].value.load(Ordering::Relaxed);
+            // Clearing the bit is the whole removal: the slot's words stay
+            // until a later edit, of whichever bucket claims it, overwrites them.
+            t.edit(h, |hop| hop & !(1 << (s - h)));
+            stripes.vacate(s);
             self.len.fetch_sub(1, Ordering::Relaxed);
-            Some(v)
+            Some(V::from_bits(prev))
         })
     }
 
-    /// Hopscotch placement, the one displacement walk: puts `e` into `t`
-    /// within `HOP_RANGE` of its home bucket `h`. Both [`insert`](Self::insert)
-    /// and resize migration ([`grow`](Self::grow)) place through it.
-    /// `stripes` is the caller's run of `t`'s stripes, starting at or below
-    /// `h`'s and covering its neighborhood.
+    /// Hopscotch placement, the one displacement walk: puts the key and
+    /// value words `kv` into `t` within `HOP_RANGE` of their home bucket
+    /// `h`. Both [`insert`](Self::insert) and resize migration
+    /// ([`grow`](Self::grow)) place through it. `stripes` is the caller's
+    /// run of `t`'s stripes, starting at or below `h`'s and covering its
+    /// neighborhood.
     ///
     /// Returns false — having published nothing — when no free slot lies
-    /// within `ADD_RANGE` of home or no entry can move into the hole; the
+    /// within `ADD_RANGE` of home or no key can move into the hole; the
     /// caller grows the table. Displacements made before that are legal
     /// moves and stay.
     #[inline]
-    fn place<'g>(
-        &self,
-        t: &Table<K, V>,
-        h: usize,
-        e: Shared<'g, Entry<K, V>>,
-        stripes: &mut Stripes<'_>,
-        g: &'g Guard,
-    ) -> bool {
+    fn place(&self, t: &Table, h: usize, kv: (u64, u64), stripes: &mut Stripes<'_>) -> bool {
         // 1) Find a free slot within ADD_RANGE of home, extending the held
         //    stripe run upward as the scan crosses boundaries.
-        let Some(mut f) = (h..h + ADD_RANGE).find(|&s| {
-            stripes.cover(s);
-            t.entry(s, g).is_none()
-        }) else {
+        let Some(mut f) = stripes.free_slot(h, h + ADD_RANGE) else {
             return false;
         };
-        // 2) Hopscotch: walk the free slot home-ward. Each step picks an
-        //    entry below `f` that may legally rest at `f` (its own home is
-        //    within HOP_RANGE of `f`) and moves it up, freeing its old
-        //    slot. Both slots are under our stripes; the entry's home
-        //    bucket `hb` may be outside them, but its hop word is only
-        //    edited at bits owned by slots we hold (atomic RMWs keep other
-        //    bits intact), and its seqlock serializes us against both
-        //    readers and other displacers of that bucket.
+        // 2) Hopscotch: walk the free slot home-ward. Each step takes the
+        //    lowest bucket `hb` in (f - HOP_RANGE, f) with a key below `f`
+        //    and moves that key up into `f` (still within hb's
+        //    neighborhood), freeing its old slot. Every slot from `h` to
+        //    `f` is under our stripes, so hb's bits for them are frozen;
+        //    hb's seqlock serializes us against its readers and against
+        //    writers editing its other slots.
         while f >= h + HOP_RANGE {
-            let victim = (f + 1 - HOP_RANGE..f).find_map(|j| {
-                let (cand, cr) = t.entry(j, g)?;
-                let hb = self.home(&cr.key, t);
-                debug_assert!(
-                    hb <= j && j - hb < HOP_RANGE,
-                    "entry out of its neighborhood"
-                );
-                // An entry homed at or below `f - HOP_RANGE` would land
-                // outside its neighborhood.
-                (hb + HOP_RANGE > f).then_some((j, cand, hb))
+            let victim = (f + 1 - HOP_RANGE..f).find_map(|hb| {
+                let below = t.hop(hb) & ((1 << (f - hb)) - 1);
+                (below != 0).then(|| (hb, hb + below.trailing_zeros() as usize))
             });
-            let Some((j, cand, hb)) = victim else {
+            let Some((hb, j)) = victim else {
                 return false;
             };
-            lock_version(&t.vers[hb]);
-            t.slots[f].store(cand, Ordering::Release);
-            t.hops[hb].fetch_or(1 << (f - hb), Ordering::AcqRel);
-            t.hops[hb].fetch_and(!(1u32 << (j - hb)), Ordering::AcqRel);
-            t.slots[j].store(Shared::null(), Ordering::Release);
-            t.vers[hb].fetch_add(1, Ordering::Release);
+            t.edit(hb, |hop| {
+                t.buckets[f].set(t.buckets[j].words());
+                (hop | 1 << (f - hb)) & !(1 << (j - hb))
+            });
+            stripes.fill(f);
+            stripes.vacate(j);
             f = j;
         }
-        // 3) Publish: slot first, hop bit second. The fetch_or is the
-        //    linearization point — before it the key is absent to every
-        //    reader, after it present.
-        t.slots[f].store(e, Ordering::Release);
-        t.hops[h].fetch_or(1 << (f - h), Ordering::AcqRel);
+        // 3) Publish: the key and value words, then the hop bit, in one
+        //    edit of the home bucket. Its final version store is the
+        //    linearization point.
+        t.edit(h, |hop| {
+            t.buckets[f].set(kv);
+            hop | 1 << (f - h)
+        });
+        stripes.fill(f);
         true
     }
 
@@ -520,32 +639,20 @@ where
         guard_cache::with_guard(|g| {
             let t = self.current(g);
             let mut out = Vec::new();
+            let mut words = Vec::with_capacity(HOP_RANGE);
             for h in 0..t.cap {
-                let mut spins = 0;
-                loop {
-                    let v1 = t.vers[h].load(Ordering::Acquire);
-                    if v1 & 1 == 1 {
-                        backoff(&mut spins);
-                        continue;
-                    }
-                    let start = out.len();
-                    for (_, er) in t.hop_slots(h).filter_map(|s| t.entry(s, g)) {
-                        // The home filter drops entries a *stale* hop bit
-                        // points at: after remove-then-reinsert of the slot
-                        // by another bucket's insert, the slot can hold a
-                        // foreign entry — which its own bucket's pass will
-                        // report instead.
-                        if self.home(&er.key, t) == h && keep(&er.key) {
-                            out.push((er.key.clone(), er.value.clone()));
-                        }
-                    }
-                    if t.vers[h].load(Ordering::Acquire) == v1 {
-                        break;
-                    }
-                    out.truncate(start); // displacement raced us: redo bucket
-                }
+                t.read(h, |hop| {
+                    words.clear();
+                    words.extend(slots(h, hop).map(|s| t.buckets[s].words()));
+                });
+                out.extend(
+                    words
+                        .iter()
+                        .map(|&(k, v)| (K::from_bits(k), V::from_bits(v)))
+                        .filter(|(k, _)| keep(k)),
+                );
             }
-            out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            out.sort_unstable_by_key(|a| a.0);
             out
         })
     }
@@ -575,40 +682,42 @@ where
 
     /// Grows the table (called after a placement failure). Takes every
     /// stripe in increasing order — excluding all writers — then
-    /// re-checks that `t` is still current (a racing grow may
-    /// have already replaced it). Entry *pointers* migrate into a table
-    /// of twice the capacity through [`place`](Self::place), the walk an
+    /// re-checks that `t` is still current (a racing grow may have
+    /// already replaced it). Key and value words migrate into a table of
+    /// twice the capacity through [`place`](Self::place), the walk an
     /// insert makes. The new table is private until published, so
     /// migration takes all of its stripes once per attempt and no one
     /// contends for them or for its versions. The old table is never
     /// modified (readers that loaded it mid-operation finish against a
     /// frozen, complete generation and linearize at their table load),
-    /// then retired through the epoch — its drop frees only the arrays.
-    fn grow(&self, t: &Table<K, V>, g: &Guard) {
-        let _all = Stripes::lock(&t.locks, 0, t.slots.len() - 1);
+    /// then retired through the epoch.
+    fn grow(&self, t: &Table, g: &Guard) {
+        let _all = Stripes::lock(&t.stripes, 0, t.buckets.len() - 1);
         if !ptr::eq(self.current(g), t) {
             return; // someone else already grew this generation
         }
         let mut new_cap = t.cap << 1;
         loop {
             let new_t = Table::new(new_cap);
-            let mut held = Stripes::lock(&new_t.locks, 0, new_t.slots.len() - 1);
-            let placed = (0..t.slots.len())
-                .filter_map(|s| t.entry(s, g))
-                .all(|(e, er)| self.place(&new_t, self.home(&er.key, &new_t), e, &mut held, g));
+            let mut held = Stripes::lock(&new_t.stripes, 0, new_t.buckets.len() - 1);
+            let placed = (0..t.cap).all(|h| {
+                slots(h, t.hop(h)).all(|s| {
+                    let kv = t.buckets[s].words();
+                    self.place(&new_t, self.home_of(kv.0, &new_t), kv, &mut held)
+                })
+            });
             drop(held);
             if placed {
                 // SEQCST: resize publish; totally ordered with every slot store it must precede.
-                self.table.store(Owned::new(new_t), Ordering::SeqCst);
+                self.table.0.store(Owned::new(new_t), Ordering::SeqCst);
                 // SAFETY: the store above replaced `t` as the published table with
-                // every segment lock held; its Drop frees only the arrays (entries were
-                // transplanted), and pinned readers defer that free.
-                unsafe { g.defer_destroy(Shared::from(t as *const Table<K, V>)) };
+                // every stripe held; pinned readers defer the free of its arrays.
+                unsafe { g.defer_destroy(Shared::from(t as *const Table)) };
                 self.resizes.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            // Pathological hash distribution: even 2x couldn't place an
-            // entry within its neighborhood. Double again and rebuild.
+            // Pathological hash distribution: even 2x couldn't place a
+            // key within its neighborhood. Double again and rebuild.
             new_cap <<= 1;
         }
     }
@@ -618,56 +727,66 @@ where
     // ---------------------------------------------------------------
 
     /// Checks every structural invariant of the current table
-    /// generation: bounded probes (every entry within `HOP_RANGE` of its
-    /// home), exact hop-bitmap/slot agreement, no duplicate keys, and a
-    /// `len` counter matching the occupancy. Only meaningful on a
-    /// quiescent map (concurrent writers make the snapshot torn).
+    /// generation: bounded probes (every key within `HOP_RANGE` of its
+    /// home), exact agreement of hop bitmaps and occupancy bitmaps, even
+    /// versions, no duplicate keys, and a `len` counter matching the
+    /// occupancy. Takes every stripe, but is only meaningful on a
+    /// quiescent map.
     pub fn audit(&self) -> AuditReport
     where
         K: Ord,
     {
         guard_cache::with_guard(|g| {
             let t = self.current(g);
+            let stripes = Stripes::lock(&t.stripes, 0, t.buckets.len() - 1);
             let mut errors = Vec::new();
+            for (h, b) in t.buckets.iter().enumerate() {
+                let w = b.word.load(Ordering::Relaxed);
+                if w & VERSION != 0 {
+                    errors.push(format!("bucket {h}: odd version {}", w >> 32));
+                }
+                if h >= t.cap {
+                    if w as u32 != 0 {
+                        errors.push(format!("overflow slot {h}: hop bits set"));
+                    }
+                    continue;
+                }
+                for s in slots(h, w as u32) {
+                    let bit = s - h;
+                    if !stripes.occupied(s) {
+                        errors.push(format!("bucket {h}: bit {bit} points at empty slot"));
+                        continue;
+                    }
+                    let home = self.home_of(t.buckets[s].words().0, t);
+                    if home != h {
+                        errors.push(format!(
+                            "bucket {h}: bit {bit} points at foreign key (home {home})"
+                        ));
+                    }
+                }
+            }
             let mut occupied = 0usize;
             let mut max_probe = 0usize;
-            let mut keys: Vec<&K> = Vec::new();
-            for s in 0..t.slots.len() {
-                let Some((_, er)) = t.entry(s, g) else {
-                    continue;
-                };
+            let mut keys = Vec::new();
+            for s in (0..t.buckets.len()).filter(|&s| stripes.occupied(s)) {
                 occupied += 1;
-                keys.push(&er.key);
-                let hb = self.home(&er.key, t);
+                let key = K::from_bits(t.buckets[s].words().0);
+                keys.push(key);
+                let hb = t.home(self.hash_of(&key));
                 if hb > s || s - hb >= HOP_RANGE {
                     errors.push(format!(
-                        "slot {s}: entry outside its neighborhood (home {hb})"
+                        "slot {s}: key outside its neighborhood (home {hb})"
                     ));
                     continue;
                 }
                 max_probe = max_probe.max(s - hb);
-                if !t.hop_slots(hb).any(|x| x == s) {
+                if t.hop(hb) >> (s - hb) & 1 == 0 {
                     errors.push(format!("slot {s}: home {hb} hop bit not set"));
                 }
             }
-            for h in 0..t.cap {
-                for s in t.hop_slots(h) {
-                    let bit = s - h;
-                    match t.entry(s, g) {
-                        None => errors.push(format!("bucket {h}: bit {bit} points at empty slot")),
-                        Some((_, er)) if self.home(&er.key, t) != h => errors.push(format!(
-                            "bucket {h}: bit {bit} points at foreign entry (home {})",
-                            self.home(&er.key, t)
-                        )),
-                        Some(_) => {}
-                    }
-                }
-            }
             keys.sort_unstable();
-            for w in keys.windows(2) {
-                if w[0] == w[1] {
-                    errors.push("duplicate key present".to_string());
-                }
+            if keys.windows(2).any(|w| w[0] == w[1]) {
+                errors.push("duplicate key present".to_string());
             }
             if self.len() != occupied {
                 errors.push(format!(
@@ -687,23 +806,15 @@ where
 
 impl<K, V, S> Drop for HopMap<K, V, S> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self`: no other thread holds a reference, so the unprotected
-        // guard is sound and the current generation owns every live entry.
-        let g = unsafe { unprotected() };
-        let t_shared = self.table.load(Ordering::Relaxed, g);
-        // SAFETY: exclusive `&mut self` in Drop — no concurrent readers.
-        if let Some(t) = unsafe { t_shared.as_ref() } {
-            for slot in t.slots.iter() {
-                let e = slot.load(Ordering::Relaxed, g);
-                if !e.is_null() {
-                    // SAFETY: each live entry is owned solely by this table generation.
-                    drop(unsafe { e.into_owned() });
-                }
-            }
-        }
-        if !t_shared.is_null() {
-            // SAFETY: the table itself is exclusively owned here.
-            drop(unsafe { t_shared.into_owned() });
-        }
+        // SAFETY: `&mut self`: no other thread holds a reference, so the
+        // unprotected guard is sound, and the current generation, never null
+        // after construction, is owned by the map alone.
+        let table = unsafe {
+            self.table
+                .0
+                .load(Ordering::Relaxed, unprotected())
+                .into_owned()
+        };
+        drop(table);
     }
 }

@@ -1,6 +1,7 @@
 //! Concurrency battery for the hopscotch map's lock-free read path:
-//! readers racing displacement chains, settled determinism under
-//! striped writers, and scan weak properties mid-churn.
+//! readers racing displacement chains, readers racing slot reuse by
+//! another key, settled determinism under striped writers, and scan weak
+//! properties mid-churn.
 
 mod common;
 
@@ -76,6 +77,61 @@ fn readers_never_miss_permanent_keys_during_displacement_storm() {
     let report = map.audit();
     assert!(report.is_valid(), "audit errors: {:?}", report.errors);
     assert!(report.max_probe < HOP_RANGE);
+}
+
+/// A reader must never pair one key with a value written for another.
+/// Keys `A` and `B` share a home bucket (identity hash), so each reuses
+/// the slot the other's removal freed: a writer cycles remove-A,
+/// insert-B, update-B, remove-B, insert-A, update-A, and every value is
+/// tagged with its key. A reader that copied the slot's key word before
+/// the swap and its value word after it holds `A` with `B`'s value; only
+/// the bucket version's re-check tells it to retry. One reader gets both
+/// keys, so on two CPUs it and the writer run side by side.
+#[test]
+fn gets_never_return_another_keys_value_from_a_reused_slot() {
+    let map: Arc<HopMap<u64, u64, IdentityBuild>> = Arc::new(HopMap::with_hasher(IdentityBuild));
+    let (a, b) = (5, 5 + map.capacity() as u64);
+    let tag = |k: u64, n: u64| k << 32 | n;
+    map.insert(a, tag(a, 0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (map, stop) = (Arc::clone(&map), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut n = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                n = (n + 2) & 0xffff;
+                map.remove(&a);
+                map.insert(b, tag(b, n));
+                map.insert(b, tag(b, n + 1));
+                map.remove(&b);
+                map.insert(a, tag(a, n));
+                map.insert(a, tag(a, n + 1));
+            }
+            llxscx::guard_cache::flush();
+        })
+    };
+    let reader = {
+        let (map, stop) = (Arc::clone(&map), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                for k in [a, b] {
+                    if let Some(v) = map.get(&k) {
+                        assert_eq!(v >> 32, k, "get({k}) returned {v:#x}, another key's value");
+                    }
+                }
+            }
+        })
+    };
+    // Each get has a small chance to straddle a slot swap. With the
+    // re-check deleted, 12 of 12 debug runs on a 2-vCPU host failed within
+    // 0.1–0.9 s while the binary's other tests shared the CPUs.
+    std::thread::sleep(std::time::Duration::from_secs(2));
+    stop.store(true, Ordering::Relaxed);
+    reader.join().unwrap();
+    writer.join().unwrap();
+    let report = map.audit();
+    assert!(report.is_valid(), "audit errors: {:?}", report.errors);
+    assert_eq!(report.occupied, 1);
 }
 
 /// Striped point writers over disjoint key ranges settle to the

@@ -74,8 +74,8 @@ pub const RECLAIM_ALLOWLIST: &[&str] = &[
     "crates/llxscx/src/reclaim.rs",
     // The epoch pointer types, which define `into_owned`.
     "crates/llxscx/src/epoch/atomic.rs",
-    // The hopscotch table's entry retirement (remove + growth): slots are
-    // nulled before the entry is deferred, generations freeze on publish.
+    // The hopscotch table's generation retirement (growth) and its Drop:
+    // a generation freezes before its successor is published.
     "crates/hashmap/src/map.rs",
     // Drop paths that drain whole structures while externally quiesced.
     "crates/lockavl/src/lib.rs",
