@@ -37,17 +37,21 @@
 //!   one `Mutex` per 64 slots, guarding those slots' `u64` occupancy
 //!   bitmap — acquired in increasing index order only, which with the
 //!   no-wraparound layout makes deadlock impossible. Every edit of a
-//!   slot owned by bucket `h` goes through `h`'s word: CAS the version
-//!   odd, store the slot's words, then Release-store the next even
+//!   slot owned by bucket `h` goes through `h`'s word: store the odd
+//!   version, store the slot's words, then Release-store the next even
 //!   version with the new hop bits. Publishing an insert, removing,
 //!   updating a value in place and moving a key all take that path.
+//!   Every writer of `h`'s word holds the stripe of slot `h`, so that
+//!   lock orders them and the odd version needs no CAS.
 //! * **Readers** take no lock and write nothing. A lookup loads its
 //!   home bucket's word (waiting out an odd version), reads the named
 //!   slots' `key`/`value` words, then fences and re-loads the word; an
 //!   unchanged word means the copy is one consistent state of the
 //!   bucket, otherwise it retries. The re-check is what keeps a reader
 //!   from pairing one key with a value written for another key that
-//!   reused the slot.
+//!   reused the slot. Readers are not lock-free: they wait out every
+//!   edit in flight on their bucket, so a writer preempted mid-edit
+//!   stalls that bucket's readers until it runs again.
 //! * **Resize** takes every stripe (excluding all writers), re-checks it
 //!   still owns the current generation, copies key and value words into
 //!   a table of twice the capacity through the insert's displacement
@@ -296,12 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_hash_cluster_panics_after_one_doubling() {
-        // Keys homed at buckets 0 and 1 fill slots 0..=32 and then no key
-        // can move out of the way. Their full hashes differ, so the
-        // same-hash check lets the first failure grow; the doubled table
-        // homes them exactly as before, so the retry must panic instead of
-        // doubling until allocation fails.
+    fn adjacent_hash_cluster_panics_without_growing() {
+        // Keys homed at buckets 0 and 1 fill slots 0..=32, all that their
+        // neighborhoods span; one more cannot be placed. Their full hashes
+        // differ, but they agree above every capacity's index bits, so a
+        // doubling homes them exactly as before: the insert must panic
+        // instead of doubling until allocation fails.
         let m: HopMap<u64, u64, ParityBuild> = HopMap::with_hasher(ParityBuild);
         let placed = (0..=HOP_RANGE as u64).collect::<Vec<_>>();
         for &k in &placed {
@@ -313,12 +317,33 @@ mod tests {
             m.insert(k, !k);
         });
         assert!(msg.contains("HOP_RANGE"), "panic message: {msg:?}");
-        assert!(m.resizes() <= 1, "grew {} times", m.resizes());
+        assert_eq!(m.resizes(), 0, "the hopeless insert grew the table");
         assert_eq!(m.len(), placed.len());
         for &k in &placed {
             assert_eq!(m.get(&k), Some(!k));
         }
         assert_eq!(m.get(&k), None);
+        let report = m.audit();
+        assert!(report.is_valid(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn keys_split_only_by_a_higher_hash_bit_grow_until_they_part() {
+        // Identity hash: keys 128 * i home at bucket 0 at capacities 64
+        // and 128, so the 33rd fails to place in both. Their hashes differ
+        // in bit 7, which the 256-bucket table indexes: it homes them at 0
+        // and 128, and every insert must succeed after two doublings.
+        let m: HopMap<u64, u64, IdentityBuild> = HopMap::with_hasher(IdentityBuild);
+        assert_eq!(m.capacity(), 64);
+        let keys = (0..=HOP_RANGE as u64).map(|i| 128 * i).collect::<Vec<_>>();
+        for &k in &keys {
+            assert_eq!(m.insert(k, k + 1), None);
+        }
+        assert_eq!(m.resizes(), 2);
+        assert_eq!(m.capacity(), 256);
+        for &k in &keys {
+            assert_eq!(m.get(&k), Some(k + 1));
+        }
         let report = m.audit();
         assert!(report.is_valid(), "{:?}", report.errors);
     }

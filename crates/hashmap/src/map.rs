@@ -103,14 +103,16 @@ impl Bucket {
     }
 }
 
-/// The slots hop bitmap `hop` names for bucket `h`, lowest first: the one
-/// hop-bit walk of the crate.
+/// The slots a bitmap names, lowest first: `h + i` for each set bit `i`.
+/// Walks hop bitmaps (from home bucket `h`) and occupancy bitmaps (from
+/// a stripe's first slot); the one bit walk of the crate.
 #[inline]
-fn slots(h: usize, mut hop: u32) -> impl Iterator<Item = usize> {
+fn slots(h: usize, bits: impl Into<u64>) -> impl Iterator<Item = usize> {
+    let mut bits = bits.into();
     std::iter::from_fn(move || {
-        (hop != 0).then(|| {
-            let bit = hop.trailing_zeros() as usize;
-            hop &= hop - 1;
+        (bits != 0).then(|| {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
             h + bit
         })
     })
@@ -195,39 +197,20 @@ impl Table {
     /// The seqlock write of bucket `h`: makes its version odd, runs
     /// `edit` on its hop bitmap, then publishes the next even version with
     /// the bitmap `edit` returns. `edit` makes the slot stores; the caller
-    /// holds the stripes of every slot it touches. Two writers may edit
-    /// one bucket's slots from disjoint stripes, so the odd version is
-    /// taken by CAS and serializes them.
+    /// holds the stripes of every slot it touches, `h`'s among them, so
+    /// that stripe's lock orders every edit of the word.
     #[inline]
     fn edit(&self, h: usize, edit: impl FnOnce(u32) -> u32) {
         let word = &self.buckets[h].word;
-        let mut spins = 0;
-        let w = loop {
-            let w = word.load(Ordering::Relaxed);
-            if w & VERSION == 0
-                && word
-                    .compare_exchange_weak(w, w + VERSION, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                break w;
-            }
-            backoff(&mut spins);
-        };
+        let w = word.load(Ordering::Relaxed);
+        debug_assert!(w & VERSION == 0, "bucket {h} edited without its stripe");
+        word.store(w + VERSION, Ordering::Relaxed);
         // Orders the odd version before the slot stores, for readers whose
         // Acquire fence follows a load of one of those stores.
         fence(Ordering::Release);
         let hop = edit(w as u32);
         let next = (w & !u64::from(u32::MAX)).wrapping_add(2 * VERSION) | u64::from(hop);
         word.store(next, Ordering::Release);
-    }
-
-    /// Keys homed within `HOP_RANGE` of bucket `h` on either side: the
-    /// crowd that competes for `h`'s neighborhood. Unlocked and so
-    /// approximate under concurrent writers; it only bounds growth.
-    fn crowd(&self, h: usize) -> u32 {
-        (h.saturating_sub(HOP_RANGE - 1)..(h + HOP_RANGE).min(self.cap))
-            .map(|b| self.hop(b).count_ones())
-            .sum()
     }
 }
 
@@ -302,6 +285,13 @@ impl<'t> Stripes<'t> {
     /// Records that slot `s` is now free.
     fn vacate(&mut self, s: usize) {
         *self.bits(s) &= !(1 << (s % STRIPE));
+    }
+
+    /// The held slots that hold a key, lowest first.
+    fn filled(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.first..)
+            .zip(&self.held)
+            .flat_map(|(i, bits)| slots(i * STRIPE, **bits))
     }
 
     /// The lowest free slot in `lo..hi`, extending the run upward as the
@@ -499,56 +489,38 @@ where
     ///
     /// # Panics
     ///
-    /// If [`HOP_RANGE`] keys with `k`'s full hash are already present, or
-    /// if `k`'s placement fails again after a doubling with as many keys
-    /// homed within `HOP_RANGE` of its home as before: growth cannot
-    /// separate keys the hash does not.
+    /// If `k` cannot be placed and no capacity ever could: keys near its
+    /// home whose hashes agree with `k`'s above the table's index bits,
+    /// `k` included, outnumber the slots their homes' neighborhoods span.
+    /// Growth keeps such keys' homes equally spaced, so it would double
+    /// until allocation fails. [`HOP_RANGE`] keys already sharing `k`'s
+    /// full hash are one such case.
     pub fn insert(&self, k: K, v: V) -> Option<V> {
         let (hash, key, value) = (self.hash_of(&k), k.to_bits(), v.to_bits());
-        guard_cache::with_guard(|g| {
-            // The home neighborhood's crowd at this insert's last failure.
-            let mut crowd = None;
-            loop {
-                let (t, h, mut stripes) = self.lock_neighborhood(hash, g);
-                if let Some(s) = t.find(h, t.hop(h), key) {
-                    let slot = &t.buckets[s];
-                    let prev = slot.value.load(Ordering::Relaxed);
-                    t.edit(h, |hop| {
-                        slot.value.store(value, Ordering::Relaxed);
-                        hop
-                    });
-                    return Some(V::from_bits(prev));
-                }
-                if self.place(t, h, (key, value), &mut stripes) {
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-                // Keys with one full hash share a home bucket at every
-                // capacity, so growth can never separate the HOP_RANGE that
-                // fill it: growing would double until allocation fails.
-                let twins = slots(h, t.hop(h))
-                    .filter(|&s| self.hash_of(&K::from_bits(t.buckets[s].words().0)) == hash)
-                    .count();
-                let here = t.crowd(h);
-                drop(stripes);
-                assert!(
-                    twins < HOP_RANGE,
-                    "HopMap::insert: HOP_RANGE ({HOP_RANGE}) keys already share this key's \
-                     full hash; no capacity can place another"
-                );
-                // Keys whose hashes agree on more bits than the table
-                // indexes — e.g. a hash with only a few distinct values —
-                // stay together across a doubling: the same crowd then
-                // fails the same placement at every capacity.
-                assert!(
-                    crowd != Some(here),
-                    "HopMap::insert: a doubling left all {here} keys homed within \
-                     HOP_RANGE ({HOP_RANGE}) of this key's home together; the hash does \
-                     not separate them, so no capacity can place another"
-                );
-                crowd = Some(here);
-                self.grow(t, g);
+        guard_cache::with_guard(|g| loop {
+            let (t, h, mut stripes) = self.lock_neighborhood(hash, g);
+            if let Some(s) = t.find(h, t.hop(h), key) {
+                let slot = &t.buckets[s];
+                let prev = slot.value.load(Ordering::Relaxed);
+                t.edit(h, |hop| {
+                    slot.value.store(value, Ordering::Relaxed);
+                    hop
+                });
+                return Some(V::from_bits(prev));
             }
+            if self.place(t, h, (key, value), &mut stripes) {
+                self.len.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+            let hopeless = self.never_fits(t, hash, &stripes);
+            drop(stripes);
+            assert!(
+                !hopeless,
+                "HopMap::insert: this key and the keys near its home outnumber the slots \
+                 their HOP_RANGE ({HOP_RANGE})-slot neighborhoods span, at every capacity; \
+                 the hash does not separate them"
+            );
+            self.grow(t, g);
         })
     }
 
@@ -565,6 +537,37 @@ where
             stripes.vacate(s);
             self.len.fetch_sub(1, Ordering::Relaxed);
             Some(V::from_bits(prev))
+        })
+    }
+
+    /// Whether a key of full hash `hash`, whose placement in `t` just
+    /// failed, can never join the keys in `stripes`' slots, the caller's
+    /// held run. Keys whose hashes agree above `t`'s index bits keep
+    /// their homes' spacing at every larger capacity (a doubling adds the
+    /// same multiple of `cap` to each), and the keys homed in buckets
+    /// `a..=b` can rest only in the `b - a + HOP_RANGE` slots from `a`.
+    /// So if such keys, the new one included, outnumber those slots for
+    /// some `a..=b`, no growth places them all. Counting only the held
+    /// slots undercounts, which is safe: each counted key is present and
+    /// cannot move while the run is held.
+    fn never_fits(&self, t: &Table, hash: u64, stripes: &Stripes<'_>) -> bool {
+        let high = |x: u64| x >> t.cap.trailing_zeros();
+        let mut homes: Vec<usize> = stripes
+            .filled()
+            .map(|s| self.hash_of(&K::from_bits(t.buckets[s].words().0)))
+            .filter(|&x| high(x) == high(hash))
+            .chain([hash])
+            .map(|x| t.home(x))
+            .collect();
+        homes.sort_unstable();
+        // The keys homes[i..=j] are j - i + 1 against homes[j] - homes[i]
+        // + HOP_RANGE slots: too many once (j - homes[j]) - (i - homes[i])
+        // reaches HOP_RANGE.
+        let mut least = isize::MAX;
+        homes.iter().enumerate().any(|(j, &x)| {
+            let d = j as isize - x as isize;
+            least = least.min(d);
+            d - least >= HOP_RANGE as isize
         })
     }
 

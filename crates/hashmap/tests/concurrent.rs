@@ -1,4 +1,5 @@
-//! Concurrency battery for the hopscotch map's lock-free read path:
+//! Concurrency battery for the hopscotch map's seqlock read path, where
+//! readers take no lock but wait out in-flight edits of their bucket:
 //! readers racing displacement chains, readers racing slot reuse by
 //! another key, settled determinism under striped writers, and scan weak
 //! properties mid-churn.
