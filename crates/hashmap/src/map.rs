@@ -233,48 +233,99 @@ fn backoff(spins: &mut u32) {
     }
 }
 
+/// Stripes an insert or a remove holds at most: its neighborhood and its
+/// free-slot scan lie within `ADD_RANGE` slots of home, which span at
+/// most this many stripes.
+const RUN: usize = ADD_RANGE / STRIPE + 1;
+
+/// A held stripe's guard; `None` above the top of the run.
+type Held<'t> = Option<MutexGuard<'t, u64>>;
+
+/// Where a [`Stripes`] run keeps its guards: inline for a point write
+/// ([`Run`]), which therefore allocates nothing, and in a boxed slice for
+/// a whole table ([`All`]).
+trait Holder<'t>: AsRef<[Held<'t>]> + AsMut<[Held<'t>]> {}
+
+impl<'t, H: AsRef<[Held<'t>]> + AsMut<[Held<'t>]>> Holder<'t> for H {}
+
 /// A run of one table's consecutive stripes, held from stripe `first` up.
 /// A run only grows at its top, so every holder acquires stripes in
 /// increasing index order. The held guards give the holder the run's
 /// occupancy bitmaps.
-struct Stripes<'t> {
+struct Stripes<'t, H> {
     locks: &'t [Mutex<u64>],
     first: usize,
-    held: Vec<MutexGuard<'t, u64>>,
+    /// Stripes held: `held[..len]`.
+    len: usize,
+    held: H,
 }
 
-impl<'t> Stripes<'t> {
+/// The run of an insert or a remove, at most [`RUN`] stripes.
+type Run<'t> = Stripes<'t, [Held<'t>; RUN]>;
+
+/// Every stripe of a table: growth and the audit.
+type All<'t> = Stripes<'t, Box<[Held<'t>]>>;
+
+impl<'t> Run<'t> {
     /// Takes the stripes covering slots `lo..=hi`, in increasing order.
     fn lock(locks: &'t [Mutex<u64>], lo: usize, hi: usize) -> Self {
         let mut run = Stripes {
             locks,
             first: lo / STRIPE,
-            held: Vec::new(),
+            len: 0,
+            held: [const { None }; RUN],
         };
         run.cover(hi);
         run
     }
+}
 
+impl<'t> All<'t> {
+    /// Takes every stripe of `locks`, in increasing order.
+    fn lock(locks: &'t [Mutex<u64>]) -> Self {
+        let mut all = Stripes {
+            locks,
+            first: 0,
+            len: 0,
+            held: locks.iter().map(|_| None).collect(),
+        };
+        all.cover(locks.len() * STRIPE - 1);
+        all
+    }
+}
+
+impl<'t, H: Holder<'t>> Stripes<'t, H> {
     /// Extends the run upward until it covers slot `s`. Each bitmap is
     /// updated right next to the slot edit it records, with nothing that
     /// can panic in between, so a poisoned stripe's bitmap is still
     /// accurate and poisoning is ignored.
     fn cover(&mut self, s: usize) {
-        while self.first + self.held.len() <= s / STRIPE {
-            let m = &self.locks[self.first + self.held.len()];
-            self.held
-                .push(m.lock().unwrap_or_else(PoisonError::into_inner));
+        while self.first + self.len <= s / STRIPE {
+            let m = &self.locks[self.first + self.len];
+            self.held.as_mut()[self.len] = Some(m.lock().unwrap_or_else(PoisonError::into_inner));
+            self.len += 1;
         }
+    }
+
+    /// The held guards, lowest stripe first.
+    fn guards(&self) -> impl Iterator<Item = &u64> {
+        self.held.as_ref()[..self.len]
+            .iter()
+            .flatten()
+            .map(|g| &**g)
     }
 
     /// The held occupancy bitmap of slot `s`'s stripe.
     fn bits(&mut self, s: usize) -> &mut u64 {
-        &mut self.held[s / STRIPE - self.first]
+        self.held.as_mut()[s / STRIPE - self.first]
+            .as_deref_mut()
+            .expect("slot under a held stripe")
     }
 
     /// Whether slot `s`, under a held stripe, holds a key.
     fn occupied(&self, s: usize) -> bool {
-        *self.held[s / STRIPE - self.first] >> (s % STRIPE) & 1 == 1
+        let bits = self.held.as_ref()[s / STRIPE - self.first].as_deref();
+        *bits.expect("slot under a held stripe") >> (s % STRIPE) & 1 == 1
     }
 
     /// Records that slot `s` now holds a key.
@@ -290,8 +341,8 @@ impl<'t> Stripes<'t> {
     /// The held slots that hold a key, lowest first.
     fn filled(&self) -> impl Iterator<Item = usize> + '_ {
         (self.first..)
-            .zip(&self.held)
-            .flat_map(|(i, bits)| slots(i * STRIPE, **bits))
+            .zip(self.guards())
+            .flat_map(|(i, &bits)| slots(i * STRIPE, bits))
     }
 
     /// The lowest free slot in `lo..hi`, extending the run upward as the
@@ -474,11 +525,11 @@ where
     /// writer that edits it touches a slot of the neighborhood and so
     /// holds one of the run's stripes.
     #[inline]
-    fn lock_neighborhood<'g>(&self, hash: u64, g: &'g Guard) -> (&'g Table, usize, Stripes<'g>) {
+    fn lock_neighborhood<'g>(&self, hash: u64, g: &'g Guard) -> (&'g Table, usize, Run<'g>) {
         loop {
             let t = self.current(g);
             let h = t.home(hash);
-            let stripes = Stripes::lock(&t.stripes, h, h + HOP_RANGE - 1);
+            let stripes = Run::lock(&t.stripes, h, h + HOP_RANGE - 1);
             if ptr::eq(self.current(g), t) {
                 return (t, h, stripes);
             }
@@ -550,7 +601,7 @@ where
     /// some `a..=b`, no growth places them all. Counting only the held
     /// slots undercounts, which is safe: each counted key is present and
     /// cannot move while the run is held.
-    fn never_fits(&self, t: &Table, hash: u64, stripes: &Stripes<'_>) -> bool {
+    fn never_fits(&self, t: &Table, hash: u64, stripes: &Run<'_>) -> bool {
         let high = |x: u64| x >> t.cap.trailing_zeros();
         let mut homes: Vec<usize> = stripes
             .filled()
@@ -583,7 +634,13 @@ where
     /// caller grows the table. Displacements made before that are legal
     /// moves and stay.
     #[inline]
-    fn place(&self, t: &Table, h: usize, kv: (u64, u64), stripes: &mut Stripes<'_>) -> bool {
+    fn place<'t>(
+        &self,
+        t: &Table,
+        h: usize,
+        kv: (u64, u64),
+        stripes: &mut Stripes<'t, impl Holder<'t>>,
+    ) -> bool {
         // 1) Find a free slot within ADD_RANGE of home, extending the held
         //    stripe run upward as the scan crosses boundaries.
         let Some(mut f) = stripes.free_slot(h, h + ADD_RANGE) else {
@@ -695,14 +752,14 @@ where
     /// frozen, complete generation and linearize at their table load),
     /// then retired through the epoch.
     fn grow(&self, t: &Table, g: &Guard) {
-        let _all = Stripes::lock(&t.stripes, 0, t.buckets.len() - 1);
+        let _all = All::lock(&t.stripes);
         if !ptr::eq(self.current(g), t) {
             return; // someone else already grew this generation
         }
         let mut new_cap = t.cap << 1;
         loop {
             let new_t = Table::new(new_cap);
-            let mut held = Stripes::lock(&new_t.stripes, 0, new_t.buckets.len() - 1);
+            let mut held = All::lock(&new_t.stripes);
             let placed = (0..t.cap).all(|h| {
                 slots(h, t.hop(h)).all(|s| {
                     let kv = t.buckets[s].words();
@@ -741,7 +798,7 @@ where
     {
         guard_cache::with_guard(|g| {
             let t = self.current(g);
-            let stripes = Stripes::lock(&t.stripes, 0, t.buckets.len() - 1);
+            let stripes = All::lock(&t.stripes);
             let mut errors = Vec::new();
             for (h, b) in t.buckets.iter().enumerate() {
                 let w = b.word.load(Ordering::Relaxed);

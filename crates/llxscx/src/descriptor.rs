@@ -37,6 +37,25 @@
 //! finalized (the state lookup reports such an incarnation as committed,
 //! and `marked` decides).
 //!
+//! The state lookup of an LLX or a VLX reads only the state word, and
+//! mostly does not need that either. Each thread keeps a small
+//! direct-mapped table (64 entries of `id << 48 | seq`, in a
+//! thread-local) of the newest sequence number it has loaded from each
+//! descriptor's word. An `info` word whose sequence number is *below* the
+//! cached one names an incarnation that is over for good, since a slot's
+//! sequence number never goes back, not even when the slot passes to
+//! another thread; the lookup answers committed without touching the
+//! descriptor, whose line its owner rewrites on every SCX. The answer is
+//! the one a load would give, with the same ordering: the acquire load
+//! that filled the entry read the newer incarnation's word, so it already
+//! synchronized with that incarnation's `open`, and everything the caller
+//! reads afterwards, `marked` included, follows it in program order. An
+//! *equal* sequence number proves nothing (that incarnation may still be
+//! in progress, or have aborted), so it takes the load, which refreshes
+//! the entry. The cache rests on the same premise as the uniqueness of
+//! `info` words: the 48-bit sequence number never wraps. After a wrap a
+//! small number would read as long over.
+//!
 //! # The slot table
 //!
 //! Descriptors live in a process-wide table of 16 chunks; chunk `c` holds
@@ -51,6 +70,7 @@
 //! therefore holds as many slots as the largest number of threads that
 //! ever held one at once.
 
+use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -251,20 +271,6 @@ impl ScxRecord {
         word_seq(self.word.load(Ordering::Relaxed)) == seq
     }
 
-    /// The state a record whose `info` names incarnation `seq` presents.
-    /// An incarnation that is over reads as [`COMMITTED`]: the record is
-    /// then quiescent unless `marked` is set, and finalized if it is.
-    fn state(&self, seq: u64) -> u8 {
-        // ACQUIRE: a COMMITTED (or newer) word orders the SCX's marks before
-        // the caller's next `marked` read.
-        let w = self.word.load(Ordering::Acquire);
-        if word_seq(w) == seq {
-            word_state(w)
-        } else {
-            COMMITTED
-        }
-    }
-
     /// Aborts the SCX `info` names unless all its records were frozen.
     /// Returns `true` iff they were, i.e. the SCX commits.
     pub(crate) fn abort(&self, info: u64) -> bool {
@@ -319,15 +325,58 @@ impl ScxRecord {
     }
 }
 
-/// The state presented by an `info` word: a record that was never frozen
+/// Per thread, the newest sequence number loaded from each descriptor's
+/// state word, as `id << 48 | seq`, direct-mapped by `id % SEEN`.
+const SEEN: usize = 64;
+
+thread_local! {
+    static SEEN_SEQ: [Cell<u64>; SEEN] = const { [const { Cell::new(0) }; SEEN] };
+}
+
+/// The state presented by an `info` word. A record that was never frozen
 /// behaves as if its last SCX aborted, and one whose incarnation is over
-/// as if it committed (see [`ScxRecord::state`]).
+/// as if it committed: the record is then quiescent unless `marked` is
+/// set, and finalized if it is. An incarnation older than one this thread
+/// already saw its descriptor at is over without a load (see the [module
+/// docs](self#reading-another-threads-descriptor)).
 #[inline]
 pub(crate) fn state_of(info: u64) -> u8 {
     if info == 0 {
-        ABORTED
+        return ABORTED;
+    }
+    let (id, seq) = (info >> SEQ_BITS, seq_of(info));
+    SEEN_SEQ.with(|seen| {
+        let entry = &seen[id as usize % SEEN];
+        let cached = entry.get();
+        if cached >> SEQ_BITS == id && seq < seq_of(cached) {
+            return COMMITTED;
+        }
+        // ACQUIRE: a COMMITTED (or newer) word orders the SCX's marks before
+        // the caller's next `marked` read, and every later read of this
+        // thread's that the cached entry answers.
+        let w = lookup(info).word.load(Ordering::Acquire);
+        entry.set(id << SEQ_BITS | word_seq(w));
+        if word_seq(w) == seq {
+            word_state(w)
+        } else {
+            COMMITTED
+        }
+    })
+}
+
+/// [`state_of`] without the seen-sequence cache: the reference the cache
+/// is tested against.
+#[cfg(test)]
+pub(crate) fn state_uncached(info: u64) -> u8 {
+    if info == 0 {
+        return ABORTED;
+    }
+    // SEQCST: test-only; SC keeps the interleaving argument trivial.
+    let w = lookup(info).word.load(Ordering::SeqCst);
+    if word_seq(w) == seq_of(info) {
+        word_state(w)
     } else {
-        lookup(info).state(seq_of(info))
+        COMMITTED
     }
 }
 

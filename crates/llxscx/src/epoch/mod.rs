@@ -391,9 +391,13 @@ pub fn flush() {
     });
 }
 
-/// The calling thread's slot in the descriptor table, or `None` once its
-/// epoch state is torn down.
-pub(crate) fn own_slot() -> Option<usize> {
+/// The calling thread's slot id in the descriptor table, the crate's one
+/// thread registry, or `None` once its epoch state is torn down. A thread
+/// holds its id from its first use of the crate until it exits, and no
+/// live thread shares it; ids are small (at most the largest number of
+/// threads that ever held one at once), so they can index per-thread
+/// counter stripes.
+pub fn own_slot() -> Option<usize> {
     LOCAL.try_with(|l| l.slot).ok()
 }
 

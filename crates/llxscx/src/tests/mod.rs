@@ -1,8 +1,10 @@
 //! Crate-level tests of the per-thread descriptors: the stall adversary
 //! (the paper's progress claim), sequence-number mismatches, slot
-//! recycling across thread exits, and owners racing their helpers.
+//! recycling across thread exits, owners racing their helpers, and the
+//! seen-sequence cache of the state lookup.
 
 mod contention;
+mod seen;
 mod sequence;
 mod slots;
 pub(crate) mod stall;

@@ -19,7 +19,7 @@ fn commit_one(rec: usize) -> u64 {
 }
 
 /// [`commit_one`] under the caller's guard.
-fn commit_under(rec: usize, g: &Guard) -> u64 {
+pub(super) fn commit_under(rec: usize, g: &Guard) -> u64 {
     loop {
         let Llx::Snapshot(h) = llx(shared(rec), g) else {
             continue;
