@@ -14,7 +14,7 @@
 //! **neighborhood** of [`HOP_RANGE`] consecutive slots, described by
 //! the *hop bitmap* in the low 32 bits of its word (bit `i` set ⇔ slot
 //! `home + i` holds one of this bucket's keys). The high 32 bits are the
-//! bucket's seqlock version. Keys and values live inline in the slots,
+//! bucket's version. Keys and values live inline in the slots,
 //! so both are [`Word`] types: they convert to and from the `u64` an
 //! atomic slot holds. The [`ADD_RANGE`] overflow slots past the last
 //! home bucket replace wraparound, so a neighborhood is always a
@@ -37,21 +37,27 @@
 //!   one `Mutex` per 64 slots, guarding those slots' `u64` occupancy
 //!   bitmap — acquired in increasing index order only, which with the
 //!   no-wraparound layout makes deadlock impossible. Every edit of a
-//!   slot owned by bucket `h` goes through `h`'s word: store the odd
-//!   version, store the slot's words, then Release-store the next even
-//!   version with the new hop bits. Publishing an insert, removing,
-//!   updating a value in place and moving a key all take that path.
+//!   slot owned by bucket `h` goes through `h`'s word, and is one store
+//!   of it: a Release fence, the slot stores, then a Release store of
+//!   the next version with the new hop bits. No edit stores into a slot
+//!   the current bitmap names, except an in-place value update, which
+//!   rewrites only the value word: an insert and each displacement step
+//!   fill a free slot before the word store names it, and a remove only
+//!   clears a bit. So the word store is the linearization point of an
+//!   insert, a remove and a move, and the value store that of an update.
 //!   Every writer of `h`'s word holds the stripe of slot `h`, so that
-//!   lock orders them and the odd version needs no CAS.
-//! * **Readers** take no lock and write nothing. A lookup loads its
-//!   home bucket's word (waiting out an odd version), reads the named
-//!   slots' `key`/`value` words, then fences and re-loads the word; an
-//!   unchanged word means the copy is one consistent state of the
-//!   bucket, otherwise it retries. The re-check is what keeps a reader
-//!   from pairing one key with a value written for another key that
-//!   reused the slot. Readers are not lock-free: they wait out every
-//!   edit in flight on their bucket, so a writer preempted mid-edit
-//!   stalls that bucket's readers until it runs again.
+//!   lock orders them and the version needs no CAS.
+//! * **Readers** are lock-free: they take no lock, write nothing and
+//!   never wait for a writer. A lookup loads its home bucket's word,
+//!   reads the named slots' `key`/`value` words, then fences and
+//!   re-loads the word; an unchanged word means the copy is one
+//!   consistent state of the bucket, otherwise it retries. The re-check
+//!   is what keeps a reader from pairing one key with a value written
+//!   for another key that reused the slot: the edit that vacated the
+//!   slot released its stripe before the reusing writer took it, so the
+//!   writer's Release fence and the reader's Acquire fence make the
+//!   re-load see that edit. A retry therefore follows a *completed*
+//!   edit of the bucket; a writer preempted mid-edit stalls no reader.
 //! * **Resize** takes every stripe (excluding all writers), re-checks it
 //!   still owns the current generation, copies key and value words into
 //!   a table of twice the capacity through the insert's displacement
@@ -71,13 +77,13 @@
 //! ## What `range` means here
 //!
 //! [`HopMap::sorted_range`] is a **per-key-linearizable sorted drain**,
-//! not an atomic snapshot: each bucket is read as a seqlock-consistent
-//! unit, so scans are sorted, duplicate-free, phantom-free and never
-//! miss a key that stays present for the whole scan — but different
-//! buckets may reflect different instants. This is the same scope the
-//! suite's skip list documents; callers that need an atomic scan use a
-//! VLX-validated tree (or the hybrid tier, which delegates scans to
-//! one).
+//! not an atomic snapshot: each bucket is read, lock-free, as a
+//! consistent unit, so scans are sorted, duplicate-free, phantom-free
+//! and never miss a key that stays present for the whole scan — but
+//! different buckets may reflect different instants. This is the same
+//! scope the suite's skip list documents; callers that need an atomic
+//! scan use a VLX-validated tree (or the hybrid tier, which delegates
+//! scans to one).
 
 #![warn(missing_docs)]
 
@@ -89,6 +95,8 @@ pub use map::{AuditReport, HopMap, Word, ADD_RANGE, HOP_RANGE};
 
 #[cfg(test)]
 mod tests {
+    pub(crate) mod stall;
+
     use super::*;
     use std::hash::{BuildHasher, Hasher};
     use std::panic::{self, AssertUnwindSafe};
@@ -154,6 +162,29 @@ mod tests {
         type Hasher = ParityHasher;
         fn build_hasher(&self) -> ParityHasher {
             ParityHasher(0)
+        }
+    }
+
+    /// Top-bits hash: key `k` hashes to `(k % 32) << 59`, so keys differ
+    /// only in hash bits that no table small enough to allocate indexes.
+    #[derive(Clone, Copy, Default)]
+    struct TopBuild;
+    struct TopHasher(u64);
+    impl Hasher for TopHasher {
+        fn finish(&self) -> u64 {
+            (self.0 % 32) << 59
+        }
+        fn write(&mut self, _: &[u8]) {
+            unreachable!("u64 keys hash via write_u64");
+        }
+        fn write_u64(&mut self, n: u64) {
+            self.0 = n;
+        }
+    }
+    impl BuildHasher for TopBuild {
+        type Hasher = TopHasher;
+        fn build_hasher(&self) -> TopHasher {
+            TopHasher(0)
         }
     }
 
@@ -313,6 +344,33 @@ mod tests {
         }
         assert_eq!(m.resizes(), 0, "33 slots hold the first 33 keys");
         let k = HOP_RANGE as u64 + 1;
+        let msg = panic_message(|| {
+            m.insert(k, !k);
+        });
+        assert!(msg.contains("HOP_RANGE"), "panic message: {msg:?}");
+        assert_eq!(m.resizes(), 0, "the hopeless insert grew the table");
+        assert_eq!(m.len(), placed.len());
+        for &k in &placed {
+            assert_eq!(m.get(&k), Some(!k));
+        }
+        assert_eq!(m.get(&k), None);
+        let report = m.audit();
+        assert!(report.is_valid(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn keys_split_only_by_unindexable_hash_bits_panic_without_growing() {
+        // Keys 0..32 fill bucket 0's neighborhood: their hashes differ
+        // only in bits 59 and up, and no bucket array that fits in memory
+        // (at most 2^58 home buckets) indexes those, so they home at
+        // bucket 0 at every capacity. The 33rd must panic instead of
+        // doubling the table until allocation fails.
+        let m: HopMap<u64, u64, TopBuild> = HopMap::with_hasher(TopBuild);
+        let placed = (0..HOP_RANGE as u64).collect::<Vec<_>>();
+        for &k in &placed {
+            assert_eq!(m.insert(k, !k), None);
+        }
+        let k = HOP_RANGE as u64;
         let msg = panic_message(|| {
             m.insert(k, !k);
         });

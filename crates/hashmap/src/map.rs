@@ -32,16 +32,33 @@ const STRIPE: usize = 64;
 /// Smallest home-bucket count a table is created with.
 const MIN_CAP: usize = 64;
 
-/// One step of a bucket word's seqlock version, which is the word's high
-/// 32 bits. The version is odd (this bit set) while an edit is in flight.
+/// One step of a bucket word's version, which is the word's high 32 bits.
+/// Each edit of the bucket publishes the next version, together with its
+/// new hop bitmap, in one store.
 const VERSION: u64 = 1 << 32;
+
+/// The largest home-bucket count whose bucket array fits in `isize::MAX`
+/// bytes (2^58 on 64-bit targets): no table indexes a key by hash bit
+/// `MAX_CAP.ilog2()` or any bit above it.
+const MAX_CAP: usize =
+    1 << (isize::MAX as usize / std::mem::size_of::<Bucket>() - ADD_RANGE).ilog2();
+
+/// A pause point in [`Table::edit`], between the slot stores and the
+/// word store: parks the writer there when a test asks it to. Expands to
+/// nothing outside `cfg(test)`.
+macro_rules! pause {
+    ($h:expr) => {
+        #[cfg(test)]
+        crate::tests::stall::pause($h);
+    };
+}
 
 /// A key or value type the table stores inline, as one 64-bit word.
 ///
 /// Readers copy a slot's words without a lock and keep the copy only if
-/// the bucket's version did not move meanwhile (a seqlock), so the
-/// stored form must itself be atomic: a type converts to and from the
-/// `u64` kept in an `AtomicU64`. Keys compare by their words, so the
+/// the bucket's word did not move meanwhile, so the stored form must
+/// itself be atomic: a type converts to and from the `u64` kept in an
+/// `AtomicU64`. Keys compare by their words, so the
 /// conversion must round-trip: `from_bits(x.to_bits()) == x`. The table
 /// calls `from_bits` only on words `to_bits` produced.
 pub trait Word: Copy + Eq + Send + Sync + 'static {
@@ -72,10 +89,10 @@ impl_word!(u32 u64 i64);
 /// bucket.
 #[derive(Default)]
 struct Bucket {
-    /// The home bucket's state: the seqlock version in the high 32 bits
-    /// and the hop bitmap in the low 32 (bit `i` set ⇔ slot `home + i`
-    /// holds one of this bucket's keys). Every edit of a slot this
-    /// bitmap names goes through this word. Zero in the overflow slots.
+    /// The home bucket's state: the version in the high 32 bits and the
+    /// hop bitmap in the low 32 (bit `i` set ⇔ slot `home + i` holds one
+    /// of this bucket's keys). Every edit of a slot this bitmap names
+    /// goes through this word. Zero in the overflow slots.
     word: AtomicU64,
     /// The slot's key, as [`Word::to_bits`] made it.
     key: AtomicU64,
@@ -85,7 +102,7 @@ struct Bucket {
 
 impl Bucket {
     /// The slot's key and value words. Consistent only under the owning
-    /// bucket's stripes, or once that bucket's version re-check passes.
+    /// bucket's stripes, or once that bucket's word re-check passes.
     #[inline]
     fn words(&self) -> (u64, u64) {
         (
@@ -171,21 +188,17 @@ impl Table {
         slots(h, hop).find(|&s| self.buckets[s].key.load(Ordering::Relaxed) == key)
     }
 
-    /// The seqlock read of bucket `h`: runs `read` on its hop bitmap
-    /// until one run overlapped no edit of the bucket, and returns that
-    /// run's result. `read` may load the words of the slots the bitmap
-    /// names; a run whose re-check fails is discarded and retried.
+    /// The lock-free read of bucket `h`: runs `read` on its hop bitmap
+    /// until no edit of the bucket completed during a run, and returns
+    /// that run's result. `read` may load the words of the slots the
+    /// bitmap names; a run whose re-check fails is discarded and retried.
+    /// A run fails only if an edit of the bucket completed during it, so
+    /// some writer made progress each time: readers never wait for one.
     #[inline]
     fn read<R>(&self, h: usize, mut read: impl FnMut(u32) -> R) -> R {
         let word = &self.buckets[h].word;
-        let mut spins = 0;
         loop {
             let w = word.load(Ordering::Acquire);
-            if w & VERSION != 0 {
-                // An edit of this bucket is in flight.
-                backoff(&mut spins);
-                continue;
-            }
             let r = read(w as u32);
             fence(Ordering::Acquire);
             if word.load(Ordering::Relaxed) == w {
@@ -194,42 +207,27 @@ impl Table {
         }
     }
 
-    /// The seqlock write of bucket `h`: makes its version odd, runs
-    /// `edit` on its hop bitmap, then publishes the next even version with
-    /// the bitmap `edit` returns. `edit` makes the slot stores; the caller
-    /// holds the stripes of every slot it touches, `h`'s among them, so
-    /// that stripe's lock orders every edit of the word.
+    /// The one-store edit of bucket `h`: runs `edit` on its hop bitmap,
+    /// then publishes the next version with the bitmap `edit` returns in
+    /// one Release store, the edit's linearization point (an in-place
+    /// value update linearizes at its value store). `edit` makes the slot
+    /// stores, only into slots the current bitmap does not name or, for
+    /// an update, into a named slot's value word alone. The caller holds
+    /// the stripes of every slot it touches, `h`'s among them, so that
+    /// stripe's lock orders every edit of the word.
     #[inline]
     fn edit(&self, h: usize, edit: impl FnOnce(u32) -> u32) {
         let word = &self.buckets[h].word;
         let w = word.load(Ordering::Relaxed);
-        debug_assert!(w & VERSION == 0, "bucket {h} edited without its stripe");
-        word.store(w + VERSION, Ordering::Relaxed);
-        // Orders the odd version before the slot stores, for readers whose
-        // Acquire fence follows a load of one of those stores.
+        // Orders every edit that happened before this one, the one that
+        // vacated any slot this edit reuses among them, before the slot
+        // stores: a reader whose Acquire fence follows a load of one of
+        // those stores then re-loads that edit's word or a later one.
         fence(Ordering::Release);
         let hop = edit(w as u32);
-        let next = (w & !u64::from(u32::MAX)).wrapping_add(2 * VERSION) | u64::from(hop);
+        pause!(h);
+        let next = (w & !u64::from(u32::MAX)).wrapping_add(VERSION) | u64::from(hop);
         word.store(next, Ordering::Release);
-    }
-}
-
-/// Spin budget before a seqlock waiter starts yielding its timeslice.
-/// Spinning is right when the writer holding the odd version is running
-/// on another core (the critical section is a handful of stores), but on
-/// an oversubscribed host the writer may be preempted mid-section — a
-/// pure spin then burns the waiter's whole quantum without ever letting
-/// the writer finish. Past the budget, `yield_now` hands the CPU back.
-const SPIN_LIMIT: u32 = 64;
-
-/// One step of bounded spin-then-yield backoff; see [`SPIN_LIMIT`].
-#[inline]
-fn backoff(spins: &mut u32) {
-    if *spins < SPIN_LIMIT {
-        *spins += 1;
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
     }
 }
 
@@ -496,8 +494,8 @@ where
     // `llxscx::guard_cache`, exactly like the trees.
     // ---------------------------------------------------------------
 
-    /// Lookup; takes no lock and writes nothing. Linearizes at the
-    /// version re-check of the key's home bucket.
+    /// Lookup; lock-free, takes no lock and writes nothing. Linearizes at
+    /// the word re-check of the key's home bucket.
     pub fn get(&self, k: &K) -> Option<V> {
         let (hash, key) = (self.hash_of(k), k.to_bits());
         guard_cache::with_guard(|g| {
@@ -541,10 +539,11 @@ where
     /// # Panics
     ///
     /// If `k` cannot be placed and no capacity ever could: keys near its
-    /// home whose hashes agree with `k`'s above the table's index bits,
-    /// `k` included, outnumber the slots their homes' neighborhoods span.
-    /// Growth keeps such keys' homes equally spaced, so it would double
-    /// until allocation fails. [`HOP_RANGE`] keys already sharing `k`'s
+    /// home whose hashes agree with `k`'s in every bit that the table
+    /// does not index but a larger one could, `k` included, outnumber the
+    /// slots their homes' neighborhoods span. Growth keeps
+    /// such keys' homes equally spaced, so it would double until
+    /// allocation fails. [`HOP_RANGE`] keys already sharing `k`'s
     /// full hash are one such case.
     pub fn insert(&self, k: K, v: V) -> Option<V> {
         let (hash, key, value) = (self.hash_of(&k), k.to_bits(), v.to_bits());
@@ -593,16 +592,17 @@ where
 
     /// Whether a key of full hash `hash`, whose placement in `t` just
     /// failed, can never join the keys in `stripes`' slots, the caller's
-    /// held run. Keys whose hashes agree above `t`'s index bits keep
-    /// their homes' spacing at every larger capacity (a doubling adds the
-    /// same multiple of `cap` to each), and the keys homed in buckets
+    /// held run. Keys whose hashes agree in every bit that `t` does not
+    /// index but a table of [`MAX_CAP`] buckets would keep their homes'
+    /// spacing at every capacity that can be allocated (a doubling adds
+    /// the same multiple of `cap` to each), and the keys homed in buckets
     /// `a..=b` can rest only in the `b - a + HOP_RANGE` slots from `a`.
     /// So if such keys, the new one included, outnumber those slots for
     /// some `a..=b`, no growth places them all. Counting only the held
     /// slots undercounts, which is safe: each counted key is present and
     /// cannot move while the run is held.
     fn never_fits(&self, t: &Table, hash: u64, stripes: &Run<'_>) -> bool {
-        let high = |x: u64| x >> t.cap.trailing_zeros();
+        let high = |x: u64| (x & (MAX_CAP as u64 - 1)) >> t.cap.trailing_zeros();
         let mut homes: Vec<usize> = stripes
             .filled()
             .map(|s| self.hash_of(&K::from_bits(t.buckets[s].words().0)))
@@ -651,8 +651,8 @@ where
         //    and moves that key up into `f` (still within hb's
         //    neighborhood), freeing its old slot. Every slot from `h` to
         //    `f` is under our stripes, so hb's bits for them are frozen;
-        //    hb's seqlock serializes us against its readers and against
-        //    writers editing its other slots.
+        //    the one store of hb's word names `f` and drops `j` at once,
+        //    so hb's readers find the key in exactly one of them.
         while f >= h + HOP_RANGE {
             let victim = (f + 1 - HOP_RANGE..f).find_map(|hb| {
                 let below = t.hop(hb) & ((1 << (f - hb)) - 1);
@@ -670,8 +670,8 @@ where
             f = j;
         }
         // 3) Publish: the key and value words, then the hop bit, in one
-        //    edit of the home bucket. Its final version store is the
-        //    linearization point.
+        //    edit of the home bucket. Its word store is the linearization
+        //    point.
         t.edit(h, |hop| {
             t.buckets[f].set(kv);
             hop | 1 << (f - h)
@@ -687,7 +687,7 @@ where
     /// Every entry whose key `keep` accepts, sorted by key.
     ///
     /// **Consistency scope:** per-key linearizable, like the suite's
-    /// skip-list scans — each bucket is read as a seqlock-consistent
+    /// skip-list scans — each bucket is read, lock-free, as a consistent
     /// snapshot (so a scan is sorted, duplicate-free, never shows a
     /// phantom and never misses a key that was present for the whole
     /// scan), but different buckets may reflect different instants.
@@ -788,10 +788,9 @@ where
 
     /// Checks every structural invariant of the current table
     /// generation: bounded probes (every key within `HOP_RANGE` of its
-    /// home), exact agreement of hop bitmaps and occupancy bitmaps, even
-    /// versions, no duplicate keys, and a `len` counter matching the
-    /// occupancy. Takes every stripe, but is only meaningful on a
-    /// quiescent map.
+    /// home), exact agreement of hop bitmaps and occupancy bitmaps, no
+    /// duplicate keys, and a `len` counter matching the occupancy. Takes
+    /// every stripe, but is only meaningful on a quiescent map.
     pub fn audit(&self) -> AuditReport
     where
         K: Ord,
@@ -802,9 +801,6 @@ where
             let mut errors = Vec::new();
             for (h, b) in t.buckets.iter().enumerate() {
                 let w = b.word.load(Ordering::Relaxed);
-                if w & VERSION != 0 {
-                    errors.push(format!("bucket {h}: odd version {}", w >> 32));
-                }
                 if h >= t.cap {
                     if w as u32 != 0 {
                         errors.push(format!("overflow slot {h}: hop bits set"));

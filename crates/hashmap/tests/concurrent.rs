@@ -1,5 +1,4 @@
-//! Concurrency battery for the hopscotch map's seqlock read path, where
-//! readers take no lock but wait out in-flight edits of their bucket:
+//! Concurrency battery for the hopscotch map's lock-free read path:
 //! readers racing displacement chains, readers racing slot reuse by
 //! another key, settled determinism under striped writers, and scan weak
 //! properties mid-churn.
@@ -12,10 +11,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Readers must never miss a permanent key while churn threads force
-/// displacement chains through the permanent keys' neighborhoods. This
-/// is the seqlock's reason to exist: a displacement moves an entry
-/// between two slots of its home neighborhood, and a reader scanning
-/// between the two stores would otherwise report a false miss.
+/// displacement chains through the permanent keys' neighborhoods. A
+/// displacement moves an entry between two slots of its home
+/// neighborhood, and names the new slot and drops the old one in one
+/// store of the bucket's word; a reader that saw the two bits change
+/// apart would report a false miss.
 #[test]
 fn readers_never_miss_permanent_keys_during_displacement_storm() {
     let map: Arc<HopMap<u64, u64, IdentityBuild>> =
@@ -86,7 +86,7 @@ fn readers_never_miss_permanent_keys_during_displacement_storm() {
 /// insert-B, update-B, remove-B, insert-A, update-A, and every value is
 /// tagged with its key. A reader that copied the slot's key word before
 /// the swap and its value word after it holds `A` with `B`'s value; only
-/// the bucket version's re-check tells it to retry. One reader gets both
+/// the re-check of the bucket's word tells it to retry. One reader gets both
 /// keys, so on two CPUs it and the writer run side by side.
 #[test]
 fn gets_never_return_another_keys_value_from_a_reused_slot() {
