@@ -103,10 +103,6 @@ fn fig8(label: &str, out: Option<&str>, failures: &mut Vec<String>) {
     if out.is_some() && ranges.len() != 1 {
         usage("--out records one key range; set NBTREE_BENCH_RANGES to a single value");
     }
-    // Suite-construction knobs, parsed exactly once; each range block
-    // re-sizes the sharded façade's boundary table via `for_key_range`
-    // (a NBTREE_SHARD_SPAN-pinned span wins).
-    let base_cfg = SuiteConfig::from_env();
     let threads = bench_threads(&thread_counts());
     println!(
         "# Figure 8: throughput (Mops/s); {n_trials} trial(s) x {duration:?} per cell; \
@@ -116,7 +112,9 @@ fn fig8(label: &str, out: Option<&str>, failures: &mut Vec<String>) {
     let mut rows = Vec::new();
     for mix in Mix::ALL {
         for &range in &ranges {
-            let cfg = base_cfg.for_key_range(range);
+            // Each range block sizes the sharded façade's boundary table to
+            // its key range.
+            let cfg = SuiteConfig::default().for_key_range(range);
             println!("\n## mix {mix} key range [0,{range})");
             print_row(
                 "threads",
@@ -198,7 +196,7 @@ fn fig9() {
     let duration = trial_duration();
     let n_trials = trials();
     let range = 1_000_000;
-    let cfg = SuiteConfig::from_env().for_key_range(range);
+    let cfg = SuiteConfig::default().for_key_range(range);
     println!(
         "# Figure 9: single-threaded throughput relative to sequential RBT (key range [0,1e6))"
     );

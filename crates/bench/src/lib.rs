@@ -7,11 +7,11 @@
 //! `NBTREE_BENCH_SECS`, `NBTREE_BENCH_TRIALS`, `NBTREE_BENCH_RANGES` and
 //! `NBTREE_BENCH_THREADS`. A malformed value is a usage error: the binary
 //! says which knob and exits 2 instead of running a sweep the caller did
-//! not ask for. Suite-construction knobs (`NBTREE_SHARDS`,
-//! `NBTREE_SHARD_SPAN`) are parsed exactly once per process by
-//! `workload::SuiteConfig::from_env` and threaded through
-//! `make_map`/`measure` as a value — no binary mutates the environment,
-//! and `nblint --check` keeps it that way.
+//! not ask for. No knob sizes a structure: the binaries build
+//! `workload::SuiteConfig::default().for_key_range(range)` per key range
+//! and thread it through `make_map`/`measure` as a value — no binary
+//! reads or mutates the environment for it, and `nblint --check` keeps
+//! it that way.
 
 pub mod claims;
 pub mod gate;

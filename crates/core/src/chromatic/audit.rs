@@ -5,8 +5,8 @@
 //! tree must satisfy every chromatic-tree invariant, and at any time the
 //! height must be `O(k + c + log n)`.
 
+use llxscx::epoch::with_guard;
 use llxscx::epoch::{Guard, Shared};
-use llxscx::guard_cache::with_guard;
 
 use super::ChromaticTree;
 use crate::node::Node;

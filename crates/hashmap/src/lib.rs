@@ -68,7 +68,7 @@
 //!   loaded it keeps probing a frozen, complete snapshot and linearizes
 //!   at its table-pointer load.
 //! * **Reclamation** is epoch-based via the suite's
-//!   [`llxscx::guard_cache`]: every op takes the cached per-thread
+//!   [`llxscx::epoch`]: every op takes the cached per-thread
 //!   guard, with the same repin cadence (and the same documented
 //!   reclamation-lag bound) as the trees. Only retired table generations
 //!   are reclaimed; there are no entries to retire, because no insert,
@@ -185,6 +185,34 @@ mod tests {
         type Hasher = TopHasher;
         fn build_hasher(&self) -> TopHasher {
             TopHasher(0)
+        }
+    }
+
+    /// Straddle hash: keys 0 and 1 hash to 63, every other key to 64, so
+    /// at every capacity they home at buckets 63 and 64, on either side
+    /// of a stripe edge.
+    #[derive(Clone, Copy, Default)]
+    struct StraddleBuild;
+    struct StraddleHasher(u64);
+    impl Hasher for StraddleHasher {
+        fn finish(&self) -> u64 {
+            if self.0 < 2 {
+                63
+            } else {
+                64
+            }
+        }
+        fn write(&mut self, _: &[u8]) {
+            unreachable!("u64 keys hash via write_u64");
+        }
+        fn write_u64(&mut self, n: u64) {
+            self.0 = n;
+        }
+    }
+    impl BuildHasher for StraddleBuild {
+        type Hasher = StraddleHasher;
+        fn build_hasher(&self) -> StraddleHasher {
+            StraddleHasher(0)
         }
     }
 
@@ -371,6 +399,35 @@ mod tests {
             assert_eq!(m.insert(k, !k), None);
         }
         let k = HOP_RANGE as u64;
+        let msg = panic_message(|| {
+            m.insert(k, !k);
+        });
+        assert!(msg.contains("HOP_RANGE"), "panic message: {msg:?}");
+        assert_eq!(m.resizes(), 0, "the hopeless insert grew the table");
+        assert_eq!(m.len(), placed.len());
+        for &k in &placed {
+            assert_eq!(m.get(&k), Some(!k));
+        }
+        assert_eq!(m.get(&k), None);
+        let report = m.audit();
+        assert!(report.is_valid(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn a_hopeless_cluster_across_a_stripe_edge_panics_without_growing() {
+        // Keys homed at buckets 63 and 64 fill slots 63..=95, all that
+        // their neighborhoods span. Slot 63 lies in stripe 0 and the rest
+        // in stripe 1, so the failed insert's own run, which starts at
+        // home 64, sees only 32 of the 33 keys; the check must count the
+        // whole table, or the insert doubles it until allocation fails.
+        let m: HopMap<u64, u64, StraddleBuild> =
+            HopMap::with_capacity_and_hasher(128, StraddleBuild);
+        let placed = (0..=HOP_RANGE as u64).collect::<Vec<_>>();
+        for &k in &placed {
+            assert_eq!(m.insert(k, !k), None);
+        }
+        assert_eq!(m.resizes(), 0, "33 slots hold the first 33 keys");
+        let k = HOP_RANGE as u64 + 1;
         let msg = panic_message(|| {
             m.insert(k, !k);
         });

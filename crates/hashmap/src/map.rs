@@ -8,8 +8,7 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use llxscx::epoch::{unprotected, Atomic, Guard, Owned, Shared};
-use llxscx::guard_cache;
+use llxscx::epoch::{self, unprotected, Atomic, Guard, Owned, Shared};
 
 use crate::hash::FxBuildHasher;
 
@@ -457,7 +456,7 @@ impl<K, V, S: BuildHasher> HopMap<K, V, S> {
 
     /// Home-bucket count of the current table generation.
     pub fn capacity(&self) -> usize {
-        guard_cache::with_guard(|g| self.current(g).cap)
+        epoch::with_guard(|g| self.current(g).cap)
     }
 
     /// How many times the table has grown since construction.
@@ -491,14 +490,14 @@ where
 
     // ---------------------------------------------------------------
     // Point operations. Each pins through the shared
-    // `llxscx::guard_cache`, exactly like the trees.
+    // `llxscx::epoch`, exactly like the trees.
     // ---------------------------------------------------------------
 
     /// Lookup; lock-free, takes no lock and writes nothing. Linearizes at
     /// the word re-check of the key's home bucket.
     pub fn get(&self, k: &K) -> Option<V> {
         let (hash, key) = (self.hash_of(k), k.to_bits());
-        guard_cache::with_guard(|g| {
+        epoch::with_guard(|g| {
             let t = self.current(g);
             let h = t.home(hash);
             t.read(h, |hop| {
@@ -547,7 +546,7 @@ where
     /// full hash are one such case.
     pub fn insert(&self, k: K, v: V) -> Option<V> {
         let (hash, key, value) = (self.hash_of(&k), k.to_bits(), v.to_bits());
-        guard_cache::with_guard(|g| loop {
+        epoch::with_guard(|g| loop {
             let (t, h, mut stripes) = self.lock_neighborhood(hash, g);
             if let Some(s) = t.find(h, t.hop(h), key) {
                 let slot = &t.buckets[s];
@@ -562,22 +561,15 @@ where
                 self.len.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
-            let hopeless = self.never_fits(t, hash, &stripes);
             drop(stripes);
-            assert!(
-                !hopeless,
-                "HopMap::insert: this key and the keys near its home outnumber the slots \
-                 their HOP_RANGE ({HOP_RANGE})-slot neighborhoods span, at every capacity; \
-                 the hash does not separate them"
-            );
-            self.grow(t, g);
+            self.grow(t, hash, g);
         })
     }
 
     /// Removes, returning the removed value.
     pub fn remove(&self, k: &K) -> Option<V> {
         let (hash, key) = (self.hash_of(k), k.to_bits());
-        guard_cache::with_guard(|g| {
+        epoch::with_guard(|g| {
             let (t, h, mut stripes) = self.lock_neighborhood(hash, g);
             let s = t.find(h, t.hop(h), key)?;
             let prev = t.buckets[s].value.load(Ordering::Relaxed);
@@ -591,17 +583,17 @@ where
     }
 
     /// Whether a key of full hash `hash`, whose placement in `t` just
-    /// failed, can never join the keys in `stripes`' slots, the caller's
-    /// held run. Keys whose hashes agree in every bit that `t` does not
-    /// index but a table of [`MAX_CAP`] buckets would keep their homes'
-    /// spacing at every capacity that can be allocated (a doubling adds
-    /// the same multiple of `cap` to each), and the keys homed in buckets
-    /// `a..=b` can rest only in the `b - a + HOP_RANGE` slots from `a`.
-    /// So if such keys, the new one included, outnumber those slots for
-    /// some `a..=b`, no growth places them all. Counting only the held
-    /// slots undercounts, which is safe: each counted key is present and
-    /// cannot move while the run is held.
-    fn never_fits(&self, t: &Table, hash: u64, stripes: &Run<'_>) -> bool {
+    /// failed, can never join the keys of `t`, whose every stripe the
+    /// caller holds. Keys whose hashes agree in every bit that `t` does
+    /// not index but a table of [`MAX_CAP`] buckets would keep their
+    /// homes' spacing at every capacity that can be allocated (a doubling
+    /// adds the same multiple of `cap` to each), and the keys homed in
+    /// buckets `a..=b` can rest only in the `b - a + HOP_RANGE` slots from
+    /// `a`. So if such keys, the new one included, outnumber those slots
+    /// for some `a..=b`, no growth places them all. The high-bit filter
+    /// keeps the collected set small: a key of a well-spread hash passes
+    /// it with probability `cap / MAX_CAP`.
+    fn never_fits(&self, t: &Table, hash: u64, stripes: &All<'_>) -> bool {
         let high = |x: u64| (x & (MAX_CAP as u64 - 1)) >> t.cap.trailing_zeros();
         let mut homes: Vec<usize> = stripes
             .filled()
@@ -696,7 +688,7 @@ where
     where
         K: Ord,
     {
-        guard_cache::with_guard(|g| {
+        epoch::with_guard(|g| {
             let t = self.current(g);
             let mut out = Vec::new();
             let mut words = Vec::with_capacity(HOP_RANGE);
@@ -751,10 +743,24 @@ where
     /// modified (readers that loaded it mid-operation finish against a
     /// frozen, complete generation and linearize at their table load),
     /// then retired through the epoch.
-    fn grow(&self, t: &Table, g: &Guard) {
-        let _all = All::lock(&t.stripes);
+    ///
+    /// # Panics
+    ///
+    /// After releasing the stripes, if the key of full hash `hash`, whose
+    /// placement in `t` failed, [never fits](Self::never_fits) beside the
+    /// keys already there: no capacity would place them all.
+    fn grow(&self, t: &Table, hash: u64, g: &Guard) {
+        let all = All::lock(&t.stripes);
         if !ptr::eq(self.current(g), t) {
             return; // someone else already grew this generation
+        }
+        if self.never_fits(t, hash, &all) {
+            drop(all);
+            panic!(
+                "HopMap::insert: this key and the keys near its home outnumber the slots \
+                 their HOP_RANGE ({HOP_RANGE})-slot neighborhoods span, at every capacity; \
+                 the hash does not separate them"
+            );
         }
         let mut new_cap = t.cap << 1;
         loop {
@@ -795,7 +801,7 @@ where
     where
         K: Ord,
     {
-        guard_cache::with_guard(|g| {
+        epoch::with_guard(|g| {
             let t = self.current(g);
             let stripes = All::lock(&t.stripes);
             let mut errors = Vec::new();

@@ -51,7 +51,7 @@ fn readers_never_miss_permanent_keys_during_displacement_storm() {
                 }
                 round += 1;
             }
-            llxscx::guard_cache::flush();
+            llxscx::epoch::flush();
         }));
     }
     let mut readers = Vec::new();
@@ -108,7 +108,7 @@ fn gets_never_return_another_keys_value_from_a_reused_slot() {
                 map.insert(a, tag(a, n));
                 map.insert(a, tag(a, n + 1));
             }
-            llxscx::guard_cache::flush();
+            llxscx::epoch::flush();
         })
     };
     let reader = {
@@ -152,7 +152,7 @@ fn striped_point_writers_settle_deterministically() {
             for k in (base..base + STRIPE).filter(|k| k % 5 == 0) {
                 map.remove(&k);
             }
-            llxscx::guard_cache::flush();
+            llxscx::epoch::flush();
         }));
     }
     for h in handles {
@@ -196,7 +196,7 @@ fn scans_hold_weak_properties_mid_churn() {
                     map.remove(&k);
                 }
             }
-            llxscx::guard_cache::flush();
+            llxscx::epoch::flush();
         }));
     }
     for _ in 0..60 {

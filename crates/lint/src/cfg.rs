@@ -1,23 +1,18 @@
 //! Grep-grade configuration gate (part of `nblint --check`): fails CI if
-//! the retired environment-mutation idioms reappear anywhere in
-//! first-party Rust sources.
+//! the retired environment idioms reappear anywhere in first-party Rust
+//! sources.
 //!
-//! The suite used to size the `"sharded"` registry entry through
-//! `NBTREE_SHARD_SPAN`, which forced every sweeper to *pin* the variable
-//! with `std::env` mutation before building maps. That discipline was
-//! replaced wholesale by the typed `workload::SuiteConfig` (parsed from
-//! the environment once at binary startup and threaded by value), so any
-//! reappearance of the old idioms is a regression: environment mutation
+//! The registry's sharded entries are sized by the typed
+//! `workload::SuiteConfig`, from the key range a sweep passes, and nothing
+//! else: no environment variable sizes a structure. Environment mutation
 //! is a process-global data race (and `unsafe` from edition 2024), and a
-//! span knob read at `make_map` time silently reintroduces the
-//! mis-sized-boundary-table failure mode.
+//! shard knob read from the environment at `make_map` time would let two
+//! runs of one cell build different maps.
 //!
 //! The gate scans every `*.rs` file outside `vendor/`, `target/` and
-//! hidden directories for the forbidden tokens, allowing them only in
-//! the config module itself (`crates/workload/src/config.rs`, whose docs
-//! narrate the history). Like `linkcheck`, it is a plain text scan — no
-//! network, no parser — so it runs in milliseconds in the `analysis`
-//! job.
+//! hidden directories for the forbidden tokens. Like `linkcheck`, it is
+//! a plain text scan — no network, no parser — so it runs in milliseconds
+//! in the `analysis` job.
 
 use std::path::{Path, PathBuf};
 
@@ -29,19 +24,12 @@ pub fn forbidden_tokens() -> Vec<String> {
         ("set_", "var"),             // std::env mutation
         ("pin_shard", "_span"),      // the retired helper…
         ("ShardSpan", "Pinner"),     // …and its multi-range sibling
-        ("NBTREE_SHARD", "S\""),     // env parsing of the shard count…
-        ("NBTREE_SHARD", "_SPAN\""), // …and span, outside the config module
+        ("NBTREE_SHARD", "S\""),     // the retired shard-count knob…
+        ("NBTREE_SHARD", "_SPAN\""), // …and span knob
     ]
     .iter()
     .map(|(a, b)| format!("{a}{b}"))
     .collect()
-}
-
-/// Whether `path` (repo-relative) may legitimately contain the tokens:
-/// only the typed-config module, the single place the suite-construction
-/// environment variables are parsed.
-pub fn is_allowed(path: &Path) -> bool {
-    path.ends_with(Path::new("crates/workload/src/config.rs"))
 }
 
 /// One offending line.
@@ -77,11 +65,8 @@ fn contains_word(line: &str, token: &str) -> bool {
 }
 
 /// Scans one file's text for forbidden tokens. `path` is repo-relative
-/// and used both for the allowlist and for reporting.
+/// and used for reporting.
 pub fn scan_text(path: &Path, text: &str, tokens: &[String]) -> Vec<Hit> {
-    if is_allowed(path) {
-        return Vec::new();
-    }
     let mut hits = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         for token in tokens {
@@ -258,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_outside_the_config_module_is_flagged() {
+    fn env_parsing_of_a_shard_knob_is_flagged() {
         let text = format!(
             "let s = std::env::var(\"{}{}\");\n",
             "NBTREE_SHARD", "_SPAN"
@@ -268,24 +253,12 @@ mod tests {
             &text,
             &forbidden_tokens(),
         );
-        assert_eq!(hits.len(), 1, "span parsing must live in the config module");
-    }
-
-    #[test]
-    fn the_config_module_is_allowed() {
-        let needle = format!("std::env::{}{}", "set_", "var");
-        let text = format!("//! docs may mention {needle} freely\n");
-        let hits = scan_text(
-            Path::new("crates/workload/src/config.rs"),
-            &text,
-            &forbidden_tokens(),
-        );
-        assert!(hits.is_empty());
+        assert_eq!(hits.len(), 1, "no file may read a shard knob");
     }
 
     #[test]
     fn clean_text_passes() {
-        let text = "fn main() { let cfg = workload::SuiteConfig::from_env(); }\n";
+        let text = "fn main() { let cfg = workload::SuiteConfig::default().for_key_range(9); }\n";
         assert!(scan_text(Path::new("src/main.rs"), text, &forbidden_tokens()).is_empty());
     }
 

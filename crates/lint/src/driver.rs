@@ -37,29 +37,35 @@ fn scan_files(root: &Path) -> Result<(Vec<Finding>, Vec<AtomicSite>), String> {
     Ok((findings, sites))
 }
 
-/// Multiset key a site or row contributes to the cross-check under.
-fn key(file: &str, hash: &str, ordering: &str) -> (String, String, String) {
+/// Multiset key a site or row contributes to the cross-check under:
+/// `(file, hash, ordering)`.
+type Key = (String, String, String);
+
+/// The [`Key`] of a site or row.
+fn key(file: &str, hash: &str, ordering: &str) -> Key {
     (file.to_string(), hash.to_string(), ordering.to_string())
 }
 
 /// Cross-checks sites against manifest rows, reporting drift both ways.
-pub fn check_manifest(sites: &[AtomicSite], rows: &[Row]) -> Vec<Finding> {
+/// `rows` pairs each row with its manifest line ([`manifest::parse`]); a
+/// finding about a row points there.
+pub fn check_manifest(sites: &[AtomicSite], rows: &[(usize, Row)]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut by_key: HashMap<(String, String, String), Vec<&Row>> = HashMap::new();
-    for row in rows {
+    let mut by_key: HashMap<Key, Vec<(usize, &Row)>> = HashMap::new();
+    for (at, row) in rows {
         by_key
             .entry(key(&row.file, &row.hash, &row.ordering))
             .or_default()
-            .push(row);
+            .push((*at, row));
         if row.justification.trim().is_empty() {
             findings.push(Finding {
                 rule: "ordering-justify",
-                file: row.file.clone(),
-                line: row.line,
+                file: MANIFEST_PATH.to_string(),
+                line: *at,
                 message: format!(
-                    "manifest row for ordering `{}` has an empty justification — write the \
-                     one-line protocol argument in {MANIFEST_PATH}",
-                    row.ordering
+                    "manifest row for `{}` (ordering `{}`) has an empty justification — \
+                     write the one-line protocol argument",
+                    row.file, row.ordering
                 ),
             });
         }
@@ -84,15 +90,15 @@ pub fn check_manifest(sites: &[AtomicSite], rows: &[Row]) -> Vec<Finding> {
             }
         }
     }
-    for leftover in by_key.values().flatten() {
+    for (at, leftover) in by_key.values().flatten() {
         findings.push(Finding {
             rule: "ordering-manifest",
-            file: leftover.file.clone(),
-            line: leftover.line,
+            file: MANIFEST_PATH.to_string(),
+            line: *at,
             message: format!(
-                "stale manifest row (ordering `{}`, hash {}) matches no code site — the \
-                 site changed or moved; run `nblint --update-manifest`",
-                leftover.ordering, leftover.hash
+                "stale manifest row for `{}` (ordering `{}`, hash {}) matches no code site — \
+                 the site changed or was removed; run `nblint --update-manifest`",
+                leftover.file, leftover.ordering, leftover.hash
             ),
         });
     }
@@ -155,12 +161,12 @@ pub fn update_manifest(root: &Path) -> Result<String, String> {
     let (_, mut sites) = scan_files(root)?;
     sites.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
 
-    let old: Vec<Row> = match std::fs::read_to_string(root.join(MANIFEST_PATH)) {
+    let old = match std::fs::read_to_string(root.join(MANIFEST_PATH)) {
         Ok(text) => manifest::parse(&text)?,
         Err(_) => Vec::new(),
     };
-    let mut surviving: HashMap<(String, String, String), Vec<String>> = HashMap::new();
-    for row in &old {
+    let mut surviving: HashMap<Key, Vec<String>> = HashMap::new();
+    for (_, row) in &old {
         surviving
             .entry(key(&row.file, &row.hash, &row.ordering))
             .or_default()
@@ -176,7 +182,6 @@ pub fn update_manifest(root: &Path) -> Result<String, String> {
                 .unwrap_or_else(|| seed_justification(&site.context));
             Row {
                 file: site.file.clone(),
-                line: site.line,
                 hash: site.hash.clone(),
                 ordering: site.ordering.clone(),
                 justification,
@@ -211,41 +216,46 @@ mod tests {
         }
     }
 
-    fn row(file: &str, line: usize, hash: &str, ordering: &str) -> Row {
-        Row {
+    /// A manifest row, read from manifest line `at`.
+    fn row(at: usize, file: &str, hash: &str, ordering: &str) -> (usize, Row) {
+        let row = Row {
             file: file.into(),
-            line,
             hash: hash.into(),
             ordering: ordering.into(),
             justification: "why".into(),
-        }
+        };
+        (at, row)
     }
 
     #[test]
     fn matched_sites_and_rows_are_clean() {
         let sites = vec![site("a.rs", 3, "h1", "Acquire")];
-        let rows = vec![row("a.rs", 3, "h1", "Acquire")];
+        let rows = vec![row(6, "a.rs", "h1", "Acquire")];
         assert!(check_manifest(&sites, &rows).is_empty());
     }
 
     #[test]
     fn line_moves_do_not_drift_but_code_changes_do() {
-        // Same hash on a different line: still matched.
+        // Same hash on any line: still matched.
         let sites = vec![site("a.rs", 9, "h1", "Acquire")];
-        let rows = vec![row("a.rs", 3, "h1", "Acquire")];
+        let rows = vec![row(6, "a.rs", "h1", "Acquire")];
         assert!(check_manifest(&sites, &rows).is_empty());
-        // Different hash: both directions reported.
+        // Different hash: both directions reported, the missing row at the
+        // site and the stale row at its own manifest line.
         let sites = vec![site("a.rs", 9, "h2", "Acquire")];
         let f = check_manifest(&sites, &rows);
         assert_eq!(f.len(), 2);
-        assert!(f.iter().any(|x| x.message.contains("not in")));
-        assert!(f.iter().any(|x| x.message.contains("stale manifest row")));
+        assert!(f
+            .iter()
+            .any(|x| x.message.contains("not in") && (x.file.as_str(), x.line) == ("a.rs", 9)));
+        assert!(f.iter().any(|x| x.message.contains("stale manifest row")
+            && (x.file.as_str(), x.line) == (MANIFEST_PATH, 6)));
     }
 
     #[test]
     fn ordering_change_is_drift_in_both_directions() {
         let sites = vec![site("a.rs", 3, "h1", "Relaxed")];
-        let rows = vec![row("a.rs", 3, "h1", "Acquire")];
+        let rows = vec![row(6, "a.rs", "h1", "Acquire")];
         let f = check_manifest(&sites, &rows);
         assert_eq!(f.len(), 2, "{f:?}");
     }
@@ -258,13 +268,13 @@ mod tests {
             site("a.rs", 3, "h1", "Relaxed"),
             site("a.rs", 7, "h1", "Relaxed"),
         ];
-        let rows = vec![row("a.rs", 3, "h1", "Relaxed")];
+        let rows = vec![row(6, "a.rs", "h1", "Relaxed")];
         let f = check_manifest(&sites, &rows);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "ordering-manifest");
         let rows2 = vec![
-            row("a.rs", 3, "h1", "Relaxed"),
-            row("a.rs", 7, "h1", "Relaxed"),
+            row(6, "a.rs", "h1", "Relaxed"),
+            row(12, "a.rs", "h1", "Relaxed"),
         ];
         assert!(check_manifest(&sites, &rows2).is_empty());
     }
@@ -272,11 +282,12 @@ mod tests {
     #[test]
     fn empty_justifications_are_rejected() {
         let sites = vec![site("a.rs", 3, "h1", "SeqCst")];
-        let mut rows = vec![row("a.rs", 3, "h1", "SeqCst")];
-        rows[0].justification = "  ".into();
+        let mut rows = vec![row(6, "a.rs", "h1", "SeqCst")];
+        rows[0].1.justification = "  ".into();
         let f = check_manifest(&sites, &rows);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "ordering-justify");
+        assert_eq!((f[0].file.as_str(), f[0].line), (MANIFEST_PATH, 6));
     }
 
     #[test]

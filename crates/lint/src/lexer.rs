@@ -145,11 +145,6 @@ impl Scanned {
         &self.code
     }
 
-    /// [`Kind`] of the byte at `offset`.
-    pub fn kind_at(&self, offset: usize) -> Kind {
-        self.kinds[offset]
-    }
-
     /// Number of lines.
     pub fn line_count(&self) -> usize {
         self.line_starts.len()

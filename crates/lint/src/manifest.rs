@@ -9,7 +9,10 @@
 //! not invalidate its row, while changing the code or the ordering does.
 //!
 //! The file is regenerated by `nblint --update-manifest`, which preserves
-//! existing justifications for surviving `(file, hash, ordering)` keys.
+//! existing justifications for surviving `(file, hash, ordering)` keys
+//! and orders rows by each site's current line without storing it (a
+//! stored line would drift with every edit above the site, and nothing
+//! could check it).
 //! The format is a deliberate TOML subset (`[[site]]` tables of string /
 //! integer keys) so the zero-dependency reader below can parse it.
 
@@ -18,10 +21,6 @@
 pub struct Row {
     /// Repo-relative path, forward slashes.
     pub file: String,
-    /// 1-based line the site sat on when the manifest was generated
-    /// (advisory: matching is by `hash`; kept for human navigation and
-    /// drift diagnostics).
-    pub line: usize,
     /// 16-hex-digit FNV-1a of the normalized code text of the site line.
     pub hash: String,
     /// Comma-joined orderings the site names, in order of appearance
@@ -75,7 +74,7 @@ fn unescape(s: &str) -> String {
 }
 
 /// Renders rows to manifest text (stable order is the caller's concern;
-/// `--update-manifest` sorts by `(file, line)`).
+/// `--update-manifest` sorts by each site's file and current line).
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str(
@@ -87,7 +86,6 @@ pub fn render(rows: &[Row]) -> String {
     for row in rows {
         out.push_str("\n[[site]]\n");
         out.push_str(&format!("file = \"{}\"\n", escape(&row.file)));
-        out.push_str(&format!("line = {}\n", row.line));
         out.push_str(&format!("hash = \"{}\"\n", row.hash));
         out.push_str(&format!("ordering = \"{}\"\n", escape(&row.ordering)));
         out.push_str(&format!(
@@ -98,10 +96,12 @@ pub fn render(rows: &[Row]) -> String {
     out
 }
 
-/// Parses manifest text. Errors carry the offending line number.
-pub fn parse(text: &str) -> Result<Vec<Row>, String> {
-    let mut rows: Vec<Row> = Vec::new();
-    let mut cur: Option<PartialRow> = None;
+/// Parses manifest text into rows, each paired with the 1-based manifest
+/// line of its `[[site]]` header (where a finding about the row points).
+/// Errors carry the offending line number.
+pub fn parse(text: &str) -> Result<Vec<(usize, Row)>, String> {
+    let mut rows: Vec<(usize, Row)> = Vec::new();
+    let mut cur: Option<(usize, PartialRow)> = None;
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         let lno = idx + 1;
@@ -109,10 +109,10 @@ pub fn parse(text: &str) -> Result<Vec<Row>, String> {
             continue;
         }
         if line == "[[site]]" {
-            if let Some(p) = cur.take() {
-                rows.push(p.finish(lno)?);
+            if let Some((at, p)) = cur.take() {
+                rows.push((at, p.finish(lno)?));
             }
-            cur = Some(PartialRow::default());
+            cur = Some((lno, PartialRow::default()));
             continue;
         }
         let Some(eq) = line.find('=') else {
@@ -120,17 +120,12 @@ pub fn parse(text: &str) -> Result<Vec<Row>, String> {
         };
         let key = line[..eq].trim();
         let value = line[eq + 1..].trim();
-        let Some(p) = cur.as_mut() else {
+        let Some((_, p)) = cur.as_mut() else {
             return Err(format!(
                 "manifest line {lno}: `{key}` outside a [[site]] table"
             ));
         };
         match key {
-            "line" => {
-                p.line = Some(value.parse::<usize>().map_err(|_| {
-                    format!("manifest line {lno}: `line` must be an integer, got `{value}`")
-                })?);
-            }
             "file" | "hash" | "ordering" | "justification" => {
                 if !(value.starts_with('"') && value.ends_with('"') && value.len() >= 2) {
                     return Err(format!(
@@ -150,8 +145,8 @@ pub fn parse(text: &str) -> Result<Vec<Row>, String> {
             }
         }
     }
-    if let Some(p) = cur.take() {
-        rows.push(p.finish(text.lines().count())?);
+    if let Some((at, p)) = cur.take() {
+        rows.push((at, p.finish(text.lines().count())?));
     }
     Ok(rows)
 }
@@ -159,7 +154,6 @@ pub fn parse(text: &str) -> Result<Vec<Row>, String> {
 #[derive(Default)]
 struct PartialRow {
     file: Option<String>,
-    line: Option<usize>,
     hash: Option<String>,
     ordering: Option<String>,
     justification: Option<String>,
@@ -171,9 +165,6 @@ impl PartialRow {
             file: self
                 .file
                 .ok_or_else(|| format!("manifest: [[site]] before line {at} missing `file`"))?,
-            line: self
-                .line
-                .ok_or_else(|| format!("manifest: [[site]] before line {at} missing `line`"))?,
             hash: self
                 .hash
                 .ok_or_else(|| format!("manifest: [[site]] before line {at} missing `hash`"))?,
@@ -194,7 +185,6 @@ mod tests {
     fn row() -> Row {
         Row {
             file: "crates/x/src/lib.rs".into(),
-            line: 42,
             hash: context_hash("flag.store(true, Ordering::Release);"),
             ordering: "Release".into(),
             justification: "publishes the init; pairs with the Acquire load in get()".into(),
@@ -213,7 +203,12 @@ mod tests {
         ];
         let text = render(&rows);
         let back = parse(&text).unwrap();
+        let (at, back): (Vec<usize>, Vec<Row>) = back.into_iter().unzip();
         assert_eq!(back, rows);
+        // Each row points at its own `[[site]]` header.
+        for n in at {
+            assert_eq!(text.lines().nth(n - 1), Some("[[site]]"));
+        }
     }
 
     #[test]
@@ -233,7 +228,11 @@ mod tests {
         assert!(parse("file = \"x\"\n").unwrap_err().contains("outside"));
         assert!(parse("[[site]]\nfile = \"x\"\n")
             .unwrap_err()
-            .contains("missing `line`"));
+            .contains("missing `hash`"));
+        // A `line` key is no longer part of the format.
+        assert!(parse("[[site]]\nline = 1\n")
+            .unwrap_err()
+            .contains("unknown key `line`"));
         assert!(parse("[[site]]\nwat = 1\n")
             .unwrap_err()
             .contains("unknown key"));
@@ -241,7 +240,7 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let text = "# header\n\n[[site]]\n# inner\nfile = \"f.rs\"\nline = 1\nhash = \"00\"\nordering = \"Relaxed\"\njustification = \"j\"\n";
+        let text = "# header\n\n[[site]]\n# inner\nfile = \"f.rs\"\nhash = \"00\"\nordering = \"Relaxed\"\njustification = \"j\"\n";
         assert_eq!(parse(text).unwrap().len(), 1);
     }
 }

@@ -145,17 +145,18 @@ fn manifest_drift_is_reported_both_ways_with_exact_location() {
         .iter()
         .map(|s| manifest::Row {
             file: s.file.clone(),
-            line: s.line,
             hash: s.hash.clone(),
             ordering: s.ordering.clone(),
             justification: "publishes the handoff".into(),
         })
         .collect();
-    let rows = manifest::parse(&manifest::render(&rows)).unwrap();
+    let text = manifest::render(&rows);
+    let rows = manifest::parse(&text).unwrap();
     assert!(driver::check_manifest(&sites, &rows).is_empty());
 
     // The code's ordering weakens without the manifest changing: drift
-    // must be reported in BOTH directions, each with exact file:line.
+    // must be reported in BOTH directions, each with exact file:line: the
+    // missing row at the site, the stale row at its own manifest line.
     let src_v2 = "fn f(a: &A) { a.store(1, Ordering::Relaxed); }\n";
     let (sites2, _) = rules::atomic_sites(&fake(), &Scanned::new(src_v2));
     let f = driver::check_manifest(&sites2, &rows);
@@ -171,9 +172,10 @@ fn manifest_drift_is_reported_both_ways_with_exact_location() {
         .find(|x| x.message.contains("stale manifest row"))
         .unwrap();
     assert_eq!(stale.rule, "ordering-manifest");
+    assert_eq!(text.lines().nth(stale.line - 1), Some("[[site]]"));
     assert_eq!(
         (stale.file.as_str(), stale.line),
-        ("crates/fake/src/lib.rs", 1)
+        (driver::MANIFEST_PATH, rows[0].0)
     );
 }
 

@@ -628,6 +628,23 @@ mod tests {
         drive_to(&RAN, n);
     }
 
+    /// A closure deferred under the cached pin survives the calls that
+    /// repin across it and still runs.
+    #[test]
+    fn cached_pin_spans_calls_and_repins() {
+        static RAN: AtomicUsize = AtomicUsize::new(0);
+        defer(|| add(&RAN, 1));
+        for _ in 0..(REPIN_OPS * 8) {
+            with_guard(|_| ());
+        }
+        drive_to(&RAN, 1);
+    }
+
+    #[test]
+    fn a_nested_call_returns_its_closures_value() {
+        assert_eq!(with_guard(|_outer| with_guard(|_inner| 42)), 42);
+    }
+
     #[test]
     fn closure_may_defer_again() {
         static INNER: AtomicUsize = AtomicUsize::new(0);

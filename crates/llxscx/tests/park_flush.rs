@@ -1,4 +1,4 @@
-//! `guard_cache::flush()` before parking really bounds the backlog.
+//! `epoch::flush()` before parking really bounds the backlog.
 //!
 //! The guard cache's documented liveness trade is that an idle thread with
 //! a warm cache pins the epoch, and every other thread's limbo list then
@@ -14,8 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
-use llxscx::epoch::backlog;
-use llxscx::guard_cache::{self, REPIN_OPS};
+use llxscx::epoch::{self, backlog, REPIN_OPS};
 use llxscx::reclaim::{defer_dispose_record, dispose_record};
 use llxscx::{llx, scx, with_guard, Atomic, Llx, Owned, Record, RecordHeader, ScxArgs, Shared};
 
@@ -86,7 +85,7 @@ fn update(root: usize) {
 #[test]
 fn flush_before_parking_bounds_the_backlog() {
     let root = with_guard(|guard| node().into_shared(guard).as_raw() as usize);
-    guard_cache::flush();
+    epoch::flush();
 
     let (flushing_tx, flushing_rx) = mpsc::channel();
     let (parked_tx, parked_rx) = mpsc::channel();
@@ -98,7 +97,7 @@ fn flush_before_parking_bounds_the_backlog() {
         // B waits out the flush under its warm pin, so it cannot run A's
         // batch before A has counted it.
         flushing_tx.send(()).unwrap();
-        guard_cache::flush();
+        epoch::flush();
         // Everything A still owed went to the orphan list in one batch.
         let left = backlog();
         assert_eq!(left.limbo, 0, "flush() left garbage on a parking thread");
@@ -127,7 +126,7 @@ fn flush_before_parking_bounds_the_backlog() {
         // B never hands anything off (its passes run pinned), so an empty
         // orphan list means B's passes ran A's batch.
         assert_eq!(backlog().orphaned, 0, "A's garbage was stranded");
-        guard_cache::flush();
+        epoch::flush();
         orphaned_by_a
     });
 
@@ -139,7 +138,7 @@ fn flush_before_parking_bounds_the_backlog() {
     // Nothing was lost on the way: once B's own remainder has run, the
     // root and its current child are the only nodes alive.
     for _ in 0..64 {
-        guard_cache::flush();
+        epoch::flush();
     }
     assert_eq!(backlog().orphaned, 0);
     assert_eq!(LIVE.load(Ordering::Relaxed), 2);

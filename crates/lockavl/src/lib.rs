@@ -19,8 +19,8 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, PoisonError};
 
+use llxscx::epoch::with_guard;
 use llxscx::epoch::{Atomic, Guard, Owned, Shared};
-use llxscx::guard_cache::with_guard;
 
 struct AvlNode<K, V> {
     key: K,

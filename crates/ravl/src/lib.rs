@@ -24,8 +24,8 @@
 
 #![warn(missing_docs)]
 
+use llxscx::epoch::with_guard;
 use llxscx::epoch::{Guard, Shared};
-use llxscx::guard_cache::with_guard;
 use nbtree::node::Node;
 use nbtree::template::{commit, llx_ok, mk_internal, side_of, LeafTree, RankWeights};
 

@@ -566,29 +566,48 @@ impl<M: ConcurrentMap + 'static> Drop for BatchedService<M> {
     }
 }
 
-/// The flush decision (module docs, "Flush decision"): pops the front
-/// slab under the lock, executes it outside so submitters regain space
-/// while the map calls run, then publishes its results.
+/// What the flush decision makes of the queue at one instant.
+#[derive(Debug, PartialEq, Eq)]
+enum Decision {
+    /// Flush the front slab.
+    Flush(FlushTrigger),
+    /// Nothing to flush yet: nanoseconds until the front slab's deadline,
+    /// or `None` on an empty queue.
+    Idle(Option<u64>),
+}
+
+impl<M> Shared<M> {
+    /// The flush decision (module docs, "Flush decision") on the queue
+    /// state `q` at `now`: the one place its trigger order lives, for
+    /// both [`step_shared`] and the flusher's park loop.
+    fn decide(&self, q: &QueueState, now: u64) -> Decision {
+        let Some(front) = q.slabs.front() else {
+            return Decision::Idle(None);
+        };
+        let deadline = front.opened_ns.saturating_add(self.max_delay_ns);
+        if front.len == self.max_batch {
+            Decision::Flush(FlushTrigger::Size)
+        } else if q.closed {
+            Decision::Flush(FlushTrigger::Drain)
+        } else if now >= deadline {
+            Decision::Flush(FlushTrigger::Deadline)
+        } else {
+            Decision::Idle(Some(deadline - now))
+        }
+    }
+}
+
+/// One flusher step: takes the [flush decision](Shared::decide) and, on a
+/// trigger, pops the front slab under the lock, executes it outside so
+/// submitters regain space while the map calls run, then publishes its
+/// results.
 fn step_shared<M: ConcurrentMap>(shared: &Shared<M>) -> Step {
     let now = shared.clock.now_ns();
     let (slab, ops, trigger) = {
         let mut q = shared.queue.lock().expect(QUEUE_LOCK);
-        let Some(front) = q.slabs.front() else {
-            return Step::Idle {
-                until_deadline_ns: None,
-            };
-        };
-        let deadline = front.opened_ns.saturating_add(shared.max_delay_ns);
-        let trigger = if front.len == shared.max_batch {
-            FlushTrigger::Size
-        } else if q.closed {
-            FlushTrigger::Drain
-        } else if now >= deadline {
-            FlushTrigger::Deadline
-        } else {
-            return Step::Idle {
-                until_deadline_ns: Some(deadline - now),
-            };
+        let trigger = match shared.decide(&q, now) {
+            Decision::Flush(trigger) => trigger,
+            Decision::Idle(until_deadline_ns) => return Step::Idle { until_deadline_ns },
         };
         let slab = q.slabs.pop_front().expect("front checked");
         let ops: Vec<Op> = q.ops.drain(..slab.len).collect();
@@ -652,15 +671,15 @@ fn abandon_all<M>(shared: &Shared<M>, popped: &Results) {
 }
 
 /// The production flusher: loop [`step_shared`], park between batches.
-/// Parking re-derives readiness under the queue lock and raises
+/// Parking re-takes the flush decision under the queue lock and raises
 /// `flusher_parked` before waiting, so a submit that changes the decision
 /// (first request of an empty queue, a filled slab) sees the flag and
 /// notifies; a timed wait covers the pending deadline.
 ///
 /// A flush runs map operations, which warm this thread's cached epoch
 /// guard. When the flushes have drained the queue, the flusher releases
-/// it with `guard_cache::flush()`, outside the queue lock, before it
-/// parks (the guard cache's "flush before parking" rule); otherwise an
+/// it with `epoch::flush()`, outside the queue lock, before it
+/// parks (the epoch module's "flush before parking" rule); otherwise an
 /// idle service would hold the global epoch back for every thread in the
 /// process until its next request. A queue with a pending deadline gets
 /// a timed wait, which ends within `max_delay`, so the guard stays.
@@ -670,24 +689,15 @@ fn flusher_loop<M: ConcurrentMap>(shared: &Shared<M>) {
             Step::Flushed { .. } => continue,
             Step::Idle {
                 until_deadline_ns: None,
-            } => llxscx::guard_cache::flush(),
+            } => llxscx::epoch::flush(),
             Step::Idle { .. } => {}
         }
         let mut q = shared.queue.lock().expect(QUEUE_LOCK);
         loop {
-            let timeout = match q.slabs.front() {
-                None if q.closed => return,
-                None => None,
-                // Size or drain trigger.
-                Some(front) if q.closed || front.len == shared.max_batch => break,
-                Some(front) => {
-                    let deadline = front.opened_ns.saturating_add(shared.max_delay_ns);
-                    let now = shared.clock.now_ns();
-                    if now >= deadline {
-                        break; // deadline trigger
-                    }
-                    Some(Duration::from_nanos(deadline - now))
-                }
+            let timeout = match shared.decide(&q, shared.clock.now_ns()) {
+                Decision::Flush(_) => break,
+                Decision::Idle(None) if q.closed => return,
+                Decision::Idle(wait) => wait.map(Duration::from_nanos),
             };
             q.flusher_parked = true;
             q = match timeout {
@@ -850,6 +860,42 @@ mod tests {
             "{} flusher wake-ups for 256 submits",
             stats.flusher_wakeups
         );
+    }
+
+    #[test]
+    fn decide_takes_size_then_drain_then_deadline() {
+        // max_batch 2, max_delay 100 ns; the front slab opened at t = 0.
+        let svc = BatchedService::with_clock(
+            TestMap::new(),
+            ServiceConfig::new(FlushPolicy::new(2, Duration::from_nanos(100))),
+            Arc::new(MockClock::new()),
+        );
+        let decide = |front: Option<usize>, closed: bool, now: u64| {
+            let q = QueueState {
+                ops: VecDeque::new(),
+                slabs: front
+                    .map(|len| Pending {
+                        len,
+                        opened_ns: 0,
+                        results: Arc::new(Slab::new()),
+                    })
+                    .into_iter()
+                    .collect(),
+                closed,
+                flusher_parked: false,
+                blocked_parked: 0,
+            };
+            svc.shared.decide(&q, now)
+        };
+        use Decision::{Flush, Idle};
+        // Each trigger wins over every one after it.
+        assert_eq!(decide(Some(2), true, 100), Flush(FlushTrigger::Size));
+        assert_eq!(decide(Some(1), true, 100), Flush(FlushTrigger::Drain));
+        assert_eq!(decide(Some(1), false, 100), Flush(FlushTrigger::Deadline));
+        assert_eq!(decide(Some(1), false, 99), Idle(Some(1)));
+        // An empty queue is idle with no deadline, closed or not.
+        assert_eq!(decide(None, false, 100), Idle(None));
+        assert_eq!(decide(None, true, 100), Idle(None));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! An idle flusher does not hold the epoch back.
 //!
 //! A flush runs the map's point ops, which pin through the flusher
-//! thread's cached epoch guard (`llxscx::guard_cache`). A flusher that
+//! thread's cached epoch guard (`llxscx::epoch`). A flusher that
 //! parked with that guard still warm would stop the global epoch from
 //! advancing, so garbage every other thread retires would wait for the
 //! service's next request. Here one flush runs through a map whose
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use common::ModelMap;
-use llxscx::guard_cache;
+use llxscx::epoch;
 use service::{BatchedService, FlushPolicy, ServiceConfig};
 use sharded::ConcurrentMap;
 
@@ -32,7 +32,7 @@ impl ConcurrentMap for PinningMap {
         "pinning"
     }
     fn insert(&self, k: u64, v: u64) -> Option<u64> {
-        guard_cache::with_guard(|_| self.0.insert(k, v))
+        epoch::with_guard(|_| self.0.insert(k, v))
     }
     fn remove(&self, k: &u64) -> Option<u64> {
         self.0.remove(k)
@@ -63,16 +63,14 @@ fn an_idle_flusher_releases_its_cached_guard() {
     assert_eq!(svc.stats().size_flushes, 1, "one size-triggered flush");
 
     // SAFETY: the deferred closure only touches a `'static` atomic.
-    guard_cache::with_guard(|g| unsafe {
-        g.defer_unchecked(|| RAN.store(true, Ordering::Relaxed))
-    });
+    epoch::with_guard(|g| unsafe { g.defer_unchecked(|| RAN.store(true, Ordering::Relaxed)) });
     let deadline = Instant::now() + WATCHDOG;
     while !RAN.load(Ordering::Relaxed) {
         assert!(
             Instant::now() < deadline,
             "the idle flusher still pins the epoch"
         );
-        guard_cache::flush();
+        epoch::flush();
         std::thread::yield_now();
     }
 }

@@ -15,8 +15,8 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use llxscx::epoch::with_guard;
 use llxscx::epoch::{Atomic, Guard, Owned, Shared};
-use llxscx::guard_cache::with_guard;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::cell::RefCell;
 

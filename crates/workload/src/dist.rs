@@ -46,15 +46,6 @@ pub enum KeyDist {
     },
 }
 
-impl KeyDist {
-    /// Whether the distribution draws every key with equal probability.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, KeyDist::Uniform)
-            || matches!(self, KeyDist::Zipfian { theta_pct: 0 })
-            || matches!(self, KeyDist::HotSet { ops_pct: 0, .. })
-    }
-}
-
 /// Ranks with exact zipfian CDF entries; beyond this the tail is
 /// approximated as uniform (see module docs). 2^21 covers the paper's
 /// largest key range (10^6) exactly.

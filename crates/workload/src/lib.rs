@@ -86,7 +86,7 @@ pub fn prefill(map: &dyn ConcurrentMap, range: u64, mix: Mix, seed: u64) {
     // Announce quiescence (DEBRA-style): the prefilling thread goes idle
     // next (it sleeps through the trial), and a warm cached epoch guard
     // would stall reclamation for every worker until it woke up.
-    llxscx::guard_cache::flush();
+    llxscx::epoch::flush();
 }
 
 /// Result of one timed trial.
@@ -441,15 +441,44 @@ mod tests {
     fn sharded_batches_match_model() {
         // Boundaries at 32/64/96: a range of 128 keys over 4 shards keeps
         // every batch and scan straddling shard boundaries.
-        let map = make_sharded(&SuiteConfig::default().with_shards(4).with_span(128));
+        let map = make_sharded(&SuiteConfig::default().with_shards(4).for_key_range(128));
         check_batches_against_model(&map, 11, 400, 128);
+    }
+
+    #[test]
+    fn sharded_entries_split_the_key_range_they_are_built_for() {
+        // The benchmark builds its sharded maps from exactly this config;
+        // these tables are what keeps its cells comparable across changes.
+        let tables: [(u64, [u64; 7]); 4] = [
+            (100, [12, 25, 37, 50, 62, 75, 87]),
+            (10_000, [1250, 2500, 3750, 5000, 6250, 7500, 8750]),
+            (
+                1 << 20,
+                [131072, 262144, 393216, 524288, 655360, 786432, 917504],
+            ),
+            // A range below the shard count still yields 8 non-empty shards.
+            (5, [1, 2, 3, 4, 5, 6, 7]),
+        ];
+        for (range, table) in tables {
+            let cfg = SuiteConfig::default().for_key_range(range);
+            assert_eq!(
+                make_sharded(&cfg).boundaries(),
+                table,
+                "sharded, range {range}"
+            );
+            assert_eq!(
+                make_hybrid(&cfg).boundaries(),
+                table,
+                "hybrid, range {range}"
+            );
+        }
     }
 
     #[test]
     fn trait_batches_match_model_on_every_registered_map() {
         // The same oracle, through the trait object, on every registered
         // map.
-        let cfg = SuiteConfig::default().with_shards(4).with_span(128);
+        let cfg = SuiteConfig::default().with_shards(4).for_key_range(128);
         for name in ALL_MAPS {
             let map = make_map(name, &cfg).unwrap();
             check_batches_against_model(map.as_ref(), 13, 150, 128);

@@ -32,17 +32,9 @@ fn sample_key(rng: &mut StdRng) -> u64 {
 
 fn main() {
     let workers = 8;
-    // Suite-construction knobs (NBTREE_SHARDS here) arrive through the
-    // typed config, parsed once at startup.
-    let shards = workload::SuiteConfig::from_env().shards();
+    let shards = workload::config::DEFAULT_SHARDS;
     let batch_size = 64;
-    let run_for = Duration::from_millis(
-        std::env::var("NBTREE_BENCH_SECS")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(|s| (s * 1000.0) as u64)
-            .unwrap_or(1000),
-    );
+    let run_for = Duration::from_secs(1);
 
     // Learn split points from a traffic sample, then shard the chromatic
     // tree behind them.
@@ -99,7 +91,7 @@ fn main() {
                     );
                 }
                 // Going idle: release this worker's cached epoch pin.
-                llxscx::guard_cache::flush();
+                llxscx::epoch::flush();
             });
         }
         std::thread::sleep(run_for);

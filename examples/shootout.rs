@@ -9,7 +9,7 @@ use workload::{measure, Mix, SuiteConfig, ALL_MAPS};
 fn main() {
     let mix = Mix::updates(20, 10);
     let range = 10_000;
-    let cfg = SuiteConfig::from_env().for_key_range(range);
+    let cfg = SuiteConfig::default().for_key_range(range);
     let threads = std::thread::available_parallelism()
         .map(|x| x.get())
         .unwrap_or(4);

@@ -10,7 +10,7 @@ use workload::{
 /// small key ranges, so the sharded entry's boundary table is sized to
 /// match (the typed-config equivalent of what the bench bins do).
 fn cfg() -> SuiteConfig {
-    SuiteConfig::default().with_span(256)
+    SuiteConfig::default().for_key_range(256)
 }
 
 #[test]
@@ -464,7 +464,7 @@ fn hybrid_tiers_agree_after_concurrent_run(batched: bool) {
                         }
                     }
                 }
-                llxscx::guard_cache::flush();
+                llxscx::epoch::flush();
             });
         }
     });

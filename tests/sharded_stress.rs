@@ -111,7 +111,9 @@ fn check_snapshot<M: ConcurrentMap>(map: &ShardedMap<M>, snap: &[(u64, u64)], lo
 /// present, so the ≥ 1 invariant holds at every instant.
 fn pair_invariant_stress(batched: bool) {
     let map = Arc::new(make_sharded(
-        &SuiteConfig::default().with_shards(SHARDS).with_span(SPAN),
+        &SuiteConfig::default()
+            .with_shards(SHARDS)
+            .for_key_range(SPAN),
     ));
     assert_eq!(map.shard_count(), SHARDS);
     for i in 0..PAIRS {
@@ -202,7 +204,7 @@ fn stitched_scans_are_atomic_per_shard_under_batched_writers() {
 fn batched_storm_settles_to_consistent_shards() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let map = Arc::new(make_sharded(
-        &SuiteConfig::default().with_shards(8).with_span(4096),
+        &SuiteConfig::default().with_shards(8).for_key_range(4096),
     ));
     std::thread::scope(|s| {
         for tid in 0..4u64 {
