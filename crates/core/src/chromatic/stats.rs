@@ -78,31 +78,48 @@ impl Stats {
     fn sum(&self, counter: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
         self.stripes
             .iter()
+            // RELAXED: statistics read: sums one counter over the per-thread stripes; a Relaxed
+            // load returns a recent count of each, which is all a report needs, and orders nothing
             .map(|s| counter(s).load(Ordering::Relaxed))
             .sum()
     }
 
     pub(crate) fn bump_step(&self, step: Step) {
+        // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads past
+        // STRIPES may share; Relaxed RMWs never lose an increment and the counts order nothing
         self.mine().steps[step as usize].fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn bump_insert_retries(&self) {
+        // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads past
+        // STRIPES may share; Relaxed RMWs never lose an increment and the counts order nothing
         self.mine().insert_retries.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn bump_delete_retries(&self) {
+        // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads past
+        // STRIPES may share; Relaxed RMWs never lose an increment and the counts order nothing
         self.mine().delete_retries.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn bump_cleanup_passes(&self) {
+        // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads past
+        // STRIPES may share; Relaxed RMWs never lose an increment and the counts order nothing
         self.mine().cleanup_passes.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn bump_violations_created(&self) {
         self.mine()
             .violations_created
+            // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads
+            // past STRIPES may share; Relaxed RMWs never lose an increment and the counts order
+            // nothing
             .fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn bump_range_queries(&self) {
+        // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads past
+        // STRIPES may share; Relaxed RMWs never lose an increment and the counts order nothing
         self.mine().range_queries.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn bump_range_retries(&self) {
+        // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads past
+        // STRIPES may share; Relaxed RMWs never lose an increment and the counts order nothing
         self.mine().range_retries.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -78,7 +78,9 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Node<K, V> {
             key,
             value: None,
         };
+        // RELEASE: publish initialized children before the node escapes through an SCX
         node.children[0].store(left, Ordering::Release);
+        // RELEASE: publish initialized children before the node escapes through an SCX
         node.children[1].store(right, Ordering::Release);
         llxscx::slab::alloc_owned(node)
     }
@@ -148,6 +150,7 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Node<K, V> {
     /// depends on a total order of child loads across different nodes.
     #[inline]
     pub fn read_child<'g>(&self, dir: usize, guard: &'g Guard) -> Shared<'g, Self> {
+        // ACQUIRE: child read pairs with the Release stores at construction and in SCX
         self.children[dir].load(Ordering::Acquire, guard)
     }
 

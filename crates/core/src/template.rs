@@ -257,6 +257,8 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> LeafTree<K, V> {
     /// argument as [`Node::read_child`].
     #[inline]
     pub fn entry<'g>(&self, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
+        // ACQUIRE: entry is written once at construction and takes part in no SCX; the load only
+        // needs the sentinels' initialization, published when the tree was shared
         self.entry.load(Ordering::Acquire, guard)
     }
 

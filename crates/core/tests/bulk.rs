@@ -309,6 +309,7 @@ fn concurrent_bulk_writers_on_contended_keys_stay_valid() {
             s.spawn(move || {
                 use rand::{rngs::StdRng, Rng, SeedableRng};
                 let mut rng = StdRng::seed_from_u64(99);
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
                     let k = rng.gen_range(0..256u64);
                     tree.remove(&k);
@@ -320,6 +321,7 @@ fn concurrent_bulk_writers_on_contended_keys_stay_valid() {
         for w in writers {
             w.join().unwrap();
         }
+        // RELAXED: stop flag: guards no data; joined before results are read
         stop.store(true, Ordering::Relaxed);
     });
     let report = tree.audit();
@@ -391,14 +393,16 @@ fn batch_elements_take_effect_in_input_order() {
         s.spawn(|| {
             let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
             tree.insert_bulk(&pairs);
-            // SEQCST: test-only; SC keeps the phase argument trivial.
+            // SEQCST: test phase flag, set after insert_bulk returns: a reader that loads REMOVING
+            // sees every insert of the batch
             phase.store(REMOVING, Ordering::SeqCst);
             tree.remove_bulk(&keys);
-            // SEQCST: test-only; SC keeps the phase argument trivial.
+            // SEQCST: test phase flag, set after remove_bulk returns; ends the reader loop
             phase.store(DONE, Ordering::SeqCst);
         });
         loop {
-            // SEQCST: test-only; SC keeps the phase argument trivial.
+            // SEQCST: test phase read before a sweep; SC orders it after the writer phase store it
+            // observes
             let start = phase.load(Ordering::SeqCst);
             if start == DONE {
                 break;
@@ -406,7 +410,8 @@ fn batch_elements_take_effect_in_input_order() {
             // Present while inserting, absent while removing.
             let changed = |k: &u64| tree.contains_key(k) == (start == INSERTING);
             let sweep: Vec<bool> = keys.iter().rev().map(changed).collect();
-            // SEQCST: test-only; SC keeps the phase argument trivial.
+            // SEQCST: test phase re-read after a sweep; an unchanged phase means the whole sweep
+            // ran inside that phase
             if phase.load(Ordering::SeqCst) != start {
                 continue;
             }

@@ -90,6 +90,7 @@ fn high_contention_small_range() {
                 let stop = Arc::clone(&stop);
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(tid as u64);
+                    // RELAXED: stop flag: guards no data; joined before results are read
                     while !stop.load(Ordering::Relaxed) {
                         let key = rng.gen_range(0..64u64);
                         match rng.gen_range(0..10) {
@@ -107,6 +108,7 @@ fn high_contention_small_range() {
                 });
             }
             std::thread::sleep(std::time::Duration::from_millis(1500));
+            // RELAXED: stop flag: guards no data; joined before results are read
             stop.store(true, Ordering::Relaxed);
         });
         audit_with_policy(&t, k);
@@ -168,6 +170,7 @@ fn ordered_queries_under_churn() {
             let stop = Arc::clone(&stop);
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(tid as u64 + 77);
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
                     let key = rng.gen_range(0..1024u64);
                     if rng.gen_bool(0.5) {
@@ -183,6 +186,7 @@ fn ordered_queries_under_churn() {
             let stop = Arc::clone(&stop);
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(tid as u64 + 997);
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
                     // Successor chain walk: strictly increasing keys.
                     let mut cur = rng.gen_range(0..1024u64);
@@ -208,6 +212,7 @@ fn ordered_queries_under_churn() {
             });
         }
         std::thread::sleep(std::time::Duration::from_millis(1500));
+        // RELAXED: stop flag: guards no data; joined before results are read
         stop.store(true, Ordering::Relaxed);
     });
     audit_ok(&t);

@@ -172,6 +172,7 @@ fn pair_invariant_stress<M: RangeMap>() {
                 // exact: insert the absent member before removing the
                 // present one.
                 let mut present_lo = vec![true; PAIRS as usize];
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
                     for i in (w..PAIRS).step_by(writers as usize) {
                         let (add, del) = if present_lo[i as usize] {
@@ -213,6 +214,7 @@ fn pair_invariant_stress<M: RangeMap>() {
         // writers poll `stop`, so panicking first would leave them spinning
         // and turn a failed assertion into a deadlocked test run.
         let results: Vec<_> = scan_handles.into_iter().map(|h| h.join()).collect();
+        // RELAXED: stop flag: guards no data; joined before results are read
         stop.store(true, Ordering::Relaxed);
         for r in results {
             if let Err(panic) = r {

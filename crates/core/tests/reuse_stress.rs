@@ -40,6 +40,7 @@ fn pooled_descriptors_survive_multithread_churn() {
                         // Values carry a globally unique ticket so torn or
                         // replayed updates would surface as impossible
                         // values below.
+                        // RELAXED: test/example counter; threads are joined before reading
                         let v = ticket.fetch_add(1, Ordering::Relaxed);
                         tree.insert(k, v);
                     }

@@ -105,7 +105,13 @@ impl Bucket {
     #[inline]
     fn words(&self) -> (u64, u64) {
         (
+            // RELAXED: lock-free read data (Bucket::words): a slot's key word; kept only by a
+            // writer holding its stripe or a reader whose word re-check passes, which the fence
+            // pair makes fail if the load saw a reuse of the slot
             self.key.load(Ordering::Relaxed),
+            // RELAXED: lock-free read data (Bucket::words): a slot's value word; kept only by a
+            // writer holding its stripe or a reader whose word re-check passes, which the fence
+            // pair makes fail if the load saw a reuse of the slot
             self.value.load(Ordering::Relaxed),
         )
     }
@@ -114,7 +120,13 @@ impl Bucket {
     /// [`Table::edit`] of the bucket whose hop bit names the slot.
     #[inline]
     fn set(&self, (key, value): (u64, u64)) {
+        // RELAXED: slot key store (Bucket::set): inside Table::edit after its Release fence, into a
+        // slot no current hop bitmap names; a reader that loads it, then Acquire-fences, re-loads
+        // the word that vacated the slot or a later one and fails its re-check
         self.key.store(key, Ordering::Relaxed);
+        // RELAXED: slot value store (Bucket::set): inside Table::edit after its Release fence, into
+        // a slot no current hop bitmap names; a reader that loads it, then Acquire-fences, re-loads
+        // the word that vacated the slot or a later one and fails its re-check
         self.value.store(value, Ordering::Relaxed);
     }
 }
@@ -178,12 +190,17 @@ impl Table {
     /// the caller's stripes cannot change while it holds them.
     #[inline]
     fn hop(&self, h: usize) -> u32 {
+        // RELAXED: writer's hop-bitmap read (Table::hop): the bits of slots under the caller's
+        // stripes are only edited under those stripes, so the mutex orders them; other bits are not
+        // used
         self.buckets[h].word.load(Ordering::Relaxed) as u32
     }
 
     /// The slot among those `hop` names for bucket `h` whose key word is `key`.
     #[inline]
     fn find(&self, h: usize, hop: u32, key: u64) -> Option<usize> {
+        // RELAXED: key-word compare (Table::find): inside a lock-free read, validated by the word
+        // re-check; or under the neighborhood's stripes, which freeze the slots it reads
         slots(h, hop).find(|&s| self.buckets[s].key.load(Ordering::Relaxed) == key)
     }
 
@@ -197,9 +214,17 @@ impl Table {
     fn read<R>(&self, h: usize, mut read: impl FnMut(u32) -> R) -> R {
         let word = &self.buckets[h].word;
         loop {
+            // ACQUIRE: lock-free read begin: pairs with the Release word store that publishes an
+            // edit, so the hop bits read are the ones that edit published, with its slot stores
             let w = word.load(Ordering::Acquire);
             let r = read(w as u32);
+            // ACQUIRE: lock-free read fence: orders the Relaxed slot loads before the re-check; if
+            // a slot load saw a store made after an edit's Release fence, every edit before it (the
+            // one that vacated the slot among them) happens before the re-load, which then sees a
+            // later word
             fence(Ordering::Acquire);
+            // RELAXED: lock-free read re-check: ordered after the slot loads by the Acquire fence
+            // above; equal to the begin load means no edit of the bucket completed during the read
             if word.load(Ordering::Relaxed) == w {
                 return r;
             }
@@ -217,15 +242,18 @@ impl Table {
     #[inline]
     fn edit(&self, h: usize, edit: impl FnOnce(u32) -> u32) {
         let word = &self.buckets[h].word;
+        // RELAXED: writer's word read (Table::edit): every writer of the word holds the stripe of
+        // slot h, so that mutex orders this load after the previous edit's word store
         let w = word.load(Ordering::Relaxed);
-        // Orders every edit that happened before this one, the one that
-        // vacated any slot this edit reuses among them, before the slot
-        // stores: a reader whose Acquire fence follows a load of one of
-        // those stores then re-loads that edit's word or a later one.
+        // RELEASE: edit fence: orders every earlier edit, including the one that vacated a slot
+        // this edit reuses (seen through the slot's stripe mutex), before the Relaxed slot stores,
+        // pairing with readers' Acquire fence after their slot loads
         fence(Ordering::Release);
         let hop = edit(w as u32);
         pause!(h);
         let next = (w & !u64::from(u32::MAX)).wrapping_add(VERSION) | u64::from(hop);
+        // RELEASE: edit publish, the one store of an edit (next version, new hop bits): its
+        // linearization point; readers that Acquire it see every slot store of the edit
         word.store(next, Ordering::Release);
     }
 }
@@ -446,6 +474,7 @@ impl<K, V, S: BuildHasher> HopMap<K, V, S> {
     /// map is quiescent, momentarily off by in-flight operations
     /// otherwise.
     pub fn len(&self) -> usize {
+        // RELAXED: size counter; approximate reads are documented behavior
         self.len.load(Ordering::Relaxed)
     }
 
@@ -461,6 +490,7 @@ impl<K, V, S: BuildHasher> HopMap<K, V, S> {
 
     /// How many times the table has grown since construction.
     pub fn resizes(&self) -> usize {
+        // RELAXED: resize statistic; reporting only
         self.resizes.load(Ordering::Relaxed)
     }
 
@@ -469,6 +499,8 @@ impl<K, V, S: BuildHasher> HopMap<K, V, S> {
         // SAFETY: `table` is never null after construction, and a replaced
         // generation is retired through the epoch, so it stays allocated while
         // `g` is held.
+        // ACQUIRE: the one table-pointer read (HopMap::current): pairs with grow's SeqCst publish,
+        // so the new generation's buckets and migrated words are visible before they are probed
         unsafe { self.table.0.load(Ordering::Acquire, g).deref() }
     }
 }
@@ -502,6 +534,8 @@ where
             let h = t.home(hash);
             t.read(h, |hop| {
                 t.find(h, hop, key)
+                    // RELAXED: get's value-word read: inside the lock-free read of the home bucket,
+                    // kept only if the word re-check passes
                     .map(|s| t.buckets[s].value.load(Ordering::Relaxed))
             })
         })
@@ -550,14 +584,21 @@ where
             let (t, h, mut stripes) = self.lock_neighborhood(hash, g);
             if let Some(s) = t.find(h, t.hop(h), key) {
                 let slot = &t.buckets[s];
+                // RELAXED: in-place update reads the old value under the neighborhood's stripes,
+                // which order it after the slot's last store
                 let prev = slot.value.load(Ordering::Relaxed);
                 t.edit(h, |hop| {
+                    // RELAXED: in-place value store inside Table::edit of the home bucket, after
+                    // its Release fence: the update's linearization point, into a named slot whose
+                    // key it leaves unchanged, so a reader pairs the key with the old value or the
+                    // new one
                     slot.value.store(value, Ordering::Relaxed);
                     hop
                 });
                 return Some(V::from_bits(prev));
             }
             if self.place(t, h, (key, value), &mut stripes) {
+                // RELAXED: size counter; approximate reads are documented behavior
                 self.len.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
@@ -572,11 +613,14 @@ where
         epoch::with_guard(|g| {
             let (t, h, mut stripes) = self.lock_neighborhood(hash, g);
             let s = t.find(h, t.hop(h), key)?;
+            // RELAXED: remove reads the value under the neighborhood's stripes, which order it
+            // after the slot's last store
             let prev = t.buckets[s].value.load(Ordering::Relaxed);
             // Clearing the bit is the whole removal: the slot's words stay
             // until a later edit, of whichever bucket claims it, overwrites them.
             t.edit(h, |hop| hop & !(1 << (s - h)));
             stripes.vacate(s);
+            // RELAXED: size counter; approximate reads are documented behavior
             self.len.fetch_sub(1, Ordering::Relaxed);
             Some(V::from_bits(prev))
         })
@@ -779,6 +823,7 @@ where
                 // SAFETY: the store above replaced `t` as the published table with
                 // every stripe held; pinned readers defer the free of its arrays.
                 unsafe { g.defer_destroy(Shared::from(t as *const Table)) };
+                // RELAXED: resize statistic; reporting only
                 self.resizes.fetch_add(1, Ordering::Relaxed);
                 return;
             }
@@ -806,6 +851,7 @@ where
             let stripes = All::lock(&t.stripes);
             let mut errors = Vec::new();
             for (h, b) in t.buckets.iter().enumerate() {
+                // RELAXED: audit reads bucket words with every stripe held on a quiescent map
                 let w = b.word.load(Ordering::Relaxed);
                 if h >= t.cap {
                     if w as u32 != 0 {
@@ -874,6 +920,8 @@ impl<K, V, S> Drop for HopMap<K, V, S> {
         let table = unsafe {
             self.table
                 .0
+                // RELAXED: Drop: exclusive access through &mut self; no other thread can observe
+                // the table
                 .load(Ordering::Relaxed, unprotected())
                 .into_owned()
         };

@@ -36,6 +36,7 @@ fn readers_never_miss_permanent_keys_during_displacement_storm() {
         let stop = Arc::clone(&stop);
         churners.push(std::thread::spawn(move || {
             let mut round = 0u64;
+            // RELAXED: stop flag: guards no data; joined before results are read
             while !stop.load(Ordering::Relaxed) {
                 for h in 0..24 {
                     for m in (1 + t * 12)..(1 + t * 12 + 12) {
@@ -59,6 +60,7 @@ fn readers_never_miss_permanent_keys_during_displacement_storm() {
         let map = Arc::clone(&map);
         let stop = Arc::clone(&stop);
         readers.push(std::thread::spawn(move || {
+            // RELAXED: stop flag: guards no data; joined before results are read
             while !stop.load(Ordering::Relaxed) {
                 for h in 0..24u64 {
                     assert_eq!(
@@ -71,6 +73,7 @@ fn readers_never_miss_permanent_keys_during_displacement_storm() {
         }));
     }
     std::thread::sleep(std::time::Duration::from_millis(400));
+    // RELAXED: stop flag: guards no data; joined before results are read
     stop.store(true, Ordering::Relaxed);
     for h in churners.into_iter().chain(readers) {
         h.join().unwrap();
@@ -99,6 +102,7 @@ fn gets_never_return_another_keys_value_from_a_reused_slot() {
         let (map, stop) = (Arc::clone(&map), Arc::clone(&stop));
         std::thread::spawn(move || {
             let mut n = 0u64;
+            // RELAXED: stop flag: guards no data; joined before results are read
             while !stop.load(Ordering::Relaxed) {
                 n = (n + 2) & 0xffff;
                 map.remove(&a);
@@ -114,6 +118,7 @@ fn gets_never_return_another_keys_value_from_a_reused_slot() {
     let reader = {
         let (map, stop) = (Arc::clone(&map), Arc::clone(&stop));
         std::thread::spawn(move || {
+            // RELAXED: stop flag: guards no data; joined before results are read
             while !stop.load(Ordering::Relaxed) {
                 for k in [a, b] {
                     if let Some(v) = map.get(&k) {
@@ -127,6 +132,7 @@ fn gets_never_return_another_keys_value_from_a_reused_slot() {
     // re-check deleted, 12 of 12 debug runs on a 2-vCPU host failed within
     // 0.1–0.9 s while the binary's other tests shared the CPUs.
     std::thread::sleep(std::time::Duration::from_secs(2));
+    // RELAXED: stop flag: guards no data; joined before results are read
     stop.store(true, Ordering::Relaxed);
     reader.join().unwrap();
     writer.join().unwrap();
@@ -188,6 +194,7 @@ fn scans_hold_weak_properties_mid_churn() {
             // Each thread owns half of the odd keys (disjoint by residue
             // mod 4), inserting and removing them in waves.
             let mine: Vec<u64> = (0..KEYSPACE).filter(|k| k % 4 == 2 * t + 1).collect();
+            // RELAXED: stop flag: guards no data; joined before results are read
             while !stop.load(Ordering::Relaxed) {
                 for &k in &mine {
                     map.insert(k, k);
@@ -215,6 +222,7 @@ fn scans_hold_weak_properties_mid_churn() {
             "scan missed a permanent key"
         );
     }
+    // RELAXED: stop flag: guards no data; joined before results are read
     stop.store(true, Ordering::Relaxed);
     for h in churners {
         h.join().unwrap();

@@ -69,6 +69,7 @@ fn concurrent_churn_across_growths_preserves_every_key() {
         let stop = Arc::clone(&stop);
         readers.push(std::thread::spawn(move || {
             let mut scans = 0u32;
+            // RELAXED: stop flag: guards no data; joined before results are read
             while !stop.load(Ordering::Relaxed) {
                 for k in 0..PERMANENT_KEYS {
                     assert_eq!(
@@ -91,6 +92,7 @@ fn concurrent_churn_across_growths_preserves_every_key() {
     for h in handles {
         h.join().unwrap();
     }
+    // RELAXED: stop flag: guards no data; joined before results are read
     stop.store(true, Ordering::Relaxed);
     for r in readers {
         assert!(r.join().is_ok());
@@ -151,6 +153,7 @@ fn migration_that_displaces_keeps_every_key_visible() {
                 let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     start.wait();
+                    // RELAXED: stop flag: guards no data; joined before results are read
                     while !stop.load(Ordering::Relaxed) {
                         for &k in &keys {
                             assert_eq!(map.get(&k), Some(!k), "key {k} missed mid-migration");
@@ -163,6 +166,7 @@ fn migration_that_displaces_keeps_every_key_visible() {
         for &k in &growers {
             map.insert(k, !k);
         }
+        // RELAXED: stop flag: guards no data; joined before results are read
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             r.join().unwrap();

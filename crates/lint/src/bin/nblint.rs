@@ -2,32 +2,26 @@
 //!
 //! ```sh
 //! cargo run --release -p lint --bin nblint -- --check
-//! cargo run --release -p lint --bin nblint -- --update-manifest
 //! ```
 //!
-//! `--check` (the default) walks every first-party `*.rs`, runs the four
-//! rule families plus the absorbed configuration gates, cross-checks
-//! `docs/ordering_audit.toml` in both directions, and exits non-zero
-//! listing `file:line: [rule] message` for every finding.
-//!
-//! `--update-manifest` regenerates the ordering manifest from the current
-//! code, preserving hand-written justifications for surviving sites.
+//! `--check` (the only mode, also the default) walks every first-party
+//! `*.rs`, runs the four rule families plus the absorbed configuration
+//! gates, and exits non-zero listing `file:line: [rule] message` for every
+//! finding. `--root <path>` lints another checkout.
 
 use std::path::PathBuf;
 
 fn usage() -> ! {
-    eprintln!("usage: nblint [--check | --update-manifest] [--root <path>]");
+    eprintln!("usage: nblint [--check] [--root <path>]");
     std::process::exit(2);
 }
 
 fn main() {
-    let mut mode_update = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => mode_update = false,
-            "--update-manifest" => mode_update = true,
+            "--check" => {}
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => usage(),
@@ -43,29 +37,6 @@ fn main() {
             .expect("lint crate sits two levels under the repo root")
             .to_path_buf()
     });
-
-    if mode_update {
-        match lint::driver::update_manifest(&root) {
-            Ok(text) => {
-                let path = root.join(lint::driver::MANIFEST_PATH);
-                if let Err(e) = std::fs::write(&path, &text) {
-                    eprintln!("nblint: cannot write {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-                let rows = text.matches("[[site]]").count();
-                println!(
-                    "nblint: wrote {} with {rows} sites — review empty justifications \
-                     before committing",
-                    lint::driver::MANIFEST_PATH
-                );
-            }
-            Err(e) => {
-                eprintln!("nblint: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
 
     match lint::driver::check(&root) {
         Ok(findings) if findings.is_empty() => {

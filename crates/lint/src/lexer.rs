@@ -188,6 +188,20 @@ impl Scanned {
             .any(|(at, _)| self.kinds[s + at] == Kind::Comment)
     }
 
+    /// The body of the `//` line comment on 1-based `line` (the text after
+    /// the two slashes), if the line carries one. Doc comments (`///`,
+    /// `//!`) and block comments are not line comments here.
+    pub(crate) fn line_comment(&self, line: usize) -> Option<&str> {
+        let (s, e) = self.line_span(line);
+        let at = (s..e).find(|&i| self.kinds[i] == Kind::Comment)?;
+        if at > 0 && self.kinds[at - 1] == Kind::Comment {
+            return None; // inside a block comment that began above
+        }
+        let body = self.text[at..e].strip_prefix("//")?;
+        let doc = body.starts_with('!') || body.starts_with('/') && !body.starts_with("//");
+        (!doc).then_some(body)
+    }
+
     /// Iterator over word-boundary occurrences of `word` in the code
     /// projection, yielding byte offsets.
     pub fn code_word_offsets<'a>(&'a self, word: &'a str) -> impl Iterator<Item = usize> + 'a {
@@ -436,6 +450,19 @@ mod tests {
         assert!(!sc.line_comment_contains(1, "SAFETY:"));
         let sc = Scanned::new("let y = 1; // SAFETY: the real thing\n");
         assert!(sc.line_comment_contains(1, "SAFETY:"));
+    }
+
+    #[test]
+    fn line_comment_bodies_skip_docs_strings_and_block_comments() {
+        let src = "a(); // RELAXED: why\n/// RELAXED: doc\n//! RELAXED: inner\n\
+                   let s = \"// RELAXED: str\";\n/* x\n// RELAXED: in block */\n\
+                   //// RELAXED: four slashes\n";
+        let sc = Scanned::new(src);
+        assert_eq!(sc.line_comment(1), Some(" RELAXED: why"));
+        for line in 2..=6 {
+            assert_eq!(sc.line_comment(line), None, "line {line}");
+        }
+        assert_eq!(sc.line_comment(7), Some("// RELAXED: four slashes"));
     }
 
     #[test]

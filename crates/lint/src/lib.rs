@@ -11,8 +11,9 @@
 //! 1. **unsafe coverage** — every `unsafe` block/fn/impl/trait carries a
 //!    `// SAFETY:` comment stating its invariant.
 //! 2. **ordering audit** — every atomic call site names an explicit
-//!    `Ordering` and has a justified row in `docs/ordering_audit.toml`
-//!    (drift checked both ways); `SeqCst` needs a `// SEQCST:` comment.
+//!    `Ordering` and carries a `// <ORDERINGS>: <text>` marker naming those
+//!    orderings (`// ACQUIRE: …`, `// ACQREL/ACQUIRE: …`); a marker that no
+//!    site claims is reported too, so the check runs both ways.
 //! 3. **epoch-guard discipline** — `defer_destroy`/`into_owned` only in
 //!    allowlisted reclamation modules; no `Guard` stored in type bodies.
 //! 4. **suppression hygiene** — every `#[allow(…)]` carries `// ALLOW:`.
@@ -22,15 +23,14 @@
 //!
 //! Everything is hand-rolled and dependency-free (same offline-vendor
 //! policy as the rest of the workspace): a byte-level token-surface lexer
-//! ([`lexer`]), line-context helpers ([`syntax`]), a TOML-subset manifest
-//! reader ([`manifest`]) and the rule engine ([`rules`], [`driver`]).
+//! ([`lexer`]), line-context helpers ([`syntax`]) and the rule engine
+//! ([`rules`], [`driver`]).
 
 #![warn(missing_docs)]
 
 pub mod cfg;
 pub mod driver;
 pub mod lexer;
-pub mod manifest;
 pub mod rules;
 pub mod syntax;
 pub mod walk;
@@ -38,7 +38,7 @@ pub mod walk;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (`unsafe-safety`, `ordering-manifest`, …).
+    /// Stable rule identifier (`unsafe-safety`, `ordering-justify`, …).
     pub rule: &'static str,
     /// Repo-relative file path, forward slashes.
     pub file: String,

@@ -3,8 +3,8 @@
 //! * **unsafe-safety** — every `unsafe` token (block, fn, impl, trait)
 //!   must carry a `// SAFETY:` justification comment.
 //! * **ordering** — every atomic call site must name an explicit
-//!   `Ordering`; `SeqCst` additionally needs a `// SEQCST:` comment. Site
-//!   extraction here also feeds the manifest cross-check in the driver.
+//!   `Ordering` and carry a `// <ORDERINGS>: <text>` marker comment naming
+//!   those orderings; a marker no site claims is reported too.
 //! * **epoch** — `defer_destroy` / `into_owned` only in allowlisted
 //!   reclamation modules; no `Guard` stored in a struct/enum body. Test
 //!   code (`tests/` files and `#[cfg(test)]` modules) is exempt: substrate
@@ -16,8 +16,7 @@
 use std::path::Path;
 
 use crate::lexer::Scanned;
-use crate::manifest::context_hash;
-use crate::syntax::{has_marker, FileCtx};
+use crate::syntax::{comment_block_above, has_marker, FileCtx};
 use crate::Finding;
 
 /// Atomic methods whose call sites the ordering audit tracks, plus the
@@ -44,8 +43,9 @@ pub const ATOMIC_METHODS: &[&str] = &[
 /// Methods that are unambiguously atomic even without an `Ordering`
 /// argument in sight — a call missing one is an explicitness violation.
 /// (`load`/`store`/`swap` without an ordering are *not* flagged: slices
-/// have `swap`, loaders have `load` — the lint stays false-positive-free
-/// and the manifest's both-ways check still catches real drift.)
+/// have `swap`, loaders have `load` — the lint stays false-positive-free,
+/// and a marker left behind by a literal turned into a variable is still
+/// reported as an orphan.)
 const STRICT_ATOMIC_METHODS: &[&str] = &[
     "compare_exchange",
     "compare_exchange_weak",
@@ -160,15 +160,13 @@ pub struct AtomicSite {
     pub file: String,
     /// 1-based line of the method token (the anchor line).
     pub line: usize,
-    /// Comma-joined orderings in order of appearance, e.g. `"AcqRel,Acquire"`.
-    pub ordering: String,
-    /// Context hash of the anchor line's code text.
-    pub hash: String,
-    /// Trimmed code text of the anchor line (for diagnostics and manifest
-    /// seeding).
-    pub context: String,
-    /// Last line of the (possibly multi-line) call, for SEQCST comment
-    /// placement.
+    /// The site's distinct orderings in order of appearance, upper-cased
+    /// and `/`-joined: the `<ORDERINGS>` its marker must name, e.g.
+    /// `"ACQREL/ACQUIRE"` for a compare_exchange pair, `"SEQCST"` for a
+    /// `SeqCst, SeqCst` one.
+    pub orderings: String,
+    /// Last line of the (possibly multi-line) call: a trailing marker may
+    /// sit on any line from `line` to here.
     pub end_line: usize,
 }
 
@@ -211,7 +209,7 @@ pub fn atomic_sites(path: &Path, sc: &Scanned) -> (Vec<AtomicSite>, Vec<Finding>
                 end += 1;
             }
             let args = &code[j..end.min(code.len())];
-            let mut orderings: Vec<&str> = Vec::new();
+            let mut orderings: Vec<String> = Vec::new();
             for (at, _) in args.match_indices(|c: char| c.is_ascii_uppercase()) {
                 for ord in ORDERINGS {
                     if args[at..].starts_with(ord) {
@@ -222,8 +220,9 @@ pub fn atomic_sites(path: &Path, sc: &Scanned) -> (Vec<AtomicSite>, Vec<Finding>
                         let after_ok = after >= args.len()
                             || !args.as_bytes()[after].is_ascii_alphanumeric()
                                 && args.as_bytes()[after] != b'_';
-                        if before_ok && after_ok {
-                            orderings.push(ord);
+                        let upper = ord.to_ascii_uppercase();
+                        if before_ok && after_ok && !orderings.contains(&upper) {
+                            orderings.push(upper);
                         }
                     }
                 }
@@ -246,36 +245,88 @@ pub fn atomic_sites(path: &Path, sc: &Scanned) -> (Vec<AtomicSite>, Vec<Finding>
             sites.push(AtomicSite {
                 file: rel_str(path),
                 line,
-                ordering: orderings.join(","),
-                hash: context_hash(sc.code_line(line)),
-                context: sc.line_text(line).trim().to_string(),
+                orderings: orderings.join("/"),
                 end_line: sc.line_of(end.min(code.len().saturating_sub(1))),
             });
         }
     }
-    sites.sort_by_key(|s| (s.line, s.ordering.clone()));
+    sites.sort_by_key(|s| (s.line, s.orderings.clone()));
     findings.sort_by_key(|f| f.line);
     (sites, findings)
 }
 
-/// `SeqCst` sites additionally need a `// SEQCST:` justification comment:
-/// trailing on any line of the call, or in the comment block above it.
-pub fn check_seqcst(sc: &Scanned, ctx: &FileCtx, sites: &[AtomicSite]) -> Vec<Finding> {
+/// Parses the ordering marker `// <ORDERINGS>: <text>` on 1-based `line`,
+/// returning its `/`-joined orderings and its trimmed text. `<ORDERINGS>`
+/// is one or more upper-cased [`ORDERINGS`] names joined by `/`; only a
+/// plain line comment counts (not a doc comment, block comment or string).
+fn ordering_marker(sc: &Scanned, line: usize) -> Option<(&str, &str)> {
+    let (names, text) = sc.line_comment(line)?.trim_start().split_once(':')?;
+    let is_name = |n: &str| {
+        !n.bytes().any(|b| b.is_ascii_lowercase())
+            && ORDERINGS.iter().any(|o| o.eq_ignore_ascii_case(n))
+    };
+    names.split('/').all(is_name).then(|| (names, text.trim()))
+}
+
+/// Both directions of the ordering justification:
+///
+/// * `ordering-justify` — a site without a marker that names exactly its
+///   orderings and has text. A marker counts when it trails any line of
+///   the call or sits in the comment block above the anchor line.
+/// * `ordering-orphan` — a marker that no site claims, reported at the
+///   marker's line: its site changed orderings, lost its literal, or is
+///   gone.
+pub fn check_orderings(
+    path: &Path,
+    sc: &Scanned,
+    ctx: &FileCtx,
+    sites: &[AtomicSite],
+) -> Vec<Finding> {
     let mut out = Vec::new();
+    let mut claimed = vec![false; sc.line_count() + 1];
     for site in sites {
-        if !site.ordering.contains("SeqCst") {
+        let mut texts = Vec::new();
+        for l in (site.line..=site.end_line).chain(comment_block_above(sc, ctx, site.line)) {
+            if let Some((names, text)) = ordering_marker(sc, l) {
+                if names == site.orderings {
+                    claimed[l] = true;
+                    texts.push(text);
+                }
+            }
+        }
+        if texts.iter().any(|t| !t.is_empty()) {
             continue;
         }
-        let trailing = (site.line..=site.end_line).any(|l| sc.line_comment_contains(l, "SEQCST:"));
-        if !trailing && !has_marker(sc, ctx, site.line, "SEQCST:") {
+        let problem = if texts.is_empty() {
+            "has no"
+        } else {
+            "has an empty"
+        };
+        out.push(Finding {
+            rule: "ordering-justify",
+            file: rel_str(path),
+            line: site.line,
+            message: format!(
+                "atomic site {problem} `// {}: <why>` marker — write the one-line \
+                 protocol argument at the site",
+                site.orderings
+            ),
+        });
+    }
+    for (line, _) in claimed.iter().enumerate().skip(1).filter(|(_, c)| !**c) {
+        if let Some((names, _)) = ordering_marker(sc, line) {
             out.push(Finding {
-                rule: "seqcst-justify",
-                file: site.file.clone(),
-                line: site.line,
-                message: "SeqCst ordering without a `// SEQCST:` justification comment".into(),
+                rule: "ordering-orphan",
+                file: rel_str(path),
+                line,
+                message: format!(
+                    "`// {names}:` marker claimed by no atomic site — the site changed \
+                     its orderings or was removed; re-justify it or delete the comment"
+                ),
             });
         }
     }
+    out.sort_by_key(|f| f.line);
     out
 }
 
@@ -476,4 +527,64 @@ pub fn check_allow(path: &Path, sc: &Scanned) -> Vec<Finding> {
         i = end.max(i);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn marker_grammar_is_upper_case_names_joined_by_slashes() {
+        let src = "// ACQREL/ACQUIRE: a pair\n//SEQCST:\n// Relaxed: lower case\n\
+                   // RELAXED/: trailing slash\n// NOTE: other word\n// see RELAXED: later\n";
+        let sc = Scanned::new(src);
+        assert_eq!(ordering_marker(&sc, 1), Some(("ACQREL/ACQUIRE", "a pair")));
+        assert_eq!(ordering_marker(&sc, 2), Some(("SEQCST", "")));
+        for line in 3..=6 {
+            assert_eq!(ordering_marker(&sc, line), None, "line {line}");
+        }
+    }
+
+    fn findings(src: &str) -> Vec<(usize, &'static str)> {
+        let path = Path::new("crates/fake/src/lib.rs");
+        let sc = Scanned::new(src);
+        let ctx = FileCtx::new(&sc);
+        let (sites, _) = atomic_sites(path, &sc);
+        let f = check_orderings(path, &sc, &ctx, &sites);
+        f.iter().map(|f| (f.line, f.rule)).collect()
+    }
+
+    #[test]
+    fn one_marker_serves_every_site_that_reaches_it() {
+        // Two same-ordering sites on one line share a trailing marker.
+        assert!(
+            findings("a.load(Ordering::Relaxed) + b.load(Ordering::Relaxed); // RELAXED: x\n")
+                .is_empty()
+        );
+        // Different orderings on one line each need their own marker.
+        let src = "// RELAXED: counter\n// ACQUIRE: flag\n\
+                   a.load(Ordering::Relaxed) + b.load(Ordering::Acquire);\n";
+        assert!(findings(src).is_empty());
+        let src = "// RELAXED: counter\na.load(Ordering::Relaxed) + b.load(Ordering::Acquire);\n";
+        assert_eq!(findings(src), vec![(2, "ordering-justify")]);
+    }
+
+    #[test]
+    fn a_trailing_marker_does_not_reach_the_next_line() {
+        let src = "a.load(Ordering::Relaxed); // RELAXED: counter\nb.load(Ordering::Relaxed);\n";
+        assert_eq!(findings(src), vec![(2, "ordering-justify")]);
+    }
+
+    #[test]
+    fn a_marker_inside_a_method_chain_belongs_to_the_method_below_it() {
+        let src =
+            "let w = self\n    .word\n    // RELEASE: publish\n    .store(1, Ordering::Release);\n";
+        assert!(findings(src).is_empty());
+        // Above the receiver, a code line separates it from the method.
+        let src = "// RELEASE: publish\nself.word\n    .store(1, Ordering::Release);\n";
+        assert_eq!(
+            findings(src),
+            vec![(1, "ordering-orphan"), (3, "ordering-justify")]
+        );
+    }
 }

@@ -1,6 +1,6 @@
 //! Line-level syntactic context over a [`Scanned`] file: attribute spans,
 //! `#[cfg(test)]` module ranges, and the "justification comment" walk that
-//! the SAFETY/SEQCST rules share.
+//! the SAFETY and memory-ordering rules share.
 
 use crate::lexer::Scanned;
 
@@ -162,8 +162,17 @@ fn test_ranges(sc: &Scanned) -> Vec<(usize, usize)> {
 
 /// Whether the site at 1-based `line` carries a justification comment with
 /// `marker` (e.g. `SAFETY:`): either trailing on the line itself, or in
-/// the contiguous comment block immediately above it. Attribute lines
-/// between the comment block and the site are skipped, so
+/// the contiguous comment block immediately above it
+/// (`comment_block_above`).
+pub fn has_marker(sc: &Scanned, ctx: &FileCtx, line: usize, marker: &str) -> bool {
+    std::iter::once(line)
+        .chain(comment_block_above(sc, ctx, line))
+        .any(|l| sc.line_comment_contains(l, marker))
+}
+
+/// The 1-based lines of the contiguous comment block immediately above
+/// `line`, nearest first. Attribute lines between the block and the site
+/// are skipped, so in
 ///
 /// ```text
 /// // SAFETY: the pool owns this slot
@@ -171,29 +180,23 @@ fn test_ranges(sc: &Scanned) -> Vec<(usize, usize)> {
 /// unsafe fn claim(&self) { … }
 /// ```
 ///
-/// passes. A blank line or unrelated code line terminates the search.
-pub fn has_marker(sc: &Scanned, ctx: &FileCtx, line: usize, marker: &str) -> bool {
-    if sc.line_comment_contains(line, marker) {
-        return true;
-    }
+/// the comment belongs to the `unsafe fn` line. A blank line or a code
+/// line ends the block.
+pub(crate) fn comment_block_above(sc: &Scanned, ctx: &FileCtx, line: usize) -> Vec<usize> {
+    let mut out = Vec::new();
     let mut k = line.saturating_sub(1);
     while k >= 1 {
-        if ctx.is_attr_line(k) {
-            k -= 1;
-            continue;
-        }
-        let code = sc.code_line(k).trim();
-        let raw = sc.line_text(k).trim();
-        if code.is_empty() && raw.starts_with("//") {
-            if sc.line_comment_contains(k, marker) {
-                return true;
+        if !ctx.is_attr_line(k) {
+            let code = sc.code_line(k).trim();
+            let raw = sc.line_text(k).trim();
+            if !(code.is_empty() && raw.starts_with("//")) {
+                break; // blank line or code: the block (if any) ended
             }
-            k -= 1; // contiguous comment block: keep walking
-            continue;
+            out.push(k);
         }
-        return false; // blank line or code: the block (if any) ended
+        k -= 1;
     }
-    false
+    out
 }
 
 #[cfg(test)]
@@ -242,6 +245,14 @@ mod tests {
         let src = "// SAFETY: the incarnation tag\n// guards this read.\n#[inline]\n#[allow(\n  unused,\n)]\nunsafe fn f() {}\n";
         let (sc, c) = ctx(src);
         assert!(has_marker(&sc, &c, 7, "SAFETY:"));
+    }
+
+    #[test]
+    fn comment_block_above_is_nearest_first_and_skips_attributes() {
+        let src = "let a = 1;\n// two\n// one\n#[inline]\nfn f() {}\n";
+        let (sc, c) = ctx(src);
+        assert_eq!(comment_block_above(&sc, &c, 5), vec![3, 2]);
+        assert_eq!(comment_block_above(&sc, &c, 2), Vec::<usize>::new());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use lint::lexer::Scanned;
 use lint::syntax::FileCtx;
-use lint::{driver, manifest, rules, Finding};
+use lint::{driver, rules, Finding};
 
 fn fixture(name: &str) -> (Scanned, FileCtx) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -63,24 +63,25 @@ fn ordering_clean_corpus_extracts_sites_without_findings() {
     assert!(f.is_empty(), "false explicitness findings: {f:?}");
     let got: Vec<(usize, &str)> = sites
         .iter()
-        .map(|s| (s.line, s.ordering.as_str()))
+        .map(|s| (s.line, s.orderings.as_str()))
         .collect();
     assert_eq!(
         got,
         vec![
-            (7, "Acquire"),
-            (8, "Release"),
-            (9, "Relaxed"),
-            (10, "AcqRel,Acquire"),
-            (12, "SeqCst"),
-            (13, "SeqCst"),
-            (14, "SeqCst,Relaxed"),
-            (20, "Release"),
-            (21, "Acquire"),
+            (7, "ACQUIRE"),
+            (9, "RELEASE"),
+            (10, "RELAXED"),
+            (12, "ACQREL/ACQUIRE"),
+            (14, "SEQCST"),
+            (15, "SEQCST/RELAXED"),
+            (23, "RELEASE"),
+            (26, "ACQUIRE"),
+            (28, "RELAXED"),
+            (30, "RELAXED"),
         ]
     );
-    let f = rules::check_seqcst(&sc, &ctx, &sites);
-    assert!(f.is_empty(), "false SEQCST findings: {f:?}");
+    let f = rules::check_orderings(&fake(), &sc, &ctx, &sites);
+    assert!(f.is_empty(), "false ordering findings: {f:?}");
 }
 
 #[test]
@@ -90,11 +91,17 @@ fn ordering_bad_corpus_is_caught_at_exact_lines() {
     // An ordering hidden behind a const/alias is an explicitness violation
     // on the strict methods.
     assert_eq!(lines(&f, "ordering-explicit"), vec![9, 10, 11], "{f:?}");
-    // Only the literal-ordering sites are extracted for the manifest.
+    // Only the literal-ordering sites are extracted.
     let got: Vec<usize> = sites.iter().map(|s| s.line).collect();
-    assert_eq!(got, vec![12, 13]);
-    let f = rules::check_seqcst(&sc, &ctx, &sites);
-    assert_eq!(lines(&f, "seqcst-justify"), vec![12, 13], "{f:?}");
+    assert_eq!(got, vec![12, 14, 15, 22]);
+    let f = rules::check_orderings(&fake(), &sc, &ctx, &sites);
+    // Missing, wrong-ordering, empty-text and doc-comment markers.
+    assert_eq!(lines(&f, "ordering-justify"), vec![12, 14, 15, 22], "{f:?}");
+    let empty = f.iter().find(|x| x.line == 15).unwrap();
+    assert!(empty.message.contains("empty"), "{empty:?}");
+    // The wrong-ordering marker, the one whose literal became a variable
+    // and the one whose site is gone.
+    assert_eq!(lines(&f, "ordering-orphan"), vec![13, 17, 19], "{f:?}");
 }
 
 // --- epoch-guard discipline ------------------------------------------------
@@ -130,53 +137,29 @@ fn allow_corpus_is_caught_at_exact_lines() {
     assert_eq!(lines(&f, "allow-justify"), vec![3, 5, 8], "{f:?}");
 }
 
-// --- manifest drift, end to end --------------------------------------------
+// --- a weakened ordering, end to end -----------------------------------
 
 #[test]
-fn manifest_drift_is_reported_both_ways_with_exact_location() {
-    let src_v1 = "fn f(a: &A) { a.store(1, Ordering::Release); }\n";
-    let (sites, f) = rules::atomic_sites(&fake(), &Scanned::new(src_v1));
-    assert!(f.is_empty());
-    assert_eq!(sites.len(), 1);
+fn weakened_ordering_is_reported_at_the_site_and_at_its_stale_marker() {
+    let check = |src: &str| {
+        let sc = Scanned::new(src);
+        let ctx = FileCtx::new(&sc);
+        let (sites, explicit) = rules::atomic_sites(&fake(), &sc);
+        assert!(explicit.is_empty());
+        rules::check_orderings(&fake(), &sc, &ctx, &sites)
+    };
+    let v1 = "fn f(a: &A) {\n    // RELEASE: publishes the handoff\n    \
+              a.store(1, Ordering::Release);\n}\n";
+    assert!(check(v1).is_empty());
 
-    // Seed a manifest from the v1 site, round-trip it through the real
-    // renderer and parser, and confirm the cross-check is clean.
-    let rows: Vec<manifest::Row> = sites
-        .iter()
-        .map(|s| manifest::Row {
-            file: s.file.clone(),
-            hash: s.hash.clone(),
-            ordering: s.ordering.clone(),
-            justification: "publishes the handoff".into(),
-        })
-        .collect();
-    let text = manifest::render(&rows);
-    let rows = manifest::parse(&text).unwrap();
-    assert!(driver::check_manifest(&sites, &rows).is_empty());
-
-    // The code's ordering weakens without the manifest changing: drift
-    // must be reported in BOTH directions, each with exact file:line: the
-    // missing row at the site, the stale row at its own manifest line.
-    let src_v2 = "fn f(a: &A) { a.store(1, Ordering::Relaxed); }\n";
-    let (sites2, _) = rules::atomic_sites(&fake(), &Scanned::new(src_v2));
-    let f = driver::check_manifest(&sites2, &rows);
+    // The code's ordering weakens and its comment stays: the site is
+    // unjustified and the stale marker is reported at its own line.
+    let v2 = v1.replace("Ordering::Release", "Ordering::Relaxed");
+    let f = check(&v2);
     assert_eq!(f.len(), 2, "{f:?}");
-    let missing = f.iter().find(|x| x.message.contains("not in")).unwrap();
-    assert_eq!(missing.rule, "ordering-manifest");
-    assert_eq!(
-        (missing.file.as_str(), missing.line),
-        ("crates/fake/src/lib.rs", 1)
-    );
-    let stale = f
-        .iter()
-        .find(|x| x.message.contains("stale manifest row"))
-        .unwrap();
-    assert_eq!(stale.rule, "ordering-manifest");
-    assert_eq!(text.lines().nth(stale.line - 1), Some("[[site]]"));
-    assert_eq!(
-        (stale.file.as_str(), stale.line),
-        (driver::MANIFEST_PATH, rows[0].0)
-    );
+    assert_eq!(lines(&f, "ordering-justify"), vec![3]);
+    assert_eq!(lines(&f, "ordering-orphan"), vec![2]);
+    assert!(f.iter().all(|x| x.file == "crates/fake/src/lib.rs"));
 }
 
 // --- the real repository must be clean -------------------------------------

@@ -185,27 +185,34 @@ impl ScxRecord {
         // RELAXED: only the owner changes the sequence number, and helpers'
         // CASes keep it, so the owner's own latest value is what it reads.
         let seq = (word_seq(self.word.load(Ordering::Relaxed)) + 1) & SEQ_MASK;
-        // RELEASE: a helper that acquires this word and finds the sequence
-        // moved on must see the last incarnation's marks (they happened
-        // before its commit, which the owner observed before getting here).
         self.word
+            // RELEASE: a helper that acquires this word and finds the sequence
+            // moved on must see the last incarnation's marks (they happened
+            // before its commit, which the owner observed before getting here).
             .store(word(seq, IN_PROGRESS, false), Ordering::Release);
-        // The seqlock writer's fence: the new sequence number is ordered
-        // before every field store below, so a helper that reads any of
-        // them also sees the new number when it re-checks.
+        // RELEASE: seqlock writer fence: orders the new sequence number before the field stores
+        // that follow, pairing with the reader's fence(Acquire) in `unchanged`
         fence(Ordering::Release);
         let shape = op.len as u64
             | (op.finalize as u64) << 8
             | (op.fld_record as u64) << 16
             | (op.fld_idx as u64) << 24;
-        // RELAXED (all field stores): ordered after the sequence bump by the
-        // fence above and published to helpers by the first freezing CAS.
+        // RELAXED: seqlock field write: ordered after the new sequence number by the Release fence
+        // before it, and published to helpers by the SeqCst freezing CAS that follows
         self.shape.store(shape, Ordering::Relaxed);
         for i in 0..op.len {
+            // RELAXED: seqlock field write: ordered after the new sequence number by the Release
+            // fence before it, and published to helpers by the SeqCst freezing CAS that follows
             self.v[i].store(op.v[i], Ordering::Relaxed);
+            // RELAXED: seqlock field write: ordered after the new sequence number by the Release
+            // fence before it, and published to helpers by the SeqCst freezing CAS that follows
             self.expect[i].store(op.expect[i], Ordering::Relaxed);
         }
+        // RELAXED: seqlock field write: ordered after the new sequence number by the Release fence
+        // before it, and published to helpers by the SeqCst freezing CAS that follows
         self.old.store(op.old, Ordering::Relaxed);
+        // RELAXED: seqlock field write: ordered after the new sequence number by the Release fence
+        // before it, and published to helpers by the SeqCst freezing CAS that follows
         self.new.store(op.new, Ordering::Relaxed);
         op.info = (id as u64) << SEQ_BITS | seq;
     }
@@ -237,9 +244,9 @@ impl ScxRecord {
     /// The seqlock's body: the fields as they are now, which may mix two
     /// incarnations until [`unchanged`](Self::unchanged) says otherwise.
     pub(crate) fn fields(&self, info: u64) -> Scx {
-        // RELAXED (all field loads): a torn mix is possible and harmless,
-        // because nothing read here is used unless `unchanged` confirms
-        // that no newer incarnation wrote in between.
+        // RELAXED: seqlock field read: a torn mix of two incarnations is possible and harmless,
+        // because nothing read is used unless `unchanged` re-validates the sequence number after
+        // its fence(Acquire)
         let shape = self.shape.load(Ordering::Relaxed);
         let len = shape as usize & 0xff;
         let mut op = Scx {
@@ -250,11 +257,23 @@ impl ScxRecord {
             finalize: (shape >> 8) as u8,
             fld_record: (shape >> 16) as usize & 0xff,
             fld_idx: (shape >> 24) as usize & 0xff,
+            // RELAXED: seqlock field read: a torn mix of two incarnations is possible and harmless,
+            // because nothing read is used unless `unchanged` re-validates the sequence number
+            // after its fence(Acquire)
             old: self.old.load(Ordering::Relaxed),
+            // RELAXED: seqlock field read: a torn mix of two incarnations is possible and harmless,
+            // because nothing read is used unless `unchanged` re-validates the sequence number
+            // after its fence(Acquire)
             new: self.new.load(Ordering::Relaxed),
         };
         for i in 0..len {
+            // RELAXED: seqlock field read: a torn mix of two incarnations is possible and harmless,
+            // because nothing read is used unless `unchanged` re-validates the sequence number
+            // after its fence(Acquire)
             op.v[i] = self.v[i].load(Ordering::Relaxed);
+            // RELAXED: seqlock field read: a torn mix of two incarnations is possible and harmless,
+            // because nothing read is used unless `unchanged` re-validates the sequence number
+            // after its fence(Acquire)
             op.expect[i] = self.expect[i].load(Ordering::Relaxed);
         }
         op
@@ -263,9 +282,9 @@ impl ScxRecord {
     /// The seqlock's validation: whether incarnation `seq` is still the
     /// current one after the field loads that precede this call.
     pub(crate) fn unchanged(&self, seq: u64) -> bool {
-        // The seqlock reader's fence: if a field load above read a store of
-        // a newer incarnation, this fence synchronizes with `open`'s fence,
-        // so the load below sees that incarnation's sequence number.
+        // ACQUIRE: seqlock reader fence: if a field load before it read a newer incarnation's
+        // store, it synchronizes with `open`'s Release fence, so the reload after it sees the newer
+        // sequence number
         fence(Ordering::Acquire);
         // RELAXED: ordered after the field loads by the fence above.
         word_seq(self.word.load(Ordering::Relaxed)) == seq
@@ -275,7 +294,8 @@ impl ScxRecord {
     /// Returns `true` iff they were, i.e. the SCX commits.
     pub(crate) fn abort(&self, info: u64) -> bool {
         let seq = seq_of(info);
-        // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
+        // SEQCST: abort transition; the whole word, sequence number included, is compared. LLX/SCX
+        // helping protocol: one total order over info/mark/child updates (paper §4)
         match self.word.compare_exchange(
             word(seq, IN_PROGRESS, false),
             word(seq, ABORTED, false),
@@ -291,7 +311,8 @@ impl ScxRecord {
     /// Returns `false` if that SCX is over or aborted: the caller stops.
     pub(crate) fn set_all_frozen(&self, info: u64) -> bool {
         let seq = seq_of(info);
-        // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
+        // SEQCST: all_frozen transition; the whole word, sequence number included, is compared.
+        // LLX/SCX helping protocol: one total order over info/mark/child updates (paper §4)
         match self.word.compare_exchange(
             word(seq, IN_PROGRESS, false),
             word(seq, IN_PROGRESS, true),
@@ -307,7 +328,8 @@ impl ScxRecord {
     /// whose CAS made the transition.
     pub(crate) fn commit(&self, info: u64) -> bool {
         let seq = seq_of(info);
-        // SEQCST: LLX/SCX proof assumes one total order over info/mark/child updates (paper §4).
+        // SEQCST: commit transition; the whole word, sequence number included, is compared. LLX/SCX
+        // helping protocol: one total order over info/mark/child updates (paper §4)
         let won = self.word.compare_exchange(
             word(seq, IN_PROGRESS, true),
             word(seq, COMMITTED, true),

@@ -113,7 +113,7 @@ impl<T> From<Owned<T>> for Atomic<T> {
 
 impl<T> fmt::Debug for Atomic<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // A racy snapshot for printing; nothing is dereferenced.
+        // RELAXED: Debug formatting of an Atomic: a racy snapshot for printing, never dereferenced
         let (raw, tag) = decompose::<T>(self.data.load(Ordering::Relaxed));
         f.debug_struct("Atomic")
             .field("raw", &raw)
@@ -357,15 +357,19 @@ mod tests {
     fn cas_failure_returns_ownership() {
         with_guard(|guard| {
             let a = Atomic::new(1u64);
+            // RELAXED: unit test on a thread-local Atomic that no other thread sees
             let cur = a.load(Ordering::Relaxed, guard);
             let stale = Shared::null();
             let attempt = Owned::new(2u64);
             let err = a
+                // RELAXED: unit test on a thread-local Atomic that no other thread sees
                 .compare_exchange(stale, attempt, Ordering::Relaxed, Ordering::Relaxed, guard)
                 .unwrap_err();
             assert_eq!(err.current, cur);
             drop(err.new); // ownership came back; no leak, no double free
-                           // SAFETY: `a` never left this test; its pointee is freed once.
+
+            // RELAXED: unit test on a thread-local Atomic that no other thread sees
+            // SAFETY: `a` never left this test; its pointee is freed once.
             unsafe { drop(a.load(Ordering::Relaxed, guard).into_owned()) };
         })
     }

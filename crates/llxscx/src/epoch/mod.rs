@@ -499,10 +499,14 @@ mod tests {
     /// Adds to a test counter; deferred closures do, on whichever thread's
     /// pass runs them.
     fn add(c: &AtomicUsize, n: usize) {
+        // RELAXED: unit-test counter bumped by deferred closures on whichever thread runs them;
+        // only the final value matters
         c.fetch_add(n, Ordering::Relaxed);
     }
 
     fn count(c: &AtomicUsize) -> usize {
+        // RELAXED: unit-test counter polled by the test thread until it reaches its target;
+        // coherence is all the poll needs
         c.load(Ordering::Relaxed)
     }
 

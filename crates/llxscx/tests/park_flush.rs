@@ -38,11 +38,13 @@ impl Record for Node {
 
 impl Drop for Node {
     fn drop(&mut self) {
+        // RELAXED: test-local live-node counter; read only after the worker threads joined
         LIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 fn node() -> Owned<Node> {
+    // RELAXED: test-local live-node counter; read only after the worker threads joined
     LIVE.fetch_add(1, Ordering::Relaxed);
     Owned::new(Node {
         header: RecordHeader::new(),
@@ -141,6 +143,7 @@ fn flush_before_parking_bounds_the_backlog() {
         epoch::flush();
     }
     assert_eq!(backlog().orphaned, 0);
+    // RELAXED: test-local live-node counter; read only after the worker threads joined
     assert_eq!(LIVE.load(Ordering::Relaxed), 2);
     // SAFETY: both workers joined; single-threaded teardown of the two live nodes.
     unsafe {
@@ -150,5 +153,6 @@ fn flush_before_parking_bounds_the_backlog() {
         dispose_record((*root).kids[1].load(Ordering::SeqCst, guard).as_raw());
         dispose_record(root);
     }
+    // RELAXED: test-local live-node counter; read only after the worker threads joined
     assert_eq!(LIVE.load(Ordering::Relaxed), 0);
 }

@@ -86,7 +86,9 @@ where
             left: Atomic::null(),
             right: Atomic::null(),
         };
+        // RELAXED: node construction before publication; the writer's Release store publishes
         node.left.store(left, Ordering::Relaxed);
+        // RELAXED: node construction before publication; the writer's Release store publishes
         node.right.store(right, Ordering::Relaxed);
         Owned::new(node).into_shared(guard)
     }
@@ -94,13 +96,19 @@ where
     /// Wait-free lookup.
     pub fn get(&self, key: &K) -> Option<V> {
         with_guard(|guard| {
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             let mut cur = self.root.load(Ordering::Acquire, guard);
             while !cur.is_null() {
                 // SAFETY: nodes reachable from a published root stay allocated
                 // for the guard's lifetime (retirements are epoch-deferred).
                 let n = unsafe { cur.deref() };
                 cur = match key.cmp(&n.key) {
+                    // ACQUIRE: reader snapshot: pairs with the writer's Release publication of
+                    // rebuilt paths
                     std::cmp::Ordering::Less => n.left.load(Ordering::Acquire, guard),
+                    // ACQUIRE: reader snapshot: pairs with the writer's Release publication of
+                    // rebuilt paths
                     std::cmp::Ordering::Greater => n.right.load(Ordering::Acquire, guard),
                     std::cmp::Ordering::Equal => return Some(n.value.clone()),
                 };
@@ -117,6 +125,8 @@ where
     /// Smallest key strictly greater than `key` (wait-free snapshot walk).
     pub fn successor(&self, key: &K) -> Option<(K, V)> {
         with_guard(|guard| {
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             let mut cur = self.root.load(Ordering::Acquire, guard);
             let mut best: Option<(K, V)> = None;
             while !cur.is_null() {
@@ -125,8 +135,12 @@ where
                 let n = unsafe { cur.deref() };
                 if &n.key > key {
                     best = Some((n.key.clone(), n.value.clone()));
+                    // ACQUIRE: reader snapshot: pairs with the writer's Release publication of
+                    // rebuilt paths
                     cur = n.left.load(Ordering::Acquire, guard);
                 } else {
+                    // ACQUIRE: reader snapshot: pairs with the writer's Release publication of
+                    // rebuilt paths
                     cur = n.right.load(Ordering::Acquire, guard);
                 }
             }
@@ -137,6 +151,8 @@ where
     /// Largest key strictly smaller than `key`.
     pub fn predecessor(&self, key: &K) -> Option<(K, V)> {
         with_guard(|guard| {
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             let mut cur = self.root.load(Ordering::Acquire, guard);
             let mut best: Option<(K, V)> = None;
             while !cur.is_null() {
@@ -144,8 +160,12 @@ where
                 let n = unsafe { cur.deref() };
                 if &n.key < key {
                     best = Some((n.key.clone(), n.value.clone()));
+                    // ACQUIRE: reader snapshot: pairs with the writer's Release publication of
+                    // rebuilt paths
                     cur = n.right.load(Ordering::Acquire, guard);
                 } else {
+                    // ACQUIRE: reader snapshot: pairs with the writer's Release publication of
+                    // rebuilt paths
                     cur = n.left.load(Ordering::Acquire, guard);
                 }
             }
@@ -180,6 +200,8 @@ where
                 Bound::Included(hi) | Bound::Excluded(hi) => hi > &node.key,
             };
             if descend_left {
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 rec(node.left.load(Ordering::Acquire, guard), bounds, out, guard);
             }
             if bounds.contains(&node.key) {
@@ -187,6 +209,8 @@ where
             }
             if descend_right {
                 rec(
+                    // ACQUIRE: reader snapshot: pairs with the writer's Release publication of
+                    // rebuilt paths
                     node.right.load(Ordering::Acquire, guard),
                     bounds,
                     out,
@@ -197,6 +221,8 @@ where
         with_guard(|guard| {
             let mut out = Vec::new();
             rec(
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 self.root.load(Ordering::Acquire, guard),
                 &bounds,
                 &mut out,
@@ -221,7 +247,11 @@ where
             // SAFETY: height ≥ 2 ⇒ non-null.
             let l = unsafe { left.deref() };
             let (ll, lr) = (
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 l.left.load(Ordering::Acquire, guard),
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 l.right.load(Ordering::Acquire, guard),
             );
             if height(ll) >= height(lr) {
@@ -234,7 +264,11 @@ where
             // under `guard`.
             let lrn = unsafe { lr.deref() };
             let (lrl, lrr) = (
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 lrn.left.load(Ordering::Acquire, guard),
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 lrn.right.load(Ordering::Acquire, guard),
             );
             let new_left = Self::mk(l.key.clone(), l.value.clone(), ll, lrl, guard);
@@ -251,7 +285,11 @@ where
             // SAFETY: `hr > hl + 1` forces a non-null right child; loaded under `guard`.
             let r = unsafe { right.deref() };
             let (rl, rr) = (
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 r.left.load(Ordering::Acquire, guard),
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 r.right.load(Ordering::Acquire, guard),
             );
             if height(rr) >= height(rl) {
@@ -261,7 +299,11 @@ where
             // SAFETY: the rebalance case requires a non-null right-left grandchild.
             let rln = unsafe { rl.deref() };
             let (rll, rlr) = (
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 rln.left.load(Ordering::Acquire, guard),
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 rln.right.load(Ordering::Acquire, guard),
             );
             let new_left = Self::mk(key, value, left, rll, guard);
@@ -300,7 +342,11 @@ where
         let n = unsafe { node.deref() };
         retired.push(node);
         let (l, r) = (
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             n.left.load(Ordering::Acquire, guard),
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             n.right.load(Ordering::Acquire, guard),
         );
         match key.cmp(&n.key) {
@@ -329,7 +375,11 @@ where
         let n = unsafe { node.deref() };
         retired.push(node);
         let (l, r) = (
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             n.left.load(Ordering::Acquire, guard),
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             n.right.load(Ordering::Acquire, guard),
         );
         if l.is_null() {
@@ -355,7 +405,11 @@ where
         // SAFETY: `node` is non-null (checked by the recursion's base case).
         let n = unsafe { node.deref() };
         let (l, r) = (
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             n.left.load(Ordering::Acquire, guard),
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             n.right.load(Ordering::Acquire, guard),
         );
         match key.cmp(&n.key) {
@@ -395,10 +449,13 @@ where
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         with_guard(|guard| {
             let _w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             let root = self.root.load(Ordering::Acquire, guard);
             let mut retired = Vec::new();
             let mut old = None;
             let new_root = Self::insert_rec(root, &key, &value, &mut retired, &mut old, guard);
+            // RELEASE: publishes the rebuilt path under the writer mutex to wait-free readers
             self.root.store(new_root, Ordering::Release);
             for n in retired {
                 // SAFETY: superseded old-path nodes, unreachable from the new
@@ -413,11 +470,14 @@ where
     pub fn remove(&self, key: &K) -> Option<V> {
         with_guard(|guard| {
             let _w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             let root = self.root.load(Ordering::Acquire, guard);
             let mut retired = Vec::new();
             let mut old = None;
             let new_root = Self::remove_rec(root, key, &mut retired, &mut old, guard);
             if old.is_some() {
+                // RELEASE: publishes the rebuilt path under the writer mutex to wait-free readers
                 self.root.store(new_root, Ordering::Release);
                 for n in retired {
                     // SAFETY: as in insert.
@@ -432,6 +492,8 @@ where
     pub fn len(&self) -> usize {
         with_guard(|guard| {
             let mut count = 0;
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             let mut stack = vec![self.root.load(Ordering::Acquire, guard)];
             while let Some(n) = stack.pop() {
                 if n.is_null() {
@@ -440,7 +502,11 @@ where
                 // SAFETY: `n` is non-null (checked above) and alive under `guard`.
                 let node = unsafe { n.deref() };
                 count += 1;
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 stack.push(node.left.load(Ordering::Acquire, guard));
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 stack.push(node.right.load(Ordering::Acquire, guard));
             }
             count
@@ -449,6 +515,7 @@ where
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
+        // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt paths
         with_guard(|guard| self.root.load(Ordering::Acquire, guard).is_null())
     }
 
@@ -464,12 +531,18 @@ where
             }
             // SAFETY: `n` is non-null (checked above) and alive under `guard`.
             let node = unsafe { n.deref() };
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             rec(node.left.load(Ordering::Acquire, guard), out, guard);
             out.push((node.key.clone(), node.value.clone()));
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             rec(node.right.load(Ordering::Acquire, guard), out, guard);
         }
         with_guard(|guard| {
             let mut out = Vec::new();
+            // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+            // paths
             rec(self.root.load(Ordering::Acquire, guard), &mut out, guard);
             out
         })
@@ -500,12 +573,16 @@ where
                 }
             }
             let hl = rec(
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 node.left.load(Ordering::Acquire, guard),
                 lo,
                 Some(&node.key),
                 guard,
             )?;
             let hr = rec(
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 node.right.load(Ordering::Acquire, guard),
                 Some(&node.key),
                 hi,
@@ -520,6 +597,7 @@ where
             }
             Ok(h)
         }
+        // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt paths
         with_guard(|guard| rec(self.root.load(Ordering::Acquire, guard), None, None, guard))
     }
 }
@@ -539,6 +617,7 @@ impl<K, V> Drop for LockAvl<K, V> {
         // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so the
         // unprotected guard is sound.
         let guard = unsafe { llxscx::epoch::unprotected() };
+        // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt paths
         let mut stack = vec![self.root.load(Ordering::Acquire, guard)];
         while let Some(n) = stack.pop() {
             if n.is_null() {
@@ -549,7 +628,11 @@ impl<K, V> Drop for LockAvl<K, V> {
             // through the epoch collector at update time).
             unsafe {
                 let node = n.deref();
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 stack.push(node.left.load(Ordering::Acquire, guard));
+                // ACQUIRE: reader snapshot: pairs with the writer's Release publication of rebuilt
+                // paths
                 stack.push(node.right.load(Ordering::Acquire, guard));
                 drop(n.into_owned());
             }

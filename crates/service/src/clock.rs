@@ -62,16 +62,18 @@ impl MockClock {
         MockClock::default()
     }
 
-    /// Advances time by `d`.
+    /// Advances time by `d`, saturating at `u64::MAX` nanoseconds.
     pub fn advance(&self, d: Duration) {
-        // SEQCST: virtual test clock; not hot, simplest correct choice.
-        self.ns.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
+        self.advance_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Advances time by `ns` nanoseconds.
+    /// Advances time by `ns` nanoseconds, saturating at `u64::MAX`: the
+    /// clock stops at its end rather than wrap back to the past.
     pub fn advance_ns(&self, ns: u64) {
+        let clock = &self.ns;
+        let saturating = |t: u64| Some(t.saturating_add(ns));
         // SEQCST: virtual test clock; not hot, simplest correct choice.
-        self.ns.fetch_add(ns, Ordering::SeqCst);
+        let _ = clock.fetch_update(Ordering::SeqCst, Ordering::SeqCst, saturating);
     }
 }
 
@@ -124,5 +126,16 @@ mod tests {
         assert_eq!(c.now_ns(), 3_000);
         c.advance_ns(7);
         assert_eq!(c.now_ns(), 3_007);
+    }
+
+    #[test]
+    fn mock_clock_saturates_instead_of_wrapping() {
+        let c = MockClock::new();
+        c.advance_ns(u64::MAX);
+        assert_eq!(c.now_ns(), u64::MAX);
+        c.advance_ns(u64::MAX);
+        assert_eq!(c.now_ns(), u64::MAX, "a second advance must not wrap back");
+        c.advance(Duration::MAX);
+        assert_eq!(c.now_ns(), u64::MAX, "a Duration past u64 ns saturates");
     }
 }

@@ -144,13 +144,14 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A config with the given policy, `Block` overflow, and a capacity
-    /// of `4 × max_batch` (at least 64): deep enough that the flusher
-    /// can run one batch while the next accumulates.
+    /// of `4 × max_batch` (at least 64, saturating at `usize::MAX`):
+    /// deep enough that the flusher can run one batch while the next
+    /// accumulates.
     pub fn new(policy: FlushPolicy) -> ServiceConfig {
         ServiceConfig {
             policy,
             overflow: OverflowPolicy::Block,
-            capacity: (4 * policy.max_batch).max(64),
+            capacity: policy.max_batch.saturating_mul(4).max(64),
         }
     }
 
@@ -427,11 +428,13 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
             }
             match shared.overflow {
                 OverflowPolicy::Shed => {
+                    // RELAXED: monotonic service counter; read only for reporting
                     c.shed.fetch_add(1, Ordering::Relaxed);
                     return Err(SubmitError::Overloaded);
                 }
                 OverflowPolicy::Block => {
                     if !counted_blocked {
+                        // RELAXED: monotonic service counter; read only for reporting
                         c.blocked.fetch_add(1, Ordering::Relaxed);
                         counted_blocked = true;
                     }
@@ -462,8 +465,11 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
         let wake = q.flusher_parked && (was_empty || filled);
         if wake {
             q.flusher_parked = false;
+            // RELAXED: monotonic service counter (submit's flusher notifications); read only for
+            // reporting
             c.flusher_wakeups.fetch_add(1, Ordering::Relaxed);
         }
+        // RELAXED: monotonic service counter; read only for reporting
         c.submitted.fetch_add(1, Ordering::Relaxed);
         drop(q);
         if wake {
@@ -510,15 +516,25 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
         let c = &self.shared.counters;
         let occupancy = self.shared.queue.lock().expect(QUEUE_LOCK).ops.len();
         ServiceStats {
+            // RELAXED: monotonic service counter; read only for reporting
             submitted: c.submitted.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             completed: c.completed.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             shed: c.shed.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             blocked: c.blocked.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             flushes: c.flushes.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             size_flushes: c.size_flushes.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             deadline_flushes: c.deadline_flushes.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             drain_flushes: c.drain_flushes.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             batched_ops: c.batched_ops.load(Ordering::Relaxed),
+            // RELAXED: monotonic service counter; read only for reporting
             flusher_wakeups: c.flusher_wakeups.load(Ordering::Relaxed),
             occupancy,
             capacity: self.shared.capacity,
@@ -628,14 +644,19 @@ fn step_shared<M: ConcurrentMap>(shared: &Shared<M>) -> Step {
     };
     let len = ops.len();
     let c = &shared.counters;
-    // Count *before* publishing: a client whose `wait` returns must not
-    // observe a stats snapshot that hasn't counted its own flush yet.
+    // RELAXED: monotonic service counter, bumped before the slab's OnceLock publish: a client that
+    // read its response sees it counted
     c.completed.fetch_add(len as u64, Ordering::Relaxed);
+    // RELAXED: monotonic service counter; read only for reporting
     c.flushes.fetch_add(1, Ordering::Relaxed);
+    // RELAXED: monotonic service counter; read only for reporting
     c.batched_ops.fetch_add(len as u64, Ordering::Relaxed);
     match trigger {
+        // RELAXED: monotonic service counter; read only for reporting
         FlushTrigger::Size => c.size_flushes.fetch_add(1, Ordering::Relaxed),
+        // RELAXED: monotonic service counter; read only for reporting
         FlushTrigger::Deadline => c.deadline_flushes.fetch_add(1, Ordering::Relaxed),
+        // RELAXED: monotonic service counter; read only for reporting
         FlushTrigger::Drain => c.drain_flushes.fetch_add(1, Ordering::Relaxed),
     };
     slab.publish(results);
@@ -760,6 +781,16 @@ mod tests {
         while !svc.shared.queue.lock().unwrap().flusher_parked {
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn default_capacity_is_four_batches_saturating() {
+        let capacity =
+            |max_batch| ServiceConfig::new(FlushPolicy::new(max_batch, Duration::ZERO)).capacity;
+        assert_eq!(capacity(1), 64);
+        assert_eq!(capacity(100), 400);
+        assert_eq!(capacity(usize::MAX / 4 + 1), usize::MAX);
+        assert_eq!(capacity(usize::MAX), usize::MAX);
     }
 
     #[test]

@@ -101,6 +101,8 @@ fn one_flush_wakes_all_64_threads_awaiting_it() {
                     let poll = std::pin::Pin::new(&mut fut).poll(cx);
                     if poll.is_pending() && !counted {
                         counted = true;
+                        // RELAXED: test progress counter; the slab's waiter lock, not this count,
+                        // orders the waker registrations it counts
                         pending.fetch_add(1, Ordering::Relaxed);
                     }
                     poll
@@ -109,6 +111,8 @@ fn one_flush_wakes_all_64_threads_awaiting_it() {
             })
         })
         .collect();
+    // RELAXED: test progress counter; the slab's waiter lock, not this count, orders the waker
+    // registrations it counts
     while pending.load(Ordering::Relaxed) < 64 {
         std::thread::yield_now();
     }

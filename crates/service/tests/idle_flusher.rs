@@ -63,8 +63,11 @@ fn an_idle_flusher_releases_its_cached_guard() {
     assert_eq!(svc.stats().size_flushes, 1, "one size-triggered flush");
 
     // SAFETY: the deferred closure only touches a `'static` atomic.
+    // RELAXED: test-only flag set by a deferred closure; the watchdog loop only needs it to become
+    // visible eventually
     epoch::with_guard(|g| unsafe { g.defer_unchecked(|| RAN.store(true, Ordering::Relaxed)) });
     let deadline = Instant::now() + WATCHDOG;
+    // RELAXED: test-only flag poll under a watchdog; no other data is published through it
     while !RAN.load(Ordering::Relaxed) {
         assert!(
             Instant::now() < deadline,

@@ -95,6 +95,28 @@ fn deadline_fires_partial_batch_exactly_at_max_delay() {
 }
 
 #[test]
+fn deadline_only_policy_builds_and_flushes_by_deadline() {
+    // `usize::MAX` switches the size trigger off. The default capacity,
+    // four batches deep, saturates instead of overflowing.
+    let delay = Duration::from_micros(100);
+    let (mut svc, clock) = manual(FlushPolicy::new(usize::MAX, delay));
+    let a = svc.submit(Op::Insert(1, 10)).unwrap();
+    let b = svc.submit(Op::Get(1)).unwrap();
+    clock.advance(delay);
+    assert_eq!(
+        svc.step(),
+        Step::Flushed {
+            len: 2,
+            trigger: FlushTrigger::Deadline
+        }
+    );
+    assert_eq!(a.wait(), None);
+    assert_eq!(b.wait(), Some(10));
+    assert_eq!(svc.stats().size_flushes, 0);
+    svc.shutdown();
+}
+
+#[test]
 fn deadline_rearms_from_next_enqueue_not_from_flush() {
     let delay_ns = 100_000; // 100 µs
     let (mut svc, clock) = manual(FlushPolicy::new(100, Duration::from_nanos(delay_ns)));

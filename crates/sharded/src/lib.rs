@@ -11,10 +11,9 @@
 //!
 //! * [`ConcurrentMap`] — the suite-wide object-safe map interface
 //!   (relocated here from `workload`, which re-exports it, so the façade
-//!   can implement the same trait it composes over). Its
-//!   `insert_batch` / `remove_batch` / `get_batch` methods default to one
-//!   point op per element, in input order, so any map in the suite can
-//!   be driven by whole request groups.
+//!   can implement the same trait it composes over). A map is its point
+//!   ops; the `insert_batch` / `remove_batch` conveniences default to one
+//!   point op per element, in input order.
 //! * [`ShardedMap`] — the façade: power-of-two shard counts, uniform or
 //!   *learned* split points ([`ShardedMap::from_sample`]), wait-free
 //!   boundary-table routing, and cross-shard `range` stitching with a

