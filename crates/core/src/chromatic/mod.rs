@@ -47,7 +47,7 @@ use crate::template::{try_delete, try_insert, ChromaticWeights, LeafTree, Search
 pub struct ChromaticTree<K: Send + Sync + 'static, V: Send + Sync + 'static> {
     /// The shared template skeleton: sentinels, search, plain queries and
     /// teardown. What follows is what is genuinely the chromatic tree's.
-    tree: LeafTree<K, V>,
+    pub(crate) tree: LeafTree<K, V>,
     /// Invoke `Cleanup` only when the number of violations seen on the
     /// update's search path (plus the one it created) exceeds this bound
     /// (§5.6). `0` is the paper's plain "Chromatic"; `6` is "Chromatic6".

@@ -76,10 +76,10 @@ impl Stats {
 
     /// One counter, summed over the stripes.
     fn sum(&self, counter: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
+        // RELAXED: statistics read: sums one counter over the per-thread stripes; a Relaxed
+        // load returns a recent count of each, which is all a report needs, and orders nothing
         self.stripes
             .iter()
-            // RELAXED: statistics read: sums one counter over the per-thread stripes; a Relaxed
-            // load returns a recent count of each, which is all a report needs, and orders nothing
             .map(|s| counter(s).load(Ordering::Relaxed))
             .sum()
     }
@@ -105,11 +105,11 @@ impl Stats {
         self.mine().cleanup_passes.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn bump_violations_created(&self) {
+        // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads
+        // past STRIPES may share; Relaxed RMWs never lose an increment and the counts order
+        // nothing
         self.mine()
             .violations_created
-            // RELAXED: statistics counter: bumped on the calling thread's stripe, which threads
-            // past STRIPES may share; Relaxed RMWs never lose an increment and the counts order
-            // nothing
             .fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn bump_range_queries(&self) {

@@ -533,9 +533,9 @@ where
             let t = self.current(g);
             let h = t.home(hash);
             t.read(h, |hop| {
+                // RELAXED: get's value-word read: inside the lock-free read of the home bucket,
+                // kept only if the word re-check passes
                 t.find(h, hop, key)
-                    // RELAXED: get's value-word read: inside the lock-free read of the home bucket,
-                    // kept only if the word re-check passes
                     .map(|s| t.buckets[s].value.load(Ordering::Relaxed))
             })
         })
@@ -918,10 +918,10 @@ impl<K, V, S> Drop for HopMap<K, V, S> {
         // unprotected guard is sound, and the current generation, never null
         // after construction, is owned by the map alone.
         let table = unsafe {
+            // RELAXED: Drop: exclusive access through &mut self; no other thread can observe
+            // the table
             self.table
                 .0
-                // RELAXED: Drop: exclusive access through &mut self; no other thread can observe
-                // the table
                 .load(Ordering::Relaxed, unprotected())
                 .into_owned()
         };

@@ -16,7 +16,7 @@
 use std::path::Path;
 
 use crate::lexer::Scanned;
-use crate::syntax::{comment_block_above, has_marker, FileCtx};
+use crate::syntax::{chain_head, comment_block_above, has_marker, FileCtx};
 use crate::Finding;
 
 /// Atomic methods whose call sites the ordering audit tracks, plus the
@@ -272,7 +272,9 @@ fn ordering_marker(sc: &Scanned, line: usize) -> Option<(&str, &str)> {
 ///
 /// * `ordering-justify` — a site without a marker that names exactly its
 ///   orderings and has text. A marker counts when it trails any line of
-///   the call or sits in the comment block above the anchor line.
+///   the call or sits in the comment block above the anchor line or, for
+///   a `.method(` split onto a line of its own, above the chain's first
+///   line (`syntax::chain_head`).
 /// * `ordering-orphan` — a marker that no site claims, reported at the
 ///   marker's line: its site changed orderings, lost its literal, or is
 ///   gone.
@@ -286,7 +288,11 @@ pub fn check_orderings(
     let mut claimed = vec![false; sc.line_count() + 1];
     for site in sites {
         let mut texts = Vec::new();
-        for l in (site.line..=site.end_line).chain(comment_block_above(sc, ctx, site.line)) {
+        let above_chain = chain_head(sc, site.line).map(|h| comment_block_above(sc, ctx, h));
+        for l in (site.line..=site.end_line)
+            .chain(comment_block_above(sc, ctx, site.line))
+            .chain(above_chain.into_iter().flatten())
+        {
             if let Some((names, text)) = ordering_marker(sc, l) {
                 if names == site.orderings {
                     claimed[l] = true;
@@ -580,11 +586,21 @@ mod tests {
         let src =
             "let w = self\n    .word\n    // RELEASE: publish\n    .store(1, Ordering::Release);\n";
         assert!(findings(src).is_empty());
-        // Above the receiver, a code line separates it from the method.
+    }
+
+    #[test]
+    fn a_marker_above_a_split_chain_belongs_to_its_methods() {
         let src = "// RELEASE: publish\nself.word\n    .store(1, Ordering::Release);\n";
+        assert!(findings(src).is_empty());
+        // Nested in a statement: the block above the chain's first line.
+        let src = "// SEQCST: total order\nif node.next[0]\n    .compare_exchange(a, b, \
+                   Ordering::SeqCst, Ordering::SeqCst)\n    .is_ok()\n{}\n";
+        assert!(findings(src).is_empty());
+        // Above the previous statement it reaches nothing.
+        let src = "// RELEASE: publish\nlet x = 1;\nself.word\n    .store(1, Ordering::Release);\n";
         assert_eq!(
             findings(src),
-            vec![(1, "ordering-orphan"), (3, "ordering-justify")]
+            vec![(1, "ordering-orphan"), (4, "ordering-justify")]
         );
     }
 }

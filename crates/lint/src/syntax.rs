@@ -199,6 +199,36 @@ pub(crate) fn comment_block_above(sc: &Scanned, ctx: &FileCtx, line: usize) -> V
     out
 }
 
+/// The first line of the method chain that 1-based `line` continues, or
+/// `None` when `line` does not start with `.`. `rustfmt` splits a long
+/// chain one `.method(` per line under its receiver; walking up over those
+/// `.`-led lines and over comment lines reaches the chain's first line,
+/// the one that starts the statement:
+///
+/// ```text
+/// // RELEASE: publish the slots before the word
+/// self.word
+///     .store(next, Ordering::Release);
+/// ```
+///
+/// A blank line ends the walk with `None`.
+pub(crate) fn chain_head(sc: &Scanned, line: usize) -> Option<usize> {
+    if !sc.code_line(line).trim_start().starts_with('.') {
+        return None;
+    }
+    for k in (1..line).rev() {
+        let code = sc.code_line(k).trim();
+        if code.is_empty() {
+            if !sc.line_text(k).trim().starts_with("//") {
+                return None; // a blank line
+            }
+        } else if !code.starts_with('.') {
+            return Some(k);
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +283,16 @@ mod tests {
         let (sc, c) = ctx(src);
         assert_eq!(comment_block_above(&sc, &c, 5), vec![3, 2]);
         assert_eq!(comment_block_above(&sc, &c, 2), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn chain_head_walks_up_over_dotted_and_comment_lines() {
+        let src = "let a = 1;\nlet v = self\n    .word\n    // note\n    .load(o);\n\n    .x();\n";
+        let (sc, _) = ctx(src);
+        assert_eq!(chain_head(&sc, 5), Some(2));
+        assert_eq!(chain_head(&sc, 3), Some(2));
+        assert_eq!(chain_head(&sc, 2), None, "not a continuation");
+        assert_eq!(chain_head(&sc, 7), None, "a blank line ends the walk");
     }
 
     #[test]

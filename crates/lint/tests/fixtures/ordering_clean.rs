@@ -34,3 +34,11 @@ fn lookalikes(v: &mut [u8]) {
     v.swap(0, 1);
     let _ = "x".to_string().len();
 }
+
+fn split_chain(slots: &[AtomicUsize]) -> usize {
+    // ACQUIRE: above the first line of a chain split one method per line.
+    slots
+        .iter()
+        .map(|s| s.load(Ordering::Acquire))
+        .sum()
+}

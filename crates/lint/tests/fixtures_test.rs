@@ -78,6 +78,7 @@ fn ordering_clean_corpus_extracts_sites_without_findings() {
             (26, "ACQUIRE"),
             (28, "RELAXED"),
             (30, "RELAXED"),
+            (42, "ACQUIRE"),
         ]
     );
     let f = rules::check_orderings(&fake(), &sc, &ctx, &sites);

@@ -185,10 +185,10 @@ impl ScxRecord {
         // RELAXED: only the owner changes the sequence number, and helpers'
         // CASes keep it, so the owner's own latest value is what it reads.
         let seq = (word_seq(self.word.load(Ordering::Relaxed)) + 1) & SEQ_MASK;
+        // RELEASE: a helper that acquires this word and finds the sequence
+        // moved on must see the last incarnation's marks (they happened
+        // before its commit, which the owner observed before getting here).
         self.word
-            // RELEASE: a helper that acquires this word and finds the sequence
-            // moved on must see the last incarnation's marks (they happened
-            // before its commit, which the owner observed before getting here).
             .store(word(seq, IN_PROGRESS, false), Ordering::Release);
         // RELEASE: seqlock writer fence: orders the new sequence number before the field stores
         // that follow, pairing with the reader's fence(Acquire) in `unchanged`

@@ -361,8 +361,8 @@ mod tests {
             let cur = a.load(Ordering::Relaxed, guard);
             let stale = Shared::null();
             let attempt = Owned::new(2u64);
+            // RELAXED: unit test on a thread-local Atomic that no other thread sees
             let err = a
-                // RELAXED: unit test on a thread-local Atomic that no other thread sees
                 .compare_exchange(stale, attempt, Ordering::Relaxed, Ordering::Relaxed, guard)
                 .unwrap_err();
             assert_eq!(err.current, cur);

@@ -149,6 +149,37 @@ mod tests {
     }
 
     #[test]
+    fn range_over_a_chain_of_linear_depth() {
+        // Ascending inserts leave no rebalancing to do: every insert hangs
+        // below the previous one, a chain of depth Θ(n). The scan must stay
+        // iterative (no recursion to overflow) and visit each node once.
+        const N: u64 = 20_000;
+        let t = NbBst::new();
+        for k in 0..N {
+            t.insert(k, k + 1);
+        }
+        let all = t.collect();
+        assert_eq!(all.len() as u64, N);
+        assert_eq!(t.range(..), all);
+        for (lo, hi) in [
+            (0, 0),
+            (0, 99),
+            (9_950, 10_049),
+            (N - 100, N + 5),
+            (N, 2 * N),
+        ] {
+            let expect: Vec<_> = all
+                .iter()
+                .filter(|(k, _)| (lo..=hi).contains(k))
+                .copied()
+                .collect();
+            assert_eq!(t.range(lo..=hi), expect, "[{lo}, {hi}]");
+        }
+        assert_eq!(t.range(N - 3..), all[all.len() - 3..]);
+        assert_eq!(t.range(..3), all[..3]);
+    }
+
+    #[test]
     fn concurrent_stripes() {
         use std::sync::Arc;
         let t = Arc::new(NbBst::new());

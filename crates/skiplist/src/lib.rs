@@ -174,8 +174,8 @@ where
             let mut pred = head;
             for level in (0..MAX_LEVEL).rev() {
                 // SAFETY: nodes reached via the list under `guard`.
+                // SEQCST: pairs with the marking CASes' total order.
                 let mut curr = unsafe { pred.deref() }.next[level]
-                    // SEQCST: pairs with the marking CASes' total order.
                     .load(Ordering::SeqCst, guard)
                     .with_tag(0);
                 loop {
@@ -193,8 +193,8 @@ where
                         // curr is marked: unlink it at this level.
                         // SAFETY: `pred` was either the head sentinel or a node reached under
                         // `guard` this traversal; both stay allocated while pinned.
+                        // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                         let unlinked = unsafe { pred.deref() }.next[level]
-                            // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                             .compare_exchange(
                                 curr.with_tag(0),
                                 succ.with_tag(0),
@@ -250,8 +250,8 @@ where
             let mut pred = self.head(guard);
             for level in (0..MAX_LEVEL).rev() {
                 // SAFETY: list nodes under `guard`.
+                // SEQCST: pairs with the marking CASes' total order.
                 let mut curr = unsafe { pred.deref() }.next[level]
-                    // SEQCST: pairs with the marking CASes' total order.
                     .load(Ordering::SeqCst, guard)
                     .with_tag(0);
                 while !curr.is_null() {
@@ -335,8 +335,8 @@ where
                 // Linearization: CAS at the bottom level.
                 // SAFETY: preds are list nodes under `guard`.
                 let bottom = unsafe { f.preds[0].deref() };
+                // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                 if bottom.next[0]
-                    // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                     .compare_exchange(f.succs[0], node, Ordering::SeqCst, Ordering::SeqCst, guard)
                     .is_err()
                 {
@@ -356,8 +356,8 @@ where
                         }
                         let pred = f.preds[level];
                         // SAFETY: `preds[level]` was reached by `find` under `guard`.
+                        // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                         if unsafe { pred.deref() }.next[level]
-                            // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                             .compare_exchange(
                                 succ.with_tag(0),
                                 node,
@@ -376,8 +376,8 @@ where
                         }
                         let expected = f2.succs[level];
                         // SAFETY: `node` is this insert's own allocation, alive under `guard`.
+                        // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                         if unsafe { node.deref() }.next[level]
-                            // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                             .compare_exchange(
                                 succ.with_tag(0),
                                 expected,
@@ -390,8 +390,8 @@ where
                             break 'tower; // marked underneath us
                         }
                         // SAFETY: fresh predecessor from the re-run `find`, reached under `guard`.
+                        // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                         if unsafe { f2.preds[level].deref() }.next[level]
-                            // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                             .compare_exchange(
                                 expected,
                                 node,
@@ -466,8 +466,8 @@ where
                 if succ.tag() == 1 {
                     break;
                 }
+                // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                 if node_ref.next[level]
-                    // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                     .compare_exchange(
                         succ,
                         succ.with_tag(1),
@@ -487,8 +487,8 @@ where
             if succ.tag() == 1 {
                 return false; // someone else's delete linearized first
             }
+            // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
             if node_ref.next[0]
-                // SEQCST: mark/link CASes must totally order across levels (Harris–Michael).
                 .compare_exchange(
                     succ,
                     succ.with_tag(1),
@@ -578,8 +578,8 @@ where
             // unbounded start walks from the head sentinel.
             let mut cur = match bounds.start_bound() {
                 // SAFETY: the head sentinel is allocated in `new` and never reclaimed.
+                // SEQCST: pairs with the marking CASes' total order.
                 Bound::Unbounded => unsafe { self.head(guard).deref() }.next[0]
-                    // SEQCST: pairs with the marking CASes' total order.
                     .load(Ordering::SeqCst, guard)
                     .with_tag(0),
                 Bound::Included(lo) | Bound::Excluded(lo) => self.find(lo, guard).succs[0],
@@ -611,8 +611,8 @@ where
         with_guard(|guard| {
             let mut count = 0;
             // SAFETY: the head sentinel is allocated in `new` and never reclaimed.
+            // SEQCST: pairs with the marking CASes' total order.
             let mut cur = unsafe { self.head(guard).deref() }.next[0]
-                // SEQCST: pairs with the marking CASes' total order.
                 .load(Ordering::SeqCst, guard)
                 .with_tag(0);
             while !cur.is_null() {
@@ -639,8 +639,8 @@ where
         with_guard(|guard| {
             let mut out = Vec::new();
             // SAFETY: the head sentinel is allocated in `new` and never reclaimed.
+            // SEQCST: pairs with the marking CASes' total order.
             let mut cur = unsafe { self.head(guard).deref() }.next[0]
-                // SEQCST: pairs with the marking CASes' total order.
                 .load(Ordering::SeqCst, guard)
                 .with_tag(0);
             while !cur.is_null() {

@@ -67,8 +67,8 @@ impl<T: Clone + Send + Sync + 'static> ErasedVar for TVar<T> {
         if cur & 1 == 1 {
             return None;
         }
+        // SEQCST: TL2 global clock and version locks need a single total order.
         self.version_lock
-            // SEQCST: TL2 global clock and version locks need a single total order.
             .compare_exchange(cur, cur | 1, Ordering::SeqCst, Ordering::SeqCst)
             .ok()
     }
