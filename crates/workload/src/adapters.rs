@@ -35,6 +35,17 @@ pub const ALL_MAPS: &[&str] = &[
     "hybrid",
 ];
 
+/// Violations a chromatic *tier* lets an update's search path hold before
+/// the update runs `cleanup` (§5.6): the `k` of every tree inside a
+/// composed registry entry, the `"sharded"` shards and each
+/// [`HybridShard`]'s tree. 6 is the paper's Chromatic6.
+///
+/// A lazy tier skips about 99 % of the rebalancing steps, and the root
+/// walks between them, that a `k = 0` update pays. Its quiescent height
+/// bound loosens only by `k`, to `2⌈log2(n+1)⌉ + 2 + k`. The
+/// `"chromatic"` entry stays at `k = 0`: it is the paper's cell.
+pub const TIER_ALLOWED_VIOLATIONS: u32 = 6;
+
 /// The chromatic tree behind the registry: the `"chromatic"` and
 /// `"chromatic6"` entries and every shard of the `"sharded"` façade are
 /// this one type, told apart by the name they report.
@@ -47,6 +58,13 @@ pub const ALL_MAPS: &[&str] = &[
 pub struct ChromaticShard {
     tree: ChromaticTree<u64, u64>,
     name: &'static str,
+}
+
+impl ChromaticShard {
+    /// The shard's tree, read-only: for audits and `Stats` at quiescence.
+    pub fn tree(&self) -> &ChromaticTree<u64, u64> {
+        &self.tree
+    }
 }
 
 impl ConcurrentMap for ChromaticShard {
@@ -74,15 +92,16 @@ impl ConcurrentMap for ChromaticShard {
 }
 
 /// A sharded façade over chromatic-tree shards: `cfg.shards()` instances
-/// splitting `[0, cfg.shard_span())` uniformly. The registry's
-/// `"sharded"` entry is `make_sharded(cfg)` behind the trait object;
-/// tests that need the concrete type (per-shard inspection) build it
-/// through this constructor.
+/// splitting `[0, cfg.shard_span())` uniformly, each a lazy tier allowing
+/// [`TIER_ALLOWED_VIOLATIONS`]. The registry's `"sharded"` entry is
+/// `make_sharded(cfg)` behind the trait object; tests that need the
+/// concrete type (per-shard inspection) build it through this
+/// constructor.
 pub fn make_sharded(cfg: &SuiteConfig) -> ShardedMap<ChromaticShard> {
     let shards = cfg.shards();
     ShardedMap::with_span(shards, cfg.shard_span().max(shards as u64), |_| {
         ChromaticShard {
-            tree: ChromaticTree::new(),
+            tree: ChromaticTree::with_allowed_violations(TIER_ALLOWED_VIOLATIONS),
             name: "chromatic-shard",
         }
     })
@@ -90,10 +109,11 @@ pub fn make_sharded(cfg: &SuiteConfig) -> ShardedMap<ChromaticShard> {
 
 /// Instantiates a map by name; `None` for unknown names.
 ///
-/// All construction-time knobs arrive through the typed [`SuiteConfig`]
-/// (binaries parse the environment into one exactly once, at startup) —
-/// the registry itself never consults the environment, so two sweepers
-/// can no longer disagree about how the same `"sharded"` entry is sized.
+/// The typed [`SuiteConfig`] is the only construction-time input, and its
+/// key range is its only sizing input: binaries call
+/// [`SuiteConfig::for_key_range`] per range block. The registry never
+/// consults the environment, so two sweepers cannot disagree about how
+/// the same `"sharded"` entry is sized.
 pub fn make_map(name: &str, cfg: &SuiteConfig) -> Option<Box<dyn ConcurrentMap>> {
     Some(match name {
         "chromatic" => Box::new(ChromaticShard {
@@ -217,7 +237,7 @@ const HYBRID_LATCHES: usize = 64;
 
 /// One shard of the `"hybrid"` registry entry: a hash tier answering the
 /// point ops, dual-written with a chromatic tier that answers ordered
-/// scans.
+/// scans. The tree is a lazy tier allowing [`TIER_ALLOWED_VIOLATIONS`].
 ///
 /// # Consistency scope
 ///
@@ -244,13 +264,19 @@ impl Default for HybridShard {
     fn default() -> Self {
         HybridShard {
             hash: HopMap::new(),
-            tree: ChromaticTree::new(),
+            tree: ChromaticTree::with_allowed_violations(TIER_ALLOWED_VIOLATIONS),
             latches: (0..HYBRID_LATCHES).map(|_| Mutex::new(())).collect(),
         }
     }
 }
 
 impl HybridShard {
+    /// The shard's chromatic tier, read-only: for audits and `Stats` at
+    /// quiescence.
+    pub fn tree(&self) -> &ChromaticTree<u64, u64> {
+        &self.tree
+    }
+
     fn latched<R>(&self, k: u64, f: impl FnOnce() -> R) -> R {
         let _latch = self.latches[(k as usize) & (HYBRID_LATCHES - 1)]
             .lock()

@@ -14,7 +14,8 @@ pub mod latency;
 pub mod oracle;
 
 pub use adapters::{
-    make_hybrid, make_map, make_sharded, ConcurrentMap, HopShard, HybridShard, RangeTier, ALL_MAPS,
+    make_hybrid, make_map, make_sharded, ChromaticShard, ConcurrentMap, HopShard, HybridShard,
+    RangeTier, ALL_MAPS, TIER_ALLOWED_VIOLATIONS,
 };
 pub use config::SuiteConfig;
 pub use dist::{KeyDist, KeySampler};

@@ -2,8 +2,11 @@
 //! same scripted workloads, semantic equivalence between structures, and
 //! template-level properties that span llxscx + nbtree.
 
+use sharded::ShardedMap;
 use workload::{
-    check_against_model, check_against_model_dist, make_map, KeyDist, SuiteConfig, ALL_MAPS,
+    check_against_model, check_against_model_dist, make_hybrid, make_map, make_sharded,
+    ChromaticShard, ConcurrentMap, HybridShard, KeyDist, SuiteConfig, ALL_MAPS,
+    TIER_ALLOWED_VIOLATIONS,
 };
 
 /// One config for every test in this file: the scripted workloads use
@@ -487,6 +490,92 @@ fn hybrid_tiers_agree_after_settled_concurrent_run() {
 #[test]
 fn hybrid_tiers_agree_after_racing_batch_writers() {
     hybrid_tiers_agree_after_concurrent_run(true);
+}
+
+/// Keys per lazy-tier test: 8 shards of 512 keys each.
+const LAZY_TIER_KEYS: u64 = 1 << 12;
+
+/// A fresh `"sharded"` and `"hybrid"` entry over `[0, LAZY_TIER_KEYS)`,
+/// concrete so each shard's tree can be audited.
+fn lazy_tier_maps() -> (ShardedMap<ChromaticShard>, ShardedMap<HybridShard>) {
+    let cfg = SuiteConfig::default().for_key_range(LAZY_TIER_KEYS);
+    (make_sharded(&cfg), make_hybrid(&cfg))
+}
+
+/// Every chromatic tier of both entries must be a valid chromatic tree
+/// within the §5.3 quiescent height bound that `figures height` checks,
+/// `2⌈log2(n+1)⌉ + 2 + k`, at the `k` the registry ships.
+fn assert_lazy_tiers_within_bound(
+    sharded: &ShardedMap<ChromaticShard>,
+    hybrid: &ShardedMap<HybridShard>,
+) {
+    let check = |entry: &str, shard: usize, tree: &nbtree::ChromaticTree<u64, u64>| {
+        let report = tree.audit();
+        assert!(
+            report.is_valid(),
+            "{entry} shard {shard}: {:?}",
+            report.errors
+        );
+        let log = (report.keys + 1).next_power_of_two().trailing_zeros() as usize;
+        let bound = 2 * log + 2 + TIER_ALLOWED_VIOLATIONS as usize;
+        assert!(
+            report.height <= bound,
+            "{entry} shard {shard}: height {} exceeds the bound {bound} (n = {}, k = {})",
+            report.height,
+            report.keys,
+            TIER_ALLOWED_VIOLATIONS
+        );
+    };
+    for (i, s) in sharded.shards().enumerate() {
+        check("sharded", i, s.tree());
+    }
+    for (i, s) in hybrid.shards().enumerate() {
+        check("hybrid", i, s.tree());
+    }
+}
+
+/// Two threads churn both composed entries 50i-50d on shared keys; at
+/// quiescence every lazy tier holds the height bound.
+#[test]
+fn lazy_tier_shards_hold_the_height_bound_after_two_thread_churn() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let (sharded, hybrid) = lazy_tier_maps();
+    std::thread::scope(|s| {
+        for tid in 0..2u64 {
+            let (sharded, hybrid) = (&sharded, &hybrid);
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(11 + tid);
+                for step in 0..20_000u64 {
+                    let k = rng.gen_range(0..LAZY_TIER_KEYS);
+                    if rng.gen_bool(0.5) {
+                        sharded.insert(k, step);
+                        hybrid.insert(k, step);
+                    } else {
+                        sharded.remove(&k);
+                        hybrid.remove(&k);
+                    }
+                }
+                llxscx::epoch::flush();
+            });
+        }
+    });
+    assert!(sharded.len() > 0 && hybrid.len() > 0);
+    assert_lazy_tiers_within_bound(&sharded, &hybrid);
+}
+
+/// Ascending inserts are the worst case for deferred rebalancing: every
+/// insert lands on the rightmost path, so a tier that never cleaned up
+/// would grow one level per key.
+#[test]
+fn lazy_tier_shards_hold_the_height_bound_after_ascending_inserts() {
+    let (sharded, hybrid) = lazy_tier_maps();
+    for k in 0..LAZY_TIER_KEYS {
+        sharded.insert(k, k);
+        hybrid.insert(k, k);
+    }
+    assert_eq!(sharded.len(), LAZY_TIER_KEYS as usize);
+    assert_eq!(hybrid.len(), LAZY_TIER_KEYS as usize);
+    assert_lazy_tiers_within_bound(&sharded, &hybrid);
 }
 
 #[test]
