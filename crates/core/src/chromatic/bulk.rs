@@ -4,7 +4,7 @@
 //! loops over [`insert`](ChromaticTree::insert) and
 //! [`remove`](ChromaticTree::remove). Every element is the paper's one
 //! localized update followed by its rebalancing steps (§5), under that
-//! update's own cached-guard pin, so a batch adds no code path of its own
+//! update's own epoch pin, so a batch adds no code path of its own
 //! and a concurrent reader sees it take effect in input order.
 
 use super::ChromaticTree;

@@ -141,9 +141,9 @@ where
     /// SCX of the successful attempt.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         loop {
-            // One attempt per cached-guard entry: retries cross a
-            // `with_guard` boundary, so a long retry storm still lets the
-            // epoch advance at the repin interval.
+            // One attempt per `with_guard` call: each retry unpins and
+            // pins afresh, so a long retry storm does not hold the epoch
+            // back.
             let attempt = with_guard(|guard| {
                 let (path, seen) = self.search(&key, guard);
                 try_insert::<ChromaticWeights, K, V>(&path, &key, &value, guard).map(|a| (a, seen))

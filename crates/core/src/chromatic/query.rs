@@ -29,7 +29,7 @@ where
     /// `None` if no such key exists. Linearizable (§5.5).
     pub fn successor(&self, key: &K) -> Option<(K, V)> {
         loop {
-            // One attempt per cached-guard entry (see `ChromaticTree::insert`).
+            // One attempt per `with_guard` call (see `ChromaticTree::insert`).
             if let Some(r) = with_guard(|guard| self.try_adjacent(key, 0, guard)) {
                 return r;
             }
@@ -150,8 +150,8 @@ where
     pub fn range<B: RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
         self.stats.bump_range_queries();
         loop {
-            // One attempt per cached-guard entry, like the update paths: a
-            // retry storm still lets the epoch advance at repin intervals.
+            // One attempt per `with_guard` call, like the update paths: a
+            // retry storm does not hold the epoch back.
             if let Some(out) = self.tree.try_range(&bounds) {
                 return out;
             }

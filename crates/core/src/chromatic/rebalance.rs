@@ -35,7 +35,7 @@ where
     #[allow(unused_assignments)] // ALLOW: the walk's final `gp/p` shifts are dead on the exit path; restructuring would obscure the paper's Fig. 12 loop
     pub(crate) fn cleanup(&self, key: &K) {
         loop {
-            // One walk per cached-guard entry (see `ChromaticTree::insert`);
+            // One walk per `with_guard` call (see `ChromaticTree::insert`);
             // `true` means the walk was clean and cleanup is done.
             let clean = llxscx::with_guard(|guard| {
                 self.stats.bump_cleanup_passes();

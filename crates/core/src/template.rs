@@ -361,9 +361,10 @@ where
     ///
     /// Uses only plain reads (no LLX), exactly like a sequential BST search;
     /// correctness under concurrency is the paper's property C3 (§5.4).
-    /// Runs under the amortized cached guard ([`llxscx::with_guard`]), so
-    /// the epoch pin costs a thread-local re-entry rather than global
-    /// atomics — the paper's "searches perform no synchronization" design.
+    /// Runs under one epoch pin ([`llxscx::with_guard`]): a SeqCst
+    /// announce in the thread's own slot on entry and a Release store on
+    /// return. The search itself writes nothing shared, as the paper's
+    /// searches perform no synchronization.
     pub fn get(&self, key: &K) -> Option<V> {
         with_guard(|guard| {
             // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
@@ -388,9 +389,9 @@ where
     /// attempt commits; linearizes at that attempt's SCX.
     pub fn insert<W: WeightRule>(&self, key: &K, value: &V) -> Applied<V> {
         loop {
-            // One attempt per cached-guard entry: retries cross a
-            // `with_guard` boundary, so a long retry storm still lets the
-            // epoch advance at the repin interval.
+            // One attempt per `with_guard` call: each retry unpins and
+            // pins afresh, so a long retry storm does not hold the epoch
+            // back.
             let attempt = with_guard(|guard| {
                 try_insert::<W, K, V>(&self.search(key, guard), key, value, guard)
             });
@@ -421,7 +422,7 @@ where
 
     /// All pairs with keys in `bounds`, sorted — an atomic snapshot,
     /// linearized at the successful VLX of the final attempt. One attempt
-    /// per cached-guard entry, like the update paths.
+    /// per `with_guard` call, like the update paths.
     pub fn range<B: RangeBounds<K>>(&self, bounds: B) -> Vec<(K, V)> {
         loop {
             if let Some(out) = self.try_range(&bounds) {

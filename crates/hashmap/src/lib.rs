@@ -68,9 +68,10 @@
 //!   loaded it keeps probing a frozen, complete snapshot and linearizes
 //!   at its table-pointer load.
 //! * **Reclamation** is epoch-based via the suite's
-//!   [`llxscx::epoch`]: every op takes the cached per-thread
-//!   guard, with the same repin cadence (and the same documented
-//!   reclamation-lag bound) as the trees. Only retired table generations
+//!   [`llxscx::epoch`]: every op pins for its own
+//!   [`with_guard`](llxscx::epoch::with_guard) call, with the same pass
+//!   cadence (and the same documented reclamation-lag bound) as the
+//!   trees. Only retired table generations
 //!   are reclaimed; there are no entries to retire, because no insert,
 //!   update or remove allocates or frees anything.
 //!

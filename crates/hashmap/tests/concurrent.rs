@@ -52,7 +52,6 @@ fn readers_never_miss_permanent_keys_during_displacement_storm() {
                 }
                 round += 1;
             }
-            llxscx::epoch::flush();
         }));
     }
     let mut readers = Vec::new();
@@ -112,7 +111,6 @@ fn gets_never_return_another_keys_value_from_a_reused_slot() {
                 map.insert(a, tag(a, n));
                 map.insert(a, tag(a, n + 1));
             }
-            llxscx::epoch::flush();
         })
     };
     let reader = {
@@ -158,7 +156,6 @@ fn striped_point_writers_settle_deterministically() {
             for k in (base..base + STRIPE).filter(|k| k % 5 == 0) {
                 map.remove(&k);
             }
-            llxscx::epoch::flush();
         }));
     }
     for h in handles {
@@ -203,7 +200,6 @@ fn scans_hold_weak_properties_mid_churn() {
                     map.remove(&k);
                 }
             }
-            llxscx::epoch::flush();
         }));
     }
     for _ in 0..60 {

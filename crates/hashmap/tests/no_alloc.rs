@@ -72,7 +72,7 @@ fn inserts_and_removes_that_do_not_grow_allocate_nothing() {
     for k in 0..KEYS {
         map.insert(k, k);
     }
-    // Warm-up: the thread's epoch state, slot and guard cache.
+    // Warm-up: the thread's epoch state, slot and limbo list.
     churn(&map, KEYS, 1000);
     let (resizes, before) = (map.resizes(), allocs());
     churn(&map, 2 * KEYS, 5000);

@@ -32,7 +32,6 @@ fn churn(map: &HopMap<u64, u64>, stripe: u64) {
     for k in (base..base + KEYS_PER_THREAD).filter(|k| k % 6 == 0) {
         map.insert(k, k.wrapping_mul(37));
     }
-    llxscx::epoch::flush();
 }
 
 /// Whether `k` survives [`churn`], and with which value.

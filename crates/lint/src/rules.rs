@@ -380,8 +380,8 @@ pub fn check_epoch(path: &Path, sc: &Scanned, ctx: &FileCtx) -> Vec<Finding> {
         }
     }
 
-    // Guards stay borrowed (`&Guard`), so a repin can never invalidate a
-    // live snapshot.
+    // Guards stay borrowed (`&Guard`), so no snapshot outlives the
+    // `with_guard` call whose pin protects it.
     for (start, end) in type_body_spans(sc) {
         for off in sc.code_word_offsets("Guard") {
             if off <= start || off >= end {
@@ -396,7 +396,7 @@ pub fn check_epoch(path: &Path, sc: &Scanned, ctx: &FileCtx) -> Vec<Finding> {
                 file: rel_str(path),
                 line,
                 message: "`Guard` stored in a struct/enum body — guards must stay borrowed \
-                          so a repin cannot invalidate a live snapshot"
+                          so no snapshot outlives the pin that protects it"
                     .into(),
             });
         }

@@ -1,5 +1,4 @@
-//! Epoch-based memory reclamation: the collector, and the one per-thread
-//! state that amortizes its pins.
+//! Epoch-based memory reclamation: the collector and its per-thread state.
 //!
 //! The papers assume a garbage collector; this module stands in for it with
 //! DEBRA-style epochs (Brown, PODC 2015).
@@ -19,31 +18,29 @@
 //!   front entries: no lock, no scan, and memory is freed by the thread
 //!   that will reuse it ([`slab`](crate::slab)).
 //!
-//! # Amortized pinning
+//! # Pinning per operation
 //!
-//! Pins are cached: [`with_guard`] is the only way to get a pinned
-//! [`Guard`], and the pin its first call on a thread takes outlives the
-//! call. Later calls cost a thread-local access and a counter bump, and
-//! calls made inside a running `with_guard` ride its pin. Every [`REPIN_OPS`] operations a call
-//! *repins* first: it unpins, pins at the current epoch and runs a pass
-//! under the fresh pin. That one cadence bounds both this thread's garbage
-//! and how far it can hold the global epoch back.
+//! [`with_guard`] is the only way to get a pinned [`Guard`]. Its outermost
+//! call on a thread pins on entry and unpins when it returns or unwinds,
+//! so no pin outlives a call and a thread blocked between operations
+//! holds nobody's garbage back (`tests/idle_thread.rs`). Calls made inside
+//! a running `with_guard` ride its pin. Every [`PASS_OPS`] outermost calls
+//! one runs a pass under its fresh pin; that one cadence bounds this
+//! thread's garbage.
 //!
 //! A guard is handed out by reference only, for one closure: handles and
-//! shared pointers borrow it, so they cannot outlive the call, and a repin
-//! can never invalidate a live snapshot.
+//! shared pointers borrow it, so they cannot outlive the call and the pin
+//! they rely on.
 //!
 //! # Parking
 //!
-//! Only its owner drains a limbo list, and a thread that stops calling
-//! [`with_guard`] keeps its cached pin, holding every other thread's garbage
-//! back. A long-lived thread must therefore call [`flush`] before it goes
-//! idle. It *parks*: it unpins, runs a pass and seals what is still unripe
-//! into one batch, tagged with its newest epoch, on a global *orphan* list
-//! (`tests/park_flush.rs` holds it to both halves). Thread exit does the
-//! same. Batches with one tag merge, so the list stays short however many
-//! threads come and go. Every pass checks one atomic and takes the orphan
-//! lock only when something is there.
+//! Only its owner drains a limbo list. [`flush`] *parks* a thread: it runs
+//! a pass and seals what is still unripe into one batch, tagged with its
+//! newest epoch, on a global *orphan* list (`tests/park_flush.rs` holds it
+//! to both halves). Thread exit does the same. Batches with one tag merge,
+//! so the list stays short however many threads come and go. Every pass
+//! checks one atomic and takes the orphan lock only when something is
+//! there.
 
 mod atomic;
 
@@ -59,9 +56,9 @@ use crate::descriptor;
 
 pub use atomic::{Atomic, CompareExchangeError, Owned, Pointer, Shared};
 
-/// Operations between repins. A repin runs a pass, so this is also the
-/// collection cadence: the one reclamation interval of the crate.
-pub const REPIN_OPS: u32 = 64;
+/// Outermost [`with_guard`] calls between passes: the one reclamation
+/// interval of the crate.
+pub const PASS_OPS: u32 = 64;
 
 /// A slot's announced epoch while its thread is not pinned.
 pub(crate) const UNPINNED: usize = usize::MAX;
@@ -204,12 +201,10 @@ struct Local {
     slot: usize,
     /// The epoch announced in that slot, or [`UNPINNED`].
     epoch: &'static AtomicUsize,
-    /// Whether this thread holds its cached pin.
-    pinned: Cell<bool>,
     /// Whether a [`with_guard`] call is running on this thread; calls made
     /// inside it ride its pin.
     active: Cell<bool>,
-    /// Outermost [`with_guard`] calls since the last repin.
+    /// Outermost [`with_guard`] calls since the last pass.
     uses: Cell<u32>,
     /// What this thread retired and has not yet run.
     limbo: RefCell<Limbo>,
@@ -221,7 +216,6 @@ thread_local! {
         Local {
             slot,
             epoch: descriptor::announce(slot),
-            pinned: Cell::new(false),
             active: Cell::new(false),
             uses: Cell::new(0),
             limbo: RefCell::new(Limbo::new()),
@@ -232,7 +226,6 @@ thread_local! {
 impl Local {
     /// Announces the current epoch. The thread must not be pinned.
     fn pin(&self) {
-        self.pinned.set(true);
         // Announce, then re-check: an advance between the load and the
         // store would otherwise go unnoticed by both sides.
         loop {
@@ -249,33 +242,19 @@ impl Local {
         }
     }
 
-    /// Withdraws the announce, if pinned.
+    /// Withdraws the announce.
     fn unpin(&self) {
-        if self.pinned.replace(false) {
-            // SEQCST: every access made under the pin must precede an
-            // advancer's scan that reads this; one total order with the
-            // announces keeps that argument in the handshake's terms.
-            self.epoch.store(UNPINNED, Ordering::SeqCst);
-        }
+        // RELEASE: every access made under the pin happens before the scan
+        // that reads this (its loads are SeqCst), and so before the advance
+        // that scan allows and any closure that advance ripens.
+        self.epoch.store(UNPINNED, Ordering::Release);
     }
 
-    /// Lets the epoch move past this thread, pins afresh and runs a pass
-    /// under the new pin. Pinned, the thread will be back: its limbo list
-    /// stays with it.
-    fn repin(&self) {
-        self.unpin();
-        self.pin();
-        self.collect();
-    }
-
-    /// Unpins, runs a pass and hands what is still unripe to the orphan
-    /// list, for the passes of threads still running.
+    /// Runs a pass and hands what is still unripe to the orphan list, for
+    /// the passes of threads still running. The thread is not pinned.
     fn park(&self) {
         self.uses.set(0);
-        self.unpin();
         self.collect();
-        // A closure the pass ran may have pinned again through `with_guard`.
-        self.unpin();
         orphan(self.limbo.take());
     }
 
@@ -286,8 +265,8 @@ impl Local {
         // SEQCST: read after this thread's own advance attempt, in the
         // order the `tag + 2 <= epoch` rule is argued in.
         let epoch = EPOCH.load(Ordering::SeqCst);
-        // One entry per borrow: a closure may itself defer, or repin into
-        // a nested pass.
+        // One entry per borrow: a closure may itself defer, or run a
+        // nested pass through `with_guard`.
         while let Some(d) = self.pop_ripe(epoch) {
             d.run();
         }
@@ -308,20 +287,20 @@ impl Local {
 
 impl Drop for Local {
     fn drop(&mut self) {
-        // The thread exits: its retirements must survive it, and its slot
-        // goes back unpinned.
+        // The thread exits: its retirements must survive it. No call is
+        // running, so its slot goes back unpinned.
         orphan(self.limbo.take());
-        self.unpin();
         descriptor::give_slot(self.slot);
     }
 }
 
-/// Clears `Local::active` when the outermost [`with_guard`] returns or
-/// unwinds.
+/// Unpins and clears `Local::active` when the outermost [`with_guard`]
+/// returns or unwinds.
 struct Active<'a>(&'a Local);
 
 impl Drop for Active<'_> {
     fn drop(&mut self) {
+        self.0.unpin();
         self.0.active.set(false);
     }
 }
@@ -340,13 +319,13 @@ pub struct Guard {
     _not_send: PhantomData<*mut ()>,
 }
 
-/// Runs `f` under this thread's cached pin, repinning (and collecting)
-/// every [`REPIN_OPS`] calls. A call made inside another rides the outer
-/// call's pin and does not count, and nothing inside a call unpins it.
+/// Runs `f` pinned: the outermost call pins on entry and unpins when `f`
+/// returns or unwinds. A call made inside another rides the outer call's
+/// pin and does not count, and nothing inside a call unpins it.
 ///
-/// A repin happens on the first call after the counter reaches
-/// [`REPIN_OPS`], so garbage this thread defers, and the epoch it holds
-/// the others back at, lag by at most `REPIN_OPS` operations.
+/// The first outermost call after the counter reaches [`PASS_OPS`] runs a
+/// pass before `f`, so garbage this thread defers lags by at most
+/// `PASS_OPS` operations.
 #[inline]
 pub fn with_guard<R>(f: impl FnOnce(&Guard) -> R) -> R {
     let guard = Guard {
@@ -357,29 +336,26 @@ pub fn with_guard<R>(f: impl FnOnce(&Guard) -> R) -> R {
         if local.active.replace(true) {
             return f(&guard);
         }
+        local.pin();
         let _active = Active(local);
         let uses = local.uses.get();
-        if uses >= REPIN_OPS {
-            local.repin();
+        if uses >= PASS_OPS {
+            local.collect();
             local.uses.set(1);
         } else {
-            // Checked here, not in `pin`: the warm path makes no call.
-            if !local.pinned.get() {
-                local.pin();
-            }
             local.uses.set(uses + 1);
         }
         f(&guard)
     })
 }
 
-/// Parks the calling thread: drops its cached pin, runs a pass and hands
-/// what is still unripe in its limbo list to the orphan list, for other
-/// threads' passes to free. Call before a long-lived thread that performed
-/// tree operations goes idle; [`backlog`] reads what is waiting where.
+/// Parks the calling thread: runs a pass and hands what is still unripe in
+/// its limbo list to the orphan list, for other threads' passes to free.
+/// Nothing needs it for liveness, since no pin outlives a [`with_guard`]
+/// call; it forces a pass, and [`backlog`] reads what is waiting where.
 ///
-/// Inside a [`with_guard`] call the pin must stay, so `flush` only runs a
-/// pass and the limbo list stays with the thread.
+/// Inside a [`with_guard`] call the limbo list stays with the thread, so
+/// `flush` only runs a pass.
 pub fn flush() {
     // A thread past its thread-local teardown has already orphaned its list.
     let _ = LOCAL.try_with(|local| {
@@ -469,8 +445,9 @@ impl Guard {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Backlog {
     /// Deferred functions waiting in the calling thread's limbo list. It
-    /// grows without bound only while some pinned thread holds the epoch
-    /// back (the `epoch_lag` symptom).
+    /// grows without bound only while some thread stays inside one
+    /// [`with_guard`] call, holding the epoch back (the `epoch_lag`
+    /// symptom).
     pub limbo: usize,
     /// Deferred functions waiting on the global orphan list, from every
     /// thread that exited or parked.
@@ -524,7 +501,7 @@ mod tests {
         assert_eq!(count(c), n);
     }
 
-    /// Defers `f` under this thread's cached pin.
+    /// Defers `f` under a pin of its own.
     fn defer(f: impl FnOnce() + 'static) {
         // SAFETY: test closures only touch `'static` counters.
         with_guard(|g| unsafe { g.defer_unchecked(f) });
@@ -632,13 +609,13 @@ mod tests {
         drive_to(&RAN, n);
     }
 
-    /// A closure deferred under the cached pin survives the calls that
-    /// repin across it and still runs.
+    /// A deferred closure survives the passes that later calls run and
+    /// still runs.
     #[test]
-    fn cached_pin_spans_calls_and_repins() {
+    fn a_deferred_closure_survives_passes_and_runs() {
         static RAN: AtomicUsize = AtomicUsize::new(0);
         defer(|| add(&RAN, 1));
-        for _ in 0..(REPIN_OPS * 8) {
+        for _ in 0..(PASS_OPS * 8) {
             with_guard(|_| ());
         }
         drive_to(&RAN, 1);
@@ -699,24 +676,31 @@ mod tests {
         drive_to(&DROPS, 2 * n);
     }
 
+    /// This thread's announce: its pinned epoch, or [`UNPINNED`].
+    fn announce() -> usize {
+        // RELAXED: the thread reads its own slot, which only it stores to
+        LOCAL.with(|l| l.epoch.load(Ordering::Relaxed))
+    }
+
     #[test]
     fn nothing_inside_with_guard_unpins_it() {
         static RAN: AtomicUsize = AtomicUsize::new(0);
-        let state = || LOCAL.with(|l| (l.uses.get(), l.pinned.get()));
+        let state = || (LOCAL.with(|l| l.uses.get()), announce());
         with_guard(|g| {
             // SAFETY: the closure only touches a `'static` counter.
             unsafe { g.defer_unchecked(|| add(&RAN, 1)) };
             let before = state();
-            assert!(before.1, "with_guard runs its closure unpinned");
-            // Enough nested calls to cross the repin cadence four times,
+            assert_ne!(before.1, UNPINNED, "with_guard runs its closure unpinned");
+            // Enough nested calls to cross the pass cadence four times,
             // each followed by a pass.
-            for _ in 0..4 * REPIN_OPS {
+            for _ in 0..4 * PASS_OPS {
                 with_guard(|_| ());
                 flush();
             }
             assert_eq!(state(), before, "a nested call counted or unpinned");
             assert_eq!(count(&RAN), 0, "ran under the guard it was deferred in");
         });
+        assert_eq!(announce(), UNPINNED, "the pin outlived the call");
         drive_to(&RAN, 1);
     }
 
@@ -733,6 +717,7 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert!(!active(), "the unwind left the with_guard marker set");
+        assert_eq!(announce(), UNPINNED, "the unwind left the thread pinned");
         // The next call is outermost again, and calls inside it still nest.
         with_guard(|_| {
             assert!(active());
@@ -740,10 +725,10 @@ mod tests {
             assert!(active());
         });
         assert!(!active());
-        // Parking still unpins and hands the closure off (or has run it).
+        // Parking still hands the closure off (or has run it).
         flush();
         assert_eq!(backlog().limbo, 0, "flush() kept the limbo list");
-        assert!(!LOCAL.with(|l| l.pinned.get()), "flush() kept the pin");
+        assert_eq!(announce(), UNPINNED, "flush() left the thread pinned");
         drive_to(&RUNS, 1);
     }
 }

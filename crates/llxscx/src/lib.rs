@@ -69,9 +69,10 @@
 //!   number afterwards and abandons the help if the owner moved on. See
 //!   [`descriptor`].
 //! * **Records are reclaimed through epochs.** The crate's own DEBRA-style
-//!   collector ([`epoch`]) keeps each thread's cached pin, repin counter
+//!   collector ([`epoch`]) keeps each thread's announce slot, pass counter
 //!   and limbo list in one thread-local; [`with_guard`] is the only way to
-//!   pin. Records finalized by a committed SCX are retired by the unique
+//!   pin, and its outermost call unpins when it returns, so no pin outlives
+//!   an operation. Records finalized by a committed SCX are retired by the unique
 //!   thread that wins the commit transition. See [`reclaim`].
 //!
 //! The descriptor table is the crate's one thread registry. Each slot holds

@@ -8,7 +8,7 @@ use std::thread;
 use super::stall::recv;
 use super::{info, node, node_under, shared};
 use crate::descriptor::{gauge, table_len};
-use crate::epoch::{flush, unprotected, Guard};
+use crate::epoch::{unprotected, Guard};
 use crate::ops::{llx, scx, Llx, ScxArgs};
 use crate::with_guard;
 
@@ -51,9 +51,6 @@ pub(super) fn commit_under(rec: usize, g: &Guard) -> u64 {
 fn sequential_threads_recycle_slots_and_never_repeat_an_info_word() {
     const THREADS: usize = if cfg!(miri) { 100 } else { 10_000 };
     let rec = node();
-    // Park: this thread only joins from here on, and a cached pin held
-    // through the loop would stall every concurrent test's reclamation.
-    flush();
     let mut seen = HashSet::new();
     for _ in 0..THREADS {
         let word = thread::spawn(move || commit_one(rec)).join().unwrap();

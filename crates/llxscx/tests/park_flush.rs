@@ -1,103 +1,36 @@
-//! `epoch::flush()` before parking really bounds the backlog.
+//! `epoch::flush()` hands a parking thread's garbage to the threads still
+//! running.
 //!
-//! The guard cache's documented liveness trade is that an idle thread with
-//! a warm cache pins the epoch, and every other thread's limbo list then
-//! grows without bound. `flush()` is the way out; this test holds it to
-//! that: thread A retires chromatic-style, flushes and parks; thread B
-//! keeps updating and must (1) see its own limbo list stay within a few
-//! repin windows and (2) be the one that frees what A left behind.
+//! Only its owner drains a limbo list, so what a parking thread still owes
+//! must move to the orphan list. Thread A retires chromatic-style, flushes
+//! and parks; thread B keeps updating and must (1) see its own limbo list
+//! stay within a few pass windows and (2) be the one that frees what A
+//! left behind.
 //!
 //! An integration test on purpose: it owns the process, so no other test's
 //! pin can hold the epoch back and the bounds below are exact.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
+
 use std::sync::mpsc;
 use std::thread;
 
-use llxscx::epoch::{self, backlog, REPIN_OPS};
-use llxscx::reclaim::{defer_dispose_record, dispose_record};
-use llxscx::{llx, scx, with_guard, Atomic, Llx, Owned, Record, RecordHeader, ScxArgs, Shared};
-
-/// Nodes allocated and not yet dropped.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-struct Node {
-    header: RecordHeader<Node>,
-    kids: [Atomic<Node>; 2],
-}
-
-impl Record for Node {
-    const ARITY: usize = 2;
-    fn header(&self) -> &RecordHeader<Self> {
-        &self.header
-    }
-    fn child(&self, i: usize) -> &Atomic<Self> {
-        &self.kids[i]
-    }
-}
-
-impl Drop for Node {
-    fn drop(&mut self) {
-        // RELAXED: test-local live-node counter; read only after the worker threads joined
-        LIVE.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn node() -> Owned<Node> {
-    // RELAXED: test-local live-node counter; read only after the worker threads joined
-    LIVE.fetch_add(1, Ordering::Relaxed);
-    Owned::new(Node {
-        header: RecordHeader::new(),
-        kids: [Atomic::null(), Atomic::null()],
-    })
-}
-
-/// What one [`update`] defers: the replaced record (descriptors are reused,
-/// never retired).
-const RETIRES_PER_OP: usize = 1;
-
-/// One chromatic-style update under the cached guard: LLX the root, SCX a
-/// fresh right child in, retire the old one.
-fn update(root: usize) {
-    with_guard(|guard| loop {
-        let root = Shared::from(root as *const Node);
-        let Llx::Snapshot(h) = llx(root, guard) else {
-            continue;
-        };
-        let (old, fresh) = (h.right(), node().into_shared(guard));
-        let args = ScxArgs {
-            v: &[h],
-            finalize: 0,
-            fld_record: 0,
-            fld_idx: 1,
-            new: fresh,
-        };
-        if scx(&args, guard) {
-            if !old.is_null() {
-                // SAFETY: `old` was displaced by our SCX (it was not in R), so we alone retire it.
-                unsafe { defer_dispose_record(old.as_raw(), guard) };
-            }
-            return;
-        }
-        // SAFETY: the SCX failed, so `fresh` was never published.
-        unsafe { dispose_record(fresh.as_raw()) };
-    })
-}
+use common::{free_tree, new_root, update, RETIRES_PER_OP};
+use llxscx::epoch::{self, backlog, PASS_OPS};
 
 #[test]
 fn flush_before_parking_bounds_the_backlog() {
-    let root = with_guard(|guard| node().into_shared(guard).as_raw() as usize);
-    epoch::flush();
+    let root = new_root();
 
     let (flushing_tx, flushing_rx) = mpsc::channel();
     let (parked_tx, parked_rx) = mpsc::channel();
     let (wake_tx, wake_rx) = mpsc::channel::<()>();
     let a = thread::spawn(move || {
-        for _ in 0..10 * REPIN_OPS {
+        for _ in 0..10 * PASS_OPS {
             update(root);
         }
-        // B waits out the flush under its warm pin, so it cannot run A's
-        // batch before A has counted it.
+        // B runs no pass while it waits on the channel below, so it cannot
+        // run A's batch before A has counted it.
         flushing_tx.send(()).unwrap();
         epoch::flush();
         // Everything A still owed went to the orphan list in one batch.
@@ -114,14 +47,14 @@ fn flush_before_parking_bounds_the_backlog() {
         }
         let orphaned_by_a: usize = parked_rx.recv().unwrap();
         // A descheduled A may have held the epoch back while both ran;
-        // give that backlog a few repin windows to drain, then hold B to
+        // give that backlog a few pass windows to drain, then hold B to
         // the steady-state bound.
-        let bound = 4 * REPIN_OPS as usize * RETIRES_PER_OP;
-        for i in 0..50 * REPIN_OPS {
+        let bound = 4 * PASS_OPS as usize * RETIRES_PER_OP;
+        for i in 0..50 * PASS_OPS {
             update(root);
             let own = backlog().limbo;
             assert!(
-                i < 4 * REPIN_OPS || own <= bound,
+                i < 4 * PASS_OPS || own <= bound,
                 "B's limbo list holds {own} > {bound}"
             );
         }
@@ -137,22 +70,6 @@ fn flush_before_parking_bounds_the_backlog() {
     drop(wake_tx);
     a.join().unwrap();
 
-    // Nothing was lost on the way: once B's own remainder has run, the
-    // root and its current child are the only nodes alive.
-    for _ in 0..64 {
-        epoch::flush();
-    }
-    assert_eq!(backlog().orphaned, 0);
-    // RELAXED: test-local live-node counter; read only after the worker threads joined
-    assert_eq!(LIVE.load(Ordering::Relaxed), 2);
-    // SAFETY: both workers joined; single-threaded teardown of the two live nodes.
-    unsafe {
-        let guard = llxscx::epoch::unprotected();
-        let root = root as *const Node;
-        // SEQCST: test-only; SC keeps the interleaving argument trivial.
-        dispose_record((*root).kids[1].load(Ordering::SeqCst, guard).as_raw());
-        dispose_record(root);
-    }
-    // RELAXED: test-local live-node counter; read only after the worker threads joined
-    assert_eq!(LIVE.load(Ordering::Relaxed), 0);
+    // Nothing was lost on the way.
+    free_tree(root);
 }

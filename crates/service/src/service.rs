@@ -696,23 +696,9 @@ fn abandon_all<M>(shared: &Shared<M>, popped: &Results) {
 /// `flusher_parked` before waiting, so a submit that changes the decision
 /// (first request of an empty queue, a filled slab) sees the flag and
 /// notifies; a timed wait covers the pending deadline.
-///
-/// A flush runs map operations, which warm this thread's cached epoch
-/// guard. When the flushes have drained the queue, the flusher releases
-/// it with `epoch::flush()`, outside the queue lock, before it
-/// parks (the epoch module's "flush before parking" rule); otherwise an
-/// idle service would hold the global epoch back for every thread in the
-/// process until its next request. A queue with a pending deadline gets
-/// a timed wait, which ends within `max_delay`, so the guard stays.
 fn flusher_loop<M: ConcurrentMap>(shared: &Shared<M>) {
     loop {
-        match step_shared(shared) {
-            Step::Flushed { .. } => continue,
-            Step::Idle {
-                until_deadline_ns: None,
-            } => llxscx::epoch::flush(),
-            Step::Idle { .. } => {}
-        }
+        while matches!(step_shared(shared), Step::Flushed { .. }) {}
         let mut q = shared.queue.lock().expect(QUEUE_LOCK);
         loop {
             let timeout = match shared.decide(&q, shared.clock.now_ns()) {

@@ -1,8 +1,7 @@
 //! An idle flusher does not hold the epoch back.
 //!
-//! A flush runs the map's point ops, which pin through the flusher
-//! thread's cached epoch guard (`llxscx::epoch`). A flusher that
-//! parked with that guard still warm would stop the global epoch from
+//! A flush runs the map's point ops, which pin through `llxscx::epoch`.
+//! A flusher that parked still pinned would stop the global epoch from
 //! advancing, so garbage every other thread retires would wait for the
 //! service's next request. Here one flush runs through a map whose
 //! inserts pin the way the trees' point ops do; then, with the service
@@ -24,7 +23,7 @@ use sharded::ConcurrentMap;
 /// How long the deferred closure may take before the epoch counts as held.
 const WATCHDOG: Duration = Duration::from_secs(10);
 
-/// A [`ModelMap`] whose `insert` runs under the cached guard.
+/// A [`ModelMap`] whose `insert` runs under an epoch guard.
 struct PinningMap(ModelMap);
 
 impl ConcurrentMap for PinningMap {
@@ -51,7 +50,7 @@ impl ConcurrentMap for PinningMap {
 static RAN: AtomicBool = AtomicBool::new(false);
 
 #[test]
-fn an_idle_flusher_releases_its_cached_guard() {
+fn an_idle_flusher_does_not_hold_the_epoch() {
     let svc = BatchedService::start(
         PinningMap(ModelMap::new()),
         ServiceConfig::new(FlushPolicy::new(8, Duration::from_secs(3600))),

@@ -88,10 +88,6 @@ pub fn prefill(map: &dyn ConcurrentMap, range: u64, mix: Mix, seed: u64) {
             inserted += 1;
         }
     }
-    // Announce quiescence (DEBRA-style): the prefilling thread goes idle
-    // next (it sleeps through the trial), and a warm cached epoch guard
-    // would stall reclamation for every worker until it woke up.
-    llxscx::epoch::flush();
 }
 
 /// Result of one timed trial.

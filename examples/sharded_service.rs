@@ -92,8 +92,6 @@ fn main() {
                         Ordering::Relaxed,
                     );
                 }
-                // Going idle: release this worker's cached epoch pin.
-                llxscx::epoch::flush();
             });
         }
         std::thread::sleep(run_for);

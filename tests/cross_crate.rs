@@ -460,7 +460,6 @@ fn hybrid_tiers_agree_after_concurrent_run(batched: bool) {
                         }
                     }
                 }
-                llxscx::epoch::flush();
             });
         }
     });
@@ -555,7 +554,6 @@ fn lazy_tier_shards_hold_the_height_bound_after_two_thread_churn() {
                         hybrid.remove(&k);
                     }
                 }
-                llxscx::epoch::flush();
             });
         }
     });
