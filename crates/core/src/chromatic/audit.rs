@@ -6,10 +6,10 @@
 //! height must be `O(k + c + log n)`.
 
 use llxscx::epoch::with_guard;
-use llxscx::epoch::{Guard, Shared};
+use llxscx::epoch::Guard;
 
 use super::ChromaticTree;
-use crate::node::Node;
+use crate::node::Reached;
 
 /// Snapshot of the tree's structural health. Produced by
 /// [`ChromaticTree::audit`]; all checks refer to the *chromatic tree proper*
@@ -69,23 +69,18 @@ where
         with_guard(|guard| {
             let mut report = AuditReport::default();
             let entry = self.tree.entry(guard);
-            // SAFETY: entry is never removed.
-            let entry_ref = unsafe { entry.deref() };
-            if entry_ref.weight() != 1 || !entry_ref.is_sentinel_key() {
+            if entry.weight() != 1 || !entry.is_sentinel_key() {
                 report
                     .errors
                     .push("entry must be a weight-1 sentinel".into());
             }
-            let below = entry_ref.read_child(0, guard);
-            if below.is_null() {
+            let Some(below) = entry.child(0, guard) else {
                 report.errors.push("entry has no left child".into());
                 return report;
-            }
-            // SAFETY: `below` is non-null (checked above) and reached under `guard`.
-            let below_ref = unsafe { below.deref() };
-            if below_ref.is_leaf(guard) {
+            };
+            if below.is_leaf(guard) {
                 // Empty dictionary: Fig. 10(a).
-                if !below_ref.is_sentinel_key() || below_ref.weight() != 1 {
+                if !below.is_sentinel_key() || below.weight() != 1 {
                     report
                         .errors
                         .push("empty-tree sentinel leaf must be (∞, w=1)".into());
@@ -93,21 +88,18 @@ where
                 return report;
             }
             // Fig. 10(b): second sentinel with the chromatic root as left child.
-            if !below_ref.is_sentinel_key() || below_ref.weight() != 1 {
+            if !below.is_sentinel_key() || below.weight() != 1 {
                 report
                     .errors
                     .push("second sentinel must be (∞, w=1)".into());
             }
-            let inf_leaf = below_ref.read_child(1, guard);
-            // SAFETY: children of a live internal node are non-null (C2), reached
-            // under `guard`.
-            let inf_ref = unsafe { inf_leaf.deref() };
-            if !inf_ref.is_leaf(guard) || !inf_ref.is_sentinel_key() {
+            let inf_leaf = below.child(1, guard);
+            if !inf_leaf.is_some_and(|inf| inf.is_leaf(guard) && inf.is_sentinel_key()) {
                 report
                     .errors
                     .push("second sentinel's right child must be the ∞ leaf".into());
             }
-            let root = below_ref.read_child(0, guard);
+            let root = below.child(0, guard);
             // Note: the chromatic root may transiently be red (weight 0): an
             // insertion below the sentinel creates it with `l.w − 1`. That is
             // not a violation (its parent, the sentinel, is black), so nothing
@@ -135,7 +127,7 @@ where
     #[allow(clippy::too_many_arguments)] // ALLOW: recursion carries the full per-subtree invariant context; a bag struct would obscure which bound each check uses
     fn audit_rec<'g>(
         &self,
-        n: Shared<'g, Node<K, V>>,
+        n: Option<Reached<'g, K, V>>,
         lo: Option<&K>,
         hi: Option<&K>, // exclusive upper bound; None = +∞
         parent_weight: u32,
@@ -145,12 +137,10 @@ where
         report: &mut AuditReport,
         guard: &'g Guard,
     ) {
-        if n.is_null() {
+        let Some(node) = n else {
             report.errors.push("null child of internal node".into());
             return;
-        }
-        // SAFETY: reached from entry under `guard`.
-        let node = unsafe { n.deref() };
+        };
         report.nodes += 1;
         report.height = report.height.max(depth + 1);
         let w = node.weight();
@@ -219,7 +209,7 @@ where
                 }
             }
             self.audit_rec(
-                node.read_child(0, guard),
+                node.child(0, guard),
                 lo,
                 Some(key),
                 w,
@@ -230,7 +220,7 @@ where
                 guard,
             );
             self.audit_rec(
-                node.read_child(1, guard),
+                node.child(1, guard),
                 Some(key),
                 hi,
                 w,

@@ -103,7 +103,7 @@ where
     /// the violations (red-red and units of overweight) on the path, for
     /// the `allowed_violations` policy.
     #[inline]
-    pub(crate) fn search<'g>(&self, key: &K, guard: &'g Guard) -> (SearchPath<'g, K, V>, u32) {
+    pub(crate) fn search<'g>(&'g self, key: &K, guard: &'g Guard) -> (SearchPath<'g, K, V>, u32) {
         let mut violations = 0u32;
         let path = self
             .tree
@@ -196,8 +196,8 @@ where
 
     /// A sorted snapshot of all key/value pairs, by in-order traversal.
     /// Not atomic with respect to concurrent updates (each key's presence
-    /// is individually linearizable; use [`successor`](Self::successor) for
-    /// atomic adjacent-pair queries).
+    /// is individually linearizable; use [`range`](Self::range) for an
+    /// atomic snapshot).
     pub fn collect(&self) -> Vec<(K, V)> {
         self.tree.collect()
     }

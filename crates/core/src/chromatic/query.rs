@@ -13,6 +13,7 @@ use llxscx::epoch::Guard;
 use llxscx::{vlx, with_guard};
 
 use super::ChromaticTree;
+use crate::node::Reached;
 use crate::template::{llx_ok, Handle};
 
 /// The answer of an adjacent-leaf query: the key/value pair found, if any.
@@ -49,7 +50,7 @@ where
     /// One attempt at an adjacent-leaf query. `d = 0` finds the successor
     /// (remember the last *left* turn, then take the leftmost leaf of its
     /// right subtree); `d = 1` the predecessor (mirror).
-    fn try_adjacent<'g>(&self, key: &K, d: usize, guard: &'g Guard) -> Option<Found<K, V>> {
+    fn try_adjacent<'g>(&'g self, key: &K, d: usize, guard: &'g Guard) -> Option<Found<K, V>> {
         let o = 1 - d;
         let entry = self.tree.entry(guard);
         // Path of handles from the last `d`-side turn down to the current
@@ -60,13 +61,12 @@ where
 
         let mut h = llx_ok(entry, guard)?;
         loop {
-            let node = h.node_ref();
-            if node.is_leaf(guard) {
+            let go_left = h.node_ref().route_left(key);
+            // A leaf's snapshot children are null: the search path ends.
+            let Some(next) = Reached::in_snapshot(&h, usize::from(!go_left)) else {
                 break;
-            }
-            let go_left = node.route_left(key);
+            };
             let turn_matches = (d == 0 && go_left) || (d == 1 && !go_left);
-            let next = if go_left { h.left() } else { h.right() };
             if turn_matches {
                 last_turn = Some(h);
                 path.clear();
@@ -81,7 +81,7 @@ where
             // Successor: the dictionary is empty iff the only left turn was
             // at `entry` itself.
             if let Some(t) = &last_turn {
-                if t.node == entry {
+                if Reached::of(t) == entry {
                     return Some(None);
                 }
             }
@@ -106,21 +106,21 @@ where
         let Some(turn) = last_turn else {
             return Some(None);
         };
-        if turn.node == entry {
+        if Reached::of(&turn) == entry {
             return Some(None);
         }
 
         // The answer is the adjacent leaf: the `d`-most leaf of the turn
         // node's `o`-side subtree (e.g. for successor: leftmost leaf of the
         // right subtree of the last left turn).
-        let mut cur = turn.child(o);
+        let mut cur = Reached::in_snapshot(&turn, o)?;
         let adj = loop {
             let h = llx_ok(cur, guard)?;
             path.push(h);
-            if h.node_ref().is_leaf(guard) {
-                break h;
+            match Reached::in_snapshot(&h, d) {
+                None => break h,
+                Some(c) => cur = c,
             }
-            cur = h.child(d);
         };
         let result = adj
             .node_ref()
@@ -207,7 +207,7 @@ where
         }
     }
 
-    fn try_extreme<'g>(&self, d: usize, guard: &'g Guard) -> Option<Found<K, V>> {
+    fn try_extreme<'g>(&'g self, d: usize, guard: &'g Guard) -> Option<Found<K, V>> {
         // Descend always to side `d` inside the chromatic tree; sentinels
         // force the first two hops left.
         let mut path: Vec<Handle<'g, K, V>> = Vec::with_capacity(32);
@@ -215,19 +215,15 @@ where
         let leaf = loop {
             let h = llx_ok(cur, guard)?;
             path.push(h);
-            let node = h.node_ref();
-            if node.is_leaf(guard) {
-                break h;
-            }
             // Sentinel-keyed internal nodes route to the left (the whole
             // chromatic tree hangs off their left child); inside the tree
             // take side `d`. In the empty tree this ends at the ∞ leaf,
             // whose `None` key maps to a `None` result.
-            cur = if node.is_sentinel_key() {
-                h.left()
-            } else {
-                h.child(d)
-            };
+            let dir = if h.node_ref().is_sentinel_key() { 0 } else { d };
+            match Reached::in_snapshot(&h, dir) {
+                None => break h,
+                Some(c) => cur = c,
+            }
         };
         let result = leaf
             .node_ref()

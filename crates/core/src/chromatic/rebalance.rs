@@ -13,12 +13,12 @@
 //! which is what lets each insertion/deletion clean up the violation it
 //! created by repeatedly searching for its own key.
 
-use llxscx::epoch::{Guard, Shared};
+use llxscx::epoch::Guard;
 
 use super::stats::Step;
 use super::{edge_violations, ChromaticTree};
-use crate::node::Node;
-use crate::template::{bfs2, commit, copy_with_weight, llx_ok, mk_internal, side_of, Handle};
+use crate::node::Reached;
+use crate::template::{bfs2, commit, llx_ok, side_of, Fresh, Handle};
 
 type H<'g, K, V> = Handle<'g, K, V>;
 
@@ -32,38 +32,29 @@ where
     /// rebalancing step and restart; return once a full walk reaches a leaf
     /// without seeing a violation. By VIOL, the violation this thread's
     /// update created is then guaranteed to be gone.
-    #[allow(unused_assignments)] // ALLOW: the walk's final `gp/p` shifts are dead on the exit path; restructuring would obscure the paper's Fig. 12 loop
     pub(crate) fn cleanup(&self, key: &K) {
         loop {
             // One walk per `with_guard` call (see `ChromaticTree::insert`);
             // `true` means the walk was clean and cleanup is done.
             let clean = llxscx::with_guard(|guard| {
                 self.stats.bump_cleanup_passes();
-                let mut gp: Shared<'_, Node<K, V>> = Shared::null();
-                let mut p: Shared<'_, Node<K, V>> = Shared::null();
-                let mut ggp: Shared<'_, Node<K, V>> = Shared::null();
+                let (mut gp, mut p) = (None, None);
                 let mut l = self.tree.entry(guard);
                 loop {
-                    // SAFETY: reached from entry under `guard` (property C3).
-                    let l_ref = unsafe { l.deref() };
-                    if l_ref.is_leaf(guard) {
+                    let dir = usize::from(!l.route_left(key));
+                    let Some(c) = l.child(dir, guard) else {
                         return true; // clean walk: our violation is gone
-                    }
-                    let dir = if l_ref.route_left(key) { 0 } else { 1 };
-                    ggp = gp;
-                    gp = p;
-                    p = l;
-                    l = l_ref.read_child(dir, guard);
-                    // SAFETY: `l` is a child of a live internal node (leaf-oriented tree:
-                    // children of internals are never null), read under `guard`;
-                    // `l_ref` is its parent on this walk.
-                    if edge_violations(l_ref, unsafe { l.deref() }) > 0 {
-                        if !ggp.is_null() {
+                    };
+                    let ggp = gp;
+                    (gp, p) = (p, Some(l));
+                    if edge_violations(&l, &c) > 0 {
+                        if let (Some(ggp), Some(gp)) = (ggp, gp) {
                             // A failed attempt is fine: the walk restarts.
-                            let _ = self.try_rebalance(ggp, gp, p, l, guard);
+                            let _ = self.try_rebalance(ggp, gp, l, c, guard);
                         }
                         return false; // go back to entry and search again
                     }
+                    l = c;
                 }
             });
             if clean {
@@ -79,10 +70,10 @@ where
     /// restarts its walk.
     pub(crate) fn try_rebalance<'g>(
         &self,
-        ggp: Shared<'g, Node<K, V>>,
-        gp: Shared<'g, Node<K, V>>,
-        p: Shared<'g, Node<K, V>>,
-        l: Shared<'g, Node<K, V>>,
+        ggp: Reached<'g, K, V>,
+        gp: Reached<'g, K, V>,
+        p: Reached<'g, K, V>,
+        l: Reached<'g, K, V>,
         guard: &'g Guard,
     ) -> Option<()> {
         let hr = llx_ok(ggp, guard)?;
@@ -91,8 +82,7 @@ where
         side_of(&hrx, p)?;
         let hrxx = llx_ok(p, guard)?;
 
-        // SAFETY: `l` reached from entry under `guard`; weights immutable.
-        if unsafe { l.deref() }.weight() > 1 {
+        if l.weight() > 1 {
             // Overweight violation at l.
             let d = side_of(&hrxx, l)?;
             let hl = llx_ok(l, guard)?;
@@ -113,19 +103,19 @@ where
         hr: &H<'g, K, V>,
         hrx: &H<'g, K, V>,
         hrxx: &H<'g, K, V>,
-        c: Shared<'g, Node<K, V>>,
+        c: Reached<'g, K, V>,
         guard: &'g Guard,
     ) -> Option<()> {
-        let e = side_of(hrx, hrxx.node)?;
-        let uncle = hrx.child(1 - e);
-        // SAFETY: `rx` is internal (it has the child `rxx`), so both its
-        // children are non-null; weights are immutable.
-        if unsafe { uncle.deref() }.weight() == 0 {
+        let e = side_of(hrx, Reached::of(hrxx))?;
+        // `rx` is internal (it has the child `rxx`), so both its children
+        // are non-null.
+        let uncle = Reached::in_snapshot(hrx, 1 - e)?;
+        if uncle.weight() == 0 {
             let [left, right] = bfs2(*hrxx, llx_ok(uncle, guard)?, e);
             self.do_blk(hr, hrx, &left, &right, guard)
-        } else if c == hrxx.child(e) {
+        } else if Reached::in_snapshot(hrxx, e) == Some(c) {
             self.do_rb1(hr, hrx, hrxx, e, guard)
-        } else if c == hrxx.child(1 - e) {
+        } else if Reached::in_snapshot(hrxx, 1 - e) == Some(c) {
             self.do_rb2(hr, hrx, hrxx, &llx_ok(c, guard)?, e, guard)
         } else {
             None // `c` is no longer `rxx`'s child
@@ -147,12 +137,9 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let sib = hrxx.child(o);
-        debug_assert!(!sib.is_null(), "overweight node's parent must be internal");
-        // SAFETY: weights are immutable; nodes protected by `guard`.
-        let sib_w = unsafe { sib.deref() }.weight();
+        let sib = Reached::in_snapshot(hrxx, o).expect("overweight node's parent must be internal");
 
-        if sib_w == 0 {
+        if sib.weight() == 0 {
             if hrxx.node_ref().weight() == 0 {
                 // rxx is red with a red child (the sibling): fix that
                 // red-red violation first, one level up (u = r, ux = rx).
@@ -161,53 +148,41 @@ where
             // Red sibling, black parent: W1–W4 / an RB2 at the rx level,
             // depending on the sibling's child nearer the violation.
             let hs = llx_ok(sib, guard)?;
-            let sl = hs.child(d);
-            if sl.is_null() {
-                return None; // sibling became a leaf: a node changed under us
-            }
-            // SAFETY: `s` was re-checked internal above, so `sl` is non-null.
-            let sl_w = unsafe { sl.deref() }.weight();
+            // `None`: the sibling became a leaf, so a node changed under us.
+            let sl = Reached::in_snapshot(&hs, d)?;
             let hsl = llx_ok(sl, guard)?;
-            if sl_w > 1 {
+            if sl.weight() > 1 {
                 self.do_w1(hrx, hrxx, hl, &hs, &hsl, d, guard)
-            } else if sl_w == 0 {
+            } else if sl.weight() == 0 {
                 // Red-red at sl under the red sibling: rotate it out
                 // (paper line 152: V = ⟨rx, rxx, rxxr, rxxrl⟩, u = rx).
                 self.do_rb2(hrx, hrxx, &hs, &hsl, o, guard)
             } else {
-                // sl.w == 1: W2/W3/W4 based on sl's children.
-                let far = hsl.child(o);
-                if far.is_null() {
-                    return None; // sl is a leaf: a node we LLXed was modified
-                }
-                // SAFETY: `sl` was re-checked internal above; its children are non-null.
-                if unsafe { far.deref() }.weight() == 0 {
+                // sl.w == 1: W2/W3/W4 based on sl's children. `None`: sl
+                // is a leaf, so a node we LLXed was modified.
+                let far = Reached::in_snapshot(&hsl, o)?;
+                if far.weight() == 0 {
                     let hfar = llx_ok(far, guard)?;
                     return self.do_w4(hrx, hrxx, hl, &hs, &hsl, &hfar, d, guard);
                 }
-                let near = hsl.child(d);
-                // SAFETY: as for `far`: child of the internal `sl`.
-                if unsafe { near.deref() }.weight() == 0 {
+                let near = Reached::in_snapshot(&hsl, d)?;
+                if near.weight() == 0 {
                     let hnear = llx_ok(near, guard)?;
                     self.do_w3(hrx, hrxx, hl, &hs, &hsl, &hnear, d, guard)
                 } else {
                     self.do_w2(hrx, hrxx, hl, &hs, &hsl, d, guard)
                 }
             }
-        } else if sib_w == 1 {
+        } else if sib.weight() == 1 {
             let hs = llx_ok(sib, guard)?;
-            let far = hs.child(o);
-            if far.is_null() {
-                return None; // sibling is a leaf: a node we LLXed was modified
-            }
-            // SAFETY: `s` was re-checked internal above; its children are non-null.
-            if unsafe { far.deref() }.weight() == 0 {
+            // `None`: the sibling is a leaf, so a node we LLXed was modified.
+            let far = Reached::in_snapshot(&hs, o)?;
+            if far.weight() == 0 {
                 let hfar = llx_ok(far, guard)?;
                 return self.do_w5(hrx, hrxx, hl, &hs, &hfar, d, guard);
             }
-            let near = hs.child(d);
-            // SAFETY: as for `far`: child of the internal `s`.
-            if unsafe { near.deref() }.weight() == 0 {
+            let near = Reached::in_snapshot(&hs, d)?;
+            if near.weight() == 0 {
                 let hnear = llx_ok(near, guard)?;
                 self.do_w6(hrx, hrxx, hl, &hs, &hnear, d, guard)
             } else {
@@ -243,25 +218,19 @@ where
 
     /// Runs the SCX for a rebalancing step: `v` in BFS order, finalizing all
     /// of `v` except the first entry (`u`), swinging `u`'s pointer to `ux`
-    /// over to `new`. `Some(())` iff the step committed; on failure the
-    /// freshly built nodes in `created` are released.
-    ///
-    /// # Safety
-    /// [`commit`]'s contract for `created`.
-    unsafe fn commit_step<'g>(
+    /// over to the root of `fresh`. `Some(())` iff the step committed.
+    fn commit_step<'g>(
         &self,
         step: Step,
         v: &[H<'g, K, V>],
-        new: Shared<'g, Node<K, V>>,
-        created: &[Shared<'g, Node<K, V>>],
+        fresh: Fresh<'g, K, V>,
         guard: &'g Guard,
     ) -> Option<()> {
-        let fld_idx = side_of(&v[0], v[1].node).expect("callers validated the u → ux edge");
+        let fld_idx =
+            side_of(&v[0], Reached::of(&v[1])).expect("callers validated the u → ux edge");
         // R = all of V except u.
         let finalize = ((1u16 << v.len()) - 2) as u8;
-        // SAFETY: forwarded contract.
-        unsafe { commit(v, finalize, fld_idx, new, created, guard) }
-            .then(|| self.stats.bump_step(step))
+        commit(v, finalize, fld_idx, fresh, guard).then(|| self.stats.bump_step(step))
     }
 
     /// **BLK** (recolor, its own mirror image): `ux` with two red children
@@ -275,21 +244,12 @@ where
         huxr: &H<'g, K, V>,
         guard: &'g Guard,
     ) -> Option<()> {
-        let nl = copy_with_weight(huxl, 1, guard);
-        let nr = copy_with_weight(huxr, 1, guard);
+        let mut f = Fresh::new();
+        let nl = f.copy(huxl, 1);
+        let nr = f.copy(huxr, 1);
         let w = Self::top_weight(hu, hux.node_ref().weight().max(1) - 1);
-        let n = Node::internal(hux.node_ref().key().cloned(), w, nl, nr).into_shared(guard);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe {
-            self.commit_step(
-                Step::Blk,
-                &[*hu, *hux, *huxl, *huxr],
-                n,
-                &[nl, nr, n],
-                guard,
-            )
-        }
+        f.internal(hux.node_ref().key(), w, 0, nl, nr);
+        self.commit_step(Step::Blk, &[*hu, *hux, *huxl, *huxr], f, guard)
     }
 
     /// **RB1 / RB1s** (single rotation): fixes a red-red violation at the
@@ -304,12 +264,11 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let inner = mk_internal(hux.node_ref().key(), 0, d, hc.child(o), hux.child(o), guard);
+        let mut f = Fresh::new();
+        let inner = f.internal(hux.node_ref().key(), 0, d, hc.child(o), hux.child(o));
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = mk_internal(hc.node_ref().key(), w, d, hc.child(d), inner, guard);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe { self.commit_step(Step::Rb1, &[*hu, *hux, *hc], n, &[inner, n], guard) }
+        f.internal(hc.node_ref().key(), w, d, hc.child(d), inner);
+        self.commit_step(Step::Rb1, &[*hu, *hux, *hc], f, guard)
     }
 
     /// **RB2 / RB2s** (double rotation, Fig. 17): fixes a red-red violation
@@ -325,20 +284,12 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let nd = mk_internal(hc.node_ref().key(), 0, d, hc.child(d), hgc.child(d), guard);
-        let no = mk_internal(
-            hux.node_ref().key(),
-            0,
-            d,
-            hgc.child(o),
-            hux.child(o),
-            guard,
-        );
+        let mut f = Fresh::new();
+        let nd = f.internal(hc.node_ref().key(), 0, d, hc.child(d), hgc.child(d));
+        let no = f.internal(hux.node_ref().key(), 0, d, hgc.child(o), hux.child(o));
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = mk_internal(hgc.node_ref().key(), w, d, nd, no, guard);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe { self.commit_step(Step::Rb2, &[*hu, *hux, *hc, *hgc], n, &[nd, no, n], guard) }
+        f.internal(hgc.node_ref().key(), w, d, nd, no);
+        self.commit_step(Step::Rb2, &[*hu, *hux, *hc, *hgc], f, guard)
     }
 
     /// **PUSH / PUSHs**: the overweight child `ha` (side `d`) gives one
@@ -353,14 +304,13 @@ where
         d: usize,
         guard: &'g Guard,
     ) -> Option<()> {
-        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
-        let ns = copy_with_weight(hs, 0, guard);
+        let mut f = Fresh::new();
+        let na = f.copy(ha, ha.node_ref().weight() - 1);
+        let ns = f.copy(hs, 0);
         let w = Self::top_weight(hu, hux.node_ref().weight() + 1);
-        let n = mk_internal(hux.node_ref().key(), w, d, na, ns, guard);
+        f.internal(hux.node_ref().key(), w, d, na, ns);
         let [c0, c1] = bfs2(*ha, *hs, d);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe { self.commit_step(Step::Push, &[*hu, *hux, c0, c1], n, &[na, ns, n], guard) }
+        self.commit_step(Step::Push, &[*hu, *hux, c0, c1], f, guard)
     }
 
     /// **W1 / W1s**: red sibling whose near child is also overweight — one
@@ -377,23 +327,14 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
-        let nsl = copy_with_weight(hsl, hsl.node_ref().weight() - 1, guard);
-        let nl = mk_internal(hux.node_ref().key(), 1, d, na, nsl, guard);
+        let mut f = Fresh::new();
+        let na = f.copy(ha, ha.node_ref().weight() - 1);
+        let nsl = f.copy(hsl, hsl.node_ref().weight() - 1);
+        let nl = f.internal(hux.node_ref().key(), 1, d, na, nsl);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = mk_internal(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
+        f.internal(hs.node_ref().key(), w, d, nl, hs.child(o));
         let [c0, c1] = bfs2(*ha, *hs, d);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe {
-            self.commit_step(
-                Step::W1,
-                &[*hu, *hux, c0, c1, *hsl],
-                n,
-                &[na, nsl, nl, n],
-                guard,
-            )
-        }
+        self.commit_step(Step::W1, &[*hu, *hux, c0, c1, *hsl], f, guard)
     }
 
     /// **W2 / W2s**: red sibling, near child weight 1 with no red child —
@@ -410,23 +351,14 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
-        let nsl = copy_with_weight(hsl, 0, guard);
-        let nl = mk_internal(hux.node_ref().key(), 1, d, na, nsl, guard);
+        let mut f = Fresh::new();
+        let na = f.copy(ha, ha.node_ref().weight() - 1);
+        let nsl = f.copy(hsl, 0);
+        let nl = f.internal(hux.node_ref().key(), 1, d, na, nsl);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = mk_internal(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
+        f.internal(hs.node_ref().key(), w, d, nl, hs.child(o));
         let [c0, c1] = bfs2(*ha, *hs, d);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe {
-            self.commit_step(
-                Step::W2,
-                &[*hu, *hux, c0, c1, *hsl],
-                n,
-                &[na, nsl, nl, n],
-                guard,
-            )
-        }
+        self.commit_step(Step::W2, &[*hu, *hux, c0, c1, *hsl], f, guard)
     }
 
     /// **W3 / W3s**: red sibling, near child weight 1 whose *near* child is
@@ -444,24 +376,15 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
-        let nll = mk_internal(hux.node_ref().key(), 0, d, na, hd.child(d), guard);
-        let nlr = mk_internal(hsl.node_ref().key(), 0, d, hd.child(o), hsl.child(o), guard);
-        let nl = mk_internal(hd.node_ref().key(), 1, d, nll, nlr, guard);
+        let mut f = Fresh::new();
+        let na = f.copy(ha, ha.node_ref().weight() - 1);
+        let nll = f.internal(hux.node_ref().key(), 0, d, na, hd.child(d));
+        let nlr = f.internal(hsl.node_ref().key(), 0, d, hd.child(o), hsl.child(o));
+        let nl = f.internal(hd.node_ref().key(), 1, d, nll, nlr);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = mk_internal(hs.node_ref().key(), w, d, nl, hs.child(o), guard);
+        f.internal(hs.node_ref().key(), w, d, nl, hs.child(o));
         let [c0, c1] = bfs2(*ha, *hs, d);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe {
-            self.commit_step(
-                Step::W3,
-                &[*hu, *hux, c0, c1, *hsl, *hd],
-                n,
-                &[na, nll, nlr, nl, n],
-                guard,
-            )
-        }
+        self.commit_step(Step::W3, &[*hu, *hux, c0, c1, *hsl, *hd], f, guard)
     }
 
     /// **W4 / W4s**: red sibling, near child weight 1 whose *far* child is
@@ -489,31 +412,15 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
-        let p2 = mk_internal(hux.node_ref().key(), 1, d, na, hsl.child(d), guard);
-        let p3 = mk_internal(
-            hfar.node_ref().key(),
-            1,
-            d,
-            hfar.child(d),
-            hfar.child(o),
-            guard,
-        );
-        let p = mk_internal(hsl.node_ref().key(), 0, d, p2, p3, guard);
+        let mut f = Fresh::new();
+        let na = f.copy(ha, ha.node_ref().weight() - 1);
+        let p2 = f.internal(hux.node_ref().key(), 1, d, na, hsl.child(d));
+        let p3 = f.internal(hfar.node_ref().key(), 1, d, hfar.child(d), hfar.child(o));
+        let p = f.internal(hsl.node_ref().key(), 0, d, p2, p3);
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = mk_internal(hs.node_ref().key(), w, d, p, hs.child(o), guard);
+        f.internal(hs.node_ref().key(), w, d, p, hs.child(o));
         let [c0, c1] = bfs2(*ha, *hs, d);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe {
-            self.commit_step(
-                Step::W4,
-                &[*hu, *hux, c0, c1, *hsl, *hfar],
-                n,
-                &[na, p2, p3, p, n],
-                guard,
-            )
-        }
+        self.commit_step(Step::W4, &[*hu, *hux, c0, c1, *hsl, *hfar], f, guard)
     }
 
     /// **W5 / W5s**: weight-1 sibling whose *far* child is red — single
@@ -530,30 +437,14 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
-        let nl = mk_internal(hux.node_ref().key(), 1, d, na, hs.child(d), guard);
-        let nr = mk_internal(
-            hfar.node_ref().key(),
-            1,
-            d,
-            hfar.child(d),
-            hfar.child(o),
-            guard,
-        );
+        let mut f = Fresh::new();
+        let na = f.copy(ha, ha.node_ref().weight() - 1);
+        let nl = f.internal(hux.node_ref().key(), 1, d, na, hs.child(d));
+        let nr = f.internal(hfar.node_ref().key(), 1, d, hfar.child(d), hfar.child(o));
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = mk_internal(hs.node_ref().key(), w, d, nl, nr, guard);
+        f.internal(hs.node_ref().key(), w, d, nl, nr);
         let [c0, c1] = bfs2(*ha, *hs, d);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe {
-            self.commit_step(
-                Step::W5,
-                &[*hu, *hux, c0, c1, *hfar],
-                n,
-                &[na, nl, nr, n],
-                guard,
-            )
-        }
+        self.commit_step(Step::W5, &[*hu, *hux, c0, c1, *hfar], f, guard)
     }
 
     /// **W6 / W6s**: weight-1 sibling whose *near* child is red — double
@@ -570,30 +461,14 @@ where
         guard: &'g Guard,
     ) -> Option<()> {
         let o = 1 - d;
-        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
-        let nl = mk_internal(hux.node_ref().key(), 1, d, na, hnear.child(d), guard);
-        let nr = mk_internal(
-            hs.node_ref().key(),
-            1,
-            d,
-            hnear.child(o),
-            hs.child(o),
-            guard,
-        );
+        let mut f = Fresh::new();
+        let na = f.copy(ha, ha.node_ref().weight() - 1);
+        let nl = f.internal(hux.node_ref().key(), 1, d, na, hnear.child(d));
+        let nr = f.internal(hs.node_ref().key(), 1, d, hnear.child(o), hs.child(o));
         let w = Self::top_weight(hu, hux.node_ref().weight());
-        let n = mk_internal(hnear.node_ref().key(), w, d, nl, nr, guard);
+        f.internal(hnear.node_ref().key(), w, d, nl, nr);
         let [c0, c1] = bfs2(*ha, *hs, d);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe {
-            self.commit_step(
-                Step::W6,
-                &[*hu, *hux, c0, c1, *hnear],
-                n,
-                &[na, nl, nr, n],
-                guard,
-            )
-        }
+        self.commit_step(Step::W6, &[*hu, *hux, c0, c1, *hnear], f, guard)
     }
 
     /// **W7 / W7s**: both children overweight — each gives one weight unit
@@ -607,13 +482,12 @@ where
         d: usize,
         guard: &'g Guard,
     ) -> Option<()> {
-        let na = copy_with_weight(ha, ha.node_ref().weight() - 1, guard);
-        let ns = copy_with_weight(hs, hs.node_ref().weight() - 1, guard);
+        let mut f = Fresh::new();
+        let na = f.copy(ha, ha.node_ref().weight() - 1);
+        let ns = f.copy(hs, hs.node_ref().weight() - 1);
         let w = Self::top_weight(hu, hux.node_ref().weight() + 1);
-        let n = mk_internal(hux.node_ref().key(), w, d, na, ns, guard);
+        f.internal(hux.node_ref().key(), w, d, na, ns);
         let [c0, c1] = bfs2(*ha, *hs, d);
-        // SAFETY: `created` lists exactly the nodes allocated above, each
-        // once; all are unpublished.
-        unsafe { self.commit_step(Step::W7, &[*hu, *hux, c0, c1], n, &[na, ns, n], guard) }
+        self.commit_step(Step::W7, &[*hu, *hux, c0, c1], f, guard)
     }
 }

@@ -58,10 +58,10 @@
 
 use std::ops::{Bound, RangeBounds};
 
-use llxscx::epoch::{Guard, Shared};
+use llxscx::epoch::Guard;
 use llxscx::vlx;
 
-use crate::node::Node;
+use crate::node::Reached;
 use crate::template::{llx_ok, Handle};
 
 /// Whether the query interval can contain a key strictly below `k` — i.e.
@@ -87,7 +87,7 @@ fn may_contain_at_or_above<K: Ord, B: RangeBounds<K>>(bounds: &B, k: &K) -> bool
 
 /// One attempt at an atomic range scan from `entry` (the never-removed
 /// sentinel of a leaf-oriented template tree — chromatic, NbBST or relaxed
-/// AVL, which share [`Node`] and its sentinel layout).
+/// AVL, which share [`Node`](crate::node::Node) and its sentinel layout).
 ///
 /// Returns `None` when a concurrent update interfered; the caller should
 /// re-traverse. `Some(pairs)` is sorted by key, duplicate-free, and is the
@@ -96,24 +96,18 @@ fn may_contain_at_or_above<K: Ord, B: RangeBounds<K>>(bounds: &B, k: &K) -> bool
 ///
 /// # Example
 ///
-/// One attempt over a hand-built leaf-oriented tree (entry sentinel →
-/// second `∞` sentinel → one routing node over two leaves — the shape of
-/// paper Fig. 10 after two inserts). At quiescence the attempt must
-/// validate on the first try:
+/// One attempt over a template tree holding two keys. At quiescence the
+/// attempt must validate on the first try:
 ///
 /// ```
-/// use nbtree::node::Node;
+/// use nbtree::template::{LeafTree, UnitWeights};
 /// use nbtree::try_range_scan;
-/// use llxscx::{with_guard, Shared};
 ///
-/// with_guard(|guard| {
-///     let l10 = Node::leaf(Some(10u64), Some("a"), 1).into_shared(guard);
-///     let l20 = Node::leaf(Some(20u64), Some("b"), 1).into_shared(guard);
-///     let inner = Node::internal(Some(20), 1, l10, l20).into_shared(guard);
-///     let inf = Node::leaf(None, None, 1).into_shared(guard);
-///     let sentinel = Node::internal(None, 1, inner, inf).into_shared(guard);
-///     let entry = Node::internal(None, 1, sentinel, Shared::null()).into_shared(guard);
-///
+/// let tree = LeafTree::new();
+/// tree.insert::<UnitWeights>(&10u64, &"a");
+/// tree.insert::<UnitWeights>(&20, &"b");
+/// llxscx::with_guard(|guard| {
+///     let entry = tree.entry(guard);
 ///     let snap = try_range_scan(entry, &(5u64..=25), guard)
 ///         .expect("no concurrent updates: the VLX must validate");
 ///     assert_eq!(snap, vec![(10, "a"), (20, "b")]);
@@ -122,10 +116,10 @@ fn may_contain_at_or_above<K: Ord, B: RangeBounds<K>>(bounds: &B, k: &K) -> bool
 /// });
 /// ```
 ///
-/// (`ChromaticTree::range` wraps this in the retry loop; the example
-/// leaks its six nodes, which is fine for a doctest process.)
+/// (`LeafTree::range` and `ChromaticTree::range` wrap this in the retry
+/// loop.)
 pub fn try_range_scan<'g, K, V, B>(
-    entry: Shared<'g, Node<K, V>>,
+    entry: Reached<'g, K, V>,
     bounds: &B,
     guard: &'g Guard,
 ) -> Option<Vec<(K, V)>>
@@ -143,7 +137,7 @@ where
 /// in-range pairs in key order, with every LLX handle taken appended to
 /// `handles`; `None` as soon as an LLX fails.
 fn collect_level_order<'g, K, V, B>(
-    entry: Shared<'g, Node<K, V>>,
+    entry: Reached<'g, K, V>,
     bounds: &B,
     guard: &'g Guard,
     handles: &mut Vec<Handle<'g, K, V>>,
@@ -154,43 +148,39 @@ where
     B: RangeBounds<K>,
 {
     // The frontier as a list in key order, linked through `slots`: each
-    // slot is a node (null once dropped) and the index of the slot after
-    // it (see "Visit order" in the module docs). `queue` holds the slots
-    // still to visit, first in first out, which is level order. The
-    // capacities fit a 100-key scan; growing these vectors from empty made
-    // such a scan 23-50 % slower.
-    let mut slots: Vec<(Shared<'g, Node<K, V>>, usize)> = Vec::with_capacity(64);
-    slots.push((entry, END));
-    let mut queue: Vec<usize> = Vec::with_capacity(128);
-    queue.push(0);
+    // slot is a node (`None` once dropped) and the index of the slot after
+    // it (see "Visit order" in the module docs). `queue` holds the nodes
+    // still to visit with their slots, first in first out, which is level
+    // order. The capacities fit a 100-key scan; growing these vectors from
+    // empty made such a scan 23-50 % slower.
+    let mut slots: Vec<(Option<Reached<'g, K, V>>, usize)> = Vec::with_capacity(64);
+    slots.push((Some(entry), END));
+    let mut queue: Vec<(Reached<'g, K, V>, usize)> = Vec::with_capacity(128);
+    queue.push((entry, 0));
     let mut found = 0;
     let mut visited = 0;
-    while let Some(&at) = queue.get(visited) {
+    while let Some(&(n, at)) = queue.get(visited) {
         visited += 1;
-        let n = slots[at].0;
-        // SAFETY: reached from `entry` under `guard` through LLX
-        // snapshots of internal nodes, whose children are never null
-        // (property C3); nodes stay allocated for the guard's lifetime.
-        let n_ref = unsafe { n.deref() };
-        if n_ref.is_leaf(guard) {
+        if n.is_leaf(guard) {
             // Read through the parent's validated snapshot: leaf contents
             // are immutable, so no LLX is needed (see module docs).
-            if n_ref.key().is_some_and(|k| bounds.contains(k)) {
+            if n.key().is_some_and(|k| bounds.contains(k)) {
                 found += 1;
             } else {
-                slots[at].0 = Shared::null();
+                slots[at].0 = None;
             }
             continue;
         }
         // Frozen or already removed: this attempt cannot linearize.
         let h = llx_ok(n, guard)?;
         handles.push(h);
+        let child = |dir| Reached::in_snapshot(&h, dir);
         // The kept children, in key order.
         let (first, second) = match h.node_ref().key() {
             // Sentinel ∞ internal node (entry or second sentinel): the
             // dictionary hangs off the left child; the right child is the
             // ∞ leaf (or null at entry) and can never hold a query key.
-            None => (h.left(), None),
+            None => (child(0), None),
             // Prune on the node's immutable routing key. A pruned
             // subtree can only hold keys outside the query (left: all
             // `< k`, right: all `>= k`), and the pruning node itself is
@@ -199,24 +189,24 @@ where
                 may_contain_below(bounds, k),
                 may_contain_at_or_above(bounds, k),
             ) {
-                (true, true) => (h.left(), Some(h.right())),
-                (true, false) => (h.left(), None),
-                (false, true) => (h.right(), None),
+                (true, true) => (child(0), child(1)),
+                (true, false) => (child(0), None),
+                (false, true) => (child(1), None),
                 // Only an empty interval prunes both sides.
-                (false, false) => (Shared::null(), None),
+                (false, false) => (None, None),
             },
         };
         slots[at].0 = first;
-        if !first.is_null() {
-            prefetch(first);
-            queue.push(at);
+        if let Some(first) = first {
+            first.prefetch();
+            queue.push((first, at));
         }
         if let Some(second) = second {
-            prefetch(second);
+            second.prefetch();
             let fresh = slots.len();
-            slots.push((second, slots[at].1));
+            slots.push((Some(second), slots[at].1));
             slots[at].1 = fresh;
-            queue.push(fresh);
+            queue.push((second, fresh));
         }
     }
     // Every slot left holding a node holds an in-range leaf.
@@ -224,8 +214,7 @@ where
     let mut at = 0;
     while at != END {
         let (leaf, after) = slots[at];
-        // SAFETY: as above; a non-null slot holds a leaf visited under `guard`.
-        if let Some(leaf) = unsafe { leaf.as_ref() } {
+        if let Some(leaf) = leaf {
             if let (Some(k), Some(v)) = (leaf.key(), leaf.value()) {
                 out.push((k.clone(), v.clone()));
             }
@@ -237,21 +226,6 @@ where
 
 /// The `next` index of the frontier's last slot.
 const END: usize = usize::MAX;
-
-/// Asks the cache hierarchy for the line holding `node` ahead of its use.
-/// A hint only: a no-op off `x86_64` and under Miri, which models no cache.
-#[inline(always)]
-fn prefetch<T>(node: Shared<'_, T>) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    // SAFETY: a prefetch reads nothing the program observes and never faults,
-    // whatever the address; SSE, which provides it, is in the x86_64 baseline.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(node.as_raw().cast());
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    let _ = node;
-}
 
 #[cfg(test)]
 mod tests {
@@ -318,7 +292,7 @@ mod tests {
     /// reference it is checked against: an explicit stack, right child
     /// pushed first, so leaves come out in key order.
     fn collect_depth_first<'g, K, V, B>(
-        entry: Shared<'g, Node<K, V>>,
+        entry: Reached<'g, K, V>,
         bounds: &B,
         guard: &'g Guard,
         handles: &mut Vec<Handle<'g, K, V>>,
@@ -331,10 +305,8 @@ mod tests {
         let mut out = Vec::new();
         let mut stack = vec![entry];
         while let Some(n) = stack.pop() {
-            // SAFETY: reached from `entry` under `guard`, as in the scan.
-            let n_ref = unsafe { n.deref() };
-            if n_ref.is_leaf(guard) {
-                if let (Some(k), Some(v)) = (n_ref.key(), n_ref.value()) {
+            if n.is_leaf(guard) {
+                if let (Some(k), Some(v)) = (n.key(), n.value()) {
                     if bounds.contains(k) {
                         out.push((k.clone(), v.clone()));
                     }
@@ -343,14 +315,15 @@ mod tests {
             }
             let h = llx_ok(n, guard)?;
             handles.push(h);
+            let child = |dir| Reached::in_snapshot(&h, dir).expect("internal");
             match h.node_ref().key() {
-                None => stack.push(h.left()),
+                None => stack.push(child(0)),
                 Some(k) => {
                     if may_contain_at_or_above(bounds, k) {
-                        stack.push(h.right());
+                        stack.push(child(1));
                     }
                     if may_contain_below(bounds, k) {
-                        stack.push(h.left());
+                        stack.push(child(0));
                     }
                 }
             }
@@ -392,10 +365,7 @@ mod tests {
                 let expect = all.iter().filter(|(k, _)| bounds.contains(k));
                 assert_eq!(level, expect.copied().collect::<Vec<_>>(), "{bounds:?}");
                 let nodes = |hs: &[Handle<'_, u64, u64>]| {
-                    let mut v: Vec<_> = hs
-                        .iter()
-                        .map(|h| h.node_ref() as *const Node<_, _>)
-                        .collect();
+                    let mut v: Vec<_> = hs.iter().map(|h| h.node.as_raw()).collect();
                     v.sort_unstable();
                     v
                 };

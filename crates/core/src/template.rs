@@ -15,12 +15,11 @@
 //! of them:
 //!
 //! 1. **Attempt helpers** — [`llx_ok`] (LLX or bail), [`side_of`] (which
-//!    child of a snapshot a node is, else bail) and [`commit`] (one SCX
-//!    over a breadth-first `V` whose first record holds the modified field;
-//!    a failed SCX releases every node the attempt allocated). They
-//!    allocate nothing: `V` and the created set are caller-side arrays, and
-//!    `?` on the `Option`s is the template's "a concurrent update
-//!    interfered, start over".
+//!    child of a snapshot a node is, else bail), [`Fresh`] (the nodes an
+//!    attempt builds) and [`commit`] (one SCX over a breadth-first `V`
+//!    whose first record holds the modified field). They allocate nothing
+//!    but the nodes: `V` is a caller-side array, and `?` on the `Option`s
+//!    is the template's "a concurrent update interfered, start over".
 //! 2. **[`LeafTree`]** — the skeleton every tree owns: the `entry` sentinel
 //!    of Fig. 10, the read-only search of Fig. 5 (with a per-edge hook, so
 //!    the chromatic tree tallies violations in the same loop), the plain
@@ -31,14 +30,19 @@
 //!    unbalanced EFRB-style BST ([`UnitWeights`]) and the relaxed AVL tree
 //!    ([`RankWeights`]) differ only in that rule and in what they do
 //!    *after* a committed update (rebalance, nothing, repair ranks).
+//!
+//! Two types carry the facts the template's correctness rests on, so no
+//! tree states them again. [`Reached`] is a node reached under the
+//! caller's pin, which stays allocated (C3, §5.4); [`Fresh`] owns the
+//! nodes an attempt builds until [`commit`] publishes them, and frees them
+//! if it does not (an SCX installs only a fresh, unpublished `N`, §4.1).
 
 use std::ops::RangeBounds;
-use std::sync::atomic::Ordering;
 
-use llxscx::epoch::{Atomic, Guard, Shared};
+use llxscx::epoch::{Guard, Owned, Shared};
 use llxscx::{llx, scx, with_guard, Llx, LlxHandle, ScxArgs};
 
-use crate::node::Node;
+use crate::node::{Entry, Node, Reached};
 use crate::range::try_range_scan;
 
 /// A linked LLX snapshot of a tree node.
@@ -52,12 +56,12 @@ pub type Handle<'g, K, V> = LlxHandle<'g, Node<K, V>>;
 /// already finalized — in both cases the attempt cannot linearize and the
 /// caller starts over from its search.
 #[inline]
-pub fn llx_ok<'g, K, V>(n: Shared<'g, Node<K, V>>, guard: &'g Guard) -> Option<Handle<'g, K, V>>
+pub fn llx_ok<'g, K, V>(n: Reached<'g, K, V>, guard: &'g Guard) -> Option<Handle<'g, K, V>>
 where
     K: Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
-    match llx(n, guard) {
+    match llx(n.shared(), guard) {
         Llx::Snapshot(h) => Some(h),
         _ => None,
     }
@@ -66,11 +70,12 @@ where
 /// Which child (`0` = left, `1` = right) of the snapshot `h` the node `x`
 /// is; `None` when `x` moved away since the caller's search (bail).
 #[inline]
-pub fn side_of<'g, K, V>(h: &Handle<'g, K, V>, x: Shared<'g, Node<K, V>>) -> Option<usize>
+pub fn side_of<'g, K, V>(h: &Handle<'g, K, V>, x: Reached<'g, K, V>) -> Option<usize>
 where
     K: Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
+    let x = x.shared();
     if h.left() == x {
         Some(0)
     } else if h.right() == x {
@@ -91,31 +96,146 @@ pub fn bfs2<T>(a: T, b: T, d: usize) -> [T; 2] {
     }
 }
 
+/// The most nodes one attempt builds: rebalancing steps W3 and W4 build
+/// five.
+const FRESH_CAP: usize = 5;
+
+/// The nodes one attempt builds: the subgraph `N` its SCX installs.
+///
+/// Every node an attempt allocates is built here, so no node escapes it
+/// unowned. The nodes are kept inline, so the owner itself never touches
+/// the heap. [`commit`] consumes the owner: when the SCX takes effect the
+/// nodes belong to the tree; when it fails — or when the attempt bails,
+/// returns early or unwinds before committing — dropping the owner frees
+/// every node it built. None was ever published, so nothing else can
+/// reach them.
+///
+/// Children are built before their parent, so the last node built is the
+/// root of `N`, the one [`commit`] installs. A child argument is a node
+/// this owner built or a child in one of the attempt's LLX snapshots (the
+/// fringe `F_N`).
+pub struct Fresh<'g, K: Send + Sync + 'static, V: Send + Sync + 'static> {
+    nodes: [Shared<'g, Node<K, V>>; FRESH_CAP],
+    len: usize,
+}
+
+impl<'g, K: Send + Sync + 'static, V: Send + Sync + 'static> Fresh<'g, K, V> {
+    /// An owner that has built nothing yet.
+    #[inline]
+    pub fn new() -> Self {
+        Fresh {
+            nodes: [Shared::null(); FRESH_CAP],
+            len: 0,
+        }
+    }
+
+    /// Takes `node` into the owner. Past [`FRESH_CAP`] the index panics
+    /// before the node leaves its `Owned`, which then frees it.
+    #[inline]
+    fn keep(&mut self, node: Owned<Node<K, V>>) -> Shared<'g, Node<K, V>> {
+        let slot = &mut self.nodes[self.len];
+        *slot = Shared::from(Box::into_raw(node.into_box()).cast_const());
+        self.len += 1;
+        *slot
+    }
+
+    /// A fresh leaf holding `key` (the sentinel `∞` if `None`).
+    #[inline]
+    pub fn leaf(
+        &mut self,
+        key: Option<K>,
+        value: Option<V>,
+        weight: u32,
+    ) -> Shared<'g, Node<K, V>> {
+        self.keep(Node::leaf(key, value, weight))
+    }
+
+    /// A fresh internal node with its children given per *side*: `child_d`
+    /// goes to side `d`, `child_o` to the other. Lets a rotation and its
+    /// mirror image share one body.
+    #[inline]
+    pub fn internal(
+        &mut self,
+        key: Option<&K>,
+        weight: u32,
+        d: usize,
+        child_d: Shared<'g, Node<K, V>>,
+        child_o: Shared<'g, Node<K, V>>,
+    ) -> Shared<'g, Node<K, V>>
+    where
+        K: Clone,
+    {
+        let [l, r] = bfs2(child_d, child_o, d);
+        self.keep(Node::internal(key.cloned(), weight, l, r))
+    }
+
+    /// A fresh copy of the node behind `h` with a new weight: key and value
+    /// are immutable (read from the node), the children — the mutable
+    /// fields — come from the LLX snapshot.
+    #[inline]
+    pub fn copy(&mut self, h: &Handle<'g, K, V>, weight: u32) -> Shared<'g, Node<K, V>>
+    where
+        K: Clone,
+        V: Clone,
+    {
+        let n = h.node_ref();
+        if h.left().is_null() {
+            self.leaf(n.key().cloned(), n.value().cloned(), weight)
+        } else {
+            self.keep(Node::internal(
+                n.key().cloned(),
+                weight,
+                h.left(),
+                h.right(),
+            ))
+        }
+    }
+}
+
+impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Default for Fresh<'_, K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for Fresh<'_, K, V> {
+    fn drop(&mut self) {
+        for n in &self.nodes[..self.len] {
+            // SAFETY: the owner built the node and still owns it: it was
+            // never published (a committed SCX disowns its nodes first), and
+            // each built node is listed once.
+            unsafe { llxscx::reclaim::dispose_record(n.as_raw()) };
+        }
+    }
+}
+
 /// The template's one SCX: `v` is the `V` sequence in breadth-first order
 /// whose **first** record holds the modified field `fld_idx`, `finalize`
-/// the bitmask over `v` selecting `R`, `new` the root of the freshly
-/// allocated subgraph `N`. Returns whether the SCX took effect; when it did
-/// not, every node in `created` is released exactly once (they were never
-/// published).
+/// the bitmask over `v` selecting `R`, and `fresh` the attempt's nodes `N`,
+/// whose last-built node is installed. Returns whether the SCX took
+/// effect; when it did not, dropping `fresh` frees every node it built.
 ///
-/// # Safety
-/// Every node in `created` must have been allocated by the caller for this
-/// attempt through the record slab ([`Node::leaf`] / [`Node::internal`]),
-/// be listed once, and be reachable only through `new` — i.e. still
-/// unpublished and exclusively the caller's.
+/// # Panics
+/// If `fresh` has built nothing: an SCX must install a fresh node (PC7).
 #[inline]
-pub unsafe fn commit<'g, K, V>(
+pub fn commit<'g, K, V>(
     v: &[Handle<'g, K, V>],
     finalize: u8,
     fld_idx: usize,
-    new: Shared<'g, Node<K, V>>,
-    created: &[Shared<'g, Node<K, V>>],
+    mut fresh: Fresh<'g, K, V>,
     guard: &'g Guard,
 ) -> bool
 where
     K: Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
+    let new = fresh.nodes[..fresh.len]
+        .last()
+        .copied()
+        .expect("an attempt commits a node it built");
+    // Disown the nodes before the SCX, so that a panic inside it leaks them
+    // rather than freeing nodes it may already have published.
+    let built = std::mem::replace(&mut fresh.len, 0);
     let args = ScxArgs {
         v,
         finalize,
@@ -125,80 +245,10 @@ where
     };
     let ok = scx(&args, guard);
     if !ok {
-        for n in created {
-            // SAFETY: per this function's contract the node is unpublished
-            // and listed once; the failed SCX never stored `new`.
-            unsafe { llxscx::reclaim::dispose_record(n.as_raw()) };
-        }
+        // Never published: the owner frees them when it drops.
+        fresh.len = built;
     }
     ok
-}
-
-/// Frees every node reachable from `n`. Children are pushed before the
-/// parent is disposed, so every node is visited exactly once.
-///
-/// # Safety
-/// The caller must own every node reachable from `n` exclusively (a whole
-/// tree in `Drop`, or an unpublished subtree whose SCX failed), each must be
-/// reachable exactly once (down-tree, indegree 1) and slab-allocated.
-pub(crate) unsafe fn dispose_subtree<K, V>(n: Shared<'_, Node<K, V>>, guard: &Guard)
-where
-    K: Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    let mut stack = vec![n];
-    while let Some(s) = stack.pop() {
-        if s.is_null() {
-            continue;
-        }
-        // SAFETY: exclusive ownership per this function's contract.
-        unsafe {
-            let node = s.deref();
-            stack.push(node.read_child(0, guard));
-            stack.push(node.read_child(1, guard));
-            llxscx::reclaim::dispose_record(s.as_raw());
-        }
-    }
-}
-
-/// Fresh copy of the node behind `h` with a new weight: key and value are
-/// immutable (read from the node), the children — the mutable fields —
-/// come from the LLX snapshot.
-pub fn copy_with_weight<'g, K, V>(
-    h: &Handle<'g, K, V>,
-    weight: u32,
-    guard: &'g Guard,
-) -> Shared<'g, Node<K, V>>
-where
-    K: Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    let n = h.node_ref();
-    if h.left().is_null() {
-        Node::leaf(n.key().cloned(), n.value().cloned(), weight)
-    } else {
-        Node::internal(n.key().cloned(), weight, h.left(), h.right())
-    }
-    .into_shared(guard)
-}
-
-/// Fresh internal node with its children given per *side*: `child_d` goes
-/// to side `d`, `child_o` to the other. Lets a rotation and its mirror
-/// image share one body.
-pub fn mk_internal<'g, K, V>(
-    key: Option<&K>,
-    weight: u32,
-    d: usize,
-    child_d: Shared<'g, Node<K, V>>,
-    child_o: Shared<'g, Node<K, V>>,
-    guard: &'g Guard,
-) -> Shared<'g, Node<K, V>>
-where
-    K: Clone + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    let [l, r] = bfs2(child_d, child_o, d);
-    Node::internal(key.cloned(), weight, l, r).into_shared(guard)
 }
 
 // ---------------------------------------------------------------------------
@@ -206,15 +256,15 @@ where
 // ---------------------------------------------------------------------------
 
 /// The last three nodes of a search path (Fig. 5): grandparent, parent and
-/// leaf. The grandparent is null when the dictionary is empty — the leaf's
+/// leaf. There is no grandparent when the dictionary is empty — the leaf's
 /// parent is then `entry` itself.
 pub struct SearchPath<'g, K, V> {
-    /// The parent's parent (null in the empty tree of Fig. 10(a)).
-    pub gp: Shared<'g, Node<K, V>>,
+    /// The parent's parent (`None` in the empty tree of Fig. 10(a)).
+    pub gp: Option<Reached<'g, K, V>>,
     /// The leaf's parent.
-    pub p: Shared<'g, Node<K, V>>,
+    pub p: Reached<'g, K, V>,
     /// The leaf the search ended at.
-    pub leaf: Shared<'g, Node<K, V>>,
+    pub leaf: Reached<'g, K, V>,
 }
 
 /// What every template tree owns: the sentinels of Fig. 10 and everything
@@ -224,59 +274,47 @@ pub struct LeafTree<K: Send + Sync + 'static, V: Send + Sync + 'static> {
     /// The `entry` Data-record (Fig. 10): key `∞`, weight 1, never removed.
     /// Its left child is the second sentinel (or, when the dictionary is
     /// empty, a single `∞` leaf); its right child is unused.
-    entry: Atomic<Node<K, V>>,
+    entry: Entry<K, V>,
 }
 
-// SAFETY: the only field is the entry pointer; all shared mutable state
-// behind it is accessed through atomics under epoch guards, and the
-// `K`/`V: Send + Sync` bounds cover the payloads other threads read, clone
-// and (through deferred reclamation) drop.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Send for LeafTree<K, V> {}
-// SAFETY: same argument as `Send`.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Sync for LeafTree<K, V> {}
+// `Send` and `Sync` come from the fields, with the bounds `K`, `V: Send +
+// Sync`: the payloads other threads read, clone and (through deferred
+// reclamation) drop. A field that loses them fails the build here.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<LeafTree<u64, u64>>();
+    send_sync::<crate::ChromaticTree<u64, u64>>();
+};
 
 impl<K: Send + Sync + 'static, V: Send + Sync + 'static> LeafTree<K, V> {
     /// An empty tree, Fig. 10(a): `entry(∞, w=1)` over a single `∞` leaf.
     /// Weight 1 is what the chromatic tree requires of its sentinels; the
     /// other weight rules never look at a sentinel's weight.
     pub fn new() -> Self {
-        // SAFETY: construction — the tree is not yet shared with any thread.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        let leaf = Node::leaf(None, None, 1).into_shared(guard);
         LeafTree {
-            entry: Atomic::from(Node::internal(None, 1, leaf, Shared::null())),
+            entry: Entry::over(Node::leaf(None, None, 1)),
         }
     }
 
-    /// The entry sentinel.
-    ///
-    /// Memory-ordering audit: `Acquire` — the entry pointer is written once
-    /// at construction and never changes, so it takes part in no SCX; the
-    /// acquiring load only needs to see the sentinel nodes' initialization
-    /// (release-published when the tree was handed to other threads), same
-    /// argument as [`Node::read_child`].
+    /// The entry sentinel, reached under `guard`: where every search,
+    /// query and scan starts.
     #[inline]
-    pub fn entry<'g>(&self, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        // ACQUIRE: entry is written once at construction and takes part in no SCX; the load only
-        // needs the sentinels' initialization, published when the tree was shared
-        self.entry.load(Ordering::Acquire, guard)
+    pub fn entry<'g>(&'g self, guard: &'g Guard) -> Reached<'g, K, V> {
+        self.entry.reach(guard)
     }
 
     /// Visits every leaf (sentinels included) left to right. Iterative, so
     /// an unbalanced tree of depth Θ(n) cannot overflow the stack.
-    fn for_each_leaf(&self, guard: &Guard, mut visit: impl FnMut(&Node<K, V>)) {
+    fn for_each_leaf<'g>(&'g self, guard: &'g Guard, mut visit: impl FnMut(&Node<K, V>)) {
         let mut stack = vec![self.entry(guard)];
         while let Some(n) = stack.pop() {
-            if n.is_null() {
-                continue; // the entry sentinel's unused right child
-            }
-            // SAFETY: non-null and reached from entry under `guard` (C3).
-            let node = unsafe { n.deref() };
-            if node.is_leaf(guard) {
-                visit(node);
-            } else {
-                stack.push(node.read_child(1, guard));
-                stack.push(node.read_child(0, guard));
+            match n.child(0, guard) {
+                None => visit(&n),
+                Some(left) => {
+                    // `None` only for the entry sentinel's unused right child.
+                    stack.extend(n.child(1, guard));
+                    stack.push(left);
+                }
             }
         }
     }
@@ -295,10 +333,10 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> LeafTree<K, V> {
     /// leaf only in the shape of Fig. 10(a).
     pub fn is_empty(&self) -> bool {
         with_guard(|guard| {
-            // SAFETY: the entry sentinel is never reclaimed.
-            let entry = unsafe { self.entry(guard).deref() };
-            // SAFETY: the entry is internal, so its left child is non-null (C2).
-            unsafe { entry.read_child(0, guard).deref() }.is_leaf(guard)
+            let below = self.entry(guard).child(0, guard);
+            below
+                .expect("the entry sentinel is internal")
+                .is_leaf(guard)
         })
     }
 }
@@ -325,35 +363,33 @@ where
     /// registers and drop a no-op hook's loads entirely.
     #[inline]
     pub fn search_with<'g>(
-        &self,
+        &'g self,
         key: &K,
         guard: &'g Guard,
         mut edge: impl FnMut(&Node<K, V>, &Node<K, V>),
     ) -> SearchPath<'g, K, V> {
-        let mut gp = Shared::null();
+        let mut gp = None;
         let mut p = self.entry(guard);
-        // SAFETY: entry is never removed.
-        let mut leaf = unsafe { p.deref() }.read_child(0, guard);
+        let mut leaf = p.child(0, guard).expect("the entry sentinel is internal");
         loop {
-            // SAFETY: reached by child pointers under `guard` (property C3);
-            // children of internal nodes are never null.
-            let leaf_ref = unsafe { leaf.deref() };
-            // SAFETY: `p` was `leaf`'s parent on this search path; same
-            // liveness argument as `leaf`.
-            edge(unsafe { p.deref() }, leaf_ref);
-            if leaf_ref.is_leaf(guard) {
-                return SearchPath { gp, p, leaf };
+            edge(&p, &leaf);
+            // A leaf's children are null and an internal node's never are,
+            // so the child read is also the leaf test.
+            let dir = usize::from(!leaf.route_left(key));
+            match leaf.child(dir, guard) {
+                None => return SearchPath { gp, p, leaf },
+                Some(next) => {
+                    gp = Some(p);
+                    p = leaf;
+                    leaf = next;
+                }
             }
-            gp = p;
-            p = leaf;
-            let dir = if leaf_ref.route_left(key) { 0 } else { 1 };
-            leaf = leaf_ref.read_child(dir, guard);
         }
     }
 
     /// [`search_with`](Self::search_with) without a hook.
     #[inline]
-    pub fn search<'g>(&self, key: &K, guard: &'g Guard) -> SearchPath<'g, K, V> {
+    pub fn search<'g>(&'g self, key: &K, guard: &'g Guard) -> SearchPath<'g, K, V> {
         self.search_with(key, guard, |_, _| {})
     }
 
@@ -367,8 +403,7 @@ where
     /// searches perform no synchronization.
     pub fn get(&self, key: &K) -> Option<V> {
         with_guard(|guard| {
-            // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
-            let leaf = unsafe { self.search(key, guard).leaf.deref() };
+            let leaf = self.search(key, guard).leaf;
             if leaf.key_eq(key) {
                 leaf.value().cloned()
             } else {
@@ -379,10 +414,7 @@ where
 
     /// Whether the dictionary contains `key`.
     pub fn contains_key(&self, key: &K) -> bool {
-        with_guard(|guard| {
-            // SAFETY: `search` always lands on a leaf: non-null, alive under `guard`.
-            unsafe { self.search(key, guard).leaf.deref() }.key_eq(key)
-        })
+        with_guard(|guard| self.search(key, guard).leaf.key_eq(key))
     }
 
     /// Inserts `key → value` under weight rule `W`, retrying until an
@@ -445,18 +477,6 @@ where
             });
             out
         })
-    }
-}
-
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Drop for LeafTree<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive `&mut self` in Drop — no concurrent readers, so
-        // the unprotected guard is sound.
-        let guard = unsafe { llxscx::epoch::unprotected() };
-        // SAFETY: exclusive access to the whole tree; down-tree, so every
-        // node is reachable exactly once. Descriptors belong to threads,
-        // not to records, so there is nothing else to release.
-        unsafe { dispose_subtree(self.entry(guard), guard) };
     }
 }
 
@@ -603,34 +623,29 @@ where
     let dir = side_of(&hp, path.leaf)?;
     let hl = llx_ok(path.leaf, guard)?;
     let (p, l) = (hp.node_ref(), hl.node_ref());
-    let fresh_leaf = |w| Node::leaf(Some(key.clone()), Some(value.clone()), w).into_shared(guard);
+    let mut fresh = Fresh::new();
     if l.key_eq(key) {
-        let new = fresh_leaf(W::replacement_leaf(l.weight()));
-        // SAFETY: `new` was just allocated and is referenced by nothing.
-        unsafe { commit(&[hp, hl], 0b10, dir, new, &[new], guard) }.then(|| Applied {
+        let weight = W::replacement_leaf(l.weight());
+        fresh.leaf(Some(key.clone()), Some(value.clone()), weight);
+        commit(&[hp, hl], 0b10, dir, fresh, guard).then(|| Applied {
             old: l.value().cloned(),
             reshaped: None,
         })
     } else {
         let below_sentinel = l.is_sentinel_key() || p.is_sentinel_key();
         let (w_internal, w_leaf) = W::split(below_sentinel, l.weight());
-        let new_leaf = fresh_leaf(w_leaf);
-        let l_copy = Node::leaf(l.key().cloned(), l.value().cloned(), w_leaf).into_shared(guard);
-        let new = if l.route_left(key) {
+        let new_leaf = fresh.leaf(Some(key.clone()), Some(value.clone()), w_leaf);
+        let l_copy = fresh.leaf(l.key().cloned(), l.value().cloned(), w_leaf);
+        if l.route_left(key) {
             // key < l.k: the new internal routes on l's key.
-            Node::internal(l.key().cloned(), w_internal, new_leaf, l_copy)
+            fresh.internal(l.key(), w_internal, 0, new_leaf, l_copy);
         } else {
-            Node::internal(Some(key.clone()), w_internal, l_copy, new_leaf)
+            fresh.internal(Some(key), w_internal, 0, l_copy, new_leaf);
         }
-        .into_shared(guard);
-        // SAFETY: all three nodes were just allocated; the leaves are
-        // referenced only by `new`, and `new` by nothing.
-        unsafe { commit(&[hp, hl], 0b10, dir, new, &[new, l_copy, new_leaf], guard) }.then_some(
-            Applied {
-                old: None,
-                reshaped: Some((p.weight(), w_internal)),
-            },
-        )
+        commit(&[hp, hl], 0b10, dir, fresh, guard).then_some(Applied {
+            old: None,
+            reshaped: Some((p.weight(), w_internal)),
+        })
     }
 }
 
@@ -650,26 +665,28 @@ where
     V: Clone + Send + Sync + 'static,
 {
     // Empty tree (Fig. 10(a), no grandparent exists) or key absent.
-    // SAFETY: the search's leaf is non-null and alive under `guard`.
-    if path.gp.is_null() || !unsafe { path.leaf.deref() }.key_eq(key) {
-        return Some(Applied {
-            old: None,
-            reshaped: None,
-        });
-    }
-    let hgp = llx_ok(path.gp, guard)?;
+    let gp = match path.gp {
+        Some(gp) if path.leaf.key_eq(key) => gp,
+        _ => {
+            return Some(Applied {
+                old: None,
+                reshaped: None,
+            })
+        }
+    };
+    let hgp = llx_ok(gp, guard)?;
     let dir = side_of(&hgp, path.p)?;
     let hp = llx_ok(path.p, guard)?;
     let leaf_side = side_of(&hp, path.leaf)?;
     let hl = llx_ok(path.leaf, guard)?;
-    let hs = llx_ok(hp.child(1 - leaf_side), guard)?;
+    let hs = llx_ok(Reached::in_snapshot(&hp, 1 - leaf_side)?, guard)?;
     let (gp, p) = (hgp.node_ref(), hp.node_ref());
     let below_sentinel = gp.is_sentinel_key() || p.is_sentinel_key();
     let weight = W::contracted_sibling(below_sentinel, p.weight(), hs.node_ref().weight());
-    let new = copy_with_weight(&hs, weight, guard);
+    let mut fresh = Fresh::new();
+    fresh.copy(&hs, weight);
     let [c0, c1] = bfs2(hl, hs, leaf_side);
-    // SAFETY: `new` was just allocated and is referenced by nothing.
-    unsafe { commit(&[hgp, hp, c0, c1], 0b1110, dir, new, &[new], guard) }.then(|| Applied {
+    commit(&[hgp, hp, c0, c1], 0b1110, dir, fresh, guard).then(|| Applied {
         old: hl.node_ref().value().cloned(),
         reshaped: Some((gp.weight(), weight)),
     })
@@ -687,29 +704,28 @@ mod tests {
         // SAFETY: the nodes are not shared with any thread yet.
         let guard = unsafe { llxscx::epoch::unprotected() };
         let inf = Node::leaf(None, None, 1).into_shared(guard);
-        let sentinel = Node::internal(None, 1, root, inf).into_shared(guard);
         LeafTree {
-            entry: Atomic::from(Node::internal(None, 1, sentinel, Shared::null())),
+            entry: Entry::over(Node::internal(None, 1, root, inf)),
         }
     }
 
     /// Everything below `entry` as `key:weight` leaves and
     /// `(key:weight left right)` internals.
     fn shape<V: Send + Sync + 'static>(t: &LeafTree<u64, V>) -> String {
-        fn render<V: Send + Sync + 'static>(n: Ptr<'_, V>, guard: &Guard) -> String {
-            // SAFETY: reached from entry under `guard`.
-            let node = unsafe { n.deref() };
+        fn render<'g, V: Send + Sync + 'static>(
+            node: Reached<'g, u64, V>,
+            guard: &'g Guard,
+        ) -> String {
             let key = node.key().map_or("∞".to_string(), u64::to_string);
             if node.is_leaf(guard) {
                 return format!("{key}:{}", node.weight());
             }
-            let [l, r] = [0, 1].map(|d| render(node.read_child(d, guard), guard));
+            let [l, r] = [0, 1].map(|d| render(node.child(d, guard).expect("internal"), guard));
             format!("({key}:{} {l} {r})", node.weight())
         }
         with_guard(|guard| {
-            // SAFETY: the entry sentinel is never reclaimed.
-            let entry = unsafe { t.entry(guard).deref() };
-            render(entry.read_child(0, guard), guard)
+            let below = t.entry(guard).child(0, guard);
+            render(below.expect("the entry sentinel is internal"), guard)
         })
     }
 
@@ -863,13 +879,12 @@ mod tests {
             try_insert::<UnitWeights, _, _>(&path, &4, &Arc::new(()), guard)
                 .expect("nothing interferes with the competitor");
             // ... then finish the attempt against the stale snapshots.
-            let a = Node::leaf(Some(3), Some(Arc::clone(&token)), 1).into_shared(guard);
-            let b = Node::leaf(Some(5), Some(Arc::clone(&token)), 1).into_shared(guard);
-            let new = Node::internal(Some(5), 1, a, b).into_shared(guard);
+            let mut fresh = Fresh::new();
+            let a = fresh.leaf(Some(3), Some(Arc::clone(&token)), 1);
+            let b = fresh.leaf(Some(5), Some(Arc::clone(&token)), 1);
+            fresh.internal(Some(&5), 1, 0, a, b);
             assert_eq!(Arc::strong_count(&token), 3);
-            // SAFETY: the three nodes were just allocated; `a` and `b` are
-            // referenced only by `new`, and `new` by nothing.
-            let ok = unsafe { commit(&[hp, hl], 0b10, dir, new, &[new, a, b], guard) };
+            let ok = commit(&[hp, hl], 0b10, dir, fresh, guard);
             assert!(!ok, "the section changed since its LLXs");
         });
         assert_eq!(Arc::strong_count(&token), 1, "each fresh leaf dropped once");

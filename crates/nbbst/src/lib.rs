@@ -29,6 +29,13 @@ use nbtree::template::{LeafTree, UnitWeights};
 /// weights are maintained and no rebalancing is performed.
 pub struct NbBst<K: Send + Sync + 'static, V: Send + Sync + 'static>(LeafTree<K, V>);
 
+// `Send` and `Sync` come from `LeafTree`'s; a change that loses them fails
+// the build here.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<NbBst<u64, u64>>();
+};
+
 impl<K, V> NbBst<K, V>
 where
     K: Ord + Clone + Send + Sync + 'static,

@@ -26,8 +26,8 @@
 
 use llxscx::epoch::with_guard;
 use llxscx::epoch::{Guard, Shared};
-use nbtree::node::Node;
-use nbtree::template::{commit, llx_ok, mk_internal, side_of, LeafTree, RankWeights};
+use nbtree::node::{Node, Reached};
+use nbtree::template::{commit, llx_ok, side_of, Fresh, Handle, LeafTree, RankWeights};
 
 /// A lock-free ordered map: leaf-oriented BST with relaxed AVL-style
 /// rebalancing. The node type is shared with the chromatic tree; its
@@ -42,13 +42,25 @@ pub struct RelaxedAvl<K: Send + Sync + 'static, V: Send + Sync + 'static> {
 /// capture an updater indefinitely.
 const MAX_REPAIR_PASSES: usize = 64;
 
-fn rank<K: Send + Sync + 'static, V: Send + Sync + 'static>(n: Shared<'_, Node<K, V>>) -> u32 {
-    if n.is_null() {
-        0
-    } else {
-        // SAFETY: caller holds a guard; ranks (weights) immutable.
-        unsafe { n.deref() }.weight()
-    }
+// `Send` and `Sync` come from `LeafTree`'s; a change that loses them fails
+// the build here.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<RelaxedAvl<u64, u64>>();
+};
+
+/// A rank and the node it belongs to, as a fresh node's child field stores
+/// it.
+type Ranked<'g, K, V> = (Shared<'g, Node<K, V>>, u32);
+
+/// Child `dir` of a snapshot with its rank (ranks are immutable); `None`
+/// when the snapshot is of a leaf.
+fn ranked<'g, K, V>(h: &Handle<'g, K, V>, dir: usize) -> Option<Ranked<'g, K, V>>
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    Reached::in_snapshot(h, dir).map(|c| (c.shared(), c.weight()))
 }
 
 impl<K, V> RelaxedAvl<K, V>
@@ -96,26 +108,18 @@ where
         for _ in 0..MAX_REPAIR_PASSES {
             let fixed = with_guard(|guard| {
                 let mut p = self.tree.entry(guard);
-                // SAFETY: the entry sentinel is never reclaimed.
-                let mut n = unsafe { p.deref() }.read_child(0, guard);
+                let mut n = p.child(0, guard).expect("the entry sentinel is internal");
                 loop {
-                    // SAFETY: children of internal nodes are non-null and
-                    // reached under `guard`.
-                    let n_ref = unsafe { n.deref() };
-                    if n_ref.is_leaf(guard) {
-                        return false;
-                    }
-                    let (rl, rr) = (
-                        rank(n_ref.read_child(0, guard)),
-                        rank(n_ref.read_child(1, guard)),
-                    );
-                    let stale = n_ref.weight() != 1 + rl.max(rr) || rl.abs_diff(rr) >= 2;
-                    if !n_ref.is_sentinel_key() && stale {
+                    let (Some(l), Some(r)) = (n.child(0, guard), n.child(1, guard)) else {
+                        return false; // reached a leaf: a clean walk
+                    };
+                    let (rl, rr) = (l.weight(), r.weight());
+                    let stale = n.weight() != 1 + rl.max(rr) || rl.abs_diff(rr) >= 2;
+                    if !n.is_sentinel_key() && stale {
                         return self.fix_at(p, n, guard).is_some();
                     }
                     p = n;
-                    let dir = if n_ref.route_left(key) { 0 } else { 1 };
-                    n = n_ref.read_child(dir, guard);
+                    n = if n.route_left(key) { l } else { r };
                 }
             });
             if !fixed {
@@ -129,54 +133,48 @@ where
     /// `Some(())` iff the fix committed.
     fn fix_at<'g>(
         &self,
-        p: Shared<'g, Node<K, V>>,
-        n: Shared<'g, Node<K, V>>,
+        p: Reached<'g, K, V>,
+        n: Reached<'g, K, V>,
         guard: &'g Guard,
     ) -> Option<()> {
         let hp = llx_ok(p, guard)?;
         let dir = side_of(&hp, n)?;
         let hn = llx_ok(n, guard)?;
         let n_key = hn.node_ref().key();
-        let (rl, rr) = (rank(hn.left()), rank(hn.right()));
+        let ((left, rl), (right, rr)) = (ranked(&hn, 0)?, ranked(&hn, 1)?);
+        let mut fresh = Fresh::new();
         if rl.abs_diff(rr) < 2 {
             // Rank refresh: replace by a copy with the recomputed rank.
-            let new = mk_internal(n_key, 1 + rl.max(rr), 0, hn.left(), hn.right(), guard);
-            // SAFETY: `new` was just allocated and is referenced by nothing.
-            return unsafe { commit(&[hp, hn], 0b10, dir, new, &[new], guard) }.then_some(());
+            fresh.internal(n_key, 1 + rl.max(rr), 0, left, right);
+            return commit(&[hp, hn], 0b10, dir, fresh, guard).then_some(());
         }
         // Rotation toward the short side. `heavy` = taller child index.
         let heavy = if rl > rr { 0 } else { 1 };
         let light = 1 - heavy;
-        let hc = llx_ok(hn.child(heavy), guard)?;
-        if hc.node_ref().is_leaf(guard) {
-            return None; // stale ranks below; refresh will happen there
-        }
-        let (inner, outer) = (hc.child(light), hc.child(heavy));
+        let hc = llx_ok(Reached::in_snapshot(&hn, heavy)?, guard)?;
+        // `None`: c is a leaf, so ranks below are stale; refresh will
+        // happen there.
+        let (inner, outer) = (ranked(&hc, light)?, ranked(&hc, heavy)?);
+        let n_light = if light == 0 { (left, rl) } else { (right, rr) };
         // A fresh internal node whose rank is recomputed from its children.
-        let mk = |key, child_heavy, child_light| {
-            let r = 1 + rank(child_heavy).max(rank(child_light));
-            mk_internal(key, r, heavy, child_heavy, child_light, guard)
-        };
-        if rank(outer) >= rank(inner) {
+        let mut mk =
+            |key, (heavy_child, rh): Ranked<'g, K, V>, (light_child, rl): Ranked<'g, K, V>| {
+                let r = 1 + rh.max(rl);
+                (fresh.internal(key, r, heavy, heavy_child, light_child), r)
+            };
+        if outer.1 >= inner.1 {
             // Single rotation: c rises.
-            let nn = mk(n_key, inner, hn.child(light));
-            let top = mk(hc.node_ref().key(), outer, nn);
-            // SAFETY: both nodes were just allocated; `nn` is referenced
-            // only by `top`, and `top` by nothing.
-            unsafe { commit(&[hp, hn, hc], 0b110, dir, top, &[nn, top], guard) }.then_some(())
+            let nn = mk(n_key, inner, n_light);
+            mk(hc.node_ref().key(), outer, nn);
+            commit(&[hp, hn, hc], 0b110, dir, fresh, guard).then_some(())
         } else {
-            // Double rotation: c's inner child rises.
-            let hi = llx_ok(inner, guard)?;
-            if hi.node_ref().is_leaf(guard) {
-                return None;
-            }
-            let nc = mk(hc.node_ref().key(), outer, hi.child(heavy));
-            let nn = mk(n_key, hi.child(light), hn.child(light));
-            let top = mk(hi.node_ref().key(), nc, nn);
-            // SAFETY: all three nodes were just allocated; `nc` and `nn`
-            // are referenced only by `top`, and `top` by nothing.
-            unsafe { commit(&[hp, hn, hc, hi], 0b1110, dir, top, &[nc, nn, top], guard) }
-                .then_some(())
+            // Double rotation: c's inner child rises. `None`: it is a leaf.
+            let hi = llx_ok(Reached::in_snapshot(&hc, light)?, guard)?;
+            let (i_heavy, i_light) = (ranked(&hi, heavy)?, ranked(&hi, light)?);
+            let nc = mk(hc.node_ref().key(), outer, i_heavy);
+            let nn = mk(n_key, i_light, n_light);
+            mk(hi.node_ref().key(), nc, nn);
+            commit(&[hp, hn, hc, hi], 0b1110, dir, fresh, guard).then_some(())
         }
     }
 
@@ -204,21 +202,19 @@ where
 
     /// Longest root-to-leaf path (diagnostics).
     pub fn height(&self) -> usize {
-        fn rec<K: Send + Sync + 'static, V: Send + Sync + 'static>(
-            x: Shared<'_, Node<K, V>>,
-            guard: &Guard,
+        fn rec<'g, K: Send + Sync + 'static, V: Send + Sync + 'static>(
+            x: Option<Reached<'g, K, V>>,
+            guard: &'g Guard,
         ) -> usize {
-            if x.is_null() {
+            let Some(node) = x else {
                 return 0;
-            }
-            // SAFETY: `x` is non-null (checked above) and reached under `guard`.
-            let node = unsafe { x.deref() };
+            };
             if node.is_leaf(guard) {
                 return 1;
             }
-            1 + rec(node.read_child(0, guard), guard).max(rec(node.read_child(1, guard), guard))
+            1 + rec(node.child(0, guard), guard).max(rec(node.child(1, guard), guard))
         }
-        with_guard(|guard| rec(self.tree.entry(guard), guard).saturating_sub(2))
+        with_guard(|guard| rec(Some(self.tree.entry(guard)), guard).saturating_sub(2))
     }
 }
 
