@@ -242,10 +242,16 @@ const HYBRID_LATCHES: usize = 64;
 /// # Consistency scope
 ///
 /// Every mutation, batch elements included, takes its key's stripe latch
-/// and writes the hash tier first, then the tree. The latch serializes writers *of the same key*
-/// (without it, two racing inserts could commit in opposite orders in
-/// the two tiers and leave them permanently disagreeing); point reads
-/// take no latch and linearize on the hash tier, which is therefore the
+/// and writes the hash tier first, then the tree, but only when the
+/// hash tier's state for the key changed: a remove that found the key,
+/// or an insert that displaced `None` or a different value. The latch
+/// serializes writers *of the same key* (without it, two racing inserts
+/// could commit in opposite orders in the two tiers and leave them
+/// permanently disagreeing), so while a key's latch is free the tiers
+/// agree on it, and under the latch the hash tier's answer is the tree's
+/// state too: a write that changed nothing there has nothing to carry.
+/// The tree pays one write per change of a key's state. Point reads take
+/// no latch and linearize on the hash tier, which is therefore the
 /// authoritative one. `range` reads only the tree tier: its scan is an
 /// atomic snapshot *of the tree*, but because a concurrent mutation may
 /// have committed to the hash tier and not yet to the tree, the
@@ -278,9 +284,12 @@ impl HybridShard {
     }
 
     fn latched<R>(&self, k: u64, f: impl FnOnce() -> R) -> R {
+        // Fail-stop on poison: a write that trusted a poisoned stripe's
+        // hash answer could skip the tree write that would have repaired
+        // the disagreement.
         let _latch = self.latches[(k as usize) & (HYBRID_LATCHES - 1)]
             .lock()
-            .unwrap();
+            .expect("hybrid stripe latch poisoned: a tier panicked mid-write, so the tiers may disagree on this stripe");
         f()
     }
 }
@@ -292,16 +301,30 @@ impl ConcurrentMap for HybridShard {
     fn insert(&self, k: u64, v: u64) -> Option<u64> {
         self.latched(k, || {
             let displaced = self.hash.insert(k, v);
-            let tree_displaced = self.tree.insert(k, v);
-            debug_assert_eq!(displaced, tree_displaced, "tiers diverged at insert({k})");
+            if displaced == Some(v) {
+                // Unchanged: the tree already holds (k, v).
+                debug_assert_eq!(
+                    self.tree.get(&k),
+                    displaced,
+                    "tiers diverged at insert({k})"
+                );
+            } else {
+                let tree_displaced = self.tree.insert(k, v);
+                debug_assert_eq!(displaced, tree_displaced, "tiers diverged at insert({k})");
+            }
             displaced
         })
     }
     fn remove(&self, k: &u64) -> Option<u64> {
         self.latched(*k, || {
             let removed = self.hash.remove(k);
-            let tree_removed = self.tree.remove(k);
-            debug_assert_eq!(removed, tree_removed, "tiers diverged at remove({k})");
+            if removed.is_none() {
+                // Unchanged: the tree lacks k too.
+                debug_assert_eq!(self.tree.get(k), None, "tiers diverged at remove({k})");
+            } else {
+                let tree_removed = self.tree.remove(k);
+                debug_assert_eq!(removed, tree_removed, "tiers diverged at remove({k})");
+            }
             removed
         })
     }
@@ -331,4 +354,28 @@ pub fn make_hybrid(cfg: &SuiteConfig) -> ShardedMap<HybridShard> {
         HybridShard::default()
     })
     .named("hybrid")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hybrid_writes_reach_the_tree_exactly_when_the_hash_tier_changed() {
+        let shard = HybridShard::default();
+        let tree = |shard: &HybridShard| shard.tree().range(0..=u64::MAX);
+        assert_eq!(shard.insert(7, 1), None);
+        assert_eq!(
+            shard.insert(7, 1),
+            Some(1),
+            "equal value: tree write skipped"
+        );
+        assert_eq!(tree(&shard), [(7, 1)]);
+        assert_eq!(shard.insert(7, 2), Some(1), "changed value: tree written");
+        assert_eq!(tree(&shard), [(7, 2)]);
+        assert_eq!(shard.remove(&8), None, "absent key: tree write skipped");
+        assert_eq!(tree(&shard), [(7, 2)]);
+        assert_eq!(shard.remove(&7), Some(2));
+        assert_eq!(tree(&shard), []);
+    }
 }

@@ -406,20 +406,33 @@ fn concurrent_range_scans_hold_weak_properties_on_every_structure() {
     }
 }
 
+/// Who writes what in [`hybrid_tiers_agree_after_concurrent_run`].
+#[derive(Clone, Copy, PartialEq)]
+enum HybridWriters {
+    /// Every thread issues point ops writing `tid * 1_000_000 + step`, so
+    /// almost every insert changes its key's value.
+    Point,
+    /// Odd threads issue `insert_batch`/`remove_batch` calls whose keys
+    /// repeat, racing the even threads' point ops on the same keys.
+    Batched,
+    /// Every thread issues point ops writing `k` or `k + 1`, so
+    /// equal-value re-inserts (which skip the tree), value changes and
+    /// absent removes all contend on the same latches.
+    TwoValues,
+}
+
 /// The dual-write consistency oracle for the `"hybrid"` registration:
 /// point ops answer from the hash tier, `range` from the chromatic tier,
-/// and every mutation dual-writes both under a per-key-stripe latch.
+/// and every mutation takes a per-key-stripe latch, writes the hash tier
+/// and carries any change of the key's state to the tree.
 /// Unlike the suite's other concurrent tests, the threads here
 /// deliberately contend on the SAME keys — without the latch, two racing
 /// writers could commit in opposite orders in the two tiers and leave
-/// them permanently disagreeing, which is exactly the bug class this
-/// oracle exists to catch. After the run settles, the tiers must agree
-/// key for key.
-///
-/// `batched = false`: every thread issues point ops. `batched = true`:
-/// odd threads issue `insert_batch`/`remove_batch` calls whose keys
-/// repeat, racing the even threads' point ops on the same keys.
-fn hybrid_tiers_agree_after_concurrent_run(batched: bool) {
+/// them permanently disagreeing, and a write could skip the tree on a
+/// hash-tier answer another writer was about to change: exactly the bug
+/// classes this oracle exists to catch. After the run settles, the tiers
+/// must agree key for key.
+fn hybrid_tiers_agree_after_concurrent_run(writers: HybridWriters) {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::sync::Arc;
     const KEYSPACE: u64 = 512;
@@ -429,7 +442,7 @@ fn hybrid_tiers_agree_after_concurrent_run(batched: bool) {
             let map = Arc::clone(&map);
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(tid);
-                if batched && tid % 2 == 1 {
+                if writers == HybridWriters::Batched && tid % 2 == 1 {
                     for step in 0..200u64 {
                         // 32 draws from the shared keyspace, then the
                         // first 8 again: duplicates within one batch.
@@ -449,7 +462,11 @@ fn hybrid_tiers_agree_after_concurrent_run(batched: bool) {
                         let k = rng.gen_range(0..KEYSPACE); // shared keyspace: same-key races
                         match rng.gen_range(0..4) {
                             0 | 1 => {
-                                map.insert(k, tid * 1_000_000 + step);
+                                let v = match writers {
+                                    HybridWriters::TwoValues => k + rng.gen_range(0..2),
+                                    _ => tid * 1_000_000 + step,
+                                };
+                                map.insert(k, v);
                             }
                             2 => {
                                 map.remove(&k);
@@ -483,12 +500,17 @@ fn hybrid_tiers_agree_after_concurrent_run(batched: bool) {
 
 #[test]
 fn hybrid_tiers_agree_after_settled_concurrent_run() {
-    hybrid_tiers_agree_after_concurrent_run(false);
+    hybrid_tiers_agree_after_concurrent_run(HybridWriters::Point);
 }
 
 #[test]
 fn hybrid_tiers_agree_after_racing_batch_writers() {
-    hybrid_tiers_agree_after_concurrent_run(true);
+    hybrid_tiers_agree_after_concurrent_run(HybridWriters::Batched);
+}
+
+#[test]
+fn hybrid_tiers_agree_after_idempotent_and_changing_writes() {
+    hybrid_tiers_agree_after_concurrent_run(HybridWriters::TwoValues);
 }
 
 /// Keys per lazy-tier test: 8 shards of 512 keys each.
