@@ -18,10 +18,10 @@
 //!   that found it unsettled (a blocked thread registers through
 //!   `block_on`), or abandoned if its producer dies.
 //! * [`service`] — [`BatchedService`] itself: one completion slab per
-//!   flush, [`FlushPolicy`] (size + deadline triggers),
-//!   [`OverflowPolicy`] backpressure (block or shed), [`ServiceStats`]
-//!   counters, and an injectable [`Clock`] so every flush path is
-//!   deterministically testable under [`MockClock`] with zero sleeps.
+//!   flush, [`FlushPolicy`] (size + deadline triggers), blocking
+//!   backpressure on a full queue, [`ServiceStats`] counters, and an
+//!   injectable [`Clock`] so every flush path is deterministically
+//!   testable under [`MockClock`] with zero sleeps.
 //!
 //! See `docs/SERVICE.md` for the design discussion and the measured
 //! latency-vs-batching trade-off.
@@ -35,6 +35,6 @@ mod slab;
 
 pub use clock::{Clock, MockClock, RealClock};
 pub use service::{
-    BatchedService, FlushPolicy, FlushTrigger, Op, OverflowPolicy, ResponseFuture, ServiceConfig,
-    ServiceStats, Step, SubmitError,
+    BatchedService, FlushPolicy, FlushTrigger, Op, ResponseFuture, ServiceConfig, ServiceStats,
+    Step, SubmitError,
 };

@@ -40,8 +40,8 @@
 //! A wake-up is sent only when it changes a decision: `submit` notifies
 //! the flusher only if the flusher is parked and the push made the queue
 //! non-empty (arming the deadline) or filled a slab (the size trigger); a
-//! flush notifies `not_full` only if a `Block` submitter is parked; a
-//! published slab wakes only the consumers registered on it.
+//! flush notifies `not_full` only if a submitter is parked on a full
+//! queue; a published slab wakes only the consumers registered on it.
 //!
 //! ## Ordering semantics
 //!
@@ -113,21 +113,6 @@ impl FlushPolicy {
             max_delay,
         }
     }
-
-    /// The degenerate per-op policy: batches of one, no waiting — the
-    /// baseline the batching sweep compares against.
-    pub fn passthrough() -> FlushPolicy {
-        FlushPolicy::new(1, Duration::ZERO)
-    }
-}
-
-/// What `submit` does when the accumulation queue is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Block the submitting thread until the flusher drains space.
-    Block,
-    /// Refuse immediately with [`SubmitError::Overloaded`] (load shedding).
-    Shed,
 }
 
 /// Service construction parameters.
@@ -135,46 +120,26 @@ pub enum OverflowPolicy {
 pub struct ServiceConfig {
     /// The flush policy.
     pub policy: FlushPolicy,
-    /// Full-queue behavior.
-    pub overflow: OverflowPolicy,
-    /// Accumulation-queue capacity (requests). Submits beyond it block
-    /// or shed per `overflow`.
-    pub capacity: usize,
 }
 
 impl ServiceConfig {
-    /// A config with the given policy, `Block` overflow, and a capacity
-    /// of `4 × max_batch` (at least 64, saturating at `usize::MAX`):
-    /// deep enough that the flusher can run one batch while the next
-    /// accumulates.
+    /// A config with the given policy.
     pub fn new(policy: FlushPolicy) -> ServiceConfig {
-        ServiceConfig {
-            policy,
-            overflow: OverflowPolicy::Block,
-            capacity: policy.max_batch.saturating_mul(4).max(64),
-        }
+        ServiceConfig { policy }
     }
+}
 
-    /// Sets the queue capacity (at least 1).
-    pub fn with_capacity(mut self, capacity: usize) -> ServiceConfig {
-        assert!(capacity >= 1, "capacity must be at least 1");
-        self.capacity = capacity;
-        self
-    }
-
-    /// Sets the full-queue behavior.
-    pub fn with_overflow(mut self, overflow: OverflowPolicy) -> ServiceConfig {
-        self.overflow = overflow;
-        self
-    }
+/// Accumulation-queue capacity under `policy`: `4 × max_batch` (at least
+/// 64, saturating at `usize::MAX`), deep enough that the flusher can run
+/// one batch while the next accumulates. A submit to a full queue blocks
+/// until a flush drains space.
+fn queue_capacity(policy: FlushPolicy) -> usize {
+    policy.max_batch.saturating_mul(4).max(64)
 }
 
 /// Why a submit was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The queue is full and the overflow policy is
-    /// [`OverflowPolicy::Shed`].
-    Overloaded,
     /// The service is shutting down, or its flusher panicked.
     Closed,
 }
@@ -182,7 +147,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Overloaded => write!(f, "service overloaded (queue full, shed policy)"),
             SubmitError::Closed => write!(f, "service closed"),
         }
     }
@@ -242,7 +206,7 @@ struct QueueState {
     /// it waits; cleared by the flusher when it wakes, or by the submit
     /// that notifies it, so one park takes at most one notification.
     flusher_parked: bool,
-    /// `Block` submitters waiting on `not_full`.
+    /// Submitters waiting on `not_full`.
     blocked_parked: usize,
 }
 
@@ -252,7 +216,6 @@ struct QueueState {
 struct Counters {
     submitted: AtomicU64,
     completed: AtomicU64,
-    shed: AtomicU64,
     blocked: AtomicU64,
     flushes: AtomicU64,
     size_flushes: AtomicU64,
@@ -269,7 +232,8 @@ pub struct ServiceStats {
     pub submitted: u64,
     /// Responses completed.
     pub completed: u64,
-    /// Submits refused with [`SubmitError::Overloaded`].
+    /// Always 0: a submit to a full queue blocks, and none is refused
+    /// for lack of space. Kept for callers that report it.
     pub shed: u64,
     /// Blocking episodes: submits that had to wait for queue space at
     /// least once (counted once per episode, not per wakeup).
@@ -299,12 +263,11 @@ struct Shared<M> {
     queue: Mutex<QueueState>,
     /// Flusher waits here for work.
     not_empty: Condvar,
-    /// `Block` submitters wait here for space.
+    /// Submitters wait here for space.
     not_full: Condvar,
     clock: Arc<dyn Clock>,
     max_batch: usize,
     max_delay_ns: u64,
-    overflow: OverflowPolicy,
     capacity: usize,
     counters: Counters,
 }
@@ -386,11 +349,12 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
     /// This is the deterministic-test constructor — with a `MockClock`,
     /// every flush path is a schedule the test enumerates.
     pub fn with_clock(map: M, config: ServiceConfig, clock: Arc<dyn Clock>) -> BatchedService<M> {
+        let capacity = queue_capacity(config.policy);
         BatchedService {
             shared: Arc::new(Shared {
                 map,
                 queue: Mutex::new(QueueState {
-                    ops: VecDeque::with_capacity(config.capacity.min(1 << 16)),
+                    ops: VecDeque::with_capacity(capacity.min(1 << 16)),
                     slabs: VecDeque::new(),
                     closed: false,
                     flusher_parked: false,
@@ -403,8 +367,7 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
                 // Saturate: a delay past u64 nanoseconds (~584 years) is
                 // "never", not a wrapped-around small one.
                 max_delay_ns: u64::try_from(config.policy.max_delay.as_nanos()).unwrap_or(u64::MAX),
-                overflow: config.overflow,
-                capacity: config.capacity,
+                capacity,
                 counters: Counters::default(),
             }),
             flusher: None,
@@ -412,8 +375,7 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
     }
 
     /// Submits one operation. Returns the response future immediately;
-    /// on a full queue it blocks for space or sheds, per the overflow
-    /// policy.
+    /// on a full queue it first blocks until a flush drains space.
     pub fn submit(&self, op: Op) -> Result<ResponseFuture, SubmitError> {
         let shared = &*self.shared;
         let c = &shared.counters;
@@ -426,23 +388,14 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
             if q.ops.len() < shared.capacity {
                 break;
             }
-            match shared.overflow {
-                OverflowPolicy::Shed => {
-                    // RELAXED: monotonic service counter; read only for reporting
-                    c.shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(SubmitError::Overloaded);
-                }
-                OverflowPolicy::Block => {
-                    if !counted_blocked {
-                        // RELAXED: monotonic service counter; read only for reporting
-                        c.blocked.fetch_add(1, Ordering::Relaxed);
-                        counted_blocked = true;
-                    }
-                    q.blocked_parked += 1;
-                    q = shared.not_full.wait(q).expect(QUEUE_LOCK);
-                    q.blocked_parked -= 1;
-                }
+            if !counted_blocked {
+                // RELAXED: monotonic service counter; read only for reporting
+                c.blocked.fetch_add(1, Ordering::Relaxed);
+                counted_blocked = true;
             }
+            q.blocked_parked += 1;
+            q = shared.not_full.wait(q).expect(QUEUE_LOCK);
+            q.blocked_parked -= 1;
         }
         let was_empty = q.ops.is_empty();
         if q.slabs
@@ -520,8 +473,7 @@ impl<M: ConcurrentMap + 'static> BatchedService<M> {
             submitted: c.submitted.load(Ordering::Relaxed),
             // RELAXED: monotonic service counter; read only for reporting
             completed: c.completed.load(Ordering::Relaxed),
-            // RELAXED: monotonic service counter; read only for reporting
-            shed: c.shed.load(Ordering::Relaxed),
+            shed: 0,
             // RELAXED: monotonic service counter; read only for reporting
             blocked: c.blocked.load(Ordering::Relaxed),
             // RELAXED: monotonic service counter; read only for reporting
@@ -770,9 +722,8 @@ mod tests {
     }
 
     #[test]
-    fn default_capacity_is_four_batches_saturating() {
-        let capacity =
-            |max_batch| ServiceConfig::new(FlushPolicy::new(max_batch, Duration::ZERO)).capacity;
+    fn capacity_is_four_batches_saturating() {
+        let capacity = |max_batch| queue_capacity(FlushPolicy::new(max_batch, Duration::ZERO));
         assert_eq!(capacity(1), 64);
         assert_eq!(capacity(100), 400);
         assert_eq!(capacity(usize::MAX / 4 + 1), usize::MAX);
@@ -919,7 +870,7 @@ mod tests {
     fn submit_after_shutdown_is_closed() {
         let mut svc = BatchedService::start(
             TestMap::new(),
-            ServiceConfig::new(FlushPolicy::passthrough()),
+            ServiceConfig::new(FlushPolicy::new(1, Duration::ZERO)),
         );
         assert_eq!(svc.insert(1, 1).unwrap().wait(), None);
         svc.shutdown();

@@ -167,7 +167,7 @@ fn passthrough_policy_degenerates_to_per_op_flushes() {
     // max_batch = 1: every queued request satisfies the size trigger on
     // its own; max_delay = 0 never even gets consulted (size wins the
     // precedence order).
-    let (mut svc, _clock) = manual(FlushPolicy::passthrough());
+    let (mut svc, _clock) = manual(FlushPolicy::new(1, Duration::ZERO));
     let ops = [Op::Insert(7, 70), Op::Get(7), Op::Remove(7), Op::Get(7)];
     let expected = [None, Some(70), Some(70), None];
     for (op, want) in ops.into_iter().zip(expected) {

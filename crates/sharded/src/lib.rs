@@ -10,20 +10,20 @@
 //! Two pieces:
 //!
 //! * [`ConcurrentMap`] — the suite-wide object-safe map interface
-//!   (relocated here from `workload`, which re-exports it, so the façade
+//!   (here rather than in `workload`, which re-exports it, so the façade
 //!   can implement the same trait it composes over). A map is its point
 //!   ops; the `insert_batch` / `remove_batch` conveniences default to one
 //!   point op per element, in input order.
-//! * [`ShardedMap`] — the façade: power-of-two shard counts, uniform or
-//!   *learned* split points ([`ShardedMap::from_sample`]), wait-free
+//! * [`ShardedMap`] — the façade: power-of-two shard counts, uniform
+//!   split points over a key span ([`ShardedMap::with_span`]), wait-free
 //!   boundary-table routing, and cross-shard `range` stitching with a
 //!   documented per-shard atomicity scope. It keeps the batch defaults,
 //!   so each batch element is routed to its shard's point op.
 //!
-//! Shard counts and the boundary-table span are plumbed in by the caller
-//! — deployments use `workload::SuiteConfig` (parsed from the
-//! environment once at binary startup) rather than reading env vars at
-//! construction time. See `docs/SHARDING.md` in the repository for the
+//! Shard counts and the boundary-table span are plumbed in by the caller:
+//! the registry builds its façades from a typed `workload::SuiteConfig`
+//! whose only input is the key range, and nothing here reads the
+//! environment. See `docs/SHARDING.md` in the repository for the
 //! full design chapter.
 
 #![warn(missing_docs)]

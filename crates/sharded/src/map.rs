@@ -1,11 +1,5 @@
 //! The object-safe `u64 → u64` concurrent-map interface shared by the
 //! whole suite.
-//!
-//! The trait historically lived in the `workload` crate next to the
-//! structure adapters; it moved down here so the sharding façade
-//! ([`ShardedMap`](crate::ShardedMap)) can *implement* it without a
-//! `workload ↔ sharded` dependency cycle. `workload` re-exports it under
-//! the old path, so `workload::ConcurrentMap` keeps working.
 
 /// How much atomicity a structure's [`range`](ConcurrentMap::range)
 /// guarantees — the contract the model oracles are allowed to assert.
@@ -98,35 +92,6 @@ pub trait ConcurrentMap: Send + Sync {
 /// Boxed maps forward to their contents, so `ShardedMap<Box<dyn
 /// ConcurrentMap>>` composes the façade over any registered structure.
 impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn insert(&self, k: u64, v: u64) -> Option<u64> {
-        (**self).insert(k, v)
-    }
-    fn remove(&self, k: &u64) -> Option<u64> {
-        (**self).remove(k)
-    }
-    fn get(&self, k: &u64) -> Option<u64> {
-        (**self).get(k)
-    }
-    fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        (**self).range(lo, hi)
-    }
-    fn range_tier(&self) -> RangeTier {
-        (**self).range_tier()
-    }
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn is_empty(&self) -> bool {
-        (**self).is_empty()
-    }
-}
-
-/// `Arc`'d maps forward too: shared-ownership front ends (the batched
-/// service) hand the same structure to many clients without re-boxing.
-impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     fn name(&self) -> &'static str {
         (**self).name()
     }

@@ -9,7 +9,7 @@ use crate::map::ConcurrentMap;
 /// points: shard `i` owns keys in `[boundaries[i-1], boundaries[i])`
 /// (shard 0 from the smallest key, the last shard to `u64::MAX`). `S` is
 /// a power of two. Because the boundary table is immutable after
-/// construction, routing is a wait-free binary search that never
+/// construction, routing is a wait-free count over it that never
 /// synchronizes with other threads — all synchronization happens inside
 /// the shard the operation lands on, where contention is `1/S`-th of the
 /// unsharded structure's.
@@ -86,27 +86,31 @@ pub struct ShardedMap<M> {
 }
 
 impl<M> ShardedMap<M> {
-    /// Builds a façade from an explicit boundary table. `boundaries` must
-    /// be strictly increasing and imply a power-of-two shard count
-    /// (`boundaries.len() + 1`); `factory(i)` builds shard `i`.
+    /// `shards` instances (a power of two) splitting `[0, span)`
+    /// uniformly; keys at or above `span` land in the last shard.
+    /// `factory(i)` builds shard `i`.
     ///
     /// # Panics
     ///
-    /// If the shard count is not a power of two or the boundaries are not
-    /// strictly increasing.
-    pub fn with_boundaries(boundaries: Vec<u64>, mut factory: impl FnMut(usize) -> M) -> Self {
-        let shards = boundaries.len() + 1;
+    /// If `shards` is not a power of two or `span < shards as u64` (the
+    /// table could not be strictly increasing).
+    pub fn with_span(shards: usize, span: u64, factory: impl FnMut(usize) -> M) -> Self {
         assert!(
             shards.is_power_of_two(),
             "shard count {shards} is not a power of two"
         );
         assert!(
-            boundaries.windows(2).all(|w| w[0] < w[1]),
-            "boundary table is not strictly increasing: {boundaries:?}"
+            span >= shards as u64,
+            "span {span} cannot be split into {shards} non-empty shards"
         );
+        // Consecutive split points differ by at least ⌊span / shards⌋ ≥ 1,
+        // so the table is strictly increasing by construction.
+        let boundaries = (1..shards as u64)
+            .map(|i| ((i as u128 * span as u128) / shards as u128) as u64)
+            .collect();
         ShardedMap {
-            shards: (0..shards).map(&mut factory).collect(),
-            boundaries: boundaries.into_boxed_slice(),
+            shards: (0..shards).map(factory).collect(),
+            boundaries,
             name: "sharded",
         }
     }
@@ -119,63 +123,6 @@ impl<M> ShardedMap<M> {
     pub fn named(mut self, name: &'static str) -> Self {
         self.name = name;
         self
-    }
-
-    /// `shards` instances (a power of two) splitting the *full* `u64`
-    /// keyspace uniformly.
-    ///
-    /// Keys drawn from a small interval all land in shard 0 under this
-    /// table; use [`with_span`](Self::with_span) or
-    /// [`from_sample`](Self::from_sample) when the key universe is known
-    /// or sampled.
-    pub fn new(shards: usize, factory: impl FnMut(usize) -> M) -> Self {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count {shards} is not a power of two"
-        );
-        let shift = 64 - shards.trailing_zeros();
-        let boundaries = (1..shards as u64).map(|i| i << shift).collect();
-        Self::with_boundaries(boundaries, factory)
-    }
-
-    /// `shards` instances (a power of two) splitting `[0, span)`
-    /// uniformly; keys at or above `span` land in the last shard.
-    ///
-    /// # Panics
-    ///
-    /// If `span < shards as u64` (the table could not be strictly
-    /// increasing) or `shards` is not a power of two.
-    pub fn with_span(shards: usize, span: u64, factory: impl FnMut(usize) -> M) -> Self {
-        assert!(
-            span >= shards as u64,
-            "span {span} cannot be split into {shards} non-empty shards"
-        );
-        let boundaries = (1..shards as u64)
-            .map(|i| ((i as u128 * span as u128) / shards as u128) as u64)
-            .collect();
-        Self::with_boundaries(boundaries, factory)
-    }
-
-    /// Learned split points: boundaries are the `1/S .. (S-1)/S` quantiles
-    /// of `sample` (e.g. the keys a service expects to store, or the
-    /// prefill sample of a benchmark), so each shard receives an equal
-    /// share of the *observed* distribution rather than of the raw
-    /// keyspace. Falls back to [`new`](Self::new)'s uniform table when the
-    /// sample has fewer than `shards` distinct keys.
-    pub fn from_sample(shards: usize, sample: &[u64], factory: impl FnMut(usize) -> M) -> Self {
-        let mut distinct = sample.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        if distinct.len() < shards {
-            return Self::new(shards, factory);
-        }
-        // Quantile positions are strictly increasing (consecutive indices
-        // differ by ⌊len/S⌋ ≥ 1) into a strictly increasing array, so the
-        // boundary table is strictly increasing by construction.
-        let boundaries = (1..shards)
-            .map(|j| distinct[j * distinct.len() / shards])
-            .collect();
-        Self::with_boundaries(boundaries, factory)
     }
 
     /// Number of shards (a power of two).
@@ -192,19 +139,14 @@ impl<M> ShardedMap<M> {
     /// Index of the shard owning `k`: a wait-free search of the immutable
     /// boundary table.
     ///
-    /// For the shard counts the suite actually deploys (≤ 16 shards, so
-    /// ≤ 15 boundaries) a branchless linear count beats binary search:
-    /// the comparisons pipeline with no data-dependent branches, where
-    /// `partition_point` takes a misprediction per probe on random keys.
-    /// Both forms compute the number of boundaries ≤ `k`, which on a
-    /// strictly increasing table is the same index.
+    /// A branchless linear count of the boundaries ≤ `k`, which on a
+    /// strictly increasing table is the shard index. For the shard counts
+    /// the suite deploys (8 shards, 7 boundaries) it beats binary search:
+    /// the comparisons pipeline with no data-dependent branches, where a
+    /// binary search takes a misprediction per probe on random keys.
     #[inline]
     pub fn shard_of(&self, k: u64) -> usize {
-        if self.boundaries.len() <= 16 {
-            self.boundaries.iter().map(|&b| usize::from(b <= k)).sum()
-        } else {
-            self.boundaries.partition_point(|&b| b <= k)
-        }
+        self.boundaries.iter().map(|&b| usize::from(b <= k)).sum()
     }
 
     /// The shard instance at `idx` (for per-shard inspection — stats,
@@ -363,43 +305,24 @@ mod tests {
         assert_eq!(m.shard_of(399), 3);
         // Keys beyond the span still route (to the last shard).
         assert_eq!(m.shard_of(u64::MAX), 3);
-    }
+        // One shard has an empty table and owns every key.
+        let one = locked_shards(1, 1);
+        assert_eq!(one.boundaries(), &[] as &[u64]);
+        assert_eq!(one.shard_of(u64::MAX), 0);
 
-    #[test]
-    fn full_keyspace_boundaries_are_shifted_powers() {
-        let m: ShardedMap<Locked> = ShardedMap::new(2, |_| Locked::default());
-        assert_eq!(m.boundaries(), &[1u64 << 63]);
-        let m: ShardedMap<Locked> = ShardedMap::new(1, |_| Locked::default());
-        assert_eq!(m.boundaries(), &[] as &[u64]);
-        assert_eq!(m.shard_of(u64::MAX), 0);
-    }
-
-    #[test]
-    fn learned_boundaries_equalize_a_skewed_sample() {
-        // 75% of the sample in [0, 100), the rest spread to 1e6: uniform
-        // splitting would put nearly everything in shard 0.
-        let mut sample: Vec<u64> = (0..300).collect();
-        sample.extend((0..100).map(|i| 10_000 + i * 9_900));
-        let m = ShardedMap::from_sample(4, &sample, |_| Locked::default());
-        for &k in &sample {
-            m.insert(k, k);
+        // Every boundary key opens its shard and its predecessor closes the
+        // one before, at the deployed table size and at a 63-boundary one.
+        for (shards, span) in [(8, 10_000), (64, 6_400_000)] {
+            let m = locked_shards(shards, span);
+            let table = m.boundaries();
+            assert_eq!(table.len(), shards - 1);
+            assert!(table.windows(2).all(|w| w[0] < w[1]));
+            for (i, &b) in table.iter().enumerate() {
+                assert_eq!(m.shard_of(b), i + 1, "boundary {b} of {shards}");
+                assert_eq!(m.shard_of(b - 1), i, "predecessor of {b} of {shards}");
+            }
+            assert_eq!(m.shard_of(u64::MAX), shards - 1);
         }
-        let sizes: Vec<usize> = m.shards().map(|s| s.len()).collect();
-        let (min, max) = (
-            *sizes.iter().min().unwrap() as f64,
-            *sizes.iter().max().unwrap() as f64,
-        );
-        assert!(
-            max / min < 2.0,
-            "learned split points left shards unbalanced: {sizes:?}"
-        );
-    }
-
-    #[test]
-    fn degenerate_sample_falls_back_to_uniform() {
-        let m = ShardedMap::from_sample(4, &[7, 7, 7], |_| Locked::default());
-        let uniform: ShardedMap<Locked> = ShardedMap::new(4, |_| Locked::default());
-        assert_eq!(m.boundaries(), uniform.boundaries());
     }
 
     #[test]
@@ -409,10 +332,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_boundaries_are_rejected() {
-        let _: ShardedMap<Locked> =
-            ShardedMap::with_boundaries(vec![5, 5, 9], |_| Locked::default());
+    #[should_panic(expected = "cannot be split into 4 non-empty shards")]
+    fn span_smaller_than_the_shard_count_is_rejected() {
+        let _ = locked_shards(4, 3);
     }
 
     #[test]

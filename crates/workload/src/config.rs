@@ -11,17 +11,17 @@
 
 /// Construction-time configuration for the structure registry
 /// ([`make_map`](crate::make_map)) and the harness entry points: the
-/// sharded façade's shard count and the keyspace span its uniform
-/// boundary table splits.
+/// keyspace span the sharded façade's uniform boundary table splits into
+/// [`DEFAULT_SHARDS`] shards.
 ///
 /// # Examples
 ///
 /// ```
 /// use workload::SuiteConfig;
 ///
-/// // 4 shards over [0, 400). Counts round to a power of two.
-/// let cfg = SuiteConfig::default().with_shards(4).for_key_range(400);
-/// assert_eq!(cfg.shards(), 4);
+/// // 8 shards over [0, 400).
+/// let cfg = SuiteConfig::default().for_key_range(400);
+/// assert_eq!(cfg.shards(), 8);
 /// assert_eq!(cfg.shard_span(), 400);
 ///
 /// // Each range block of a sweep re-sizes the span.
@@ -29,11 +29,10 @@
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SuiteConfig {
-    shards: usize,
     shard_span: u64,
 }
 
-/// Default shard count of the `"sharded"` registry entry.
+/// Shard count of the `"sharded"` and `"hybrid"` registry entries.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Default keyspace span split by the `"sharded"` entry's boundary table
@@ -43,21 +42,12 @@ pub const DEFAULT_SHARD_SPAN: u64 = 10_000;
 impl Default for SuiteConfig {
     fn default() -> Self {
         SuiteConfig {
-            shards: DEFAULT_SHARDS,
             shard_span: DEFAULT_SHARD_SPAN,
         }
     }
 }
 
 impl SuiteConfig {
-    /// Sets the shard count, rounded up to a power of two and clamped to
-    /// `[1, 1024]` (the boundary-table constructors require a power of
-    /// two; the clamp keeps a typo from allocating a million trees).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, 1024).next_power_of_two();
-        self
-    }
-
     /// Sizes the span to the key range `[0, range)` a sweep is about to
     /// use (zero rounds up to 1: a span must be non-empty). Without it, a
     /// sweep over a range much smaller than the default span piles every
@@ -68,10 +58,10 @@ impl SuiteConfig {
         self
     }
 
-    /// Shard count of the `"sharded"` registry entry (always a power of
-    /// two in `[1, 1024]`).
+    /// Shard count of the `"sharded"` and `"hybrid"` registry entries:
+    /// always [`DEFAULT_SHARDS`].
     pub fn shards(&self) -> usize {
-        self.shards
+        DEFAULT_SHARDS
     }
 
     /// Keyspace span `[0, span)` split uniformly by the `"sharded"`
@@ -93,22 +83,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_clamp_and_round_to_powers_of_two() {
-        assert_eq!(SuiteConfig::default().with_shards(8).shards(), 8);
-        assert_eq!(SuiteConfig::default().with_shards(5).shards(), 8);
-        assert_eq!(SuiteConfig::default().with_shards(0).shards(), 1);
-        assert_eq!(SuiteConfig::default().with_shards(1).shards(), 1);
-        assert_eq!(SuiteConfig::default().with_shards(9999).shards(), 1024);
-        assert_eq!(SuiteConfig::default().with_shards(1000).shards(), 1024);
-    }
-
-    #[test]
     fn for_key_range_sets_the_span_every_time() {
         let cfg = SuiteConfig::default().for_key_range(100);
         assert_eq!(cfg.shard_span(), 100);
         // A later range block re-sizes it again; the shard count stays.
-        let next = cfg.with_shards(4).for_key_range(1_000_000);
-        assert_eq!((next.shards(), next.shard_span()), (4, 1_000_000));
+        let next = cfg.for_key_range(1_000_000);
+        assert_eq!(
+            (next.shards(), next.shard_span()),
+            (DEFAULT_SHARDS, 1_000_000)
+        );
         // A degenerate range still yields a legal span.
         assert_eq!(SuiteConfig::default().for_key_range(0).shard_span(), 1);
     }

@@ -164,9 +164,9 @@ mod tests {
 
     #[test]
     fn sharded_batches_match_model() {
-        // Boundaries at 32/64/96: a range of 128 keys over 4 shards keeps
-        // every batch and scan straddling shard boundaries.
-        let map = make_sharded(&SuiteConfig::default().with_shards(4).for_key_range(128));
+        // Boundaries every 16 keys: a range of 128 keys over 8 shards
+        // keeps every batch and scan straddling shard boundaries.
+        let map = make_sharded(&SuiteConfig::default().for_key_range(128));
         check_batches_against_model(&map, 11, 400, 128);
     }
 
@@ -174,7 +174,7 @@ mod tests {
     fn trait_batches_match_model_on_every_registered_map() {
         // The same oracle, through the trait object, on every registered
         // map.
-        let cfg = SuiteConfig::default().with_shards(4).for_key_range(128);
+        let cfg = SuiteConfig::default().for_key_range(128);
         for name in ALL_MAPS {
             let map = make_map(name, &cfg).unwrap();
             check_batches_against_model(map.as_ref(), 13, 150, 128);

@@ -1,8 +1,8 @@
 //! A many-thread "service" over the sharded façade: worker threads drain
-//! batched requests (lookups, upserts, deletes) against a
-//! `ShardedMap` whose boundary table was *learned* from a sample of the
-//! service's key distribution — the deployment shape `docs/SHARDING.md`
-//! prescribes for skewed keyspaces.
+//! batched requests (lookups, upserts, deletes) against the registry's
+//! `"sharded"` entry, sized to the service's key range `[0, SPAN)` — the
+//! shape every sharded benchmark and figure deploys: a uniform boundary
+//! table over the keys the workload draws.
 //!
 //! Each worker builds a request batch, then executes it: lookups as point
 //! `get`s, upserts and deletes through the trait-level batch helpers. The
@@ -13,54 +13,40 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use sharded::{ConcurrentMap, ShardedMap};
+use workload::{make_map, ConcurrentMap, SuiteConfig};
 
-/// The service's key distribution is skewed: 80% of traffic hits a small
-/// "hot" ID band, 20% a long sparse tail — uniform splitting of the raw
-/// keyspace would route ~everything to shard 0.
-fn sample_key(rng: &mut StdRng) -> u64 {
-    if rng.gen_range(0..10) < 8 {
-        rng.gen_range(0..100_000) // hot band
-    } else {
-        100_000 + rng.gen_range(0..1_000_000) * 1_000 // sparse tail
-    }
-}
+/// The service's keyspace: every request draws its key from `[0, SPAN)`.
+const SPAN: u64 = 100_000;
 
 fn main() {
     let workers = 8;
-    let shards = workload::config::DEFAULT_SHARDS;
     let batch_size = 64;
     let run_for = Duration::from_secs(1);
 
-    // Learn split points from a traffic sample, then shard the chromatic
-    // tree behind them.
-    let mut rng = StdRng::seed_from_u64(7);
-    let sample: Vec<u64> = (0..10_000).map(|_| sample_key(&mut rng)).collect();
-    let map: Arc<ShardedMap<Box<dyn ConcurrentMap>>> =
-        Arc::new(ShardedMap::from_sample(shards, &sample, |_| {
-            workload::make_map("chromatic", &workload::SuiteConfig::default()).expect("registered")
-        }));
+    let cfg = SuiteConfig::default().for_key_range(SPAN);
+    let map = make_map("sharded", &cfg).expect("registered");
     println!(
-        "sharded service: {shards} chromatic shards, learned boundaries {:?}",
-        map.boundaries()
+        "sharded service: {} chromatic shards splitting [0, {SPAN}) uniformly",
+        cfg.shards()
     );
 
-    // Prefill through one big batch per shard-count chunk.
-    let prefill: Vec<(u64, u64)> = sample.iter().map(|&k| (k, k)).collect();
+    // Prefill 10 000 draws through one batch.
+    let mut rng = StdRng::seed_from_u64(7);
+    let prefill: Vec<(u64, u64)> = (0..10_000)
+        .map(|_| rng.gen_range(0..SPAN))
+        .map(|k| (k, k))
+        .collect();
     map.insert_batch(&prefill);
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let served = Arc::new(AtomicU64::new(0));
+    let stop = AtomicBool::new(false);
+    let served = AtomicU64::new(0);
     let started = Instant::now();
     std::thread::scope(|s| {
         for w in 0..workers {
-            let map = Arc::clone(&map);
-            let stop = Arc::clone(&stop);
-            let served = Arc::clone(&served);
+            let (map, stop, served) = (&map, &stop, &served);
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(100 + w);
                 let mut reads = Vec::with_capacity(batch_size);
@@ -74,13 +60,13 @@ fn main() {
                     writes.clear();
                     deletes.clear();
                     for _ in 0..batch_size {
-                        reads.push(sample_key(&mut rng));
+                        reads.push(rng.gen_range(0..SPAN));
                     }
                     for _ in 0..batch_size / 4 {
-                        writes.push((sample_key(&mut rng), w));
+                        writes.push((rng.gen_range(0..SPAN), w));
                     }
                     for _ in 0..batch_size / 8 {
-                        deletes.push(sample_key(&mut rng));
+                        deletes.push(rng.gen_range(0..SPAN));
                     }
                     let hits = reads.iter().filter_map(|k| map.get(k)).count();
                     map.insert_batch(&writes);
@@ -107,6 +93,5 @@ fn main() {
          ({:.2} Mops/s)",
         total as f64 / elapsed.as_secs_f64() / 1e6
     );
-    let sizes: Vec<usize> = map.shards().map(|s| s.len()).collect();
-    println!("final size {} across shards {sizes:?}", map.len());
+    println!("final size {}", map.len());
 }

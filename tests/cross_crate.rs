@@ -224,7 +224,7 @@ fn concurrent_batch_writers_settle_like_point_writers() {
 fn batched_service_over_every_structure_settles_like_model() {
     // The service-vs-model oracle: N client threads push interleaved
     // point ops through a `BatchedService` front end (real flusher
-    // thread, size + deadline triggers, `Block` backpressure) over every
+    // thread, size + deadline triggers, blocking backpressure) over every
     // registered structure. Clients own disjoint key stripes, so the
     // FIFO queue plus in-order flush execution makes each client's
     // response stream equal its own sequential `BTreeMap` replay —

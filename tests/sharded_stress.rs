@@ -30,7 +30,7 @@ use workload::{make_sharded, SuiteConfig};
 const PAIRS: u64 = 24;
 const SPREAD: u64 = 1000;
 const STRIDE: u64 = 2 * SPREAD + 100;
-const SHARDS: usize = 4;
+const SHARDS: usize = workload::config::DEFAULT_SHARDS;
 const SPAN: u64 = PAIRS * STRIDE; // per-shard: PAIRS / SHARDS whole pairs
 
 fn pair_lo(i: u64) -> u64 {
@@ -110,11 +110,7 @@ fn check_snapshot<M: ConcurrentMap>(map: &ShardedMap<M>, snap: &[(u64, u64)], lo
 /// (previously-present members) — between the two calls both members are
 /// present, so the ≥ 1 invariant holds at every instant.
 fn pair_invariant_stress(batched: bool) {
-    let map = Arc::new(make_sharded(
-        &SuiteConfig::default()
-            .with_shards(SHARDS)
-            .for_key_range(SPAN),
-    ));
+    let map = Arc::new(make_sharded(&SuiteConfig::default().for_key_range(SPAN)));
     assert_eq!(map.shard_count(), SHARDS);
     for i in 0..PAIRS {
         map.insert(permanent(i), i);
@@ -206,9 +202,7 @@ fn stitched_scans_are_atomic_per_shard_under_batched_writers() {
 #[test]
 fn batched_storm_settles_to_consistent_shards() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    let map = Arc::new(make_sharded(
-        &SuiteConfig::default().with_shards(8).for_key_range(4096),
-    ));
+    let map = Arc::new(make_sharded(&SuiteConfig::default().for_key_range(4096)));
     std::thread::scope(|s| {
         for tid in 0..4u64 {
             let map = Arc::clone(&map);
