@@ -91,6 +91,19 @@ fn blocked_submitter_progresses_after_a_flush_drains_space() {
     svc.shutdown();
 }
 
+/// The queue capacity is not settable: every service reports four
+/// batches, at least 64, and an empty queue.
+#[test]
+fn stats_report_the_capacity_derived_from_max_batch() {
+    for (max_batch, capacity) in [(1, 64), (16, 64), (17, 68), (100, 400)] {
+        let (mut svc, _clock) = manual_cfg(ServiceConfig::new(FlushPolicy::new(max_batch, HOUR)));
+        let stats = svc.stats();
+        assert_eq!(stats.capacity, capacity, "max_batch {max_batch}");
+        assert_eq!((stats.occupancy, stats.shed), (0, 0));
+        svc.shutdown();
+    }
+}
+
 /// Exact stats accounting for a hand-written schedule: every counter in
 /// [`ServiceStats`] matches the arithmetic of the script.
 #[test]

@@ -236,6 +236,10 @@ mod tests {
                 .map(|(k, v)| (*k, *v))
                 .collect()
         }
+        fn range_tier(&self) -> crate::RangeTier {
+            // The scan holds the lock, so it is an atomic snapshot.
+            crate::RangeTier::Atomic
+        }
         fn len(&self) -> usize {
             self.map.lock().unwrap().len()
         }
@@ -323,6 +327,80 @@ mod tests {
             }
             assert_eq!(m.shard_of(u64::MAX), shards - 1);
         }
+    }
+
+    #[test]
+    fn routing_counts_the_boundaries_at_or_below_the_key() {
+        // Oracle: the number of split points ≤ k, found by binary search.
+        // Keys: 0, u64::MAX, every boundary and its neighbours, and a
+        // splitmix64 stream over the span and beyond it.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for shards in (0..8).map(|p| 1usize << p) {
+            let span = 1_000_003;
+            let m = locked_shards(shards, span);
+            let table = m.boundaries();
+            let mut keys = vec![0, span - 1, span, u64::MAX];
+            for &b in table {
+                keys.extend([b - 1, b, b + 1]);
+            }
+            keys.extend((0..500).map(|_| next() % (2 * span)));
+            keys.extend((0..100).map(|_| next()));
+            for k in keys {
+                let expect = table.partition_point(|&b| b <= k);
+                assert_eq!(m.shard_of(k), expect, "key {k} of {shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn a_whole_keyspace_span_splits_without_overflow() {
+        // `i * span` overflows u64 for every i ≥ 2 here; the split is
+        // computed in u128 and must be the exact floor of i · span / 8.
+        let m = locked_shards(8, u64::MAX);
+        let expect: Vec<u64> = (1..8u128)
+            .map(|i| (i * u64::MAX as u128 / 8) as u64)
+            .collect();
+        assert_eq!(m.boundaries(), &expect[..]);
+        assert_eq!(m.boundaries()[0], u64::MAX / 8);
+        assert!(m.boundaries().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(m.shard_of(u64::MAX / 8 - 1), 0);
+        assert_eq!(m.shard_of(u64::MAX), 7);
+    }
+
+    #[test]
+    fn named_changes_the_reported_name_and_nothing_else() {
+        let plain = locked_shards(4, 400);
+        assert_eq!(plain.name(), "sharded");
+        let renamed = locked_shards(4, 400).named("hybrid");
+        assert_eq!(renamed.name(), "hybrid");
+        assert_eq!(renamed.boundaries(), plain.boundaries());
+        assert_eq!(renamed.shard_count(), 4);
+        assert_eq!(renamed.insert(150, 1), None);
+        assert_eq!(renamed.shard(1).get(&150), Some(1));
+    }
+
+    #[test]
+    fn range_tier_weakens_atomic_shards_and_passes_weaker_ones_through() {
+        // Stitched per-shard snapshots are atomic only per shard.
+        assert_eq!(
+            locked_shards(4, 400).range_tier(),
+            crate::RangeTier::PerShardAtomic
+        );
+        // `Logged` keeps the trait's default, the weakest tier.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let weak = ShardedMap::with_span(2, 100, |idx| Logged {
+            idx,
+            inner: Locked::default(),
+            log: Arc::clone(&log),
+        });
+        assert_eq!(weak.range_tier(), crate::RangeTier::PerKeyLinearizable);
     }
 
     #[test]
