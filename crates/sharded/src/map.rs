@@ -9,7 +9,7 @@
 /// distinguishable from one. Making the tier explicit lets
 /// `workload::check_against_model` assert exactly what each structure
 /// promises, so a new per-key-linearizable structure (the hash tier,
-/// the hybrid shard) doesn't inherit a too-strong assertion it would
+/// the hybrid) doesn't inherit a too-strong assertion it would
 /// only pass by accident.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RangeTier {

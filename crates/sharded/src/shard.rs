@@ -78,11 +78,6 @@ pub struct ShardedMap<M> {
     /// `shards.len() - 1` sorted split points; `boundaries[i]` is the
     /// smallest key owned by shard `i + 1`.
     boundaries: Box<[u64]>,
-    /// Registry name reported by [`ConcurrentMap::name`]; `"sharded"`
-    /// unless overridden with [`named`](Self::named). Heterogeneous
-    /// compositions (the `"hybrid"` registry entry, a façade over
-    /// hash+tree shards) need their own name in figures and oracles.
-    name: &'static str,
 }
 
 impl<M> ShardedMap<M> {
@@ -111,18 +106,7 @@ impl<M> ShardedMap<M> {
         ShardedMap {
             shards: (0..shards).map(factory).collect(),
             boundaries,
-            name: "sharded",
         }
-    }
-
-    /// Overrides the name this façade reports through
-    /// [`ConcurrentMap::name`] (builder-style). Registry entries that
-    /// compose the façade over something other than the default shard
-    /// type — like `"hybrid"` — use this so figures, oracles and error
-    /// messages name the composition, not the plumbing.
-    pub fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
     }
 
     /// Number of shards (a power of two).
@@ -163,7 +147,7 @@ impl<M> ShardedMap<M> {
 
 impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     fn name(&self) -> &'static str {
-        self.name
+        "sharded"
     }
     fn insert(&self, k: u64, v: u64) -> Option<u64> {
         self.shards[self.shard_of(k)].insert(k, v)
@@ -372,18 +356,6 @@ mod tests {
         assert!(m.boundaries().windows(2).all(|w| w[0] < w[1]));
         assert_eq!(m.shard_of(u64::MAX / 8 - 1), 0);
         assert_eq!(m.shard_of(u64::MAX), 7);
-    }
-
-    #[test]
-    fn named_changes_the_reported_name_and_nothing_else() {
-        let plain = locked_shards(4, 400);
-        assert_eq!(plain.name(), "sharded");
-        let renamed = locked_shards(4, 400).named("hybrid");
-        assert_eq!(renamed.name(), "hybrid");
-        assert_eq!(renamed.boundaries(), plain.boundaries());
-        assert_eq!(renamed.shard_count(), 4);
-        assert_eq!(renamed.insert(150, 1), None);
-        assert_eq!(renamed.shard(1).get(&150), Some(1));
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub const ALL_MAPS: &[&str] = &[
 
 /// Violations a chromatic *tier* lets an update's search path hold before
 /// the update runs `cleanup` (§5.6): the `k` of every tree inside a
-/// composed registry entry, the `"sharded"` shards and each
-/// [`HybridShard`]'s tree. 6 is the paper's Chromatic6.
+/// composed registry entry: the `"sharded"` shards and the
+/// [`Hybrid`]'s tree. 6 is the paper's Chromatic6.
 ///
 /// A lazy tier skips about 99 % of the rebalancing steps, and the root
 /// walks between them, that a `k = 0` update pays. Its quiescent height
@@ -132,7 +132,7 @@ pub fn make_map(name: &str, cfg: &SuiteConfig) -> Option<Box<dyn ConcurrentMap>>
         "rbglobal" => Box::new(RbGlobalMap(RbGlobal::new())),
         "sharded" => Box::new(make_sharded(cfg)),
         "hashmap" => Box::new(HopShard::default()),
-        "hybrid" => Box::new(make_hybrid(cfg)),
+        "hybrid" => Box::new(Hybrid::default()),
         _ => return None,
     })
 }
@@ -232,12 +232,12 @@ impl ConcurrentMap for HopShard {
     }
 }
 
-/// Key-stripe latch count per [`HybridShard`] (a power of two).
+/// Key-stripe latch count of the [`Hybrid`] (a power of two).
 const HYBRID_LATCHES: usize = 64;
 
-/// One shard of the `"hybrid"` registry entry: a hash tier answering the
-/// point ops, dual-written with a chromatic tier that answers ordered
-/// scans. The tree is a lazy tier allowing [`TIER_ALLOWED_VIOLATIONS`].
+/// The `"hybrid"` registry entry: one hash tier answering the point ops,
+/// dual-written with one chromatic tier that answers ordered scans. The
+/// tree is a lazy tier allowing [`TIER_ALLOWED_VIOLATIONS`].
 ///
 /// # Consistency scope
 ///
@@ -257,18 +257,18 @@ const HYBRID_LATCHES: usize = 64;
 /// have committed to the hash tier and not yet to the tree, the
 /// composed structure's scans are **per-key linearizable** — a scan can
 /// run slightly behind the point-op truth, never ahead of it and never
-/// torn within a key. When the shard is quiescent the tiers agree
+/// torn within a key. When the map is quiescent the tiers agree
 /// exactly (the dual-write consistency oracle in `tests/cross_crate.rs`
 /// asserts this after a settled concurrent run).
-pub struct HybridShard {
+pub struct Hybrid {
     hash: HopMap<u64, u64>,
     tree: ChromaticTree<u64, u64>,
     latches: Box<[Mutex<()>]>,
 }
 
-impl Default for HybridShard {
+impl Default for Hybrid {
     fn default() -> Self {
-        HybridShard {
+        Hybrid {
             hash: HopMap::new(),
             tree: ChromaticTree::with_allowed_violations(TIER_ALLOWED_VIOLATIONS),
             latches: (0..HYBRID_LATCHES).map(|_| Mutex::new(())).collect(),
@@ -276,8 +276,8 @@ impl Default for HybridShard {
     }
 }
 
-impl HybridShard {
-    /// The shard's chromatic tier, read-only: for audits and `Stats` at
+impl Hybrid {
+    /// The map's chromatic tier, read-only: for audits and `Stats` at
     /// quiescence.
     pub fn tree(&self) -> &ChromaticTree<u64, u64> {
         &self.tree
@@ -294,7 +294,7 @@ impl HybridShard {
     }
 }
 
-impl ConcurrentMap for HybridShard {
+impl ConcurrentMap for Hybrid {
     fn name(&self) -> &'static str {
         "hybrid"
     }
@@ -344,38 +344,26 @@ impl ConcurrentMap for HybridShard {
     }
 }
 
-/// The `"hybrid"` registry entry's concrete type: the sharding façade
-/// over [`HybridShard`]s — heterogeneous composition, with the façade
-/// contributing shard routing and each shard pairing a hash
-/// tier (point ops) with a chromatic tier (ordered scans).
-pub fn make_hybrid(cfg: &SuiteConfig) -> ShardedMap<HybridShard> {
-    let shards = cfg.shards();
-    ShardedMap::with_span(shards, cfg.shard_span().max(shards as u64), |_| {
-        HybridShard::default()
-    })
-    .named("hybrid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn hybrid_writes_reach_the_tree_exactly_when_the_hash_tier_changed() {
-        let shard = HybridShard::default();
-        let tree = |shard: &HybridShard| shard.tree().range(0..=u64::MAX);
-        assert_eq!(shard.insert(7, 1), None);
+        let hybrid = Hybrid::default();
+        let tree = |hybrid: &Hybrid| hybrid.tree().range(0..=u64::MAX);
+        assert_eq!(hybrid.insert(7, 1), None);
         assert_eq!(
-            shard.insert(7, 1),
+            hybrid.insert(7, 1),
             Some(1),
             "equal value: tree write skipped"
         );
-        assert_eq!(tree(&shard), [(7, 1)]);
-        assert_eq!(shard.insert(7, 2), Some(1), "changed value: tree written");
-        assert_eq!(tree(&shard), [(7, 2)]);
-        assert_eq!(shard.remove(&8), None, "absent key: tree write skipped");
-        assert_eq!(tree(&shard), [(7, 2)]);
-        assert_eq!(shard.remove(&7), Some(2));
-        assert_eq!(tree(&shard), []);
+        assert_eq!(tree(&hybrid), [(7, 1)]);
+        assert_eq!(hybrid.insert(7, 2), Some(1), "changed value: tree written");
+        assert_eq!(tree(&hybrid), [(7, 2)]);
+        assert_eq!(hybrid.remove(&8), None, "absent key: tree write skipped");
+        assert_eq!(tree(&hybrid), [(7, 2)]);
+        assert_eq!(hybrid.remove(&7), Some(2));
+        assert_eq!(tree(&hybrid), []);
     }
 }

@@ -1,5 +1,5 @@
 //! Typed suite configuration: how the registry ([`make_map`](crate::make_map))
-//! sizes its two sharded entries (`"sharded"` and `"hybrid"`).
+//! sizes its sharded entry, `"sharded"`. No other entry reads it.
 //!
 //! The key range is the only sizing input a sweep supplies: binaries start
 //! from [`SuiteConfig::default`], call
@@ -32,7 +32,7 @@ pub struct SuiteConfig {
     shard_span: u64,
 }
 
-/// Shard count of the `"sharded"` and `"hybrid"` registry entries.
+/// Shard count of the `"sharded"` registry entry.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Default keyspace span split by the `"sharded"` entry's boundary table
@@ -58,8 +58,8 @@ impl SuiteConfig {
         self
     }
 
-    /// Shard count of the `"sharded"` and `"hybrid"` registry entries:
-    /// always [`DEFAULT_SHARDS`].
+    /// Shard count of the `"sharded"` registry entry: always
+    /// [`DEFAULT_SHARDS`].
     pub fn shards(&self) -> usize {
         DEFAULT_SHARDS
     }

@@ -14,8 +14,8 @@ pub mod latency;
 pub mod oracle;
 
 pub use adapters::{
-    make_hybrid, make_map, make_sharded, ChromaticShard, ConcurrentMap, HopShard, HybridShard,
-    RangeTier, ALL_MAPS, TIER_ALLOWED_VIOLATIONS,
+    make_map, make_sharded, ChromaticShard, ConcurrentMap, HopShard, Hybrid, RangeTier, ALL_MAPS,
+    TIER_ALLOWED_VIOLATIONS,
 };
 pub use config::SuiteConfig;
 pub use dist::{KeyDist, KeySampler};
@@ -307,11 +307,6 @@ mod tests {
                 make_sharded(&cfg).boundaries(),
                 table,
                 "sharded, range {range}"
-            );
-            assert_eq!(
-                make_hybrid(&cfg).boundaries(),
-                table,
-                "hybrid, range {range}"
             );
         }
     }

@@ -9,7 +9,8 @@ use crate::{ConcurrentMap, KeyDist, KeySampler, RangeTier};
 
 /// Sanity helper shared by tests: applies `ops` scripted operations to a
 /// map and to `BTreeMap`, asserting identical results — including ordered
-/// `range` scans, so every registered structure's scan is oracle-checked.
+/// `range` scans, inverted windows among them, so every registered
+/// structure's scan is oracle-checked.
 ///
 /// The range assertion is **tiered** by [`ConcurrentMap::range_tier`]:
 /// an [`RangeTier::Atomic`] scan must equal the model snapshot verbatim,
@@ -48,12 +49,30 @@ pub fn check_against_model_dist(
             1 => assert_eq!(map.remove(&k), model.remove(&k), "remove {k}"),
             2 => assert_eq!(map.get(&k), model.get(&k).copied(), "get {k}"),
             _ => {
-                let hi = k + rng.gen_range(0..range / 4 + 1);
-                let expect: Vec<(u64, u64)> = model.range(k..=hi).map(|(k, v)| (*k, *v)).collect();
-                assert_range_matches(map, map.range(k, hi), &expect, k, hi);
+                // One scan in eight is inverted (`hi < lo`) and must come
+                // back empty; `BTreeMap::range` panics on such a window, so
+                // the model's answer is stated, not computed.
+                let width = rng.gen_range(0..range / 4 + 1);
+                let (lo, hi) = if rng.gen_range(0..8) == 0 {
+                    (k + width + 1, k)
+                } else {
+                    (k, k + width)
+                };
+                let expect: Vec<(u64, u64)> = if lo <= hi {
+                    model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect()
+                } else {
+                    vec![]
+                };
+                assert_range_matches(map, map.range(lo, hi), &expect, lo, hi);
             }
         }
     }
+    assert_eq!(
+        map.range(u64::MAX, 0),
+        vec![],
+        "{}: range [MAX, 0]",
+        map.name()
+    );
 }
 
 /// The tier dispatch behind the model oracles' range checks.

@@ -4,9 +4,8 @@
 
 use sharded::ShardedMap;
 use workload::{
-    check_against_model, check_against_model_dist, make_hybrid, make_map, make_sharded,
-    ChromaticShard, ConcurrentMap, HybridShard, KeyDist, SuiteConfig, ALL_MAPS,
-    TIER_ALLOWED_VIOLATIONS,
+    check_against_model, check_against_model_dist, make_map, make_sharded, ChromaticShard,
+    ConcurrentMap, Hybrid, KeyDist, SuiteConfig, ALL_MAPS, TIER_ALLOWED_VIOLATIONS,
 };
 
 /// One config for every test in this file: the scripted workloads use
@@ -513,46 +512,38 @@ fn hybrid_tiers_agree_after_idempotent_and_changing_writes() {
     hybrid_tiers_agree_after_concurrent_run(HybridWriters::TwoValues);
 }
 
-/// Keys per lazy-tier test: 8 shards of 512 keys each.
+/// Keys per lazy-tier test: 8 `"sharded"` shards of 512 keys each, and
+/// all of them in the hybrid's one tree.
 const LAZY_TIER_KEYS: u64 = 1 << 12;
 
 /// A fresh `"sharded"` and `"hybrid"` entry over `[0, LAZY_TIER_KEYS)`,
-/// concrete so each shard's tree can be audited.
-fn lazy_tier_maps() -> (ShardedMap<ChromaticShard>, ShardedMap<HybridShard>) {
+/// concrete so every tree can be audited.
+fn lazy_tier_maps() -> (ShardedMap<ChromaticShard>, Hybrid) {
     let cfg = SuiteConfig::default().for_key_range(LAZY_TIER_KEYS);
-    (make_sharded(&cfg), make_hybrid(&cfg))
+    (make_sharded(&cfg), Hybrid::default())
 }
 
 /// Every chromatic tier of both entries must be a valid chromatic tree
 /// within the §5.3 quiescent height bound that `figures height` checks,
 /// `2⌈log2(n+1)⌉ + 2 + k`, at the `k` the registry ships.
-fn assert_lazy_tiers_within_bound(
-    sharded: &ShardedMap<ChromaticShard>,
-    hybrid: &ShardedMap<HybridShard>,
-) {
-    let check = |entry: &str, shard: usize, tree: &nbtree::ChromaticTree<u64, u64>| {
+fn assert_lazy_tiers_within_bound(sharded: &ShardedMap<ChromaticShard>, hybrid: &Hybrid) {
+    let check = |tier: &str, tree: &nbtree::ChromaticTree<u64, u64>| {
         let report = tree.audit();
-        assert!(
-            report.is_valid(),
-            "{entry} shard {shard}: {:?}",
-            report.errors
-        );
+        assert!(report.is_valid(), "{tier}: {:?}", report.errors);
         let log = (report.keys + 1).next_power_of_two().trailing_zeros() as usize;
         let bound = 2 * log + 2 + TIER_ALLOWED_VIOLATIONS as usize;
         assert!(
             report.height <= bound,
-            "{entry} shard {shard}: height {} exceeds the bound {bound} (n = {}, k = {})",
+            "{tier}: height {} exceeds the bound {bound} (n = {}, k = {})",
             report.height,
             report.keys,
             TIER_ALLOWED_VIOLATIONS
         );
     };
     for (i, s) in sharded.shards().enumerate() {
-        check("sharded", i, s.tree());
+        check(&format!("sharded shard {i}"), s.tree());
     }
-    for (i, s) in hybrid.shards().enumerate() {
-        check("hybrid", i, s.tree());
-    }
+    check("hybrid", hybrid.tree());
 }
 
 /// Two threads churn both composed entries 50i-50d on shared keys; at
