@@ -350,6 +350,18 @@ mod tests {
     }
 
     #[test]
+    fn every_registered_map_reports_its_registry_name() {
+        // Figures, artifacts and oracle messages label a map by `name()`,
+        // so each entry reports the name it was built from: the façade
+        // says "sharded" and the hybrid, built without one, "hybrid".
+        let cfg = SuiteConfig::default();
+        for name in ALL_MAPS {
+            assert_eq!(make_map(name, &cfg).unwrap().name(), *name);
+        }
+        assert!(make_map("unknown", &cfg).is_none());
+    }
+
+    #[test]
     fn mix_labels() {
         assert_eq!(Mix::updates(20, 10).to_string(), "20i-10d");
         assert_eq!(
