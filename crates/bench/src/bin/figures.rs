@@ -14,12 +14,13 @@
 //!   violation allowance k grows (Chromatic is k = 0, Chromatic6 k = 6).
 //!
 //! ```text
-//! figures [fig8|fig9|height|rebalance|ablation]... [--label L] [--out PATH]
+//! figures [fig8|fig9|height|rebalance|ablation]... [--out PATH]
 //! ```
 //!
-//! With no experiment named, all run. With `--out`, every Figure 8 cell
-//! is label-merged into a `bench_fig8/v1` artifact (default label
-//! `current`), which `bench_gate` diffs and `readme_table` renders.
+//! With no experiment named, all run. With `--out`, PATH is overwritten
+//! with a `bench_fig8/v1` artifact holding this one Figure 8 run, every
+//! cell of it; `bench_gate` diffs two such files and `readme_table`
+//! renders the checked-in one.
 //! Knobs: `NBTREE_BENCH_SECS`, `NBTREE_BENCH_TRIALS`,
 //! `NBTREE_BENCH_RANGES`, `NBTREE_BENCH_THREADS` (see `bench`). The
 //! paper's methodology is `NBTREE_BENCH_SECS=5 NBTREE_BENCH_TRIALS=5`.
@@ -34,27 +35,20 @@ use nbtree::{ChromaticTree, STEP_NAMES};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Duration;
 use workload::{
-    measure, prefill, run_trial, thread_counts, ConcurrentMap, Mix, SuiteConfig, TrialResult,
+    measure, prefill, run_trial, thread_counts, ChromaticShard, Mix, SuiteConfig, TrialResult,
     ALL_MAPS, TIER_ALLOWED_VIOLATIONS,
 };
 
 const EXPERIMENTS: [&str; 5] = ["fig8", "fig9", "height", "rebalance", "ablation"];
 
-const USAGE: &str =
-    "usage: figures [fig8|fig9|height|rebalance|ablation]... [--label L] [--out PATH]";
+const USAGE: &str = "usage: figures [fig8|fig9|height|rebalance|ablation]... [--out PATH]";
 
 fn main() {
     let mut chosen: Vec<String> = Vec::new();
-    let mut label = String::from("current");
     let mut out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--label" => {
-                label = args
-                    .next()
-                    .unwrap_or_else(|| usage("--label needs a value"))
-            }
             "--out" => out = Some(args.next().unwrap_or_else(|| usage("--out needs a path"))),
             e if EXPERIMENTS.contains(&e) => chosen.push(a),
             other => usage(&format!("unknown argument `{other}`")),
@@ -71,7 +65,7 @@ fn main() {
     for e in &chosen {
         println!();
         match e.as_str() {
-            "fig8" => fig8(&label, out.as_deref(), &mut failures),
+            "fig8" => fig8(out.as_deref(), &mut failures),
             "fig9" => fig9(),
             "height" => height(&mut failures),
             "rebalance" => rebalance(&mut failures),
@@ -96,7 +90,7 @@ fn usage(msg: &str) -> ! {
 
 /// Figure 8: the mix × key range × threads × structure grid, the
 /// orderings, and (with `out`) the artifact.
-fn fig8(label: &str, out: Option<&str>, failures: &mut Vec<String>) {
+fn fig8(out: Option<&str>, failures: &mut Vec<String>) {
     let duration = trial_duration();
     let n_trials = trials();
     let ranges = key_ranges();
@@ -178,16 +172,17 @@ fn fig8(label: &str, out: Option<&str>, failures: &mut Vec<String>) {
 
     if let Some(path) = out {
         let run = Json::obj(vec![
-            ("label", Json::Str(label.into())),
             ("range", Json::Num(ranges[0] as f64)),
             ("duration_secs", Json::Num(duration.as_secs_f64())),
             ("trials", Json::Num(n_trials as f64)),
             ("results", Json::Arr(rows)),
         ]);
-        let existing = std::fs::read_to_string(path).ok();
-        let doc = bench::json::merge_labeled_run(existing.as_deref(), "bench_fig8/v1", label, run);
+        let doc = Json::obj(vec![
+            ("schema", Json::Str("bench_fig8/v1".into())),
+            ("runs", Json::Arr(vec![run])),
+        ]);
         std::fs::write(path, doc.pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path} (label `{label}`)");
+        println!("wrote {path}");
     }
 }
 
@@ -257,31 +252,6 @@ fn sequential_mops(mix: Mix, range: u64, duration: Duration) -> f64 {
     ops as f64 / started.elapsed().as_secs_f64() / 1e6
 }
 
-/// A chromatic tree with a chosen violation allowance, driven through the
-/// harness (`prefill`, `run_trial`) and then audited.
-struct Chromatic(ChromaticTree<u64, u64>);
-
-impl ConcurrentMap for Chromatic {
-    fn name(&self) -> &'static str {
-        "chromatic"
-    }
-    fn insert(&self, k: u64, v: u64) -> Option<u64> {
-        self.0.insert(k, v)
-    }
-    fn remove(&self, k: &u64) -> Option<u64> {
-        self.0.remove(k)
-    }
-    fn get(&self, k: &u64) -> Option<u64> {
-        self.0.get(k)
-    }
-    fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.0.range(lo..=hi)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-}
-
 /// Prefills a fresh tree allowing `k` violations and churns it 50i-50d
 /// with `threads` workers for one trial.
 fn churn(
@@ -290,8 +260,8 @@ fn churn(
     threads: usize,
     duration: Duration,
     seed: u64,
-) -> (Chromatic, TrialResult) {
-    let map = Chromatic(ChromaticTree::with_allowed_violations(k));
+) -> (ChromaticShard, TrialResult) {
+    let map = ChromaticShard::new("chromatic", k);
     let mix = Mix::updates(50, 50);
     prefill(&map, range, mix, seed);
     let r = run_trial(&map, threads, mix, range, duration, seed + 1000);
@@ -314,7 +284,7 @@ fn height(failures: &mut Vec<String>) {
     for k in ks {
         for exp in [10u32, 13, 16] {
             let (map, _) = churn(k, 1 << exp, threads, duration, exp as u64);
-            let report = map.0.audit();
+            let report = map.tree().audit();
             println!(
                 "{:<10} {:>3} {:>9} {:>8} {:>8}",
                 report.keys,
@@ -397,14 +367,14 @@ fn ablation() {
     );
     for k in [0u32, 1, 2, 6, 16, 64] {
         let (map, r) = churn(k, range, threads, duration, 1);
-        let stats = map.0.stats();
+        let stats = map.tree().stats();
         let per_op = |n: u64| format!("{:.4}", n as f64 / r.ops as f64);
         print_row(
             &k.to_string(),
             &[
                 format!("{:.3}", r.mops()),
                 per_op(stats.total_steps()),
-                map.0.audit().height.to_string(),
+                map.tree().audit().height.to_string(),
                 per_op(stats.cleanup_passes()),
             ],
         );

@@ -1,9 +1,8 @@
 //! A minimal JSON value, writer and parser for the machine-readable bench
 //! artifacts (`BENCH_fig8.json`). Serde is not available offline; the bench
 //! schema is small enough that a ~150-line recursive-descent parser is the
-//! simplest dependency-free option, and having a real parser lets
-//! `figures --out` merge labeled runs into an existing file instead of
-//! clobbering the baseline.
+//! simplest dependency-free option for `bench_gate` and `readme_table` to
+//! read what `figures --out` writes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -159,42 +158,6 @@ impl Json {
     }
 }
 
-/// Label-merge for bench artifacts: parses `existing` (the previous
-/// artifact text, if any), keeps every run whose `label` differs, replaces
-/// or appends `run` under `label`, and wraps everything in the artifact
-/// envelope (`schema`, `host_threads`, `runs`). Malformed existing text is
-/// discarded with a warning on stderr — a half-written artifact from a
-/// crashed run must not abort the new one.
-pub fn merge_labeled_run(existing: Option<&str>, schema: &str, label: &str, run: Json) -> Json {
-    let mut runs: Vec<Json> = match existing {
-        Some(text) => match Json::parse(text) {
-            Ok(doc) => doc
-                .get("runs")
-                .map(|r| r.items().to_vec())
-                .unwrap_or_default(),
-            Err(e) => {
-                eprintln!("warning: could not parse existing artifact ({e}); overwriting");
-                Vec::new()
-            }
-        },
-        None => Vec::new(),
-    };
-    runs.retain(|r| r.get("label").and_then(Json::as_str) != Some(label));
-    runs.push(run);
-    Json::obj(vec![
-        ("schema", Json::Str(schema.into())),
-        (
-            "host_threads",
-            Json::Num(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1) as f64,
-            ),
-        ),
-        ("runs", Json::Arr(runs)),
-    ])
-}
-
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -346,7 +309,7 @@ mod tests {
             (
                 "runs",
                 Json::Arr(vec![Json::obj(vec![
-                    ("label", Json::Str("baseline".into())),
+                    ("mix", Json::Str("50i-50d".into())),
                     ("mops", Json::Num(1.25)),
                     ("threads", Json::Num(4.0)),
                 ])]),
@@ -357,10 +320,10 @@ mod tests {
         assert_eq!(back, doc);
         assert_eq!(
             back.get("runs").unwrap().items()[0]
-                .get("label")
+                .get("mix")
                 .unwrap()
                 .as_str(),
-            Some("baseline")
+            Some("50i-50d")
         );
     }
 
@@ -379,40 +342,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_replaces_matching_label_and_keeps_others() {
-        let run = |label: &str, mops: f64| {
-            Json::obj(vec![
-                ("label", Json::Str(label.into())),
-                ("mops", Json::Num(mops)),
-            ])
-        };
-        // Fresh artifact.
-        let doc = merge_labeled_run(None, "bench_x/v1", "baseline", run("baseline", 1.0));
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("bench_x/v1"));
-        assert_eq!(doc.get("runs").unwrap().items().len(), 1);
-        // Merge a second label.
-        let text = doc.pretty();
-        let doc = merge_labeled_run(Some(&text), "bench_x/v1", "pr", run("pr", 2.0));
-        assert_eq!(doc.get("runs").unwrap().items().len(), 2);
-        // Re-running a label replaces, not duplicates.
-        let text = doc.pretty();
-        let doc = merge_labeled_run(Some(&text), "bench_x/v1", "pr", run("pr", 3.0));
-        let runs = doc.get("runs").unwrap().items();
-        assert_eq!(runs.len(), 2);
-        let pr = runs
-            .iter()
-            .find(|r| r.get("label").and_then(Json::as_str) == Some("pr"))
-            .unwrap();
-        assert_eq!(pr.get("mops").unwrap().as_f64(), Some(3.0));
-        // Garbage input is discarded, not fatal.
-        let doc = merge_labeled_run(Some("{broken"), "bench_x/v1", "a", run("a", 1.0));
-        assert_eq!(doc.get("runs").unwrap().items().len(), 1);
-    }
-
-    #[test]
     fn truncated_input_errors_instead_of_panicking() {
-        // A half-written artifact (crash mid-run) must hit the recovery
-        // path in `figures --out`, not abort it.
+        // A half-written artifact (crash mid-run) must be reported as a
+        // parse error, not abort the reader.
         assert!(Json::parse("\"\\u12").is_err());
         assert!(Json::parse("\"abc").is_err());
         let cut_multibyte = &"\"é\"".as_bytes()[..2];

@@ -98,7 +98,7 @@ pub fn host_cores() -> usize {
 /// The host-provenance fields appended to every artifact result row:
 /// the measuring host's core count and whether the cell ran more worker
 /// threads than cores. An oversubscribed cell's Mops/s is
-/// scheduler-dominated — comparable across labels only on the same host
+/// scheduler-dominated — comparable across runs only on the same host
 /// and kernel — so the bench gate skips those cells instead of gating on
 /// them.
 pub fn provenance(threads: usize) -> Vec<(&'static str, json::Json)> {
@@ -110,9 +110,7 @@ pub fn provenance(threads: usize) -> Vec<(&'static str, json::Json)> {
 }
 
 /// The latency-percentile fields appended to every artifact result row:
-/// `p50_ns`/`p99_ns`/`p999_ns` of the run's trials merged. The fields are
-/// optional in the schema: rows from older artifacts simply don't have
-/// them, and the gate treats them as absent.
+/// `p50_ns`/`p99_ns`/`p999_ns` of the run's trials merged.
 pub fn latency_fields(trials: &[workload::TrialResult]) -> Vec<(&'static str, json::Json)> {
     let mut all = workload::Histogram::new();
     for t in trials {
@@ -125,30 +123,28 @@ pub fn latency_fields(trials: &[workload::TrialResult]) -> Vec<(&'static str, js
     ]
 }
 
-/// The structure a `bench_fig8/v1` run reports on, with its result rows
-/// for that structure. A run `figures` writes names the structure per
-/// row and covers every registered structure; the README table and the
-/// bench gate read its `chromatic` rows. An older run names its single
-/// structure once, at run level.
-pub fn structure_rows(run: &json::Json) -> (&str, Vec<&json::Json>) {
+/// The structure whose Figure 8 cells the README table renders and the
+/// bench gate compares. A `figures` run measures every registered
+/// structure, and each extra noisy cell is one more chance to fail on
+/// noise, so both read this one.
+pub const REPORTED_STRUCTURE: &str = "chromatic";
+
+/// The one run of a `bench_fig8/v1` document (`figures fig8 --out`
+/// writes exactly one), with its [`REPORTED_STRUCTURE`] rows in file
+/// order. A document without exactly one run is malformed.
+pub fn fig8_run(doc: &json::Json) -> Result<(&json::Json, Vec<&json::Json>), String> {
     use json::Json;
-    let structure = run
-        .get("structure")
-        .and_then(Json::as_str)
-        .unwrap_or("chromatic");
+    let [run] = doc.get("runs").ok_or("no `runs`")?.items() else {
+        return Err("expected exactly one run".into());
+    };
     let rows = run
         .get("results")
-        .map(|r| r.items())
-        .unwrap_or_default()
+        .ok_or("run has no `results`")?
+        .items()
         .iter()
-        .filter(|r| {
-            r.get("structure")
-                .and_then(Json::as_str)
-                .unwrap_or(structure)
-                == structure
-        })
+        .filter(|r| r.get("structure").and_then(Json::as_str) == Some(REPORTED_STRUCTURE))
         .collect();
-    (structure, rows)
+    Ok((run, rows))
 }
 
 /// Human-readable nanoseconds (`850ns`, `3.4µs`, `1.2ms`) for tables.

@@ -11,22 +11,12 @@ pub const BEGIN_MARK: &str = "<!-- readme_table:begin (generated by `readme_tabl
 /// Marker closing the generated region in `README.md`.
 pub const END_MARK: &str = "<!-- readme_table:end -->";
 
-/// Renders the markdown table for one labeled run of a `bench_fig8/v1`
-/// artifact. `label = None` picks the last (most recently merged) run.
-/// Rows are mixes in artifact order; columns are thread counts. A run
-/// whose rows carry their own `structure` (as `figures` writes them)
-/// renders its `chromatic` rows.
-pub fn bench_table(doc: &Json, label: Option<&str>) -> Result<String, String> {
-    let runs = doc.get("runs").ok_or("artifact has no `runs`")?.items();
-    let run = match label {
-        Some(l) => runs
-            .iter()
-            .find(|r| r.get("label").and_then(Json::as_str) == Some(l))
-            .ok_or_else(|| format!("no run labeled `{l}`"))?,
-        None => runs.last().ok_or("artifact has no runs")?,
-    };
-    run.get("results").ok_or("run has no `results`")?;
-    let (structure, results) = crate::structure_rows(run);
+/// Renders the markdown table for the one run of a `bench_fig8/v1`
+/// artifact ([`crate::fig8_run`]): rows are mixes in artifact order,
+/// columns are thread counts.
+pub fn bench_table(doc: &Json) -> Result<String, String> {
+    let (run, results) = crate::fig8_run(doc)?;
+    let structure = crate::REPORTED_STRUCTURE;
     if results.is_empty() {
         return Err(format!("run has no `{structure}` result rows"));
     }
@@ -74,7 +64,6 @@ pub fn bench_table(doc: &Json, label: Option<&str>) -> Result<String, String> {
             .unwrap_or_else(|| "—".into())
     };
 
-    let label = run.get("label").and_then(Json::as_str).unwrap_or("?");
     let range = run.get("range").and_then(Json::as_f64).unwrap_or(0.0);
     let secs = run
         .get("duration_secs")
@@ -85,7 +74,7 @@ pub fn bench_table(doc: &Json, label: Option<&str>) -> Result<String, String> {
     let mut out = String::new();
     out.push_str(&format!(
         "Throughput in Mops/s, structure `{structure}`, key range {range:.0}, \
-         {trials:.0} × {secs}s trials, run label `{label}` — regenerate with \
+         {trials:.0} × {secs}s trials — regenerate with \
          `cargo run --release -p bench --bin readme_table`:\n\n"
     ));
     out.push_str("| mix \\ threads |");
@@ -135,72 +124,54 @@ pub fn splice(readme: &str, table: &str) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn artifact() -> Json {
-        Json::parse(
-            r#"{"schema": "bench_fig8/v1", "runs": [
-              {"label": "baseline", "structure": "chromatic", "range": 10000,
-               "duration_secs": 0.4, "trials": 3, "results": [
-                {"mix": "50i-50d", "threads": 1, "mops": 0.984},
-                {"mix": "0i-0d", "threads": 1, "mops": 6.778}]},
-              {"label": "optimized", "structure": "chromatic", "range": 10000,
-               "duration_secs": 0.4, "trials": 3, "results": [
-                {"mix": "50i-50d", "threads": 1, "mops": 1.756},
-                {"mix": "50i-50d", "threads": 2, "mops": 0.72},
-                {"mix": "0i-0d", "threads": 1, "mops": 8.5},
-                {"mix": "0i-0d", "threads": 2, "mops": 9.61}]}]}"#,
-        )
-        .unwrap()
-    }
-
     #[test]
-    fn renders_requested_and_default_labels() {
-        let doc = artifact();
-        let t = bench_table(&doc, Some("optimized")).unwrap();
+    fn renders_mixes_by_thread_count_with_missing_cells_as_dashes() {
+        let doc = Json::parse(
+            r#"{"schema": "bench_fig8/v1", "runs": [
+              {"range": 10000, "duration_secs": 0.4, "trials": 3, "results": [
+                {"structure": "chromatic", "mix": "50i-50d", "threads": 1, "mops": 1.756},
+                {"structure": "chromatic", "mix": "50i-50d", "threads": 2, "mops": 0.72},
+                {"structure": "chromatic", "mix": "0i-0d", "threads": 1, "mops": 8.5}]}]}"#,
+        )
+        .unwrap();
+        let t = bench_table(&doc).unwrap();
+        assert!(t.contains("key range 10000, 3 × 0.4s trials"), "{t}");
         assert!(t.contains("| `50i-50d` | 1.76 | 0.72 |"), "{t}");
-        assert!(t.contains("run label `optimized`"));
-        // Default = last run.
-        let d = bench_table(&doc, None).unwrap();
-        assert_eq!(t, d);
-        // Baseline has no 2-thread row: missing cells render as —.
-        let b = bench_table(&doc, Some("baseline")).unwrap();
-        assert!(b.contains("| `50i-50d` | 0.98 |"), "{b}");
-        assert!(bench_table(&doc, Some("nope")).is_err());
+        // `0i-0d` has no 2-thread row: the missing cell renders as —.
+        assert!(t.contains("| `0i-0d` | 8.50 | — |"), "{t}");
+        // A file holding other than one run is malformed.
+        let two = Json::parse(r#"{"runs": [{"results": []}, {"results": []}]}"#).unwrap();
+        assert!(bench_table(&two).is_err());
     }
 
     #[test]
     fn p99_column_renders_from_the_lowest_thread_row() {
         let doc = Json::parse(
-            r#"{"runs": [{"label": "current", "structure": "chromatic", "range": 10000,
-              "duration_secs": 0.4, "trials": 3, "results": [
-                {"mix": "50i-50d", "threads": 1, "mops": 1.0,
+            r#"{"runs": [{"range": 10000, "duration_secs": 0.4, "trials": 3, "results": [
+                {"structure": "chromatic", "mix": "50i-50d", "threads": 1, "mops": 1.0,
                  "p50_ns": 511, "p99_ns": 2047, "p999_ns": 8191},
-                {"mix": "50i-50d", "threads": 2, "mops": 0.7,
+                {"structure": "chromatic", "mix": "50i-50d", "threads": 2, "mops": 0.7,
                  "p50_ns": 2047, "p99_ns": 8191, "p999_ns": 32767}]}]}"#,
         )
         .unwrap();
-        let t = bench_table(&doc, None).unwrap();
+        let t = bench_table(&doc).unwrap();
         // Header names the thread count the column reads; the cell is the
         // 1-thread p99, not the 2-thread one.
         assert!(t.contains("p99 @1T"), "{t}");
         assert!(t.contains("| `50i-50d` | 1.00 | 0.70 | 2.0µs |"), "{t}");
-        // Rows without percentiles (older artifacts) render a dash.
-        let legacy = artifact();
-        let t = bench_table(&legacy, Some("optimized")).unwrap();
-        assert!(t.contains("| `50i-50d` | 1.76 | 0.72 | — |"), "{t}");
     }
 
     #[test]
     fn a_multi_structure_run_renders_its_chromatic_rows() {
         let doc = Json::parse(
-            r#"{"runs": [{"label": "figures", "range": 10000,
-              "duration_secs": 0.3, "trials": 2, "results": [
+            r#"{"runs": [{"range": 10000, "duration_secs": 0.3, "trials": 2, "results": [
                 {"structure": "lockavl", "mix": "50i-50d", "threads": 1, "mops": 9.0},
                 {"structure": "chromatic", "mix": "50i-50d", "threads": 1, "mops": 1.5},
                 {"structure": "chromatic6", "mix": "50i-50d", "threads": 1, "mops": 7.0},
                 {"structure": "chromatic", "mix": "0i-0d", "threads": 1, "mops": 8.25}]}]}"#,
         )
         .unwrap();
-        let t = bench_table(&doc, None).unwrap();
+        let t = bench_table(&doc).unwrap();
         assert!(t.contains("structure `chromatic`"), "{t}");
         assert!(t.contains("| `50i-50d` | 1.50 |"), "{t}");
         assert!(t.contains("| `0i-0d` | 8.25 |"), "{t}");

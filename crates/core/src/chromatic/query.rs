@@ -136,8 +136,7 @@ where
     /// Lock-free: an attempt only fails because a concurrent SCX committed
     /// (or was helped to a terminal state), and each failed attempt falls
     /// back to a full re-traversal from the entry point. Retries are
-    /// tallied in [`stats`](ChromaticTree::stats). Use
-    /// [`range_attempts`](Self::range_attempts) for a bounded retry budget.
+    /// tallied in [`stats`](ChromaticTree::stats).
     ///
     /// ```
     /// let t = nbtree::ChromaticTree::new();
@@ -157,35 +156,6 @@ where
             }
             self.stats.bump_range_retries();
         }
-    }
-
-    /// Like [`range`](Self::range) but gives up after `attempts` failed
-    /// validations instead of waiting out a write-heavy phase, returning
-    /// `None`. `range` is `range_attempts` with an unbounded budget.
-    ///
-    /// ```
-    /// let t = nbtree::ChromaticTree::new();
-    /// for k in 0u64..100 {
-    ///     t.insert(k, k);
-    /// }
-    /// // Quiescent tree: the first attempt validates.
-    /// assert_eq!(t.range_attempts(10..=19, 1).unwrap().len(), 10);
-    /// // A zero budget never scans at all.
-    /// assert_eq!(t.range_attempts(10..=19, 0), None);
-    /// ```
-    pub fn range_attempts<B: RangeBounds<K>>(
-        &self,
-        bounds: B,
-        attempts: usize,
-    ) -> Option<Vec<(K, V)>> {
-        self.stats.bump_range_queries();
-        for _ in 0..attempts {
-            if let Some(out) = self.tree.try_range(&bounds) {
-                return Some(out);
-            }
-            self.stats.bump_range_retries();
-        }
-        None
     }
 
     /// The smallest key (and value), or `None` when empty. Implemented as

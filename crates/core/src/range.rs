@@ -14,10 +14,7 @@
 //! full re-traversal from the entry point; there is no partial revalidation.
 //! The retry loop is lock-free by the usual helping argument: every failure
 //! is caused by a concurrent SCX that committed or is being helped to a
-//! terminal state, so system-wide progress is preserved. A bounded variant
-//! ([`ChromaticTree::range_attempts`](crate::ChromaticTree::range_attempts))
-//! surfaces the retry budget to callers that prefer `None` over waiting out
-//! a write-heavy phase.
+//! terminal state, so system-wide progress is preserved.
 //!
 //! Why leaves are not LLXed: leaf keys and values are immutable, and any
 //! update that inserts, removes or replaces a leaf must swing a child

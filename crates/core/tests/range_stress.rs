@@ -274,24 +274,19 @@ fn range_agrees_with_oracle_at_quiescence() {
     t.audit_range(&5000, &6000).unwrap();
 }
 
-/// Retry accounting: scans under churn must eventually succeed and the
-/// stats must show the query count; the bounded variant must return
-/// `Some` when given a generous budget at quiescence.
+/// Retry accounting: the stats count every scan, and a scan of a
+/// quiescent tree validates on its first attempt.
 #[test]
-fn range_stats_and_bounded_variant() {
+fn range_stats_count_every_scan() {
     let t = ChromaticTree::<u64, u64>::new();
     for k in 0..512u64 {
         t.insert(k, k);
     }
     let before = t.stats().range_queries();
     assert_eq!(t.range(100..=199).len(), 100);
-    assert_eq!(
-        t.range_attempts(100..=199, 4)
-            .expect("quiescent scan must validate on first attempt")
-            .len(),
-        100
-    );
+    assert_eq!(t.range(..).len(), 512);
     assert_eq!(t.stats().range_queries(), before + 2);
+    assert_eq!(t.stats().range_retries(), 0);
 }
 
 /// Negative control: a deliberately torn scan (two half-scans stitched

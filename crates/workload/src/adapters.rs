@@ -48,7 +48,8 @@ pub const TIER_ALLOWED_VIOLATIONS: u32 = 6;
 
 /// The chromatic tree behind the registry: the `"chromatic"` and
 /// `"chromatic6"` entries and every shard of the `"sharded"` façade are
-/// this one type, told apart by the name they report.
+/// this one type, told apart by the name they report and the violation
+/// allowance `k` they were built with.
 ///
 /// A concrete type rather than `Box<dyn ConcurrentMap>` so the per-shard
 /// hop is a static call: the façade behind `make_map("sharded", ..)`
@@ -61,6 +62,15 @@ pub struct ChromaticShard {
 }
 
 impl ChromaticShard {
+    /// An empty tree reporting `name` and allowing `k` violations on a
+    /// search path before an update cleans up (§5.6).
+    pub fn new(name: &'static str, k: u32) -> Self {
+        ChromaticShard {
+            tree: ChromaticTree::with_allowed_violations(k),
+            name,
+        }
+    }
+
     /// The shard's tree, read-only: for audits and `Stats` at quiescence.
     pub fn tree(&self) -> &ChromaticTree<u64, u64> {
         &self.tree
@@ -100,10 +110,7 @@ impl ConcurrentMap for ChromaticShard {
 pub fn make_sharded(cfg: &SuiteConfig) -> ShardedMap<ChromaticShard> {
     let shards = cfg.shards();
     ShardedMap::with_span(shards, cfg.shard_span().max(shards as u64), |_| {
-        ChromaticShard {
-            tree: ChromaticTree::with_allowed_violations(TIER_ALLOWED_VIOLATIONS),
-            name: "chromatic-shard",
-        }
+        ChromaticShard::new("chromatic-shard", TIER_ALLOWED_VIOLATIONS)
     })
 }
 
@@ -113,17 +120,11 @@ pub fn make_sharded(cfg: &SuiteConfig) -> ShardedMap<ChromaticShard> {
 /// key range is its only sizing input: binaries call
 /// [`SuiteConfig::for_key_range`] per range block. The registry never
 /// consults the environment, so two sweepers cannot disagree about how
-/// the same `"sharded"` entry is sized.
+/// the same `"sharded"` or `"hybrid"` entry is sized.
 pub fn make_map(name: &str, cfg: &SuiteConfig) -> Option<Box<dyn ConcurrentMap>> {
     Some(match name {
-        "chromatic" => Box::new(ChromaticShard {
-            tree: ChromaticTree::new(),
-            name: "chromatic",
-        }),
-        "chromatic6" => Box::new(ChromaticShard {
-            tree: ChromaticTree::with_allowed_violations(6),
-            name: "chromatic6",
-        }),
+        "chromatic" => Box::new(ChromaticShard::new("chromatic", 0)),
+        "chromatic6" => Box::new(ChromaticShard::new("chromatic6", 6)),
         "nbbst" => Box::new(NbBstMap(NbBst::new())),
         "ravl" => Box::new(RelaxedAvlMap(RelaxedAvl::new())),
         "skiplist" => Box::new(SkipListAdapter(SkipListMap::new())),
@@ -132,7 +133,7 @@ pub fn make_map(name: &str, cfg: &SuiteConfig) -> Option<Box<dyn ConcurrentMap>>
         "rbglobal" => Box::new(RbGlobalMap(RbGlobal::new())),
         "sharded" => Box::new(make_sharded(cfg)),
         "hashmap" => Box::new(HopShard::default()),
-        "hybrid" => Box::new(Hybrid::default()),
+        "hybrid" => Box::new(Hybrid::new(cfg)),
         _ => return None,
     })
 }
@@ -237,7 +238,9 @@ const HYBRID_LATCHES: usize = 64;
 
 /// The `"hybrid"` registry entry: one hash tier answering the point ops,
 /// dual-written with one chromatic tier that answers ordered scans. The
-/// tree is a lazy tier allowing [`TIER_ALLOWED_VIOLATIONS`].
+/// hash tier starts with at least one home bucket per key of the
+/// config's key range, so a prefill never grows it; the tree is a lazy
+/// tier allowing [`TIER_ALLOWED_VIOLATIONS`].
 ///
 /// # Consistency scope
 ///
@@ -266,17 +269,17 @@ pub struct Hybrid {
     latches: Box<[Mutex<()>]>,
 }
 
-impl Default for Hybrid {
-    fn default() -> Self {
+impl Hybrid {
+    /// An empty hybrid sized for `cfg`'s key range
+    /// ([`SuiteConfig::shard_span`]).
+    pub fn new(cfg: &SuiteConfig) -> Self {
         Hybrid {
-            hash: HopMap::new(),
+            hash: HopMap::with_capacity(cfg.shard_span() as usize),
             tree: ChromaticTree::with_allowed_violations(TIER_ALLOWED_VIOLATIONS),
             latches: (0..HYBRID_LATCHES).map(|_| Mutex::new(())).collect(),
         }
     }
-}
 
-impl Hybrid {
     /// The map's chromatic tier, read-only: for audits and `Stats` at
     /// quiescence.
     pub fn tree(&self) -> &ChromaticTree<u64, u64> {
@@ -350,7 +353,7 @@ mod tests {
 
     #[test]
     fn hybrid_writes_reach_the_tree_exactly_when_the_hash_tier_changed() {
-        let hybrid = Hybrid::default();
+        let hybrid = Hybrid::new(&SuiteConfig::default());
         let tree = |hybrid: &Hybrid| hybrid.tree().range(0..=u64::MAX);
         assert_eq!(hybrid.insert(7, 1), None);
         assert_eq!(
@@ -365,5 +368,15 @@ mod tests {
         assert_eq!(tree(&hybrid), [(7, 2)]);
         assert_eq!(hybrid.remove(&7), Some(2));
         assert_eq!(tree(&hybrid), []);
+    }
+
+    #[test]
+    fn a_hybrid_sized_for_its_key_range_never_grows_its_hash_tier() {
+        let hybrid = Hybrid::new(&SuiteConfig::default().for_key_range(1 << 18));
+        for k in 0..1u64 << 17 {
+            hybrid.insert(2 * k, k);
+        }
+        assert_eq!(hybrid.len(), 1 << 17);
+        assert_eq!(hybrid.hash.resizes(), 0);
     }
 }

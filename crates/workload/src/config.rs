@@ -1,5 +1,7 @@
 //! Typed suite configuration: how the registry ([`make_map`](crate::make_map))
-//! sizes its sharded entry, `"sharded"`. No other entry reads it.
+//! sizes the two entries that depend on the key range: `"sharded"`, whose
+//! boundary table splits it, and `"hybrid"`, whose hash tier starts with
+//! at least one home bucket per key of it. No other entry reads it.
 //!
 //! The key range is the only sizing input a sweep supplies: binaries start
 //! from [`SuiteConfig::default`], call
@@ -12,7 +14,7 @@
 /// Construction-time configuration for the structure registry
 /// ([`make_map`](crate::make_map)) and the harness entry points: the
 /// keyspace span the sharded façade's uniform boundary table splits into
-/// [`DEFAULT_SHARDS`] shards.
+/// [`DEFAULT_SHARDS`] shards, and the hybrid's hash tier is sized for.
 ///
 /// # Examples
 ///
@@ -36,7 +38,8 @@ pub struct SuiteConfig {
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Default keyspace span split by the `"sharded"` entry's boundary table
-/// (the default bench key range).
+/// and sizing the `"hybrid"` entry's hash tier (the default bench key
+/// range).
 pub const DEFAULT_SHARD_SPAN: u64 = 10_000;
 
 impl Default for SuiteConfig {
@@ -65,7 +68,8 @@ impl SuiteConfig {
     }
 
     /// Keyspace span `[0, span)` split uniformly by the `"sharded"`
-    /// entry's boundary table (always ≥ 1).
+    /// entry's boundary table and sizing the `"hybrid"` entry's hash tier
+    /// (always ≥ 1).
     pub fn shard_span(&self) -> u64 {
         self.shard_span
     }

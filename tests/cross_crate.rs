@@ -520,7 +520,7 @@ const LAZY_TIER_KEYS: u64 = 1 << 12;
 /// concrete so every tree can be audited.
 fn lazy_tier_maps() -> (ShardedMap<ChromaticShard>, Hybrid) {
     let cfg = SuiteConfig::default().for_key_range(LAZY_TIER_KEYS);
-    (make_sharded(&cfg), Hybrid::default())
+    (make_sharded(&cfg), Hybrid::new(&cfg))
 }
 
 /// Every chromatic tier of both entries must be a valid chromatic tree
